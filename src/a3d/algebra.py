@@ -22,6 +22,14 @@ Derive        delta: add/overwrite one column from a scalar function; with
 Aggregate     gamma: group by key columns, apply aggregates; an empty input
               yields an empty output even with no keys
 
+Schema inference
+----------------
+``node_schema`` holds every schema rule as one step: a node's output schema
+from its children's schemas, reading only the node's own fields.  The
+optimizer's searches call it directly on template nodes and memoized child
+schemas.  ``output_schema`` folds it over a whole term and is the only place
+a catalog is consulted, at ``RelVar``.
+
 Null/equality conventions live in `functions` and `predicates`; join and
 group keys treat null as equal to null.
 """
@@ -288,97 +296,107 @@ def _check_targets(targets, schema: Schema, what: str):
             raise SchemaError(f"{what}: alias {a!r} shadows an unrelated column")
 
 
+def node_schema(node: Term, *child_schemas: Schema) -> Schema:
+    """One inference step: the schema `node` outputs given its children's.
+
+    Only the node's own fields are read; its children are ignored (pass
+    their schemas instead), so template nodes with placeholder children are
+    fine.  Raises SchemaError on any inconsistency.  Not defined for
+    RelVar, whose schema comes from a catalog.
+    """
+    if isinstance(node, Join):
+        left, right = child_schemas
+        for c in left.columns & right.columns:
+            if left.kind(c) != right.kind(c):
+                raise SchemaError(f"join column {c!r} has mixed kinds")
+        return Schema(left.scalars | right.scalars, left.arrays | right.arrays)
+
+    if not isinstance(node, UNARY_TYPES):
+        raise SchemaError(f"not a term: {node!r}")
+    (inner,) = child_schemas
+
+    if isinstance(node, Filter):
+        missing = pred_columns(node.pred) - inner.columns
+        if missing:
+            raise SchemaError(f"filter references {sorted(missing)}")
+        return inner
+
+    if isinstance(node, Project):
+        if len(set(node.cols)) != len(node.cols):
+            raise SchemaError("project: duplicate column")
+        for c in node.cols:
+            if c not in inner.columns:
+                raise SchemaError(f"project: unknown column {c!r}")
+        keep = frozenset(node.cols)
+        return Schema(inner.scalars & keep, inner.arrays & keep)
+
+    if isinstance(node, ArrayJoin):
+        _check_targets(node.targets, inner, "arrayJoin")
+        out = inner.drop(s for s, _ in node.targets)
+        for _, a in node.targets:
+            out = out.add(a, "scalar")
+        return out
+
+    if isinstance(node, ArrayFilter):
+        _check_targets(node.targets, inner, "arrayFilter")
+        aliases = {a for _, a in node.targets}
+        stray = pred_columns(node.pred) - aliases
+        if stray:
+            raise SchemaError(
+                f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
+        out = inner.drop(s for s, _ in node.targets)
+        for _, a in node.targets:
+            out = out.add(a, "array")
+        return out
+
+    if isinstance(node, Derive):
+        if not known_scalar_fn(node.fn.name):
+            raise SchemaError(f"unknown function {node.fn.name!r}")
+        if len(node.args) != scalar_fn_arity(node.fn.name):
+            raise SchemaError(f"{node.fn.name}: wrong arity")
+        kinds = []
+        for c in node.args:
+            if c not in inner.columns:
+                raise SchemaError(f"derive references unknown column {c!r}")
+            kinds.append(inner.kind(c))
+        if node.is_map:
+            if "array" not in kinds:
+                raise SchemaError("map derive needs at least one array argument")
+            return inner.add(node.output, "array")
+        return inner.add(node.output, fn_output_kind(node.fn, kinds))
+
+    # Aggregate
+    if len(set(node.keys)) != len(node.keys):
+        raise SchemaError("aggregate: duplicate key")
+    out = Schema.of()
+    for k in node.keys:
+        out = out.add(k, inner.kind(k))
+    aliases = set()
+    for spec in node.aggs:
+        if not known_agg_fn(spec.fn):
+            raise SchemaError(f"unknown aggregate {spec.fn!r}")
+        if spec.arg not in inner.columns:
+            raise SchemaError(f"aggregate references unknown column {spec.arg!r}")
+        if spec.fn.endswith("ForEach") and inner.kind(spec.arg) != "array":
+            raise SchemaError(f"{spec.fn} needs an array column")
+        if spec.alias in aliases or spec.alias in node.keys:
+            raise SchemaError(f"aggregate alias {spec.alias!r} collides")
+        aliases.add(spec.alias)
+        out = out.add(spec.alias, agg_output_kind(spec.fn))
+    return out
+
+
 def output_schema(term: Term, catalog: Mapping[str, Schema]) -> Schema:
     """Infer the output schema, raising SchemaError on any inconsistency."""
     if isinstance(term, RelVar):
         if term.name not in catalog:
             raise SchemaError(f"unknown relation {term.name!r}")
         return catalog[term.name]
-
-    if isinstance(term, Filter):
-        inner = output_schema(term.child, catalog)
-        missing = pred_columns(term.pred) - inner.columns
-        if missing:
-            raise SchemaError(f"filter references {sorted(missing)}")
-        return inner
-
-    if isinstance(term, Project):
-        inner = output_schema(term.child, catalog)
-        if len(set(term.cols)) != len(term.cols):
-            raise SchemaError("project: duplicate column")
-        for c in term.cols:
-            if c not in inner.columns:
-                raise SchemaError(f"project: unknown column {c!r}")
-        keep = frozenset(term.cols)
-        return Schema(inner.scalars & keep, inner.arrays & keep)
-
     if isinstance(term, Join):
-        left = output_schema(term.left, catalog)
-        right = output_schema(term.right, catalog)
-        for c in left.columns & right.columns:
-            if left.kind(c) != right.kind(c):
-                raise SchemaError(f"join column {c!r} has mixed kinds")
-        return Schema(left.scalars | right.scalars, left.arrays | right.arrays)
-
-    if isinstance(term, ArrayJoin):
-        inner = output_schema(term.child, catalog)
-        _check_targets(term.targets, inner, "arrayJoin")
-        out = inner.drop(s for s, _ in term.targets)
-        for _, a in term.targets:
-            out = out.add(a, "scalar")
-        return out
-
-    if isinstance(term, ArrayFilter):
-        inner = output_schema(term.child, catalog)
-        _check_targets(term.targets, inner, "arrayFilter")
-        aliases = {a for _, a in term.targets}
-        stray = pred_columns(term.pred) - aliases
-        if stray:
-            raise SchemaError(
-                f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
-        out = inner.drop(s for s, _ in term.targets)
-        for _, a in term.targets:
-            out = out.add(a, "array")
-        return out
-
-    if isinstance(term, Derive):
-        inner = output_schema(term.child, catalog)
-        if not known_scalar_fn(term.fn.name):
-            raise SchemaError(f"unknown function {term.fn.name!r}")
-        if len(term.args) != scalar_fn_arity(term.fn.name):
-            raise SchemaError(f"{term.fn.name}: wrong arity")
-        kinds = []
-        for c in term.args:
-            if c not in inner.columns:
-                raise SchemaError(f"derive references unknown column {c!r}")
-            kinds.append(inner.kind(c))
-        if term.is_map:
-            if "array" not in kinds:
-                raise SchemaError("map derive needs at least one array argument")
-            return inner.add(term.output, "array")
-        return inner.add(term.output, fn_output_kind(term.fn, kinds))
-
-    if isinstance(term, Aggregate):
-        inner = output_schema(term.child, catalog)
-        if len(set(term.keys)) != len(term.keys):
-            raise SchemaError("aggregate: duplicate key")
-        out = Schema.of()
-        for k in term.keys:
-            out = out.add(k, inner.kind(k))
-        aliases = set()
-        for spec in term.aggs:
-            if not known_agg_fn(spec.fn):
-                raise SchemaError(f"unknown aggregate {spec.fn!r}")
-            if spec.arg not in inner.columns:
-                raise SchemaError(f"aggregate references unknown column {spec.arg!r}")
-            if spec.fn.endswith("ForEach") and inner.kind(spec.arg) != "array":
-                raise SchemaError(f"{spec.fn} needs an array column")
-            if spec.alias in aliases or spec.alias in term.keys:
-                raise SchemaError(f"aggregate alias {spec.alias!r} collides")
-            aliases.add(spec.alias)
-            out = out.add(spec.alias, agg_output_kind(spec.fn))
-        return out
-
+        return node_schema(term, output_schema(term.left, catalog),
+                           output_schema(term.right, catalog))
+    if isinstance(term, UNARY_TYPES):
+        return node_schema(term, output_schema(term.child, catalog))
     raise SchemaError(f"not a term: {term!r}")
 
 
@@ -501,48 +519,39 @@ def evaluate(term: Term, db: Mapping[str, Relation], mode: str = "bag") -> Relat
     catalog = {name: rel.schema for name, rel in db.items()}
     schema = output_schema(term, catalog)  # fail fast on schema problems
 
-    def run(t: Term) -> list:
+    def run(t: Term) -> tuple:
+        """(rows, schema) of one subterm."""
         if isinstance(t, RelVar):
-            rows = [dict(r) for r in db[t.name].rows]
-        elif isinstance(t, Filter):
-            try:
-                rows = [r for r in run(t.child) if eval_pred(t.pred, r)]
-            except (FunctionError, PredicateError) as exc:
-                raise EvalError(str(exc)) from None
-        elif isinstance(t, Project):
-            keep = t.cols
-            rows = [{c: r[c] for c in keep} for r in run(t.child)]
+            rows, sch = [dict(r) for r in db[t.name].rows], db[t.name].schema
         elif isinstance(t, Join):
-            lsch = output_schema(t.left, catalog)
-            rsch = output_schema(t.right, catalog)
+            (lrows, lsch), (rrows, rsch) = run(t.left), run(t.right)
             shared = sorted(lsch.columns & rsch.columns)
-            rows = _eval_join(run(t.left), run(t.right), shared)
-        elif isinstance(t, ArrayJoin):
-            rows = _eval_array_join(t, run(t.child))
-        elif isinstance(t, ArrayFilter):
+            rows = _eval_join(lrows, rrows, shared)
+            sch = node_schema(t, lsch, rsch)
+        else:
+            kid_rows, kid_sch = run(t.child)
+            sch = node_schema(t, kid_sch)
             try:
-                rows = _eval_array_filter(t, run(t.child))
+                if isinstance(t, Filter):
+                    rows = [r for r in kid_rows if eval_pred(t.pred, r)]
+                elif isinstance(t, Project):
+                    rows = [{c: r[c] for c in t.cols} for r in kid_rows]
+                elif isinstance(t, ArrayJoin):
+                    rows = _eval_array_join(t, kid_rows)
+                elif isinstance(t, ArrayFilter):
+                    rows = _eval_array_filter(t, kid_rows)
+                elif isinstance(t, Derive):
+                    arg_is_array = [kid_sch.kind(c) == "array" for c in t.args]
+                    rows = _eval_derive(t, kid_rows, arg_is_array)
+                else:
+                    rows = _eval_aggregate(t, kid_rows)
             except (FunctionError, PredicateError) as exc:
                 raise EvalError(str(exc)) from None
-        elif isinstance(t, Derive):
-            sch = output_schema(t.child, catalog)
-            arg_is_array = [sch.kind(c) == "array" for c in t.args]
-            try:
-                rows = _eval_derive(t, run(t.child), arg_is_array)
-            except FunctionError as exc:
-                raise EvalError(str(exc)) from None
-        elif isinstance(t, Aggregate):
-            try:
-                rows = _eval_aggregate(t, run(t.child))
-            except FunctionError as exc:
-                raise EvalError(str(exc)) from None
-        else:
-            raise EvalError(f"not a term: {t!r}")
         if mode == "set":
             rows = _dedupe(rows)
-        return rows
+        return rows, sch
 
-    return Relation(schema, tuple(run(term)))
+    return Relation(schema, tuple(run(term)[0]))
 
 
 def relations_equal(a: Relation, b: Relation, mode: str = "bag") -> bool:

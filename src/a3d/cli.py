@@ -457,9 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preagg-alpha", type=float, default=None,
                    help="condensation threshold for pre-aggregation")
     p.add_argument("--allow-cross-products", action="store_true")
-    p.add_argument("--seed", type=int, default=None,
-                   help="reserved for randomized tie-breaks (none exist; "
-                        "accepted for interface stability)")
     return p
 
 

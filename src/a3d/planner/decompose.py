@@ -11,11 +11,11 @@ collected as raw precedence edges while walking the tree.
 """
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, output_schema, with_children,
+    Project, RelVar, Schema, Term, node_schema, with_children,
 )
 from ..predicates import pred_columns
 from ..stats import CostModel, PlanState
@@ -83,9 +83,6 @@ class QueryDecomposition:
     out_cols: tuple           # output columns of the whole query
     had_top_project: bool
 
-    def recompose(self) -> Term:
-        return self.source
-
 
 _OP_KINDS = {
     Filter: "filter",
@@ -147,12 +144,6 @@ def _merge_col_maps(a: dict, b: dict) -> dict:
     return out
 
 
-def _node_schema(node: Term, child_schema: Schema,
-                 schemas: Mapping[str, Schema]) -> Schema:
-    probe = with_children(node, (RelVar("_x"),))
-    return output_schema(probe, {**schemas, "_x": child_schema})
-
-
 def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
     """Break `term` into the enumerator's normal form."""
 
@@ -193,10 +184,9 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
                         edges.append(JoinEdge(li, ri, col, prods))
             _, state = cost_model.join_effect(left.state, right.state,
                                               sorted(shared))
-            schema = output_schema(Join(RelVar("_l"), RelVar("_r")),
-                                   {"_l": left.schema, "_r": right.schema})
             return _Branch(
-                left.rels | right.rels, schema, state,
+                left.rels | right.rels,
+                node_schema(sub, left.schema, right.schema), state,
                 _merge_col_maps(left.support, right.support),
                 _merge_col_maps(left.producers, right.producers),
                 _merge_col_maps(left.readers, right.readers),
@@ -210,7 +200,7 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
         idx = len(ops)
         requires = op_requires(sub)
         produces = op_produces(sub)
-        schema_after = _node_schema(sub, br.schema, schemas)
+        schema_after = node_schema(sub, br.schema)
         destroys = (br.schema.columns - schema_after.columns) \
             | (produces & br.schema.columns)
 

@@ -11,14 +11,15 @@ two searches agree on which plans are legal and differ only in coverage.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Join, Project,
-    RelVar, Schema, Term, output_schema,
+    RelVar, Schema, Term, node_schema,
 )
 from ..stats import CostModel, PlanState
 from .decompose import QueryDecomposition, RankableOp
-from .precedence import PrecedenceGraph
+from .precedence import PrecedenceGraph, _bits
 
 
 class DisconnectedJoinGraphError(A3DError):
@@ -39,17 +40,6 @@ class MemoEntry:
     cost: float
     state: PlanState
     schema: Schema
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def describe_op(op: RankableOp) -> str:
@@ -73,28 +63,32 @@ def _cols_after(op: RankableOp, cols: set) -> set:
 # shared plan-space semantics (used by the oracle too)
 ############################################################
 
-def op_applicable(op: RankableOp, entry: MemoEntry,
+def op_applicable(op: RankableOp, ops: int, cols, rels: int,
                   graph: PrecedenceGraph) -> bool:
-    if entry.ops >> op.idx & 1:
+    """Whether `op` may run on a plan over leaves `rels` that has applied
+    the operators in `ops` and outputs the columns `cols`: not yet applied,
+    inputs present, precedence predecessors applied, and an aggregate sees
+    exactly the leaves it must group over."""
+    if ops >> op.idx & 1:
         return False
-    if not op.requires <= entry.schema.columns:
+    if not op.requires <= cols:
         return False
-    if graph.pred[op.idx] & ~entry.ops:
+    if graph.pred[op.idx] & ~ops:
         return False
     if op.kind == "aggregate":
         mine = 0
         for r in op.min_rels:
             mine |= 1 << r
-        if entry.rels != mine:
+        if rels != mine:
             return False
     return True
 
 
 def apply_op(op: RankableOp, entry: MemoEntry,
-             cost_model: CostModel, schemas) -> MemoEntry:
+             cost_model: CostModel) -> MemoEntry:
     term = op.apply(entry.term)
     cost, state = cost_model.op_effect(op.node, entry.state)
-    schema = output_schema(op.node, {**schemas, "_x": entry.schema})
+    schema = node_schema(op.node, entry.schema)
     return MemoEntry(term, entry.rels, entry.ops | (1 << op.idx),
                      entry.cost + cost, state, schema)
 
@@ -122,11 +116,25 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
         return None
     cost, state = cost_model.join_effect(left.state, right.state,
                                          sorted(shared))
-    schema = output_schema(Join(RelVar("_l"), RelVar("_r")),
-                           {"_l": left.schema, "_r": right.schema})
-    return MemoEntry(Join(left.term, right.term), left.rels | right.rels,
-                     left.ops | right.ops, left.cost + right.cost + cost,
-                     state, schema)
+    term = Join(left.term, right.term)
+    return MemoEntry(term, left.rels | right.rels, left.ops | right.ops,
+                     left.cost + right.cost + cost, state,
+                     node_schema(term, left.schema, right.schema))
+
+
+def reproject(entry: MemoEntry, decomp: QueryDecomposition,
+              cost_model: CostModel) -> Optional[MemoEntry]:
+    """Put the query's top projection on a complete plan when it is needed;
+    None when the plan lacks an output column."""
+    out_cols = decomp.out_cols
+    if set(out_cols) == entry.schema.columns and not decomp.had_top_project:
+        return entry
+    if not set(out_cols) <= entry.schema.columns:
+        return None
+    top = Project(tuple(out_cols), entry.term)
+    cost, state = cost_model.op_effect(top, entry.state)
+    return MemoEntry(top, entry.rels, entry.ops, entry.cost + cost, state,
+                     node_schema(top, entry.schema))
 
 
 ############################################################
@@ -205,20 +213,9 @@ class Enumerator:
         ops_mask = entry.ops
         cols = set(entry.schema.columns)
         for op in self.order:
-            if ops_mask >> op.idx & 1:
+            if op.idx in banned or not op_applicable(
+                    op, ops_mask, cols, entry.rels, self.graph):
                 continue
-            if op.idx in banned:
-                continue
-            if not op.requires <= cols:
-                continue
-            if self.graph.pred[op.idx] & ~ops_mask:
-                continue
-            if op.kind == "aggregate":
-                mine = 0
-                for r in op.min_rels:
-                    mine |= 1 << r
-                if entry.rels != mine:
-                    continue
             out.append(op)
             ops_mask |= 1 << op.idx
             cols = _cols_after(op, cols)
@@ -236,7 +233,7 @@ class Enumerator:
             return hit
         table: dict = {}
         self.memo[mask] = table
-        if _popcount(mask) == 1:
+        if mask.bit_count() == 1:
             self.insert(table, self.base_entry(mask.bit_length() - 1))
             return table
 
@@ -331,7 +328,7 @@ class Enumerator:
         if start == 0:
             out.append(cur)
         for k, op in enumerate(ops):
-            cur = apply_op(op, cur, self.cm, self.cm.schemas)
+            cur = apply_op(op, cur, self.cm)
             if k + 1 >= start:
                 out.append(cur)
         return out
@@ -344,17 +341,12 @@ class Enumerator:
         for op in self.order:
             if cur.ops >> op.idx & 1:
                 continue
-            if not op_applicable(op, cur, self.graph):
+            if not op_applicable(op, cur.ops, cur.schema.columns, cur.rels,
+                                 self.graph):
                 return None, describe_op(op)
-            cur = apply_op(op, cur, self.cm, self.cm.schemas)
-        term = cur.term
-        out_cols = self.q.out_cols
-        if set(out_cols) != cur.schema.columns or self.q.had_top_project:
-            if not set(out_cols) <= cur.schema.columns:
-                return None, "projection"
-            term = Project(tuple(out_cols), term)
-        return MemoEntry(term, cur.rels, cur.ops, cur.cost, cur.state,
-                         cur.schema), None
+            cur = apply_op(op, cur, self.cm)
+        final = reproject(cur, self.q, self.cm)
+        return (None, "projection") if final is None else (final, None)
 
     def run(self) -> MemoEntry:
         if not self.connected(self.full):

@@ -10,12 +10,12 @@ anything builds on it.  Deliberately small: refuses queries beyond
 4 relations / 8 rankable operators.
 """
 
-from ..algebra import A3DError, Project
+from ..algebra import A3DError
 from ..stats import CostModel
 from .decompose import QueryDecomposition
 from .enumeration import (
-    InfeasibleQueryError, MemoEntry, _popcount, apply_op, base_entry,
-    join_entries, op_applicable,
+    InfeasibleQueryError, MemoEntry, apply_op, base_entry, join_entries,
+    op_applicable, reproject,
 )
 from .precedence import PrecedenceGraph
 
@@ -68,7 +68,7 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
         if old is None:
             best[key] = entry
             npaths[key] = paths
-            lvl = _popcount(entry.rels) + _popcount(entry.ops)
+            lvl = entry.rels.bit_count() + entry.ops.bit_count()
             levels.setdefault(lvl, []).append(key)
         else:
             if entry.cost < old.cost:
@@ -88,9 +88,9 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             paths = npaths[key]
 
             for op in decomp.ops:
-                if op_applicable(op, entry, graph):
-                    consider(apply_op(op, entry, cost_model,
-                                      cost_model.schemas), paths)
+                if op_applicable(op, entry.ops, entry.schema.columns,
+                                 entry.rels, graph):
+                    consider(apply_op(op, entry, cost_model), paths)
 
             for pkey in done:
                 if pkey[0] & key[0] or pkey[1] & key[1]:
@@ -109,13 +109,10 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
     final = best.get(full)
     if final is None:
         raise InfeasibleQueryError("oracle found no complete plan", "oracle")
-
-    term = final.term
-    out_cols = decomp.out_cols
-    if set(out_cols) != final.schema.columns or decomp.had_top_project:
-        term = Project(tuple(out_cols), term)
-    result = MemoEntry(term, final.rels, final.ops, final.cost, final.state,
-                       final.schema)
+    result = reproject(final, decomp, cost_model)
+    if result is None:
+        raise InfeasibleQueryError("oracle plan lacks an output column",
+                                   "projection")
     if with_diagnostics:
         return result, {"states": len(best), "orderings": npaths.get(full, 0)}
     return result

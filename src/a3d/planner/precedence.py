@@ -162,7 +162,7 @@ def sp_tree(graph: PrecedenceGraph, members: int = None):
     # connected: look for a series cut.  In any valid cut every member of the
     # lower part has fewer in-set predecessors than every upper member, so
     # sorting by that count exposes all candidate prefixes.
-    bits.sort(key=lambda i: (_popcount(graph.pred[i] & members), i))
+    bits.sort(key=lambda i: ((graph.pred[i] & members).bit_count(), i))
     below = 0
     for k in range(len(bits) - 1):
         below |= 1 << bits[k]
@@ -180,10 +180,6 @@ def _bits(mask: int) -> list:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _components(graph: PrecedenceGraph, bits: list) -> list:

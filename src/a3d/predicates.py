@@ -9,7 +9,7 @@ raise on ordered comparison or array-vs-scalar mixes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .functions import ScalarFn, affine_form, apply_scalar, is_array
 
@@ -40,10 +40,9 @@ class Apply:
 
 Expr = Union[Col, Lit, Apply]
 
-CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-_NEGATE = {"=": "!=", "!=": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class Cmp:
     rhs: Expr
 
     def __post_init__(self):
-        if self.op not in CMP_OPS:
+        if self.op not in COMPARISONS:
             raise PredicateError(f"bad comparison operator {self.op!r}")
 
 
@@ -200,28 +199,9 @@ def rename_columns(pred: Pred, mapping: dict) -> Pred:
     raise PredicateError(f"not a predicate: {pred!r}")
 
 
-def iter_comparisons(pred: Pred) -> Iterator[Cmp]:
-    if isinstance(pred, Cmp):
-        yield pred
-    elif isinstance(pred, (And, Or)):
-        for p in pred.parts:
-            yield from iter_comparisons(p)
-    elif isinstance(pred, Not):
-        yield from iter_comparisons(pred.part)
-
-
 ############################################################
 # invertibility
 ############################################################
-
-@dataclass(frozen=True)
-class Inversion:
-    """Result of rewriting theta(f(x)) into theta'(x) for invertible f."""
-
-    original: Pred
-    inverted: Pred
-    column: str  # the column the inverted predicate constrains
-
 
 def invert_comparison(op: str, lit, slope, intercept) -> Optional[tuple]:
     """Solve  value_of(f(x)) op lit  for x, where f(x) = slope*x + intercept.
@@ -283,18 +263,6 @@ def invert_pred_through_fn(pred: Pred, fn: ScalarFn, source: str,
         return None
 
     return recurse(pred)
-
-
-def negate(pred: Pred) -> Pred:
-    """Structural negation pushing through one comparison when possible.
-
-    Note this is *not* semantically sound under nulls (null comparisons are
-    false under both the comparison and its negation), so it is only used
-    where the caller has excluded nulls.
-    """
-    if isinstance(pred, Cmp):
-        return Cmp(_NEGATE[pred.op], pred.lhs, pred.rhs)
-    return Not(pred)
 
 
 def format_pred(pred: Pred) -> str:

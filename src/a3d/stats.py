@@ -41,8 +41,7 @@ from .algebra import (
     Schema,
     SchemaError,
     Term,
-    output_schema,
-    with_children,
+    node_schema,
 )
 from .functions import ARRAY_ARG_FNS, affine_form, agg_output_kind, is_array
 from .predicates import And, Apply, Cmp, Col, Lit, Not, Or, Pred, invert_comparison
@@ -633,18 +632,10 @@ class CostModel:
                 rc, rs, rsch = go(t.right)
                 shared = sorted(lsch.columns & rsch.columns)
                 cost, state = self.join_effect(ls, rs, shared)
-                schema = output_schema(Join(RelVar("_l"), RelVar("_r")),
-                                       {"_l": lsch, "_r": rsch})
-                return lc + rc + cost, state, schema
+                return lc + rc + cost, state, node_schema(t, lsch, rsch)
             kid_cost, kid_state, kid_schema = go(t.child)
             cost, state = self.op_effect(t, kid_state)
-            schema = output_schema(
-                _rewire(t, RelVar("_x")), {"_x": kid_schema})
-            return kid_cost + cost, state, schema
+            return kid_cost + cost, state, node_schema(t, kid_schema)
 
         total, state, schema = go(term)
         return CostResult(total, state, schema)
-
-
-def _rewire(node: Term, child: Term) -> Term:
-    return with_children(node, (child,))

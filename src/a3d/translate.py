@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 
 from .algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, output_schema, with_children,
+    Project, RelVar, Schema, Term, node_schema,
 )
 from .functions import ScalarFn
 from .predicates import And, Apply, Cmp, Col, Lit, Not, Or
@@ -224,10 +224,6 @@ class _Emitter:
         except KeyError:
             raise DialectError(f"unknown relation {name!r}") from None
 
-    def node_schema(self, node: Term, child_schema: Schema) -> Schema:
-        probe = with_children(node, (RelVar("_x"),))
-        return output_schema(probe, {**self.schemas, "_x": child_schema})
-
     # -- per-operator renderings -------------------------------------------
 
     def emit(self, term: Term) -> tuple:
@@ -240,13 +236,13 @@ class _Emitter:
 
         if isinstance(term, Project):
             ref, child_schema = self.from_ref(term.child)
-            schema = self.node_schema(term, child_schema)
+            schema = node_schema(term, child_schema)
             cols = ", ".join(sorted(term.cols))
             return f"SELECT {cols}\nFROM {ref}", schema
 
         if isinstance(term, Filter):
             ref, child_schema = self.from_ref(term.child)
-            schema = self.node_schema(term, child_schema)
+            schema = node_schema(term, child_schema)
             cols = ", ".join(sorted(schema.columns))
             cond = _render_pred(term.pred, d)
             return f"SELECT {cols}\nFROM {ref}\nWHERE {cond}", schema
@@ -255,9 +251,7 @@ class _Emitter:
             lref, lschema = self.from_ref(term.left)
             rref, rschema = self.from_ref(term.right)
             shared = sorted(lschema.columns & rschema.columns)
-            probe = Join(RelVar("_l"), RelVar("_r"))
-            schema = output_schema(probe, {**self.schemas, "_l": lschema,
-                                           "_r": rschema})
+            schema = node_schema(term, lschema, rschema)
             cols = ", ".join(sorted(schema.columns))
             using = ", ".join(shared)
             return (f"SELECT {cols}\nFROM {lref}\n"
@@ -274,7 +268,7 @@ class _Emitter:
 
         if isinstance(term, Aggregate):
             ref, child_schema = self.from_ref(term.child)
-            schema = self.node_schema(term, child_schema)
+            schema = node_schema(term, child_schema)
             rendered = {}
             for spec in term.aggs:
                 template = d.agg_templates.get(spec.fn)
@@ -294,7 +288,7 @@ class _Emitter:
 
     def _emit_array_join(self, term: ArrayJoin) -> tuple:
         ref, child_schema = self.from_ref(term.child)
-        schema = self.node_schema(term, child_schema)
+        schema = node_schema(term, child_schema)
         cols = ", ".join(sorted(schema.columns))
         if self.d.unnest_via_array_join:
             parts = [src if src == alias else f"{src} AS {alias}"
@@ -312,7 +306,7 @@ class _Emitter:
             raise DialectError(f"{self.d.name} dialect cannot express "
                                "element-level array filters")
         ref, child_schema = self.from_ref(term.child)
-        schema = self.node_schema(term, child_schema)
+        schema = node_schema(term, child_schema)
         # one lambda variable per target, numbered by target position
         lvars = {alias: f"x{k + 1}"
                  for k, (_, alias) in enumerate(term.targets)}
@@ -333,7 +327,7 @@ class _Emitter:
 
     def _emit_derive(self, term: Derive) -> tuple:
         ref, child_schema = self.from_ref(term.child)
-        schema = self.node_schema(term, child_schema)
+        schema = node_schema(term, child_schema)
         d = self.d
         if term.is_map:
             if not d.supports_array_map:

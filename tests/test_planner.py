@@ -25,6 +25,7 @@ from a3d.algebra import (
     Schema,
     SchemaError,
     evaluate,
+    output_schema,
     walk,
 )
 from a3d.functions import ScalarFn
@@ -116,7 +117,7 @@ def test_decompose_collects_ops_and_edges():
     assert [op.kind for op in d.ops] == ["filter"]
     assert d.ops[0].requires == frozenset({"x"})
     assert d.ops[0].base_rels == frozenset({0})
-    assert d.recompose() is term
+    assert d.source is term
 
 
 def test_decompose_derive_then_filter_precedence_edge():
@@ -518,11 +519,14 @@ def test_enumerate_is_never_beaten_by_oracle(seed):
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
+    assert cm.term_cost(pre).schema == output_schema(pre, schemas)
     ent = enumerate_plans(d, graph, order, cm)
+    assert ent.schema == output_schema(ent.term, schemas)
     try:
         orc = oracle_enumerate(d, graph, cm)
     except OracleLimitError:
         pytest.skip("query exceeds oracle limits")
+    assert orc.schema == output_schema(orc.term, schemas)
     assert ent.cost <= orc.cost + 1e-9
 
 
