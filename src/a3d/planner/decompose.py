@@ -135,6 +135,7 @@ class _Branch:
     support: dict             # col -> frozenset of leaf indices
     producers: dict           # col -> frozenset of op idxs (current version)
     readers: dict             # col -> set of op idxs reading current version
+    aggs: tuple = ()          # (op idx, keys | aliases) of aggregates below
 
 
 def _merge_col_maps(a: dict, b: dict) -> dict:
@@ -190,6 +191,7 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
                 _merge_col_maps(left.support, right.support),
                 _merge_col_maps(left.producers, right.producers),
                 _merge_col_maps(left.readers, right.readers),
+                left.aggs + right.aggs,
             )
 
         kind = _OP_KINDS.get(type(sub))
@@ -214,6 +216,11 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
                     prec.add((r, idx))
             for p in sorted(br.producers.get(col, ())):
                 prec.add((p, idx))
+        # an aggregate keeps only its keys and aliases, so an operator above
+        # it that creates any other column must stay above it
+        for agg, kept in br.aggs:
+            if not produces <= kept:
+                prec.add((agg, idx))
 
         support = frozenset()
         for col in requires:
@@ -253,14 +260,16 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
             new_producers[col] = frozenset((idx,))
             new_readers[col] = set()
             new_support[col] = support or br.rels
+        aggs = br.aggs
         if isinstance(sub, Aggregate):
             keep = set(sub.keys) | produces
+            aggs += ((idx, frozenset(keep)),)
             new_support = {c: s for c, s in new_support.items() if c in keep}
             new_producers = {c: p for c, p in new_producers.items()
                              if c in keep}
             new_readers = {c: r for c, r in new_readers.items() if c in keep}
         return _Branch(br.rels, schema_after, state_after,
-                       new_support, new_producers, new_readers)
+                       new_support, new_producers, new_readers, aggs)
 
     # strip top projections into out_cols
     body = term

@@ -69,18 +69,26 @@ class Rule:
 
 
 class RuleContext:
-    """Schemas, declared correspondences, and a gensym pool for one term."""
+    """Schemas, declared correspondences, and a gensym pool for one term.
+
+    The pool is lazy: ``bind_root`` only records the root, and the set of
+    names already in use is collected from it the first time ``fresh`` runs
+    after a bind.  Rule attempts that never ask for a fresh name therefore
+    never walk the whole term.
+    """
 
     def __init__(self, schemas: Mapping[str, Schema], correspondences=(),
                  root: Optional[Term] = None):
         self.schemas = dict(schemas)
         self.correspondences = [frozenset(g) for g in correspondences]
-        self._used: set = set()
+        self._root: Optional[Term] = None
+        self._used: Optional[set] = set()
         if root is not None:
             self.bind_root(root)
 
     def bind_root(self, root: Term) -> "RuleContext":
-        self._used = collect_names(root, self.schemas)
+        self._root = root
+        self._used = None  # stale until the next fresh()
         return self
 
     def schema_of(self, term: Term) -> Schema:
@@ -91,6 +99,10 @@ class RuleContext:
         return any(cols <= g for g in self.correspondences)
 
     def fresh(self, prefix: str) -> str:
+        """A name `prefix<k>` (smallest k) used nowhere in the bound root
+        nor handed out since the bind."""
+        if self._used is None:
+            self._used = collect_names(self._root, self.schemas)
         k = 0
         while f"{prefix}{k}" in self._used:
             k += 1

@@ -353,7 +353,9 @@ class PlanState:
 
     rows_unf / lens_unf track the same quantities with every filter
     selectivity forced to 1; aggregate selectivities are derived from them so
-    they stay constant no matter where filters sit.
+    they stay constant no matter where filters sit.  States share their
+    dicts with each other and with cached ``term_cost`` results, so the dicts
+    are read-only.
     """
 
     rows: float
@@ -377,6 +379,14 @@ class CostResult:
     schema: Schema
 
 
+def _guarded_array(pred: Pred) -> Optional[str]:
+    """The column `c` of an emptiness guard  c != [] , else None."""
+    if isinstance(pred, Cmp) and pred.op == "!=" and isinstance(pred.lhs, Col) \
+            and pred.rhs == Lit(()):
+        return pred.lhs.name
+    return None
+
+
 class CostModel:
     """Cost/cardinality model bound to base-table statistics and schemas."""
 
@@ -384,6 +394,7 @@ class CostModel:
                  schemas: Mapping[str, Schema]):
         self.stats = stats
         self.schemas = schemas
+        self._recent: list = []  # [(term, CostResult)], most recent last
 
     # -- base relations ---------------------------------------------------
 
@@ -456,8 +467,16 @@ class CostModel:
         """
         if isinstance(node, Filter):
             s = self.filter_selectivity(node.pred, state)
-            cost = state.rows
-            return cost, replace(state, rows=state.rows * s)
+            out = replace(state, rows=state.rows * s)
+            guarded = _guarded_array(node.pred)
+            info = state.array_info.get(guarded)
+            if info is not None:
+                # no empty array survives an emptiness guard, so a repeated
+                # guard has selectivity 1 and cannot look like a saving
+                out = replace(out, array_info={
+                    **state.array_info,
+                    guarded: replace(info, empty_fraction=0.0)})
+            return state.rows, out
 
         if isinstance(node, Project):
             keep = set(node.cols)
@@ -621,7 +640,21 @@ class CostModel:
     # -- whole-term costing -------------------------------------------------
 
     def term_cost(self, term: Term) -> CostResult:
-        """Walk a term, returning total cost and the final state/schema."""
+        """Walk a term, returning total cost and the final state/schema.
+
+        The two terms costed most recently are remembered by identity
+        (``is``, holding strong references; least recently used goes first).
+        Costing an unchanged root again, as ``guard_cost_improves`` does on
+        every attempt, is then free, and an accepted rewrite's new root is
+        already cached when it becomes the next root.  The returned
+        ``CostResult`` and its ``PlanState`` dicts are shared with the cache
+        and with later callers, so they are read-only.
+        """
+        recent = self._recent
+        for i, (seen, res) in enumerate(recent):
+            if seen is term:
+                recent.append(recent.pop(i))
+                return res
 
         def go(t: Term):
             if isinstance(t, RelVar):
@@ -638,4 +671,8 @@ class CostModel:
             return kid_cost + cost, state, node_schema(t, kid_schema)
 
         total, state, schema = go(term)
-        return CostResult(total, state, schema)
+        res = CostResult(total, state, schema)
+        recent.append((term, res))
+        if len(recent) > 2:
+            del recent[0]
+        return res

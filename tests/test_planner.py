@@ -56,7 +56,9 @@ from a3d.planner import (
 )
 from a3d.planner.precedence import find_n_structure, sp_tree
 from a3d.rewrite import RuleContext
-from a3d.stats import ArrayStats, CostModel, ScalarStats, TableStats
+from a3d.stats import (
+    ArrayStats, CostModel, ScalarStats, TableStats, build_table_stats,
+)
 
 from gen_utils import default_relation, random_term
 from naive_interp import naive_eval, rows_equal_bag
@@ -143,6 +145,22 @@ def test_decompose_derived_join_key_records_producer():
     assert e.col == "j"
     didx = next(op.idx for op in d.ops if op.kind == "derive")
     assert e.producers == frozenset({didx})
+
+
+def test_decompose_keeps_column_creators_above_an_aggregate():
+    # the derive reads only a group key, but below the aggregate its output
+    # would be dropped; a filter creates nothing and may move freely
+    cm = one_rel_model()
+    agg = Aggregate(("k",), (AggSpec("sum", "u0", "s"),), RelVar("R"))
+    term = Filter(lt("k", 5), Derive("v", ScalarFn.of("neg"), ("k",), agg))
+    d = decompose(term, cm)
+    idx = {op.kind: op.idx for op in d.ops}
+    assert (idx["aggregate"], idx["derive"]) in d.prec_edges
+    assert (idx["aggregate"], idx["filter"]) not in d.prec_edges
+    for mode in ("enumerate", "oracle"):
+        res = optimize(term, cm.schemas, stats=cm.stats, mode=mode)
+        assert output_schema(res.term, cm.schemas) == \
+            output_schema(term, cm.schemas)
 
 
 def test_decompose_strips_top_projection():
@@ -720,6 +738,35 @@ def test_all_modes_preserve_evaluation(seed):
     for mode in ("greedy", "enumerate"):
         res = optimize(term, schemas, mode=mode)
         assert rows_equal_bag(want, list(evaluate(res.term, db).rows)), mode
+
+
+@pytest.mark.parametrize("seed", (19, 69, 87, 621, 623, 710))
+def test_every_mode_plans_former_failures(seed):
+    # built as in test_enumerate_is_never_beaten_by_oracle, with statistics
+    # on odd seeds; greedy used to stack emptiness guards without end (19,
+    # 69, 87, 623) and enumerate/oracle to schedule a derive below the
+    # aggregate that drops its output (621, 710)
+    rng = random.Random(seed)
+    nrel = rng.choice((1, 1, 2))
+    rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1), min_rows=1)
+            for i in range(nrel)]
+    term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+    schemas = {tr.name: tr.schema for tr in rels}
+    db = {tr.name: tr.relation for tr in rels}
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else None
+    want = list(evaluate(term, db).rows)
+    for mode in ("greedy", "enumerate", "oracle"):
+        try:
+            res = optimize(term, schemas, stats=stats, mode=mode)
+        except OracleLimitError:
+            assert mode == "oracle"
+            continue
+        assert rows_equal_bag(want, list(evaluate(res.term, db).rows)), mode
+        guards = [n.pred for _, n in walk(res.term)
+                  if isinstance(n, Filter) and isinstance(n.pred, Cmp)
+                  and n.pred.op == "!=" and n.pred.rhs == Lit(())]
+        assert len(guards) == len(set(guards)), mode
 
 
 def test_enumerate_cost_at_most_oracle_cost():

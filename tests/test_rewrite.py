@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from a3d import rewrite
 from a3d.algebra import (
     Aggregate,
     AggSpec,
@@ -26,6 +27,7 @@ from a3d.algebra import (
     walk,
 )
 from a3d.functions import ScalarFn
+from a3d.planner import optimize
 from a3d.predicates import Cmp, Col, Lit, format_pred
 from a3d.rewrite import (
     CATALOG,
@@ -38,6 +40,7 @@ from a3d.rewrite import (
     try_apply,
 )
 from a3d.stats import CostModel, build_table_stats
+from a3d.testkit import make_pattern, pattern_schemas
 
 from naive_interp import naive_eval, rows_equal_bag
 from rule_instances import GENS, _rel_t
@@ -183,6 +186,43 @@ def test_fresh_names_never_capture_existing_columns():
     assert rows_equal_bag(before.rows, after.rows)
 
 
+def _count_collect_names(monkeypatch):
+    calls = []
+    real = rewrite.collect_names
+
+    def counting(term, schemas):
+        calls.append(term)
+        return real(term, schemas)
+
+    monkeypatch.setattr(rewrite, "collect_names", counting)
+    return calls
+
+
+def test_fresh_collects_names_once_per_bind(monkeypatch):
+    calls = _count_collect_names(monkeypatch)
+    schema = Schema.of(scalars=["k", "__p0"], arrays=[])
+    ctx = RuleContext({"r": schema}, root=RelVar("r"))
+    assert calls == []
+    assert ctx.fresh("__p") == "__p1"
+    assert ctx.fresh("__p") == "__p2"
+    assert len(calls) == 1
+    # a new bind forgets the names handed out for the old root
+    ctx.bind_root(RelVar("r"))
+    assert len(calls) == 1
+    assert ctx.fresh("__p") == "__p1"
+    assert len(calls) == 2
+    # with no root bound, no name is in use
+    assert RuleContext({"r": schema}).fresh("__p") == "__p0"
+    assert len(calls) == 2
+
+
+def test_greedy_collects_no_names_when_no_rule_asks_for_one(monkeypatch):
+    # no rule that fires on pattern A needs a fresh name
+    calls = _count_collect_names(monkeypatch)
+    optimize(make_pattern("A", 16), pattern_schemas("A", 16), mode="greedy")
+    assert calls == []
+
+
 ############################################################
 # guards and refusals
 ############################################################
@@ -204,6 +244,51 @@ def test_r2_3_guard_prunes_only_when_emptiness_pays():
         ctx = RuleContext({"r": schema})
         out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), ctx, cm)
         assert (out is not None) == expect
+
+
+def test_guard_costs_an_unchanged_root_once(monkeypatch):
+    # arrays are never empty, so every R2.3 attempt is rejected
+    schema = Schema.of(scalars=["k"], arrays=["a"])
+    rel = Relation.build(schema, [{"k": i, "a": (1, 2)} for i in range(100)])
+    cm = CostModel({"r": build_table_stats(rel)}, {"r": schema})
+    root = Filter(Cmp("<", Col("k"), Lit(50)),
+                  ArrayJoin((("a", "ea"),),
+                            Derive("y", ScalarFn.of("neg"), ("k",),
+                                   RelVar("r"))))
+    path = next(p for p, n in walk(root) if isinstance(n, ArrayJoin))
+    calls = []
+    real = cm.op_effect
+
+    def counting(node, state):
+        calls.append(node)
+        return real(node, state)
+
+    monkeypatch.setattr(cm, "op_effect", counting)
+    ctx = RuleContext({"r": schema})
+    attempts = 5
+    for _ in range(attempts):
+        assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, ctx,
+                                   cm) is None
+    # the root's 3 operators once, and each candidate's 4 per attempt
+    assert len(calls) == 3 + attempts * 4
+
+
+def test_r2_3_guard_above_a_derive_is_not_repeated():
+    # R2.3 only probes the filters directly under the arrayJoin, so it fires
+    # again past the derive; the cost model knows the guarded arrays are no
+    # longer empty and rejects the second guard
+    schema = Schema.of(scalars=["k"], arrays=["a"])
+    rows = [{"k": i, "a": ()} for i in range(75)] + \
+           [{"k": i, "a": (1, 2, 3, 4, 5, 6)} for i in range(25)]
+    cm = CostModel({"r": build_table_stats(Relation.build(schema, rows))},
+                   {"r": schema})
+    guard = Cmp("!=", Col("a"), Lit(()))
+    term = ArrayJoin((("a", "ea"),),
+                     Derive("y", ScalarFn.of("neg"), ("k",),
+                            Filter(guard, RelVar("r"))))
+    ctx = RuleContext({"r": schema})
+    assert try_apply(RULES_BY_ID["R2.3"], term, (), ctx) is not None
+    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), ctx, cm) is None
 
 
 def test_r2_3_does_not_stack_guards():

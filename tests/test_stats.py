@@ -215,6 +215,36 @@ def test_empty_prune_filter_keeps_length():
     assert res.state.lens["a"] == pytest.approx(4.0)
 
 
+def test_repeated_emptiness_guard_has_selectivity_one():
+    cm = _fixture_model()
+    guard = Cmp("!=", Col("a"), Lit(()))
+    once = cm.term_cost(Filter(guard, RelVar("R")))
+    twice = cm.term_cost(Filter(guard, Filter(guard, RelVar("R"))))
+    assert once.state.array_info["a"].empty_fraction == 0.0
+    assert twice.state.rows == pytest.approx(once.state.rows)
+    assert twice.cost == pytest.approx(once.cost + once.state.rows)
+
+
+def test_term_cost_equal_for_equal_terms_and_repeated_calls():
+    cm = _fixture_model()
+
+    def build():
+        return Filter(Cmp("<", Col("x"), Lit(25)),
+                      ArrayJoin((("a", "e"),), RelVar("R")))
+
+    t1, t2 = build(), build()
+    assert t1 == t2 and t1 is not t2
+    first = cm.term_cost(t1)
+    assert cm.term_cost(t1) is first
+    assert cm.term_cost(t2) == first
+    # push both out of the two-entry cache, then cost them again
+    for other in (RelVar("R"), Project(("x",), RelVar("R")), build()):
+        cm.term_cost(other)
+    assert cm.term_cost(t1) == first
+    assert cm.term_cost(t2) == first
+    assert CostModel(cm.stats, cm.schemas).term_cost(t2) == first
+
+
 def test_join_cost_formula():
     cm_schema = Schema.of(scalars=("k", "u"), arrays=())
     cm_schema2 = Schema.of(scalars=("k", "v"), arrays=())
