@@ -6,6 +6,15 @@ join candidate combines two memoized subplans with a prefix of their sorted
 applicable operators; an operator producing one of the join's key columns is
 mandatory and forces the prefix to reach it.  Both masks are int bitsets.
 
+A partition pairs every entry of one side's table with every entry of the
+other's, so the work per pair is kept small.  Operator-prefix chains are
+built once and reused for the partition's later pairs (``prefixes`` says
+for how long they are kept), and a join candidate is costed from its two
+plan states before anything is built: only a candidate that beats the
+memo's incumbent for its operator set gets a merged state, a Join node and
+a schema (``join_entries``).  Equal schemas are stored once per
+enumerator.
+
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
 """
@@ -107,15 +116,26 @@ def base_entry(decomp: QueryDecomposition, i: int,
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
-                 cost_model: CostModel):
+                 cost_model: CostModel, best: Optional[MemoEntry] = None):
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
-    or an operator introduced an accidental overlap)."""
+    or an operator introduced an accidental overlap).
+
+    With `best`, the memo's incumbent for the joined operator set, the
+    candidate is costed first from the two states alone (``join_cost``,
+    the same expression ``join_effect`` uses) and `best` itself comes back
+    when the candidate would not beat it, so inserting the result changes
+    nothing.  Only a winner pays for the merged state, the Join node and
+    the schema."""
     shared = left.schema.columns & right.schema.columns
     if shared != expected_keys:
         return None
-    cost, state = cost_model.join_effect(left.state, right.state,
-                                         sorted(shared))
+    shared = sorted(shared)
+    if best is not None:
+        cost = cost_model.join_cost(left.state, right.state, shared)[0]
+        if not left.cost + right.cost + cost < best.cost:
+            return best
+    cost, state = cost_model.join_effect(left.state, right.state, shared)
     term = Join(left.term, right.term)
     return MemoEntry(term, left.rels | right.rels, left.ops | right.ops,
                      left.cost + right.cost + cost, state,
@@ -151,6 +171,7 @@ class Enumerator:
         self.cm = cost_model
         self.allow_cross = allow_cross_products
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
+        self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
                          "capture_skips": 0}
         self.blockers: list = []
@@ -224,6 +245,9 @@ class Enumerator:
     def insert(self, table: dict, entry: MemoEntry) -> None:
         old = table.get(entry.ops)
         if old is None or entry.cost < old.cost:
+            # many entries of one table share a schema; keep one copy
+            entry.schema = self.interned_schemas.setdefault(entry.schema,
+                                                            entry.schema)
             table[entry.ops] = entry
             self.counters["entries"] += 1
 
@@ -252,9 +276,15 @@ class Enumerator:
             if not self.valid(p1, p2, producers):
                 continue
             self.counters["partitions"] += 1
-            for s in list(self.enumerate_mask(p1).values()):
+            lefts = list(self.enumerate_mask(p1).values())
+            # a right-hand chain serves every left-hand entry, so it is
+            # worth keeping only when there is more than one (see prefixes)
+            right_chains = {} if len(lefts) > 1 else None
+            for s in lefts:
+                left_chains: dict = {}
                 for t in list(self.enumerate_mask(p2).values()):
-                    self.combine(table, s, t, keys, producers)
+                    self.combine(table, s, t, keys, producers,
+                                 left_chains, right_chains)
         return table
 
     def valid(self, p1: int, p2: int, producers) -> bool:
@@ -270,7 +300,8 @@ class Enumerator:
         return True
 
     def combine(self, table: dict, s: MemoEntry, t: MemoEntry,
-                keys, producers) -> None:
+                keys, producers, left_chains: dict,
+                right_chains: Optional[dict]) -> None:
         o1 = self.applicable(s)
         o2 = self.applicable(t)
         shared = {op.idx for op in o1} & {op.idx for op in o2}
@@ -309,29 +340,47 @@ class Enumerator:
                     break
             if not feasible:
                 continue
-            for left in self.prefixes(s, v1, oi1):
-                for right in self.prefixes(t, v2, oi2):
+            for left in self.prefixes(s, v1, oi1, left_chains):
+                for right in self.prefixes(t, v2, oi2, right_chains):
                     pair = (left.ops, right.ops)
                     if pair in seen:
                         continue
                     seen.add(pair)
                     self.counters["candidates"] += 1
-                    joined = join_entries(left, right, keys, self.cm)
+                    joined = self.join(table, left, right, keys)
                     if joined is None:
                         self.counters["capture_skips"] += 1
                         continue
                     self.insert(table, joined)
 
-    def prefixes(self, entry: MemoEntry, ops: list, start: int) -> list:
-        out = []
-        cur = entry
-        if start == 0:
-            out.append(cur)
-        for k, op in enumerate(ops):
-            cur = apply_op(op, cur, self.cm)
-            if k + 1 >= start:
-                out.append(cur)
-        return out
+    def join(self, table: dict, left: MemoEntry, right: MemoEntry,
+             keys) -> Optional[MemoEntry]:
+        """One join candidate, costed against `table`'s incumbent for its
+        operator set first (see ``join_entries``)."""
+        return join_entries(left, right, keys, self.cm,
+                            table.get(left.ops | right.ops))
+
+    def prefixes(self, entry: MemoEntry, ops: list, start: int,
+                 chains: Optional[dict] = None) -> list:
+        """`entry` with the first k of `ops` applied, for each k >= start.
+
+        The whole chain is built and sliced.  With `chains`, a chain is
+        built once and kept there under ``(entry.ops, op indices)``, which
+        names it within one memo table.  ``enumerate_mask`` passes a dict
+        per left-hand entry, dropped before the next one, and a dict per
+        partition for the right-hand entries, which every left-hand entry
+        pairs with; a partition with a single left-hand entry keeps no
+        right-hand chains, since they would not be used again.  Keeping
+        chains any longer holds more plan states than it saves work."""
+        key = (entry.ops, tuple(op.idx for op in ops))
+        chain = None if chains is None else chains.get(key)
+        if chain is None:
+            chain = [entry]
+            for op in ops:
+                chain.append(apply_op(op, chain[-1], self.cm))
+            if chains is not None:
+                chains[key] = chain
+        return chain[start:]
 
     # -- final assembly -----------------------------------------------------
 

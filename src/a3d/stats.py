@@ -23,7 +23,7 @@ arrays, and element statistics over the flattened elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -379,12 +379,14 @@ class CostResult:
     schema: Schema
 
 
-def _guarded_array(pred: Pred) -> Optional[str]:
-    """The column `c` of an emptiness guard  c != [] , else None."""
-    if isinstance(pred, Cmp) and pred.op == "!=" and isinstance(pred.lhs, Col) \
-            and pred.rhs == Lit(()):
-        return pred.lhs.name
-    return None
+def _emptiness_test(pred: Pred):
+    """``(c, empty fraction after the filter)`` for an emptiness test on
+    array column `c`: 0.0 for the guard  c != [] , 1.0 for  c = [] ;
+    ``(None, None)`` for any other predicate."""
+    if isinstance(pred, Cmp) and pred.op in ("!=", "=") \
+            and isinstance(pred.lhs, Col) and pred.rhs == Lit(()):
+        return pred.lhs.name, 0.0 if pred.op == "!=" else 1.0
+    return None, None
 
 
 class CostModel:
@@ -467,27 +469,28 @@ class CostModel:
         """
         if isinstance(node, Filter):
             s = self.filter_selectivity(node.pred, state)
-            out = replace(state, rows=state.rows * s)
-            guarded = _guarded_array(node.pred)
-            info = state.array_info.get(guarded)
+            array_info = state.array_info
+            col, empty = _emptiness_test(node.pred)
+            info = array_info.get(col)
             if info is not None:
-                # no empty array survives an emptiness guard, so a repeated
-                # guard has selectivity 1 and cannot look like a saving
-                out = replace(out, array_info={
-                    **state.array_info,
-                    guarded: replace(info, empty_fraction=0.0)})
-            return state.rows, out
+                # after  c != []  no array is empty and after  c = []  all
+                # are, so a repeated guard has selectivity 1 and cannot look
+                # like a saving, and a test and its negation leave no rows
+                # in either order
+                array_info = {**array_info,
+                              col: ArrayInfo(empty, info.elem)}
+            return state.rows, PlanState(
+                state.rows * s, state.rows_unf, state.lens, state.lens_unf,
+                state.scalar_stats, array_info)
 
         if isinstance(node, Project):
             keep = set(node.cols)
-            return 0.0, replace(
-                state,
-                lens={c: v for c, v in state.lens.items() if c in keep},
-                lens_unf={c: v for c, v in state.lens_unf.items() if c in keep},
-                scalar_stats={c: v for c, v in state.scalar_stats.items()
-                              if c in keep},
-                array_info={c: v for c, v in state.array_info.items()
-                            if c in keep},
+            return 0.0, PlanState(
+                state.rows, state.rows_unf,
+                {c: v for c, v in state.lens.items() if c in keep},
+                {c: v for c, v in state.lens_unf.items() if c in keep},
+                {c: v for c, v in state.scalar_stats.items() if c in keep},
+                {c: v for c, v in state.array_info.items() if c in keep},
             )
 
         if isinstance(node, ArrayFilter):
@@ -505,8 +508,8 @@ class CostModel:
                 lens_unf[alias] = state.lens_unf.get(src, DEFAULT_ARRAY_LEN)
                 array_info[alias] = state.array_info.get(src,
                                                          ArrayInfo(0.0, None))
-            return cost, replace(state, lens=lens, lens_unf=lens_unf,
-                                 array_info=array_info)
+            return cost, PlanState(state.rows, state.rows_unf, lens, lens_unf,
+                                   state.scalar_stats, array_info)
 
         if isinstance(node, ArrayJoin):
             first = node.targets[0][0]
@@ -524,13 +527,9 @@ class CostModel:
                 lens.pop(src, None)
                 lens_unf.pop(src, None)
                 array_info.pop(src, None)
-            return cost, replace(
-                state,
-                rows=state.rows * length,
-                rows_unf=state.rows_unf * rows_unf_factor,
-                lens=lens, lens_unf=lens_unf,
-                scalar_stats=scalar_stats, array_info=array_info,
-            )
+            return cost, PlanState(
+                state.rows * length, state.rows_unf * rows_unf_factor,
+                lens, lens_unf, scalar_stats, array_info)
 
         if isinstance(node, Derive):
             arr_args = [c for c in node.args if c in state.lens]
@@ -550,8 +549,9 @@ class CostModel:
                     base = state.array_info.get(src)
                     array_info[node.output] = ArrayInfo(
                         base.empty_fraction if base else 0.0, None)
-                return cost, replace(state, lens=lens, lens_unf=lens_unf,
-                                     array_info=array_info)
+                return cost, PlanState(state.rows, state.rows_unf, lens,
+                                       lens_unf, state.scalar_stats,
+                                       array_info)
             if arr_args and (node.fn.name in ARRAY_ARG_FNS
                              or node.fn.name == "identity"):
                 cost = state.rows * sum(state.length(c) for c in arr_args)
@@ -585,9 +585,8 @@ class CostModel:
                 lens.pop(node.output, None)
                 lens_unf.pop(node.output, None)
                 array_info.pop(node.output, None)
-            return cost, replace(state, lens=lens, lens_unf=lens_unf,
-                                 scalar_stats=scalar_stats,
-                                 array_info=array_info)
+            return cost, PlanState(state.rows, state.rows_unf, lens, lens_unf,
+                                   scalar_stats, array_info)
 
         if isinstance(node, Aggregate):
             arr_cols = [s.arg for s in node.aggs if s.arg in state.lens]
@@ -610,22 +609,23 @@ class CostModel:
                     array_info[spec.alias] = ArrayInfo(0.0, None)
                 else:
                     scalar_stats[spec.alias] = None
-            return cost, replace(
-                state,
-                rows=state.rows * s,
-                rows_unf=state.rows_unf * s,
-                lens=lens, lens_unf=lens_unf,
-                scalar_stats=scalar_stats, array_info=array_info,
-            )
+            return cost, PlanState(state.rows * s, state.rows_unf * s,
+                                   lens, lens_unf, scalar_stats, array_info)
 
         raise SchemaError(f"op_effect: not a unary operator: {node!r}")
 
-    def join_effect(self, left: PlanState, right: PlanState, shared):
-        """Natural-join effect.  Returns (cost, new_state)."""
+    def join_cost(self, left: PlanState, right: PlanState, shared):
+        """Natural-join figures without the merged state: returns
+        (cost, rows, rows_unf), exactly as ``join_effect`` computes them,
+        so a caller can rank a join before paying for its state."""
         div = self._join_divisor(shared, left, right)
         rows = left.rows * right.rows / div
-        rows_unf = left.rows_unf * right.rows_unf / div
-        cost = left.rows + right.rows + rows
+        return (left.rows + right.rows + rows, rows,
+                left.rows_unf * right.rows_unf / div)
+
+    def join_effect(self, left: PlanState, right: PlanState, shared):
+        """Natural-join effect.  Returns (cost, new_state)."""
+        cost, rows, rows_unf = self.join_cost(left, right, shared)
         scalar_stats = dict(left.scalar_stats)
         scalar_stats.update(right.scalar_stats)
         lens = dict(left.lens)

@@ -225,6 +225,28 @@ def test_repeated_emptiness_guard_has_selectivity_one():
     assert twice.cost == pytest.approx(once.cost + once.state.rows)
 
 
+def test_emptiness_test_and_guard_leave_no_rows_in_either_order():
+    cm = _fixture_model()
+    empty = Cmp("=", Col("a"), Lit(()))
+    guard = Cmp("!=", Col("a"), Lit(()))
+    guard_first = Filter(empty, Filter(guard, RelVar("R")))
+    empty_first = Filter(guard, Filter(empty, RelVar("R")))
+    r1, r2 = cm.term_cost(guard_first), cm.term_cost(empty_first)
+    assert cm.term_cost(Filter(empty, RelVar("R"))).state \
+        .array_info["a"].empty_fraction == 1.0
+    assert r1.state.rows == r2.state.rows == 0.0
+    # each filter is charged its input rows: scan 100, the first filter
+    # 100, the second the 75 (guard first) or 25 (empty test first)
+    # rows the first one lets through
+    assert r1.cost == pytest.approx(100 + 100 + 75)
+    assert r2.cost == pytest.approx(100 + 100 + 25)
+    # so what runs above the pair costs the same in both orders: nothing
+    for top in (lambda t: ArrayJoin((("a", "e"),), t),
+                lambda t: Filter(Cmp("<", Col("x"), Lit(25)), t)):
+        assert cm.term_cost(top(guard_first)).cost - r1.cost == 0.0
+        assert cm.term_cost(top(empty_first)).cost - r2.cost == 0.0
+
+
 def test_term_cost_equal_for_equal_terms_and_repeated_calls():
     cm = _fixture_model()
 
