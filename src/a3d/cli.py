@@ -25,11 +25,11 @@ from .functions import ScalarFn, known_agg_fn, known_scalar_fn
 from .planner import (
     DecomposeError, DisconnectedJoinGraphError, GreedyIterationCapError,
     InfeasibleQueryError, MalformedQueryError, OracleLimitError,
-    PostprocessCapError, optimize,
+    MODES, PostprocessCapError, optimize,
 )
 from .predicates import And, Cmp, Col, Lit, Not, Or, Apply, COMPARISONS
 from .stats import ArrayStats, CostModel, ScalarStats, TableStats
-from .translate import DIALECTS, DialectError, to_dot, to_sql
+from .translate import DialectError, to_dot, to_sql
 
 EXIT_PARSE = 1
 EXIT_SCHEMA = 2
@@ -37,6 +37,8 @@ EXIT_INFEASIBLE = 3
 EXIT_DIALECT = 4
 
 PLAN_VERSION = 1
+
+EMIT_TARGETS = ("plan", "sql-clickhouse", "sql-generic", "dot")
 
 
 class PlanParseError(A3DError):
@@ -419,13 +421,12 @@ def _emit(result, catalog, schemas, stats, args) -> str:
     if args.emit == "plan":
         return json.dumps(plan_document(result.term, catalog),
                           indent=2, sort_keys=True) + "\n"
-    if args.emit in ("sql-clickhouse", "sql-generic"):
+    if args.emit.startswith("sql-"):
         dialect = args.emit.split("-", 1)[1]
         return to_sql(result.term, dialect, schemas, cte=args.cte)
-    if args.emit == "dot":
-        cm = CostModel(dict(stats), dict(schemas)) if stats else None
-        return to_dot(result.term, cm)
-    raise DialectError(f"unknown emit target {args.emit!r}")
+    # the one target left: "dot"
+    cm = CostModel(dict(stats), dict(schemas)) if stats else None
+    return to_dot(result.term, cm)
 
 
 def _diag(kind: str, message: str, **extra) -> None:
@@ -444,10 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="optimize array-relational plans and emit SQL")
     p.add_argument("--plan", required=True, help="plan document (JSON)")
     p.add_argument("--stats", help="statistics document (JSON)")
-    p.add_argument("--mode", choices=["greedy", "enumerate", "oracle"],
-                   default=None)
-    p.add_argument("--emit", default=None,
-                   choices=["plan", "sql-clickhouse", "sql-generic", "dot"])
+    p.add_argument("--mode", choices=MODES, default=None)
+    p.add_argument("--emit", choices=EMIT_TARGETS, default=None)
     p.add_argument("--trace", action="store_true",
                    help="stream rule-application records to stderr")
     p.add_argument("--time", action="store_true",
@@ -530,9 +529,10 @@ def main(argv=None) -> int:
         doc = _load_json(args.plan, "plan")
         term, schemas, correspondences, options = parse_plan_document(doc)
         _resolve(args, options)
-        if args.mode not in ("greedy", "enumerate", "oracle"):
+        # the options block may name what the flags' choices rule out
+        if args.mode not in MODES:
             raise PlanParseError(f"unknown mode {args.mode!r}")
-        if args.emit not in ("plan", "sql-clickhouse", "sql-generic", "dot"):
+        if args.emit not in EMIT_TARGETS:
             raise PlanParseError(f"unknown emit target {args.emit!r}")
         stats = {}
         if args.stats:

@@ -142,6 +142,23 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
                      node_schema(term, left.schema, right.schema))
 
 
+def crossing(edges, p1: int, p2: int, cache: dict):
+    """(key column set, mandatory producer op indices) of the join edges
+    between the leaf sets `p1` and `p2`, memoized in `cache`."""
+    key = (min(p1, p2), max(p1, p2))
+    hit = cache.get(key)
+    if hit is None:
+        cols, prods = set(), set()
+        for e in edges:
+            li, ri = 1 << e.left, 1 << e.right
+            if (li & p1 and ri & p2) or (li & p2 and ri & p1):
+                cols.add(e.col)
+                prods |= e.producers
+        hit = (frozenset(cols), frozenset(prods))
+        cache[key] = hit
+    return hit
+
+
 def reproject(entry: MemoEntry, decomp: QueryDecomposition,
               cost_model: CostModel) -> Optional[MemoEntry]:
     """Put the query's top projection on a complete plan when it is needed;
@@ -202,25 +219,7 @@ class Enumerator:
             seen |= nxt
         return seen & mask == mask
 
-    def crossing(self, p1: int, p2: int):
-        """(key column set, mandatory producer op indices) for the cut."""
-        key = (min(p1, p2), max(p1, p2))
-        hit = self.cut_edges.get(key)
-        if hit is None:
-            cols, prods = set(), set()
-            for e in self.q.edges:
-                li, ri = 1 << e.left, 1 << e.right
-                if (li & p1 and ri & p2) or (li & p2 and ri & p1):
-                    cols.add(e.col)
-                    prods |= e.producers
-            hit = (frozenset(cols), frozenset(prods))
-            self.cut_edges[key] = hit
-        return hit
-
     # -- algorithm ----------------------------------------------------------
-
-    def base_entry(self, i: int) -> MemoEntry:
-        return base_entry(self.q, i, self.cm)
 
     def applicable(self, entry: MemoEntry, banned=frozenset()):
         """Ops from the sorted order applicable on `entry`, closed under
@@ -258,7 +257,8 @@ class Enumerator:
         table: dict = {}
         self.memo[mask] = table
         if mask.bit_count() == 1:
-            self.insert(table, self.base_entry(mask.bit_length() - 1))
+            self.insert(table, base_entry(self.q, mask.bit_length() - 1,
+                                          self.cm))
             return table
 
         low = mask & -mask
@@ -270,7 +270,8 @@ class Enumerator:
                 continue
             if not (self.connected(p1) and self.connected(p2)):
                 continue
-            keys, producers = self.crossing(p1, p2)
+            keys, producers = crossing(self.q.edges, p1, p2,
+                                       self.cut_edges)
             if not keys and not self.allow_cross:
                 continue
             if not self.valid(p1, p2, producers):

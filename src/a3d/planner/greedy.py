@@ -8,8 +8,10 @@ mode trades optimality for speed and serves as the baseline the enumerating
 mode is measured against.
 """
 
-from ..algebra import Term, walk
-from ..rewrite import CATALOG, RuleContext, guard_cost_improves, try_apply
+from ..algebra import Term
+from ..rewrite import (
+    CATALOG, RuleContext, guard_cost_improves, rewrite_to_fixpoint, try_apply,
+)
 from ..stats import CostModel
 
 
@@ -21,39 +23,22 @@ def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
                     max_steps: int = 10_000, trace=None) -> Term:
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
     seen = {repr(term)}
-    steps = 0
-    changed = True
-    while changed:
-        changed = False
-        # reversed preorder visits children before their parents
-        for path, _sub in reversed(list(walk(term))):
-            for rule in CATALOG:
-                if rule.kind == "rule":
-                    new = try_apply(rule, term, path, ctx)
-                else:
-                    new = guard_cost_improves(rule, term, path, ctx,
-                                              cost_model)
-                if new is None:
-                    continue
-                key = repr(new)
-                if key in seen:
-                    continue  # don't re-enter a shape we already left
-                seen.add(key)
-                steps += 1
-                if steps > max_steps:
-                    raise GreedyIterationCapError(
-                        f"no fixpoint after {max_steps} rewrites "
-                        f"(last rule {rule.rule_id})")
-                if trace is not None:
-                    trace.append({
-                        "stage": "greedy", "rule": rule.rule_id,
-                        "path": list(path),
-                        "before_cost": cost_model.term_cost(term).cost,
-                        "after_cost": cost_model.term_cost(new).cost,
-                    })
-                term = new
-                changed = True
-                break
-            if changed:
-                break
-    return term
+
+    def step(root, path, _sub):
+        for rule in CATALOG:
+            if rule.kind == "rule":
+                new = try_apply(rule, root, path, ctx)
+            else:
+                new = guard_cost_improves(rule, root, path, ctx, cost_model)
+            if new is None:
+                continue
+            key = repr(new)
+            if key in seen:
+                continue  # don't re-enter a shape we already left
+            seen.add(key)
+            return rule.rule_id, new
+        return None
+
+    return rewrite_to_fixpoint(term, step, "greedy", cost_model, trace,
+                               bottom_up=True, cap=max_steps,
+                               cap_error=GreedyIterationCapError)

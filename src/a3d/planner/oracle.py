@@ -14,8 +14,8 @@ from ..algebra import A3DError
 from ..stats import CostModel
 from .decompose import QueryDecomposition
 from .enumeration import (
-    InfeasibleQueryError, MemoEntry, apply_op, base_entry, join_entries,
-    op_applicable, reproject,
+    InfeasibleQueryError, MemoEntry, apply_op, base_entry, crossing,
+    join_entries, op_applicable, reproject,
 )
 from .precedence import PrecedenceGraph
 
@@ -44,20 +44,6 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             f"{MAX_ORACLE_OPS}")
 
     cut_cache: dict = {}
-
-    def crossing(p1: int, p2: int):
-        key = (min(p1, p2), max(p1, p2))
-        hit = cut_cache.get(key)
-        if hit is None:
-            cols = set()
-            for e in decomp.edges:
-                li, ri = 1 << e.left, 1 << e.right
-                if (li & p1 and ri & p2) or (li & p2 and ri & p1):
-                    cols.add(e.col)
-            hit = frozenset(cols)
-            cut_cache[key] = hit
-        return hit
-
     best: dict = {}      # (rels, ops) -> MemoEntry (cheapest)
     npaths: dict = {}    # (rels, ops) -> number of distinct build orders
     levels: dict = {}    # level -> sorted-insertable list of keys
@@ -95,7 +81,7 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             for pkey in done:
                 if pkey[0] & key[0] or pkey[1] & key[1]:
                     continue
-                cols = crossing(key[0], pkey[0])
+                cols = crossing(decomp.edges, key[0], pkey[0], cut_cache)[0]
                 if not cols and not allow_cross_products:
                     continue
                 joined = join_entries(entry, best[pkey], cols, cost_model)

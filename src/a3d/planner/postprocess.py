@@ -16,8 +16,10 @@ A run is bounded by ``cap`` successful applications; exceeding it raises
 instead of a hang.
 """
 
-from ..algebra import Aggregate, AggSpec, Term, children, walk, with_children
-from ..rewrite import RULES_BY_ID, RuleContext, guard_cost_improves
+from ..algebra import Aggregate, AggSpec, Term, children, with_children
+from ..rewrite import (
+    RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
+)
 from ..stats import CostModel
 
 # Order matters only for ties; the list is scanned first-match per node.
@@ -66,35 +68,17 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
 def postprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
                 alpha: float = 1.0, cap: int = 32, trace=None) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
-    applied = 0
-    changed = True
-    while changed:
-        changed = False
-        for path, sub in walk(term):
-            if not isinstance(sub, Aggregate):
-                continue
-            if not _condenses(sub, cost_model, alpha):
-                continue
-            for rule_id in PRE_AGG_RULES:
-                new = guard_cost_improves(RULES_BY_ID[rule_id], term, path,
-                                          ctx, cost_model)
-                if new is None:
-                    continue
-                applied += 1
-                if applied > cap:
-                    raise PostprocessCapError(
-                        f"pre-aggregation exceeded {cap} applications "
-                        f"without reaching a fixpoint (last rule {rule_id})")
-                if trace is not None:
-                    trace.append({
-                        "stage": "postprocess", "rule": rule_id,
-                        "path": list(path),
-                        "before_cost": cost_model.term_cost(term).cost,
-                        "after_cost": cost_model.term_cost(new).cost,
-                    })
-                term = new
-                changed = True
-                break
-            if changed:
-                break
+    def step(root, path, sub):
+        if not isinstance(sub, Aggregate) or \
+                not _condenses(sub, cost_model, alpha):
+            return None
+        for rule_id in PRE_AGG_RULES:
+            new = guard_cost_improves(RULES_BY_ID[rule_id], root, path, ctx,
+                                      cost_model)
+            if new is not None:
+                return rule_id, new
+        return None
+
+    term = rewrite_to_fixpoint(term, step, "postprocess", cost_model, trace,
+                               cap=cap, cap_error=PostprocessCapError)
     return collapse_idempotent_reaggregation(term)

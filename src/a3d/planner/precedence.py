@@ -107,10 +107,10 @@ def find_n_structure(graph: PrecedenceGraph):
     return None
 
 
-def _repair(graph: PrecedenceGraph, leq, max_rounds: int = None) -> None:
+def _repair(graph: PrecedenceGraph, leq) -> None:
     """Add edges between N-structure sources until series-parallel."""
     rounds = 0
-    cap = max_rounds if max_rounds is not None else graph.n * graph.n + 1
+    cap = graph.n * graph.n + 1
     while True:
         found = find_n_structure(graph)
         if found is None:

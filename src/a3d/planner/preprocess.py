@@ -19,10 +19,13 @@ Five sub-passes, each semantics-preserving:
 
 from ..algebra import (
     Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join, Project, RelVar,
-    Term, children, replace_at, walk, with_children,
+    Term, children, replace_at, with_children,
 )
 from ..predicates import pred_columns, split_conjuncts
-from ..rewrite import RULES_BY_ID, RuleContext, guard_cost_improves, try_apply
+from ..rewrite import (
+    RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
+    trace_record, try_apply,
+)
 from ..stats import CostModel
 
 
@@ -81,32 +84,15 @@ def _hoist_once(term: Term, ctx: RuleContext):
     return None
 
 
-def _note(trace, stage: str, rule: str, path: tuple,
-          cost_model=None, old=None, new=None) -> None:
-    if trace is None:
-        return
-    rec = {"stage": stage, "rule": rule, "path": list(path)}
-    if cost_model is not None:
-        rec["before_cost"] = cost_model.term_cost(old).cost
-        rec["after_cost"] = cost_model.term_cost(new).cost
-    trace.append(rec)
-
-
 def pull_projections_up(term: Term, ctx: RuleContext, trace=None,
                         cost_model=None) -> Term:
-    changed = True
-    while changed:
-        changed = False
-        for path, sub in walk(term):
-            lifted = _hoist_once(sub, ctx)
-            if lifted is not None:
-                new = replace_at(term, path, lifted)
-                _note(trace, "preprocess", "project-pull", path,
-                      cost_model, term, new)
-                term = new
-                changed = True
-                break
-    return term
+    def step(root, path, sub):
+        lifted = _hoist_once(sub, ctx)
+        if lifted is None:
+            return None
+        return "project-pull", replace_at(root, path, lifted)
+
+    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
 
 
 ############################################################
@@ -148,30 +134,19 @@ def _commute_filter_past_array_filter(sub: Term):
 def descend_filters(term: Term, ctx: RuleContext, trace=None,
                     cost_model=None) -> Term:
     """Push filters toward arrayJoins; convert to arrayFilter on contact."""
-    changed = True
-    while changed:
-        changed = False
-        for path, sub in walk(term):
-            if not isinstance(sub, Filter):
-                continue
-            new, used = None, None
-            for rule_id in ("R2.2",) + _INVERT_RULES + _DESCEND_RULES:
-                new = try_apply(RULES_BY_ID[rule_id], term, path, ctx)
-                if new is not None:
-                    used = rule_id
-                    break
-            if new is None:
-                swapped = _commute_filter_past_array_filter(sub)
-                if swapped is not None:
-                    new = replace_at(term, path, swapped)
-                    used = "filter-past-arrayFilter"
+    def step(root, path, sub):
+        if not isinstance(sub, Filter):
+            return None
+        for rule_id in ("R2.2",) + _INVERT_RULES + _DESCEND_RULES:
+            new = try_apply(RULES_BY_ID[rule_id], root, path, ctx)
             if new is not None:
-                _note(trace, "preprocess", used, path,
-                      cost_model, term, new)
-                term = new
-                changed = True
-                break
-    return term
+                return rule_id, new
+        swapped = _commute_filter_past_array_filter(sub)
+        if swapped is None:
+            return None
+        return "filter-past-arrayFilter", replace_at(root, path, swapped)
+
+    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
 
 
 ############################################################
@@ -181,20 +156,14 @@ def descend_filters(term: Term, ctx: RuleContext, trace=None,
 def insert_empty_guards(term: Term, ctx: RuleContext,
                         cost_model: CostModel, trace=None) -> Term:
     rule = RULES_BY_ID["R2.3"]
-    changed = True
-    while changed:
-        changed = False
-        for path, sub in walk(term):
-            if not isinstance(sub, ArrayJoin):
-                continue
-            new = guard_cost_improves(rule, term, path, ctx, cost_model)
-            if new is not None:
-                _note(trace, "preprocess", "R2.3", path,
-                      cost_model, term, new)
-                term = new
-                changed = True
-                break
-    return term
+
+    def step(root, path, sub):
+        if not isinstance(sub, ArrayJoin):
+            return None
+        new = guard_cost_improves(rule, root, path, ctx, cost_model)
+        return None if new is None else ("R2.3", new)
+
+    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
 
 
 ############################################################
@@ -250,5 +219,6 @@ def preprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
     term = insert_empty_guards(term, ctx, cost_model, trace)
     pruned = drop_dead_derives(term, ctx)
     if pruned != term:
-        _note(trace, "preprocess", "dead-derive", (), cost_model, term, pruned)
+        trace_record(trace, "preprocess", "dead-derive", (), cost_model,
+                     term, pruned)
     return pruned

@@ -888,3 +888,52 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, ctx: RuleContext,
     if new_cost < old_cost - epsilon:
         return new_root
     return None
+
+
+############################################################
+# fixpoint driver
+############################################################
+
+def trace_record(trace: Optional[list], stage: str, rule_id: str, path,
+                 cost_model, before: Term, after: Term) -> None:
+    """Append one rewrite to `trace`, when tracing: stage, rule, path and,
+    with a cost model, the estimated cost of the root before and after."""
+    if trace is None:
+        return
+    rec = {"stage": stage, "rule": rule_id, "path": list(path)}
+    if cost_model is not None:
+        rec["before_cost"] = cost_model.term_cost(before).cost
+        rec["after_cost"] = cost_model.term_cost(after).cost
+    trace.append(rec)
+
+
+def rewrite_to_fixpoint(term: Term, step: Callable, stage: str, cost_model,
+                        trace: Optional[list], bottom_up: bool = False,
+                        cap: Optional[int] = None,
+                        cap_error: Optional[type] = None) -> Term:
+    """Rewrite `term` until `step` matches nowhere.
+
+    Each round visits the root's nodes in preorder (children before their
+    parents with `bottom_up`) and calls ``step(root, path, sub)``, which
+    returns ``(rule_id, new_root)`` or None.  The first hit is traced under
+    `stage`, becomes the root, and the next round starts from it.  With
+    `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
+    """
+    rewrites = 0
+    while True:
+        # only the loop holds the walk, so a round's node list is freed
+        # before the next round builds one
+        for path, sub in (reversed(list(walk(term))) if bottom_up
+                          else walk(term)):
+            hit = step(term, path, sub)
+            if hit is not None:
+                break
+        else:
+            return term
+        rule_id, new = hit
+        rewrites += 1
+        if cap is not None and rewrites > cap:
+            raise cap_error(f"{stage}: no fixpoint after {cap} rewrites "
+                            f"(last rule {rule_id})")
+        trace_record(trace, stage, rule_id, path, cost_model, term, new)
+        term = new

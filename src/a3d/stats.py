@@ -22,7 +22,6 @@ arrays, and element statistics over the flattened elements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -44,7 +43,9 @@ from .algebra import (
     node_schema,
 )
 from .functions import ARRAY_ARG_FNS, affine_form, agg_output_kind, is_array
-from .predicates import And, Apply, Cmp, Col, Lit, Not, Or, Pred, invert_comparison
+from .predicates import (
+    _FLIP, And, Apply, Cmp, Col, Lit, Not, Or, Pred, invert_comparison,
+)
 
 DEFAULT_EQ_SELECTIVITY = 0.1
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
@@ -278,8 +279,7 @@ class StatsResolver:
 def _cmp_selectivity(cmp: Cmp, resolver: StatsResolver) -> float:
     op, lhs, rhs = cmp.op, cmp.lhs, cmp.rhs
     if isinstance(rhs, Col) and isinstance(lhs, Lit):
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        op, lhs, rhs = flip.get(op, op), rhs, lhs
+        op, lhs, rhs = _FLIP[op], rhs, lhs
 
     # column vs literal
     if isinstance(lhs, Col) and isinstance(rhs, Lit):
@@ -342,34 +342,49 @@ def pred_selectivity(pred: Pred, resolver: StatsResolver) -> float:
 
 @dataclass(frozen=True)
 class ArrayInfo:
-    """Static facts about an array column (lengths live in PlanState)."""
+    """What the cost state knows about one array column.
+
+    ``length`` is the average array length with every filter applied so
+    far, ``length_unf`` the same with every filter selectivity forced to 1;
+    ``empty_fraction`` and ``elem`` (statistics over the elements) are
+    carried from the base table or derived by the operator that made the
+    column.
+    """
+    length: float
+    length_unf: float
     empty_fraction: float
     elem: Optional[ScalarStats]
 
 
+# what an array column without statistics, or a missing one, is taken to be
+DEFAULT_ARRAY_INFO = ArrayInfo(DEFAULT_ARRAY_LEN, DEFAULT_ARRAY_LEN, 0.0, None)
+
+
 @dataclass(frozen=True)
 class PlanState:
-    """Order-independent cost state: row estimates and array lengths.
+    """Order-independent cost state: row estimates, scalar statistics and
+    one ``ArrayInfo`` per array column.
 
-    rows_unf / lens_unf track the same quantities with every filter
-    selectivity forced to 1; aggregate selectivities are derived from them so
-    they stay constant no matter where filters sit.  States share their
-    dicts with each other and with cached ``term_cost`` results, so the dicts
-    are read-only.
+    rows_unf (and each ``ArrayInfo.length_unf``) track the same quantities
+    with every filter selectivity forced to 1; aggregate selectivities are
+    derived from them so they stay constant no matter where filters sit.
+    States share their dicts with each other and with cached ``term_cost``
+    results, so the dicts are read-only.
     """
 
     rows: float
     rows_unf: float
-    lens: Mapping[str, float]
-    lens_unf: Mapping[str, float]
     scalar_stats: Mapping[str, Optional[ScalarStats]]
     array_info: Mapping[str, ArrayInfo]
 
     def resolver(self) -> StatsResolver:
         return StatsResolver(self.scalar_stats, self.array_info)
 
+    def info(self, col: str) -> ArrayInfo:
+        return self.array_info.get(col, DEFAULT_ARRAY_INFO)
+
     def length(self, col: str) -> float:
-        return self.lens.get(col, DEFAULT_ARRAY_LEN)
+        return self.info(col).length
 
 
 @dataclass(frozen=True)
@@ -406,34 +421,24 @@ class CostModel:
         schema = self.schemas[name]
         ts = self.stats.get(name)
         rows = float(ts.rows) if ts is not None else 1000.0
-        lens, scalar_stats, array_info = {}, {}, {}
+        scalar_stats, array_info = {}, {}
         for c in schema.scalars:
             scalar_stats[c] = ts.scalars.get(c) if ts else None
         for c in schema.arrays:
             ast = ts.arrays.get(c) if ts else None
-            lens[c] = ast.avg_len if ast is not None else DEFAULT_ARRAY_LEN
-            array_info[c] = ArrayInfo(
-                ast.empty_fraction if ast is not None else 0.0,
-                ast.elem if ast is not None else None,
-            )
-        return PlanState(rows, rows, lens, dict(lens), scalar_stats, array_info)
+            array_info[c] = DEFAULT_ARRAY_INFO if ast is None else ArrayInfo(
+                ast.avg_len, ast.avg_len, ast.empty_fraction, ast.elem)
+        return PlanState(rows, rows, scalar_stats, array_info)
 
     def base_cost(self, state: PlanState) -> float:
         return state.rows  # scanning is charged once per plan
 
     # -- selectivity helpers ----------------------------------------------
 
-    def filter_selectivity(self, pred: Pred, state: PlanState) -> float:
-        return pred_selectivity(pred, state.resolver())
-
     def element_selectivity(self, pred: Pred, targets, state: PlanState) -> float:
         """Selectivity of an arrayFilter predicate over element aliases."""
-        alias_stats = {}
-        alias_info = {}
-        for src, alias in targets:
-            info = state.array_info.get(src)
-            alias_stats[alias] = info.elem if info is not None else None
-        return pred_selectivity(pred, StatsResolver(alias_stats, alias_info))
+        alias_stats = {alias: state.info(src).elem for src, alias in targets}
+        return pred_selectivity(pred, StatsResolver(alias_stats, {}))
 
     def group_selectivity(self, keys, state: PlanState) -> float:
         """Constant aggregate selectivity: base key ndv product over the
@@ -468,7 +473,7 @@ class CostModel:
         callers may pass template nodes.
         """
         if isinstance(node, Filter):
-            s = self.filter_selectivity(node.pred, state)
+            s = pred_selectivity(node.pred, state.resolver())
             array_info = state.array_info
             col, empty = _emptiness_test(node.pred)
             info = array_info.get(col)
@@ -477,140 +482,99 @@ class CostModel:
                 # are, so a repeated guard has selectivity 1 and cannot look
                 # like a saving, and a test and its negation leave no rows
                 # in either order
-                array_info = {**array_info,
-                              col: ArrayInfo(empty, info.elem)}
-            return state.rows, PlanState(
-                state.rows * s, state.rows_unf, state.lens, state.lens_unf,
-                state.scalar_stats, array_info)
+                array_info = {**array_info, col: ArrayInfo(
+                    info.length, info.length_unf, empty, info.elem)}
+            return state.rows, PlanState(state.rows * s, state.rows_unf,
+                                         state.scalar_stats, array_info)
 
         if isinstance(node, Project):
             keep = set(node.cols)
             return 0.0, PlanState(
                 state.rows, state.rows_unf,
-                {c: v for c, v in state.lens.items() if c in keep},
-                {c: v for c, v in state.lens_unf.items() if c in keep},
                 {c: v for c, v in state.scalar_stats.items() if c in keep},
                 {c: v for c, v in state.array_info.items() if c in keep},
             )
 
         if isinstance(node, ArrayFilter):
-            first = node.targets[0][0]
-            cost = state.rows * state.length(first)
+            cost = state.rows * state.length(node.targets[0][0])
             s = self.element_selectivity(node.pred, node.targets, state)
             sources = {src for src, _ in node.targets}
-            lens = {c: v for c, v in state.lens.items() if c not in sources}
-            lens_unf = {c: v for c, v in state.lens_unf.items()
-                        if c not in sources}
             array_info = {c: v for c, v in state.array_info.items()
                           if c not in sources}
             for src, alias in node.targets:
-                lens[alias] = state.length(src) * s
-                lens_unf[alias] = state.lens_unf.get(src, DEFAULT_ARRAY_LEN)
-                array_info[alias] = state.array_info.get(src,
-                                                         ArrayInfo(0.0, None))
-            return cost, PlanState(state.rows, state.rows_unf, lens, lens_unf,
+                info = state.info(src)
+                array_info[alias] = ArrayInfo(info.length * s, info.length_unf,
+                                              info.empty_fraction, info.elem)
+            return cost, PlanState(state.rows, state.rows_unf,
                                    state.scalar_stats, array_info)
 
         if isinstance(node, ArrayJoin):
-            first = node.targets[0][0]
-            length = state.length(first)
-            cost = state.rows * length
-            lens = dict(state.lens)
-            lens_unf = dict(state.lens_unf)
+            first = state.info(node.targets[0][0])
+            cost = state.rows * first.length
             array_info = dict(state.array_info)
             scalar_stats = dict(state.scalar_stats)
-            rows_unf_factor = state.lens_unf.get(first, DEFAULT_ARRAY_LEN)
             for src, alias in node.targets:
-                info = state.array_info.get(src)
-                scalar_stats[alias] = info.elem if info is not None else None
+                scalar_stats[alias] = state.info(src).elem
             for src, _ in node.targets:
-                lens.pop(src, None)
-                lens_unf.pop(src, None)
                 array_info.pop(src, None)
             return cost, PlanState(
-                state.rows * length, state.rows_unf * rows_unf_factor,
-                lens, lens_unf, scalar_stats, array_info)
+                state.rows * first.length, state.rows_unf * first.length_unf,
+                scalar_stats, array_info)
 
         if isinstance(node, Derive):
-            arr_args = [c for c in node.args if c in state.lens]
-            if node.is_map:
-                cost = state.rows * sum(state.length(c) for c in arr_args)
-                src = arr_args[0]
-                lens = dict(state.lens)
-                lens_unf = dict(state.lens_unf)
-                array_info = dict(state.array_info)
-                lens[node.output] = state.length(src)
-                lens_unf[node.output] = state.lens_unf.get(
-                    src, DEFAULT_ARRAY_LEN)
-                if node.fn.name == "identity":
-                    array_info[node.output] = state.array_info.get(
-                        src, ArrayInfo(0.0, None))
-                else:
-                    base = state.array_info.get(src)
-                    array_info[node.output] = ArrayInfo(
-                        base.empty_fraction if base else 0.0, None)
-                return cost, PlanState(state.rows, state.rows_unf, lens,
-                                       lens_unf, state.scalar_stats,
-                                       array_info)
-            if arr_args and (node.fn.name in ARRAY_ARG_FNS
-                             or node.fn.name == "identity"):
+            arr_args = [c for c in node.args if c in state.array_info]
+            fn = node.fn.name
+            if node.is_map or (arr_args and (fn in ARRAY_ARG_FNS
+                                             or fn == "identity")):
                 cost = state.rows * sum(state.length(c) for c in arr_args)
             else:
                 cost = state.rows
-            scalar_stats = dict(state.scalar_stats)
-            lens = dict(state.lens)
-            lens_unf = dict(state.lens_unf)
             array_info = dict(state.array_info)
-            if node.fn.name == "identity" and node.args[0] in state.lens:
+            if node.is_map:
+                info = state.info(arr_args[0])
+                array_info[node.output] = info if fn == "identity" else \
+                    ArrayInfo(info.length, info.length_unf,
+                              info.empty_fraction, None)
+                return cost, PlanState(state.rows, state.rows_unf,
+                                       state.scalar_stats, array_info)
+            scalar_stats = dict(state.scalar_stats)
+            if fn == "identity" and node.args[0] in state.array_info:
                 # array copy: result is an array column
-                src = node.args[0]
-                lens[node.output] = state.length(src)
-                lens_unf[node.output] = state.lens_unf.get(src, DEFAULT_ARRAY_LEN)
-                array_info[node.output] = state.array_info.get(
-                    src, ArrayInfo(0.0, None))
+                array_info[node.output] = state.array_info[node.args[0]]
                 scalar_stats.pop(node.output, None)
-            elif node.fn.name == "arrayEnumerate":
-                src = node.args[0]
-                lens[node.output] = state.length(src)
-                lens_unf[node.output] = state.lens_unf.get(src, DEFAULT_ARRAY_LEN)
+            elif fn == "arrayEnumerate":
+                info = state.info(node.args[0])
                 array_info[node.output] = ArrayInfo(
-                    state.array_info.get(src, ArrayInfo(0.0, None)).empty_fraction,
-                    None)
+                    info.length, info.length_unf, info.empty_fraction, None)
                 scalar_stats.pop(node.output, None)
             else:
-                if node.fn.name == "identity":
-                    scalar_stats[node.output] = state.scalar_stats.get(node.args[0])
-                else:
-                    scalar_stats[node.output] = None
-                lens.pop(node.output, None)
-                lens_unf.pop(node.output, None)
+                scalar_stats[node.output] = \
+                    state.scalar_stats.get(node.args[0]) \
+                    if fn == "identity" else None
                 array_info.pop(node.output, None)
-            return cost, PlanState(state.rows, state.rows_unf, lens, lens_unf,
+            return cost, PlanState(state.rows, state.rows_unf,
                                    scalar_stats, array_info)
 
         if isinstance(node, Aggregate):
-            arr_cols = [s.arg for s in node.aggs if s.arg in state.lens]
-            arr_cols += [k for k in node.keys if k in state.lens]
+            arr_cols = [s.arg for s in node.aggs if s.arg in state.array_info]
+            arr_cols += [k for k in node.keys if k in state.array_info]
             cost = state.rows * (1.0 + sum(state.length(c) for c in arr_cols))
             s = self.group_selectivity(node.keys, state)
-            lens, lens_unf, array_info, scalar_stats = {}, {}, {}, {}
+            array_info, scalar_stats = {}, {}
             for k in node.keys:
-                if k in state.lens:
-                    lens[k] = state.lens[k]
-                    lens_unf[k] = state.lens_unf.get(k, DEFAULT_ARRAY_LEN)
-                    array_info[k] = state.array_info.get(k, ArrayInfo(0.0, None))
+                if k in state.array_info:
+                    array_info[k] = state.array_info[k]
                 else:
                     scalar_stats[k] = state.scalar_stats.get(k)
             for spec in node.aggs:
                 if agg_output_kind(spec.fn) == "array":
-                    lens[spec.alias] = state.length(spec.arg) \
-                        if spec.arg in state.lens else DEFAULT_ARRAY_LEN
-                    lens_unf[spec.alias] = lens[spec.alias]
-                    array_info[spec.alias] = ArrayInfo(0.0, None)
+                    length = state.length(spec.arg)
+                    array_info[spec.alias] = ArrayInfo(length, length, 0.0,
+                                                       None)
                 else:
                     scalar_stats[spec.alias] = None
             return cost, PlanState(state.rows * s, state.rows_unf * s,
-                                   lens, lens_unf, scalar_stats, array_info)
+                                   scalar_stats, array_info)
 
         raise SchemaError(f"op_effect: not a unary operator: {node!r}")
 
@@ -626,16 +590,9 @@ class CostModel:
     def join_effect(self, left: PlanState, right: PlanState, shared):
         """Natural-join effect.  Returns (cost, new_state)."""
         cost, rows, rows_unf = self.join_cost(left, right, shared)
-        scalar_stats = dict(left.scalar_stats)
-        scalar_stats.update(right.scalar_stats)
-        lens = dict(left.lens)
-        lens.update(right.lens)
-        lens_unf = dict(left.lens_unf)
-        lens_unf.update(right.lens_unf)
-        array_info = dict(left.array_info)
-        array_info.update(right.array_info)
-        return cost, PlanState(rows, rows_unf, lens, lens_unf,
-                               scalar_stats, array_info)
+        return cost, PlanState(rows, rows_unf,
+                               {**left.scalar_stats, **right.scalar_stats},
+                               {**left.array_info, **right.array_info})
 
     # -- whole-term costing -------------------------------------------------
 

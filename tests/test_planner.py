@@ -821,6 +821,91 @@ def test_optimize_result_contract():
     assert all({"stage", "rule"} <= set(r) for r in res.trace)
 
 
+def _golden_trace_queries():
+    """name -> (cost model, statistics, term); together the traces in
+    GOLDEN_TRACES hold every kind of record the pipeline writes."""
+    # projection pull-up, then a filter pushed below an arrayJoin
+    pull = Filter(lt("u0", 5), Project(("k", "u0", "e"),
+                                       ArrayJoin((("a", "e"),), RelVar("R"))))
+    # every filter descends: past derives (R13.1), through an affine
+    # derive (R13.2), past an arrayFilter, below an arrayJoin (R2.1) or
+    # into it (R2.2); z is dead and greedy then drops it as well (R14)
+    t = ArrayJoin((("a", "e"),), RelVar("R"))
+    t = ArrayFilter((("b", "f"),), lt("f", 3), t)
+    t = Derive("z", ScalarFn.of("neg"), ("k",), t)
+    t = Derive("y", ScalarFn.of("affine", a=2, b=1), ("u0",), t)
+    t = Filter(lt("u2", 7), t)
+    t = Filter(lt("e", 5), t)
+    t = Filter(Cmp(">", Col("y"), Lit(41)), t)
+    descend = Project(("e", "f", "k", "u0", "y"), t)
+    # keys spill over the join: eager partial aggregation (R21)
+    join_agg = Aggregate(("y",), (AggSpec("sum", "x", "s"),),
+                         Join(RelVar("L"), RelVar("R")))
+    # aggregate over unnested elements without unnesting (R17.1)
+    foreach = Aggregate(("k",), (AggSpec("sum", "e", "s"),),
+                        ArrayJoin((("a", "e"),), RelVar("R")))
+    guarded = one_rel_model(ef=0.6)
+    two = one_rel_model(arrays=("a", "b"), ef=0.6)
+    joined = two_rel_model()
+    plain = one_rel_model()
+    return {
+        "pull": (guarded, guarded.stats, pull),
+        "descend": (two, two.stats, descend),
+        "join_agg": (joined, joined.stats, join_agg),
+        "foreach": (plain, None, foreach),
+    }
+
+
+GOLDEN_TRACES = {
+    ("pull", "enumerate"): [
+        ("preprocess", "project-pull", [], 900.0, 900.0),
+        ("preprocess", "R2.1", [0], 900.0, 220.0),
+        ("preprocess", "R2.3", [0], 220.0, 213.0),
+    ],
+    ("descend", "greedy"): [
+        ("preprocess", "R13.1", [0, 0, 0], 3335.0, 2963.0),
+        ("preprocess", "R13.1", [0, 0], 2963.0, 2942.0),
+        ("preprocess", "R13.2", [0], 2942.0, 2940.6),
+        ("preprocess", "R13.1", [0, 0, 0, 0], 2940.6, 2568.6),
+        ("preprocess", "R13.1", [0, 0, 0], 2568.6, 2547.6),
+        ("preprocess", "R13.1", [0, 0], 2547.6, 2546.2),
+        ("preprocess", "filter-past-arrayFilter", [0, 0, 0, 0, 0],
+         2546.2, 1058.2),
+        ("preprocess", "filter-past-arrayFilter", [0, 0, 0, 0],
+         1058.2, 974.2),
+        ("preprocess", "filter-past-arrayFilter", [0, 0, 0], 974.2, 968.6),
+        ("preprocess", "R2.1", [0, 0, 0, 0, 0, 0], 968.6, 296.6),
+        ("preprocess", "R2.2", [0, 0, 0, 0, 0], 296.6, 275.6),
+        ("preprocess", "R2.1", [0, 0, 0, 0], 275.6, 274.2),
+        ("preprocess", "filter-past-arrayFilter", [0, 0, 0, 0, 0],
+         274.2, 268.6),
+        ("preprocess", "R2.3", [0, 0, 0, 0], 268.6, 250.68),
+        ("preprocess", "dead-derive", [], 250.68, 248.44),
+        ("greedy", "R14", [], 248.44, 248.44),
+    ],
+    ("join_agg", "greedy"): [
+        ("greedy", "R21", [], 4020.0, 2050.0),
+    ],
+    ("join_agg", "enumerate"): [
+        ("postprocess", "R21", [], 4020.0, 2050.0),
+    ],
+    ("foreach", "enumerate"): [
+        ("postprocess", "R17.1", [], 9000.0, 6050.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("name, mode", list(GOLDEN_TRACES))
+def test_trace_records_are_golden(name, mode):
+    cm, stats, term = _golden_trace_queries()[name]
+    res = optimize(term, cm.schemas, stats=stats, mode=mode, trace=True)
+    got = [(r["stage"], r["rule"], r["path"], round(r["before_cost"], 6),
+            round(r["after_cost"], 6)) for r in res.trace]
+    assert got == GOLDEN_TRACES[name, mode]
+    assert all(set(r) == {"stage", "rule", "path", "before_cost",
+                          "after_cost"} for r in res.trace)
+
+
 def test_optimize_rejects_unknown_mode_and_bad_schema():
     cm = two_rel_model()
     with pytest.raises(ValueError):

@@ -146,7 +146,7 @@ def test_defaults_when_stats_missing():
 
 
 def test_empty_array_comparison_uses_empty_fraction():
-    info = {"a": ArrayInfo(0.3, None)}
+    info = {"a": ArrayInfo(4.0, 4.0, 0.3, None)}
     r = StatsResolver({}, info)
     assert pred_selectivity(Cmp("!=", Col("a"), Lit(())), r) == pytest.approx(0.7)
     assert pred_selectivity(Cmp("=", Col("a"), Lit(())), r) == pytest.approx(0.3)
@@ -204,7 +204,7 @@ def test_array_filter_thins_lengths_not_rows():
     res = cm.term_cost(ArrayFilter((("a", "e"),), pred, RelVar("R")))
     assert res.cost == pytest.approx(100 + 4.0 * 100)
     assert res.state.rows == pytest.approx(100.0)
-    assert res.state.lens["e"] == pytest.approx(1.0)
+    assert res.state.array_info["e"].length == pytest.approx(1.0)
 
 
 def test_empty_prune_filter_keeps_length():
@@ -212,7 +212,7 @@ def test_empty_prune_filter_keeps_length():
     cm = _fixture_model()
     res = cm.term_cost(Filter(Cmp("!=", Col("a"), Lit(())), RelVar("R")))
     assert res.state.rows == pytest.approx(75.0)
-    assert res.state.lens["a"] == pytest.approx(4.0)
+    assert res.state.array_info["a"].length == pytest.approx(4.0)
 
 
 def test_repeated_emptiness_guard_has_selectivity_one():
@@ -309,7 +309,7 @@ def test_project_is_free_and_trims_state():
     cm = _fixture_model()
     res = cm.term_cost(Project(("x",), RelVar("R")))
     assert res.cost == pytest.approx(100.0)
-    assert "a" not in res.state.lens and "k" not in res.state.scalar_stats
+    assert "a" not in res.state.array_info and "k" not in res.state.scalar_stats
 
 
 def test_map_derive_cost_and_new_array():
@@ -317,7 +317,7 @@ def test_map_derive_cost_and_new_array():
     res = cm.term_cost(Derive("b", ScalarFn.of("neg"), ("a",), RelVar("R"),
                               is_map=True))
     assert res.cost == pytest.approx(100 + 4.0 * 100)
-    assert res.state.lens["b"] == pytest.approx(4.0)
+    assert res.state.array_info["b"].length == pytest.approx(4.0)
     # identity map copies element stats; other functions do not
     res2 = cm.term_cost(Derive("b", ScalarFn.of("identity"), ("a",),
                                RelVar("R"), is_map=True))
@@ -336,4 +336,4 @@ def test_fold_derive_costs_array_length():
     cm = _fixture_model()
     res = cm.term_cost(Derive("s", ScalarFn.of("arraySum"), ("a",), RelVar("R")))
     assert res.cost == pytest.approx(100 + 4.0 * 100)
-    assert "s" in res.state.scalar_stats and "s" not in res.state.lens
+    assert "s" in res.state.scalar_stats and "s" not in res.state.array_info
