@@ -25,10 +25,15 @@ Aggregate     gamma: group by key columns, apply aggregates; an empty input
 Schema inference
 ----------------
 ``node_schema`` holds every schema rule as one step: a node's output schema
-from its children's schemas, reading only the node's own fields.  The
-optimizer's searches call it directly on template nodes and memoized child
-schemas.  ``output_schema`` folds it over a whole term and is the only place
-a catalog is consulted, at ``RelVar``.
+from its children's schemas, reading only the node's own fields, and it
+raises on any inconsistency.  ``output_schema`` folds it over a whole term
+and is the only place a catalog is consulted, at ``RelVar``.  Beside it,
+``footprint`` says which columns a unary node reads, writes and consumes;
+it is the one table of per-operator columns that the rest of the package
+(decomposition, gensym, preprocess) uses.  The join search does not call
+``node_schema`` per step: decomposition runs it once per operator where the
+query placed it, and the search replays the recorded effect
+(``RankableOp.schema_after``).
 
 Null/equality conventions live in `functions` and `predicates`; join and
 group keys treat null as equal to null.
@@ -384,6 +389,34 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
         aliases.add(spec.alias)
         out = out.add(spec.alias, agg_output_kind(spec.fn))
     return out
+
+
+def footprint(node: Term) -> tuple:
+    """(reads, writes, consumes): the columns a unary node reads, creates or
+    overwrites, and removes from its input.
+
+    Like ``node_schema`` it reads only the node's own fields.  Outside
+    Project and Aggregate, which also drop every input column they do not
+    output, a valid node's output columns are its input's minus `consumes`
+    plus `writes`.  Not defined for RelVar and Join.
+    """
+    if isinstance(node, Filter):
+        return pred_columns(node.pred), frozenset(), frozenset()
+    if isinstance(node, Project):
+        return frozenset(node.cols), frozenset(), frozenset()
+    if isinstance(node, (ArrayJoin, ArrayFilter)):
+        sources = frozenset(s for s, _ in node.targets)
+        aliases = frozenset(a for _, a in node.targets)
+        reads = sources
+        if isinstance(node, ArrayFilter):
+            reads = sources | (pred_columns(node.pred) - aliases)
+        return reads, aliases, sources
+    if isinstance(node, Derive):
+        return frozenset(node.args), frozenset((node.output,)), frozenset()
+    if isinstance(node, Aggregate):
+        reads = frozenset(node.keys) | {s.arg for s in node.aggs}
+        return reads, frozenset(s.alias for s in node.aggs), frozenset()
+    raise SchemaError(f"not a unary term: {node!r}")
 
 
 def output_schema(term: Term, catalog: Mapping[str, Schema]) -> Schema:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..algebra import Schema, Term, output_schema
+from ..algebra import Schema, SchemaError, Term, output_schema
 from ..rewrite import RuleContext
 from ..stats import CostModel, TableStats
 from .decompose import (
@@ -77,12 +77,14 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
              stats: Optional[Mapping[str, TableStats]] = None,
              correspondences=None, mode: str = "enumerate",
              alpha: float = 1.0, allow_cross_products: bool = False,
-             max_oracle_relations: int = MAX_ORACLE_RELATIONS,
              trace: bool = False) -> OptimizeResult:
-    """Optimize `term` end to end; raises on malformed/infeasible queries."""
+    """Optimize `term` end to end; raises on malformed/infeasible queries.
+
+    The plan must output the input's schema; a SchemaError says it did not.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    output_schema(term, schemas)  # schema check; raises SchemaError
+    schema = output_schema(term, schemas)  # raises SchemaError
 
     ctx = RuleContext(dict(schemas), correspondences or {})
     cost_model = CostModel(dict(stats or {}), dict(schemas))
@@ -106,15 +108,12 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
             order = sort_ops(decomp.ops, graph)
             entry, enum = enumerate_plans(
                 decomp, graph, order, cost_model,
-                allow_cross_products=allow_cross_products,
-                with_diagnostics=True)
+                allow_cross_products=allow_cross_products)
             counters.update(enum.counters)
         else:
             entry, info = oracle_enumerate(
                 decomp, graph, cost_model,
-                allow_cross_products=allow_cross_products,
-                max_relations=max_oracle_relations,
-                with_diagnostics=True)
+                allow_cross_products=allow_cross_products)
             counters.update(info)
         placed = entry.term
     timings[mode] = (time.perf_counter() - t1) * 1000.0
@@ -126,6 +125,9 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
                             trace=records)
     timings["postprocess"] = (time.perf_counter() - t2) * 1000.0
 
-    cost = cost_model.term_cost(final).cost
+    res = cost_model.term_cost(final)
+    if res.schema != schema:
+        raise SchemaError(f"the plan's output schema {res.schema} differs "
+                          f"from the input's {schema}")
     timings["total"] = sum(timings.values())
-    return OptimizeResult(final, cost, mode, timings, counters, records)
+    return OptimizeResult(final, res.cost, mode, timings, counters, records)

@@ -3,9 +3,12 @@ rankable unary operators.
 
 The decomposition is the normal form the join enumerator consumes.  Each
 unary operator (filter, arrayFilter, arrayJoin, derive, aggregate) becomes a
-``RankableOp`` carrying its column footprint and a cost profile measured at
-its original position; joins become edges of a join graph whose nodes are the
-base relations; the top projection is stripped and remembered.  Ordering
+``RankableOp`` carrying what it reads and creates (``algebra.footprint``),
+its schema effect and a cost profile, both measured at its original
+position: ``node_schema`` validates the operator there once, and the
+searches replay the recorded effect (``RankableOp.schema_after``) instead of
+re-deriving it.  Joins become edges of a join graph whose nodes are the base
+relations; the top projection is stripped and remembered.  Ordering
 constraints between operators (read-after-write, write-after-read) are
 collected as raw precedence edges while walking the tree.
 """
@@ -15,9 +18,8 @@ from typing import Optional
 
 from ..algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, node_schema, with_children,
+    Project, RelVar, Schema, Term, footprint, node_schema, with_children,
 )
-from ..predicates import pred_columns
 from ..stats import CostModel, PlanState
 
 
@@ -53,12 +55,27 @@ class RankableOp:
     requires: frozenset       # columns read
     produces: frozenset       # columns created
     destroys: frozenset       # columns removed (or overwritten in place)
+    produces_arrays: frozenset  # the columns of `produces` that are arrays
     base_rels: frozenset      # leaf indices transitively feeding `requires`
     min_rels: frozenset       # leaves that must be joined before this op runs
     profile: OpProfile
 
     def apply(self, child: Term) -> Term:
         return with_children(self.node, (child,))
+
+    def schema_after(self, schema: Schema) -> Schema:
+        """The schema this operator outputs over `schema`.
+
+        It replays the effect ``node_schema`` gave the operator where the
+        query placed it, without validating again: the searches apply an
+        operator only where ``op_applicable`` holds, and ``optimize``
+        checks the final plan's schema against the input's."""
+        if not (self.destroys or self.produces):
+            return schema
+        return Schema(
+            (schema.scalars - self.destroys)
+            | (self.produces - self.produces_arrays),
+            (schema.arrays - self.destroys) | self.produces_arrays)
 
 
 @dataclass(frozen=True)
@@ -84,6 +101,8 @@ class QueryDecomposition:
     had_top_project: bool
 
 
+_NO_COLUMNS = frozenset()
+
 _OP_KINDS = {
     Filter: "filter",
     ArrayFilter: "arrayFilter",
@@ -91,34 +110,6 @@ _OP_KINDS = {
     Derive: "derive",
     Aggregate: "aggregate",
 }
-
-
-def op_requires(node: Term) -> frozenset:
-    if isinstance(node, Filter):
-        return pred_columns(node.pred)
-    if isinstance(node, ArrayFilter):
-        aliases = {alias for _, alias in node.targets}
-        sources = frozenset(src for src, _ in node.targets)
-        return (pred_columns(node.pred) - aliases) | sources
-    if isinstance(node, ArrayJoin):
-        return frozenset(src for src, _ in node.targets)
-    if isinstance(node, Derive):
-        return frozenset(node.args)
-    if isinstance(node, Aggregate):
-        return frozenset(node.keys) | {s.arg for s in node.aggs}
-    raise DecomposeError(f"not a rankable operator: {node!r}")
-
-
-def op_produces(node: Term) -> frozenset:
-    if isinstance(node, Filter):
-        return frozenset()
-    if isinstance(node, (ArrayFilter, ArrayJoin)):
-        return frozenset(alias for _, alias in node.targets)
-    if isinstance(node, Derive):
-        return frozenset((node.output,))
-    if isinstance(node, Aggregate):
-        return frozenset(s.alias for s in node.aggs)
-    raise DecomposeError(f"not a rankable operator: {node!r}")
 
 
 ############################################################
@@ -200,11 +191,16 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
 
         br = go(sub.child)
         idx = len(ops)
-        requires = op_requires(sub)
-        produces = op_produces(sub)
+        requires, produces, _ = footprint(sub)
         schema_after = node_schema(sub, br.schema)
         destroys = (br.schema.columns - schema_after.columns) \
             | (produces & br.schema.columns)
+        # all or none, the common cases, share a set instead of a copy
+        arrays = produces & schema_after.arrays
+        if arrays == produces:
+            arrays = produces
+        elif not arrays:
+            arrays = _NO_COLUMNS
 
         # precedence: read-after-write, then write-after-read
         for col in sorted(requires):
@@ -244,7 +240,7 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
                             c_t=mcost / mstate.rows, h_sel=h_sel)
 
         ops.append(RankableOp(idx, with_children(sub, (RelVar("_x"),)), kind,
-                              requires, produces, destroys,
+                              requires, produces, destroys, arrays,
                               support or frozenset(), min_rels, profile))
 
         # update version maps

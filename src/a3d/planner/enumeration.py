@@ -13,7 +13,9 @@ for how long they are kept), and a join candidate is costed from its two
 plan states before anything is built: only a candidate that beats the
 memo's incumbent for its operator set gets a merged state, a Join node and
 a schema (``join_entries``).  Equal schemas are stored once per
-enumerator.
+enumerator.  Applying an operator replays the schema effect ``decompose``
+recorded for it (``RankableOp.schema_after``), so ``node_schema`` runs only
+for join winners and the final projection.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..algebra import (
-    A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Join, Project,
-    RelVar, Schema, Term, node_schema,
+    A3DError, Join, Project, RelVar, Schema, Term, node_schema,
 )
 from ..stats import CostModel, PlanState
 from .decompose import QueryDecomposition, RankableOp
@@ -53,19 +54,6 @@ class MemoEntry:
 
 def describe_op(op: RankableOp) -> str:
     return f"{op.kind}#{op.idx}"
-
-
-def _cols_after(op: RankableOp, cols: set) -> set:
-    """Column set after applying `op` to a plan with columns `cols`."""
-    node = op.node
-    if isinstance(node, (ArrayFilter, ArrayJoin)):
-        return (cols - {s for s, _ in node.targets}) \
-            | {a for _, a in node.targets}
-    if isinstance(node, Derive):
-        return cols | {node.output}
-    if isinstance(node, Aggregate):
-        return set(node.keys) | {s.alias for s in node.aggs}
-    return cols
 
 
 ############################################################
@@ -97,9 +85,8 @@ def apply_op(op: RankableOp, entry: MemoEntry,
              cost_model: CostModel) -> MemoEntry:
     term = op.apply(entry.term)
     cost, state = cost_model.op_effect(op.node, entry.state)
-    schema = node_schema(op.node, entry.schema)
     return MemoEntry(term, entry.rels, entry.ops | (1 << op.idx),
-                     entry.cost + cost, state, schema)
+                     entry.cost + cost, state, op.schema_after(entry.schema))
 
 
 def base_entry(decomp: QueryDecomposition, i: int,
@@ -231,14 +218,16 @@ class Enumerator:
         precedence predecessor, falls out of the closure with it."""
         out = []
         ops_mask = entry.ops
-        cols = set(entry.schema.columns)
+        schema = entry.schema
+        cols = schema.columns
         for op in self.order:
             if op.idx in banned or not op_applicable(
                     op, ops_mask, cols, entry.rels, self.graph):
                 continue
             out.append(op)
             ops_mask |= 1 << op.idx
-            cols = _cols_after(op, cols)
+            schema = op.schema_after(schema)
+            cols = schema.columns
         return out
 
     def insert(self, table: dict, entry: MemoEntry) -> None:
@@ -422,15 +411,8 @@ class Enumerator:
 
 def enumerate_plans(decomp: QueryDecomposition, graph: PrecedenceGraph,
                     order, cost_model: CostModel,
-                    allow_cross_products: bool = False,
-                    with_diagnostics: bool = False):
-    """Run Algorithm-style enumeration; returns the best MemoEntry.
-
-    With `with_diagnostics`, returns (entry, enumerator) so tests can audit
-    the memo and counters.
-    """
+                    allow_cross_products: bool = False):
+    """Run Algorithm-style enumeration; returns (best MemoEntry, the
+    Enumerator), whose memo and counters callers may audit."""
     enum = Enumerator(decomp, graph, order, cost_model, allow_cross_products)
-    best = enum.run()
-    if with_diagnostics:
-        return best, enum
-    return best
+    return enum.run(), enum

@@ -28,16 +28,16 @@ class OracleLimitError(A3DError):
 
 
 def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
-                     cost_model: CostModel, allow_cross_products: bool = False,
-                     max_relations: int = MAX_ORACLE_RELATIONS,
-                     with_diagnostics: bool = False):
-    """Minimum-cost plan over the full reorder space; returns a MemoEntry
-    (or (entry, stats) with diagnostics)."""
+                     cost_model: CostModel,
+                     allow_cross_products: bool = False):
+    """Minimum-cost plan over the full reorder space; returns (MemoEntry,
+    {"states", "orderings"})."""
     nrel = len(decomp.leaves)
     nops = len(decomp.ops)
-    if nrel > max_relations:
+    if nrel > MAX_ORACLE_RELATIONS:
         raise OracleLimitError(
-            f"{nrel} relations exceed the oracle limit of {max_relations}")
+            f"{nrel} relations exceed the oracle limit of "
+            f"{MAX_ORACLE_RELATIONS}")
     if nops > MAX_ORACLE_OPS:
         raise OracleLimitError(
             f"{nops} rankable operators exceed the oracle limit of "
@@ -99,6 +99,4 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
     if result is None:
         raise InfeasibleQueryError("oracle plan lacks an output column",
                                    "projection")
-    if with_diagnostics:
-        return result, {"states": len(best), "orderings": npaths.get(full, 0)}
-    return result
+    return result, {"states": len(best), "orderings": npaths.get(full, 0)}

@@ -41,10 +41,7 @@ def _close(n: int, direct: list) -> list:
         changed = False
         for i in range(n):
             acc = succ[i]
-            rest = acc
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for j in _bits(acc):
                 acc |= succ[j]
             if acc != succ[i]:
                 succ[i] = acc
@@ -75,10 +72,7 @@ def build_precedence(n: int, edges, leq=None) -> PrecedenceGraph:
 def _invert(n: int, succ: list) -> list:
     pred = [0] * n
     for i in range(n):
-        rest = succ[i]
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for j in _bits(succ[i]):
             pred[j] |= 1 << i
     return pred
 
@@ -96,10 +90,7 @@ def find_n_structure(graph: PrecedenceGraph):
             only_c = pred[c] & ~pred[d] & ~succ[d] & ~(1 << d) & full
             if not (both and only_c):
                 continue
-            rest_b = both
-            while rest_b:
-                b = (rest_b & -rest_b).bit_length() - 1
-                rest_b &= rest_b - 1
+            for b in _bits(both):
                 free_a = only_c & ~pred[b] & ~succ[b] & ~(1 << b)
                 if free_a:
                     a = (free_a & -free_a).bit_length() - 1
@@ -121,15 +112,9 @@ def _repair(graph: PrecedenceGraph, leq) -> None:
         # re-close incrementally: everything before i now precedes all after j
         lo = graph.pred[i] | (1 << i)
         hi = graph.succ[j] | (1 << j)
-        rest = lo
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for k in _bits(lo):
             graph.succ[k] |= hi
-        rest = hi
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+        for k in _bits(hi):
             graph.pred[k] |= lo
         if graph.succ[i] >> i & 1:
             raise MalformedQueryError("repair produced a cycle")
@@ -197,9 +182,7 @@ def _components(graph: PrecedenceGraph, bits: list) -> list:
         while frontier:
             k = frontier.pop()
             nb = (graph.succ[k] | graph.pred[k]) & members & ~comp
-            while nb:
-                j = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
+            for j in _bits(nb):
                 comp |= 1 << j
                 frontier.append(j)
         seen |= comp

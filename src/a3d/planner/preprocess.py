@@ -8,10 +8,11 @@ Five sub-passes, each semantics-preserving:
    alias, in which case the projection stays put.
 2. conjunct split      -- σ(p ∧ q) becomes σ(p)(σ(q)) so each conjunct ranks
    and moves independently.
-3. invert + descend    -- filters over derived columns are rewritten onto
-   their source columns where the function is invertible, then pushed down
-   through derives/arrayJoins until a filter sits directly on unnest aliases
-   and converts into an arrayFilter.
+3. invert + descend    -- a filter over an affine derive's output is
+   inverted onto the derive's source column (R13.2); filters are then pushed
+   down through derives/arrayJoins until a filter sits directly on unnest
+   aliases and converts into an arrayFilter.  Only greedy mode rewinds an
+   arrayFilter through an invertible map (R11.2).
 4. emptiness guards    -- a filter dropping empty arrays is inserted under an
    arrayJoin when the cost model says it pays.
 5. dead derive removal -- derives whose output nothing consumes are dropped.
@@ -19,7 +20,7 @@ Five sub-passes, each semantics-preserving:
 
 from ..algebra import (
     Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join, Project, RelVar,
-    Term, children, replace_at, with_children,
+    Term, children, footprint, replace_at, with_children,
 )
 from ..predicates import pred_columns, split_conjuncts
 from ..rewrite import (
@@ -59,23 +60,14 @@ def _hoist_once(term: Term, ctx: RuleContext):
                 else Join(other, sub.child)
             return Project(out, joined)
 
-    if isinstance(term, (ArrayJoin, ArrayFilter)) \
+    if isinstance(term, (ArrayJoin, ArrayFilter, Derive)) \
             and isinstance(term.child, Project):
         proj = term.child
+        _, writes, consumes = footprint(term)
         hidden = ctx.schema_of(proj.child).columns - set(proj.cols)
-        aliases = {alias for _, alias in term.targets}
-        if aliases & hidden:
+        if writes & hidden:
             return None
-        sources = {src for src, _ in term.targets}
-        out = tuple(sorted((set(proj.cols) - sources) | aliases))
-        return Project(out, with_children(term, (proj.child,)))
-
-    if isinstance(term, Derive) and isinstance(term.child, Project):
-        proj = term.child
-        hidden = ctx.schema_of(proj.child).columns - set(proj.cols)
-        if term.output in hidden:
-            return None
-        out = tuple(sorted(set(proj.cols) | {term.output}))
+        out = tuple(sorted((set(proj.cols) - consumes) | writes))
         return Project(out, with_children(term, (proj.child,)))
 
     if isinstance(term, Aggregate) and isinstance(term.child, Project):
@@ -116,8 +108,7 @@ def split_filter_conjuncts(term: Term) -> Term:
 # 3. filter inversion and descent
 ############################################################
 
-_INVERT_RULES = ("R13.2", "R11.2")
-_DESCEND_RULES = ("R13.1", "R2.1")
+_FILTER_RULES = ("R2.2", "R13.2", "R13.1", "R2.1")
 
 
 def _commute_filter_past_array_filter(sub: Term):
@@ -137,7 +128,7 @@ def descend_filters(term: Term, ctx: RuleContext, trace=None,
     def step(root, path, sub):
         if not isinstance(sub, Filter):
             return None
-        for rule_id in ("R2.2",) + _INVERT_RULES + _DESCEND_RULES:
+        for rule_id in _FILTER_RULES:
             new = try_apply(RULES_BY_ID[rule_id], root, path, ctx)
             if new is not None:
                 return rule_id, new
@@ -170,15 +161,18 @@ def insert_empty_guards(term: Term, ctx: RuleContext,
 # 5. dead derive removal
 ############################################################
 
+def _child_needs(t: Term, needed: set) -> set:
+    """Columns `t`'s child must supply when `needed` of `t`'s are used."""
+    reads, writes, _ = footprint(t)
+    return (needed - writes) | reads
+
+
 def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
+    # `needed` is always a subset of `t`'s columns, so the footprint rule
+    # also covers Project and Aggregate, which drop what they do not output
     def prune(t: Term, needed: set) -> Term:
         if isinstance(t, RelVar):
             return t
-        if isinstance(t, Project):
-            return Project(t.cols, prune(t.child, set(t.cols)))
-        if isinstance(t, Filter):
-            return Filter(t.pred, prune(t.child,
-                                        needed | pred_columns(t.pred)))
         if isinstance(t, Join):
             lcols = ctx.schema_of(t.left).columns
             rcols = ctx.schema_of(t.right).columns
@@ -186,20 +180,9 @@ def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
             want = needed | shared
             return Join(prune(t.left, want & lcols),
                         prune(t.right, want & rcols))
-        if isinstance(t, (ArrayJoin, ArrayFilter)):
-            aliases = {alias for _, alias in t.targets}
-            sources = {src for src, _ in t.targets}
-            return with_children(
-                t, (prune(t.child, (needed - aliases) | sources),))
-        if isinstance(t, Derive):
-            if t.output not in needed:
-                return prune(t.child, needed)
-            return with_children(
-                t, (prune(t.child, (needed - {t.output}) | set(t.args)),))
-        if isinstance(t, Aggregate):
-            want = set(t.keys) | {s.arg for s in t.aggs}
-            return with_children(t, (prune(t.child, want),))
-        return t
+        if isinstance(t, Derive) and t.output not in needed:
+            return prune(t.child, needed)
+        return with_children(t, (prune(t.child, _child_needs(t, needed)),))
 
     return prune(term, set(ctx.schema_of(term).columns))
 

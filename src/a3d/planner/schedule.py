@@ -140,7 +140,7 @@ def sort_ops(ops, graph: PrecedenceGraph) -> list:
 
 
 ############################################################
-# sequence costing (shared by tests and enumeration diagnostics)
+# sequence costing (used by tests)
 ############################################################
 
 def sequence_cost(cost_model, state, nodes) -> float:

@@ -36,6 +36,7 @@ from .algebra import (
     Schema,
     SchemaError,
     Term,
+    footprint,
     output_schema,
     replace_at,
     subterm_at,
@@ -117,24 +118,9 @@ def collect_names(term: Term, schemas: Mapping[str, Schema]) -> set:
         if isinstance(node, RelVar):
             if node.name in schemas:
                 names |= schemas[node.name].columns
-        elif isinstance(node, Filter):
-            names |= pred_columns(node.pred)
-        elif isinstance(node, Project):
-            names |= set(node.cols)
-        elif isinstance(node, (ArrayJoin, ArrayFilter)):
-            for s, a in node.targets:
-                names.add(s)
-                names.add(a)
-            if isinstance(node, ArrayFilter):
-                names |= pred_columns(node.pred)
-        elif isinstance(node, Derive):
-            names.add(node.output)
-            names |= set(node.args)
-        elif isinstance(node, Aggregate):
-            names |= set(node.keys)
-            for spec in node.aggs:
-                names.add(spec.arg)
-                names.add(spec.alias)
+        elif not isinstance(node, Join):
+            for cols in footprint(node):
+                names |= cols
     return names
 
 

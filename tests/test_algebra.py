@@ -16,8 +16,11 @@ from a3d.algebra import (
     Relation,
     Schema,
     SchemaError,
+    UNARY_TYPES,
     base_relations,
     evaluate,
+    footprint,
+    node_schema,
     output_schema,
     relations_equal,
     replace_at,
@@ -25,9 +28,11 @@ from a3d.algebra import (
     walk,
 )
 from a3d.functions import ScalarFn, apply_agg, apply_scalar
+from a3d.planner import optimize
 from a3d.predicates import Cmp, Col, Lit, Not
 
 from gen_utils import build_relation, random_db, random_term
+from golden_queries import CASES
 from naive_interp import naive_eval, rows_equal_bag
 
 INT = "int"
@@ -213,6 +218,42 @@ def test_walk_paths_roundtrip():
     swapped = replace_at(term, (0, 1), RelVar("C"))
     assert base_relations(swapped) == ("A", "C")
     assert base_relations(term) == ("A", "B")  # original untouched
+
+
+############################################################
+# schema inference
+############################################################
+
+def _check_footprints(term, catalog, seen: set) -> None:
+    """footprint agrees with node_schema on every unary node of `term`."""
+    for _, node in walk(term):
+        if not isinstance(node, UNARY_TYPES):
+            continue
+        seen.add(type(node))
+        inner = output_schema(node.child, catalog)
+        reads, writes, consumes = footprint(node)
+        assert reads <= inner.columns, node
+        if not isinstance(node, (Project, Aggregate)):
+            assert node_schema(node, inner).columns == \
+                (inner.columns - consumes) | writes, node
+
+
+def test_footprint_agrees_with_node_schema():
+    seen: set = set()
+    for join in (False, True):
+        rng = random.Random(31000 + join)
+        for _ in range(200):
+            rels, db = random_db(rng, join=join)
+            term = random_term(rng, rels, n_ops=rng.randint(1, 6))
+            _check_footprints(term, {n: r.schema for n, r in db.items()},
+                              seen)
+    for case in CASES.values():
+        term, schemas, stats, corr, opt_kw, _ = case()
+        _check_footprints(term, schemas, seen)
+        plan = optimize(term, schemas, stats=stats, correspondences=corr,
+                        **opt_kw).term
+        _check_footprints(plan, schemas, seen)
+    assert seen == set(UNARY_TYPES)
 
 
 ############################################################

@@ -57,6 +57,7 @@ from a3d.planner import (
     sequence_cost,
     sort_ops,
 )
+from a3d import planner
 from a3d.planner import enumeration
 from a3d.planner.enumeration import Enumerator, join_entries
 from a3d.planner.precedence import find_n_structure, sp_tree
@@ -252,7 +253,7 @@ def test_sp_tree_shapes():
 def _mk_op(idx, node, kind, requires, produces, s_row, c_t, h_sel=1.0,
            destroys=frozenset()):
     return RankableOp(idx, node, kind, frozenset(requires),
-                      frozenset(produces), frozenset(destroys),
+                      frozenset(produces), frozenset(destroys), frozenset(),
                       frozenset({0}), frozenset({0}),
                       OpProfile(s_row, c_t, h_sel))
 
@@ -451,7 +452,7 @@ def test_memo_single_leaf_tables_hold_only_base_entries():
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
-    best, enum = enumerate_plans(d, graph, order, cm, with_diagnostics=True)
+    best, enum = enumerate_plans(d, graph, order, cm)
     assert set(enum.memo[0b01]) == {0}
     assert set(enum.memo[0b10]) == {0}
     assert best.rels == 0b11
@@ -502,7 +503,7 @@ def test_oracle_counts_orderings_of_independent_filters():
                                        Filter(lt("u0", 10), RelVar("R"))))
     d = decompose(term, cm)
     graph = precedence_for(d)
-    best, info = oracle_enumerate(d, graph, cm, with_diagnostics=True)
+    best, info = oracle_enumerate(d, graph, cm)
     assert info["orderings"] == 6        # 3! interleavings of free filters
     assert best.cost <= cm.term_cost(term).cost
 
@@ -524,8 +525,8 @@ def test_ops_readable_on_both_join_sides_still_optimal():
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
-    ent = enumerate_plans(d, graph, order, cm)
-    orc = oracle_enumerate(d, graph, cm)
+    ent, _ = enumerate_plans(d, graph, order, cm)
+    orc, _ = oracle_enumerate(d, graph, cm)
     assert ent.cost <= orc.cost + 1e-9
 
 
@@ -544,10 +545,10 @@ def test_enumerate_is_never_beaten_by_oracle(seed):
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
     assert cm.term_cost(pre).schema == output_schema(pre, schemas)
-    ent = enumerate_plans(d, graph, order, cm)
+    ent, _ = enumerate_plans(d, graph, order, cm)
     assert ent.schema == output_schema(ent.term, schemas)
     try:
-        orc = oracle_enumerate(d, graph, cm)
+        orc, _ = oracle_enumerate(d, graph, cm)
     except OracleLimitError:
         pytest.skip("query exceeds oracle limits")
     assert orc.schema == output_schema(orc.term, schemas)
@@ -581,6 +582,11 @@ def _enumerated(cls, term, schemas, stats=None):
     memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
                    for ops, e in table.items()}
             for rels, table in enum.memo.items()}
+    # entries that never win are checked here only: the search replays
+    # recorded schema effects instead of deriving them
+    for table in enum.memo.values():
+        for e in table.values():
+            assert e.schema == output_schema(e.term, schemas), repr(e.term)
     return memo, enum.counters, outcome
 
 
@@ -904,6 +910,19 @@ def test_trace_records_are_golden(name, mode):
     assert got == GOLDEN_TRACES[name, mode]
     assert all(set(r) == {"stage", "rule", "path", "before_cost",
                           "after_cost"} for r in res.trace)
+
+
+def test_optimize_rejects_a_plan_that_changes_the_output_schema(
+        monkeypatch):
+    cm = two_rel_model()
+    term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
+
+    def lossy_placement(pre, ctx, cost_model, trace=None):
+        return Project(("k", "x"), pre)  # loses the output column y
+
+    monkeypatch.setattr(planner, "optimize_greedy", lossy_placement)
+    with pytest.raises(SchemaError, match="output schema"):
+        optimize(term, cm.schemas, stats=cm.stats, mode="greedy")
 
 
 def test_optimize_rejects_unknown_mode_and_bad_schema():
