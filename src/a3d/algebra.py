@@ -30,7 +30,8 @@ raises on any inconsistency.  ``output_schema`` folds it over a whole term
 and is the only place a catalog is consulted, at ``RelVar``.  Beside it,
 ``footprint`` says which columns a unary node reads, writes and consumes;
 it is the one table of per-operator columns that the rest of the package
-(decomposition, gensym, preprocess) uses.  The join search does not call
+(decomposition, gensym, preprocess, and the rewrite rules that commute
+operators or move them across a join) uses.  The join search does not call
 ``node_schema`` per step: decomposition runs it once per operator where the
 query placed it, and the search replays the recorded effect
 (``RankableOp.schema_after``).
@@ -99,17 +100,6 @@ class Schema:
         if col in self.arrays:
             return "array"
         raise SchemaError(f"unknown column {col!r}")
-
-    def drop(self, cols) -> "Schema":
-        cols = frozenset(cols)
-        return Schema(self.scalars - cols, self.arrays - cols)
-
-    def add(self, col: str, kind: str) -> "Schema":
-        """Add or overwrite a column with the given kind."""
-        base = self.drop((col,))
-        if kind == "scalar":
-            return Schema(base.scalars | {col}, base.arrays)
-        return Schema(base.scalars, base.arrays | {col})
 
 
 def _valid_scalar(v) -> bool:
@@ -283,22 +273,25 @@ def base_relations(term: Term) -> tuple:
 # schema inference
 ############################################################
 
-def _check_targets(targets, schema: Schema, what: str):
+def _check_targets(targets, schema: Schema, what: str) -> tuple:
+    """Validate (source, alias) targets; returns the (sources, aliases)
+    sets."""
     if not targets:
         raise SchemaError(f"{what} needs at least one target")
-    sources = [s for s, _ in targets]
-    aliases = [a for _, a in targets]
-    if len(set(sources)) != len(sources):
+    sources = frozenset(s for s, _ in targets)
+    aliases = frozenset(a for _, a in targets)
+    if len(sources) != len(targets):
         raise SchemaError(f"{what}: duplicate source")
-    if len(set(aliases)) != len(aliases):
+    if len(aliases) != len(targets):
         raise SchemaError(f"{what}: duplicate alias")
-    for s in sources:
+    for s, _ in targets:
         if s not in schema.arrays:
             raise SchemaError(f"{what}: source {s!r} is not an array column")
-    survivors = schema.columns - set(sources)
-    for a in aliases:
-        if a in survivors and a not in sources:
+    survivors = schema.columns - sources
+    for _, a in targets:
+        if a in survivors:
             raise SchemaError(f"{what}: alias {a!r} shadows an unrelated column")
+    return sources, aliases
 
 
 def node_schema(node: Term, *child_schemas: Schema) -> Schema:
@@ -336,23 +329,18 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
         return Schema(inner.scalars & keep, inner.arrays & keep)
 
     if isinstance(node, ArrayJoin):
-        _check_targets(node.targets, inner, "arrayJoin")
-        out = inner.drop(s for s, _ in node.targets)
-        for _, a in node.targets:
-            out = out.add(a, "scalar")
-        return out
+        sources, aliases = _check_targets(node.targets, inner, "arrayJoin")
+        gone = sources | aliases
+        return Schema((inner.scalars - gone) | aliases, inner.arrays - gone)
 
     if isinstance(node, ArrayFilter):
-        _check_targets(node.targets, inner, "arrayFilter")
-        aliases = {a for _, a in node.targets}
+        sources, aliases = _check_targets(node.targets, inner, "arrayFilter")
         stray = pred_columns(node.pred) - aliases
         if stray:
             raise SchemaError(
                 f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
-        out = inner.drop(s for s, _ in node.targets)
-        for _, a in node.targets:
-            out = out.add(a, "array")
-        return out
+        gone = sources | aliases
+        return Schema(inner.scalars - gone, (inner.arrays - gone) | aliases)
 
     if isinstance(node, Derive):
         if not known_scalar_fn(node.fn.name):
@@ -364,19 +352,17 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
             if c not in inner.columns:
                 raise SchemaError(f"derive references unknown column {c!r}")
             kinds.append(inner.kind(c))
-        if node.is_map:
-            if "array" not in kinds:
-                raise SchemaError("map derive needs at least one array argument")
-            return inner.add(node.output, "array")
-        return inner.add(node.output, fn_output_kind(node.fn, kinds))
+        if node.is_map and "array" not in kinds:
+            raise SchemaError("map derive needs at least one array argument")
+        out = frozenset((node.output,))
+        if node.is_map or fn_output_kind(node.fn, kinds) == "array":
+            return Schema(inner.scalars - out, inner.arrays | out)
+        return Schema(inner.scalars | out, inner.arrays - out)
 
     # Aggregate
     if len(set(node.keys)) != len(node.keys):
         raise SchemaError("aggregate: duplicate key")
-    out = Schema.of()
-    for k in node.keys:
-        out = out.add(k, inner.kind(k))
-    aliases = set()
+    kinds = {k: inner.kind(k) for k in node.keys}
     for spec in node.aggs:
         if not known_agg_fn(spec.fn):
             raise SchemaError(f"unknown aggregate {spec.fn!r}")
@@ -384,11 +370,11 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
             raise SchemaError(f"aggregate references unknown column {spec.arg!r}")
         if spec.fn.endswith("ForEach") and inner.kind(spec.arg) != "array":
             raise SchemaError(f"{spec.fn} needs an array column")
-        if spec.alias in aliases or spec.alias in node.keys:
+        if spec.alias in kinds:
             raise SchemaError(f"aggregate alias {spec.alias!r} collides")
-        aliases.add(spec.alias)
-        out = out.add(spec.alias, agg_output_kind(spec.fn))
-    return out
+        kinds[spec.alias] = agg_output_kind(spec.fn)
+    return Schema(frozenset(c for c, k in kinds.items() if k == "scalar"),
+                  frozenset(c for c, k in kinds.items() if k == "array"))
 
 
 def footprint(node: Term) -> tuple:

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .functions import ScalarFn, known_agg_fn, known_scalar_fn
 from .planner import (
-    DecomposeError, DisconnectedJoinGraphError, GreedyIterationCapError,
+    DisconnectedJoinGraphError, GreedyIterationCapError,
     InfeasibleQueryError, MalformedQueryError, OracleLimitError,
     MODES, PostprocessCapError, optimize,
 )
@@ -557,7 +557,7 @@ def main(argv=None) -> int:
     except InfeasibleQueryError as e:
         _diag("infeasible", str(e), blocking_op=e.blocking_op)
         return EXIT_INFEASIBLE
-    except (DisconnectedJoinGraphError, MalformedQueryError, DecomposeError,
+    except (DisconnectedJoinGraphError, MalformedQueryError,
             OracleLimitError, PostprocessCapError,
             GreedyIterationCapError) as e:
         _diag("infeasible", str(e))

@@ -22,8 +22,7 @@ from ..algebra import Schema, SchemaError, Term, output_schema
 from ..rewrite import RuleContext
 from ..stats import CostModel, TableStats
 from .decompose import (
-    DecomposeError, JoinEdge, OpProfile, QueryDecomposition, RankableOp,
-    decompose,
+    JoinEdge, OpProfile, QueryDecomposition, RankableOp, decompose,
 )
 from .enumeration import (
     DisconnectedJoinGraphError, InfeasibleQueryError, MemoEntry, Enumerator,
@@ -41,13 +40,13 @@ from .preprocess import preprocess
 from .schedule import leq, rank, sequence_cost, sort_key, sort_ops
 
 __all__ = [
-    "DecomposeError", "DisconnectedJoinGraphError", "Enumerator",
-    "GreedyIterationCapError", "InfeasibleQueryError", "JoinEdge",
-    "MAX_ORACLE_OPS", "MAX_ORACLE_RELATIONS", "MalformedQueryError",
-    "MemoEntry", "OpProfile", "OptimizeResult", "OracleLimitError",
-    "PostprocessCapError", "PrecedenceGraph", "QueryDecomposition",
-    "RankableOp", "build_precedence", "collapse_idempotent_reaggregation",
-    "decompose", "enumerate_plans", "leq", "optimize", "optimize_greedy",
+    "DisconnectedJoinGraphError", "Enumerator", "GreedyIterationCapError",
+    "InfeasibleQueryError", "JoinEdge", "MAX_ORACLE_OPS",
+    "MAX_ORACLE_RELATIONS", "MalformedQueryError", "MemoEntry", "OpProfile",
+    "OptimizeResult", "OracleLimitError", "PostprocessCapError",
+    "PrecedenceGraph", "QueryDecomposition", "RankableOp",
+    "build_precedence", "collapse_idempotent_reaggregation", "decompose",
+    "enumerate_plans", "leq", "optimize", "optimize_greedy",
     "oracle_enumerate", "postprocess", "preprocess", "rank", "sequence_cost",
     "sort_key", "sort_ops",
 ]

@@ -17,14 +17,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..algebra import (
-    A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, footprint, node_schema, with_children,
+    Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join, Project, RelVar,
+    Schema, Term, footprint, node_schema, with_children,
 )
 from ..stats import CostModel, PlanState
-
-
-class DecomposeError(A3DError):
-    """The term has no join-enumerable shape (not produced by preprocess)."""
 
 
 ############################################################

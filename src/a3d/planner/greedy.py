@@ -8,14 +8,14 @@ mode trades optimality for speed and serves as the baseline the enumerating
 mode is measured against.
 """
 
-from ..algebra import Term
+from ..algebra import A3DError, Term
 from ..rewrite import (
     CATALOG, RuleContext, guard_cost_improves, rewrite_to_fixpoint, try_apply,
 )
 from ..stats import CostModel
 
 
-class GreedyIterationCapError(Exception):
+class GreedyIterationCapError(A3DError):
     """Greedy rewriting did not reach a fixpoint within the step cap."""
 
 

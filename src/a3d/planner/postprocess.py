@@ -16,7 +16,9 @@ A run is bounded by ``cap`` successful applications; exceeding it raises
 instead of a hang.
 """
 
-from ..algebra import Aggregate, AggSpec, Term, children, with_children
+from ..algebra import (
+    A3DError, Aggregate, AggSpec, Term, children, with_children,
+)
 from ..rewrite import (
     RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
 )
@@ -29,7 +31,7 @@ PRE_AGG_RULES = ("R17.1", "R17.2", "R17.3", "R18", "R19", "R20", "R21")
 _SINGLETON_IDENTITY = {"min", "max", "sum", "avg"}
 
 
-class PostprocessCapError(Exception):
+class PostprocessCapError(A3DError):
     """Pre-aggregation did not reach a fixpoint within the iteration cap."""
 
 

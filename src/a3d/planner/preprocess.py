@@ -22,10 +22,10 @@ from ..algebra import (
     Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join, Project, RelVar,
     Term, children, footprint, replace_at, with_children,
 )
-from ..predicates import pred_columns, split_conjuncts
+from ..predicates import split_conjuncts
 from ..rewrite import (
-    RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
-    trace_record, try_apply,
+    RULES_BY_ID, RuleContext, _swap, guard_cost_improves,
+    rewrite_to_fixpoint, trace_record, try_apply,
 )
 from ..stats import CostModel
 
@@ -113,13 +113,9 @@ _FILTER_RULES = ("R2.2", "R13.2", "R13.1", "R2.1")
 
 def _commute_filter_past_array_filter(sub: Term):
     """σθ(φ(X)) -> φ(σθ(X)) when θ does not read the filtered aliases."""
-    if not (isinstance(sub, Filter) and isinstance(sub.child, ArrayFilter)):
-        return None
-    phi = sub.child
-    aliases = {alias for _, alias in phi.targets}
-    if pred_columns(sub.pred) & aliases:
-        return None
-    return ArrayFilter(phi.targets, phi.pred, Filter(sub.pred, phi.child))
+    if isinstance(sub, Filter) and isinstance(sub.child, ArrayFilter):
+        return _swap(sub, sub.child)
+    return None
 
 
 def descend_filters(term: Term, ctx: RuleContext, trace=None,

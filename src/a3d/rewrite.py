@@ -12,6 +12,12 @@ Rules come in two kinds:
           pre-aggregation) and therefore apply only under
           ``guard_cost_improves``.
 
+Where a rule moves one unary operator past another, or below or above a
+join, its column conditions come from ``algebra.footprint``, through three
+helpers: ``_swap`` (R1, R2.1, R5.1, R11.1, R12, R13.1, R15),
+``_push_below_join`` (R4.1, R6, R8, R10.1) and ``_pull_above_join`` (R7,
+R10.2).
+
 Naming: R<n> identifiers are stable API surface; sub-variants share a family
 number.  Fresh internal columns use the ``__idx_<k>`` / ``__inv_<k>`` /
 ``__p<k>`` gensym pools and are always projected away by the same rule that
@@ -41,6 +47,7 @@ from .algebra import (
     replace_at,
     subterm_at,
     walk,
+    with_children,
 )
 from .functions import ARRAY_ARG_FNS, REAGGREGATE, ScalarFn, affine_form
 from .predicates import (
@@ -150,25 +157,68 @@ def _not_empty(col: str) -> Pred:
 
 
 ############################################################
+# commutation tests, all from ``footprint``
+############################################################
+
+def _swap(upper: Term, lower: Term) -> Optional[Term]:
+    """upper(lower(X)) -> lower(upper(X)) when neither writes or consumes a
+    column the other reads, writes or consumes."""
+    ur, uw, uc = footprint(upper)
+    lr, lw, lc = footprint(lower)
+    if (uw | uc) & (lr | lw | lc) or (lw | lc) & (ur | uw | uc):
+        return None
+    return with_children(lower, (with_children(upper, (lower.child,)),))
+
+
+def _push_below_join(sub: Term, ctx) -> Optional[Term]:
+    """Move unary `sub` onto the side of the join below it that holds every
+    column it reads, left first, when it writes nothing the other side has
+    and consumes no join key."""
+    join = sub.child
+    reads, writes, consumes = footprint(sub)
+    lcols = ctx.schema_of(join.left).columns
+    rcols = ctx.schema_of(join.right).columns
+    if consumes & lcols & rcols:
+        return None  # consuming a join key changes the join
+    if reads <= lcols and not writes & rcols:
+        return Join(with_children(sub, (join.left,)), join.right)
+    if reads <= rcols and not writes & lcols:
+        return Join(join.left, with_children(sub, (join.right,)))
+    return None
+
+
+def _pull_above_join(join: Join, kind: type, ctx) -> Optional[Term]:
+    """Lift a `kind` operator from under either side of `join`, left first,
+    when it writes and consumes nothing the other side has."""
+    for i, (op, other) in enumerate(((join.left, join.right),
+                                     (join.right, join.left))):
+        if not isinstance(op, kind):
+            continue
+        _, writes, consumes = footprint(op)
+        moved = writes | consumes
+        if moved and moved & ctx.schema_of(other).columns:
+            continue
+        kids = (op.child, other) if i == 0 else (other, op.child)
+        return with_children(op, (Join(*kids),))
+    return None
+
+
+############################################################
 # filters vs array operators (R1, R2.x)
 ############################################################
 
 @_rule("R1", "cost", "commute adjacent filters")
 def r1(sub, ctx):
     if isinstance(sub, Filter) and isinstance(sub.child, Filter):
-        inner = sub.child
-        return Filter(inner.pred, Filter(sub.pred, inner.child))
+        return _swap(sub, sub.child)
     return None
 
 
 @_rule("R2.1", "rule", "push filter below arrayJoin (alias-independent)")
 def r2_1(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, ArrayJoin)):
-        return None
-    mu = sub.child
-    if pred_columns(sub.pred) & _aliases(mu.targets):
-        return None
-    return ArrayJoin(mu.targets, Filter(sub.pred, mu.child))
+    if isinstance(sub, Filter) and isinstance(sub.child, ArrayJoin):
+        return _swap(sub, sub.child)
+    return None
 
 
 @_rule("R2.2", "rule", "filter on unnested elements becomes arrayFilter")
@@ -256,18 +306,8 @@ def _side_schemas(ctx, join):
 
 @_rule("R4.1", "cost", "push arrayJoin below join (one-sided targets)")
 def r4_1(sub, ctx):
-    if not (isinstance(sub, ArrayJoin) and isinstance(sub.child, Join)):
-        return None
-    join = sub.child
-    lsch, rsch = _side_schemas(ctx, join)
-    shared = lsch.columns & rsch.columns
-    srcs, als = _sources(sub.targets), _aliases(sub.targets)
-    if srcs & shared:
-        return None  # unnesting a join key changes the join
-    if srcs <= lsch.arrays and not als & rsch.columns:
-        return Join(ArrayJoin(sub.targets, join.left), join.right)
-    if srcs <= rsch.arrays and not als & lsch.columns:
-        return Join(join.left, ArrayJoin(sub.targets, join.right))
+    if isinstance(sub, ArrayJoin) and isinstance(sub.child, Join):
+        return _push_below_join(sub, ctx)
     return None
 
 
@@ -304,78 +344,36 @@ def r4_2(sub, ctx):
 
 @_rule("R6", "rule", "push filter below join")
 def r6(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, Join)):
-        return None
-    join = sub.child
-    lsch, rsch = _side_schemas(ctx, join)
-    cols = pred_columns(sub.pred)
-    if cols <= lsch.columns:
-        return Join(Filter(sub.pred, join.left), join.right)
-    if cols <= rsch.columns:
-        return Join(join.left, Filter(sub.pred, join.right))
+    if isinstance(sub, Filter) and isinstance(sub.child, Join):
+        return _push_below_join(sub, ctx)
     return None
 
 
 @_rule("R7", "cost", "pull filter above join")
 def r7(sub, ctx):
-    if not isinstance(sub, Join):
-        return None
-    if isinstance(sub.left, Filter):
-        return Filter(sub.left.pred, Join(sub.left.child, sub.right))
-    if isinstance(sub.right, Filter):
-        return Filter(sub.right.pred, Join(sub.left, sub.right.child))
+    if isinstance(sub, Join):
+        return _pull_above_join(sub, Filter, ctx)
     return None
 
 
 @_rule("R8", "rule", "push derive below join")
 def r8(sub, ctx):
-    if not (isinstance(sub, Derive) and isinstance(sub.child, Join)):
-        return None
-    join = sub.child
-    lsch, rsch = _side_schemas(ctx, join)
-    args = set(sub.args)
-    if args <= lsch.columns and sub.output not in rsch.columns:
-        return Join(Derive(sub.output, sub.fn, sub.args, join.left,
-                           sub.is_map), join.right)
-    if args <= rsch.columns and sub.output not in lsch.columns:
-        return Join(join.left,
-                    Derive(sub.output, sub.fn, sub.args, join.right,
-                           sub.is_map))
+    if isinstance(sub, Derive) and isinstance(sub.child, Join):
+        return _push_below_join(sub, ctx)
     return None
 
 
 @_rule("R10.1", "cost", "push arrayFilter below join")
 def r10_1(sub, ctx):
-    if not (isinstance(sub, ArrayFilter) and isinstance(sub.child, Join)):
-        return None
-    join = sub.child
-    lsch, rsch = _side_schemas(ctx, join)
-    shared = lsch.columns & rsch.columns
-    srcs, als = _sources(sub.targets), _aliases(sub.targets)
-    if srcs & shared:
-        return None
-    if srcs <= lsch.arrays and not als & rsch.columns:
-        return Join(ArrayFilter(sub.targets, sub.pred, join.left), join.right)
-    if srcs <= rsch.arrays and not als & lsch.columns:
-        return Join(join.left, ArrayFilter(sub.targets, sub.pred, join.right))
+    if isinstance(sub, ArrayFilter) and isinstance(sub.child, Join):
+        return _push_below_join(sub, ctx)
     return None
 
 
 @_rule("R10.2", "cost", "pull arrayFilter above join")
 def r10_2(sub, ctx):
-    if not isinstance(sub, Join):
-        return None
-    for side, other_schema in (("left", ctx.schema_of(sub.right)),
-                               ("right", ctx.schema_of(sub.left))):
-        kid = getattr(sub, side)
-        if isinstance(kid, ArrayFilter) and \
-                not _aliases(kid.targets) & other_schema.columns and \
-                not _sources(kid.targets) & other_schema.columns:
-            if side == "left":
-                return ArrayFilter(kid.targets, kid.pred,
-                                   Join(kid.child, sub.right))
-            return ArrayFilter(kid.targets, kid.pred,
-                               Join(sub.left, kid.child))
+    if isinstance(sub, Join):
+        return _pull_above_join(sub, ArrayFilter, ctx)
     return None
 
 
@@ -412,16 +410,10 @@ def r10_3(sub, ctx):
 
 @_rule("R5.1", "rule", "push scalar derive below arrayJoin")
 def r5_1(sub, ctx):
-    if not (isinstance(sub, Derive) and isinstance(sub.child, ArrayJoin)
-            and not sub.is_map):
-        return None
-    mu = sub.child
-    als, srcs = _aliases(mu.targets), _sources(mu.targets)
-    if set(sub.args) & als or sub.output in als | srcs:
-        return None
-    return ArrayJoin(mu.targets,
-                     Derive(sub.output, sub.fn, sub.args, mu.child,
-                            sub.is_map))
+    if isinstance(sub, Derive) and isinstance(sub.child, ArrayJoin) \
+            and not sub.is_map:
+        return _swap(sub, sub.child)
+    return None
 
 
 @_rule("R5.2", "cost", "derive on unnested element becomes arrayMap below")
@@ -450,21 +442,10 @@ def r5_2(sub, ctx):
 def r11_1(sub, ctx):
     if isinstance(sub, ArrayFilter) and isinstance(sub.child, Derive) \
             and sub.child.is_map:
-        d = sub.child
-        srcs, als = _sources(sub.targets), _aliases(sub.targets)
-        if d.output in srcs | als or set(d.args) & (srcs | als):
-            return None
-        return Derive(d.output, d.fn, d.args,
-                      ArrayFilter(sub.targets, sub.pred, d.child), True)
+        return _swap(sub, sub.child)
     if isinstance(sub, Derive) and sub.is_map \
             and isinstance(sub.child, ArrayFilter):
-        phi = sub.child
-        srcs, als = _sources(phi.targets), _aliases(phi.targets)
-        if sub.output in srcs | als or set(sub.args) & (srcs | als):
-            return None
-        return ArrayFilter(phi.targets, phi.pred,
-                           Derive(sub.output, sub.fn, sub.args, phi.child,
-                                  True))
+        return _swap(sub, sub.child)
     return None
 
 
@@ -497,24 +478,16 @@ def r11_2(sub, ctx):
 
 @_rule("R12", "cost", "commute independent arrayJoins")
 def r12(sub, ctx):
-    if not (isinstance(sub, ArrayJoin) and isinstance(sub.child, ArrayJoin)):
-        return None
-    upper, lower = sub, sub.child
-    u = _sources(upper.targets) | _aliases(upper.targets)
-    l = _sources(lower.targets) | _aliases(lower.targets)
-    if u & l:
-        return None
-    return ArrayJoin(lower.targets, ArrayJoin(upper.targets, lower.child))
+    if isinstance(sub, ArrayJoin) and isinstance(sub.child, ArrayJoin):
+        return _swap(sub, sub.child)
+    return None
 
 
 @_rule("R13.1", "rule", "push filter below independent derive")
 def r13_1(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, Derive)):
-        return None
-    d = sub.child
-    if d.output in pred_columns(sub.pred):
-        return None
-    return Derive(d.output, d.fn, d.args, Filter(sub.pred, d.child), d.is_map)
+    if isinstance(sub, Filter) and isinstance(sub.child, Derive):
+        return _swap(sub, sub.child)
+    return None
 
 
 @_rule("R13.2", "rule", "invert filter through an affine derive")
@@ -539,12 +512,9 @@ def r13_2(sub, ctx):
 
 @_rule("R15", "cost", "push filter on group keys below aggregate")
 def r15(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, Aggregate)):
-        return None
-    g = sub.child
-    if not pred_columns(sub.pred) <= set(g.keys):
-        return None
-    return Aggregate(g.keys, g.aggs, Filter(sub.pred, g.child))
+    if isinstance(sub, Filter) and isinstance(sub.child, Aggregate):
+        return _swap(sub, sub.child)
+    return None
 
 
 def _partial_final_specs(aggs, fresh):

@@ -42,7 +42,9 @@ from .algebra import (
     Term,
     node_schema,
 )
-from .functions import ARRAY_ARG_FNS, affine_form, agg_output_kind, is_array
+from .functions import (
+    ARRAY_ARG_FNS, affine_form, agg_output_kind, fn_output_kind, is_array,
+)
 from .predicates import (
     _FLIP, And, Apply, Cmp, Col, Lit, Not, Or, Pred, invert_comparison,
 )
@@ -529,23 +531,17 @@ class CostModel:
                 cost = state.rows * sum(state.length(c) for c in arr_args)
             else:
                 cost = state.rows
+            kinds = ["array" if c in state.array_info else "scalar"
+                     for c in node.args]
             array_info = dict(state.array_info)
-            if node.is_map:
-                info = state.info(arr_args[0])
+            scalar_stats = dict(state.scalar_stats)
+            if node.is_map or fn_output_kind(node.fn, kinds) == "array":
+                # an identity copies its array's facts; the elements of
+                # any other result are unknown
+                info = state.info((arr_args or node.args)[0])
                 array_info[node.output] = info if fn == "identity" else \
                     ArrayInfo(info.length, info.length_unf,
                               info.empty_fraction, None)
-                return cost, PlanState(state.rows, state.rows_unf,
-                                       state.scalar_stats, array_info)
-            scalar_stats = dict(state.scalar_stats)
-            if fn == "identity" and node.args[0] in state.array_info:
-                # array copy: result is an array column
-                array_info[node.output] = state.array_info[node.args[0]]
-                scalar_stats.pop(node.output, None)
-            elif fn == "arrayEnumerate":
-                info = state.info(node.args[0])
-                array_info[node.output] = ArrayInfo(
-                    info.length, info.length_unf, info.empty_fraction, None)
                 scalar_stats.pop(node.output, None)
             else:
                 scalar_stats[node.output] = \

@@ -20,6 +20,11 @@ from a3d.algebra import (
     RelVar,
     Relation,
     Schema,
+    footprint,
+    output_schema,
+    replace_at,
+    subterm_at,
+    walk,
 )
 from a3d.functions import ScalarFn
 from a3d.predicates import And, Apply, Cmp, Col, Lit, Not, Or
@@ -341,6 +346,31 @@ def random_term(rng, rels, n_ops=4):
         keep = rng.sample(cols, rng.randint(1, len(cols)))
         term = Project(tuple(keep), term)
     return term
+
+
+def with_inner_project(rng, term, schemas):
+    """`term` with a Project wrapped around one random node below its root.
+
+    The Project keeps the term's output columns, every join's shared
+    columns and every column an operator above the node reads, plus a
+    random half of the rest; so the term stays valid, with the same output
+    schema and join keys.  A bare relation is returned unchanged.
+    """
+    paths = [p for p, _ in walk(term) if p]
+    if not paths:
+        return term
+    path = rng.choice(paths)
+    need = set(output_schema(term, schemas).columns)
+    for p, sub in walk(term):
+        if isinstance(sub, Join):
+            need |= (output_schema(sub.left, schemas).columns
+                     & output_schema(sub.right, schemas).columns)
+        elif path[:len(p)] == p != path:   # a unary operator above the node
+            need |= footprint(sub)[0]
+    node = subterm_at(term, path)
+    cols = sorted(output_schema(node, schemas).columns)
+    keep = tuple(c for c in cols if c in need or rng.random() < 0.5)
+    return replace_at(term, path, Project(keep or tuple(cols[:1]), node))
 
 
 def random_db(rng, join=False):

@@ -1,17 +1,26 @@
-"""Command-line exit-code contract.
+"""Command-line exit-code contract and document codecs.
 
 Each documented exit code is driven through `cli.main` on a plan document
 written to a temporary file; failures must also name their kind in the
-single-line JSON record on stderr.
+single-line JSON record on stderr.  The term codec must round-trip every
+term the optimizer takes or returns, and the statistics and generation
+documents are parsed from files the tests write.
 """
 
 import json
+import random
+import re
 
 import pytest
 
 from a3d import cli
 from a3d.algebra import Schema
 from a3d.planner import optimize
+from a3d.stats import ArrayStats, ScalarStats, TableStats
+from a3d.testkit import generate, genspec_from_json
+
+from gen_utils import default_relation, random_term
+from golden_queries import CASES
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -98,3 +107,175 @@ def test_trace_writes_one_json_line_per_rewrite(tmp_path, capsys):
         {"rule_id": rec["rule"], "path": rec["path"],
          "before_cost": rec["before_cost"], "after_cost": rec["after_cost"]}
         for rec in want]
+
+
+############################################################
+# term codec
+############################################################
+
+def _round_trip(term):
+    return cli.term_from_json(json.loads(json.dumps(cli.term_to_json(term))))
+
+
+def test_term_codec_round_trips_golden_and_random_terms_and_plans():
+    terms = []
+    for case in CASES.values():
+        term, schemas, stats, corr, opt_kw, _ = case()
+        terms += [term, optimize(term, schemas, stats=stats,
+                                 correspondences=corr, **opt_kw).term]
+    for seed in range(400):
+        rng = random.Random(5000 + seed)
+        nrel = rng.choice((1, 2))
+        rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1))
+                for i in range(nrel)]
+        term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+        schemas = {tr.name: tr.schema for tr in rels}
+        mode = ("greedy", "enumerate")[seed % 2]
+        terms += [term, optimize(term, schemas, mode=mode).term]
+    for term in terms:
+        assert _round_trip(term) == term
+    # every node, predicate and expression type, a map derive, function
+    # parameters and an array literal were round-tripped
+    seen = "\n".join(map(repr, terms))
+    for shape in ("RelVar", "Filter", "Project", "Join", "ArrayJoin",
+                  "ArrayFilter", "Derive", "Aggregate", "And", "Or", "Not",
+                  "Apply"):
+        assert re.search(rf"\b{shape}\(", seen), shape
+    for detail in ("is_map=True", "params=((", "Lit(value=())"):
+        assert detail in seen, detail
+
+
+def test_correspondences_reach_the_plan_document():
+    doc = {"a3d_plan": 1, "term": _rel("R"), "catalog": {
+        "relations": {"R": {"scalars": ["k"], "arrays": ["u", "v"]}},
+        "correspondences": [["u", "v"]]}}
+    _, schemas, corr, options = cli.parse_plan_document(doc)
+    assert (corr, options) == ((("u", "v"),), {})
+    assert schemas["R"] == Schema.of(scalars=["k"], arrays=["u", "v"])
+    doc["catalog"]["correspondences"] = [["u", "k"]]
+    with pytest.raises(cli.SchemaError):
+        cli.parse_plan_document(doc)
+
+
+############################################################
+# statistics document
+############################################################
+
+STATS_DOC = {
+    "R.k": {"kind": "exact", "row_count": 10, "ndv": 2,
+            "freq": [[1, 0.6], [2, 0.4]]},
+    "R.x": {"kind": "uniform", "row_count": 10, "ndv": 5, "lo": 0, "hi": 9,
+            "null_fraction": 0.1},
+    "S.y": {"kind": "clustered", "row_count": 4,
+            "clusters": [[0, 5, 0.5, 3], [10, 20, 0.5, 4]]},
+    "R.v": {"kind": "array", "row_count": 10, "avg_array_len": 2.5,
+            "empty_fraction": 0.2,
+            "row_stats": {"kind": "uniform", "ndv": 7, "lo": 1, "hi": 7}},
+}
+
+
+def _schemas():
+    return {name: Schema(frozenset(rel.get("scalars", ())),
+                         frozenset(rel.get("arrays", ())))
+            for name, rel in CATALOG["relations"].items()}
+
+
+def test_stats_document_parses_every_kind():
+    got = cli.parse_stats_document(STATS_DOC, _schemas())
+    assert got == {
+        "R": TableStats(10, {
+            "k": ScalarStats("exact", 2, 0.0, freqs=((1, 0.6), (2, 0.4)),
+                             lo=1, hi=2, numeric=True),
+            "x": ScalarStats("uniform", 5, 0.1, lo=0, hi=9, numeric=True),
+        }, {"v": ArrayStats(2.5, 0.2, ScalarStats("uniform", 7, 0.0, lo=1,
+                                                  hi=7, numeric=True))}),
+        "S": TableStats(4, {"y": ScalarStats(
+            "clustered", 7, 0.0, lo=0.0, hi=20.0,
+            clusters=((0.0, 5.0, 0.5, 3), (10.0, 20.0, 0.5, 4)),
+            numeric=True)}, {}),
+    }
+
+
+def test_stats_flag_plans_with_the_parsed_statistics(tmp_path, capsys):
+    term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(STATS_DOC))
+    code, out, errors = _run(tmp_path, capsys, term, "--stats", str(stats),
+                             "--emit", "dot")
+    assert (code, errors) == (0, [])
+    assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"Rk": STATS_DOC["R.k"]},
+    {"T.k": STATS_DOC["R.k"]},
+    {"R.k": 3},
+    {"R.k": {"kind": "exact", "row_count": -1}},
+    {"R.k": STATS_DOC["R.k"], "R.x": dict(STATS_DOC["R.x"], row_count=11)},
+    {"R.x": dict(STATS_DOC["R.v"])},
+    {"R.v": dict(STATS_DOC["R.v"], lo=0)},
+    {"R.v": STATS_DOC["R.x"]},
+    {"R.x": dict(STATS_DOC["R.x"], avg_array_len=1)},
+    {"R.x": {"kind": "normal", "row_count": 10}},
+    {"R.k": {"kind": "exact", "row_count": 10, "freq": 3}},
+    {"R.x": {"kind": "uniform", "row_count": 10}},
+    {"S.y": {"kind": "clustered", "row_count": 4, "clusters": []}},
+], ids=["not-an-object", "no-dot", "unknown-relation", "entry-not-object",
+        "bad-row-count", "row-count-disagrees", "array-on-scalar",
+        "unknown-array-key", "scalar-on-array", "unknown-scalar-key",
+        "unknown-kind", "freq-not-list", "uniform-without-ndv",
+        "clustered-without-clusters"])
+def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
+    term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(doc))
+    code, out, errors = _run(tmp_path, capsys, term, "--stats", str(stats))
+    assert (code, errors, out) == (1, ["parse"], "")
+
+
+@pytest.mark.parametrize("text", [None, "{not json"],
+                         ids=["missing", "not-json"])
+def test_unreadable_stats_file_exits_with_parse_error(tmp_path, capsys,
+                                                      text):
+    term = _rel("R")
+    stats = tmp_path / "stats.json"
+    if text is not None:
+        stats.write_text(text)
+    code, out, errors = _run(tmp_path, capsys, term, "--stats", str(stats))
+    assert (code, errors, out) == (1, ["parse"], "")
+
+
+############################################################
+# a3d gen
+############################################################
+
+GEN_SPEC = {"row_count": 25, "seed": 3, "columns": {
+    "k": {"kind": "scalar", "dist": {"name": "uniform", "ndv": 4}},
+    "vals": {"kind": "array", "elem": {"name": "zipf", "s": 1.1, "ndv": 9},
+             "length": {"name": "uniform", "ndv": 4},
+             "empty_probability": 0.2},
+}}
+
+
+def test_gen_writes_the_generated_relation(tmp_path, capsys):
+    spec, out = tmp_path / "spec.json", tmp_path / "rel.json"
+    spec.write_text(json.dumps(GEN_SPEC))
+    assert cli.main(["gen", "--spec", str(spec), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    doc = json.loads(out.read_text())
+    want = generate(genspec_from_json(GEN_SPEC))
+    assert doc["a3d_relation"] == 1
+    assert doc["schema"] == {"scalars": ["k"], "arrays": ["vals"]}
+    assert [{c: tuple(v) if isinstance(v, list) else v
+             for c, v in row.items()} for row in doc["rows"]] \
+        == list(want.rows)
+    assert len(doc["rows"]) == 25
+
+
+def test_gen_rejects_a_bad_spec(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"columns": {}}))
+    assert cli.main(["gen", "--spec", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "parse"

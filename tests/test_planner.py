@@ -27,6 +27,7 @@ from a3d.algebra import (
     Relation,
     Schema,
     SchemaError,
+    children,
     evaluate,
     output_schema,
     walk,
@@ -67,7 +68,7 @@ from a3d.stats import (
 )
 from a3d.testkit import ScalarColumn
 
-from gen_utils import default_relation, random_term
+from gen_utils import default_relation, random_term, with_inner_project
 from naive_interp import naive_eval, rows_equal_bag
 
 
@@ -176,6 +177,28 @@ def test_decompose_strips_top_projection():
     d = decompose(term, cm)
     assert d.had_top_project and d.out_cols == ("u0",)
     assert [op.kind for op in d.ops] == ["filter"]
+
+
+def test_kept_inner_projection_is_an_opaque_leaf():
+    # dropping x on the left takes it out of the join key, so the pull-up
+    # keeps the projection and decomposition treats it as one leaf
+    schemas = {"L": Schema.of(scalars=("k", "x", "a")),
+               "R": Schema.of(scalars=("k", "x", "b"))}
+    db = {"L": Relation.build(schemas["L"], [
+              {"k": k, "x": x, "a": k + x} for k in range(3)
+              for x in range(2)]),
+          "R": Relation.build(schemas["R"], [
+              {"k": k % 3, "x": 1 - k % 2, "b": k} for k in range(5)])}
+    inner = Project(("a", "k"), RelVar("L"))
+    term = Filter(lt("b", 3), Filter(lt("a", 2), Join(inner, RelVar("R"))))
+    cm = CostModel({}, schemas)
+    d = decompose(preprocess(term, RuleContext(schemas, ()), cm), cm)
+    assert [t for name, t in d.leaves if name.startswith("~")] == [inner]
+    want = list(evaluate(term, db).rows)
+    assert want
+    for mode in planner.MODES:
+        res = optimize(term, schemas, mode=mode)
+        assert rows_equal_bag(want, list(evaluate(res.term, db).rows)), mode
 
 
 ############################################################
@@ -975,6 +998,44 @@ def test_every_mode_plans_former_failures(seed):
                   if isinstance(n, Filter) and isinstance(n.pred, Cmp)
                   and n.pred.op == "!=" and n.pred.rhs == Lit(())]
         assert len(guards) == len(set(guards)), mode
+
+
+def test_inner_projections_plan_to_equal_results():
+    # with_inner_project puts a projection under a Project, Join, Aggregate
+    # or unary node, so every branch of the pull-up runs
+    parents = set()
+    for seed in range(400):
+        rng = random.Random(6000 + seed)
+        nrel = rng.choice((1, 2))
+        rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1),
+                                 min_rows=1) for i in range(nrel)]
+        schemas = {tr.name: tr.schema for tr in rels}
+        term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+        term = with_inner_project(rng, term, schemas)
+        parents |= {type(sub) for _, sub in walk(term)
+                    if any(isinstance(k, Project) for k in children(sub))}
+        db = {tr.name: tr.relation for tr in rels}
+        stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+            if seed % 2 else None
+        want = list(evaluate(term, db).rows)
+        for mode in planner.MODES:
+            try:
+                res = optimize(term, schemas, stats=stats, mode=mode)
+            except OracleLimitError:
+                assert mode == "oracle"
+                continue
+            got = list(evaluate(res.term, db).rows)
+            assert rows_equal_bag(want, got), (seed, mode)
+    assert {Project, Join, Aggregate} <= parents
+    assert parents & {Filter, ArrayJoin, ArrayFilter, Derive}
+
+
+def test_every_exported_planner_error_is_an_a3d_error():
+    errors = [obj for obj in map(planner.__dict__.get, planner.__all__)
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert len(errors) == 6
+    for err in errors:
+        assert issubclass(err, A3DError), err.__name__
 
 
 def test_enumerate_cost_at_most_oracle_cost():

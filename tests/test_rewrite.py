@@ -42,6 +42,7 @@ from a3d.rewrite import (
 from a3d.stats import CostModel, build_table_stats
 from a3d.testkit import make_pattern, pattern_schemas
 
+from gen_utils import default_relation, random_term
 from naive_interp import naive_eval, rows_equal_bag
 from rule_instances import GENS, _rel_t
 
@@ -125,6 +126,43 @@ def test_set_mode_spot_checks():
             before = evaluate(inst.term, inst.db, mode="set")
             after = evaluate(new_root, inst.db, mode="set")
             assert rows_equal_bag(before.rows, after.rows), (rule_id, i)
+
+
+# the rules whose column conditions come from algebra.footprint
+FOOTPRINT_RULES = ("R1", "R2.1", "R4.1", "R5.1", "R6", "R7", "R8", "R10.1",
+                   "R10.2", "R11.1", "R12", "R13.1", "R15")
+
+
+def test_footprint_rules_preserve_results_on_random_plans():
+    # every node of 300 random terms and of their greedy and enumerate
+    # plans; try_apply raises RewriteError on a schema change
+    fired = dict.fromkeys(FOOTPRINT_RULES, 0)
+    for seed in range(300):
+        rng = random.Random(9100 + seed)
+        nrel = rng.choice((1, 2))
+        rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1),
+                                 min_rows=1) for i in range(nrel)]
+        term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+        schemas = {tr.name: tr.schema for tr in rels}
+        db = {tr.name: tr.relation for tr in rels}
+        stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+            if seed % 2 else None
+        roots = [term] + [optimize(term, schemas, stats=stats, mode=m).term
+                          for m in ("greedy", "enumerate")]
+        ctx = RuleContext(schemas)
+        for root in roots:
+            want = evaluate(root, db)
+            for path, _ in walk(root):
+                for rule_id in FOOTPRINT_RULES:
+                    new = try_apply(RULES_BY_ID[rule_id], root, path, ctx)
+                    if new is None:
+                        continue
+                    fired[rule_id] += 1
+                    got = evaluate(new, db)
+                    assert got.schema == want.schema
+                    assert rows_equal_bag(want.rows, got.rows), \
+                        (seed, rule_id, path)
+    assert all(fired.values()), fired
 
 
 ############################################################
@@ -334,6 +372,14 @@ REFUSALS = [
     ("R9", lambda j: Project(("x", "z"), j), "join key not kept"),
     ("R4.1", lambda j: ArrayJoin((("a", "ea"), ("d", "ed")), j),
      "targets on both sides without declared correspondence"),
+    ("R4.1", lambda j: ArrayJoin((("d", "ed"),), Join(
+        Derive("d", ScalarFn.of("identity"), ("a",), j.left), j.right)),
+     "unnests a join key"),
+    ("R8", lambda j: Derive("z", ScalarFn.of("neg"), ("x",), j),
+     "output is a column of the other side"),
+    ("R10.2", lambda j: Join(j.left, ArrayFilter(
+        (("d", "a"),), Cmp(">", Col("a"), Lit(0)), j.right)),
+     "alias is a column of the other side"),
     ("R4.2", lambda j: ArrayJoin((("a", "ea"), ("d", "ed")), j),
      "no declared correspondence"),
     ("R19", lambda j: Aggregate(("x",), (AggSpec("count", "w", "g0"),), j),

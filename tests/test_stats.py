@@ -323,6 +323,10 @@ def test_map_derive_cost_and_new_array():
                                RelVar("R"), is_map=True))
     assert res2.state.array_info["b"].elem is not None
     assert res.state.array_info["b"].elem is None
+    # a map that overwrites a scalar column leaves no scalar statistics
+    over = cm.term_cost(Derive("x", ScalarFn.of("neg"), ("a",), RelVar("R"),
+                               is_map=True))
+    assert "x" in over.state.array_info and "x" not in over.state.scalar_stats
 
 
 def test_scalar_derive_costs_one_per_row():
