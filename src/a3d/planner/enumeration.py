@@ -7,15 +7,22 @@ applicable operators; an operator producing one of the join's key columns is
 mandatory and forces the prefix to reach it.  Both masks are int bitsets.
 
 A partition pairs every entry of one side's table with every entry of the
-other's, so the work per pair is kept small.  Operator-prefix chains are
-built once and reused for the partition's later pairs (``prefixes`` says
-for how long they are kept), and a join candidate is costed from its two
-plan states before anything is built: only a candidate that beats the
-memo's incumbent for its operator set gets a merged state, a Join node and
-a schema (``join_entries``).  Equal schemas are stored once per
-enumerator.  Applying an operator replays the schema effect ``decompose``
-recorded for it (``RankableOp.schema_after``), so ``node_schema`` runs only
-for join winners and the final projection.
+other's, so the work per pair is kept small.  Each entry's applicable
+operators are listed once per partition, and the join keys sorted once.
+Operator-prefix chains are built once and reused for the partition's later
+pairs (``prefixes`` says for how long they are kept).  A join candidate is
+costed from its two plan states before anything is built, and one that
+beats the memo's incumbent for its operator set is kept as a
+``DeferredJoin`` record until its table is complete; only the records that
+survive then get a merged state, a Join node and a schema
+(``join_entries``).  Equal schemas are stored once per enumerator.
+Applying an operator replays the schema effect ``decompose`` recorded for
+it (``RankableOp.schema_after``), so ``node_schema`` runs only for built
+joins and the final projection.
+
+``run`` finishes the complete plans cheapest first and stops once a plan's
+memo cost exceeds the best finished cost: every operator, join and
+projection cost is non-negative, so finishing never makes a plan cheaper.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
@@ -50,6 +57,21 @@ class MemoEntry:
     cost: float
     state: PlanState
     schema: Schema
+
+
+class DeferredJoin:
+    """A join candidate that beat its memo incumbent while the table was
+    being filled: its cost (exactly the cost ``join_entries`` gives it)
+    and what it takes to build it once the table is complete."""
+    __slots__ = ("ops", "cost", "left", "right", "keys")
+
+    def __init__(self, ops: int, cost: float, left: MemoEntry,
+                 right: MemoEntry, keys):
+        self.ops = ops
+        self.cost = cost
+        self.left = left
+        self.right = right
+        self.keys = keys
 
 
 def describe_op(op: RankableOp) -> str:
@@ -103,25 +125,14 @@ def base_entry(decomp: QueryDecomposition, i: int,
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
-                 cost_model: CostModel, best: Optional[MemoEntry] = None):
+                 cost_model: CostModel):
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
-    or an operator introduced an accidental overlap).
-
-    With `best`, the memo's incumbent for the joined operator set, the
-    candidate is costed first from the two states alone (``join_cost``,
-    the same expression ``join_effect`` uses) and `best` itself comes back
-    when the candidate would not beat it, so inserting the result changes
-    nothing.  Only a winner pays for the merged state, the Join node and
-    the schema."""
+    or an operator introduced an accidental overlap)."""
     shared = left.schema.columns & right.schema.columns
     if shared != expected_keys:
         return None
     shared = sorted(shared)
-    if best is not None:
-        cost = cost_model.join_cost(left.state, right.state, shared)[0]
-        if not left.cost + right.cost + cost < best.cost:
-            return best
     cost, state = cost_model.join_effect(left.state, right.state, shared)
     term = Join(left.term, right.term)
     return MemoEntry(term, left.rels | right.rels, left.ops | right.ops,
@@ -177,7 +188,7 @@ class Enumerator:
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
         self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
-                         "capture_skips": 0}
+                         "capture_skips": 0, "finished": 0}
         self.blockers: list = []
 
         m = len(decomp.leaves)
@@ -211,12 +222,14 @@ class Enumerator:
     def applicable(self, entry: MemoEntry, banned=frozenset()):
         """Ops from the sorted order applicable on `entry`, closed under
         the productions of earlier list members (an arrayFilter's output
-        array may be unnested by a later arrayJoin in the same prefix).
+        array may be unnested by a later arrayJoin in the same prefix),
+        as (list, {op index: position in the list}).
 
         `banned` drops operators from consideration entirely; anything
         that needed a banned operator's output column, or had it as a
         precedence predecessor, falls out of the closure with it."""
         out = []
+        at = {}
         ops_mask = entry.ops
         schema = entry.schema
         cols = schema.columns
@@ -224,22 +237,27 @@ class Enumerator:
             if op.idx in banned or not op_applicable(
                     op, ops_mask, cols, entry.rels, self.graph):
                 continue
+            at[op.idx] = len(out)
             out.append(op)
             ops_mask |= 1 << op.idx
             schema = op.schema_after(schema)
             cols = schema.columns
-        return out
+        return out, at
 
-    def insert(self, table: dict, entry: MemoEntry) -> None:
+    def insert(self, table: dict, entry) -> None:
+        """Keep `entry`, a MemoEntry or a DeferredJoin, when it is the
+        first for its operator set or cheaper than the incumbent."""
         old = table.get(entry.ops)
         if old is None or entry.cost < old.cost:
-            # many entries of one table share a schema; keep one copy
-            entry.schema = self.interned_schemas.setdefault(entry.schema,
-                                                            entry.schema)
             table[entry.ops] = entry
             self.counters["entries"] += 1
 
     def enumerate_mask(self, mask: int) -> dict:
+        """The memo table of the leaves in `mask`, filled on first use.
+
+        While the table is filled it holds DeferredJoin records; each one
+        left at the end is built then (``join_entries``), and every schema
+        in the table is interned."""
         hit = self.memo.get(mask)
         if hit is not None:
             return hit
@@ -248,8 +266,20 @@ class Enumerator:
         if mask.bit_count() == 1:
             self.insert(table, base_entry(self.q, mask.bit_length() - 1,
                                           self.cm))
-            return table
+        else:
+            self.fill(table, mask)
+        for ops, entry in table.items():
+            if type(entry) is DeferredJoin:
+                entry = join_entries(entry.left, entry.right, entry.keys,
+                                     self.cm)
+            # many entries of one table share a schema; keep one copy
+            entry.schema = self.interned_schemas.setdefault(entry.schema,
+                                                            entry.schema)
+            table[ops] = entry
+        return table
 
+    def fill(self, table: dict, mask: int) -> None:
+        """Insert the join candidates of every valid partition of `mask`."""
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
@@ -263,23 +293,29 @@ class Enumerator:
                                        self.cut_edges)
             if not keys and not self.allow_cross:
                 continue
+            producers = sorted(producers)
             if not self.valid(p1, p2, producers):
                 continue
             self.counters["partitions"] += 1
             lefts = list(self.enumerate_mask(p1).values())
+            if not lefts:
+                continue
+            rights = [(t, self.applicable(t))
+                      for t in self.enumerate_mask(p2).values()]
+            cut = (keys, sorted(keys), producers)
             # a right-hand chain serves every left-hand entry, so it is
             # worth keeping only when there is more than one (see prefixes)
             right_chains = {} if len(lefts) > 1 else None
             for s in lefts:
+                s_ops = self.applicable(s)
                 left_chains: dict = {}
-                for t in list(self.enumerate_mask(p2).values()):
-                    self.combine(table, s, t, keys, producers,
+                for t, t_ops in rights:
+                    self.combine(table, s, s_ops, t, t_ops, cut,
                                  left_chains, right_chains)
-        return table
 
     def valid(self, p1: int, p2: int, producers) -> bool:
         """Every operator that must precede the join fits on one side."""
-        for oi in sorted(producers):
+        for oi in producers:
             op = self.q.ops[oi]
             support = 0
             for r in op.base_rels:
@@ -289,13 +325,15 @@ class Enumerator:
                 return False
         return True
 
-    def combine(self, table: dict, s: MemoEntry, t: MemoEntry,
-                keys, producers, left_chains: dict,
+    def combine(self, table: dict, s: MemoEntry, s_ops, t: MemoEntry,
+                t_ops, cut, left_chains: dict,
                 right_chains: Optional[dict]) -> None:
-        o1 = self.applicable(s)
-        o2 = self.applicable(t)
-        shared = {op.idx for op in o1} & {op.idx for op in o2}
-        variants = [(o1, o2, True)]
+        """Insert the join candidates of `s` and `t` with prefixes of their
+        applicable operators `s_ops` and `t_ops` (``applicable``); `cut` is
+        the partition's (key set, sorted keys, sorted producer indices)."""
+        keys, key_list, producers = cut
+        shared = s_ops[1].keys() & t_ops[1].keys()
+        variants = [(s_ops, t_ops, True)]
         if shared:
             # An operator runnable on either side (its inputs are join
             # keys present in both schemas) sits in the middle of both
@@ -303,23 +341,21 @@ class Enumerator:
             # does not end up on.  Re-enumerate with those operators
             # pinned to one side at a time so "all on the left" and
             # "all on the right" splits stay reachable.
-            variants.append((o1, self.applicable(t, shared), False))
-            variants.append((self.applicable(s, shared), o2, False))
+            variants.append((s_ops, self.applicable(t, shared), False))
+            variants.append((self.applicable(s, shared), t_ops, False))
         done = s.ops | t.ops
         seen = set()
-        for v1, v2, strict in variants:
+        for (v1, at1), (v2, at2), strict in variants:
             oi1 = oi2 = 0
             feasible = True
-            for m in sorted(producers):
+            for m in producers:
                 if done >> m & 1:
                     continue
-                pos1 = next((k for k, op in enumerate(v1) if op.idx == m),
-                            None)
+                pos1 = at1.get(m)
                 if pos1 is not None:
                     oi1 = max(oi1, pos1 + 1)
                     continue
-                pos2 = next((k for k, op in enumerate(v2) if op.idx == m),
-                            None)
+                pos2 = at2.get(m)
                 if pos2 is not None:
                     oi2 = max(oi2, pos2 + 1)
                 else:
@@ -337,18 +373,29 @@ class Enumerator:
                         continue
                     seen.add(pair)
                     self.counters["candidates"] += 1
-                    joined = self.join(table, left, right, keys)
+                    joined = self.join(table, left, right, keys, key_list)
                     if joined is None:
                         self.counters["capture_skips"] += 1
                         continue
                     self.insert(table, joined)
 
     def join(self, table: dict, left: MemoEntry, right: MemoEntry,
-             keys) -> Optional[MemoEntry]:
-        """One join candidate, costed against `table`'s incumbent for its
-        operator set first (see ``join_entries``)."""
-        return join_entries(left, right, keys, self.cm,
-                            table.get(left.ops | right.ops))
+             keys, key_list):
+        """One join candidate, costed from the two plan states alone
+        (``join_cost``, the expression ``join_effect`` uses): a
+        DeferredJoin when it beats `table`'s incumbent for its operator
+        set, else the incumbent, so inserting it changes nothing; None
+        when the shared columns are not the cut's `keys` (see
+        ``join_entries``)."""
+        if left.schema.columns & right.schema.columns != keys:
+            return None
+        ops = left.ops | right.ops
+        cost = left.cost + right.cost + self.cm.join_cost(
+            left.state, right.state, key_list)[0]
+        best = table.get(ops)
+        if best is not None and not cost < best.cost:
+            return best
+        return DeferredJoin(ops, cost, left, right, keys)
 
     def prefixes(self, entry: MemoEntry, ops: list, start: int,
                  chains: Optional[dict] = None) -> list:
@@ -356,8 +403,8 @@ class Enumerator:
 
         The whole chain is built and sliced.  With `chains`, a chain is
         built once and kept there under ``(entry.ops, op indices)``, which
-        names it within one memo table.  ``enumerate_mask`` passes a dict
-        per left-hand entry, dropped before the next one, and a dict per
+        names it within one memo table.  ``fill`` passes a dict per
+        left-hand entry, dropped before the next one, and a dict per
         partition for the right-hand entries, which every left-hand entry
         pairs with; a partition with a single left-hand entry keeps no
         right-hand chains, since they would not be used again.  Keeping
@@ -388,24 +435,37 @@ class Enumerator:
         return (None, "projection") if final is None else (final, None)
 
     def run(self) -> MemoEntry:
+        """The cheapest finished plan of the full memo table; among equal
+        costs, the one finished from the lowest operator mask.
+
+        Entries are finished cheapest first, and the search stops at the
+        first entry whose memo cost exceeds the best finished cost: every
+        operator, join and projection cost is non-negative (not NaN), and
+        adding one never makes a sum smaller.  When no entry finishes, the
+        error names the blocker of the lowest operator mask."""
         if not self.connected(self.full):
             raise DisconnectedJoinGraphError(
                 "join graph is disconnected; a cross product is required "
                 "(pass allow_cross_products to permit it)")
         table = self.enumerate_mask(self.full)
-        best = None
-        blocked: list = []
-        for ops_mask in sorted(table):
-            finished, blocker = self.finish(table[ops_mask])
+        best = best_key = None
+        blocked: list = []                 # (ops mask, blocker)
+        for entry in sorted(table.values(), key=lambda e: (e.cost, e.ops)):
+            if best is not None and entry.cost > best.cost:
+                break
+            self.counters["finished"] += 1
+            finished, blocker = self.finish(entry)
             if finished is None:
-                blocked.append(blocker)
+                blocked.append((entry.ops, blocker))
                 continue
-            if best is None or finished.cost < best.cost:
-                best = finished
+            key = (finished.cost, entry.ops)
+            if best is None or key < best_key:
+                best, best_key = finished, key
         if best is None:
-            names = blocked or self.blockers or ["join graph"]
-            raise InfeasibleQueryError(
-                f"no valid plan: blocked by {names[0]}", names[0])
+            name = min(blocked)[1] if blocked else \
+                (self.blockers or ["join graph"])[0]
+            raise InfeasibleQueryError(f"no valid plan: blocked by {name}",
+                                       name)
         return best
 
 

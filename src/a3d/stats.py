@@ -472,7 +472,10 @@ class CostModel:
         """Apply one unary operator's effect.  Returns (cost, new_state).
 
         Only the node's own fields are consulted (its child is ignored), so
-        callers may pass template nodes.
+        callers may pass template nodes.  The cost is built from row counts
+        and array lengths and is never negative or NaN, nor is
+        ``join_cost``'s: ``Enumerator.run`` relies on adding a cost never
+        making a plan cheaper.
         """
         if isinstance(node, Filter):
             s = pred_selectivity(node.pred, state.resolver())

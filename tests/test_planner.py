@@ -6,6 +6,7 @@ permutation loops, the exhaustive `oracle` mode), and every stage is
 required to preserve evaluation results on randomized queries.  [DERIVED]
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -60,7 +61,7 @@ from a3d.planner import (
 )
 from a3d import planner
 from a3d.planner import enumeration
-from a3d.planner.enumeration import Enumerator, join_entries
+from a3d.planner.enumeration import Enumerator, MemoEntry, join_entries
 from a3d.planner.precedence import find_n_structure, sp_tree
 from a3d.rewrite import RuleContext
 from a3d.stats import (
@@ -553,15 +554,28 @@ def test_ops_readable_on_both_join_sides_still_optimal():
     assert ent.cost <= orc.cost + 1e-9
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_enumerate_is_never_beaten_by_oracle(seed):
-    rng = random.Random(7000 + seed)
+# the first 25 run without statistics; the rest use build_table_stats
+# statistics, on odd seeds as in the random identity runs
+ORACLE_CASES = [pytest.param(7000 + i, False, id=str(i)) for i in range(25)] \
+    + [pytest.param(seed, True, id="stats-%d" % seed)
+       for seed in range(7001, 7051, 2)] \
+    + [pytest.param(1005, True, id="stats-1005", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: enumerate runs r0_a1 = [] "
+        "below the guard r0_a1 != [] and plans at 23.0, the oracle at "
+        "17.0"))]
+
+
+@pytest.mark.parametrize("seed,with_stats", ORACLE_CASES)
+def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
+    rng = random.Random(seed)
     nrel = rng.choice((1, 1, 2))
     rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1), min_rows=1)
             for i in range(nrel)]
     term = random_term(rng, rels, n_ops=rng.randint(1, 5))
     schemas = {tr.name: tr.schema for tr in rels}
-    cm = CostModel({}, schemas)
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if with_stats else {}
+    cm = CostModel(stats, schemas)
     ctx = RuleContext(schemas, ())
     pre = preprocess(term, ctx, cm)
     d = decompose(pre, cm)
@@ -578,37 +592,64 @@ def test_enumerate_is_never_beaten_by_oracle(seed):
     assert ent.cost <= orc.cost + 1e-9
 
 
-class _EagerEnumerator(Enumerator):
-    """The enumerator without chain reuse or cost-first joins: every
+class _RecordingEnumerator(Enumerator):
+    """The enumerator, remembering the cost each memo winner had when it
+    was inserted: for a join, the cost of its DeferredJoin record."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.inserted: dict = {}     # (id of table, ops mask) -> cost
+
+    def insert(self, table, entry):
+        super().insert(table, entry)
+        if table[entry.ops] is entry:
+            self.inserted[id(table), entry.ops] = entry.cost
+
+
+class _EagerEnumerator(_RecordingEnumerator):
+    """The enumerator without chain reuse or deferred joins: every
     operator-prefix chain is rebuilt and every join candidate is built in
     full before ``insert`` compares it."""
 
     def prefixes(self, entry, ops, start, chains=None):
         return super().prefixes(entry, ops, start)
 
-    def join(self, table, left, right, keys):
+    def join(self, table, left, right, keys, key_list):
         return join_entries(left, right, keys, self.cm)
 
 
-def _enumerated(cls, term, schemas, stats=None):
-    """(memo view, counters, outcome) of enumerating `term` with `cls`."""
+def _enumerator(term, schemas, stats=None, cls=Enumerator):
+    """An unrun `cls` over `term` after preprocess and decompose."""
     cm = CostModel(dict(stats or {}), dict(schemas))
     pre = preprocess(term, RuleContext(dict(schemas), ()), cm)
     d = decompose(pre, cm)
     graph = precedence_for(d)
-    enum = cls(d, graph, sort_ops(d.ops, graph), cm)
+    return cls(d, graph, sort_ops(d.ops, graph), cm)
+
+
+def _outcome(search):
+    """(plan, cost, schema) of `search()`, or (error type, message)."""
     try:
-        best = enum.run()
-        outcome = (repr(best.term), best.cost, best.schema)
+        best = search()
     except A3DError as exc:
-        outcome = (type(exc).__name__, str(exc))
+        return type(exc).__name__, str(exc)
+    return repr(best.term), best.cost, best.schema
+
+
+def _enumerated(cls, term, schemas, stats=None):
+    """(memo view, counters, outcome) of enumerating `term` with `cls`."""
+    enum = _enumerator(term, schemas, stats, cls)
+    outcome = _outcome(enum.run)
     memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
                    for ops, e in table.items()}
             for rels, table in enum.memo.items()}
     # entries that never win are checked here only: the search replays
-    # recorded schema effects instead of deriving them
+    # recorded schema effects instead of deriving them.  Every deferred
+    # join has been built, at exactly the cost it won its place with.
     for table in enum.memo.values():
-        for e in table.values():
+        for ops, e in table.items():
+            assert type(e) is MemoEntry, type(e)
+            assert e.cost == enum.inserted[id(table), ops], repr(e.term)
             assert e.schema == output_schema(e.term, schemas), repr(e.term)
     return memo, enum.counters, outcome
 
@@ -636,7 +677,7 @@ BENCH_JOIN_QUERIES = _bench_join_queries()
                          ids=[q[0] for q in BENCH_JOIN_QUERIES])
 def test_enumerator_memo_matches_eager_enumeration_on_bench_joins(
         name, term, schemas):
-    fast = _enumerated(Enumerator, term, schemas)
+    fast = _enumerated(_RecordingEnumerator, term, schemas)
     assert fast == _enumerated(_EagerEnumerator, term, schemas)
     assert fast[1]["candidates"] > fast[1]["entries"] > 0
 
@@ -652,16 +693,17 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
         schemas = {tr.name: tr.schema for tr in rels}
         stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
             if seed % 2 else None
-        assert _enumerated(Enumerator, term, schemas, stats) == \
+        assert _enumerated(_RecordingEnumerator, term, schemas, stats) == \
             _enumerated(_EagerEnumerator, term, schemas, stats), seed
 
 
 def test_chain4_enumeration_work_counts(monkeypatch):
     # each left-hand chain is built once per left-hand entry, each
-    # right-hand chain once per partition, and only a join candidate that
-    # beats its memo incumbent gets a merged state; building every chain
-    # and candidate anew took 9,069 operator applications and 8,005 join
-    # effects for the same memo
+    # right-hand chain once per partition, only the join winners left in a
+    # complete memo table get a merged state, and ``run`` finishes 113 of
+    # the 256 complete plans; building every chain and candidate anew and
+    # finishing every complete plan took 9,069 operator applications and
+    # 8,005 join effects for the same memo
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -678,7 +720,166 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
         (2556, 7984)
-    assert calls == {"apply_op": 3615, "join_effect": 2573}
+    assert calls == {"apply_op": 2643, "join_effect": 453}
+    assert res.counters["finished"] == 113
+
+
+def _finish_every_entry(enum):
+    """``Enumerator.run`` without its bound: finish every entry of the
+    full table in ascending operator-mask order and keep the first of the
+    cheapest finished plans."""
+    table = enum.enumerate_mask(enum.full)
+    best, blocked = None, []
+    for ops in sorted(table):
+        finished, blocker = enum.finish(table[ops])
+        if finished is None:
+            blocked.append(blocker)
+        elif best is None or finished.cost < best.cost:
+            best = finished
+    if best is None:
+        name = (blocked or enum.blockers or ["join graph"])[0]
+        raise InfeasibleQueryError(f"no valid plan: blocked by {name}", name)
+    return best
+
+
+def _bounded_and_every(enum):
+    """(outcome of ``run``, outcome of finishing every entry) on one memo."""
+    return _outcome(enum.run), _outcome(lambda: _finish_every_entry(enum))
+
+
+@pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
+                         ids=[q[0] for q in BENCH_JOIN_QUERIES])
+def test_bounded_finish_matches_finishing_every_entry_on_bench_joins(
+        name, term, schemas):
+    enum = _enumerator(term, schemas)
+    bounded, every = _bounded_and_every(enum)
+    assert bounded == every
+    assert (enum.counters["finished"], len(enum.memo[enum.full])) == \
+        (113, 256)
+
+
+@pytest.mark.parametrize("nrel", (2, 3))
+def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
+    # statistics on odd seeds; a third relation joins on k above the rest
+    finished = complete = 0
+    for seed in range(9000, 9150):
+        rng = random.Random(seed)
+        rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
+                for i in range(nrel)]
+        term = random_term(rng, rels[:2], n_ops=rng.randint(1, 5))
+        if nrel == 3:
+            term = Join(term, RelVar("r2"))
+        schemas = {tr.name: tr.schema for tr in rels}
+        stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+            if seed % 2 else None
+        enum = _enumerator(term, schemas, stats)
+        if not enum.connected(enum.full):
+            continue
+        bounded, every = _bounded_and_every(enum)
+        assert bounded == every, seed
+        finished += enum.counters["finished"]
+        complete += len(enum.memo[enum.full])
+    assert 0 < finished < complete
+
+
+def _two_filter_enumerator(full_table):
+    """A one-relation query with filters on u0 (op 0) and u1 (op 1), whose
+    complete memo table is `full_table`: {ops mask: (cost, rows)}."""
+    cm = one_rel_model(arrays=())
+    term = Filter(lt("u1", 50), Filter(lt("u0", 50), RelVar("R")))
+    d = decompose(term, cm)
+    graph = precedence_for(d)
+    enum = Enumerator(d, graph, sort_ops(d.ops, graph), cm)
+    base = cm.base_state("R")
+    table = {}
+    for ops, (cost, rows) in full_table.items():
+        applied = RelVar("R")
+        for op in d.ops:
+            if ops >> op.idx & 1:
+                applied = op.apply(applied)
+        table[ops] = MemoEntry(applied, 1, ops, cost,
+                               dataclasses.replace(base, rows=rows),
+                               cm.schemas["R"])
+    enum.memo[enum.full] = table
+    return enum
+
+
+def test_bounded_finish_breaks_cost_ties_by_lowest_ops_mask():
+    # a filter costs its input's rows, so both one-filter plans finish at
+    # 15.0; the plan over ops 0b10 is finished first (memo cost 5.0), and
+    # the one over ops 0b01, whose memo cost equals that finished cost,
+    # is still finished and wins the tie.  The complete plan at 20.0
+    # exceeds 15.0 and is never finished.
+    enum = _two_filter_enumerator({0b01: (15.0, 0.0), 0b10: (5.0, 10.0),
+                                   0b11: (20.0, 1.0)})
+    assert [op.node.pred.lhs.name for op in enum.q.ops] == ["u0", "u1"]
+    bounded, every = _bounded_and_every(enum)
+    assert bounded == every
+    assert bounded[0] == repr(Filter(lt("u1", 50),
+                                     Filter(lt("u0", 50), RelVar("R"))))
+    assert bounded[1] == 15.0
+    assert enum.counters["finished"] == 2
+
+
+def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
+    # every plan is blocked: the cheapest (ops 0b10) by the ghost filter
+    # #2, the one over ops 0 by the ghost filter #1, which is reported
+    schema = Schema.of(scalars=("x",), arrays=())
+    cm = CostModel({}, {"R": schema})
+    ops = [_mk_op(0, Filter(lt("x", 1), RelVar("_x")), "filter", {"x"},
+                  (), 0.5, 1.0)]
+    ops += [_mk_op(i, Filter(lt("ghost%d" % i, 1), RelVar("_x")), "filter",
+                   {"ghost%d" % i}, (), 0.5, 1.0) for i in (1, 2)]
+    d = QueryDecomposition(RelVar("R"), (("R", RelVar("R")),), (),
+                           tuple(ops), frozenset(), ("x",), False)
+    enum = Enumerator(d, build_precedence(3, []), ops, cm)
+    state = cm.base_state("R")
+    enum.memo[enum.full] = {
+        0b000: MemoEntry(RelVar("R"), 1, 0b000, 20.0, state, schema),
+        0b010: MemoEntry(RelVar("R"), 1, 0b010, 5.0, state, schema)}
+    bounded, every = _bounded_and_every(enum)
+    assert bounded == every == ("InfeasibleQueryError",
+                                "no valid plan: blocked by filter#1")
+    assert enum.counters["finished"] == 2
+
+
+@pytest.mark.parametrize("with_stats", (False, True))
+def test_operator_and_join_costs_are_never_negative_or_nan(monkeypatch,
+                                                           with_stats):
+    # ``Enumerator.run`` stops finishing plans once a memo cost exceeds
+    # the best finished cost, which is exact only under this premise
+    costs = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            costs.append(out[0])
+            return out
+        return wrapper
+
+    monkeypatch.setattr(CostModel, "op_effect",
+                        recorded(CostModel.op_effect))
+    monkeypatch.setattr(CostModel, "join_cost",
+                        recorded(CostModel.join_cost))
+    for seed in range(9500, 9650):
+        rng = random.Random(seed)
+        nrel = rng.choice((1, 2, 3))
+        rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1),
+                                 min_rows=1) for i in range(nrel)]
+        term = random_term(rng, rels[:2], n_ops=rng.randint(1, 5))
+        if nrel == 3:
+            term = Join(term, RelVar("r2"))
+        schemas = {tr.name: tr.schema for tr in rels}
+        stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+            if with_stats else None
+        for mode in planner.MODES:
+            try:
+                optimize(term, schemas, stats=stats, mode=mode)
+            except A3DError:
+                pass
+    assert len(costs) > 1000
+    # NaN fails the comparison as well
+    assert [c for c in costs if not c >= 0.0] == []
 
 
 ############################################################
