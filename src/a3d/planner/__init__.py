@@ -11,7 +11,9 @@ mode, then layers pre-aggregation on top (`postprocess`).  Modes:
                queries, used as the optimality baseline in tests.
 
 Every stage preserves semantics; `OptimizeResult` carries the final term, its
-modelled cost, per-stage timings and mode-specific counters.
+modelled cost, per-stage timings and counters: mode-specific ones, and in
+every mode ``counters["rules"]``, rule id -> ``[attempts, fires]`` (see
+``RuleContext``).
 """
 
 import time
@@ -124,6 +126,7 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
                             trace=records)
     timings["postprocess"] = (time.perf_counter() - t2) * 1000.0
 
+    counters["rules"] = ctx.rule_counts
     res = cost_model.term_cost(final)
     if res.schema != schema:
         raise SchemaError(f"the plan's output schema {res.schema} differs "

@@ -132,46 +132,50 @@ def _merge_col_maps(a: dict, b: dict) -> dict:
     return out
 
 
-def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
-    """Break `term` into the enumerator's normal form."""
+class _Walk:
+    """What one ``decompose`` call collects while it walks the tree."""
 
-    schemas = cost_model.schemas
-    leaves: list = []
-    ops: list = []
-    edges: list = []
-    prec: set = set()
-    seen_rel_names: set = set()
+    def __init__(self, cost_model: CostModel):
+        self.cost_model = cost_model
+        self.schemas = cost_model.schemas
+        self.leaves: list = []
+        self.ops: list = []
+        self.edges: list = []
+        self.prec: set = set()
+        self.seen_rel_names: set = set()
 
-    def leaf(name: str, sub: Term, schema: Schema, state: PlanState) -> _Branch:
-        i = len(leaves)
-        leaves.append((name, sub))
+    def leaf(self, name: str, sub: Term, schema: Schema,
+             state: PlanState) -> _Branch:
+        i = len(self.leaves)
+        self.leaves.append((name, sub))
         support = {c: frozenset((i,)) for c in schema.columns}
         return _Branch(frozenset((i,)), schema, state, support, {}, {})
 
-    def opaque(sub: Term) -> _Branch:
-        res = cost_model.term_cost(sub)
-        return leaf(f"~v{len(leaves)}", sub, res.schema, res.state)
+    def opaque(self, sub: Term) -> _Branch:
+        res = self.cost_model.term_cost(sub)
+        return self.leaf(f"~v{len(self.leaves)}", sub, res.schema, res.state)
 
-    def go(sub: Term) -> _Branch:
+    def go(self, sub: Term) -> _Branch:
         if isinstance(sub, RelVar):
-            if sub.name in seen_rel_names:
-                return opaque(sub)  # self-join: second occurrence kept opaque
-            seen_rel_names.add(sub.name)
-            return leaf(sub.name, sub, schemas[sub.name],
-                        cost_model.base_state(sub.name))
+            if sub.name in self.seen_rel_names:
+                # self-join: second occurrence kept opaque
+                return self.opaque(sub)
+            self.seen_rel_names.add(sub.name)
+            return self.leaf(sub.name, sub, self.schemas[sub.name],
+                             self.cost_model.base_state(sub.name))
 
         if isinstance(sub, Join):
-            left = go(sub.left)
-            right = go(sub.right)
+            left = self.go(sub.left)
+            right = self.go(sub.right)
             shared = left.schema.columns & right.schema.columns
             for col in sorted(shared):
                 prods = (left.producers.get(col, frozenset())
                          | right.producers.get(col, frozenset()))
                 for li in sorted(left.support.get(col, left.rels)):
                     for ri in sorted(right.support.get(col, right.rels)):
-                        edges.append(JoinEdge(li, ri, col, prods))
-            _, state = cost_model.join_effect(left.state, right.state,
-                                              sorted(shared))
+                        self.edges.append(JoinEdge(li, ri, col, prods))
+            _, state = self.cost_model.join_effect(left.state, right.state,
+                                                   sorted(shared))
             return _Branch(
                 left.rels | right.rels,
                 node_schema(sub, left.schema, right.schema), state,
@@ -183,10 +187,11 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
 
         kind = _OP_KINDS.get(type(sub))
         if kind is None:
-            return opaque(sub)  # e.g. an inner projection the pull-up kept
+            # e.g. an inner projection the pull-up kept
+            return self.opaque(sub)
 
-        br = go(sub.child)
-        idx = len(ops)
+        br = self.go(sub.child)
+        idx = len(self.ops)
         requires, produces, _ = footprint(sub)
         schema_after = node_schema(sub, br.schema)
         destroys = (br.schema.columns - schema_after.columns) \
@@ -201,25 +206,25 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
         # precedence: read-after-write, then write-after-read
         for col in sorted(requires):
             for p in sorted(br.producers.get(col, ())):
-                prec.add((p, idx))
+                self.prec.add((p, idx))
         for col in sorted(destroys):
             for r in sorted(br.readers.get(col, ())):
                 if r != idx:
-                    prec.add((r, idx))
+                    self.prec.add((r, idx))
             for p in sorted(br.producers.get(col, ())):
-                prec.add((p, idx))
+                self.prec.add((p, idx))
         # an aggregate keeps only its keys and aliases, so an operator above
         # it that creates any other column must stay above it
         for agg, kept in br.aggs:
             if not produces <= kept:
-                prec.add((agg, idx))
+                self.prec.add((agg, idx))
 
         support = frozenset()
         for col in requires:
             support |= br.support.get(col, frozenset())
         min_rels = br.rels if kind == "aggregate" else (support or br.rels)
 
-        cost, state_after = cost_model.op_effect(sub, br.state)
+        cost, state_after = self.cost_model.op_effect(sub, br.state)
         # Profiles are per input row; a zero-row state (contradictory
         # filters upstream) would make every ratio degenerate, so measure
         # on a copy with rows floored at one.
@@ -227,17 +232,18 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
         if mstate.rows < 1.0:
             mstate = replace(mstate, rows=1.0,
                              rows_unf=max(mstate.rows_unf, 1.0))
-        mcost, mafter = cost_model.op_effect(sub, mstate)
+        mcost, mafter = self.cost_model.op_effect(sub, mstate)
         h_sel = 1.0
         if isinstance(sub, ArrayFilter):
-            h_sel = cost_model.element_selectivity(sub.pred, sub.targets,
-                                                   mstate)
+            h_sel = self.cost_model.element_selectivity(
+                sub.pred, sub.targets, mstate)
         profile = OpProfile(s_row=max(mafter.rows, 0.0) / mstate.rows,
                             c_t=mcost / mstate.rows, h_sel=h_sel)
 
-        ops.append(RankableOp(idx, with_children(sub, (RelVar("_x"),)), kind,
-                              requires, produces, destroys, arrays,
-                              support or frozenset(), min_rels, profile))
+        self.ops.append(RankableOp(
+            idx, with_children(sub, (RelVar("_x"),)), kind, requires,
+            produces, destroys, arrays, support or frozenset(), min_rels,
+            profile))
 
         # update version maps
         new_support = {c: s for c, s in br.support.items() if c not in destroys}
@@ -263,6 +269,9 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
         return _Branch(br.rels, schema_after, state_after,
                        new_support, new_producers, new_readers, aggs)
 
+
+def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
+    """Break `term` into the enumerator's normal form."""
     # strip top projections into out_cols
     body = term
     top_cols: Optional[tuple] = None
@@ -271,11 +280,13 @@ def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:
             top_cols = body.cols
         body = body.child
 
-    root = go(body)
+    walker = _Walk(cost_model)
+    root = walker.go(body)
     if top_cols is None:
         top_cols = tuple(sorted(root.schema.columns))
     return QueryDecomposition(
-        source=term, leaves=tuple(leaves), edges=tuple(edges),
-        ops=tuple(ops), prec_edges=frozenset(prec), out_cols=top_cols,
+        source=term, leaves=tuple(walker.leaves), edges=tuple(walker.edges),
+        ops=tuple(walker.ops), prec_edges=frozenset(walker.prec),
+        out_cols=top_cols,
         had_top_project=isinstance(term, Project),
     )

@@ -24,12 +24,13 @@ def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
     seen = {repr(term)}
 
-    def step(root, path, _sub):
+    def step(root, path, sub):
         for rule in CATALOG:
             if rule.kind == "rule":
-                new = try_apply(rule, root, path, ctx)
+                new = try_apply(rule, root, path, sub, ctx)
             else:
-                new = guard_cost_improves(rule, root, path, ctx, cost_model)
+                new = guard_cost_improves(rule, root, path, sub, ctx,
+                                          cost_model)
             if new is None:
                 continue
             key = repr(new)
@@ -39,6 +40,6 @@ def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
             return rule.rule_id, new
         return None
 
-    return rewrite_to_fixpoint(term, step, "greedy", cost_model, trace,
+    return rewrite_to_fixpoint(term, step, "greedy", ctx, cost_model, trace,
                                bottom_up=True, cap=max_steps,
                                cap_error=GreedyIterationCapError)

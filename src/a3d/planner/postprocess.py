@@ -75,12 +75,12 @@ def postprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
                 not _condenses(sub, cost_model, alpha):
             return None
         for rule_id in PRE_AGG_RULES:
-            new = guard_cost_improves(RULES_BY_ID[rule_id], root, path, ctx,
-                                      cost_model)
+            new = guard_cost_improves(RULES_BY_ID[rule_id], root, path, sub,
+                                      ctx, cost_model)
             if new is not None:
                 return rule_id, new
         return None
 
-    term = rewrite_to_fixpoint(term, step, "postprocess", cost_model, trace,
-                               cap=cap, cap_error=PostprocessCapError)
+    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, cost_model,
+                               trace, cap=cap, cap_error=PostprocessCapError)
     return collapse_idempotent_reaggregation(term)

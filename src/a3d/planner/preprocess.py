@@ -84,7 +84,8 @@ def pull_projections_up(term: Term, ctx: RuleContext, trace=None,
             return None
         return "project-pull", replace_at(root, path, lifted)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
+                               trace)
 
 
 ############################################################
@@ -125,7 +126,7 @@ def descend_filters(term: Term, ctx: RuleContext, trace=None,
         if not isinstance(sub, Filter):
             return None
         for rule_id in _FILTER_RULES:
-            new = try_apply(RULES_BY_ID[rule_id], root, path, ctx)
+            new = try_apply(RULES_BY_ID[rule_id], root, path, sub, ctx)
             if new is not None:
                 return rule_id, new
         swapped = _commute_filter_past_array_filter(sub)
@@ -133,7 +134,8 @@ def descend_filters(term: Term, ctx: RuleContext, trace=None,
             return None
         return "filter-past-arrayFilter", replace_at(root, path, swapped)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
+                               trace)
 
 
 ############################################################
@@ -147,10 +149,11 @@ def insert_empty_guards(term: Term, ctx: RuleContext,
     def step(root, path, sub):
         if not isinstance(sub, ArrayJoin):
             return None
-        new = guard_cost_improves(rule, root, path, ctx, cost_model)
+        new = guard_cost_improves(rule, root, path, sub, ctx, cost_model)
         return None if new is None else ("R2.3", new)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", cost_model, trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
+                               trace)
 
 
 ############################################################
@@ -163,24 +166,25 @@ def _child_needs(t: Term, needed: set) -> set:
     return (needed - writes) | reads
 
 
-def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
+def _prune(t: Term, needed: set, ctx: RuleContext) -> Term:
     # `needed` is always a subset of `t`'s columns, so the footprint rule
     # also covers Project and Aggregate, which drop what they do not output
-    def prune(t: Term, needed: set) -> Term:
-        if isinstance(t, RelVar):
-            return t
-        if isinstance(t, Join):
-            lcols = ctx.schema_of(t.left).columns
-            rcols = ctx.schema_of(t.right).columns
-            shared = lcols & rcols
-            want = needed | shared
-            return Join(prune(t.left, want & lcols),
-                        prune(t.right, want & rcols))
-        if isinstance(t, Derive) and t.output not in needed:
-            return prune(t.child, needed)
-        return with_children(t, (prune(t.child, _child_needs(t, needed)),))
+    if isinstance(t, RelVar):
+        return t
+    if isinstance(t, Join):
+        lcols = ctx.schema_of(t.left).columns
+        rcols = ctx.schema_of(t.right).columns
+        shared = lcols & rcols
+        want = needed | shared
+        return Join(_prune(t.left, want & lcols, ctx),
+                    _prune(t.right, want & rcols, ctx))
+    if isinstance(t, Derive) and t.output not in needed:
+        return _prune(t.child, needed, ctx)
+    return with_children(t, (_prune(t.child, _child_needs(t, needed), ctx),))
 
-    return prune(term, set(ctx.schema_of(term).columns))
+
+def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
+    return _prune(term, set(ctx.schema_of(term).columns), ctx)
 
 
 ############################################################

@@ -223,6 +223,36 @@ def invert_comparison(op: str, lit, slope, intercept) -> Optional[tuple]:
     return new_op, bound
 
 
+def _invert(p: Pred, source: str, output: str, slope, intercept
+            ) -> Optional[Pred]:
+    """``invert_pred_through_fn`` for the affine form (`slope`,
+    `intercept`)."""
+    if isinstance(p, And):
+        parts = [_invert(q, source, output, slope, intercept) for q in p.parts]
+        return None if any(q is None for q in parts) else And(tuple(parts))
+    if isinstance(p, Or):
+        parts = [_invert(q, source, output, slope, intercept) for q in p.parts]
+        return None if any(q is None for q in parts) else Or(tuple(parts))
+    if isinstance(p, Not):
+        inner = _invert(p.part, source, output, slope, intercept)
+        return None if inner is None else Not(inner)
+    if isinstance(p, Cmp):
+        op, lhs, rhs = p.op, p.lhs, p.rhs
+        if isinstance(rhs, Col) and rhs.name == output and isinstance(lhs, Lit):
+            op, lhs, rhs = _FLIP[op], rhs, lhs
+        if not (isinstance(lhs, Col) and lhs.name == output
+                and isinstance(rhs, Lit)):
+            return None
+        if is_array(rhs.value) or rhs.value is None:
+            return None
+        solved = invert_comparison(op, rhs.value, slope, intercept)
+        if solved is None:
+            return None
+        new_op, bound = solved
+        return Cmp(new_op, Col(source), Lit(bound))
+    return None
+
+
 def invert_pred_through_fn(pred: Pred, fn: ScalarFn, source: str,
                            output: str) -> Optional[Pred]:
     """Rewrite a predicate over `output` = fn(`source`) into one over `source`.
@@ -235,34 +265,7 @@ def invert_pred_through_fn(pred: Pred, fn: ScalarFn, source: str,
     if form is None:
         return None
     slope, intercept = form
-
-    def recurse(p: Pred) -> Optional[Pred]:
-        if isinstance(p, And):
-            parts = [recurse(q) for q in p.parts]
-            return None if any(q is None for q in parts) else And(tuple(parts))
-        if isinstance(p, Or):
-            parts = [recurse(q) for q in p.parts]
-            return None if any(q is None for q in parts) else Or(tuple(parts))
-        if isinstance(p, Not):
-            inner = recurse(p.part)
-            return None if inner is None else Not(inner)
-        if isinstance(p, Cmp):
-            op, lhs, rhs = p.op, p.lhs, p.rhs
-            if isinstance(rhs, Col) and rhs.name == output and isinstance(lhs, Lit):
-                op, lhs, rhs = _FLIP[op], rhs, lhs
-            if not (isinstance(lhs, Col) and lhs.name == output
-                    and isinstance(rhs, Lit)):
-                return None
-            if is_array(rhs.value) or rhs.value is None:
-                return None
-            solved = invert_comparison(op, rhs.value, slope, intercept)
-            if solved is None:
-                return None
-            new_op, bound = solved
-            return Cmp(new_op, Col(source), Lit(bound))
-        return None
-
-    return recurse(pred)
+    return _invert(pred, source, output, slope, intercept)
 
 
 def format_pred(pred: Pred) -> str:

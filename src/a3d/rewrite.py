@@ -1,8 +1,9 @@
 """The rewrite-rule catalog and its application engine.
 
 Every rule is a pure function from a subterm (plus context) to a rewritten
-subterm or None.  Rules never change the output schema: ``try_apply``
-verifies schema preservation on every hit and raises if a rule breaks it.
+subterm or None.  Rules never change the output schema: ``try_apply`` and
+``guard_cost_improves`` verify schema preservation on every hit and raise
+``RewriteError`` if a rule breaks it.
 
 Rules come in two kinds:
 
@@ -17,6 +18,16 @@ join, its column conditions come from ``algebra.footprint``, through three
 helpers: ``_swap`` (R1, R2.1, R5.1, R11.1, R12, R13.1, R15),
 ``_push_below_join`` (R4.1, R6, R8, R10.1) and ``_pull_above_join`` (R7,
 R10.2).
+
+The engine pays one pass over the term per rule attempt.  ``try_apply`` and
+``guard_cost_improves`` take the subterm that ``rewrite_to_fixpoint``
+already holds.  A rewrite keeps most of that subterm by identity; the
+maximal kept subterms (its frontier) have their schemas inferred once and
+reused for both sides of the schema check.  The cost guard folds the
+rewrite once (``CostModel.fold``) and costs the new root with that result
+injected.  No per-subterm result outlives one attempt.
+``RuleContext.rule_counts`` counts each rule's attempts and the rewrites
+``rewrite_to_fixpoint`` kept.
 
 Naming: R<n> identifiers are stable API surface; sub-variants share a family
 number.  Fresh internal columns use the ``__idx_<k>`` / ``__inv_<k>`` /
@@ -42,10 +53,12 @@ from .algebra import (
     Schema,
     SchemaError,
     Term,
+    UNARY_TYPES,
+    children,
     footprint,
+    node_schema,
     output_schema,
     replace_at,
-    subterm_at,
     walk,
     with_children,
 )
@@ -77,18 +90,24 @@ class Rule:
 
 
 class RuleContext:
-    """Schemas, declared correspondences, and a gensym pool for one term.
+    """Schemas, declared correspondences, a gensym pool for one term, and
+    per-rule counters.
 
     The pool is lazy: ``bind_root`` only records the root, and the set of
     names already in use is collected from it the first time ``fresh`` runs
     after a bind.  Rule attempts that never ask for a fresh name therefore
     never walk the whole term.
+
+    ``rule_counts`` maps a rule id to ``[attempts, fires]``: an attempt is
+    a call of the rule's function, a fire a rewrite that
+    ``rewrite_to_fixpoint`` kept.
     """
 
     def __init__(self, schemas: Mapping[str, Schema], correspondences=(),
                  root: Optional[Term] = None):
         self.schemas = dict(schemas)
         self.correspondences = [frozenset(g) for g in correspondences]
+        self.rule_counts: dict = {}
         self._root: Optional[Term] = None
         self._used: Optional[set] = set()
         if root is not None:
@@ -797,23 +816,87 @@ def r20(sub, ctx):
 # engine
 ############################################################
 
-def try_apply(rule: Rule, root: Term, path: tuple, ctx: RuleContext
-              ) -> Optional[Term]:
-    """Apply `rule` at `path`, verifying schema preservation.
-
-    Returns the rewritten root, or None when the rule doesn't match there.
-    """
-    ctx.bind_root(root)
-    sub = subterm_at(root, path)
+def _attempt(rule: Rule, sub: Term, ctx: RuleContext) -> Optional[Term]:
+    """Call `rule` on `sub`, counting one attempt in ``ctx.rule_counts``;
+    the rewrite, or None when the rule does not match or changes nothing."""
+    counts = ctx.rule_counts.get(rule.rule_id)
+    if counts is None:
+        counts = ctx.rule_counts[rule.rule_id] = [0, 0]
+    counts[0] += 1
     new_sub = rule.fn(sub, ctx)
     if new_sub is None or new_sub == sub:
         return None
-    before = ctx.schema_of(sub)
-    after = ctx.schema_of(new_sub)
+    return new_sub
+
+
+def _node_ids(term: Term, ids: set) -> set:
+    ids.add(id(term))
+    for kid in children(term):
+        _node_ids(kid, ids)
+    return ids
+
+
+def _frontier(new_sub: Term, ids: set, out: dict) -> dict:
+    """Mark in `out`, with None, the id of every maximal subterm of
+    `new_sub` whose id is in `ids`: the nodes a rewrite kept."""
+    if id(new_sub) in ids:
+        out[id(new_sub)] = None
+    else:
+        for kid in children(new_sub):
+            _frontier(kid, ids, out)
+    return out
+
+
+def _shared(sub: Term, new_sub: Term) -> dict:
+    """The frontier of `new_sub` in `sub`, as a ``known`` dict of None
+    marks; it lives for one rule attempt."""
+    return _frontier(new_sub, _node_ids(sub, set()), {})
+
+
+def _schema(term: Term, schemas: Mapping[str, Schema], known: dict
+            ) -> Schema:
+    """``output_schema`` of `term`, reading a node's schema from `known` by
+    id and recording it there where the node is marked with None."""
+    key = id(term)
+    schema = known.get(key)
+    if schema is not None:
+        return schema
+    if isinstance(term, Join):
+        schema = node_schema(term, _schema(term.left, schemas, known),
+                             _schema(term.right, schemas, known))
+    elif isinstance(term, UNARY_TYPES):
+        schema = node_schema(term, _schema(term.child, schemas, known))
+    else:
+        schema = output_schema(term, schemas)
+    if key in known:
+        known[key] = schema
+    return schema
+
+
+def _check_schema(rule: Rule, path: tuple, before: Schema, after: Schema):
     if before != after:
         raise RewriteError(
             f"{rule.rule_id} changed the schema at {path}: "
             f"{sorted(before.columns)} -> {sorted(after.columns)}")
+
+
+def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
+              ctx: RuleContext) -> Optional[Term]:
+    """Apply `rule` to `sub`, the subterm of `root` at `path`, verifying
+    schema preservation.
+
+    The subterms the rewrite kept from `sub` (its frontier) have their
+    schemas inferred once, while inferring `sub`'s, and reused for the
+    rewrite's.  Returns the rewritten root, or None when the rule doesn't
+    match there.
+    """
+    ctx.bind_root(root)
+    new_sub = _attempt(rule, sub, ctx)
+    if new_sub is None:
+        return None
+    known = _shared(sub, new_sub)
+    before = _schema(sub, ctx.schemas, known)
+    _check_schema(rule, path, before, _schema(new_sub, ctx.schemas, known))
     return replace_at(root, path, new_sub)
 
 
@@ -826,21 +909,36 @@ def applicable(root: Term, ctx: RuleContext, kinds=("rule", "cost")
             if rule.kind not in kinds:
                 continue
             try:
-                new_sub = rule.fn(sub, ctx)
+                new_sub = _attempt(rule, sub, ctx)
             except SchemaError:
                 continue
-            if new_sub is not None and new_sub != sub:
+            if new_sub is not None:
                 yield rule, path
 
 
-def guard_cost_improves(rule: Rule, root: Term, path: tuple, ctx: RuleContext,
-                        cost_model, epsilon: float = 1e-9) -> Optional[Term]:
-    """Apply a cost-based rule only when it strictly lowers term_cost."""
-    new_root = try_apply(rule, root, path, ctx)
-    if new_root is None:
+def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
+                        ctx: RuleContext, cost_model,
+                        epsilon: float = 1e-9) -> Optional[Term]:
+    """Apply a cost-based rule to `sub`, the subterm of `root` at `path`,
+    only when it strictly lowers ``term_cost``.
+
+    One fold of the rewrite (``CostModel.fold``) yields its cost, state
+    and schema and records its frontier's results; `sub`'s schema is then
+    checked against those, as in ``try_apply``, with the same error.  The
+    new root is costed with the rewrite's result injected, so only the
+    nodes above `path` are folded again.
+    """
+    ctx.bind_root(root)
+    new_sub = _attempt(rule, sub, ctx)
+    if new_sub is None:
         return None
+    known = _shared(sub, new_sub)
+    res = cost_model.fold(new_sub, known)
+    schemas = {key: r[2] for key, r in known.items()}
+    _check_schema(rule, path, _schema(sub, ctx.schemas, schemas), res[2])
+    new_root = replace_at(root, path, new_sub)
     old_cost = cost_model.term_cost(root).cost
-    new_cost = cost_model.term_cost(new_root).cost
+    new_cost = cost_model.term_cost(new_root, {id(new_sub): res}).cost
     if new_cost < old_cost - epsilon:
         return new_root
     return None
@@ -863,17 +961,18 @@ def trace_record(trace: Optional[list], stage: str, rule_id: str, path,
     trace.append(rec)
 
 
-def rewrite_to_fixpoint(term: Term, step: Callable, stage: str, cost_model,
-                        trace: Optional[list], bottom_up: bool = False,
-                        cap: Optional[int] = None,
+def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
+                        ctx: RuleContext, cost_model, trace: Optional[list],
+                        bottom_up: bool = False, cap: Optional[int] = None,
                         cap_error: Optional[type] = None) -> Term:
     """Rewrite `term` until `step` matches nowhere.
 
     Each round visits the root's nodes in preorder (children before their
     parents with `bottom_up`) and calls ``step(root, path, sub)``, which
     returns ``(rule_id, new_root)`` or None.  The first hit is traced under
-    `stage`, becomes the root, and the next round starts from it.  With
-    `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
+    `stage`, counted as a fire of a catalog rule in ``ctx.rule_counts``,
+    becomes the root, and the next round starts from it.  With `cap`,
+    rewrite number ``cap + 1`` raises `cap_error` instead.
     """
     rewrites = 0
     while True:
@@ -891,5 +990,8 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str, cost_model,
         if cap is not None and rewrites > cap:
             raise cap_error(f"{stage}: no fixpoint after {cap} rewrites "
                             f"(last rule {rule_id})")
+        counts = ctx.rule_counts.get(rule_id)
+        if counts is not None:
+            counts[1] += 1
         trace_record(trace, stage, rule_id, path, cost_model, term, new)
         term = new

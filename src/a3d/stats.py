@@ -595,8 +595,46 @@ class CostModel:
 
     # -- whole-term costing -------------------------------------------------
 
-    def term_cost(self, term: Term) -> CostResult:
-        """Walk a term, returning total cost and the final state/schema.
+    def fold(self, term: Term, known: dict) -> tuple:
+        """``(cost, state, schema)`` of `term`, folded up from its leaves.
+
+        `known` maps ``id(node)`` to results for nodes of `term`: a node
+        with a result there is not folded again, and a node marked with
+        None gets its result recorded.  The fold is deterministic, so an
+        injected result is bit-identical to the one it replaces.  Each
+        node's schema is inferred before its cost, so an invalid term
+        raises the ``SchemaError`` that ``output_schema`` would.
+        """
+        key = id(term)
+        res = known.get(key)
+        if res is not None:
+            return res
+        if isinstance(term, RelVar):
+            state = self.base_state(term.name)
+            res = self.base_cost(state), state, self.schemas[term.name]
+        elif isinstance(term, Join):
+            lc, ls, lsch = self.fold(term.left, known)
+            rc, rs, rsch = self.fold(term.right, known)
+            schema = node_schema(term, lsch, rsch)
+            cost, state = self.join_effect(
+                ls, rs, sorted(lsch.columns & rsch.columns))
+            res = lc + rc + cost, state, schema
+        else:
+            kid_cost, kid_state, kid_schema = self.fold(term.child, known)
+            schema = node_schema(term, kid_schema)
+            cost, state = self.op_effect(term, kid_state)
+            res = kid_cost + cost, state, schema
+        if key in known:
+            known[key] = res
+        return res
+
+    def term_cost(self, term: Term, known: Optional[dict] = None
+                  ) -> CostResult:
+        """Fold a term, returning total cost and the final state/schema.
+
+        `known` injects already-folded subterms (see ``fold``);
+        ``guard_cost_improves`` passes its rewritten subterm's result, so
+        only the nodes above the rewrite are folded again.
 
         The two terms costed most recently are remembered by identity
         (``is``, holding strong references; least recently used goes first).
@@ -612,21 +650,7 @@ class CostModel:
                 recent.append(recent.pop(i))
                 return res
 
-        def go(t: Term):
-            if isinstance(t, RelVar):
-                state = self.base_state(t.name)
-                return self.base_cost(state), state, self.schemas[t.name]
-            if isinstance(t, Join):
-                lc, ls, lsch = go(t.left)
-                rc, rs, rsch = go(t.right)
-                shared = sorted(lsch.columns & rsch.columns)
-                cost, state = self.join_effect(ls, rs, shared)
-                return lc + rc + cost, state, node_schema(t, lsch, rsch)
-            kid_cost, kid_state, kid_schema = go(t.child)
-            cost, state = self.op_effect(t, kid_state)
-            return kid_cost + cost, state, node_schema(t, kid_schema)
-
-        total, state, schema = go(term)
+        total, state, schema = self.fold(term, {} if known is None else known)
         res = CostResult(total, state, schema)
         recent.append((term, res))
         if len(recent) > 2:

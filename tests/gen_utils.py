@@ -28,6 +28,7 @@ from a3d.algebra import (
 )
 from a3d.functions import ScalarFn
 from a3d.predicates import And, Apply, Cmp, Col, Lit, Not, Or
+from a3d.stats import build_table_stats
 
 INT, STR = "int", "str"
 
@@ -382,3 +383,31 @@ def random_db(rng, join=False):
     else:
         rels = [default_relation(rng, "r0")]
     return rels, {tr.name: tr.relation for tr in rels}
+
+
+def random_query(seed: int) -> tuple:
+    """(term, schemas, statistics) of one seeded random query."""
+    rng = random.Random(seed)
+    nrel = rng.choice((1, 1, 2))
+    rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1), min_rows=1)
+            for i in range(nrel)]
+    term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+    schemas = {tr.name: tr.schema for tr in rels}
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else None
+    return term, schemas, stats
+
+
+def inner_query(seed: int) -> tuple:
+    """(term, schemas, statistics) of one random query with an inner
+    projection."""
+    rng = random.Random(seed)
+    nrel = rng.choice((1, 2))
+    rels = [default_relation(rng, "r%d" % i, with_key=(nrel > 1), min_rows=1)
+            for i in range(nrel)]
+    schemas = {tr.name: tr.schema for tr in rels}
+    term = random_term(rng, rels, n_ops=rng.randint(1, 5))
+    term = with_inner_project(rng, term, schemas)
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else None
+    return term, schemas, stats

@@ -1,0 +1,117 @@
+"""Print one digest per plan, to compare the planner's output across commits.
+
+Run from the repository root, once per checkout, and diff the outputs:
+
+    PYTHONPATH=src python3 tests/plan_digest.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python3 tests/plan_digest.py \\
+        > old.txt
+    diff old.txt new.txt
+
+Each line reads ``<corpus>/<seed>/<mode> <plan digest> <rules digest>``.
+The plan digest covers the plan's term, cost, counters other than
+``counters["rules"]``, trace records and ClickHouse SQL, or the type and
+message of the exception planning raised.  The rules digest covers
+``counters["rules"]`` and is ``-`` where the planner does not report it;
+compare only the first two fields (``cut -d' ' -f1,2``) against such a
+commit.
+
+Corpora, each planned in every mode:
+
+``random``  1,200 ``gen_utils.random_query`` queries (seeds 0-1199), with
+            ``build_table_stats`` statistics on odd seeds;
+``inner``   1,000 ``gen_utils.inner_query`` queries, which put a projection
+            below the root (seeds 6000-6999);
+``bench``   every pair of the benchmark workloads at data seeds 1 and 2,
+            planned from its plan document as the benchmark does.
+
+The file is not named ``test_*``, so pytest does not collect it.
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "bench")]
+
+import workloads  # noqa: E402
+from a3d import cli, planner, translate  # noqa: E402
+
+from gen_utils import inner_query, random_query  # noqa: E402
+
+RANDOM_SEEDS = range(1200)
+INNER_SEEDS = range(6000, 7000)
+BENCH_DATA_SEEDS = (1, 2)
+
+
+def bench_queries(data_seed: int):
+    """Yield (pair name, term, schemas, correspondences, mode, statistics)
+    for every benchmark pair, parsed from its documents as the CLI does."""
+    for wl in workloads.WORKLOADS.values():
+        inputs = workloads.setup(wl, data_seed, lambda fn, *args: fn(*args))
+        for pair in inputs.pairs:
+            term, schemas, corr, options = cli.parse_plan_document(
+                json.loads(pair.plan_text))
+            stats = None
+            if inputs.stats_text is not None:
+                stats = cli.parse_stats_document(
+                    json.loads(inputs.stats_text), schemas)
+            yield (f"{wl.name}:{pair.name}", term, schemas, corr,
+                   options["mode"], stats)
+
+
+def plan(term, schemas, stats, mode, corr=None) -> tuple:
+    """(traced OptimizeResult, ClickHouse SQL) of one query."""
+    res = planner.optimize(term, schemas, stats=stats, correspondences=corr,
+                           mode=mode, trace=True)
+    return res, translate.to_sql(res.term, "clickhouse", schemas)
+
+
+def cases():
+    """Yield (name, thunk) per plan; the thunk plans it."""
+    for seed in RANDOM_SEEDS:
+        term, schemas, stats = random_query(seed)
+        for mode in planner.MODES:
+            yield (f"random/{seed}/{mode}",
+                   lambda t=term, s=schemas, st=stats, m=mode:
+                   plan(t, s, st, m))
+    for seed in INNER_SEEDS:
+        term, schemas, stats = inner_query(seed)
+        for mode in planner.MODES:
+            yield (f"inner/{seed}/{mode}",
+                   lambda t=term, s=schemas, st=stats, m=mode:
+                   plan(t, s, st, m))
+    for data_seed in BENCH_DATA_SEEDS:
+        for name, term, schemas, corr, mode, stats in \
+                bench_queries(data_seed):
+            yield (f"bench/{data_seed}/{name}",
+                   lambda t=term, s=schemas, st=stats, m=mode, c=corr:
+                   plan(t, s, st, m, c))
+
+
+def _hash(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def digest(thunk) -> tuple:
+    """(plan digest, rules digest) of one planning call."""
+    try:
+        res, sql = thunk()
+    except Exception as exc:  # the error is part of the output
+        return _hash([type(exc).__name__, str(exc)]), "-"
+    counters = dict(res.counters)
+    rules = counters.pop("rules", None)
+    plan_digest = _hash([repr(res.term), repr(res.cost), counters,
+                         res.trace, sql])
+    return plan_digest, "-" if rules is None else _hash(rules)
+
+
+def main() -> None:
+    for name, thunk in cases():
+        print(name, *digest(thunk), flush=True)
+
+
+if __name__ == "__main__":
+    main()

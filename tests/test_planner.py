@@ -6,7 +6,9 @@ permutation loops, the exhaustive `oracle` mode), and every stage is
 required to preserve evaluation results on randomized queries.  [DERIVED]
 """
 
+import collections
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import random
@@ -63,13 +65,16 @@ from a3d import planner
 from a3d.planner import enumeration
 from a3d.planner.enumeration import Enumerator, MemoEntry, join_entries
 from a3d.planner.precedence import find_n_structure, sp_tree
-from a3d.rewrite import RuleContext
+from a3d import rewrite
+from a3d.rewrite import Rule, RuleContext
 from a3d.stats import (
     ArrayStats, CostModel, ScalarStats, TableStats, build_table_stats,
 )
 from a3d.testkit import ScalarColumn
 
-from gen_utils import default_relation, random_term, with_inner_project
+from gen_utils import (
+    default_relation, random_query, random_term, with_inner_project,
+)
 from naive_interp import naive_eval, rows_equal_bag
 
 
@@ -1255,3 +1260,60 @@ def test_optimize_is_idempotent_on_cost():
     once = optimize(term, cm.schemas, stats=cm.stats)
     twice = optimize(once.term, cm.schemas, stats=cm.stats)
     assert twice.cost == pytest.approx(once.cost)
+
+
+@pytest.mark.parametrize("mode", planner.MODES)
+def test_rule_counters_count_calls_and_kept_rewrites(monkeypatch, mode):
+    calls = collections.Counter()
+
+    def counted(rule):
+        def fn(sub, ctx):
+            calls[rule.rule_id] += 1
+            return rule.fn(sub, ctx)
+        return Rule(rule.rule_id, rule.kind, rule.title, fn)
+
+    catalog = list(rewrite.CATALOG)
+    # greedy holds the catalog list itself, so it is patched in place
+    rewrite.CATALOG[:] = [counted(rule) for rule in catalog]
+    attempts = 0
+    try:
+        for rule in rewrite.CATALOG:
+            monkeypatch.setitem(rewrite.RULES_BY_ID, rule.rule_id, rule)
+        for cm, stats, term in _golden_trace_queries().values():
+            calls.clear()
+            res = optimize(term, cm.schemas, stats=stats, mode=mode,
+                           trace=True)
+            rules = res.counters["rules"]
+            assert {r: n[0] for r, n in rules.items()} == calls
+            attempts += sum(calls.values())
+            fired = collections.Counter(
+                rec["rule"] for rec in res.trace
+                if rec["rule"] in rewrite.RULES_BY_ID)
+            assert {r: n[1] for r, n in rules.items() if n[1]} == fired
+    finally:
+        rewrite.CATALOG[:] = catalog
+    assert attempts
+
+
+def test_planning_leaves_no_reference_cycles():
+    # only the cyclic collector frees a cycle, so a planning call that left
+    # one would make the planner's memory peak move with collector timing
+    import plan_digest
+
+    cases = [(t, s, st, m, c) for _, t, s, c, m, st
+             in plan_digest.bench_queries(1)]
+    for seed in range(150):
+        term, schemas, stats = random_query(seed)
+        cases += [(term, schemas, stats, mode, None)
+                  for mode in planner.MODES]
+    gc.collect()
+    gc.disable()
+    try:
+        for term, schemas, stats, mode, corr in cases:
+            try:
+                plan_digest.plan(term, schemas, stats, mode, corr)
+            except OracleLimitError:
+                assert mode == "oracle"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -24,6 +24,9 @@ from a3d.algebra import (
     Relation,
     Schema,
     evaluate,
+    output_schema,
+    replace_at,
+    subterm_at,
     walk,
 )
 from a3d.functions import ScalarFn
@@ -42,7 +45,7 @@ from a3d.rewrite import (
 from a3d.stats import CostModel, build_table_stats
 from a3d.testkit import make_pattern, pattern_schemas
 
-from gen_utils import default_relation, random_term
+from gen_utils import default_relation, random_query, random_term
 from naive_interp import naive_eval, rows_equal_bag
 from rule_instances import GENS, _rel_t
 
@@ -62,7 +65,7 @@ def _ctx(inst):
 
 def _apply(rule_id, inst):
     new_root = try_apply(RULES_BY_ID[rule_id], inst.term, inst.path,
-                         _ctx(inst))
+                         subterm_at(inst.term, inst.path), _ctx(inst))
     assert new_root is not None, f"{rule_id} failed to match"
     return new_root
 
@@ -152,9 +155,10 @@ def test_footprint_rules_preserve_results_on_random_plans():
         ctx = RuleContext(schemas)
         for root in roots:
             want = evaluate(root, db)
-            for path, _ in walk(root):
+            for path, sub in walk(root):
                 for rule_id in FOOTPRINT_RULES:
-                    new = try_apply(RULES_BY_ID[rule_id], root, path, ctx)
+                    new = try_apply(RULES_BY_ID[rule_id], root, path, sub,
+                                    ctx)
                     if new is None:
                         continue
                     fired[rule_id] += 1
@@ -193,14 +197,14 @@ def test_schema_breaking_rule_is_rejected():
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext({"t": t.schema})
     with pytest.raises(RewriteError):
-        try_apply(bad, RelVar("t"), (), ctx)
+        try_apply(bad, RelVar("t"), (), RelVar("t"), ctx)
 
 
 def test_noop_rewrite_counts_as_no_match():
     ident = Rule("X1", "rule", "identity", lambda sub, ctx: sub)
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext({"t": t.schema})
-    assert try_apply(ident, RelVar("t"), (), ctx) is None
+    assert try_apply(ident, RelVar("t"), (), RelVar("t"), ctx) is None
 
 
 def test_fresh_names_never_capture_existing_columns():
@@ -212,7 +216,7 @@ def test_fresh_names_never_capture_existing_columns():
     term = Aggregate(("z",), (AggSpec("sum", "__p0", "tot"),),
                      Join(RelVar("r"), RelVar("o")))
     ctx = RuleContext({"r": schema, "o": other})
-    new_root = try_apply(RULES_BY_ID["R21"], term, (), ctx)
+    new_root = try_apply(RULES_BY_ID["R21"], term, (), term, ctx)
     assert new_root is not None
     introduced = set()
     for _, node in walk(new_root):
@@ -280,7 +284,8 @@ def test_r2_3_guard_prunes_only_when_emptiness_pays():
         rel = Relation.build(schema, rows)
         cm = CostModel({"r": build_table_stats(rel)}, {"r": schema})
         ctx = RuleContext({"r": schema})
-        out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), ctx, cm)
+        out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx,
+                                  cm)
         assert (out is not None) == expect
 
 
@@ -293,7 +298,8 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
                   ArrayJoin((("a", "ea"),),
                             Derive("y", ScalarFn.of("neg"), ("k",),
                                    RelVar("r"))))
-    path = next(p for p, n in walk(root) if isinstance(n, ArrayJoin))
+    path, sub = next((p, n) for p, n in walk(root)
+                     if isinstance(n, ArrayJoin))
     calls = []
     real = cm.op_effect
 
@@ -305,8 +311,8 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
     ctx = RuleContext({"r": schema})
     attempts = 5
     for _ in range(attempts):
-        assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, ctx,
-                                   cm) is None
+        assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, sub,
+                                   ctx, cm) is None
     # the root's 3 operators once, and each candidate's 4 per attempt
     assert len(calls) == 3 + attempts * 4
 
@@ -325,15 +331,17 @@ def test_r2_3_guard_above_a_derive_is_not_repeated():
                      Derive("y", ScalarFn.of("neg"), ("k",),
                             Filter(guard, RelVar("r"))))
     ctx = RuleContext({"r": schema})
-    assert try_apply(RULES_BY_ID["R2.3"], term, (), ctx) is not None
-    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), ctx, cm) is None
+    assert try_apply(RULES_BY_ID["R2.3"], term, (), term, ctx) is not None
+    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx,
+                               cm) is None
 
 
 def test_r2_3_does_not_stack_guards():
     rng = random.Random(SEED0)
     inst = GENS["R2.3"](rng)
     once = _apply("R2.3", inst)
-    again = try_apply(RULES_BY_ID["R2.3"], once, inst.path, _ctx(inst))
+    again = try_apply(RULES_BY_ID["R2.3"], once, inst.path,
+                      subterm_at(once, inst.path), _ctx(inst))
     assert again is None
 
 
@@ -342,7 +350,7 @@ def test_r14_push_reaches_fixpoint():
     inst = GENS["R14"](rng)
     term = inst.term
     for _ in range(4):
-        nxt = try_apply(RULES_BY_ID["R14"], term, (), _ctx(inst))
+        nxt = try_apply(RULES_BY_ID["R14"], term, (), term, _ctx(inst))
         if nxt is None:
             break
         term = nxt
@@ -357,7 +365,7 @@ def test_r11_2_rewinds_the_documented_example():
         Derive("ym", ScalarFn.of("affine", a=-1, b=3), ("a",), RelVar("t"),
                is_map=True))
     t = _rel_t(random.Random(SEED0), nmin=1)
-    new_root = try_apply(RULES_BY_ID["R11.2"], term, (),
+    new_root = try_apply(RULES_BY_ID["R11.2"], term, (), term,
                          RuleContext({"t": t.schema}))
     assert new_root is not None
     inner_filters = [n for _, n in walk(new_root) if isinstance(n, ArrayFilter)]
@@ -397,14 +405,15 @@ def test_targeted_refusals(rule_id, build, reason):
     rng = random.Random(SEED0 + 5)
     inst = GENS["R6"](rng)        # any t/u join database works here
     term = build(Join(RelVar("t"), RelVar("u")))
-    assert try_apply(RULES_BY_ID[rule_id], term, (), _ctx(inst)) is None
+    assert try_apply(RULES_BY_ID[rule_id], term, (), term,
+                     _ctx(inst)) is None
 
 
 def test_r13_2_refuses_non_invertible_fn():
     term = Filter(Cmp("<", Col("y"), Lit(3)),
                   Derive("y", ScalarFn.of("abs"), ("x",), RelVar("t")))
     t = _rel_t(random.Random(SEED0), nmin=1)
-    assert try_apply(RULES_BY_ID["R13.2"], term, (),
+    assert try_apply(RULES_BY_ID["R13.2"], term, (), term,
                      RuleContext({"t": t.schema})) is None
 
 
@@ -418,7 +427,139 @@ def test_r10_3_refuses_corresponding_targets():
                                    Join(RelVar("t"), RelVar("u"))))
     inst = GENS["R4.2"](random.Random(SEED0 + 6))
     ctx = _ctx(inst)      # declares ("a", "b", "d") corresponding
-    assert try_apply(RULES_BY_ID["R10.3"], term, (), ctx) is None
+    assert try_apply(RULES_BY_ID["R10.3"], term, (), term, ctx) is None
     # the same shape splits once the correspondence is withdrawn
     free = RuleContext(inst.schemas, [])
-    assert try_apply(RULES_BY_ID["R10.3"], term, (), free) is not None
+    assert try_apply(RULES_BY_ID["R10.3"], term, (), term, free) is not None
+
+
+############################################################
+# one pass per rule attempt: the guard against its three-pass form
+############################################################
+
+def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
+    """``guard_cost_improves`` as three passes: find `sub` from the root,
+    infer both schemas from the leaves up, then cost the whole new root."""
+    ctx.bind_root(root)
+    sub = subterm_at(root, path)
+    new_sub = rule.fn(sub, ctx)
+    if new_sub is None or new_sub == sub:
+        return None
+    before = output_schema(sub, ctx.schemas)
+    after = output_schema(new_sub, ctx.schemas)
+    if before != after:
+        raise RewriteError(
+            f"{rule.rule_id} changed the schema at {path}: "
+            f"{sorted(before.columns)} -> {sorted(after.columns)}")
+    new_root = replace_at(root, path, new_sub)
+    old_cost = cm.term_cost(root).cost
+    new_cost = cm.term_cost(new_root).cost
+    return new_root if new_cost < old_cost - epsilon else None
+
+
+def _outcome(fn, *args):
+    try:
+        return "term", fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_guard_matches_three_passes(root, schemas, stats, corr=()):
+    """Every catalog rule at every node of `root`: the same result, and an
+    accepted root's cost (cached with the rewrite's fold injected) equal
+    to a fresh costing, bit for bit."""
+    old_cm, new_cm = CostModel(stats, schemas), CostModel(stats, schemas)
+    accepted = 0
+    for path, sub in walk(root):
+        for rule in CATALOG:
+            old = _outcome(_three_pass_guard, rule, root, path,
+                           RuleContext(schemas, corr), old_cm)
+            new = _outcome(guard_cost_improves, rule, root, path, sub,
+                           RuleContext(schemas, corr), new_cm)
+            assert new == old, (rule.rule_id, path)
+            if new[0] == "term" and new[1] is not None:
+                accepted += 1
+                fresh = CostModel(stats, schemas).term_cost(new[1])
+                got = new_cm.term_cost(new[1])
+                assert got == fresh and repr(got) == repr(fresh)
+                assert got == old_cm.term_cost(old[1])
+    return accepted
+
+
+def test_guard_matches_three_passes_on_rule_instances():
+    accepted = 0
+    for rule_id in sorted(GENS):
+        for i in range(4):
+            inst = GENS[rule_id](random.Random(SEED0 + 97 * i))
+            stats = {name: build_table_stats(rel)
+                     for name, rel in inst.db.items()}
+            for with_stats in (False, True):
+                accepted += _assert_guard_matches_three_passes(
+                    inst.term, inst.schemas, stats if with_stats else {},
+                    inst.correspondences)
+    assert accepted
+
+
+def test_guard_matches_three_passes_on_random_plans():
+    accepted = 0
+    for seed in range(100):
+        term, schemas, stats = random_query(seed)
+        roots = [term] + [optimize(term, schemas, stats=stats, mode=m).term
+                          for m in ("greedy", "enumerate")]
+        for root in roots:
+            accepted += _assert_guard_matches_three_passes(
+                root, schemas, stats or {})
+    assert accepted
+
+
+def test_fold_with_an_injected_subterm_equals_a_fresh_term_cost():
+    for seed in range(100):
+        term, schemas, stats = random_query(seed)
+        root = optimize(term, schemas, stats=stats, mode="greedy").term
+        for _, sub in walk(root):
+            res = CostModel(stats or {}, schemas).fold(sub, {})
+            injected = CostModel(stats or {}, schemas).term_cost(
+                root, {id(sub): res})
+            fresh = CostModel(stats or {}, schemas).term_cost(root)
+            assert injected == fresh and repr(injected) == repr(fresh)
+
+
+def _schema_guard_case():
+    # the filter at the root reads y, which each rule below drops at path
+    # (0,), so costing the new root would raise a SchemaError there
+    t = _rel_t(random.Random(SEED0), nmin=1)
+    base = RelVar("t")
+    sub = Derive("y", ScalarFn.of("neg"), ("x",),
+                 Filter(Cmp("<", Col("x"), Lit(5)),
+                        Filter(Cmp(">", Col("w"), Lit(0)), base)))
+    root = Filter(Cmp(">", Col("y"), Lit(0)), sub)
+    return root, sub, base, {"t": t.schema}, \
+        CostModel({"t": build_table_stats(t.relation)}, {"t": t.schema})
+
+
+SCHEMA_CHANGES = {
+    # shares no node with sub: an empty frontier
+    "fresh": lambda sub, base: Filter(Cmp("<", Col("x"), Lit(5)),
+                                      RelVar("t")),
+    # keeps only a deep descendant of sub
+    "deep": lambda sub, base: Project(("k", "x"), base),
+    # keeps sub's child
+    "child": lambda sub, base: sub.child,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SCHEMA_CHANGES))
+def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
+    root, sub, base, schemas, cm = _schema_guard_case()
+    rule = Rule("X2", "cost", "drops y",
+                lambda s, ctx: SCHEMA_CHANGES[shape](s, base)
+                if s is sub else None)
+    with pytest.raises(RewriteError) as old:
+        _three_pass_guard(rule, root, (0,), RuleContext(schemas), cm)
+    assert str(old.value).startswith("X2 changed the schema at (0,): ")
+    with pytest.raises(RewriteError) as new:
+        guard_cost_improves(rule, root, (0,), sub, RuleContext(schemas), cm)
+    assert str(new.value) == str(old.value)
+    with pytest.raises(RewriteError) as applied:
+        try_apply(rule, root, (0,), sub, RuleContext(schemas))
+    assert str(applied.value) == str(old.value)
