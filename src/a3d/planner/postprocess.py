@@ -11,16 +11,20 @@ fixpoint, each one accepted only when
   degenerate non-reducing aggregates; lower values make pre-aggregation more
   reluctant.
 
+The same pass fuses arrayFilters that operator placement stacked over one
+target set (R2.4); the fused filter is never costlier, so it needs no guard.
+
 A run is bounded by ``cap`` successful applications; exceeding it raises
 :class:`PostprocessCapError` so a cycling guard surfaces as a diagnostic
 instead of a hang.
 """
 
 from ..algebra import (
-    A3DError, Aggregate, AggSpec, Term, children, with_children,
+    A3DError, Aggregate, AggSpec, ArrayFilter, Term, children, with_children,
 )
 from ..rewrite import (
     RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
+    try_apply,
 )
 from ..stats import CostModel
 
@@ -71,6 +75,9 @@ def postprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
                 alpha: float = 1.0, cap: int = 32, trace=None) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
     def step(root, path, sub):
+        if isinstance(sub, ArrayFilter):
+            new = try_apply(RULES_BY_ID["R2.4"], root, path, sub, ctx)
+            return None if new is None else ("R2.4", new)
         if not isinstance(sub, Aggregate) or \
                 not _condenses(sub, cost_model, alpha):
             return None

@@ -11,8 +11,10 @@ Five sub-passes, each semantics-preserving:
 3. invert + descend    -- a filter over an affine derive's output is
    inverted onto the derive's source column (R13.2); filters are then pushed
    down through derives/arrayJoins until a filter sits directly on unnest
-   aliases and converts into an arrayFilter.  Only greedy mode rewinds an
-   arrayFilter through an invertible map (R11.2).
+   aliases and converts into an arrayFilter (R2.2).  The arrayFilters that
+   the conjuncts of one filter become over the same arrays are fused into
+   one conjunctive arrayFilter (R2.4), so each array is rebuilt once.  Only
+   greedy mode rewinds an arrayFilter through an invertible map (R11.2).
 4. emptiness guards    -- a filter dropping empty arrays is inserted under an
    arrayJoin when the cost model says it pays.
 5. dead derive removal -- derives whose output nothing consumes are dropped.
@@ -121,8 +123,12 @@ def _commute_filter_past_array_filter(sub: Term):
 
 def descend_filters(term: Term, ctx: RuleContext, trace=None,
                     cost_model=None) -> Term:
-    """Push filters toward arrayJoins; convert to arrayFilter on contact."""
+    """Push filters toward arrayJoins; convert to arrayFilter on contact,
+    and fuse the arrayFilters so stacked over one target set (R2.4)."""
     def step(root, path, sub):
+        if isinstance(sub, ArrayFilter):
+            new = try_apply(RULES_BY_ID["R2.4"], root, path, sub, ctx)
+            return None if new is None else ("R2.4", new)
         if not isinstance(sub, Filter):
             return None
         for rule_id in _FILTER_RULES:

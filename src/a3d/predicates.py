@@ -178,18 +178,20 @@ def conjoin(preds: list) -> Pred:
     return And(tuple(preds))
 
 
+def _rename_expr(expr: Expr, mapping: dict) -> Expr:
+    if isinstance(expr, Col):
+        return Col(mapping.get(expr.name, expr.name))
+    if isinstance(expr, Apply):
+        return Apply(expr.fn,
+                     tuple(_rename_expr(a, mapping) for a in expr.args))
+    return expr
+
+
 def rename_columns(pred: Pred, mapping: dict) -> Pred:
     """Rewrite column references through `mapping` (missing names unchanged)."""
-
-    def on_expr(e: Expr) -> Expr:
-        if isinstance(e, Col):
-            return Col(mapping.get(e.name, e.name))
-        if isinstance(e, Apply):
-            return Apply(e.fn, tuple(on_expr(a) for a in e.args))
-        return e
-
     if isinstance(pred, Cmp):
-        return Cmp(pred.op, on_expr(pred.lhs), on_expr(pred.rhs))
+        return Cmp(pred.op, _rename_expr(pred.lhs, mapping),
+                   _rename_expr(pred.rhs, mapping))
     if isinstance(pred, And):
         return And(tuple(rename_columns(p, mapping) for p in pred.parts))
     if isinstance(pred, Or):

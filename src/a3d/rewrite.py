@@ -19,6 +19,12 @@ helpers: ``_swap`` (R1, R2.1, R5.1, R11.1, R12, R13.1, R15),
 ``_push_below_join`` (R4.1, R6, R8, R10.1) and ``_pull_above_join`` (R7,
 R10.2).
 
+R2.4 fuses an arrayFilter stacked on another over the same target set into
+one conjunctive arrayFilter, so the arrays are rebuilt once, not once per
+filter.  Preprocess applies it as R2.2 converts filters one conjunct at a
+time, greedy through the catalog, and postprocess to the stacks that
+enumerate's placement creates.
+
 The engine pays one pass over the term per rule attempt.  ``try_apply`` and
 ``guard_cost_improves`` take the subterm that ``rewrite_to_fixpoint``
 already holds.  A rewrite keeps most of that subterm by identity; the
@@ -68,8 +74,11 @@ from .predicates import (
     Col,
     Lit,
     Pred,
+    conjoin,
     invert_pred_through_fn,
     pred_columns,
+    rename_columns,
+    split_conjuncts,
 )
 
 
@@ -263,6 +272,30 @@ def r2_3(sub, ctx):
             return None  # already guarded
         probe = probe.child
     return ArrayJoin(sub.targets, Filter(guard, sub.child))
+
+
+@_rule("R2.4", "rule", "fuse stacked arrayFilters over one target set")
+def r2_4(sub, ctx):
+    """phi[t2 | p2](phi[t1 | p1](X)), where t2's sources are t1's aliases,
+    -> phi[(s, t2(a)) for (s, a) in t1 | p1 renamed through t2, then p2](X).
+
+    An index survives the stack exactly when it passes both predicates, so
+    one pass keeps the same elements.  The schema cannot change: an inner
+    alias that is a column of X is one of X's sources (``node_schema``
+    rejects an alias that shadows a surviving column), so the fused filter
+    drops what the stack drops.
+    """
+    if not (isinstance(sub, ArrayFilter)
+            and isinstance(sub.child, ArrayFilter)):
+        return None
+    inner = sub.child
+    if _sources(sub.targets) != _aliases(inner.targets):
+        return None
+    renamed = dict(sub.targets)
+    pred = conjoin(split_conjuncts(rename_columns(inner.pred, renamed))
+                   + split_conjuncts(sub.pred))
+    return ArrayFilter(tuple((s, renamed[a]) for s, a in inner.targets),
+                       pred, inner.child)
 
 
 ############################################################

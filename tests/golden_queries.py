@@ -20,6 +20,7 @@ from a3d.functions import ScalarFn
 from a3d.planner import optimize
 from a3d.predicates import And, Cmp, Col, Lit
 from a3d.stats import ArrayStats, ScalarStats, TableStats
+from a3d.testkit import make_pattern, pattern_schemas
 from a3d.translate import to_sql
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -193,6 +194,14 @@ def _index_array_join():
     return term, schemas, stats, corr, {"mode": "greedy"}, {}
 
 
+def _pattern_b_fused():
+    # one three-conjunct filter over three jointly unnested arrays: the
+    # conjuncts become arrayFilters one at a time and fuse into one, so each
+    # array is rebuilt once.
+    return (make_pattern("B", 3), pattern_schemas("B", 3), {}, (),
+            {"mode": "enumerate"}, {})
+
+
 def _cte_join_agg():
     # same pipeline surface as join_pushdown + aggregate, emitted as a
     # WITH chain instead of nested subqueries.
@@ -222,6 +231,7 @@ CASES = {
     "avg_join_decomposition": _avg_join_decomposition,
     "index_array_join": _index_array_join,
     "cte_join_agg": _cte_join_agg,
+    "pattern_b_fused": _pattern_b_fused,
 }
 
 

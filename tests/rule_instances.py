@@ -160,6 +160,33 @@ def gen_r2_3(rng):
     return _single(rng, lambda t: ArrayJoin(targets, t))
 
 
+@_gen("R2.4")
+def gen_r2_4(rng):
+    # one to three of t's arrays, all of one length here, under two stacked
+    # arrayFilters; the outer one keeps the inner aliases (as R2.2 builds
+    # it), renames them to fresh names, permutes them, or names them after
+    # the consumed sources
+    t = build_relation(rng, "t", [("k", INT), ("x", INT)],
+                       [[("a", INT), ("b", INT), ("c", STR)]],
+                       rng.randint(0, 8))
+    srcs = rng.sample(("a", "b", "c"), rng.randint(1, 3))
+    aliases = ["f" + s for s in srcs]
+    renamed = rng.choice((aliases, ["g" + s for s in srcs],
+                          rng.sample(aliases, len(aliases)),
+                          rng.sample(srcs, len(srcs))))
+    outer = list(zip(aliases, renamed))
+    rng.shuffle(outer)
+    types = {a: T_TYPES[s] for s, a in zip(srcs, aliases)}
+    out_types = {b: types[a] for a, b in outer}
+    p1 = random_pred(rng, aliases, types, depth=1)
+    p2 = random_pred(rng, list(out_types), out_types, depth=1)
+    term = ArrayFilter(tuple(outer), p2,
+                       ArrayFilter(tuple(zip(srcs, aliases)), p1,
+                                   RelVar("t")))
+    return Instance(term, {"t": t.relation}, {"t": t.schema},
+                    [("a", "b", "c")])
+
+
 @_gen("R3")
 def gen_r3(rng):
     pred = _t_scalar_pred(rng)

@@ -36,7 +36,7 @@ from a3d.algebra import (
     walk,
 )
 from a3d.functions import ScalarFn
-from a3d.predicates import And, Cmp, Col, Lit
+from a3d.predicates import And, Cmp, Col, Lit, split_conjuncts
 from a3d.planner import (
     DisconnectedJoinGraphError,
     GreedyIterationCapError,
@@ -70,7 +70,7 @@ from a3d.rewrite import Rule, RuleContext
 from a3d.stats import (
     ArrayStats, CostModel, ScalarStats, TableStats, build_table_stats,
 )
-from a3d.testkit import ScalarColumn
+from a3d.testkit import ScalarColumn, make_pattern, pattern_schemas
 
 from gen_utils import (
     default_relation, random_query, random_term, with_inner_project,
@@ -935,6 +935,18 @@ def test_unused_derive_is_dropped():
     assert not any(isinstance(s, Derive) for _, s in walk(pre))
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_pattern_b_conjuncts_fuse_into_one_element_filter(n):
+    # R2.2 turns each conjunct into its own arrayFilter over all n arrays;
+    # R2.4 fuses them as they stack, inner (last) conjunct first
+    cm = CostModel({}, pattern_schemas("B", n))
+    pre = preprocess(make_pattern("B", n), ctx_for(cm), cm)
+    phis = [s for _, s in walk(pre) if isinstance(s, ArrayFilter)]
+    assert len(phis) == 1
+    assert split_conjuncts(phis[0].pred) == \
+        [Cmp(">", Col(f"e{i}"), Lit(i)) for i in range(n, 0, -1)]
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_preprocess_preserves_evaluation(seed):
     rng = random.Random(2000 + seed)
@@ -990,6 +1002,31 @@ def test_postprocess_cap_raises():
     cm, term = _preagg_query()
     with pytest.raises(PostprocessCapError):
         postprocess(term, ctx_for(cm), cm, cap=0)
+
+
+def test_postprocess_fuses_stacked_array_filters():
+    cm = one_rel_model(arrays=("a", "b"))
+    inner = ArrayFilter((("a", "ea"), ("b", "eb")), lt("ea", 5), RelVar("R"))
+    term = ArrayFilter((("ea", "ea"), ("eb", "eb")), lt("eb", 9), inner)
+    out = postprocess(term, ctx_for(cm), cm)
+    assert out == ArrayFilter((("a", "ea"), ("b", "eb")),
+                              And((lt("ea", 5), lt("eb", 9))), RelVar("R"))
+    assert cm.term_cost(out).cost < cm.term_cost(term).cost
+
+
+def test_no_greedy_or_enumerate_plan_keeps_a_fusable_stack():
+    # seeds 11, 35, 60, 108, 141, 173 and 262 place such a stack in
+    # enumerate mode; postprocess fuses it.  The oracle, a baseline, keeps
+    # its plans as placed.
+    for seed in range(300):
+        term, schemas, stats = random_query(seed)
+        for mode in ("greedy", "enumerate"):
+            try:
+                res = optimize(term, schemas, stats=stats, mode=mode)
+            except A3DError:
+                continue
+            assert not [s for _, s in walk(res.term)
+                        if rewrite.r2_4(s, None) is not None], (seed, mode)
 
 
 def test_collapse_reaggregation_fuses_identity_pairs():

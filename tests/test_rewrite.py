@@ -6,6 +6,7 @@ the package interpreter and cross-checking the rewritten side against the
 independent naive interpreter.  [DERIVED]
 """
 
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from a3d.algebra import (
     RelVar,
     Relation,
     Schema,
+    SchemaError,
     evaluate,
     output_schema,
     replace_at,
@@ -31,7 +33,7 @@ from a3d.algebra import (
 )
 from a3d.functions import ScalarFn
 from a3d.planner import optimize
-from a3d.predicates import Cmp, Col, Lit, format_pred
+from a3d.predicates import And, Cmp, Col, Lit, format_pred
 from a3d.rewrite import (
     CATALOG,
     RULES_BY_ID,
@@ -75,11 +77,11 @@ def _apply(rule_id, inst):
 ############################################################
 
 def test_catalog_is_complete():
-    assert len(CATALOG) == 31
+    assert len(CATALOG) == 32
     kinds = {}
     for r in CATALOG:
         kinds.setdefault(r.kind, set()).add(r.rule_id)
-    assert len(kinds["rule"]) == 11
+    assert len(kinds["rule"]) == 12
     assert len(kinds["cost"]) == 20
     assert set(GENS) == set(RULES_BY_ID)
 
@@ -373,6 +375,10 @@ def test_r11_2_rewinds_the_documented_example():
     assert format_pred(inner_filters[0].pred) == "__inv_0 > -12"
 
 
+def _phi(targets, alias, child):
+    return ArrayFilter(targets, Cmp("!=", Col(alias), Lit(0)), child)
+
+
 REFUSALS = [
     # (rule_id, build(term over t/u join), reason)
     ("R6", lambda j: Filter(Cmp("=", Col("x"), Col("z")), j),
@@ -396,6 +402,15 @@ REFUSALS = [
      "keys not local to the aggregated side"),
     ("R21", lambda j: Aggregate(("x",), (AggSpec("sum", "w", "g0"),), j),
      "keys local: the fully one-sided variant owns this shape"),
+    ("R2.4", lambda j: _phi((("fa", "fa"),), "fa", _phi(
+        (("a", "fa"), ("b", "fb")), "fb", j.left)),
+     "outer filters a proper subset of the inner arrays"),
+    ("R2.4", lambda j: _phi((("fa", "fa"), ("c", "fc")), "fc", _phi(
+        (("a", "fa"),), "fa", j.left)),
+     "outer filters one more array"),
+    ("R2.4", lambda j: _phi((("c", "fc"),), "fc", _phi(
+        (("a", "fa"),), "fa", j.left)),
+     "outer filters another array"),
 ]
 
 
@@ -431,6 +446,60 @@ def test_r10_3_refuses_corresponding_targets():
     # the same shape splits once the correspondence is withdrawn
     free = RuleContext(inst.schemas, [])
     assert try_apply(RULES_BY_ID["R10.3"], term, (), term, free) is not None
+
+
+def test_r2_4_keeps_the_schema_of_every_valid_stack():
+    # Fusing would keep an inner alias that is a column of X other than a
+    # source, which the stack drops.  node_schema rejects such an inner
+    # arrayFilter (its alias shadows a surviving column), so on every valid
+    # stack the fused filter has the stack's schema: try_apply never raises.
+    schemas = {"t": Schema.of(scalars=("k", "x"), arrays=("a", "b", "c"))}
+    ctx = RuleContext(schemas)
+    rule = RULES_BY_ID["R2.4"]
+    names = ("a", "b", "c", "k", "fa", "fb")
+    fused = shadowing = 0
+    for n in (1, 2):
+        for srcs in itertools.permutations(("a", "b"), n):
+            for aliases in itertools.permutations(names, n):
+                inner = _phi(tuple(zip(srcs, aliases)), aliases[0],
+                             RelVar("t"))
+                for renamed in itertools.permutations(names + ("g",), n):
+                    term = _phi(tuple(zip(aliases, renamed)), renamed[0],
+                                inner)
+                    try:
+                        output_schema(term, schemas)
+                    except SchemaError:
+                        shadowing += bool(set(aliases) & {"c", "k"})
+                        continue
+                    assert try_apply(rule, term, (), term, ctx) is not None
+                    fused += 1
+    assert fused > 100 and shadowing > 100
+
+
+def test_r2_4_never_raises_the_estimate():
+    for i in range(N_INSTANCES):
+        inst = GENS["R2.4"](random.Random(SEED0 + 13 * i))
+        new_root = _apply("R2.4", inst)
+        stats = {name: build_table_stats(rel)
+                 for name, rel in inst.db.items()}
+        for st in ({}, stats):
+            cm = CostModel(st, inst.schemas)
+            assert cm.term_cost(new_root).cost <= \
+                cm.term_cost(inst.term).cost, i
+
+
+def test_r2_4_conjoins_inner_conjuncts_first():
+    inner = ArrayFilter((("a", "fa"), ("b", "fb")),
+                        And((Cmp(">", Col("fa"), Lit(1)),
+                             Cmp("<", Col("fb"), Lit(2)))), RelVar("t"))
+    term = ArrayFilter((("fb", "a"), ("fa", "g")),
+                       Cmp("=", Col("a"), Col("g")), inner)
+    inst = GENS["R2.4"](random.Random(SEED0))
+    new = try_apply(RULES_BY_ID["R2.4"], term, (), term, _ctx(inst))
+    assert new == ArrayFilter(
+        (("a", "g"), ("b", "a")),
+        And((Cmp(">", Col("g"), Lit(1)), Cmp("<", Col("a"), Lit(2)),
+             Cmp("=", Col("a"), Col("g")))), RelVar("t"))
 
 
 ############################################################

@@ -46,7 +46,7 @@ def test_golden_byte_identity(name):
 def test_golden_corpus_complete():
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.sql")}
     assert on_disk == set(CASES)
-    assert len(CASES) == 12
+    assert len(CASES) == 13
 
 
 @pytest.mark.parametrize("name",
