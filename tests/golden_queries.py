@@ -2,7 +2,10 @@
 
 Each case names a query, the catalog it runs against, and the optimizer
 options.  The expected ClickHouse SQL for every case is frozen under
-``tests/golden/<name>.sql``; ``test_translate.py`` asserts byte identity.
+``tests/golden/<name>.sql``, and the generic SQL under
+``tests/golden/generic/<name>.sql`` for every case the generic dialect can
+express; ``GENERIC_ERRORS`` pins the ``DialectError`` message of the rest.
+``test_translate.py`` asserts byte identity.
 Regenerate after a deliberate optimizer/translator change with
 
     python3 -m tests.golden_queries
@@ -24,6 +27,7 @@ from a3d.testkit import make_pattern, pattern_schemas
 from a3d.translate import to_sql
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GENERIC_DIR = GOLDEN_DIR / "generic"
 
 
 ############################################################
@@ -235,21 +239,54 @@ CASES = {
 }
 
 
-def optimized_sql(name: str) -> str:
-    """Optimize the named case and render it as ClickHouse SQL."""
+# the cases the generic dialect cannot express, with the error each raises
+GENERIC_ERRORS = {
+    "array_filter_multi":
+        "generic dialect cannot express element-level array filters",
+    "array_map_derive":
+        "generic dialect cannot express element-wise array mapping",
+    "element_filter_pushdown":
+        "generic dialect cannot express element-level array filters",
+    "foreach_preagg":
+        "generic dialect has no rendering for aggregate 'sumForEach'",
+    "index_array_join":
+        "generic dialect has no rendering for function 'arrayEnumerate'",
+    "pattern_b_fused":
+        "generic dialect cannot express element-level array filters",
+}
+
+
+def optimized_plan(name: str) -> tuple:
+    """(optimized term, schemas, ``to_sql`` keywords) of the named case."""
     term, schemas, stats, corr, opt_kw, emit_kw = CASES[name]()
     result = optimize(term, schemas, stats=stats, correspondences=corr,
                       **opt_kw)
-    return to_sql(result.term, dialect="clickhouse", schemas=schemas,
-                  **emit_kw)
+    return result.term, schemas, emit_kw
+
+
+def optimized_sql(name: str) -> str:
+    """Optimize the named case and render it as ClickHouse SQL."""
+    term, schemas, emit_kw = optimized_plan(name)
+    return to_sql(term, dialect="clickhouse", schemas=schemas, **emit_kw)
+
+
+def generic_sql(name: str) -> str:
+    """Optimize the named case and render it as generic SQL."""
+    term, schemas, emit_kw = optimized_plan(name)
+    return to_sql(term, dialect="generic", schemas=schemas, **emit_kw)
 
 
 def regenerate() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    GENERIC_DIR.mkdir(parents=True, exist_ok=True)
     for name in CASES:
         sql = optimized_sql(name)
         (GOLDEN_DIR / f"{name}.sql").write_text(sql)
         print(f"wrote golden/{name}.sql ({len(sql.splitlines())} lines)")
+        if name not in GENERIC_ERRORS:
+            sql = generic_sql(name)
+            (GENERIC_DIR / f"{name}.sql").write_text(sql)
+            print(f"wrote golden/generic/{name}.sql "
+                  f"({len(sql.splitlines())} lines)")
 
 
 if __name__ == "__main__":

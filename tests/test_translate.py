@@ -20,7 +20,10 @@ from a3d.stats import ArrayStats, CostModel, ScalarStats, TableStats
 from a3d.translate import DialectError, to_dot, to_sql
 
 from gen_utils import random_db, random_term
-from golden_queries import CASES, GOLDEN_DIR, optimized_sql
+from golden_queries import (
+    CASES, GENERIC_DIR, GENERIC_ERRORS, GOLDEN_DIR, generic_sql,
+    optimized_sql,
+)
 
 
 def _sch(scalars, arrays=()):
@@ -43,10 +46,27 @@ def test_golden_byte_identity(name):
     assert optimized_sql(name) == expected
 
 
+@pytest.mark.parametrize("name", sorted(set(CASES) - set(GENERIC_ERRORS)))
+def test_golden_generic_byte_identity(name):
+    expected = (GENERIC_DIR / f"{name}.sql").read_text()
+    assert generic_sql(name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_ERRORS))
+def test_golden_generic_error_message(name):
+    with pytest.raises(DialectError) as exc:
+        generic_sql(name)
+    assert str(exc.value) == GENERIC_ERRORS[name]
+
+
 def test_golden_corpus_complete():
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.sql")}
     assert on_disk == set(CASES)
     assert len(CASES) == 13
+    generic = {p.stem for p in GENERIC_DIR.glob("*.sql")}
+    assert generic.isdisjoint(GENERIC_ERRORS)
+    assert generic | set(GENERIC_ERRORS) == set(CASES)
+    assert len(generic) == 7
 
 
 @pytest.mark.parametrize("name",
