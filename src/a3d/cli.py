@@ -29,7 +29,7 @@ from .planner import (
 )
 from .predicates import And, Cmp, Col, Lit, Not, Or, Apply, COMPARISONS
 from .stats import ArrayStats, CostModel, ScalarStats, TableStats
-from .translate import DialectError, to_dot, to_sql
+from .translate import DIALECTS, DialectError, to_dot, to_sql
 
 EXIT_PARSE = 1
 EXIT_SCHEMA = 2
@@ -38,7 +38,7 @@ EXIT_DIALECT = 4
 
 PLAN_VERSION = 1
 
-EMIT_TARGETS = ("plan", "sql-clickhouse", "sql-generic", "dot")
+EMIT_TARGETS = ("plan", *(f"sql-{name}" for name in DIALECTS), "dot")
 
 
 class PlanParseError(A3DError):

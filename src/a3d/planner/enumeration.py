@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..algebra import (
-    A3DError, Join, Project, RelVar, Schema, Term, node_schema,
+    A3DError, Join, Project, Schema, Term, node_schema,
 )
 from ..stats import CostModel, PlanState
 from .decompose import QueryDecomposition, RankableOp
@@ -114,14 +114,8 @@ def apply_op(op: RankableOp, entry: MemoEntry,
 def base_entry(decomp: QueryDecomposition, i: int,
                cost_model: CostModel) -> MemoEntry:
     _, term = decomp.leaves[i]
-    if isinstance(term, RelVar) and term.name in cost_model.schemas:
-        state = cost_model.base_state(term.name)
-        cost = cost_model.base_cost(state)
-        schema = cost_model.schemas[term.name]
-    else:
-        res = cost_model.term_cost(term)
-        cost, state, schema = res.cost, res.state, res.schema
-    return MemoEntry(term, 1 << i, 0, cost, state, schema)
+    res = cost_model.term_cost(term)
+    return MemoEntry(term, 1 << i, 0, res.cost, res.state, res.schema)
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,

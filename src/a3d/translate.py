@@ -9,14 +9,27 @@ Two SQL dialects and a Graphviz rendering:
                 operators without a portable equivalent raise
                 :class:`DialectError` instead of guessing.
 
+A dialect is a class.  :class:`SqlDialect` renders standard SQL (it is
+``generic``); a subclass overrides its data — scalar and aggregate
+templates, the array literal, the inequality operator, the boolean
+literals — and the three methods that render array operators:
+``unnest`` (the clause after ``FROM`` of an unnest), ``array_filter``
+(alias → expression of an arrayFilter's outputs) and ``array_map`` (the
+expression of a map derive).  The base versions of the last two raise
+:class:`DialectError`.  :class:`ClickHouse` is such a subclass; ``DIALECTS``
+names one instance of each.
+
 Everything here is a pure function of (term, dialect): the same term always
-emits byte-identical text.  Nested operators become subqueries with
-deterministic ``t0, t1, …`` aliases; ``cte=True`` flips the nesting into a
-``WITH`` chain.  Select lists are alphabetical — schemas are set-valued, so
-the column order must come from somewhere canonical.
+emits byte-identical text.  Every operator renders as ``SELECT <output
+columns> FROM <input>`` plus at most one clause; a column the operator
+computes is selected as ``<expr> AS <col>``.  Operators render their
+inputs first, so of several inexpressible operators the innermost is
+reported.  Nested operators become subqueries with deterministic ``t0, t1,
+…`` aliases; ``cte=True`` flips the nesting into a ``WITH`` chain.  Select
+lists are alphabetical — schemas are set-valued, so the column order must
+come from somewhere canonical.
 """
 
-from dataclasses import dataclass, field
 from textwrap import indent
 from typing import Mapping, Optional
 
@@ -33,160 +46,176 @@ class DialectError(A3DError):
 
 
 ############################################################
-# dialect data
+# dialects
 ############################################################
 
-@dataclass(frozen=True)
+def _heads(lvars) -> str:
+    """The parameter list of a lambda over `lvars`."""
+    heads = ", ".join(lvars)
+    return f"({heads})" if len(lvars) > 1 else heads
+
+
 class SqlDialect:
-    """Rendering data for one SQL surface.  Templates are ``str.format``
-    strings over positional argument renderings (plus named function
-    parameters); a missing entry means the dialect cannot express it."""
+    """Standard SQL.  Templates are ``str.format`` strings over positional
+    argument renderings (plus named function parameters); a missing entry
+    means the dialect cannot express it."""
 
-    name: str
-    scalar_templates: Mapping[str, str]
-    agg_templates: Mapping[str, str]
-    supports_array_filter: bool
-    supports_array_map: bool
-    unnest_via_array_join: bool      # ClickHouse ARRAY JOIN vs CROSS JOIN UNNEST
-    array_literal: str               # wraps a comma-joined item list
-    neq: str                         # inequality comparison operator
-    true_lit: str
-    false_lit: str
+    name = "generic"
+    scalar_templates = {
+        "const": "{value}",
+        "identity": "{0}",
+        "neg": "-({0})",
+        "abs": "abs({0})",
+        "add": "({0} + {1})",
+        "sub": "({0} - {1})",
+        "mul": "({0} * {1})",
+        "div": "({0} / {1})",
+        "concat": "concat({0}, {1})",
+        "affine": "({a} * {0} + {b})",
+        "strlen": "char_length({0})",
+        "arrayLength": "cardinality({0})",
+    }
+    agg_templates = {
+        "min": "min({0})",
+        "max": "max({0})",
+        "sum": "sum({0})",
+        "count": "count({0})",
+        "avg": "avg({0})",
+    }
+    array_literal = "ARRAY[{items}]"   # wraps a comma-joined item list
+    neq = "<>"                         # inequality comparison operator
+    true_lit = "TRUE"
+    false_lit = "FALSE"
+
+    # -- array operators ------------------------------------------------------
+
+    def unnest(self, term: ArrayJoin, fresh) -> str:
+        """The clause after ``FROM`` that unnests `term`'s targets; `fresh`
+        hands out a new alias for a given prefix."""
+        srcs = ", ".join(src for src, _ in term.targets)
+        aliases = ", ".join(alias for _, alias in term.targets)
+        return f"CROSS JOIN UNNEST({srcs}) AS {fresh('u')} ({aliases})"
+
+    def array_filter(self, term: ArrayFilter) -> dict:
+        """Alias → expression of each filtered array."""
+        raise DialectError(f"{self.name} dialect cannot express "
+                           "element-level array filters")
+
+    def array_map(self, term: Derive) -> str:
+        """The expression of a map derive's output array."""
+        raise DialectError(f"{self.name} dialect cannot express "
+                           "element-wise array mapping")
+
+    # -- expressions ----------------------------------------------------------
+
+    def lit(self, value) -> str:
+        if value is None:
+            return "NULL"
+        if isinstance(value, bool):
+            return self.true_lit if value else self.false_lit
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        if isinstance(value, tuple):
+            items = ", ".join(self.lit(v) for v in value)
+            return self.array_literal.format(items=items)
+        return repr(value)
+
+    def fn(self, fn: ScalarFn, args) -> str:
+        template = self.scalar_templates.get(fn.name)
+        if template is None:
+            raise DialectError(
+                f"{self.name} dialect has no rendering for function "
+                f"{fn.name!r}")
+        params = {k: self.lit(v) for k, v in fn.params}
+        return template.format(*args, **params)
+
+    def agg(self, fn: str, arg: str) -> str:
+        template = self.agg_templates.get(fn)
+        if template is None:
+            raise DialectError(f"{self.name} dialect has no rendering "
+                               f"for aggregate {fn!r}")
+        return template.format(arg)
+
+    def expr(self, expr, names: Optional[Mapping] = None) -> str:
+        if isinstance(expr, Col):
+            return names.get(expr.name, expr.name) if names else expr.name
+        if isinstance(expr, Lit):
+            return self.lit(expr.value)
+        if isinstance(expr, Apply):
+            return self.fn(expr.fn, [self.expr(a, names) for a in expr.args])
+        raise DialectError(f"unrenderable expression {expr!r}")
+
+    def pred(self, pred, names: Optional[Mapping] = None) -> str:
+        if isinstance(pred, Cmp):
+            lhs = self.expr(pred.lhs, names)
+            rhs = self.expr(pred.rhs, names)
+            op = self.neq if pred.op == "!=" else pred.op
+            return f"{lhs} {op} {rhs}"
+        if isinstance(pred, And):
+            return "(" + " AND ".join(self.pred(p, names)
+                                      for p in pred.parts) + ")"
+        if isinstance(pred, Or):
+            return "(" + " OR ".join(self.pred(p, names)
+                                     for p in pred.parts) + ")"
+        if isinstance(pred, Not):
+            return "NOT (" + self.pred(pred.part, names) + ")"
+        raise DialectError(f"unrenderable predicate {pred!r}")
 
 
-_COMMON_SCALARS = {
-    "const": "{value}",
-    "identity": "{0}",
-    "neg": "-({0})",
-    "abs": "abs({0})",
-    "add": "({0} + {1})",
-    "sub": "({0} - {1})",
-    "mul": "({0} * {1})",
-    "div": "({0} / {1})",
-    "concat": "concat({0}, {1})",
-    "affine": "({a} * {0} + {b})",
-}
+class ClickHouse(SqlDialect):
+    """ClickHouse: ``ARRAY JOIN``, higher-order array functions and the
+    ``-ForEach`` aggregate combinators."""
 
-CLICKHOUSE = SqlDialect(
-    name="clickhouse",
-    scalar_templates={
-        **_COMMON_SCALARS,
+    name = "clickhouse"
+    scalar_templates = {
+        **SqlDialect.scalar_templates,
         "strlen": "length({0})",
         "arrayEnumerate": "arrayEnumerate({0})",
         "arrayLength": "length({0})",
         "arraySum": "arraySum({0})",
         "arrayMin": "arrayMin({0})",
         "arrayMax": "arrayMax({0})",
-    },
-    agg_templates={
-        "min": "min({0})",
-        "max": "max({0})",
-        "sum": "sum({0})",
-        "count": "count({0})",
-        "avg": "avg({0})",
+    }
+    agg_templates = {
+        **SqlDialect.agg_templates,
         "distinct": "arraySort(groupUniqArray({0}))",
         "minForEach": "minForEach({0})",
         "maxForEach": "maxForEach({0})",
         "sumForEach": "sumForEach({0})",
         "countForEach": "countForEach({0})",
-    },
-    supports_array_filter=True,
-    supports_array_map=True,
-    unnest_via_array_join=True,
-    array_literal="[{items}]",
-    neq="!=",
-    true_lit="true",
-    false_lit="false",
-)
+    }
+    array_literal = "[{items}]"
+    neq = "!="
+    true_lit = "true"
+    false_lit = "false"
 
-GENERIC = SqlDialect(
-    name="generic",
-    scalar_templates={
-        **_COMMON_SCALARS,
-        "strlen": "char_length({0})",
-        "arrayLength": "cardinality({0})",
-    },
-    agg_templates={
-        "min": "min({0})",
-        "max": "max({0})",
-        "sum": "sum({0})",
-        "count": "count({0})",
-        "avg": "avg({0})",
-    },
-    supports_array_filter=False,
-    supports_array_map=False,
-    unnest_via_array_join=False,
-    array_literal="ARRAY[{items}]",
-    neq="<>",
-    true_lit="TRUE",
-    false_lit="FALSE",
-)
+    def unnest(self, term: ArrayJoin, fresh) -> str:
+        parts = [src if src == alias else f"{src} AS {alias}"
+                 for src, alias in term.targets]
+        return "ARRAY JOIN " + ", ".join(parts)
 
-DIALECTS = {"clickhouse": CLICKHOUSE, "generic": GENERIC}
+    def array_filter(self, term: ArrayFilter) -> dict:
+        # one lambda variable per target, numbered by target position
+        lvars = {alias: f"x{k + 1}"
+                 for k, (_, alias) in enumerate(term.targets)}
+        cond = self.pred(term.pred, lvars)
+        exprs = {}
+        for src, alias in term.targets:
+            # the filtered array comes first; the rest follow in order
+            order = [(src, alias)] + [t for t in term.targets
+                                      if t[1] != alias]
+            heads = _heads([lvars[a] for _, a in order])
+            arrays = ", ".join(s for s, _ in order)
+            exprs[alias] = f"arrayFilter({heads} -> {cond}, {arrays})"
+        return exprs
+
+    def array_map(self, term: Derive) -> str:
+        lvars = [f"x{k + 1}" for k in range(len(term.args))]
+        body = self.fn(term.fn, lvars)
+        return f"arrayMap({_heads(lvars)} -> {body}, {', '.join(term.args)})"
 
 
-def get_dialect(name) -> SqlDialect:
-    if isinstance(name, SqlDialect):
-        return name
-    try:
-        return DIALECTS[name]
-    except KeyError:
-        raise DialectError(f"unknown dialect {name!r}; expected one of "
-                           f"{sorted(DIALECTS)}") from None
-
-
-############################################################
-# expression rendering
-############################################################
-
-def _render_lit(value, d: SqlDialect) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return d.true_lit if value else d.false_lit
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    if isinstance(value, tuple):
-        items = ", ".join(_render_lit(v, d) for v in value)
-        return d.array_literal.format(items=items)
-    return repr(value)
-
-
-def _render_fn(fn: ScalarFn, args, d: SqlDialect) -> str:
-    template = d.scalar_templates.get(fn.name)
-    if template is None:
-        raise DialectError(
-            f"{d.name} dialect has no rendering for function {fn.name!r}")
-    params = {k: _render_lit(v, d) for k, v in fn.params}
-    return template.format(*args, **params)
-
-
-def _render_expr(expr, d: SqlDialect, names: Optional[Mapping] = None) -> str:
-    if isinstance(expr, Col):
-        return names.get(expr.name, expr.name) if names else expr.name
-    if isinstance(expr, Lit):
-        return _render_lit(expr.value, d)
-    if isinstance(expr, Apply):
-        args = [_render_expr(a, d, names) for a in expr.args]
-        return _render_fn(expr.fn, args, d)
-    raise DialectError(f"unrenderable expression {expr!r}")
-
-
-def _render_pred(pred, d: SqlDialect, names: Optional[Mapping] = None) -> str:
-    if isinstance(pred, Cmp):
-        lhs = _render_expr(pred.lhs, d, names)
-        rhs = _render_expr(pred.rhs, d, names)
-        op = d.neq if pred.op == "!=" else pred.op
-        return f"{lhs} {op} {rhs}"
-    if isinstance(pred, And):
-        return "(" + " AND ".join(_render_pred(p, d, names)
-                                  for p in pred.parts) + ")"
-    if isinstance(pred, Or):
-        return "(" + " OR ".join(_render_pred(p, d, names)
-                                 for p in pred.parts) + ")"
-    if isinstance(pred, Not):
-        return "NOT (" + _render_pred(pred.part, d, names) + ")"
-    raise DialectError(f"unrenderable predicate {pred!r}")
+DIALECTS = {"clickhouse": ClickHouse(), "generic": SqlDialect()}
 
 
 ############################################################
@@ -224,134 +253,61 @@ class _Emitter:
         except KeyError:
             raise DialectError(f"unknown relation {name!r}") from None
 
-    # -- per-operator renderings -------------------------------------------
-
     def emit(self, term: Term) -> tuple:
-        """(sql text, output schema) for one operator."""
-        d = self.d
+        """(sql text, output schema) for one operator: its output columns
+        in name order, each plain or ``<expr> AS <col>``, selected from its
+        input, then the operator's clause if it has one."""
+        exprs, clause = {}, ""
         if isinstance(term, RelVar):
-            schema = self._schema_of_rel(term.name)
-            cols = ", ".join(sorted(schema.columns))
-            return f"SELECT {cols}\nFROM {term.name}", schema
-
-        if isinstance(term, Project):
-            ref, child_schema = self.from_ref(term.child)
-            schema = node_schema(term, child_schema)
-            cols = ", ".join(sorted(term.cols))
-            return f"SELECT {cols}\nFROM {ref}", schema
-
-        if isinstance(term, Filter):
-            ref, child_schema = self.from_ref(term.child)
-            schema = node_schema(term, child_schema)
-            cols = ", ".join(sorted(schema.columns))
-            cond = _render_pred(term.pred, d)
-            return f"SELECT {cols}\nFROM {ref}\nWHERE {cond}", schema
-
-        if isinstance(term, Join):
-            lref, lschema = self.from_ref(term.left)
+            ref, schema = term.name, self._schema_of_rel(term.name)
+        elif isinstance(term, Join):
+            ref, lschema = self.from_ref(term.left)
             rref, rschema = self.from_ref(term.right)
-            shared = sorted(lschema.columns & rschema.columns)
             schema = node_schema(term, lschema, rschema)
-            cols = ", ".join(sorted(schema.columns))
-            using = ", ".join(shared)
-            return (f"SELECT {cols}\nFROM {lref}\n"
-                    f"INNER JOIN {rref} USING ({using})", schema)
-
-        if isinstance(term, ArrayJoin):
-            return self._emit_array_join(term)
-
-        if isinstance(term, ArrayFilter):
-            return self._emit_array_filter(term)
-
-        if isinstance(term, Derive):
-            return self._emit_derive(term)
-
-        if isinstance(term, Aggregate):
+            using = ", ".join(sorted(lschema.columns & rschema.columns))
+            clause = f"INNER JOIN {rref} USING ({using})"
+        elif isinstance(term, (Filter, Project, ArrayJoin, ArrayFilter,
+                               Derive, Aggregate)):
             ref, child_schema = self.from_ref(term.child)
             schema = node_schema(term, child_schema)
-            rendered = {}
-            for spec in term.aggs:
-                template = d.agg_templates.get(spec.fn)
-                if template is None:
-                    raise DialectError(f"{d.name} dialect has no rendering "
-                                       f"for aggregate {spec.fn!r}")
-                rendered[spec.alias] = \
-                    template.format(spec.arg) + f" AS {spec.alias}"
-            items = [rendered.get(c, c) for c in sorted(schema.columns)]
-            keys = ", ".join(sorted(term.keys))
-            sql = f"SELECT {', '.join(items)}\nFROM {ref}"
-            if keys:
-                sql += f"\nGROUP BY {keys}"
-            return sql, schema
-
-        raise DialectError(f"unrenderable term {type(term).__name__}")
-
-    def _emit_array_join(self, term: ArrayJoin) -> tuple:
-        ref, child_schema = self.from_ref(term.child)
-        schema = node_schema(term, child_schema)
-        cols = ", ".join(sorted(schema.columns))
-        if self.d.unnest_via_array_join:
-            parts = [src if src == alias else f"{src} AS {alias}"
-                     for src, alias in term.targets]
-            clause = "ARRAY JOIN " + ", ".join(parts)
+            exprs, clause = self._render(term)
         else:
-            srcs = ", ".join(src for src, _ in term.targets)
-            aliases = ", ".join(alias for _, alias in term.targets)
-            clause = (f"CROSS JOIN UNNEST({srcs}) "
-                      f"AS {self.fresh('u')} ({aliases})")
-        return f"SELECT {cols}\nFROM {ref}\n{clause}", schema
+            raise DialectError(f"unrenderable term {type(term).__name__}")
+        items = [f"{exprs[c]} AS {c}" if c in exprs else c
+                 for c in sorted(schema.columns)]
+        sql = f"SELECT {', '.join(items)}\nFROM {ref}"
+        return (f"{sql}\n{clause}" if clause else sql), schema
 
-    def _emit_array_filter(self, term: ArrayFilter) -> tuple:
-        if not self.d.supports_array_filter:
-            raise DialectError(f"{self.d.name} dialect cannot express "
-                               "element-level array filters")
-        ref, child_schema = self.from_ref(term.child)
-        schema = node_schema(term, child_schema)
-        # one lambda variable per target, numbered by target position
-        lvars = {alias: f"x{k + 1}"
-                 for k, (_, alias) in enumerate(term.targets)}
-        rendered = {}
-        for src, alias in term.targets:
-            # the filtered array comes first; the rest follow in order
-            order = [(src, alias)] + [t for t in term.targets
-                                      if t[1] != alias]
-            heads = ", ".join(lvars[a] for _, a in order)
-            if len(order) > 1:
-                heads = f"({heads})"
-            arrays = ", ".join(s for s, _ in order)
-            cond = _render_pred(term.pred, self.d, lvars)
-            rendered[alias] = (f"arrayFilter({heads} -> {cond}, {arrays})"
-                               f" AS {alias}")
-        items = [rendered.get(c, c) for c in sorted(schema.columns)]
-        return f"SELECT {', '.join(items)}\nFROM {ref}", schema
-
-    def _emit_derive(self, term: Derive) -> tuple:
-        ref, child_schema = self.from_ref(term.child)
-        schema = node_schema(term, child_schema)
+    def _render(self, term: Term) -> tuple:
+        """(column → expression, clause) of a unary operator."""
         d = self.d
-        if term.is_map:
-            if not d.supports_array_map:
-                raise DialectError(f"{d.name} dialect cannot express "
-                                   "element-wise array mapping")
-            lvars = [f"x{k + 1}" for k in range(len(term.args))]
-            heads = ", ".join(lvars)
-            if len(lvars) > 1:
-                heads = f"({heads})"
-            body = _render_fn(term.fn, lvars, d)
-            arrays = ", ".join(term.args)
-            expr = f"arrayMap({heads} -> {body}, {arrays})"
-        else:
-            expr = _render_fn(term.fn, list(term.args), d)
-        rendered = {term.output: f"{expr} AS {term.output}"}
-        items = [rendered.get(c, c) for c in sorted(schema.columns)]
-        return f"SELECT {', '.join(items)}\nFROM {ref}", schema
+        if isinstance(term, Filter):
+            return {}, "WHERE " + d.pred(term.pred)
+        if isinstance(term, ArrayJoin):
+            return {}, d.unnest(term, self.fresh)
+        if isinstance(term, ArrayFilter):
+            return d.array_filter(term), ""
+        if isinstance(term, Derive):
+            expr = (d.array_map(term) if term.is_map
+                    else d.fn(term.fn, list(term.args)))
+            return {term.output: expr}, ""
+        if isinstance(term, Aggregate):
+            keys = ", ".join(sorted(term.keys))
+            exprs = {spec.alias: d.agg(spec.fn, spec.arg)
+                     for spec in term.aggs}
+            return exprs, f"GROUP BY {keys}" if keys else ""
+        return {}, ""               # Project selects its columns only
 
 
 def to_sql(term: Term, dialect="clickhouse",
            schemas: Optional[Mapping[str, Schema]] = None,
            cte: bool = False) -> str:
-    """Render `term` as one SQL statement in the chosen dialect."""
-    d = get_dialect(dialect)
+    """Render `term` as one SQL statement in the named dialect."""
+    try:
+        d = DIALECTS[dialect]
+    except KeyError:
+        raise DialectError(f"unknown dialect {dialect!r}; expected one of "
+                           f"{sorted(DIALECTS)}") from None
     emitter = _Emitter(d, schemas or {}, cte)
     sql, _ = emitter.emit(term)
     if emitter.ctes:

@@ -10,6 +10,7 @@ documents are parsed from files the tests write.
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,12 @@ from a3d.algebra import Schema
 from a3d.planner import optimize
 from a3d.stats import ArrayStats, ScalarStats, TableStats
 from a3d.testkit import generate, genspec_from_json
+from a3d.translate import DIALECTS
 
 from gen_utils import default_relation, random_term
 from golden_queries import CASES
+
+SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -59,6 +63,21 @@ def test_sql_output_exits_zero(tmp_path, capsys):
     code, out, errors = _run(tmp_path, capsys, term, "--emit",
                              "sql-clickhouse")
     assert (code, errors) == (0, [])
+    assert out.startswith("SELECT ") and "WHERE x < 5" in out
+
+
+def test_every_dialect_is_an_emit_target():
+    assert cli.EMIT_TARGETS == ("plan", "sql-clickhouse", "sql-generic",
+                                "dot")
+    assert {f"sql-{name}" for name in DIALECTS} <= set(cli.EMIT_TARGETS)
+
+
+@pytest.mark.parametrize("dialect", sorted(DIALECTS))
+def test_every_dialect_renders_the_sample_plan(capsys, dialect):
+    # the plan document the CI workflow runs through the console script
+    code = cli.main(["--plan", str(SAMPLE_PLAN), "--emit", f"sql-{dialect}"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
     assert out.startswith("SELECT ") and "WHERE x < 5" in out
 
 

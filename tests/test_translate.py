@@ -218,6 +218,16 @@ def test_generic_dialect_rejects_array_forms(term):
         to_sql(term, "generic", SCHEMAS)
 
 
+def test_generic_reports_innermost_inexpressible_operator():
+    # every operator renders its input first, so the map below the
+    # arrayFilter is the one named
+    term = ArrayFilter((("y", "v"),), Cmp(">", Col("v"), Lit(0)),
+                       Derive("y", ScalarFn.of("neg"), ("vals",), RelVar("R"),
+                              is_map=True))
+    with pytest.raises(DialectError, match="element-wise array mapping"):
+        to_sql(term, "generic", SCHEMAS)
+
+
 def test_unknown_dialect_rejected():
     with pytest.raises(DialectError):
         to_sql(RelVar("S"), "oracle12c", SCHEMAS)
