@@ -244,13 +244,6 @@ def walk(term: Term, path=()) -> Iterator[tuple]:
         yield from walk(kid, path + (i,))
 
 
-def subterm_at(term: Term, path: tuple) -> Term:
-    node = term
-    for i in path:
-        node = children(node)[i]
-    return node
-
-
 def replace_at(term: Term, path: tuple, new: Term) -> Term:
     if not path:
         return new

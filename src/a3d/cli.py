@@ -3,8 +3,8 @@
 Reads a plan document (JSON envelope with a catalog and a serialized term),
 optionally a statistics file, runs the selected optimization mode, and
 emits the requested artifact on stdout: the optimized plan, SQL for a
-dialect, or a dot graph.  Diagnostics — errors, timings, rule traces — go
-to stderr as single-line JSON records.
+dialect, or a dot graph.  Diagnostics — errors, timings, counters, rule
+traces — go to stderr as single-line JSON records.
 
 Exit codes: 0 success, 1 plan/stats parse error, 2 schema error,
 3 infeasible or unsupported query, 4 dialect error.
@@ -451,6 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stream rule-application records to stderr")
     p.add_argument("--time", action="store_true",
                    help="report per-stage wall-clock (ms) to stderr")
+    p.add_argument("--counters", action="store_true",
+                   help="report the optimizer's counters to stderr, with "
+                        "rule id -> [attempts, fires] under \"rules\"")
     p.add_argument("--cte", action="store_true",
                    help="emit SQL as a WITH chain")
     p.add_argument("--preagg-alpha", type=float, default=None,
@@ -573,6 +576,8 @@ def main(argv=None) -> int:
     if args.time:
         print(json.dumps({"timings_ms": result.timings_ms},
                          sort_keys=True), file=sys.stderr)
+    if args.counters:
+        print(json.dumps(result.counters, sort_keys=True), file=sys.stderr)
 
     try:
         sys.stdout.write(_emit(result, doc["catalog"], schemas, stats, args))

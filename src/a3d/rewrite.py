@@ -25,13 +25,18 @@ filter.  Preprocess applies it as R2.2 converts filters one conjunct at a
 time, greedy through the catalog, and postprocess to the stacks that
 enumerate's placement creates.
 
-The engine pays one pass over the term per rule attempt.  ``try_apply`` and
+A rule attempt costs what the rewrite changes.  ``try_apply`` and
 ``guard_cost_improves`` take the subterm that ``rewrite_to_fixpoint``
 already holds.  A rewrite keeps most of that subterm by identity; the
-maximal kept subterms (its frontier) have their schemas inferred once and
-reused for both sides of the schema check.  The cost guard folds the
-rewrite once (``CostModel.fold``) and costs the new root with that result
-injected.  No per-subterm result outlives one attempt.
+maximal kept subterms (its frontier) have their schemas and costs inferred
+once and reused for both sides of the comparison.  The cost guard rejects,
+without costing any ancestor, a rewrite that leaves the subterm's plan
+state as it was and is no cheaper; otherwise it costs the new root with
+the rewrite's result injected.  In a bottom-up round
+``rewrite_to_fixpoint`` keeps each node's ``(cost, state, schema)`` until
+its grandparent has been visited (``RuleContext.results``), so `sub` and a
+frontier up to two levels down are read, not folded.  No result outlives
+its round.
 ``RuleContext.rule_counts`` counts each rule's attempts and the rewrites
 ``rewrite_to_fixpoint`` kept.
 
@@ -110,6 +115,12 @@ class RuleContext:
     ``rule_counts`` maps a rule id to ``[attempts, fires]``: an attempt is
     a call of the rule's function, a fire a rewrite that
     ``rewrite_to_fixpoint`` kept.
+
+    ``results`` is None except during a bottom-up round of
+    ``rewrite_to_fixpoint``, where it maps ``id(node)`` to the node's
+    ``(cost, state, schema)`` for the nodes of the bound root that the
+    round holds; ``schema_of``, ``try_apply`` and ``guard_cost_improves``
+    read from it.
     """
 
     def __init__(self, schemas: Mapping[str, Schema], correspondences=(),
@@ -117,6 +128,7 @@ class RuleContext:
         self.schemas = dict(schemas)
         self.correspondences = [frozenset(g) for g in correspondences]
         self.rule_counts: dict = {}
+        self.results: Optional[dict] = None
         self._root: Optional[Term] = None
         self._used: Optional[set] = set()
         if root is not None:
@@ -128,7 +140,12 @@ class RuleContext:
         return self
 
     def schema_of(self, term: Term) -> Schema:
-        return output_schema(term, self.schemas)
+        res = self.held(term)
+        return output_schema(term, self.schemas) if res is None else res[2]
+
+    def held(self, term: Term) -> Optional[tuple]:
+        """`term`'s ``(cost, state, schema)`` when the round holds it."""
+        return None if self.results is None else self.results.get(id(term))
 
     def corresponding(self, cols) -> bool:
         cols = frozenset(cols)
@@ -880,10 +897,18 @@ def _frontier(new_sub: Term, ids: set, out: dict) -> dict:
     return out
 
 
-def _shared(sub: Term, new_sub: Term) -> dict:
-    """The frontier of `new_sub` in `sub`, as a ``known`` dict of None
-    marks; it lives for one rule attempt."""
-    return _frontier(new_sub, _node_ids(sub, set()), {})
+def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
+            schema_only: bool = False) -> dict:
+    """The frontier of `new_sub` in `sub`, as a ``known`` dict that lives
+    for one rule attempt: a node the round holds maps to its result (to
+    its schema alone with `schema_only`), any other node to None."""
+    known = _frontier(new_sub, _node_ids(sub, set()), {})
+    if ctx.results:
+        for key in known:
+            res = ctx.results.get(key)
+            if res is not None:
+                known[key] = res[2] if schema_only else res
+    return known
 
 
 def _schema(term: Term, schemas: Mapping[str, Schema], known: dict
@@ -920,15 +945,17 @@ def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
 
     The subterms the rewrite kept from `sub` (its frontier) have their
     schemas inferred once, while inferring `sub`'s, and reused for the
-    rewrite's.  Returns the rewritten root, or None when the rule doesn't
-    match there.
+    rewrite's; in a bottom-up round `sub`'s and the frontier's schemas are
+    read from ``ctx.results`` where it holds them.  Returns the rewritten
+    root, or None when the rule doesn't match there.
     """
     ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
-    known = _shared(sub, new_sub)
-    before = _schema(sub, ctx.schemas, known)
+    known = _shared(sub, new_sub, ctx, schema_only=True)
+    held = ctx.held(sub)
+    before = _schema(sub, ctx.schemas, known) if held is None else held[2]
     _check_schema(rule, path, before, _schema(new_sub, ctx.schemas, known))
     return replace_at(root, path, new_sub)
 
@@ -955,23 +982,36 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     """Apply a cost-based rule to `sub`, the subterm of `root` at `path`,
     only when it strictly lowers ``term_cost``.
 
-    One fold of the rewrite (``CostModel.fold``) yields its cost, state
-    and schema and records its frontier's results; `sub`'s schema is then
-    checked against those, as in ``try_apply``, with the same error.  The
-    new root is costed with the rewrite's result injected, so only the
-    nodes above `path` are folded again.
+    `sub` is folded once with the rewrite's frontier marked, and the
+    rewrite once with the frontier's results injected (``CostModel.fold``);
+    in a bottom-up round both `sub`'s and the frontier's results are read
+    from ``ctx.results`` where it holds them.  The schemas are then checked
+    as in ``try_apply``, with the same error.
+
+    A rewrite that leaves `sub`'s plan state as it was and is not cheaper
+    than `sub` is rejected without costing any ancestor.  This is exact:
+    every node above `path` reads only the state below it, so it adds the
+    same costs to both roots, in the same order; float addition is
+    monotone, so the new root's cost is not below the old root's, and
+    ``new < old - epsilon`` cannot hold for a non-negative `epsilon`.  In
+    every other case the new root is costed with the rewrite's result
+    injected, so only the nodes above `path` are folded again.
     """
     ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
-    known = _shared(sub, new_sub)
-    res = cost_model.fold(new_sub, known)
-    schemas = {key: r[2] for key, r in known.items()}
-    _check_schema(rule, path, _schema(sub, ctx.schemas, schemas), res[2])
+    known = _shared(sub, new_sub, ctx)
+    old = ctx.held(sub)
+    if old is None:
+        old = cost_model.fold(sub, known)
+    new = cost_model.fold(new_sub, known)
+    _check_schema(rule, path, old[2], new[2])
+    if new[0] >= old[0] and new[1] == old[1] and epsilon >= 0:
+        return None
     new_root = replace_at(root, path, new_sub)
     old_cost = cost_model.term_cost(root).cost
-    new_cost = cost_model.term_cost(new_root, {id(new_sub): res}).cost
+    new_cost = cost_model.term_cost(new_root, {id(new_sub): new}).cost
     if new_cost < old_cost - epsilon:
         return new_root
     return None
@@ -1006,25 +1046,50 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     `stage`, counted as a fire of a catalog rule in ``ctx.rule_counts``,
     becomes the root, and the next round starts from it.  With `cap`,
     rewrite number ``cap + 1`` raises `cap_error` instead.
+
+    A bottom-up round with a cost model folds each node it visits from its
+    children's results before calling `step`, into ``ctx.results``.  A
+    node's result is kept only until its grandparent has been visited: a
+    pairwise rewrite at `sub` keeps nodes at most two levels down, so `sub`
+    and such a frontier are always held, and a deeper frontier is folded
+    as it would be without the round.  The round thus holds, besides the
+    visited node, its children and grandchildren, only each finished
+    subtree's root and that root's children, never a table of the whole
+    root.  A top-down round visits parents first, so it has nothing to
+    fold from and holds no results.
     """
+    results = {} if bottom_up and cost_model is not None else None
+    ctx.results = results
     rewrites = 0
-    while True:
-        # only the loop holds the walk, so a round's node list is freed
-        # before the next round builds one
-        for path, sub in (reversed(list(walk(term))) if bottom_up
-                          else walk(term)):
-            hit = step(term, path, sub)
-            if hit is not None:
-                break
-        else:
-            return term
-        rule_id, new = hit
-        rewrites += 1
-        if cap is not None and rewrites > cap:
-            raise cap_error(f"{stage}: no fixpoint after {cap} rewrites "
-                            f"(last rule {rule_id})")
-        counts = ctx.rule_counts.get(rule_id)
-        if counts is not None:
-            counts[1] += 1
-        trace_record(trace, stage, rule_id, path, cost_model, term, new)
-        term = new
+    try:
+        while True:
+            # only the loop holds the walk, so a round's node list is
+            # freed before the next round builds one
+            for path, sub in (reversed(list(walk(term))) if bottom_up
+                              else walk(term)):
+                if results is not None:
+                    results[id(sub)] = None
+                    cost_model.fold(sub, results)
+                hit = step(term, path, sub)
+                if hit is not None:
+                    break
+                if results is not None:
+                    for kid in children(sub):
+                        for grandkid in children(kid):
+                            results.pop(id(grandkid), None)
+            else:
+                return term
+            if results is not None:
+                results.clear()  # the old root's nodes may be freed
+            rule_id, new = hit
+            rewrites += 1
+            if cap is not None and rewrites > cap:
+                raise cap_error(f"{stage}: no fixpoint after {cap} "
+                                f"rewrites (last rule {rule_id})")
+            counts = ctx.rule_counts.get(rule_id)
+            if counts is not None:
+                counts[1] += 1
+            trace_record(trace, stage, rule_id, path, cost_model, term, new)
+            term = new
+    finally:
+        ctx.results = None

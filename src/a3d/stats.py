@@ -639,10 +639,11 @@ class CostModel:
         The two terms costed most recently are remembered by identity
         (``is``, holding strong references; least recently used goes first).
         Costing an unchanged root again, as ``guard_cost_improves`` does on
-        every attempt, is then free, and an accepted rewrite's new root is
-        already cached when it becomes the next root.  The returned
-        ``CostResult`` and its ``PlanState`` dicts are shared with the cache
-        and with later callers, so they are read-only.
+        every attempt it cannot reject locally, is then free, and an
+        accepted rewrite's new root is already cached when it becomes the
+        next root.  The returned ``CostResult`` and its ``PlanState`` dicts
+        are shared with the cache and with later callers, so they are
+        read-only.
         """
         recent = self._recent
         for i, (seen, res) in enumerate(recent):

@@ -20,10 +20,10 @@ from a3d.algebra import (
     RelVar,
     Relation,
     Schema,
+    children,
     footprint,
     output_schema,
     replace_at,
-    subterm_at,
     walk,
 )
 from a3d.functions import ScalarFn
@@ -372,6 +372,14 @@ def with_inner_project(rng, term, schemas):
     cols = sorted(output_schema(node, schemas).columns)
     keep = tuple(c for c in cols if c in need or rng.random() < 0.5)
     return replace_at(term, path, Project(keep or tuple(cols[:1]), node))
+
+
+def subterm_at(term, path):
+    """The node of `term` at `path`, a tuple of child indices."""
+    node = term
+    for i in path:
+        node = children(node)[i]
+    return node
 
 
 def random_db(rng, join=False):

@@ -24,14 +24,13 @@ from a3d.algebra import (
     output_schema,
     relations_equal,
     replace_at,
-    subterm_at,
     walk,
 )
 from a3d.functions import ScalarFn, apply_agg, apply_scalar
 from a3d.planner import optimize
 from a3d.predicates import Cmp, Col, Lit, Not
 
-from gen_utils import build_relation, random_db, random_term
+from gen_utils import build_relation, random_db, random_term, subterm_at
 from golden_queries import CASES
 from naive_interp import naive_eval, rows_equal_bag
 

@@ -16,7 +16,7 @@ import pytest
 
 from a3d import cli
 from a3d.algebra import Schema
-from a3d.planner import optimize
+from a3d.planner import MODES, optimize
 from a3d.stats import ArrayStats, ScalarStats, TableStats
 from a3d.testkit import generate, genspec_from_json
 from a3d.translate import DIALECTS
@@ -117,15 +117,32 @@ def test_trace_writes_one_json_line_per_rewrite(tmp_path, capsys):
                                 "input": _rel("R")}}}
     code, _, err = _main(tmp_path, capsys, term, "--trace")
     assert code == 0
-    schemas = {name: Schema(frozenset(rel.get("scalars", ())),
-                            frozenset(rel.get("arrays", ())))
-               for name, rel in CATALOG["relations"].items()}
-    want = optimize(cli.term_from_json(term), schemas, trace=True).trace
+    want = optimize(cli.term_from_json(term), _schemas(), trace=True).trace
     assert len(want) == 2
     assert [json.loads(line) for line in err.splitlines()] == [
         {"rule_id": rec["rule"], "path": rec["path"],
          "before_cost": rec["before_cost"], "after_cost": rec["after_cost"]}
         for rec in want]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_counters_go_to_stderr_as_one_json_object(tmp_path, capsys, mode):
+    term = {"op": "filter", "pred": _cmp("<", "x", 5),
+            "input": {"op": "project", "cols": ["k", "x", "e"],
+                      "input": {"op": "arrayJoin", "targets": [["v", "e"]],
+                                "input": _rel("R")}}}
+    flags = ("--mode", mode, "--emit", "sql-clickhouse")
+    code, plain, err = _main(tmp_path, capsys, term, *flags)
+    assert (code, err) == (0, "")
+    code, out, err = _main(tmp_path, capsys, term, *flags, "--counters")
+    assert (code, out) == (0, plain)
+    [line] = err.splitlines()
+    counters = json.loads(line)
+    want = optimize(cli.term_from_json(term), _schemas(), mode=mode).counters
+    assert counters == json.loads(json.dumps(want))
+    assert counters["rules"] and all(
+        0 <= fires <= attempts for attempts, fires in
+        counters["rules"].values())
 
 
 ############################################################

@@ -708,7 +708,8 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     # complete memo table get a merged state, and ``run`` finishes 113 of
     # the 256 complete plans; building every chain and candidate anew and
     # finishing every complete plan took 9,069 operator applications and
-    # 8,005 join effects for the same memo
+    # 8,005 join effects for the same memo; preprocess rejects its R2.3
+    # guards locally, so it never costs the chain's root (3 join effects)
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -725,7 +726,7 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
         (2556, 7984)
-    assert calls == {"apply_op": 2643, "join_effect": 453}
+    assert calls == {"apply_op": 2643, "join_effect": 450}
     assert res.counters["finished"] == 113
 
 

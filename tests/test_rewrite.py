@@ -25,10 +25,10 @@ from a3d.algebra import (
     Relation,
     Schema,
     SchemaError,
+    children,
     evaluate,
     output_schema,
     replace_at,
-    subterm_at,
     walk,
 )
 from a3d.functions import ScalarFn
@@ -47,7 +47,7 @@ from a3d.rewrite import (
 from a3d.stats import CostModel, build_table_stats
 from a3d.testkit import make_pattern, pattern_schemas
 
-from gen_utils import default_relation, random_query, random_term
+from gen_utils import default_relation, random_query, random_term, subterm_at
 from naive_interp import naive_eval, rows_equal_bag
 from rule_instances import GENS, _rel_t
 
@@ -315,8 +315,10 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
     for _ in range(attempts):
         assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, sub,
                                    ctx, cm) is None
-    # the root's 3 operators once, and each candidate's 4 per attempt
-    assert len(calls) == 3 + attempts * 4
+    # per attempt, sub's 2 operators with the derive marked and the
+    # candidate's 2 above it; the guard leaves the state as it was, so the
+    # attempt is rejected without costing the root
+    assert len(calls) == attempts * 4
 
 
 def test_r2_3_guard_above_a_derive_is_not_repeated():
@@ -506,9 +508,9 @@ def test_r2_4_conjoins_inner_conjuncts_first():
 # one pass per rule attempt: the guard against its three-pass form
 ############################################################
 
-def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
-    """``guard_cost_improves`` as three passes: find `sub` from the root,
-    infer both schemas from the leaves up, then cost the whole new root."""
+def _plain_apply(rule, root, path, ctx):
+    """``try_apply`` as two passes: find `sub` from the root, then infer
+    both schemas from the leaves up."""
     ctx.bind_root(root)
     sub = subterm_at(root, path)
     new_sub = rule.fn(sub, ctx)
@@ -520,7 +522,15 @@ def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
         raise RewriteError(
             f"{rule.rule_id} changed the schema at {path}: "
             f"{sorted(before.columns)} -> {sorted(after.columns)}")
-    new_root = replace_at(root, path, new_sub)
+    return replace_at(root, path, new_sub)
+
+
+def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
+    """``guard_cost_improves`` as three passes: ``_plain_apply``, then
+    cost the whole new root."""
+    new_root = _plain_apply(rule, root, path, ctx)
+    if new_root is None:
+        return None
     old_cost = cm.term_cost(root).cost
     new_cost = cm.term_cost(new_root).cost
     return new_root if new_cost < old_cost - epsilon else None
@@ -632,3 +642,161 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
     with pytest.raises(RewriteError) as applied:
         try_apply(rule, root, (0,), sub, RuleContext(schemas))
     assert str(applied.value) == str(old.value)
+
+
+############################################################
+# greedy rounds: results held by the round, exact local rejects
+############################################################
+
+def _round(root, schemas, cm, corr, visit):
+    """One greedy bottom-up round over `root` whose step calls
+    ``visit(ctx, root, path, sub)`` at every node and matches nowhere."""
+    ctx = RuleContext(schemas, corr)
+
+    def step(at, path, sub):
+        assert ctx.held(sub) is not None
+        visit(ctx, at, path, sub)
+        return None
+
+    assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx, cm, None,
+                                       bottom_up=True) is root
+    assert ctx.results is None
+
+
+def _assert_round_matches_plain_passes(root, schemas, stats, corr=()):
+    """Every catalog rule at every node of a greedy round, through both
+    ``try_apply`` and ``guard_cost_improves`` reading the round's results:
+    the same outcome as ``_plain_apply`` and ``_three_pass_guard``."""
+    cm, plain_cm = CostModel(stats, schemas), CostModel(stats, schemas)
+    accepted = []
+
+    def visit(ctx, root, path, sub):
+        for rule in CATALOG:
+            fresh = RuleContext(schemas, corr)
+            assert _outcome(try_apply, rule, root, path, sub, ctx) == \
+                _outcome(_plain_apply, rule, root, path, fresh), \
+                (rule.rule_id, path)
+            new = _outcome(guard_cost_improves, rule, root, path, sub, ctx,
+                           cm)
+            assert new == _outcome(_three_pass_guard, rule, root, path,
+                                   fresh, plain_cm), (rule.rule_id, path)
+            if new[0] == "term" and new[1] is not None:
+                accepted.append(rule.rule_id)
+
+    _round(root, schemas, cm, corr, visit)
+    return len(accepted)
+
+
+def test_round_results_match_plain_passes_on_rule_instances():
+    accepted = 0
+    for rule_id in sorted(GENS):
+        inst = GENS[rule_id](random.Random(SEED0))
+        stats = {name: build_table_stats(rel)
+                 for name, rel in inst.db.items()}
+        for with_stats in (False, True):
+            accepted += _assert_round_matches_plain_passes(
+                inst.term, inst.schemas, stats if with_stats else {},
+                inst.correspondences)
+    assert accepted
+
+
+def test_round_results_match_plain_passes_on_random_plans():
+    accepted = 0
+    for seed in range(100):
+        term, schemas, stats = random_query(seed)
+        roots = [term] + [optimize(term, schemas, stats=stats, mode=m).term
+                          for m in ("greedy", "enumerate")]
+        for root in roots:
+            for with_stats in (False, True):
+                accepted += _assert_round_matches_plain_passes(
+                    root, schemas, (stats or {}) if with_stats else {})
+    assert accepted
+
+
+def _guard_case(rule_fn, epsilon=1e-9):
+    """``guard_cost_improves`` of `rule_fn` at the root's child, and how
+    often it called ``term_cost``, under a guarded filter over `r`."""
+    schema = Schema.of(scalars=["k"], arrays=["a"])
+    cm = CostModel({}, {"r": schema})
+    guard = Cmp("!=", Col("a"), Lit(()))
+    sub = Filter(guard, Filter(guard, RelVar("r")))
+    root = Filter(Cmp("<", Col("k"), Lit(50)), sub)
+    rule = Rule("X", "cost", "test rewrite", rule_fn)
+    costed = []
+    real = cm.term_cost
+
+    def counting(*args):
+        costed.append(args)
+        return real(*args)
+
+    cm.term_cost = counting
+    out = guard_cost_improves(rule, root, (0,), sub,
+                              RuleContext({"r": schema}), cm, epsilon)
+    return out, len(costed)
+
+
+def test_equal_state_rewrite_that_ties_is_rejected_locally():
+    # an identity projection adds nothing to the cost and copies the state
+    assert _guard_case(lambda s, ctx: Project(("a", "k"), s)
+                       if isinstance(s.child, Filter) else None) == (None, 0)
+
+
+def test_equal_state_rewrite_cheaper_by_less_than_epsilon_is_costed():
+    # the repeated guard has selectivity 1, so dropping it keeps the state
+    # and saves one scan of the 1,000 default rows: the root is costed, and
+    # the saving decides against an epsilon above it and for one below it
+    def drop_repeat(s, ctx):
+        return s.child if isinstance(s.child, Filter) else None
+    assert _guard_case(drop_repeat, epsilon=1e4) == (None, 2)
+    out, costed = _guard_case(drop_repeat)
+    assert out is not None and costed == 2
+
+
+def _assert_round_holds_a_bounded_window(root, schemas):
+    """At every visit of a greedy round, the results held are at most the
+    visited node, its children and grandchildren, and the root and
+    children of every finished subtree whose parent is still to come;
+    returns the largest number held."""
+    parent = {id(kid): node for _, node in walk(root)
+              for kid in children(node)}
+    visited, sizes = set(), []
+
+    def ids(node, depth):
+        out = {id(node)}
+        if depth:
+            for kid in children(node):
+                out |= ids(kid, depth - 1)
+        return out
+
+    def visit(ctx, at, path, sub):
+        visited.add(id(sub))
+        window = ids(sub, 2)
+        for _, node in walk(root):
+            up = parent.get(id(node))
+            if id(node) in visited and node is not sub and \
+                    (up is None or id(up) not in visited):
+                window |= ids(node, 1)
+        assert set(ctx.results) <= window
+        sizes.append(len(ctx.results))
+
+    _round(root, schemas, CostModel({}, schemas), (), visit)
+    return max(sizes)
+
+
+def test_greedy_round_holds_three_results_on_a_unary_chain():
+    assert _assert_round_holds_a_bounded_window(
+        make_pattern("A", 16), pattern_schemas("A", 16)) == 3
+
+
+def test_greedy_round_holds_a_bounded_window_per_pending_subtree():
+    def chain(name, x, a):
+        return Filter(Cmp("<", Col(x), Lit(3)),
+                      ArrayJoin(((a, f"e{a}"),),
+                                Filter(Cmp(">", Col("k"), Lit(0)),
+                                       RelVar(name))))
+
+    schemas = {"r": Schema.of(scalars=["k", "x"], arrays=["a"]),
+               "s": Schema.of(scalars=["k", "y"], arrays=["b"])}
+    term = Project(("k",), Join(chain("r", "x", "a"), chain("s", "y", "b")))
+    # walking the left chain, the right chain's root and child stay held
+    assert _assert_round_holds_a_bounded_window(term, schemas) == 3 + 2
