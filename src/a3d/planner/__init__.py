@@ -14,6 +14,9 @@ Every stage preserves semantics; `OptimizeResult` carries the final term, its
 modelled cost, per-stage timings and counters: mode-specific ones, and in
 every mode ``counters["rules"]``, rule id -> ``[attempts, fires]`` (see
 ``RuleContext``).
+
+The rewrite stages take ``(term, ctx)``: one ``RuleContext`` per call
+carries the cost model and the trace.  The join search takes the cost model.
 """
 
 import time
@@ -39,7 +42,7 @@ from .postprocess import (
 )
 from .precedence import MalformedQueryError, PrecedenceGraph, build_precedence
 from .preprocess import preprocess
-from .schedule import leq, rank, sequence_cost, sort_key, sort_ops
+from .schedule import leq, sequence_cost, sort_key, sort_ops
 
 __all__ = [
     "DisconnectedJoinGraphError", "Enumerator", "GreedyIterationCapError",
@@ -49,7 +52,7 @@ __all__ = [
     "PrecedenceGraph", "QueryDecomposition", "RankableOp",
     "build_precedence", "collapse_idempotent_reaggregation", "decompose",
     "enumerate_plans", "leq", "optimize", "optimize_greedy",
-    "oracle_enumerate", "postprocess", "preprocess", "rank", "sequence_cost",
+    "oracle_enumerate", "postprocess", "preprocess", "sequence_cost",
     "sort_key", "sort_ops",
 ]
 
@@ -87,19 +90,19 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     schema = output_schema(term, schemas)  # raises SchemaError
 
-    ctx = RuleContext(dict(schemas), correspondences or {})
     cost_model = CostModel(dict(stats or {}), dict(schemas))
-    records: Optional[list] = [] if trace else None
+    ctx = RuleContext(cost_model, correspondences or (),
+                      [] if trace else None)
     timings: dict = {}
     counters: dict = {}
 
     t0 = time.perf_counter()
-    pre = preprocess(term, ctx, cost_model, trace=records)
+    pre = preprocess(term, ctx)
     timings["preprocess"] = (time.perf_counter() - t0) * 1000.0
 
     t1 = time.perf_counter()
     if mode == "greedy":
-        placed = optimize_greedy(pre, ctx, cost_model, trace=records)
+        placed = optimize_greedy(pre, ctx)
     else:
         decomp = decompose(pre, cost_model)
         graph = precedence_for(decomp)
@@ -122,8 +125,7 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
     t2 = time.perf_counter()
     final = placed
     if mode != "oracle":  # the oracle is a baseline: no pre-aggregation
-        final = postprocess(placed, ctx, cost_model, alpha=alpha,
-                            trace=records)
+        final = postprocess(placed, ctx, alpha=alpha)
     timings["postprocess"] = (time.perf_counter() - t2) * 1000.0
 
     counters["rules"] = ctx.rule_counts
@@ -132,4 +134,4 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
         raise SchemaError(f"the plan's output schema {res.schema} differs "
                           f"from the input's {schema}")
     timings["total"] = sum(timings.values())
-    return OptimizeResult(final, res.cost, mode, timings, counters, records)
+    return OptimizeResult(final, res.cost, mode, timings, counters, ctx.trace)

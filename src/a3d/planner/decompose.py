@@ -224,15 +224,15 @@ class _Walk:
             support |= br.support.get(col, frozenset())
         min_rels = br.rels if kind == "aggregate" else (support or br.rels)
 
-        cost, state_after = self.cost_model.op_effect(sub, br.state)
+        mcost, state_after = self.cost_model.op_effect(sub, br.state)
         # Profiles are per input row; a zero-row state (contradictory
         # filters upstream) would make every ratio degenerate, so measure
         # on a copy with rows floored at one.
-        mstate = br.state
+        mstate, mafter = br.state, state_after
         if mstate.rows < 1.0:
             mstate = replace(mstate, rows=1.0,
                              rows_unf=max(mstate.rows_unf, 1.0))
-        mcost, mafter = self.cost_model.op_effect(sub, mstate)
+            mcost, mafter = self.cost_model.op_effect(sub, mstate)
         h_sel = 1.0
         if isinstance(sub, ArrayFilter):
             h_sel = self.cost_model.element_selectivity(

@@ -5,22 +5,21 @@ improvements by construction (pushdowns, element-form conversions,
 inversions) fire whenever they match; reshapes that can cut either way fire
 only when the cost model approves.  The join tree is left as written — this
 mode trades optimality for speed and serves as the baseline the enumerating
-mode is measured against.
+mode is measured against.  The ``RuleContext`` carries the cost model.
 """
 
 from ..algebra import A3DError, Term
 from ..rewrite import (
     CATALOG, RuleContext, guard_cost_improves, rewrite_to_fixpoint, try_apply,
 )
-from ..stats import CostModel
 
 
 class GreedyIterationCapError(A3DError):
     """Greedy rewriting did not reach a fixpoint within the step cap."""
 
 
-def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
-                    max_steps: int = 10_000, trace=None) -> Term:
+def optimize_greedy(term: Term, ctx: RuleContext,
+                    max_steps: int = 10_000) -> Term:
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
     seen = {repr(term)}
 
@@ -29,8 +28,7 @@ def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
             if rule.kind == "rule":
                 new = try_apply(rule, root, path, sub, ctx)
             else:
-                new = guard_cost_improves(rule, root, path, sub, ctx,
-                                          cost_model)
+                new = guard_cost_improves(rule, root, path, sub, ctx)
             if new is None:
                 continue
             key = repr(new)
@@ -40,6 +38,6 @@ def optimize_greedy(term: Term, ctx: RuleContext, cost_model: CostModel,
             return rule.rule_id, new
         return None
 
-    return rewrite_to_fixpoint(term, step, "greedy", ctx, cost_model, trace,
-                               bottom_up=True, cap=max_steps,
+    return rewrite_to_fixpoint(term, step, "greedy", ctx, bottom_up=True,
+                               cap=max_steps,
                                cap_error=GreedyIterationCapError)

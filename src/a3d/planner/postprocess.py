@@ -16,7 +16,7 @@ target set (R2.4); the fused filter is never costlier, so it needs no guard.
 
 A run is bounded by ``cap`` successful applications; exceeding it raises
 :class:`PostprocessCapError` so a cycling guard surfaces as a diagnostic
-instead of a hang.
+instead of a hang.  The ``RuleContext`` carries the cost model and the trace.
 """
 
 from ..algebra import (
@@ -40,9 +40,9 @@ class PostprocessCapError(A3DError):
 
 
 def _condenses(agg: Aggregate, cost_model: CostModel, alpha: float) -> bool:
-    groups = cost_model.term_cost(agg).state.rows
-    rows_in = cost_model.term_cost(agg.child).state.rows
-    return groups < alpha * rows_in
+    known = {id(agg.child): None}  # one fold yields both row counts
+    groups = cost_model.fold(agg, known)[1].rows
+    return groups < alpha * known[id(agg.child)][1].rows
 
 
 def collapse_idempotent_reaggregation(term: Term) -> Term:
@@ -71,23 +71,23 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
     return Aggregate(outer.keys, tuple(fused), inner.child)
 
 
-def postprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
-                alpha: float = 1.0, cap: int = 32, trace=None) -> Term:
+def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
+                cap: int = 32) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
     def step(root, path, sub):
         if isinstance(sub, ArrayFilter):
             new = try_apply(RULES_BY_ID["R2.4"], root, path, sub, ctx)
             return None if new is None else ("R2.4", new)
         if not isinstance(sub, Aggregate) or \
-                not _condenses(sub, cost_model, alpha):
+                not _condenses(sub, ctx.cost_model, alpha):
             return None
         for rule_id in PRE_AGG_RULES:
             new = guard_cost_improves(RULES_BY_ID[rule_id], root, path, sub,
-                                      ctx, cost_model)
+                                      ctx)
             if new is not None:
                 return rule_id, new
         return None
 
-    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, cost_model,
-                               trace, cap=cap, cap_error=PostprocessCapError)
+    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, cap=cap,
+                               cap_error=PostprocessCapError)
     return collapse_idempotent_reaggregation(term)

@@ -18,6 +18,9 @@ Five sub-passes, each semantics-preserving:
 4. emptiness guards    -- a filter dropping empty arrays is inserted under an
    arrayJoin when the cost model says it pays.
 5. dead derive removal -- derives whose output nothing consumes are dropped.
+
+Sub-passes take ``(term, ctx)``; the ``RuleContext`` carries the cost model
+that guards step 4 and the trace.
 """
 
 from ..algebra import (
@@ -29,7 +32,6 @@ from ..rewrite import (
     RULES_BY_ID, RuleContext, _swap, guard_cost_improves,
     rewrite_to_fixpoint, trace_record, try_apply,
 )
-from ..stats import CostModel
 
 
 ############################################################
@@ -78,16 +80,14 @@ def _hoist_once(term: Term, ctx: RuleContext):
     return None
 
 
-def pull_projections_up(term: Term, ctx: RuleContext, trace=None,
-                        cost_model=None) -> Term:
+def pull_projections_up(term: Term, ctx: RuleContext) -> Term:
     def step(root, path, sub):
         lifted = _hoist_once(sub, ctx)
         if lifted is None:
             return None
         return "project-pull", replace_at(root, path, lifted)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
-                               trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
 
 
 ############################################################
@@ -121,8 +121,7 @@ def _commute_filter_past_array_filter(sub: Term):
     return None
 
 
-def descend_filters(term: Term, ctx: RuleContext, trace=None,
-                    cost_model=None) -> Term:
+def descend_filters(term: Term, ctx: RuleContext) -> Term:
     """Push filters toward arrayJoins; convert to arrayFilter on contact,
     and fuse the arrayFilters so stacked over one target set (R2.4)."""
     def step(root, path, sub):
@@ -140,26 +139,23 @@ def descend_filters(term: Term, ctx: RuleContext, trace=None,
             return None
         return "filter-past-arrayFilter", replace_at(root, path, swapped)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
-                               trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
 
 
 ############################################################
 # 4. emptiness guards before unnesting
 ############################################################
 
-def insert_empty_guards(term: Term, ctx: RuleContext,
-                        cost_model: CostModel, trace=None) -> Term:
+def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
     rule = RULES_BY_ID["R2.3"]
 
     def step(root, path, sub):
         if not isinstance(sub, ArrayJoin):
             return None
-        new = guard_cost_improves(rule, root, path, sub, ctx, cost_model)
+        new = guard_cost_improves(rule, root, path, sub, ctx)
         return None if new is None else ("R2.3", new)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx, cost_model,
-                               trace)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
 
 
 ############################################################
@@ -197,17 +193,15 @@ def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
 # the stage
 ############################################################
 
-def preprocess(term: Term, ctx: RuleContext, cost_model: CostModel,
-               trace=None) -> Term:
+def preprocess(term: Term, ctx: RuleContext) -> Term:
     """Normalize `term` for decomposition; semantics are preserved."""
-    term = pull_projections_up(term, ctx, trace, cost_model)
+    term = pull_projections_up(term, ctx)
     term = split_filter_conjuncts(term)
-    term = descend_filters(term, ctx, trace, cost_model)
+    term = descend_filters(term, ctx)
     # inversions re-project
-    term = pull_projections_up(term, ctx, trace, cost_model)
-    term = insert_empty_guards(term, ctx, cost_model, trace)
+    term = pull_projections_up(term, ctx)
+    term = insert_empty_guards(term, ctx)
     pruned = drop_dead_derives(term, ctx)
     if pruned != term:
-        trace_record(trace, "preprocess", "dead-derive", (), cost_model,
-                     term, pruned)
+        trace_record(ctx, "preprocess", "dead-derive", (), term, pruned)
     return pruned

@@ -38,12 +38,6 @@ def hrank(op: RankableOp) -> float:
     return 0.0
 
 
-def rank(op: RankableOp) -> float:
-    """The composite rank: row selectivity for row-level operators,
-    element selectivity for array-level ones."""
-    return vrank(op) if tier(op) == 0 else hrank(op)
-
-
 def sort_key(op: RankableOp) -> tuple:
     return (-vrank(op), tier(op), -hrank(op), op.idx)
 

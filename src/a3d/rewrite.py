@@ -37,8 +37,9 @@ the rewrite's result injected.  In a bottom-up round
 its grandparent has been visited (``RuleContext.results``), so `sub` and a
 frontier up to two levels down are read, not folded.  No result outlives
 its round.
-``RuleContext.rule_counts`` counts each rule's attempts and the rewrites
-``rewrite_to_fixpoint`` kept.
+One ``RuleContext`` per ``optimize`` call carries the cost model, the trace
+and ``rule_counts``: each rule's attempts and the rewrites
+``rewrite_to_fixpoint`` kept.  The engine and every stage take it whole.
 
 Naming: R<n> identifiers are stable API surface; sub-variants share a family
 number.  Fresh internal columns use the ``__idx_<k>`` / ``__inv_<k>`` /
@@ -104,7 +105,9 @@ class Rule:
 
 
 class RuleContext:
-    """Schemas, declared correspondences, a gensym pool for one term, and
+    """The context of one ``optimize`` call: the cost model, whose catalog
+    is ``schemas``, declared correspondences, the trace (the records list
+    ``trace_record`` appends to, or None), a gensym pool for one term, and
     per-rule counters.
 
     The pool is lazy: ``bind_root`` only records the root, and the set of
@@ -123,16 +126,16 @@ class RuleContext:
     read from it.
     """
 
-    def __init__(self, schemas: Mapping[str, Schema], correspondences=(),
-                 root: Optional[Term] = None):
-        self.schemas = dict(schemas)
+    def __init__(self, cost_model, correspondences=(),
+                 trace: Optional[list] = None):
+        self.cost_model = cost_model
+        self.schemas: Mapping[str, Schema] = cost_model.schemas
         self.correspondences = [frozenset(g) for g in correspondences]
+        self.trace = trace
         self.rule_counts: dict = {}
         self.results: Optional[dict] = None
         self._root: Optional[Term] = None
         self._used: Optional[set] = set()
-        if root is not None:
-            self.bind_root(root)
 
     def bind_root(self, root: Term) -> "RuleContext":
         self._root = root
@@ -977,10 +980,10 @@ def applicable(root: Term, ctx: RuleContext, kinds=("rule", "cost")
 
 
 def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
-                        ctx: RuleContext, cost_model,
-                        epsilon: float = 1e-9) -> Optional[Term]:
+                        ctx: RuleContext, epsilon: float = 1e-9
+                        ) -> Optional[Term]:
     """Apply a cost-based rule to `sub`, the subterm of `root` at `path`,
-    only when it strictly lowers ``term_cost``.
+    only when it strictly lowers ``term_cost`` under ``ctx.cost_model``.
 
     `sub` is folded once with the rewrite's frontier marked, and the
     rewrite once with the frontier's results injected (``CostModel.fold``);
@@ -1001,6 +1004,7 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
+    cost_model = ctx.cost_model
     known = _shared(sub, new_sub, ctx)
     old = ctx.held(sub)
     if old is None:
@@ -1021,34 +1025,32 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
 # fixpoint driver
 ############################################################
 
-def trace_record(trace: Optional[list], stage: str, rule_id: str, path,
-                 cost_model, before: Term, after: Term) -> None:
-    """Append one rewrite to `trace`, when tracing: stage, rule, path and,
-    with a cost model, the estimated cost of the root before and after."""
-    if trace is None:
+def trace_record(ctx: RuleContext, stage: str, rule_id: str, path,
+                 before: Term, after: Term) -> None:
+    """Append one rewrite to ``ctx.trace``, when tracing: stage, rule, path
+    and the estimated cost of the root before and after."""
+    if ctx.trace is None:
         return
-    rec = {"stage": stage, "rule": rule_id, "path": list(path)}
-    if cost_model is not None:
-        rec["before_cost"] = cost_model.term_cost(before).cost
-        rec["after_cost"] = cost_model.term_cost(after).cost
-    trace.append(rec)
+    ctx.trace.append({"stage": stage, "rule": rule_id, "path": list(path),
+                      "before_cost": ctx.cost_model.term_cost(before).cost,
+                      "after_cost": ctx.cost_model.term_cost(after).cost})
 
 
 def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
-                        ctx: RuleContext, cost_model, trace: Optional[list],
-                        bottom_up: bool = False, cap: Optional[int] = None,
+                        ctx: RuleContext, bottom_up: bool = False,
+                        cap: Optional[int] = None,
                         cap_error: Optional[type] = None) -> Term:
     """Rewrite `term` until `step` matches nowhere.
 
     Each round visits the root's nodes in preorder (children before their
     parents with `bottom_up`) and calls ``step(root, path, sub)``, which
     returns ``(rule_id, new_root)`` or None.  The first hit is traced under
-    `stage`, counted as a fire of a catalog rule in ``ctx.rule_counts``,
-    becomes the root, and the next round starts from it.  With `cap`,
-    rewrite number ``cap + 1`` raises `cap_error` instead.
+    `stage` (``trace_record``), counted as a fire of a catalog rule in
+    ``ctx.rule_counts``, becomes the root, and the next round starts from
+    it.  With `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
 
-    A bottom-up round with a cost model folds each node it visits from its
-    children's results before calling `step`, into ``ctx.results``.  A
+    A bottom-up round folds each node it visits from its children's results
+    (``ctx.cost_model``) before calling `step`, into ``ctx.results``.  A
     node's result is kept only until its grandparent has been visited: a
     pairwise rewrite at `sub` keeps nodes at most two levels down, so `sub`
     and such a frontier are always held, and a deeper frontier is folded
@@ -1058,7 +1060,8 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     root.  A top-down round visits parents first, so it has nothing to
     fold from and holds no results.
     """
-    results = {} if bottom_up and cost_model is not None else None
+    cost_model = ctx.cost_model
+    results = {} if bottom_up else None
     ctx.results = results
     rewrites = 0
     try:
@@ -1089,7 +1092,7 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1
-            trace_record(trace, stage, rule_id, path, cost_model, term, new)
+            trace_record(ctx, stage, rule_id, path, term, new)
             term = new
     finally:
         ctx.results = None

@@ -35,7 +35,7 @@ from typing import Mapping, Optional
 
 from .algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, node_schema,
+    Project, RelVar, Schema, Term, children, node_schema, walk,
 )
 from .functions import ScalarFn
 from .predicates import And, Apply, Cmp, Col, Lit, Not, Or
@@ -363,22 +363,23 @@ def to_dot(term: Term, cost_model=None) -> str:
     """Graphviz rendering: one node per operator, edges child -> parent.
 
     With a cost model, each node is annotated with the modelled output rows
-    and cumulative cost of its subtree.
+    and cumulative cost of its subtree, all read from one fold.
     """
     lines = ["digraph plan {", "  node [shape=box, fontname=\"monospace\"];"]
     counter = [0]
+    known = {id(node): None for _, node in walk(term)}
+    if cost_model is not None:
+        cost_model.fold(term, known)
 
     def visit(t: Term) -> str:
-        from .algebra import children
-
         kid_ids = [visit(k) for k in children(t)]
         nid = f"n{counter[0]}"
         counter[0] += 1
         label = _dot_label(t)
         if cost_model is not None:
-            res = cost_model.term_cost(t)
-            label += f"\\nrows\u2248{res.state.rows:.0f} " \
-                     f"cost\u2248{res.cost:.0f}"
+            cost, state, _ = known[id(t)]
+            label += f"\\nrows\u2248{state.rows:.0f} " \
+                     f"cost\u2248{cost:.0f}"
         escaped = label.replace("\"", "\\\"")
         lines.append(f"  {nid} [label=\"{escaped}\"];")
         for kid in kid_ids:

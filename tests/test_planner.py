@@ -111,7 +111,7 @@ def two_rel_model(rows_l=1000, rows_r=10, ndv_k=10):
 
 
 def ctx_for(cm):
-    return RuleContext(dict(cm.schemas), ())
+    return RuleContext(cm)
 
 
 def lt(col, c):
@@ -198,7 +198,7 @@ def test_kept_inner_projection_is_an_opaque_leaf():
     inner = Project(("a", "k"), RelVar("L"))
     term = Filter(lt("b", 3), Filter(lt("a", 2), Join(inner, RelVar("R"))))
     cm = CostModel({}, schemas)
-    d = decompose(preprocess(term, RuleContext(schemas, ()), cm), cm)
+    d = decompose(preprocess(term, RuleContext(cm)), cm)
     assert [t for name, t in d.leaves if name.startswith("~")] == [inner]
     want = list(evaluate(term, db).rows)
     assert want
@@ -477,7 +477,7 @@ def test_memo_single_leaf_tables_hold_only_base_entries():
     cm = two_rel_model()
     term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
     ctx = ctx_for(cm)
-    pre = preprocess(term, ctx, cm)
+    pre = preprocess(term, ctx)
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
@@ -519,7 +519,7 @@ def test_oracle_rejects_oversized_queries():
     for k, col in enumerate(["u0", "u1", "u2"] * 3):
         term = Filter(lt(col, 5 + k), term)
     ctx = ctx_for(cm)
-    pre = preprocess(term, ctx, cm)
+    pre = preprocess(term, ctx)
     d = decompose(pre, cm)
     assert len(d.ops) == 9
     with pytest.raises(OracleLimitError):
@@ -549,8 +549,8 @@ def test_ops_readable_on_both_join_sides_still_optimal():
     term = Derive("v3", ScalarFn.of("neg"), ("v2",), term)
     term = Filter(lt("s0", 30), term)
     cm = CostModel({}, srcs)
-    ctx = RuleContext(srcs, ())
-    pre = preprocess(term, ctx, cm)
+    ctx = RuleContext(cm)
+    pre = preprocess(term, ctx)
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
@@ -581,8 +581,8 @@ def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
     stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
         if with_stats else {}
     cm = CostModel(stats, schemas)
-    ctx = RuleContext(schemas, ())
-    pre = preprocess(term, ctx, cm)
+    ctx = RuleContext(cm)
+    pre = preprocess(term, ctx)
     d = decompose(pre, cm)
     graph = precedence_for(d)
     order = sort_ops(d.ops, graph)
@@ -626,7 +626,7 @@ class _EagerEnumerator(_RecordingEnumerator):
 def _enumerator(term, schemas, stats=None, cls=Enumerator):
     """An unrun `cls` over `term` after preprocess and decompose."""
     cm = CostModel(dict(stats or {}), dict(schemas))
-    pre = preprocess(term, RuleContext(dict(schemas), ()), cm)
+    pre = preprocess(term, RuleContext(cm))
     d = decompose(pre, cm)
     graph = precedence_for(d)
     return cls(d, graph, sort_ops(d.ops, graph), cm)
@@ -895,7 +895,7 @@ def test_operator_and_join_costs_are_never_negative_or_nan(monkeypatch,
 def test_conjunction_splits_into_stacked_filters():
     cm = one_rel_model()
     term = Filter(And((lt("u0", 10), lt("u1", 50))), RelVar("R"))
-    pre = preprocess(term, ctx_for(cm), cm)
+    pre = preprocess(term, ctx_for(cm))
     assert isinstance(pre, Filter) and isinstance(pre.child, Filter)
     assert not isinstance(pre.child.child, Filter)
 
@@ -903,7 +903,7 @@ def test_conjunction_splits_into_stacked_filters():
 def test_alias_filter_becomes_element_filter():
     cm = one_rel_model()
     term = Filter(lt("e", 5), ArrayJoin((("a", "e"),), RelVar("R")))
-    pre = preprocess(term, ctx_for(cm), cm)
+    pre = preprocess(term, ctx_for(cm))
     assert isinstance(pre, ArrayJoin)
     assert isinstance(pre.child, ArrayFilter)
 
@@ -911,7 +911,7 @@ def test_alias_filter_becomes_element_filter():
 def test_mid_tree_projections_are_hoisted():
     cm = one_rel_model()
     term = Filter(lt("u0", 10), Project(("u0", "u1"), RelVar("R")))
-    pre = preprocess(term, ctx_for(cm), cm)
+    pre = preprocess(term, ctx_for(cm))
     assert isinstance(pre, Project)
     assert not any(isinstance(s, Project) for _, s in walk(pre.child))
 
@@ -919,12 +919,12 @@ def test_mid_tree_projections_are_hoisted():
 def test_empty_guard_inserted_only_when_profitable():
     favorable = one_rel_model(avg_len=4.0, ef=0.6)
     term = ArrayJoin((("a", "e"),), RelVar("R"))
-    pre = preprocess(term, ctx_for(favorable), favorable)
+    pre = preprocess(term, ctx_for(favorable))
     assert isinstance(pre, ArrayJoin) and isinstance(pre.child, Filter)
     assert pre.child.pred == Cmp("!=", Col("a"), Lit(()))
 
     never_empty = one_rel_model(avg_len=4.0, ef=0.0)
-    pre2 = preprocess(term, ctx_for(never_empty), never_empty)
+    pre2 = preprocess(term, ctx_for(never_empty))
     assert pre2 == term
 
 
@@ -932,7 +932,7 @@ def test_unused_derive_is_dropped():
     cm = one_rel_model()
     term = Project(("u0",), Derive("y", ScalarFn.of("neg"), ("u1",),
                                    RelVar("R")))
-    pre = preprocess(term, ctx_for(cm), cm)
+    pre = preprocess(term, ctx_for(cm))
     assert not any(isinstance(s, Derive) for _, s in walk(pre))
 
 
@@ -941,7 +941,7 @@ def test_pattern_b_conjuncts_fuse_into_one_element_filter(n):
     # R2.2 turns each conjunct into its own arrayFilter over all n arrays;
     # R2.4 fuses them as they stack, inner (last) conjunct first
     cm = CostModel({}, pattern_schemas("B", n))
-    pre = preprocess(make_pattern("B", n), ctx_for(cm), cm)
+    pre = preprocess(make_pattern("B", n), ctx_for(cm))
     phis = [s for _, s in walk(pre) if isinstance(s, ArrayFilter)]
     assert len(phis) == 1
     assert split_conjuncts(phis[0].pred) == \
@@ -958,7 +958,7 @@ def test_preprocess_preserves_evaluation(seed):
     schemas = {tr.name: tr.schema for tr in rels}
     db = {tr.name: tr.relation for tr in rels}
     cm = CostModel({}, schemas)
-    pre = preprocess(term, RuleContext(schemas, ()), cm)
+    pre = preprocess(term, RuleContext(cm))
     assert rows_equal_bag(naive_eval(term, db), list(evaluate(pre, db).rows))
 
 
@@ -975,7 +975,7 @@ def _preagg_query():
 
 def test_preaggregation_pushes_partial_below_join():
     cm, term = _preagg_query()
-    out = postprocess(term, ctx_for(cm), cm)
+    out = postprocess(term, ctx_for(cm))
     assert out != term
     join = next(s for _, s in walk(out) if isinstance(s, Join))
     assert any(isinstance(s, Aggregate) for _, s in walk(join))
@@ -990,26 +990,26 @@ def test_preaggregation_preserves_results():
     rrows = [{"k": k, "y": rng.randrange(100)} for k in range(10)]
     db = {"L": Relation.build(cm.schemas["L"], lrows),
           "R": Relation.build(cm.schemas["R"], rrows)}
-    out = postprocess(term, ctx_for(cm), cm)
+    out = postprocess(term, ctx_for(cm))
     assert rows_equal_bag(naive_eval(term, db), list(evaluate(out, db).rows))
 
 
 def test_tiny_alpha_blocks_preaggregation():
     cm, term = _preagg_query()
-    assert postprocess(term, ctx_for(cm), cm, alpha=1e-12) == term
+    assert postprocess(term, ctx_for(cm), alpha=1e-12) == term
 
 
 def test_postprocess_cap_raises():
     cm, term = _preagg_query()
     with pytest.raises(PostprocessCapError):
-        postprocess(term, ctx_for(cm), cm, cap=0)
+        postprocess(term, ctx_for(cm), cap=0)
 
 
 def test_postprocess_fuses_stacked_array_filters():
     cm = one_rel_model(arrays=("a", "b"))
     inner = ArrayFilter((("a", "ea"), ("b", "eb")), lt("ea", 5), RelVar("R"))
     term = ArrayFilter((("ea", "ea"), ("eb", "eb")), lt("eb", 9), inner)
-    out = postprocess(term, ctx_for(cm), cm)
+    out = postprocess(term, ctx_for(cm))
     assert out == ArrayFilter((("a", "ea"), ("b", "eb")),
                               And((lt("ea", 5), lt("eb", 9))), RelVar("R"))
     assert cm.term_cost(out).cost < cm.term_cost(term).cost
@@ -1050,7 +1050,7 @@ def test_collapse_reaggregation_fuses_identity_pairs():
 def test_greedy_pushes_filter_below_join():
     cm = two_rel_model()
     term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
-    out = optimize_greedy(term, ctx_for(cm), cm)
+    out = optimize_greedy(term, ctx_for(cm))
     assert isinstance(out, Join)
     assert any(isinstance(s, Filter) for _, s in walk(out.left))
     assert cm.term_cost(out).cost < cm.term_cost(term).cost
@@ -1060,7 +1060,7 @@ def test_greedy_step_cap_raises():
     cm = two_rel_model()
     term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
     with pytest.raises(GreedyIterationCapError):
-        optimize_greedy(term, ctx_for(cm), cm, max_steps=0)
+        optimize_greedy(term, ctx_for(cm), max_steps=0)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1072,7 +1072,7 @@ def test_greedy_never_worsens_cost(seed):
     term = random_term(rng, rels, n_ops=rng.randint(1, 4))
     schemas = {tr.name: tr.schema for tr in rels}
     cm = CostModel({}, schemas)
-    out = optimize_greedy(term, RuleContext(schemas, ()), cm)
+    out = optimize_greedy(term, RuleContext(cm))
     assert cm.term_cost(out).cost <= cm.term_cost(term).cost + 1e-9
 
 
@@ -1184,7 +1184,7 @@ def test_optimize_rejects_a_plan_that_changes_the_output_schema(
     cm = two_rel_model()
     term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
 
-    def lossy_placement(pre, ctx, cost_model, trace=None):
+    def lossy_placement(pre, ctx):
         return Project(("k", "x"), pre)  # loses the output column y
 
     monkeypatch.setattr(planner, "optimize_greedy", lossy_placement)

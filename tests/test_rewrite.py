@@ -62,7 +62,7 @@ def _stable(rule_id):
 
 
 def _ctx(inst):
-    return RuleContext(inst.schemas, inst.correspondences)
+    return RuleContext(CostModel({}, inst.schemas), inst.correspondences)
 
 
 def _apply(rule_id, inst):
@@ -154,7 +154,7 @@ def test_footprint_rules_preserve_results_on_random_plans():
             if seed % 2 else None
         roots = [term] + [optimize(term, schemas, stats=stats, mode=m).term
                           for m in ("greedy", "enumerate")]
-        ctx = RuleContext(schemas)
+        ctx = RuleContext(CostModel({}, schemas))
         for root in roots:
             want = evaluate(root, db)
             for path, sub in walk(root):
@@ -197,7 +197,7 @@ def test_schema_breaking_rule_is_rejected():
                lambda sub, ctx: Project(("k",), sub)
                if isinstance(sub, RelVar) else None)
     t = _rel_t(random.Random(SEED0), nmin=1)
-    ctx = RuleContext({"t": t.schema})
+    ctx = RuleContext(CostModel({}, {"t": t.schema}))
     with pytest.raises(RewriteError):
         try_apply(bad, RelVar("t"), (), RelVar("t"), ctx)
 
@@ -205,7 +205,7 @@ def test_schema_breaking_rule_is_rejected():
 def test_noop_rewrite_counts_as_no_match():
     ident = Rule("X1", "rule", "identity", lambda sub, ctx: sub)
     t = _rel_t(random.Random(SEED0), nmin=1)
-    ctx = RuleContext({"t": t.schema})
+    ctx = RuleContext(CostModel({}, {"t": t.schema}))
     assert try_apply(ident, RelVar("t"), (), RelVar("t"), ctx) is None
 
 
@@ -217,7 +217,7 @@ def test_fresh_names_never_capture_existing_columns():
     orel = Relation.build(other, [{"k": 1, "z": 2}])
     term = Aggregate(("z",), (AggSpec("sum", "__p0", "tot"),),
                      Join(RelVar("r"), RelVar("o")))
-    ctx = RuleContext({"r": schema, "o": other})
+    ctx = RuleContext(CostModel({}, {"r": schema, "o": other}))
     new_root = try_apply(RULES_BY_ID["R21"], term, (), term, ctx)
     assert new_root is not None
     introduced = set()
@@ -245,7 +245,7 @@ def _count_collect_names(monkeypatch):
 def test_fresh_collects_names_once_per_bind(monkeypatch):
     calls = _count_collect_names(monkeypatch)
     schema = Schema.of(scalars=["k", "__p0"], arrays=[])
-    ctx = RuleContext({"r": schema}, root=RelVar("r"))
+    ctx = RuleContext(CostModel({}, {"r": schema})).bind_root(RelVar("r"))
     assert calls == []
     assert ctx.fresh("__p") == "__p1"
     assert ctx.fresh("__p") == "__p2"
@@ -256,7 +256,7 @@ def test_fresh_collects_names_once_per_bind(monkeypatch):
     assert ctx.fresh("__p") == "__p1"
     assert len(calls) == 2
     # with no root bound, no name is in use
-    assert RuleContext({"r": schema}).fresh("__p") == "__p0"
+    assert RuleContext(CostModel({}, {"r": schema})).fresh("__p") == "__p0"
     assert len(calls) == 2
 
 
@@ -285,9 +285,8 @@ def test_r2_3_guard_prunes_only_when_emptiness_pays():
     for rows, expect in ((mostly_empty, True), (never_empty, False)):
         rel = Relation.build(schema, rows)
         cm = CostModel({"r": build_table_stats(rel)}, {"r": schema})
-        ctx = RuleContext({"r": schema})
-        out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx,
-                                  cm)
+        ctx = RuleContext(cm)
+        out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx)
         assert (out is not None) == expect
 
 
@@ -310,11 +309,11 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
         return real(node, state)
 
     monkeypatch.setattr(cm, "op_effect", counting)
-    ctx = RuleContext({"r": schema})
+    ctx = RuleContext(cm)
     attempts = 5
     for _ in range(attempts):
         assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, sub,
-                                   ctx, cm) is None
+                                   ctx) is None
     # per attempt, sub's 2 operators with the derive marked and the
     # candidate's 2 above it; the guard leaves the state as it was, so the
     # attempt is rejected without costing the root
@@ -334,10 +333,10 @@ def test_r2_3_guard_above_a_derive_is_not_repeated():
     term = ArrayJoin((("a", "ea"),),
                      Derive("y", ScalarFn.of("neg"), ("k",),
                             Filter(guard, RelVar("r"))))
-    ctx = RuleContext({"r": schema})
+    ctx = RuleContext(cm)
     assert try_apply(RULES_BY_ID["R2.3"], term, (), term, ctx) is not None
-    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx,
-                               cm) is None
+    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term,
+                               ctx) is None
 
 
 def test_r2_3_does_not_stack_guards():
@@ -370,7 +369,7 @@ def test_r11_2_rewinds_the_documented_example():
                is_map=True))
     t = _rel_t(random.Random(SEED0), nmin=1)
     new_root = try_apply(RULES_BY_ID["R11.2"], term, (), term,
-                         RuleContext({"t": t.schema}))
+                         RuleContext(CostModel({}, {"t": t.schema})))
     assert new_root is not None
     inner_filters = [n for _, n in walk(new_root) if isinstance(n, ArrayFilter)]
     assert len(inner_filters) == 1
@@ -431,7 +430,7 @@ def test_r13_2_refuses_non_invertible_fn():
                   Derive("y", ScalarFn.of("abs"), ("x",), RelVar("t")))
     t = _rel_t(random.Random(SEED0), nmin=1)
     assert try_apply(RULES_BY_ID["R13.2"], term, (), term,
-                     RuleContext({"t": t.schema})) is None
+                     RuleContext(CostModel({}, {"t": t.schema}))) is None
 
 
 def test_r10_3_refuses_corresponding_targets():
@@ -446,7 +445,7 @@ def test_r10_3_refuses_corresponding_targets():
     ctx = _ctx(inst)      # declares ("a", "b", "d") corresponding
     assert try_apply(RULES_BY_ID["R10.3"], term, (), term, ctx) is None
     # the same shape splits once the correspondence is withdrawn
-    free = RuleContext(inst.schemas, [])
+    free = RuleContext(CostModel({}, inst.schemas), [])
     assert try_apply(RULES_BY_ID["R10.3"], term, (), term, free) is not None
 
 
@@ -456,7 +455,7 @@ def test_r2_4_keeps_the_schema_of_every_valid_stack():
     # arrayFilter (its alias shadows a surviving column), so on every valid
     # stack the fused filter has the stack's schema: try_apply never raises.
     schemas = {"t": Schema.of(scalars=("k", "x"), arrays=("a", "b", "c"))}
-    ctx = RuleContext(schemas)
+    ctx = RuleContext(CostModel({}, schemas))
     rule = RULES_BY_ID["R2.4"]
     names = ("a", "b", "c", "k", "fa", "fb")
     fused = shadowing = 0
@@ -552,9 +551,9 @@ def _assert_guard_matches_three_passes(root, schemas, stats, corr=()):
     for path, sub in walk(root):
         for rule in CATALOG:
             old = _outcome(_three_pass_guard, rule, root, path,
-                           RuleContext(schemas, corr), old_cm)
+                           RuleContext(old_cm, corr), old_cm)
             new = _outcome(guard_cost_improves, rule, root, path, sub,
-                           RuleContext(schemas, corr), new_cm)
+                           RuleContext(new_cm, corr))
             assert new == old, (rule.rule_id, path)
             if new[0] == "term" and new[1] is not None:
                 accepted += 1
@@ -634,13 +633,13 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
                 lambda s, ctx: SCHEMA_CHANGES[shape](s, base)
                 if s is sub else None)
     with pytest.raises(RewriteError) as old:
-        _three_pass_guard(rule, root, (0,), RuleContext(schemas), cm)
+        _three_pass_guard(rule, root, (0,), RuleContext(cm), cm)
     assert str(old.value).startswith("X2 changed the schema at (0,): ")
     with pytest.raises(RewriteError) as new:
-        guard_cost_improves(rule, root, (0,), sub, RuleContext(schemas), cm)
+        guard_cost_improves(rule, root, (0,), sub, RuleContext(cm))
     assert str(new.value) == str(old.value)
     with pytest.raises(RewriteError) as applied:
-        try_apply(rule, root, (0,), sub, RuleContext(schemas))
+        try_apply(rule, root, (0,), sub, RuleContext(cm))
     assert str(applied.value) == str(old.value)
 
 
@@ -651,14 +650,14 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
 def _round(root, schemas, cm, corr, visit):
     """One greedy bottom-up round over `root` whose step calls
     ``visit(ctx, root, path, sub)`` at every node and matches nowhere."""
-    ctx = RuleContext(schemas, corr)
+    ctx = RuleContext(cm, corr)
 
     def step(at, path, sub):
         assert ctx.held(sub) is not None
         visit(ctx, at, path, sub)
         return None
 
-    assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx, cm, None,
+    assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx,
                                        bottom_up=True) is root
     assert ctx.results is None
 
@@ -672,12 +671,11 @@ def _assert_round_matches_plain_passes(root, schemas, stats, corr=()):
 
     def visit(ctx, root, path, sub):
         for rule in CATALOG:
-            fresh = RuleContext(schemas, corr)
+            fresh = RuleContext(plain_cm, corr)
             assert _outcome(try_apply, rule, root, path, sub, ctx) == \
                 _outcome(_plain_apply, rule, root, path, fresh), \
                 (rule.rule_id, path)
-            new = _outcome(guard_cost_improves, rule, root, path, sub, ctx,
-                           cm)
+            new = _outcome(guard_cost_improves, rule, root, path, sub, ctx)
             assert new == _outcome(_three_pass_guard, rule, root, path,
                                    fresh, plain_cm), (rule.rule_id, path)
             if new[0] == "term" and new[1] is not None:
@@ -730,8 +728,7 @@ def _guard_case(rule_fn, epsilon=1e-9):
         return real(*args)
 
     cm.term_cost = counting
-    out = guard_cost_improves(rule, root, (0,), sub,
-                              RuleContext({"r": schema}), cm, epsilon)
+    out = guard_cost_improves(rule, root, (0,), sub, RuleContext(cm), epsilon)
     return out, len(costed)
 
 

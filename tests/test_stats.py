@@ -17,6 +17,7 @@ from a3d.algebra import (
     Schema,
 )
 from a3d.functions import ScalarFn
+from a3d.planner import MODES, OracleLimitError, optimize
 from a3d.predicates import And, Apply, Cmp, Col, Lit, Not, Or
 from a3d.stats import (
     ArrayInfo,
@@ -32,6 +33,8 @@ from a3d.stats import (
     build_table_stats,
     pred_selectivity,
 )
+
+from gen_utils import inner_query, random_query
 
 
 ############################################################
@@ -341,3 +344,36 @@ def test_fold_derive_costs_array_length():
     res = cm.term_cost(Derive("s", ScalarFn.of("arraySum"), ("a",), RelVar("R")))
     assert res.cost == pytest.approx(100 + 4.0 * 100)
     assert "s" in res.state.scalar_stats and "s" not in res.state.array_info
+
+
+############################################################
+# plan state and schema agree
+############################################################
+
+@pytest.mark.parametrize("corpus", ["random", "inner"])
+def test_fold_state_keys_are_the_schema_columns(corpus, monkeypatch):
+    # at every node CostModel.fold visits while planning the corpus in
+    # every mode, the state tracks exactly the schema's scalars and arrays
+    gen, seeds = {"random": (random_query, range(1200)),
+                  "inner": (inner_query, range(6000, 7000))}[corpus]
+    real = CostModel.fold
+    folds, mismatched = [0], []
+
+    def checking(self, term, known):
+        res = real(self, term, known)
+        _, state, schema = res
+        folds[0] += 1
+        if set(state.scalar_stats) != schema.scalars or \
+                set(state.array_info) != schema.arrays:
+            mismatched.append(term)
+        return res
+
+    monkeypatch.setattr(CostModel, "fold", checking)
+    for seed in seeds:
+        term, schemas, stats = gen(seed)
+        for mode in MODES:
+            try:
+                optimize(term, schemas, stats=stats, mode=mode)
+            except OracleLimitError:
+                assert mode == "oracle"
+    assert folds[0] and mismatched == []

@@ -11,10 +11,11 @@ import re
 import pytest
 
 from a3d.algebra import (
-    AggSpec, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, walk,
+    UNARY_TYPES, AggSpec, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter,
+    Join, Project, RelVar, Schema, children, walk,
 )
 from a3d.functions import ScalarFn
+from a3d.planner import optimize
 from a3d.predicates import And, Cmp, Col, Lit, pred_columns
 from a3d.stats import ArrayStats, CostModel, ScalarStats, TableStats
 from a3d.translate import DialectError, to_dot, to_sql
@@ -279,6 +280,36 @@ def test_dot_cost_annotation():
     cm = CostModel(stats, SCHEMAS)
     dot = to_dot(Filter(Cmp(">", Col("a"), Lit(5)), RelVar("S")), cm)
     assert "rows≈" in dot and "cost≈" in dot
+
+
+def _per_node_annotations(term, cm):
+    """The rows/cost annotation of every node in ``to_dot``'s node order
+    (children first, left to right), each from its own ``term_cost``."""
+    out = [a for kid in children(term) for a in _per_node_annotations(kid, cm)]
+    res = cm.term_cost(term)
+    return out + [f"rows≈{res.state.rows:.0f} cost≈{res.cost:.0f}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dot_folds_the_plan_once(name):
+    term, schemas, stats, corr, opt_kw, _ = CASES[name]()
+    plan = optimize(term, schemas, stats=stats, correspondences=corr,
+                    **opt_kw).term
+    for t in (term, plan):
+        cm = CostModel(dict(stats or {}), dict(schemas))
+        calls = []
+        real = cm.op_effect
+
+        def counting(node, state):
+            calls.append(node)
+            return real(node, state)
+
+        cm.op_effect = counting
+        dot = to_dot(t, cm)
+        assert len(calls) == sum(isinstance(n, UNARY_TYPES)
+                                 for _, n in walk(t))
+        labels = re.findall(r'\[label="[^"]*\\n(rows≈[^"]*)"\]', dot)
+        assert labels == _per_node_annotations(t, cm)
 
 
 @pytest.mark.parametrize("seed", range(10))
