@@ -239,9 +239,33 @@ def with_children(term: Term, kids: tuple) -> Term:
 
 def walk(term: Term, path=()) -> Iterator[tuple]:
     """Preorder traversal yielding (path, subterm)."""
-    yield path, term
-    for i, kid in enumerate(children(term)):
-        yield from walk(kid, path + (i,))
+    return _preorder([(path, term)])
+
+
+def walk_from(term: Term, start: tuple) -> Iterator[tuple]:
+    """``walk(term)`` from the node at path `start` on: that node, its
+    subtree, then every node that follows it in preorder."""
+    stack, node = [], term
+    for depth, i in enumerate(start):
+        kids = children(node)
+        for j in range(len(kids) - 1, i, -1):
+            stack.append((start[:depth] + (j,), kids[j]))
+        node = kids[i]
+    stack.append((start, node))
+    return _preorder(stack)
+
+
+def _preorder(stack: list) -> Iterator[tuple]:
+    # an explicit stack: a recursive ``yield from`` passes each item up
+    # through every enclosing generator, quadratic on a deep unary chain
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        if isinstance(node, Join):
+            stack.append((path + (1,), node.right))
+            stack.append((path + (0,), node.left))
+        elif not isinstance(node, RelVar):
+            stack.append((path + (0,), node.child))
 
 
 def replace_at(term: Term, path: tuple, new: Term) -> Term:

@@ -424,9 +424,9 @@ def _emit(result, catalog, schemas, stats, args) -> str:
     if args.emit.startswith("sql-"):
         dialect = args.emit.split("-", 1)[1]
         return to_sql(result.term, dialect, schemas, cte=args.cte)
-    # the one target left: "dot"
-    cm = CostModel(dict(stats), dict(schemas)) if stats else None
-    return to_dot(result.term, cm)
+    # the one target left: "dot", annotated with estimates as ``optimize``
+    # planned, with default statistics where none are given
+    return to_dot(result.term, CostModel(dict(stats), dict(schemas)))
 
 
 def _diag(kind: str, message: str, **extra) -> None:

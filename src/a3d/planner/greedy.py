@@ -38,6 +38,6 @@ def optimize_greedy(term: Term, ctx: RuleContext,
             return rule.rule_id, new
         return None
 
-    return rewrite_to_fixpoint(term, step, "greedy", ctx, bottom_up=True,
+    return rewrite_to_fixpoint(term, step, "greedy", ctx, "bottom-up",
                                cap=max_steps,
                                cap_error=GreedyIterationCapError)

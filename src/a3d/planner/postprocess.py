@@ -88,6 +88,6 @@ def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
                 return rule_id, new
         return None
 
-    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, cap=cap,
-                               cap_error=PostprocessCapError)
+    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "restart",
+                               cap=cap, cap_error=PostprocessCapError)
     return collapse_idempotent_reaggregation(term)

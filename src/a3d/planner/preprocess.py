@@ -20,7 +20,10 @@ Five sub-passes, each semantics-preserving:
 5. dead derive removal -- derives whose output nothing consumes are dropped.
 
 Sub-passes take ``(term, ctx)``; the ``RuleContext`` carries the cost model
-that guards step 4 and the trace.
+that guards step 4 and the trace.  Steps 1 and 3 decide from a node, its
+children and its grandchildren's schemas, so their rounds resume at the
+last rewrite's parent (``rewrite_to_fixpoint``'s ``resume``); step 4's
+guard reads the whole term, so each of its rounds sweeps it (``sweep``).
 """
 
 from ..algebra import (
@@ -87,7 +90,7 @@ def pull_projections_up(term: Term, ctx: RuleContext) -> Term:
             return None
         return "project-pull", replace_at(root, path, lifted)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
 
 
 ############################################################
@@ -139,7 +142,7 @@ def descend_filters(term: Term, ctx: RuleContext) -> Term:
             return None
         return "filter-past-arrayFilter", replace_at(root, path, swapped)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
 
 
 ############################################################
@@ -155,7 +158,7 @@ def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
         new = guard_cost_improves(rule, root, path, sub, ctx)
         return None if new is None else ("R2.3", new)
 
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx)
+    return rewrite_to_fixpoint(term, step, "preprocess", ctx, "sweep")
 
 
 ############################################################

@@ -32,11 +32,21 @@ maximal kept subterms (its frontier) have their schemas and costs inferred
 once and reused for both sides of the comparison.  The cost guard rejects,
 without costing any ancestor, a rewrite that leaves the subterm's plan
 state as it was and is no cheaper; otherwise it costs the new root with
-the rewrite's result injected.  In a bottom-up round
-``rewrite_to_fixpoint`` keeps each node's ``(cost, state, schema)`` until
-its grandparent has been visited (``RuleContext.results``), so `sub` and a
-frontier up to two levels down are read, not folded.  No result outlives
-its round.
+the rewrite's result injected.
+
+``rewrite_to_fixpoint`` runs a stage in rounds of one of four policies.
+Greedy's ``bottom-up`` rounds and the cost-guarded ``sweep`` rounds keep
+each node's ``(cost, state, schema)`` until its grandparent has been
+visited (``RuleContext.results``), so `sub` and a frontier up to two levels
+down are read, not folded; no result outlives its round.  A sweep fires
+the hit first in preorder, as a top-down round would.  The rule-only
+preprocess stages run ``resume`` rounds: after a rewrite the next round
+starts at the rewrite's parent, since every node before it in preorder
+would miss again, and schemas stay kept across rounds
+(``RuleContext.kept``) for the nodes still in the root, so a hit infers
+only the nodes it creates.  Postprocess runs ``restart`` rounds from the
+root, holding nothing.
+
 One ``RuleContext`` per ``optimize`` call carries the cost model, the trace
 and ``rule_counts``: each rule's attempts and the rewrites
 ``rewrite_to_fixpoint`` kept.  The engine and every stage take it whole.
@@ -72,6 +82,7 @@ from .algebra import (
     output_schema,
     replace_at,
     walk,
+    walk_from,
     with_children,
 )
 from .functions import ARRAY_ARG_FNS, REAGGREGATE, ScalarFn, affine_form
@@ -119,11 +130,15 @@ class RuleContext:
     a call of the rule's function, a fire a rewrite that
     ``rewrite_to_fixpoint`` kept.
 
-    ``results`` is None except during a bottom-up round of
-    ``rewrite_to_fixpoint``, where it maps ``id(node)`` to the node's
+    ``results`` is None except during a ``bottom-up`` or ``sweep`` round
+    of ``rewrite_to_fixpoint``, where it maps ``id(node)`` to the node's
     ``(cost, state, schema)`` for the nodes of the bound root that the
     round holds; ``schema_of``, ``try_apply`` and ``guard_cost_improves``
-    read from it.
+    read from it.  ``kept`` is None except during ``resume`` rounds, where
+    it maps ``id(node)`` to the schema of a node of the current root;
+    ``schema_of`` and ``try_apply`` read from it and record every schema
+    they infer there, so in those rounds they take nodes of the bound root
+    only, as every rule does with the parts of `sub`.
     """
 
     def __init__(self, cost_model, correspondences=(),
@@ -134,6 +149,7 @@ class RuleContext:
         self.trace = trace
         self.rule_counts: dict = {}
         self.results: Optional[dict] = None
+        self.kept: Optional[dict] = None
         self._root: Optional[Term] = None
         self._used: Optional[set] = set()
 
@@ -144,7 +160,11 @@ class RuleContext:
 
     def schema_of(self, term: Term) -> Schema:
         res = self.held(term)
-        return output_schema(term, self.schemas) if res is None else res[2]
+        if res is not None:
+            return res[2]
+        if self.kept is not None:
+            return _schema(term, self.schemas, self.kept, keep=True)
+        return output_schema(term, self.schemas)
 
     def held(self, term: Term) -> Optional[tuple]:
         """`term`'s ``(cost, state, schema)`` when the round holds it."""
@@ -914,22 +934,23 @@ def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
     return known
 
 
-def _schema(term: Term, schemas: Mapping[str, Schema], known: dict
-            ) -> Schema:
+def _schema(term: Term, schemas: Mapping[str, Schema], known: dict,
+            keep: bool = False) -> Schema:
     """``output_schema`` of `term`, reading a node's schema from `known` by
-    id and recording it there where the node is marked with None."""
+    id and recording it there where the node is marked with None, or with
+    `keep` for every node it infers."""
     key = id(term)
     schema = known.get(key)
     if schema is not None:
         return schema
     if isinstance(term, Join):
-        schema = node_schema(term, _schema(term.left, schemas, known),
-                             _schema(term.right, schemas, known))
+        schema = node_schema(term, _schema(term.left, schemas, known, keep),
+                             _schema(term.right, schemas, known, keep))
     elif isinstance(term, UNARY_TYPES):
-        schema = node_schema(term, _schema(term.child, schemas, known))
+        schema = node_schema(term, _schema(term.child, schemas, known, keep))
     else:
         schema = output_schema(term, schemas)
-    if key in known:
+    if keep or key in known:
         known[key] = schema
     return schema
 
@@ -949,17 +970,26 @@ def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
     The subterms the rewrite kept from `sub` (its frontier) have their
     schemas inferred once, while inferring `sub`'s, and reused for the
     rewrite's; in a bottom-up round `sub`'s and the frontier's schemas are
-    read from ``ctx.results`` where it holds them.  Returns the rewritten
-    root, or None when the rule doesn't match there.
+    read from ``ctx.results`` where it holds them.  In a resume round
+    `sub`'s schema is read from ``ctx.kept``, or inferred into it, and the
+    rewrite's reads the frontier's from there, so only the nodes the rule
+    created are inferred.  Returns the rewritten root, or None when the
+    rule doesn't match there.
     """
     ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
-    known = _shared(sub, new_sub, ctx, schema_only=True)
-    held = ctx.held(sub)
-    before = _schema(sub, ctx.schemas, known) if held is None else held[2]
-    _check_schema(rule, path, before, _schema(new_sub, ctx.schemas, known))
+    if ctx.kept is not None:
+        before = ctx.schema_of(sub)
+        after = _schema(new_sub, ctx.schemas, ctx.kept)
+    else:
+        known = _shared(sub, new_sub, ctx, schema_only=True)
+        held = ctx.held(sub)
+        before = _schema(sub, ctx.schemas, known) if held is None \
+            else held[2]
+        after = _schema(new_sub, ctx.schemas, known)
+    _check_schema(rule, path, before, after)
     return replace_at(root, path, new_sub)
 
 
@@ -1036,55 +1066,73 @@ def trace_record(ctx: RuleContext, stage: str, rule_id: str, path,
                       "after_cost": ctx.cost_model.term_cost(after).cost})
 
 
+POLICIES = ("bottom-up", "sweep", "resume", "restart")
+
+
 def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
-                        ctx: RuleContext, bottom_up: bool = False,
+                        ctx: RuleContext, policy: str,
                         cap: Optional[int] = None,
                         cap_error: Optional[type] = None) -> Term:
-    """Rewrite `term` until `step` matches nowhere.
+    """Rewrite `term` in rounds until `step` matches nowhere.
 
-    Each round visits the root's nodes in preorder (children before their
-    parents with `bottom_up`) and calls ``step(root, path, sub)``, which
-    returns ``(rule_id, new_root)`` or None.  The first hit is traced under
-    `stage` (``trace_record``), counted as a fire of a catalog rule in
-    ``ctx.rule_counts``, becomes the root, and the next round starts from
-    it.  With `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
+    A round calls ``step(root, path, sub)`` at nodes of the root; `step`
+    returns ``(rule_id, new_root)`` or None.  The hit a round fires is
+    traced under `stage` (``trace_record``), counted as a fire of a catalog
+    rule in ``ctx.rule_counts``, and becomes the root of the next round.
+    With `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
+    `policy` picks the rounds:
 
-    A bottom-up round folds each node it visits from its children's results
-    (``ctx.cost_model``) before calling `step`, into ``ctx.results``.  A
-    node's result is kept only until its grandparent has been visited: a
-    pairwise rewrite at `sub` keeps nodes at most two levels down, so `sub`
-    and such a frontier are always held, and a deeper frontier is folded
-    as it would be without the round.  The round thus holds, besides the
-    visited node, its children and grandchildren, only each finished
-    subtree's root and that root's children, never a table of the whole
-    root.  A top-down round visits parents first, so it has nothing to
-    fold from and holds no results.
+    ``bottom-up``  children before their parents (the reverse of preorder);
+                   the first hit fires.  Each node is folded from its
+                   children's results (``ctx.cost_model``) into
+                   ``ctx.results`` before `step` runs.  A node's result is
+                   kept only until its grandparent has been visited: a
+                   pairwise rewrite at `sub` keeps nodes at most two levels
+                   down, so `sub` and such a frontier are always held, and a
+                   deeper frontier is folded as it would be without the
+                   round.  The round thus holds, besides the visited node,
+                   its children and grandchildren, only each finished
+                   subtree's root and that root's children.
+    ``sweep``      as ``bottom-up``, but every node is visited and the hit
+                   first in preorder fires: the fixpoint of top-down rounds
+                   for a step that may read the whole root, as a cost guard
+                   does.  Every attempt of a round is judged against the
+                   same root, so the order of the visits cannot change
+                   which hit comes first in preorder.
+    ``resume``     preorder, the first hit fires, and the next round
+                   resumes from the parent of the rewritten path instead of
+                   the root.  This is exact for a step that decides from a
+                   node's own fields, its children's fields and the schemas
+                   of its children and grandchildren: a rewrite keeps the
+                   schema of every subterm that contains its path, so every
+                   node before the parent in preorder sees what it saw when
+                   it missed.  The schemas that ``ctx.schema_of`` and
+                   ``try_apply`` infer stay in ``ctx.kept`` across rounds
+                   while their node is in the root and off the rewritten
+                   paths (``_keep_schemas``), so a hit infers only the
+                   nodes it creates.
+    ``restart``    preorder, the first hit fires, and every round starts
+                   from the root and holds nothing.  A guarded step whose
+                   stage rarely hits pays for the rounds' folds of
+                   ``sweep`` without using them; postprocess is such a
+                   stage.
     """
-    cost_model = ctx.cost_model
-    results = {} if bottom_up else None
-    ctx.results = results
-    rewrites = 0
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of "
+                         f"{POLICIES}")
+    resume = policy == "resume"
+    ctx.kept = {} if resume else None
+    ctx.results = {} if policy in ("bottom-up", "sweep") else None
+    rewrites, start = 0, ()
     try:
         while True:
-            # only the loop holds the walk, so a round's node list is
-            # freed before the next round builds one
-            for path, sub in (reversed(list(walk(term))) if bottom_up
-                              else walk(term)):
-                if results is not None:
-                    results[id(sub)] = None
-                    cost_model.fold(sub, results)
-                hit = step(term, path, sub)
-                if hit is not None:
-                    break
-                if results is not None:
-                    for kid in children(sub):
-                        for grandkid in children(kid):
-                            results.pop(id(grandkid), None)
+            if policy in ("resume", "restart"):
+                hit = _first_hit(term, step, walk_from(term, start))
             else:
+                hit = _fold_round(term, step, ctx, policy == "bottom-up")
+            if hit is None:
                 return term
-            if results is not None:
-                results.clear()  # the old root's nodes may be freed
-            rule_id, new = hit
+            path, (rule_id, new) = hit
             rewrites += 1
             if cap is not None and rewrites > cap:
                 raise cap_error(f"{stage}: no fixpoint after {cap} "
@@ -1093,6 +1141,78 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             if counts is not None:
                 counts[1] += 1
             trace_record(ctx, stage, rule_id, path, term, new)
+            if resume:
+                _keep_schemas(ctx, term, new, path)
+                start = path[:-1]
             term = new
     finally:
-        ctx.results = None
+        ctx.results = ctx.kept = None
+
+
+def _first_hit(root: Term, step: Callable, nodes) -> Optional[tuple]:
+    """``(path, hit)`` of the first of `nodes` where `step` hits."""
+    for path, sub in nodes:
+        hit = step(root, path, sub)
+        if hit is not None:
+            return path, hit
+    return None
+
+
+def _fold_round(root: Term, step: Callable, ctx: RuleContext,
+                first: bool) -> Optional[tuple]:
+    """One round of ``bottom-up`` (`first`) or ``sweep``: ``(path, hit)``
+    of the first hit visited, or of the last one, which is first in
+    preorder."""
+    results, fold = ctx.results, ctx.cost_model.fold
+    found = None
+    for path, sub in reversed(list(walk(root))):
+        results[id(sub)] = None
+        fold(sub, results)
+        hit = step(root, path, sub)
+        if hit is not None:
+            found = path, hit
+            if first:
+                break
+        for kid in children(sub):
+            for grandkid in children(kid):
+                results.pop(id(grandkid), None)
+    results.clear()  # the old root's nodes may be freed
+    return found
+
+
+def _keep_schemas(ctx: RuleContext, old: Term, new: Term, path: tuple
+                  ) -> None:
+    """Carry ``ctx.kept`` from root `old` to root `new`, which a rewrite
+    at `path` made, in time linear in the region the rewrite changed.
+
+    A kept schema is keyed by its node's ``id``, which a new object may
+    reuse once the node is freed, so every entry is of a node of the
+    current root.  The rewrite replaced two sets of nodes, whose entries
+    are dropped: the path from the root down to `sub`, whose rebuilt nodes
+    are inferred again when asked for, each from its kept child, and
+    `sub`'s nodes outside the frontier, the maximal subterms the rewrite
+    kept.  Once `sub` is kept whole, every old node of the rewrite is kept
+    and no new one is, so the frontier is where a walk down the rewrite
+    first meets a kept node.  The nodes the rewrite created are inferred
+    last, so the new `sub` is kept whole in turn.
+    """
+    kept, schemas = ctx.kept, ctx.schemas
+    sub, new_sub = old, new
+    for i in path:
+        kept.pop(id(sub), None)
+        sub, new_sub = children(sub)[i], children(new_sub)[i]
+    _schema(sub, schemas, kept, keep=True)
+    frontier, stack = set(), [new_sub]
+    while stack:
+        node = stack.pop()
+        if id(node) in kept:
+            frontier.add(id(node))
+        else:
+            stack.extend(children(node))
+    stack = [sub]
+    while stack:
+        node = stack.pop()
+        if id(node) not in frontier:
+            kept.pop(id(node), None)
+            stack.extend(children(node))
+    _schema(new_sub, schemas, kept, keep=True)

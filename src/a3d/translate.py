@@ -236,16 +236,17 @@ class _Emitter:
         self.count += 1
         return name
 
-    def from_ref(self, child: Term) -> tuple:
-        """(FROM-clause target, child schema) for a child term."""
+    def from_ref(self, child: Term, pad: str) -> tuple:
+        """(FROM-clause target, child schema) for a child term of an
+        operator indented by `pad`; a subquery is indented a level deeper."""
         if isinstance(child, RelVar):
             return child.name, self._schema_of_rel(child.name)
-        sql, schema = self.emit(child)
+        sql, schema = self.emit(child, "" if self.cte else pad + "  ")
         alias = self.fresh()
         if self.cte:
             self.ctes.append((alias, sql))
             return alias, schema
-        return "(\n" + indent(sql, "  ") + "\n) AS " + alias, schema
+        return f"(\n{sql}\n{pad}) AS {alias}", schema
 
     def _schema_of_rel(self, name: str) -> Schema:
         try:
@@ -253,29 +254,35 @@ class _Emitter:
         except KeyError:
             raise DialectError(f"unknown relation {name!r}") from None
 
-    def emit(self, term: Term) -> tuple:
+    def emit(self, term: Term, pad: str = "") -> tuple:
         """(sql text, output schema) for one operator: its output columns
         in name order, each plain or ``<expr> AS <col>``, selected from its
-        input, then the operator's clause if it has one."""
+        input, then the operator's clause if it has one.
+
+        Every line is indented by `pad`.  A subquery comes back indented
+        already, so each line is indented once, not once per enclosing
+        operator.
+        """
         exprs, clause = {}, ""
         if isinstance(term, RelVar):
             ref, schema = term.name, self._schema_of_rel(term.name)
         elif isinstance(term, Join):
-            ref, lschema = self.from_ref(term.left)
-            rref, rschema = self.from_ref(term.right)
+            ref, lschema = self.from_ref(term.left, pad)
+            rref, rschema = self.from_ref(term.right, pad)
             schema = node_schema(term, lschema, rschema)
             using = ", ".join(sorted(lschema.columns & rschema.columns))
-            clause = f"INNER JOIN {rref} USING ({using})"
+            clause = f"{pad}INNER JOIN {rref} USING ({using})"
         elif isinstance(term, (Filter, Project, ArrayJoin, ArrayFilter,
                                Derive, Aggregate)):
-            ref, child_schema = self.from_ref(term.child)
+            ref, child_schema = self.from_ref(term.child, pad)
             schema = node_schema(term, child_schema)
             exprs, clause = self._render(term)
+            clause = indent(clause, pad)
         else:
             raise DialectError(f"unrenderable term {type(term).__name__}")
         items = [f"{exprs[c]} AS {c}" if c in exprs else c
                  for c in sorted(schema.columns)]
-        sql = f"SELECT {', '.join(items)}\nFROM {ref}"
+        sql = indent(f"SELECT {', '.join(items)}\nFROM ", pad) + ref
         return (f"{sql}\n{clause}" if clause else sql), schema
 
     def _render(self, term: Term) -> tuple:

@@ -25,6 +25,7 @@ from a3d.algebra import (
     relations_equal,
     replace_at,
     walk,
+    walk_from,
 )
 from a3d.functions import ScalarFn, apply_agg, apply_scalar
 from a3d.planner import optimize
@@ -217,6 +218,36 @@ def test_walk_paths_roundtrip():
     swapped = replace_at(term, (0, 1), RelVar("C"))
     assert base_relations(swapped) == ("A", "C")
     assert base_relations(term) == ("A", "B")  # original untouched
+
+
+def _recursive_preorder(term, path=()):
+    yield path, term
+    kids = (term.left, term.right) if isinstance(term, Join) else \
+        () if isinstance(term, RelVar) else (term.child,)
+    for i, kid in enumerate(kids):
+        yield from _recursive_preorder(kid, path + (i,))
+
+
+def test_walks_match_a_recursive_preorder():
+    for seed in range(40):
+        rels, _ = random_db(random.Random(seed), join=seed % 2 == 1)
+        term = random_term(random.Random(seed), rels, n_ops=6)
+        order = list(_recursive_preorder(term))
+        assert [(p, id(n)) for p, n in walk(term)] == \
+            [(p, id(n)) for p, n in order]
+        assert next(walk(term, (7,)))[0] == (7,)
+        for i, (path, _) in enumerate(order):
+            assert [(p, id(n)) for p, n in walk_from(term, path)] == \
+                [(p, id(n)) for p, n in order[i:]], (seed, path)
+
+
+def test_walk_of_a_deep_chain_is_linear():
+    # a recursive ``yield from`` passes every item up through each
+    # enclosing generator; the explicit stack does not recurse at all
+    term = RelVar("r")
+    for _ in range(5000):
+        term = Filter(Cmp("<", Col("x"), Lit(1)), term)
+    assert sum(1 for _ in walk(term)) == 5001
 
 
 ############################################################

@@ -242,6 +242,15 @@ def test_stats_flag_plans_with_the_parsed_statistics(tmp_path, capsys):
     assert out.startswith("digraph")
 
 
+def test_dot_is_annotated_with_estimates_without_statistics(capsys):
+    code = cli.main(["--plan", str(SAMPLE_PLAN), "--emit", "dot"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    labels = [line for line in out.splitlines() if "[label=" in line]
+    assert labels and all("rows\u2248" in line and "cost\u2248" in line
+                          for line in labels)
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"Rk": STATS_DOC["R.k"]},

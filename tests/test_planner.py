@@ -709,7 +709,8 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     # the 256 complete plans; building every chain and candidate anew and
     # finishing every complete plan took 9,069 operator applications and
     # 8,005 join effects for the same memo; preprocess rejects its R2.3
-    # guards locally, so it never costs the chain's root (3 join effects)
+    # guards locally, so it never costs the chain's root, and its one
+    # sweep round folds the chain's 3 joins once, not once per attempt
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -726,7 +727,7 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
         (2556, 7984)
-    assert calls == {"apply_op": 2643, "join_effect": 450}
+    assert calls == {"apply_op": 2643, "join_effect": 441}
     assert res.counters["finished"] == 113
 
 
@@ -946,6 +947,29 @@ def test_pattern_b_conjuncts_fuse_into_one_element_filter(n):
     assert len(phis) == 1
     assert split_conjuncts(phis[0].pred) == \
         [Cmp(">", Col(f"e{i}"), Lit(i)) for i in range(n, 0, -1)]
+
+
+@pytest.mark.parametrize("pattern,steps,fires", [("A", 259, 32),
+                                                  ("B", 73, 31)])
+def test_preprocess_work_on_the_bench_patterns(monkeypatch, pattern, steps,
+                                               fires):
+    # resume rounds retry from the rewrite's parent, not from the root:
+    # restarting there took 964 step calls on A16 and 178 on B16 for the
+    # same rewrites
+    stage = importlib.import_module("a3d.planner.preprocess")
+    calls = [0]
+    real = stage.rewrite_to_fixpoint
+
+    def counting(term, step, *args, **kwargs):
+        def counted(*at):
+            calls[0] += 1
+            return step(*at)
+        return real(term, counted, *args, **kwargs)
+
+    monkeypatch.setattr(stage, "rewrite_to_fixpoint", counting)
+    ctx = RuleContext(CostModel({}, pattern_schemas(pattern, 16)), (), [])
+    preprocess(make_pattern(pattern, 16), ctx)
+    assert (calls[0], len(ctx.trace)) == (steps, fires)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -6,6 +6,7 @@ the package interpreter and cross-checking the rewritten side against the
 independent naive interpreter.  [DERIVED]
 """
 
+import importlib
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from a3d.algebra import (
     output_schema,
     replace_at,
     walk,
+    with_children,
 )
 from a3d.functions import ScalarFn
 from a3d.planner import optimize
@@ -47,7 +49,9 @@ from a3d.rewrite import (
 from a3d.stats import CostModel, build_table_stats
 from a3d.testkit import make_pattern, pattern_schemas
 
-from gen_utils import default_relation, random_query, random_term, subterm_at
+from gen_utils import (
+    default_relation, inner_query, random_query, random_term, subterm_at,
+)
 from naive_interp import naive_eval, rows_equal_bag
 from rule_instances import GENS, _rel_t
 
@@ -658,7 +662,7 @@ def _round(root, schemas, cm, corr, visit):
         return None
 
     assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx,
-                                       bottom_up=True) is root
+                                       "bottom-up") is root
     assert ctx.results is None
 
 
@@ -797,3 +801,176 @@ def test_greedy_round_holds_a_bounded_window_per_pending_subtree():
     term = Project(("k",), Join(chain("r", "x", "a"), chain("s", "y", "b")))
     # walking the left chain, the right chain's root and child stay held
     assert _assert_round_holds_a_bounded_window(term, schemas) == 3 + 2
+
+
+############################################################
+# resume and sweep rounds: exact against restarting from the root
+############################################################
+
+preprocess_stage = importlib.import_module("a3d.planner.preprocess")
+postprocess_stage = importlib.import_module("a3d.planner.postprocess")
+
+
+def _rule_step(rule_id):
+    return lambda sub, ctx: rewrite._attempt(RULES_BY_ID[rule_id], sub, ctx)
+
+
+# what the two resume stages, pull_projections_up and descend_filters, try
+RESUME_STEPS = {
+    **{rule_id: _rule_step(rule_id)
+       for rule_id in preprocess_stage._FILTER_RULES + ("R2.4",)},
+    "project-pull": preprocess_stage._hoist_once,
+    "filter-past-arrayFilter":
+        lambda sub, ctx:
+        preprocess_stage._commute_filter_past_array_filter(sub),
+}
+
+
+def _restart_driver(real):
+    """``rewrite_to_fixpoint`` as it was before resume and sweep rounds:
+    every round walks the root in preorder from the top, holding nothing,
+    and its first hit fires.  Bottom-up rounds go to `real`."""
+    def driver(term, step, stage, ctx, policy, cap=None, cap_error=None):
+        if policy == "bottom-up":
+            return real(term, step, stage, ctx, policy, cap, cap_error)
+        rewrites = 0
+        while True:
+            for path, sub in walk(term):
+                hit = step(term, path, sub)
+                if hit is not None:
+                    break
+            else:
+                return term
+            rule_id, new = hit
+            rewrites += 1
+            if cap is not None and rewrites > cap:
+                raise cap_error(f"{stage}: no fixpoint after {cap} "
+                                f"rewrites (last rule {rule_id})")
+            counts = ctx.rule_counts.get(rule_id)
+            if counts is not None:
+                counts[1] += 1
+            rewrite.trace_record(ctx, stage, rule_id, path, term, new)
+            term = new
+    return driver
+
+
+def _restarting(monkeypatch):
+    for stage in (preprocess_stage, postprocess_stage):
+        monkeypatch.setattr(stage, "rewrite_to_fixpoint",
+                            _restart_driver(rewrite.rewrite_to_fixpoint))
+
+
+def _seeded_queries():
+    # 423, 461, 623 and 1087 insert two guards in one preprocess stage
+    for seed in (*range(200), 423, 461, 623, 1087):
+        yield random_query(seed)
+    for seed in range(6000, 6200):
+        yield inner_query(seed)
+    for pattern in "AB":
+        yield make_pattern(pattern, 4), pattern_schemas(pattern, 4), None
+
+
+def _planned(term, schemas, stats, mode):
+    """What a plan must keep under another fixpoint driver: the term, its
+    cost, the trace and each rule's fires (attempts may differ), or the
+    error planning raised."""
+    try:
+        res = optimize(term, schemas, stats=stats, mode=mode, trace=True)
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc).__name__, str(exc)
+    fires = {rule_id: n for rule_id, (_, n) in res.counters["rules"].items()
+             if n}
+    return repr(res.term), res.cost, res.trace, fires
+
+
+def test_resume_and_sweep_rounds_match_restarting_from_the_root(
+        monkeypatch):
+    queries = list(_seeded_queries())
+    modes = ("greedy", "enumerate", "oracle")
+    rounds = [_planned(*q, mode) for q in queries for mode in modes]
+    _restarting(monkeypatch)
+    restarted = [_planned(*q, mode) for q in queries for mode in modes]
+    assert rounds == restarted
+    assert sum(len(out[2]) for out in rounds if len(out) == 4) > 300
+
+
+def _roots_of_resume_stages(term, schemas, monkeypatch):
+    """Every root that pull_projections_up and descend_filters visit on
+    `term`, as preprocess runs them, under the restarting driver."""
+    roots = []
+    real = _restart_driver(rewrite.rewrite_to_fixpoint)
+
+    def recording(term, step, stage, ctx, policy, *args):
+        def step_at(root, path, sub):
+            if not path:
+                roots.append(root)
+            return step(root, path, sub)
+        if policy == "resume":
+            return real(term, step_at, stage, ctx, policy, *args)
+        return real(term, step, stage, ctx, policy, *args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(preprocess_stage, "rewrite_to_fixpoint", recording)
+        preprocess_stage.preprocess(term, RuleContext(CostModel({}, schemas)))
+    return roots
+
+
+def _grandchildren_as_relvars(node, schemas):
+    """`node` with each grandchild replaced by a relation of the same
+    schema, and the catalog that declares those relations."""
+    catalog = dict(schemas)
+    kids = []
+    for kid in children(node):
+        grandkids = []
+        for grandkid in children(kid):
+            name = f"__g{len(catalog)}"
+            catalog[name] = output_schema(grandkid, schemas)
+            grandkids.append(RelVar(name))
+        kids.append(with_children(kid, tuple(grandkids)))
+    return with_children(node, tuple(kids)), catalog
+
+
+def test_resume_steps_read_no_deeper_than_grandchildren_schemas(
+        monkeypatch):
+    # the resume policy's premise: a step decides from a node's fields,
+    # its children's fields and the schemas of its grandchildren
+    matched = dict.fromkeys(RESUME_STEPS, 0)
+    for term, schemas, _ in _seeded_queries():
+        for root in _roots_of_resume_stages(term, schemas, monkeypatch):
+            ctx = RuleContext(CostModel({}, schemas))
+            for _, node in walk(root):
+                local, catalog = _grandchildren_as_relvars(node, schemas)
+                local_ctx = RuleContext(CostModel({}, catalog))
+                for name, step in RESUME_STEPS.items():
+                    hit = step(node, ctx) is not None
+                    assert hit == (step(local, local_ctx) is not None), \
+                        (name, node)
+                    matched[name] += hit
+    assert all(matched.values()), matched
+
+
+def test_resume_rounds_keep_only_exact_schemas_of_the_root(monkeypatch):
+    # a kept schema is keyed by id(node), so every entry must be of a node
+    # of the current root, with that node's schema
+    checked = []
+    real = rewrite._keep_schemas
+
+    def checking(ctx, old, new, path):
+        real(ctx, old, new, path)
+        nodes = {id(node): node for _, node in walk(new)}
+        assert set(ctx.kept) <= set(nodes)
+        for key, schema in ctx.kept.items():
+            assert schema == output_schema(nodes[key], ctx.schemas)
+        checked.append(len(ctx.kept))
+
+    monkeypatch.setattr(rewrite, "_keep_schemas", checking)
+    for term, schemas, stats in _seeded_queries():
+        optimize(term, schemas, stats=stats, mode="greedy")
+    assert len(checked) > 100
+
+
+def test_rewrite_to_fixpoint_rejects_an_unknown_policy():
+    ctx = RuleContext(CostModel({}, {"t": Schema.of(scalars=["x"])}))
+    with pytest.raises(ValueError, match="unknown policy"):
+        rewrite.rewrite_to_fixpoint(RelVar("t"), lambda *a: None, "test",
+                                    ctx, "top-down")

@@ -6,6 +6,7 @@ expected strings and audits that emitted identifiers never leak internal
 names.
 """
 
+import random
 import re
 
 import pytest
@@ -176,6 +177,28 @@ def test_null_and_bool_literals():
 def test_string_literal_quote_escaped():
     term = Filter(Cmp("=", Col("a"), Lit("it's")), RelVar("S"))
     assert "a = 'it''s'" in to_sql(term, "clickhouse", SCHEMAS)
+
+
+@pytest.mark.parametrize("dialect", ["clickhouse", "generic"])
+def test_nested_subqueries_indent_two_spaces_per_level(dialect):
+    seen = 0
+    for seed in range(60):
+        rels, _ = random_db(random.Random(seed), join=seed % 2 == 1)
+        term = random_term(random.Random(seed), rels, n_ops=6)
+        try:
+            sql = to_sql(term, dialect, {r.name: r.schema for r in rels})
+        except DialectError:
+            continue
+        depth = 0
+        for line in sql.splitlines():
+            if line.lstrip().startswith(") AS t"):
+                depth -= 1
+            assert line == "  " * depth + line.lstrip(), (seed, line)
+            if line.endswith(("FROM (", "INNER JOIN (")):
+                depth += 1
+                seen = max(seen, depth)
+        assert depth == 0
+    assert seen > 3
 
 
 def test_cte_mode_builds_with_chain():
