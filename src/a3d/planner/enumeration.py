@@ -9,16 +9,21 @@ mandatory and forces the prefix to reach it.  Both masks are int bitsets.
 A partition pairs every entry of one side's table with every entry of the
 other's, so the work per pair is kept small.  Each entry's applicable
 operators are listed once per partition, and the join keys sorted once.
-Operator-prefix chains are built once and reused for the partition's later
-pairs (``prefixes`` says for how long they are kept).  A join candidate is
-costed from its two plan states before anything is built, and one that
-beats the memo's incumbent for its operator set is kept as a
-``DeferredJoin`` record until its table is complete; only the records that
-survive then get a merged state, a Join node and a schema
-(``join_entries``).  Equal schemas are stored once per enumerator.
-Applying an operator replays the schema effect ``decompose`` recorded for
-it (``RankableOp.schema_after``), so ``node_schema`` runs only for built
-joins and the final projection.
+Each operator-prefix chain is built once and turned into ``Prefix``
+records: an entry's operator mask, cost, rows, non-key columns and the
+distinct counts of the partition's join keys (``prefixes`` says how long a
+chain is kept).  The candidate loop (``candidates``) reads only records:
+per pair it makes one set test (the shared columns must be exactly the
+keys), looks the join divisor up in a per-partition table keyed by the two
+key-ndv tuples, costs the join with ``stats.join_cost`` and looks its
+operator set up in the memo table.  A candidate that beats the incumbent
+for its operator set is kept as a ``DeferredJoin`` record until its table
+is complete; only the records that survive then get a merged state, a Join
+node and a schema (``join_entries``), at exactly the cost they won with,
+since ``join_effect`` costs a join with the same expression.  Equal
+schemas are stored once per enumerator.  Applying an operator replays the
+schema effect ``decompose`` recorded for it (``RankableOp.schema_after``),
+so ``node_schema`` runs only for built joins and the final projection.
 
 ``run`` finishes the complete plans cheapest first and stops once a plan's
 memo cost exceeds the best finished cost: every operator, join and
@@ -29,12 +34,14 @@ two searches agree on which plans are legal and differ only in coverage.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..algebra import (
     A3DError, Join, Project, Schema, Term, node_schema,
 )
-from ..stats import CostModel, PlanState
+from ..stats import (
+    CostModel, PlanState, join_cost, join_divisor, key_ndvs,
+)
 from .decompose import QueryDecomposition, RankableOp
 from .precedence import PrecedenceGraph, _bits
 
@@ -72,6 +79,37 @@ class DeferredJoin:
         self.left = left
         self.right = right
         self.keys = keys
+
+
+class Cut(NamedTuple):
+    """One partition of a memo table's leaves: its join key set, the keys
+    sorted, the sorted indices of the operators that must run below the
+    join, and the join divisors computed so far, keyed by the left and
+    then the right input's key-ndv tuple (``stats.key_ndvs``)."""
+    keys: frozenset
+    key_list: list
+    producers: list
+    divisors: dict
+
+
+class Prefix(NamedTuple):
+    """What the candidate loop reads of one operator-prefix entry for one
+    partition: its operator mask, cost and rows, its non-key columns (None
+    when it lacks a join key), its key-ndv tuple, and the entry itself."""
+    ops: int
+    cost: float
+    rows: float
+    extra: Optional[frozenset]
+    ndvs: tuple
+    entry: MemoEntry
+
+    @staticmethod
+    def of(entry: MemoEntry, cut: Cut) -> "Prefix":
+        cols = entry.schema.columns
+        keys = cut.keys
+        return Prefix(entry.ops, entry.cost, entry.state.rows,
+                      cols - keys if keys <= cols else None,
+                      key_ndvs(entry.state, cut.key_list), entry)
 
 
 def describe_op(op: RankableOp) -> str:
@@ -239,8 +277,9 @@ class Enumerator:
         return out, at
 
     def insert(self, table: dict, entry) -> None:
-        """Keep `entry`, a MemoEntry or a DeferredJoin, when it is the
-        first for its operator set or cheaper than the incumbent."""
+        """Keep `entry` when it is the first for its operator set or
+        cheaper than the incumbent (``candidates`` does the same for its
+        DeferredJoin records without the call)."""
         old = table.get(entry.ops)
         if old is None or entry.cost < old.cost:
             table[entry.ops] = entry
@@ -296,7 +335,7 @@ class Enumerator:
                 continue
             rights = [(t, self.applicable(t))
                       for t in self.enumerate_mask(p2).values()]
-            cut = (keys, sorted(keys), producers)
+            cut = Cut(keys, sorted(keys), producers, {})
             # a right-hand chain serves every left-hand entry, so it is
             # worth keeping only when there is more than one (see prefixes)
             right_chains = {} if len(lefts) > 1 else None
@@ -320,29 +359,31 @@ class Enumerator:
         return True
 
     def combine(self, table: dict, s: MemoEntry, s_ops, t: MemoEntry,
-                t_ops, cut, left_chains: dict,
+                t_ops, cut: Cut, left_chains: dict,
                 right_chains: Optional[dict]) -> None:
         """Insert the join candidates of `s` and `t` with prefixes of their
-        applicable operators `s_ops` and `t_ops` (``applicable``); `cut` is
-        the partition's (key set, sorted keys, sorted producer indices)."""
-        keys, key_list, producers = cut
+        applicable operators `s_ops` and `t_ops` (``applicable``)."""
+        if right_chains is None:
+            right_chains = {}           # kept for this call's variants
         shared = s_ops[1].keys() & t_ops[1].keys()
         variants = [(s_ops, t_ops, True)]
+        seen = None
         if shared:
             # An operator runnable on either side (its inputs are join
             # keys present in both schemas) sits in the middle of both
             # sorted lists and blocks the prefixes of whichever side it
             # does not end up on.  Re-enumerate with those operators
             # pinned to one side at a time so "all on the left" and
-            # "all on the right" splits stay reachable.
+            # "all on the right" splits stay reachable; the variants
+            # share prefixes, so their pairs are deduplicated.
             variants.append((s_ops, self.applicable(t, shared), False))
             variants.append((self.applicable(s, shared), t_ops, False))
+            seen = set()
         done = s.ops | t.ops
-        seen = set()
         for (v1, at1), (v2, at2), strict in variants:
             oi1 = oi2 = 0
             feasible = True
-            for m in producers:
+            for m in cut.producers:
                 if done >> m & 1:
                     continue
                 pos1 = at1.get(m)
@@ -358,59 +399,78 @@ class Enumerator:
                         self.blockers.append(describe_op(self.q.ops[m]))
                     feasible = False
                     break
-            if not feasible:
-                continue
-            for left in self.prefixes(s, v1, oi1, left_chains):
-                for right in self.prefixes(t, v2, oi2, right_chains):
-                    pair = (left.ops, right.ops)
+            if feasible:
+                self.candidates(table, self.prefixes(s, v1, oi1, cut,
+                                                     left_chains),
+                                self.prefixes(t, v2, oi2, cut, right_chains),
+                                cut, seen)
+
+    def candidates(self, table: dict, lefts: list, rights: list, cut: Cut,
+                   seen: Optional[set]) -> None:
+        """Offer `table` the join of every prefix record in `lefts` with
+        every one in `rights` (``prefixes``), skipping the (ops, ops) pairs
+        already in `seen` when it is given.
+
+        A candidate whose shared columns are not the cut's keys is a
+        capture skip (see ``join_entries``).  Any other is costed from the
+        two records alone, with the cut's divisor for the pair of key-ndv
+        tuples, and kept as a ``DeferredJoin`` when it beats the
+        incumbent for its operator set."""
+        keys = cut.keys
+        divisors = cut.divisors
+        n = skips = wins = 0
+        for l_ops, l_cost, l_rows, l_extra, l_ndvs, left in lefts:
+            l_divs = divisors.get(l_ndvs)
+            if l_divs is None:
+                l_divs = divisors[l_ndvs] = {}
+            for r_ops, r_cost, r_rows, r_extra, r_ndvs, right in rights:
+                if seen is not None:
+                    pair = (l_ops, r_ops)
                     if pair in seen:
                         continue
                     seen.add(pair)
-                    self.counters["candidates"] += 1
-                    joined = self.join(table, left, right, keys, key_list)
-                    if joined is None:
-                        self.counters["capture_skips"] += 1
-                        continue
-                    self.insert(table, joined)
+                n += 1
+                if l_extra is None or r_extra is None or \
+                        not l_extra.isdisjoint(r_extra):
+                    skips += 1
+                    continue
+                div = l_divs.get(r_ndvs)
+                if div is None:
+                    div = l_divs[r_ndvs] = join_divisor(l_ndvs, r_ndvs)
+                cost = l_cost + r_cost + join_cost(l_rows, r_rows, div)
+                ops = l_ops | r_ops
+                best = table.get(ops)
+                if best is None or cost < best.cost:
+                    table[ops] = DeferredJoin(ops, cost, left, right, keys)
+                    wins += 1
+        counters = self.counters
+        counters["candidates"] += n
+        counters["capture_skips"] += skips
+        counters["entries"] += wins
 
-    def join(self, table: dict, left: MemoEntry, right: MemoEntry,
-             keys, key_list):
-        """One join candidate, costed from the two plan states alone
-        (``join_cost``, the expression ``join_effect`` uses): a
-        DeferredJoin when it beats `table`'s incumbent for its operator
-        set, else the incumbent, so inserting it changes nothing; None
-        when the shared columns are not the cut's `keys` (see
-        ``join_entries``)."""
-        if left.schema.columns & right.schema.columns != keys:
-            return None
-        ops = left.ops | right.ops
-        cost = left.cost + right.cost + self.cm.join_cost(
-            left.state, right.state, key_list)[0]
-        best = table.get(ops)
-        if best is not None and not cost < best.cost:
-            return best
-        return DeferredJoin(ops, cost, left, right, keys)
+    def prefixes(self, entry: MemoEntry, ops: list, start: int, cut: Cut,
+                 chains: dict) -> list:
+        """The ``Prefix`` records of `entry` with the first k of `ops`
+        applied, for each k >= start, for the partition `cut`.
 
-    def prefixes(self, entry: MemoEntry, ops: list, start: int,
-                 chains: Optional[dict] = None) -> list:
-        """`entry` with the first k of `ops` applied, for each k >= start.
-
-        The whole chain is built and sliced.  With `chains`, a chain is
-        built once and kept there under ``(entry.ops, op indices)``, which
-        names it within one memo table.  ``fill`` passes a dict per
-        left-hand entry, dropped before the next one, and a dict per
-        partition for the right-hand entries, which every left-hand entry
-        pairs with; a partition with a single left-hand entry keeps no
-        right-hand chains, since they would not be used again.  Keeping
-        chains any longer holds more plan states than it saves work."""
+        The whole chain is built once, kept in `chains` under
+        ``(entry.ops, op indices)``, which names it within one memo table,
+        and sliced.  ``fill`` passes a dict per left-hand entry, dropped
+        before the next one, and a dict per partition for the right-hand
+        entries, which every left-hand entry pairs with.  A partition with
+        a single left-hand entry pairs each right-hand entry in one
+        ``combine`` call, so its right-hand chains are kept for that call
+        only, where every left-hand prefix of every variant reads them.
+        Keeping chains any longer holds more plan states than it saves
+        work."""
         key = (entry.ops, tuple(op.idx for op in ops))
-        chain = None if chains is None else chains.get(key)
+        chain = chains.get(key)
         if chain is None:
-            chain = [entry]
+            chain = [Prefix.of(entry, cut)]
             for op in ops:
-                chain.append(apply_op(op, chain[-1], self.cm))
-            if chains is not None:
-                chains[key] = chain
+                entry = apply_op(op, entry, self.cm)
+                chain.append(Prefix.of(entry, cut))
+            chains[key] = chain
         return chain[start:]
 
     # -- final assembly -----------------------------------------------------

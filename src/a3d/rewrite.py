@@ -902,22 +902,35 @@ def _attempt(rule: Rule, sub: Term, ctx: RuleContext) -> Optional[Term]:
     return new_sub
 
 
-def _node_ids(term: Term, ids: set) -> set:
+def _node_ids(term: Term, ids: set, depth: Optional[int] = None) -> set:
+    """Add to `ids` the ids of `term` and of its nodes down to `depth`
+    levels below it, or of all its nodes with None."""
     ids.add(id(term))
-    for kid in children(term):
-        _node_ids(kid, ids)
+    if depth != 0:
+        below = None if depth is None else depth - 1
+        for kid in children(term):
+            _node_ids(kid, ids, below)
     return ids
 
 
-def _frontier(new_sub: Term, ids: set, out: dict) -> dict:
+def _frontier(new_sub: Term, ids: set, out: dict) -> bool:
     """Mark in `out`, with None, the id of every maximal subterm of
-    `new_sub` whose id is in `ids`: the nodes a rewrite kept."""
+    `new_sub` whose id is in `ids`: the nodes a rewrite kept.  Returns
+    whether every path down `new_sub` meets one."""
     if id(new_sub) in ids:
         out[id(new_sub)] = None
-    else:
-        for kid in children(new_sub):
-            _frontier(kid, ids, out)
-    return out
+        return True
+    kids = children(new_sub)
+    met = bool(kids)
+    for kid in kids:
+        if not _frontier(kid, ids, out):
+            met = False
+    return met
+
+
+# how deep below `sub` ``_shared`` first looks for the nodes a rewrite
+# kept; greedy's results window holds `sub`'s results this far down
+_FRONTIER_DEPTH = 2
 
 
 def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
@@ -925,7 +938,13 @@ def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
     """The frontier of `new_sub` in `sub`, as a ``known`` dict that lives
     for one rule attempt: a node the round holds maps to its result (to
     its schema alone with `schema_only`), any other node to None."""
-    known = _frontier(new_sub, _node_ids(sub, set()), {})
+    known = {}
+    if not _frontier(new_sub, _node_ids(sub, set(), _FRONTIER_DEPTH), known):
+        # a path down the rewrite met no node of `sub` that high up: the
+        # frontier lies deeper, so look through all of `sub`.  Otherwise
+        # any kept node deeper in `sub` lies below a marked one.
+        known = {}
+        _frontier(new_sub, _node_ids(sub, set()), known)
     if ctx.results:
         for key in known:
             res = ctx.results.get(key)

@@ -406,6 +406,38 @@ def _emptiness_test(pred: Pred):
     return None, None
 
 
+def key_ndvs(state: PlanState, keys) -> tuple:
+    """The distinct count of each of `keys` in `state`, None where it is
+    unknown: all that ``join_divisor`` reads of one join input."""
+    out = []
+    for c in keys:
+        st = state.scalar_stats.get(c)
+        out.append(float(st.ndv) if st is not None and st.ndv > 0 else None)
+    return tuple(out)
+
+
+def join_divisor(left_ndvs: tuple, right_ndvs: tuple) -> float:
+    """The product, over the join keys, of the larger known distinct count
+    of the two inputs (``DEFAULT_JOIN_NDV`` where neither is known), from
+    each input's ``key_ndvs`` for the same keys."""
+    div = 1.0
+    for left, right in zip(left_ndvs, right_ndvs):
+        if left is None:
+            div *= DEFAULT_JOIN_NDV if right is None else right
+        else:
+            div *= left if right is None else max(left, right)
+    return max(div, 1e-9)
+
+
+def join_cost(left_rows: float, right_rows: float, div: float) -> float:
+    """The cost of a natural join of inputs of `left_rows` and `right_rows`
+    rows under the divisor `div`: both inputs and the output.  It is the
+    one expression of a join's cost; ``CostModel.join_effect`` and the
+    enumerator's candidate loop both use it, so a candidate is ranked at
+    exactly the cost its built join gets."""
+    return left_rows + right_rows + left_rows * right_rows / div
+
+
 class CostModel:
     """Cost/cardinality model bound to base-table statistics and schemas."""
 
@@ -455,16 +487,6 @@ class CostModel:
         if state.rows_unf <= 0:
             return 1.0
         return _clamp(ndv_product / state.rows_unf)
-
-    def _join_divisor(self, shared, left: PlanState, right: PlanState) -> float:
-        div = 1.0
-        for c in shared:
-            candidates = []
-            for st in (left.scalar_stats.get(c), right.scalar_stats.get(c)):
-                if st is not None and st.ndv > 0:
-                    candidates.append(float(st.ndv))
-            div *= max(candidates) if candidates else DEFAULT_JOIN_NDV
-        return max(div, 1e-9)
 
     # -- operator effects ---------------------------------------------------
 
@@ -577,21 +599,13 @@ class CostModel:
 
         raise SchemaError(f"op_effect: not a unary operator: {node!r}")
 
-    def join_cost(self, left: PlanState, right: PlanState, shared):
-        """Natural-join figures without the merged state: returns
-        (cost, rows, rows_unf), exactly as ``join_effect`` computes them,
-        so a caller can rank a join before paying for its state."""
-        div = self._join_divisor(shared, left, right)
-        rows = left.rows * right.rows / div
-        return (left.rows + right.rows + rows, rows,
-                left.rows_unf * right.rows_unf / div)
-
     def join_effect(self, left: PlanState, right: PlanState, shared):
         """Natural-join effect.  Returns (cost, new_state)."""
-        cost, rows, rows_unf = self.join_cost(left, right, shared)
-        return cost, PlanState(rows, rows_unf,
-                               {**left.scalar_stats, **right.scalar_stats},
-                               {**left.array_info, **right.array_info})
+        div = join_divisor(key_ndvs(left, shared), key_ndvs(right, shared))
+        return join_cost(left.rows, right.rows, div), PlanState(
+            left.rows * right.rows / div, left.rows_unf * right.rows_unf / div,
+            {**left.scalar_stats, **right.scalar_stats},
+            {**left.array_info, **right.array_info})
 
     # -- whole-term costing -------------------------------------------------
 

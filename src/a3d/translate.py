@@ -16,7 +16,10 @@ literals — and the three methods that render array operators:
 ``unnest`` (the clause after ``FROM`` of an unnest), ``array_filter``
 (alias → expression of an arrayFilter's outputs) and ``array_map`` (the
 expression of a map derive).  The base versions of the last two raise
-:class:`DialectError`.  :class:`ClickHouse` is such a subclass; ``DIALECTS``
+:class:`DialectError`.  A dialect also quotes string literals (``quote``):
+standard SQL doubles quotes and keeps line breaks, which the indentation
+of nested operators leaves alone, and ClickHouse also escapes backslashes
+and line breaks.  :class:`ClickHouse` is such a subclass; ``DIALECTS``
 names one instance of each.
 
 Everything here is a pure function of (term, dialect): the same term always
@@ -30,7 +33,6 @@ lists are alphabetical — schemas are set-valued, so the column order must
 come from somewhere canonical.
 """
 
-from textwrap import indent
 from typing import Mapping, Optional
 
 from .algebra import (
@@ -114,11 +116,16 @@ class SqlDialect:
         if isinstance(value, bool):
             return self.true_lit if value else self.false_lit
         if isinstance(value, str):
-            return "'" + value.replace("'", "''") + "'"
+            return self.quote(value)
         if isinstance(value, tuple):
             items = ", ".join(self.lit(v) for v in value)
             return self.array_literal.format(items=items)
         return repr(value)
+
+    def quote(self, text: str) -> str:
+        """A string literal of `text`: quoted, with each quote doubled and
+        every other character as it is, line breaks included."""
+        return "'" + text.replace("'", "''") + "'"
 
     def fn(self, fn: ScalarFn, args) -> str:
         template = self.scalar_templates.get(fn.name)
@@ -189,6 +196,12 @@ class ClickHouse(SqlDialect):
     true_lit = "true"
     false_lit = "false"
 
+    def quote(self, text: str) -> str:
+        """ClickHouse reads a backslash in a string literal as an escape,
+        so backslashes are doubled, and a line break is written ``\\n``."""
+        text = text.replace("\\", "\\\\").replace("'", "''")
+        return "'" + text.replace("\n", "\\n") + "'"
+
     def unnest(self, term: ArrayJoin, fresh) -> str:
         parts = [src if src == alias else f"{src} AS {alias}"
                  for src, alias in term.targets]
@@ -216,6 +229,21 @@ class ClickHouse(SqlDialect):
 
 
 DIALECTS = {"clickhouse": ClickHouse(), "generic": SqlDialect()}
+
+
+def _indent(text: str, pad: str) -> str:
+    """`text` with `pad` before every line that is not blank, except a line
+    that continues a string literal: padding it would change the literal's
+    value.  Quotes inside a literal are doubled, so a line with an odd
+    number of quotes opens or closes one."""
+    lines = text.split("\n")
+    quoted = False
+    for i, line in enumerate(lines):
+        if not quoted and line.strip():
+            lines[i] = pad + line
+        if line.count("'") % 2:
+            quoted = not quoted
+    return "\n".join(lines)
 
 
 ############################################################
@@ -277,12 +305,12 @@ class _Emitter:
             ref, child_schema = self.from_ref(term.child, pad)
             schema = node_schema(term, child_schema)
             exprs, clause = self._render(term)
-            clause = indent(clause, pad)
+            clause = _indent(clause, pad)
         else:
             raise DialectError(f"unrenderable term {type(term).__name__}")
         items = [f"{exprs[c]} AS {c}" if c in exprs else c
                  for c in sorted(schema.columns)]
-        sql = indent(f"SELECT {', '.join(items)}\nFROM ", pad) + ref
+        sql = _indent(f"SELECT {', '.join(items)}\nFROM ", pad) + ref
         return (f"{sql}\n{clause}" if clause else sql), schema
 
     def _render(self, term: Term) -> tuple:
@@ -318,7 +346,7 @@ def to_sql(term: Term, dialect="clickhouse",
     emitter = _Emitter(d, schemas or {}, cte)
     sql, _ = emitter.emit(term)
     if emitter.ctes:
-        defs = ",\n".join(f"{name} AS (\n" + indent(body, "  ") + "\n)"
+        defs = ",\n".join(f"{name} AS (\n" + _indent(body, "  ") + "\n)"
                           for name, body in emitter.ctes)
         sql = "WITH " + defs + "\n" + sql
     return sql + "\n"

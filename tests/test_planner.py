@@ -68,7 +68,8 @@ from a3d.planner.precedence import find_n_structure, sp_tree
 from a3d import rewrite
 from a3d.rewrite import Rule, RuleContext
 from a3d.stats import (
-    ArrayStats, CostModel, ScalarStats, TableStats, build_table_stats,
+    DEFAULT_JOIN_NDV, ArrayStats, CostModel, ScalarStats, TableStats,
+    build_table_stats, join_cost,
 )
 from a3d.testkit import ScalarColumn, make_pattern, pattern_schemas
 
@@ -599,28 +600,58 @@ def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
 
 class _RecordingEnumerator(Enumerator):
     """The enumerator, remembering the cost each memo winner had when it
-    was inserted: for a join, the cost of its DeferredJoin record."""
+    won its place: for a join, the cost of its DeferredJoin record, read
+    once the table's candidates are all in; and whether any partition
+    took the pinned-operator variants (a ``seen`` set)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.inserted: dict = {}     # (id of table, ops mask) -> cost
+        self.pinned_variants = False
 
     def insert(self, table, entry):
         super().insert(table, entry)
         if table[entry.ops] is entry:
             self.inserted[id(table), entry.ops] = entry.cost
 
+    def fill(self, table, mask):
+        super().fill(table, mask)
+        for ops, entry in table.items():
+            self.inserted[id(table), ops] = entry.cost
+
+    def candidates(self, table, lefts, rights, cut, seen):
+        self.pinned_variants |= seen is not None
+        super().candidates(table, lefts, rights, cut, seen)
+
 
 class _EagerEnumerator(_RecordingEnumerator):
-    """The enumerator without chain reuse or deferred joins: every
-    operator-prefix chain is rebuilt and every join candidate is built in
-    full before ``insert`` compares it."""
+    """The enumerator without chain reuse, prefix records, divisor cache
+    or deferred joins: every operator-prefix chain is rebuilt as memo
+    entries, every join candidate is built in full by ``join_entries``
+    and ``insert`` compares it, and every (ops, ops) pair of one
+    ``combine`` is deduplicated, also when it has a single variant."""
 
-    def prefixes(self, entry, ops, start, chains=None):
-        return super().prefixes(entry, ops, start)
+    def prefixes(self, entry, ops, start, cut, chains):
+        chain = [entry]
+        for op in ops:
+            chain.append(enumeration.apply_op(op, chain[-1], self.cm))
+        return chain[start:]
 
-    def join(self, table, left, right, keys, key_list):
-        return join_entries(left, right, keys, self.cm)
+    def candidates(self, table, lefts, rights, cut, seen):
+        # with no pinned-operator variants, combine calls this once
+        self.pinned_variants |= seen is not None
+        seen = set() if seen is None else seen
+        for left in lefts:
+            for right in rights:
+                if (left.ops, right.ops) in seen:
+                    continue
+                seen.add((left.ops, right.ops))
+                self.counters["candidates"] += 1
+                joined = join_entries(left, right, cut.keys, self.cm)
+                if joined is None:
+                    self.counters["capture_skips"] += 1
+                else:
+                    self.insert(table, joined)
 
 
 def _enumerator(term, schemas, stats=None, cls=Enumerator):
@@ -642,7 +673,8 @@ def _outcome(search):
 
 
 def _enumerated(cls, term, schemas, stats=None):
-    """(memo view, counters, outcome) of enumerating `term` with `cls`."""
+    """(memo view, counters, outcome, whether pinned-operator variants
+    ran) of enumerating `term` with `cls`."""
     enum = _enumerator(term, schemas, stats, cls)
     outcome = _outcome(enum.run)
     memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
@@ -656,16 +688,22 @@ def _enumerated(cls, term, schemas, stats=None):
             assert type(e) is MemoEntry, type(e)
             assert e.cost == enum.inserted[id(table), ops], repr(e.term)
             assert e.schema == output_schema(e.term, schemas), repr(e.term)
-    return memo, enum.counters, outcome
+    return memo, enum.counters, outcome, enum.pinned_variants
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def _bench_join_queries():
     """chain4/star4/cycle4 of the join_enum benchmark: (name, term,
     schemas)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _bench_workloads()
     schemas = {name: Schema.of(
         scalars=[c for c, s in cols.items() if isinstance(s, ScalarColumn)],
         arrays=[c for c, s in cols.items()
@@ -687,9 +725,36 @@ def test_enumerator_memo_matches_eager_enumeration_on_bench_joins(
     assert fast[1]["candidates"] > fast[1]["entries"] > 0
 
 
+@pytest.fixture(scope="module")
+def bench_join_stats():
+    """``build_table_stats`` over the join_enum benchmark's data (seed 1),
+    so the join keys have the generated data's distinct counts."""
+    workloads = _bench_workloads()
+    db = workloads.generate_db(workloads.JOIN_ENUM, 1)
+    return {name: build_table_stats(rel) for name, rel in db.items()}
+
+
+@pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
+                         ids=[q[0] for q in BENCH_JOIN_QUERIES])
+def test_enumerator_memo_matches_eager_enumeration_on_bench_joins_with_stats(
+        name, term, schemas, bench_join_stats):
+    # real key ndvs: the candidate loop's divisors come from its cache,
+    # the eager path's from join_effect on the built join
+    stats = {rel: bench_join_stats[rel] for rel in schemas}
+    key_ndvs = {st.ndv for rel in schemas for col, st in
+                stats[rel].scalars.items() if col.startswith("k")}
+    assert len(key_ndvs) > 1 and DEFAULT_JOIN_NDV not in key_ndvs
+    fast = _enumerated(_RecordingEnumerator, term, schemas, stats)
+    assert fast == _enumerated(_EagerEnumerator, term, schemas, stats)
+    assert fast[1]["candidates"] > fast[1]["entries"] > 0
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
-    # 4 x 60 two-relation queries, statistics on odd seeds
+    # 4 x 60 two-relation queries, statistics on odd seeds; some of them
+    # have an operator runnable on both sides, so the pinned-operator
+    # variants and their deduplication run too
+    pinned = 0
     for seed in range(8000 + 60 * block, 8000 + 60 * (block + 1)):
         rng = random.Random(seed)
         rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
@@ -698,19 +763,58 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
         schemas = {tr.name: tr.schema for tr in rels}
         stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
             if seed % 2 else None
-        assert _enumerated(_RecordingEnumerator, term, schemas, stats) == \
-            _enumerated(_EagerEnumerator, term, schemas, stats), seed
+        fast = _enumerated(_RecordingEnumerator, term, schemas, stats)
+        assert fast == _enumerated(_EagerEnumerator, term, schemas, stats), \
+            seed
+        pinned += fast[3]
+    assert pinned > 0
+
+
+def test_candidate_loop_costs_each_pair_with_its_own_divisor():
+    # records of one partition whose join key has a different distinct
+    # count on each (unknown on one): every candidate gets the divisor of
+    # its own pair of key-ndv tuples, so it is costed as join_entries
+    # builds it
+    schemas = {"L": Schema.of(scalars=("k", "x")),
+               "R": Schema.of(scalars=("k", "y"))}
+    cm = CostModel({}, schemas)
+    enum = _enumerator(Join(RelVar("L"), RelVar("R")), schemas)
+
+    def entry(rel, bit, ops, ndv):
+        state = cm.base_state(rel)
+        key = None if ndv is None else ScalarStats("uniform", ndv, 0.0)
+        state = dataclasses.replace(
+            state, scalar_stats={**state.scalar_stats, "k": key})
+        return MemoEntry(RelVar(rel), bit, ops, 1000.0, state,
+                         schemas[rel])
+
+    cut = enumeration.Cut(frozenset({"k"}), ["k"], [], {})
+    lefts = [entry("L", 1, 1 << i, ndv) for i, ndv in enumerate((20, 200))]
+    rights = [entry("R", 2, 4 << i, ndv)
+              for i, ndv in enumerate((5, 50, None))]
+    table: dict = {}
+    enum.candidates(table, [enumeration.Prefix.of(e, cut) for e in lefts],
+                    [enumeration.Prefix.of(e, cut) for e in rights], cut,
+                    None)
+    assert len(table) == 6 and len(cut.divisors) == 2
+    for left in lefts:
+        for right in rights:
+            built = join_entries(left, right, cut.keys, cm)
+            assert table[built.ops].cost == built.cost
 
 
 def test_chain4_enumeration_work_counts(monkeypatch):
     # each left-hand chain is built once per left-hand entry, each
-    # right-hand chain once per partition, only the join winners left in a
-    # complete memo table get a merged state, and ``run`` finishes 113 of
-    # the 256 complete plans; building every chain and candidate anew and
-    # finishing every complete plan took 9,069 operator applications and
-    # 8,005 join effects for the same memo; preprocess rejects its R2.3
-    # guards locally, so it never costs the chain's root, and its one
-    # sweep round folds the chain's 3 joins once, not once per attempt
+    # right-hand chain once per partition, or once per ``combine`` when
+    # the partition has a single left-hand entry (that chain used to be
+    # rebuilt for every left-hand prefix: 2,643 applications), only the
+    # join winners left in a complete memo table get a merged state, and
+    # ``run`` finishes 113 of the 256 complete plans; building every chain
+    # and candidate anew and finishing every complete plan took 9,069
+    # operator applications and 8,005 join effects for the same memo;
+    # preprocess rejects its R2.3 guards locally, so it never costs the
+    # chain's root, and its one sweep round folds the chain's 3 joins
+    # once, not once per attempt
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -727,7 +831,7 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
         (2556, 7984)
-    assert calls == {"apply_op": 2643, "join_effect": 441}
+    assert calls == {"apply_op": 1464, "join_effect": 441}
     assert res.counters["finished"] == 113
 
 
@@ -857,17 +961,20 @@ def test_operator_and_join_costs_are_never_negative_or_nan(monkeypatch,
     # the best finished cost, which is exact only under this premise
     costs = []
 
-    def recorded(fn):
+    def recorded(fn, cost_of=lambda out: out[0]):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
-            costs.append(out[0])
+            costs.append(cost_of(out))
             return out
         return wrapper
 
     monkeypatch.setattr(CostModel, "op_effect",
                         recorded(CostModel.op_effect))
-    monkeypatch.setattr(CostModel, "join_cost",
-                        recorded(CostModel.join_cost))
+    # join_effect and the enumerator's candidate loop both cost a join
+    # through join_cost
+    recorded_join_cost = recorded(join_cost, lambda out: out)
+    monkeypatch.setattr("a3d.stats.join_cost", recorded_join_cost)
+    monkeypatch.setattr(enumeration, "join_cost", recorded_join_cost)
     for seed in range(9500, 9650):
         rng = random.Random(seed)
         nrel = rng.choice((1, 2, 3))

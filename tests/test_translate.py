@@ -179,6 +179,54 @@ def test_string_literal_quote_escaped():
     assert "a = 'it''s'" in to_sql(term, "clickhouse", SCHEMAS)
 
 
+def _string_literals(sql: str, dialect: str) -> list:
+    """The values of the string literals in `sql`, read as `dialect`
+    reads them: a doubled quote is a quote, and in ClickHouse a backslash
+    escapes the next character (``\\n`` is a line break)."""
+    values, i = [], 0
+    while True:
+        i = sql.find("'", i)
+        if i < 0:
+            return values
+        chars, i = [], i + 1
+        while True:
+            c = sql[i]
+            if c == "\\" and dialect == "clickhouse":
+                chars.append({"n": "\n"}.get(sql[i + 1], sql[i + 1]))
+                i += 2
+            elif c == "'" and sql[i + 1:i + 2] == "'":
+                chars.append("'")
+                i += 2
+            elif c == "'":
+                values.append("".join(chars))
+                i += 1
+                break
+            else:
+                chars.append(c)
+                i += 1
+
+
+@pytest.mark.parametrize("cte", [False, True])
+@pytest.mark.parametrize("depth", [0, 1, 3])
+@pytest.mark.parametrize("dialect", ["clickhouse", "generic"])
+def test_string_literal_keeps_its_value_at_any_depth(dialect, depth, cte):
+    value = "x\n  y\\n'z'\n"
+    term = Filter(Cmp("=", Col("c"), Lit(value)), RelVar("S"))
+    for _ in range(depth):
+        term = Filter(Cmp(">", Col("a"), Lit(1)), Project(("a", "c"), term))
+    sql = to_sql(term, dialect, SCHEMAS, cte=cte)
+    assert _string_literals(sql, dialect) == [value]
+    assert sql.count("SELECT") == 1 + 2 * depth
+    # ClickHouse keeps the literal on one line; standard SQL has no escape
+    assert ("x\n" in sql) == (dialect == "generic")
+
+
+def test_clickhouse_string_literal_escapes_backslashes():
+    term = Filter(Cmp("=", Col("c"), Lit("a\\b")), RelVar("S"))
+    assert "c = 'a\\\\b'" in to_sql(term, "clickhouse", SCHEMAS)
+    assert "c = 'a\\b'" in to_sql(term, "generic", SCHEMAS)
+
+
 @pytest.mark.parametrize("dialect", ["clickhouse", "generic"])
 def test_nested_subqueries_indent_two_spaces_per_level(dialect):
     seen = 0
