@@ -22,11 +22,7 @@ from .algebra import (
     Join, Project, RelVar, Schema, SchemaError, Term,
 )
 from .functions import ScalarFn, known_agg_fn, known_scalar_fn
-from .planner import (
-    DisconnectedJoinGraphError, GreedyIterationCapError,
-    InfeasibleQueryError, MalformedQueryError, OracleLimitError,
-    MODES, PostprocessCapError, optimize,
-)
+from .planner import InfeasibleQueryError, MODES, optimize
 from .predicates import And, Cmp, Col, Lit, Not, Or, Apply, COMPARISONS
 from .stats import ArrayStats, CostModel, ScalarStats, TableStats
 from .translate import DIALECTS, DialectError, to_dot, to_sql
@@ -560,9 +556,7 @@ def main(argv=None) -> int:
     except InfeasibleQueryError as e:
         _diag("infeasible", str(e), blocking_op=e.blocking_op)
         return EXIT_INFEASIBLE
-    except (DisconnectedJoinGraphError, MalformedQueryError,
-            OracleLimitError, PostprocessCapError,
-            GreedyIterationCapError) as e:
+    except A3DError as e:  # every other planner error
         _diag("infeasible", str(e))
         return EXIT_INFEASIBLE
 

@@ -42,7 +42,7 @@ from .postprocess import (
 )
 from .precedence import MalformedQueryError, PrecedenceGraph, build_precedence
 from .preprocess import preprocess
-from .schedule import leq, sequence_cost, sort_key, sort_ops
+from .schedule import leq, sort_key, sort_ops
 
 __all__ = [
     "DisconnectedJoinGraphError", "Enumerator", "GreedyIterationCapError",
@@ -52,8 +52,7 @@ __all__ = [
     "PrecedenceGraph", "QueryDecomposition", "RankableOp",
     "build_precedence", "collapse_idempotent_reaggregation", "decompose",
     "enumerate_plans", "leq", "optimize", "optimize_greedy",
-    "oracle_enumerate", "postprocess", "preprocess", "sequence_cost",
-    "sort_key", "sort_ops",
+    "oracle_enumerate", "postprocess", "preprocess", "sort_key", "sort_ops",
 ]
 
 MODES = ("greedy", "enumerate", "oracle")

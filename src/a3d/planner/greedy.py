@@ -3,15 +3,16 @@
 One bottom-up sweep repeated to a fixpoint.  Rewrites that are pure
 improvements by construction (pushdowns, element-form conversions,
 inversions) fire whenever they match; reshapes that can cut either way fire
-only when the cost model approves.  The join tree is left as written — this
-mode trades optimality for speed and serves as the baseline the enumerating
-mode is measured against.  The ``RuleContext`` carries the cost model.
+only when the cost model approves.  At each node only the catalog rules
+whose shapes match it are tried, in catalog order (``rewrite.rules_at``),
+so the first rule that fires is the one a scan of the whole catalog would
+fire.  The join tree is left as written — this mode trades optimality for
+speed and serves as the baseline the enumerating mode is measured against.
+The ``RuleContext`` carries the cost model.
 """
 
 from ..algebra import A3DError, Term
-from ..rewrite import (
-    CATALOG, RuleContext, guard_cost_improves, rewrite_to_fixpoint, try_apply,
-)
+from ..rewrite import RuleContext, first_rewrite, rewrite_to_fixpoint
 
 
 class GreedyIterationCapError(A3DError):
@@ -23,20 +24,15 @@ def optimize_greedy(term: Term, ctx: RuleContext,
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
     seen = {repr(term)}
 
+    def unseen(new):
+        key = repr(new)
+        if key in seen:
+            return False  # don't re-enter a shape we already left
+        seen.add(key)
+        return True
+
     def step(root, path, sub):
-        for rule in CATALOG:
-            if rule.kind == "rule":
-                new = try_apply(rule, root, path, sub, ctx)
-            else:
-                new = guard_cost_improves(rule, root, path, sub, ctx)
-            if new is None:
-                continue
-            key = repr(new)
-            if key in seen:
-                continue  # don't re-enter a shape we already left
-            seen.add(key)
-            return rule.rule_id, new
-        return None
+        return first_rewrite(None, root, path, sub, ctx, unseen)
 
     return rewrite_to_fixpoint(term, step, "greedy", ctx, "bottom-up",
                                cap=max_steps,

@@ -13,6 +13,8 @@ fixpoint, each one accepted only when
 
 The same pass fuses arrayFilters that operator placement stacked over one
 target set (R2.4); the fused filter is never costlier, so it needs no guard.
+At each node the pass tries only the rules whose shapes match it
+(``rewrite.rules_at``), in the order of ``_RULES``.
 
 A run is bounded by ``cap`` successful applications; exceeding it raises
 :class:`PostprocessCapError` so a cycling guard surfaces as a diagnostic
@@ -20,16 +22,14 @@ instead of a hang.  The ``RuleContext`` carries the cost model and the trace.
 """
 
 from ..algebra import (
-    A3DError, Aggregate, AggSpec, ArrayFilter, Term, children, with_children,
+    A3DError, Aggregate, AggSpec, Term, children, with_children,
 )
-from ..rewrite import (
-    RULES_BY_ID, RuleContext, guard_cost_improves, rewrite_to_fixpoint,
-    try_apply,
-)
+from ..rewrite import RuleContext, first_rewrite, rewrite_to_fixpoint
 from ..stats import CostModel
 
 # Order matters only for ties; the list is scanned first-match per node.
 PRE_AGG_RULES = ("R17.1", "R17.2", "R17.3", "R18", "R19", "R20", "R21")
+_RULES = ("R2.4",) + PRE_AGG_RULES
 
 # Outer aggregates that return the value itself when a group has one row.
 _SINGLETON_IDENTITY = {"min", "max", "sum", "avg"}
@@ -75,18 +75,10 @@ def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
                 cap: int = 32) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
     def step(root, path, sub):
-        if isinstance(sub, ArrayFilter):
-            new = try_apply(RULES_BY_ID["R2.4"], root, path, sub, ctx)
-            return None if new is None else ("R2.4", new)
-        if not isinstance(sub, Aggregate) or \
+        if isinstance(sub, Aggregate) and \
                 not _condenses(sub, ctx.cost_model, alpha):
             return None
-        for rule_id in PRE_AGG_RULES:
-            new = guard_cost_improves(RULES_BY_ID[rule_id], root, path, sub,
-                                      ctx)
-            if new is not None:
-                return rule_id, new
-        return None
+        return first_rewrite(_RULES, root, path, sub, ctx)
 
     term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "restart",
                                cap=cap, cap_error=PostprocessCapError)

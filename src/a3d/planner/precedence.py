@@ -79,15 +79,19 @@ def _invert(n: int, succ: list) -> list:
 
 def find_n_structure(graph: PrecedenceGraph):
     """Find an induced N: (a, b, c, d) with a<c, b<c, b<d and no other
-    relations between the four.  Returns None when series-parallel."""
+    relations between the four.  Returns None when series-parallel.
+
+    Only a `c` with two or more predecessors can have both `a` and `b`
+    below it, and its candidates `d` are read off the bitmask of the
+    operators incomparable to it, in increasing order."""
     n, succ, pred = graph.n, graph.succ, graph.pred
     full = (1 << n) - 1
     for c in range(n):
-        for d in range(n):
-            if c == d or graph.comparable(c, d):
-                continue
+        if pred[c].bit_count() < 2:
+            continue
+        for d in _bits(full & ~(succ[c] | pred[c] | 1 << c)):
             both = pred[c] & pred[d]
-            only_c = pred[c] & ~pred[d] & ~succ[d] & ~(1 << d) & full
+            only_c = pred[c] & ~pred[d] & ~succ[d]
             if not (both and only_c):
                 continue
             for b in _bits(both):

@@ -20,7 +20,9 @@ Five sub-passes, each semantics-preserving:
 5. dead derive removal -- derives whose output nothing consumes are dropped.
 
 Sub-passes take ``(term, ctx)``; the ``RuleContext`` carries the cost model
-that guards step 4 and the trace.  Steps 1 and 3 decide from a node, its
+that guards step 4 and the trace.  Steps 3 and 4 name their catalog rules
+as an ordered id tuple and try, at each node, those whose shapes match it
+(``rewrite.rules_at``).  Steps 1 and 3 decide from a node, its
 children and its grandchildren's schemas, so their rounds resume at the
 last rewrite's parent (``rewrite_to_fixpoint``'s ``resume``); step 4's
 guard reads the whole term, so each of its rounds sweeps it (``sweep``).
@@ -32,8 +34,7 @@ from ..algebra import (
 )
 from ..predicates import split_conjuncts
 from ..rewrite import (
-    RULES_BY_ID, RuleContext, _swap, guard_cost_improves,
-    rewrite_to_fixpoint, trace_record, try_apply,
+    RuleContext, _swap, first_rewrite, rewrite_to_fixpoint, trace_record,
 )
 
 
@@ -114,7 +115,8 @@ def split_filter_conjuncts(term: Term) -> Term:
 # 3. filter inversion and descent
 ############################################################
 
-_FILTER_RULES = ("R2.2", "R13.2", "R13.1", "R2.1")
+# R2.4 on stacked arrayFilters; the rest, in this order, on a filter
+_DESCEND_RULES = ("R2.4", "R2.2", "R13.2", "R13.1", "R2.1")
 
 
 def _commute_filter_past_array_filter(sub: Term):
@@ -128,15 +130,9 @@ def descend_filters(term: Term, ctx: RuleContext) -> Term:
     """Push filters toward arrayJoins; convert to arrayFilter on contact,
     and fuse the arrayFilters so stacked over one target set (R2.4)."""
     def step(root, path, sub):
-        if isinstance(sub, ArrayFilter):
-            new = try_apply(RULES_BY_ID["R2.4"], root, path, sub, ctx)
-            return None if new is None else ("R2.4", new)
-        if not isinstance(sub, Filter):
-            return None
-        for rule_id in _FILTER_RULES:
-            new = try_apply(RULES_BY_ID[rule_id], root, path, sub, ctx)
-            if new is not None:
-                return rule_id, new
+        hit = first_rewrite(_DESCEND_RULES, root, path, sub, ctx)
+        if hit is not None:
+            return hit
         swapped = _commute_filter_past_array_filter(sub)
         if swapped is None:
             return None
@@ -150,13 +146,8 @@ def descend_filters(term: Term, ctx: RuleContext) -> Term:
 ############################################################
 
 def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
-    rule = RULES_BY_ID["R2.3"]
-
     def step(root, path, sub):
-        if not isinstance(sub, ArrayJoin):
-            return None
-        new = guard_cost_improves(rule, root, path, sub, ctx)
-        return None if new is None else ("R2.3", new)
+        return first_rewrite(("R2.3",), root, path, sub, ctx)
 
     return rewrite_to_fixpoint(term, step, "preprocess", ctx, "sweep")
 

@@ -131,16 +131,3 @@ def sort_ops(ops, graph: PrecedenceGraph) -> list:
     for blk in blocks:
         out.extend(blk.ops)
     return out
-
-
-############################################################
-# sequence costing (used by tests)
-############################################################
-
-def sequence_cost(cost_model, state, nodes) -> float:
-    """Cost of applying unary operator nodes in order over `state`."""
-    total = 0.0
-    for node in nodes:
-        cost, state = cost_model.op_effect(node, state)
-        total += cost
-    return total

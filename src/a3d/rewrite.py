@@ -13,6 +13,16 @@ Rules come in two kinds:
           pre-aggregation) and therefore apply only under
           ``guard_cost_improves``.
 
+Every rule declares, in ``_rule(...)``, the operator pairs it rewrites: its
+``shapes``, each a ``(node type, child type)`` pair, with None for any
+child.  The catalog is thus the paper's matrix of pairwise interactions
+between relational and array operators, pinned as a table by
+``test_rule_shapes_form_the_pairwise_matrix`` in ``tests/test_rewrite.py``.
+A rule body tests only what its shapes do not express.  The engine does
+the matching: ``_attempt`` neither calls nor counts a rule off its shapes,
+and ``rules_at`` returns, per node shape, the rules of an ordered id tuple
+that can fire there, which greedy and every rewrite stage dispatch through.
+
 Where a rule moves one unary operator past another, or below or above a
 join, its column conditions come from ``algebra.footprint``, through three
 helpers: ``_swap`` (R1, R2.1, R5.1, R11.1, R12, R13.1, R15),
@@ -60,7 +70,7 @@ introduced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .algebra import (
     Aggregate,
@@ -73,7 +83,6 @@ from .algebra import (
     Project,
     RelVar,
     Schema,
-    SchemaError,
     Term,
     UNARY_TYPES,
     children,
@@ -109,10 +118,24 @@ class RewriteError(Exception):
 
 @dataclass(frozen=True)
 class Rule:
+    """A catalog rule.  `shapes` holds the ``(node type, child type)``
+    pairs it rewrites; a child type of None matches any child, and only a
+    unary node type names one."""
+
     rule_id: str
     kind: str            # "rule" | "cost"
     title: str
     fn: Callable         # (sub: Term, ctx: RuleContext) -> Optional[Term]
+    shapes: tuple
+
+    def matches(self, sub: Term) -> bool:
+        """Whether `sub` has one of the rule's shapes."""
+        node_type = type(sub)
+        for node_t, child_t in self.shapes:
+            if node_type is node_t and (child_t is None
+                                        or type(sub.child) is child_t):
+                return True
+        return False
 
 
 class RuleContext:
@@ -203,13 +226,38 @@ CATALOG: list = []
 RULES_BY_ID: dict = {}
 
 
-def _rule(rule_id: str, kind: str, title: str):
+def _rule(rule_id: str, kind: str, title: str, *shapes):
     def register(fn):
-        r = Rule(rule_id, kind, title, fn)
+        r = Rule(rule_id, kind, title, fn, shapes)
         CATALOG.append(r)
         RULES_BY_ID[rule_id] = r
         return fn
     return register
+
+
+# (rule ids or None, node type, child type) -> the ids whose shapes match;
+# a few id tuples times the pairs of node types bound its size
+_BUCKETS: dict = {}
+
+
+def rules_at(sub: Term, rule_ids: Optional[tuple] = None) -> list:
+    """The rules of `rule_ids`, or of the whole catalog with None, that
+    `sub`'s shape matches, in that order.
+
+    Each bucket is built once per (ids, node type, child type) and holds
+    rule ids, resolved through ``RULES_BY_ID`` on every call, so a rule
+    replaced there is never served stale.
+    """
+    node_type = type(sub)
+    key = (rule_ids, node_type,
+           type(sub.child) if node_type in UNARY_TYPES else None)
+    ids = _BUCKETS.get(key)
+    if ids is None:
+        pool = rule_ids if rule_ids is not None \
+            else [r.rule_id for r in CATALOG]
+        ids = _BUCKETS[key] = tuple(
+            i for i in pool if RULES_BY_ID[i].matches(sub))
+    return [RULES_BY_ID[i] for i in ids] if ids else []
 
 
 def _aliases(targets):
@@ -275,24 +323,20 @@ def _pull_above_join(join: Join, kind: type, ctx) -> Optional[Term]:
 # filters vs array operators (R1, R2.x)
 ############################################################
 
-@_rule("R1", "cost", "commute adjacent filters")
+@_rule("R1", "cost", "commute adjacent filters", (Filter, Filter))
 def r1(sub, ctx):
-    if isinstance(sub, Filter) and isinstance(sub.child, Filter):
-        return _swap(sub, sub.child)
-    return None
+    return _swap(sub, sub.child)
 
 
-@_rule("R2.1", "rule", "push filter below arrayJoin (alias-independent)")
+@_rule("R2.1", "rule", "push filter below arrayJoin (alias-independent)",
+       (Filter, ArrayJoin))
 def r2_1(sub, ctx):
-    if isinstance(sub, Filter) and isinstance(sub.child, ArrayJoin):
-        return _swap(sub, sub.child)
-    return None
+    return _swap(sub, sub.child)
 
 
-@_rule("R2.2", "rule", "filter on unnested elements becomes arrayFilter")
+@_rule("R2.2", "rule", "filter on unnested elements becomes arrayFilter",
+       (Filter, ArrayJoin))
 def r2_2(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, ArrayJoin)):
-        return None
     mu = sub.child
     aliases = _aliases(mu.targets)
     if not pred_columns(sub.pred) <= aliases:
@@ -301,10 +345,9 @@ def r2_2(sub, ctx):
     return ArrayJoin(tuple((a, a) for _, a in mu.targets), phi)
 
 
-@_rule("R2.3", "cost", "prune empty arrays before arrayJoin")
+@_rule("R2.3", "cost", "prune empty arrays before arrayJoin",
+       (ArrayJoin, None))
 def r2_3(sub, ctx):
-    if not isinstance(sub, ArrayJoin):
-        return None
     guard = _not_empty(sub.targets[0][0])
     probe = sub.child
     while isinstance(probe, Filter):
@@ -314,7 +357,8 @@ def r2_3(sub, ctx):
     return ArrayJoin(sub.targets, Filter(guard, sub.child))
 
 
-@_rule("R2.4", "rule", "fuse stacked arrayFilters over one target set")
+@_rule("R2.4", "rule", "fuse stacked arrayFilters over one target set",
+       (ArrayFilter, ArrayFilter))
 def r2_4(sub, ctx):
     """phi[t2 | p2](phi[t1 | p1](X)), where t2's sources are t1's aliases,
     -> phi[(s, t2(a)) for (s, a) in t1 | p1 renamed through t2, then p2](X).
@@ -325,9 +369,6 @@ def r2_4(sub, ctx):
     rejects an alias that shadows a surviving column), so the fused filter
     drops what the stack drops.
     """
-    if not (isinstance(sub, ArrayFilter)
-            and isinstance(sub.child, ArrayFilter)):
-        return None
     inner = sub.child
     if _sources(sub.targets) != _aliases(inner.targets):
         return None
@@ -342,20 +383,16 @@ def r2_4(sub, ctx):
 # projections (R3, R9, R14)
 ############################################################
 
-@_rule("R3", "rule", "push projection below filter")
+@_rule("R3", "rule", "push projection below filter", (Project, Filter))
 def r3(sub, ctx):
-    if not (isinstance(sub, Project) and isinstance(sub.child, Filter)):
-        return None
     f = sub.child
     if not pred_columns(f.pred) <= set(sub.cols):
         return None
     return Filter(f.pred, Project(sub.cols, f.child))
 
 
-@_rule("R9", "rule", "split projection across a join")
+@_rule("R9", "rule", "split projection across a join", (Project, Join))
 def r9(sub, ctx):
-    if not (isinstance(sub, Project) and isinstance(sub.child, Join)):
-        return None
     join = sub.child
     lsch = ctx.schema_of(join.left)
     rsch = ctx.schema_of(join.right)
@@ -370,10 +407,9 @@ def r9(sub, ctx):
     return Join(Project(lcols, join.left), Project(rcols, join.right))
 
 
-@_rule("R14", "rule", "push projection below derive / drop dead derive")
+@_rule("R14", "rule", "push projection below derive / drop dead derive",
+       (Project, Derive))
 def r14(sub, ctx):
-    if not (isinstance(sub, Project) and isinstance(sub.child, Derive)):
-        return None
     d = sub.child
     keep = frozenset(sub.cols)
     if d.output not in keep:
@@ -396,17 +432,15 @@ def _side_schemas(ctx, join):
     return ctx.schema_of(join.left), ctx.schema_of(join.right)
 
 
-@_rule("R4.1", "cost", "push arrayJoin below join (one-sided targets)")
+@_rule("R4.1", "cost", "push arrayJoin below join (one-sided targets)",
+       (ArrayJoin, Join))
 def r4_1(sub, ctx):
-    if isinstance(sub, ArrayJoin) and isinstance(sub.child, Join):
-        return _push_below_join(sub, ctx)
-    return None
+    return _push_below_join(sub, ctx)
 
 
-@_rule("R4.2", "cost", "split cross-relation coordinated arrayJoin by index")
+@_rule("R4.2", "cost", "split cross-relation coordinated arrayJoin by index",
+       (ArrayJoin, Join))
 def r4_2(sub, ctx):
-    if not (isinstance(sub, ArrayJoin) and isinstance(sub.child, Join)):
-        return None
     join = sub.child
     lsch, rsch = _side_schemas(ctx, join)
     shared = lsch.columns & rsch.columns
@@ -434,46 +468,35 @@ def r4_2(sub, ctx):
     return Project(tuple(sorted(out_schema.columns)), joined)
 
 
-@_rule("R6", "rule", "push filter below join")
+@_rule("R6", "rule", "push filter below join", (Filter, Join))
 def r6(sub, ctx):
-    if isinstance(sub, Filter) and isinstance(sub.child, Join):
-        return _push_below_join(sub, ctx)
-    return None
+    return _push_below_join(sub, ctx)
 
 
-@_rule("R7", "cost", "pull filter above join")
+@_rule("R7", "cost", "pull filter above join", (Join, None))
 def r7(sub, ctx):
-    if isinstance(sub, Join):
-        return _pull_above_join(sub, Filter, ctx)
-    return None
+    return _pull_above_join(sub, Filter, ctx)
 
 
-@_rule("R8", "rule", "push derive below join")
+@_rule("R8", "rule", "push derive below join", (Derive, Join))
 def r8(sub, ctx):
-    if isinstance(sub, Derive) and isinstance(sub.child, Join):
-        return _push_below_join(sub, ctx)
-    return None
+    return _push_below_join(sub, ctx)
 
 
-@_rule("R10.1", "cost", "push arrayFilter below join")
+@_rule("R10.1", "cost", "push arrayFilter below join", (ArrayFilter, Join))
 def r10_1(sub, ctx):
-    if isinstance(sub, ArrayFilter) and isinstance(sub.child, Join):
-        return _push_below_join(sub, ctx)
-    return None
+    return _push_below_join(sub, ctx)
 
 
-@_rule("R10.2", "cost", "pull arrayFilter above join")
+@_rule("R10.2", "cost", "pull arrayFilter above join", (Join, None))
 def r10_2(sub, ctx):
-    if isinstance(sub, Join):
-        return _pull_above_join(sub, ArrayFilter, ctx)
-    return None
+    return _pull_above_join(sub, ArrayFilter, ctx)
 
 
-@_rule("R10.3", "cost", "split stacked independent arrayFilters across a join")
+@_rule("R10.3", "cost", "split stacked independent arrayFilters across a join",
+       (ArrayFilter, ArrayFilter))
 def r10_3(sub, ctx):
-    if not (isinstance(sub, ArrayFilter) and len(sub.targets) == 1
-            and isinstance(sub.child, ArrayFilter)
-            and len(sub.child.targets) == 1
+    if not (len(sub.targets) == 1 and len(sub.child.targets) == 1
             and isinstance(sub.child.child, Join)):
         return None
     outer, inner = sub, sub.child
@@ -500,18 +523,16 @@ def r10_3(sub, ctx):
 # derive vs array operators (R5.x, R11.x, R12, R13.x)
 ############################################################
 
-@_rule("R5.1", "rule", "push scalar derive below arrayJoin")
+@_rule("R5.1", "rule", "push scalar derive below arrayJoin",
+       (Derive, ArrayJoin))
 def r5_1(sub, ctx):
-    if isinstance(sub, Derive) and isinstance(sub.child, ArrayJoin) \
-            and not sub.is_map:
-        return _swap(sub, sub.child)
-    return None
+    return None if sub.is_map else _swap(sub, sub.child)
 
 
-@_rule("R5.2", "cost", "derive on unnested element becomes arrayMap below")
+@_rule("R5.2", "cost", "derive on unnested element becomes arrayMap below",
+       (Derive, ArrayJoin))
 def r5_2(sub, ctx):
-    if not (isinstance(sub, Derive) and isinstance(sub.child, ArrayJoin)
-            and not sub.is_map):
+    if sub.is_map:
         return None
     mu = sub.child
     als = _aliases(mu.targets)
@@ -530,21 +551,19 @@ def r5_2(sub, ctx):
     return ArrayJoin(mu.targets + ((y, y),), inner)
 
 
-@_rule("R11.1", "cost", "commute independent arrayFilter and map derive")
+@_rule("R11.1", "cost", "commute independent arrayFilter and map derive",
+       (ArrayFilter, Derive), (Derive, ArrayFilter))
 def r11_1(sub, ctx):
-    if isinstance(sub, ArrayFilter) and isinstance(sub.child, Derive) \
-            and sub.child.is_map:
-        return _swap(sub, sub.child)
-    if isinstance(sub, Derive) and sub.is_map \
-            and isinstance(sub.child, ArrayFilter):
+    # in either shape the derive is the one of the pair with ``is_map``
+    if getattr(sub, "is_map", False) or getattr(sub.child, "is_map", False):
         return _swap(sub, sub.child)
     return None
 
 
-@_rule("R11.2", "rule", "rewind arrayFilter through an invertible map")
+@_rule("R11.2", "rule", "rewind arrayFilter through an invertible map",
+       (ArrayFilter, Derive))
 def r11_2(sub, ctx):
-    if not (isinstance(sub, ArrayFilter) and len(sub.targets) == 1
-            and isinstance(sub.child, Derive) and sub.child.is_map
+    if not (len(sub.targets) == 1 and sub.child.is_map
             and len(sub.child.args) == 1):
         return None
     d = sub.child
@@ -568,24 +587,20 @@ def r11_2(sub, ctx):
     return Project(out_cols, remapped)
 
 
-@_rule("R12", "cost", "commute independent arrayJoins")
+@_rule("R12", "cost", "commute independent arrayJoins", (ArrayJoin, ArrayJoin))
 def r12(sub, ctx):
-    if isinstance(sub, ArrayJoin) and isinstance(sub.child, ArrayJoin):
-        return _swap(sub, sub.child)
-    return None
+    return _swap(sub, sub.child)
 
 
-@_rule("R13.1", "rule", "push filter below independent derive")
+@_rule("R13.1", "rule", "push filter below independent derive",
+       (Filter, Derive))
 def r13_1(sub, ctx):
-    if isinstance(sub, Filter) and isinstance(sub.child, Derive):
-        return _swap(sub, sub.child)
-    return None
+    return _swap(sub, sub.child)
 
 
-@_rule("R13.2", "rule", "invert filter through an affine derive")
+@_rule("R13.2", "rule", "invert filter through an affine derive",
+       (Filter, Derive))
 def r13_2(sub, ctx):
-    if not (isinstance(sub, Filter) and isinstance(sub.child, Derive)):
-        return None
     d = sub.child
     if d.is_map or len(d.args) != 1:
         return None
@@ -602,11 +617,10 @@ def r13_2(sub, ctx):
 # aggregates (R15, R16, R17.x, R18-R21)
 ############################################################
 
-@_rule("R15", "cost", "push filter on group keys below aggregate")
+@_rule("R15", "cost", "push filter on group keys below aggregate",
+       (Filter, Aggregate))
 def r15(sub, ctx):
-    if isinstance(sub, Filter) and isinstance(sub.child, Aggregate):
-        return _swap(sub, sub.child)
-    return None
+    return _swap(sub, sub.child)
 
 
 def _partial_final_specs(aggs, fresh):
@@ -655,8 +669,6 @@ def _eager_join_agg(sub, ctx, *, require_distinct, local_keys):
     on the aggregated side (True), the variant where they spill onto the
     other side (False), or either (None, used for distinct).
     """
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, Join)):
-        return None
     join = sub.child
     lsch, rsch = _side_schemas(ctx, join)
     shared = lsch.columns & rsch.columns
@@ -691,25 +703,27 @@ def _eager_join_agg(sub, ctx, *, require_distinct, local_keys):
     return None
 
 
-@_rule("R16", "cost", "push distinct aggregation below join")
+@_rule("R16", "cost", "push distinct aggregation below join",
+       (Aggregate, Join))
 def r16(sub, ctx):
     return _eager_join_agg(sub, ctx, require_distinct=True, local_keys=None)
 
 
-@_rule("R18", "cost", "push fully one-sided aggregation below join")
+@_rule("R18", "cost", "push fully one-sided aggregation below join",
+       (Aggregate, Join))
 def r18(sub, ctx):
     return _eager_join_agg(sub, ctx, require_distinct=False, local_keys=True)
 
 
-@_rule("R21", "cost", "eager partial aggregation below join (keys spill over)")
+@_rule("R21", "cost", "eager partial aggregation below join (keys spill over)",
+       (Aggregate, Join))
 def r21(sub, ctx):
     return _eager_join_agg(sub, ctx, require_distinct=False, local_keys=False)
 
 
-@_rule("R19", "cost", "pre-count one join side, scale the other's aggregates")
+@_rule("R19", "cost", "pre-count one join side, scale the other's aggregates",
+       (Aggregate, Join))
 def r19(sub, ctx):
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, Join)):
-        return None
     join = sub.child
     lsch, rsch = _side_schemas(ctx, join)
     shared = lsch.columns & rsch.columns
@@ -746,10 +760,9 @@ def r19(sub, ctx):
     return None
 
 
-@_rule("R17.1", "cost", "aggregate over unnested elements without unnesting")
+@_rule("R17.1", "cost", "aggregate over unnested elements without unnesting",
+       (Aggregate, ArrayJoin))
 def r17_1(sub, ctx):
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, ArrayJoin)):
-        return None
     mu = sub.child
     als = _aliases(mu.targets)
     if not sub.aggs or set(sub.keys) & als:
@@ -786,10 +799,9 @@ def r17_1(sub, ctx):
     return Project(out_cols, term)
 
 
-@_rule("R17.2", "cost", "group by unnested element: pre-aggregate per array")
+@_rule("R17.2", "cost", "group by unnested element: pre-aggregate per array",
+       (Aggregate, ArrayJoin))
 def r17_2(sub, ctx):
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, ArrayJoin)):
-        return None
     mu = sub.child
     als = _aliases(mu.targets)
     key_aliases = [k for k in sub.keys if k in als]
@@ -814,10 +826,9 @@ def r17_2(sub, ctx):
     return _finish(outer, out_cols, finishers, drop)
 
 
-@_rule("R17.3", "cost", "group by one element, aggregate its corresponding one")
+@_rule("R17.3", "cost", "group by one element, aggregate its corresponding one",
+       (Aggregate, ArrayJoin))
 def r17_3(sub, ctx):
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, ArrayJoin)):
-        return None
     mu = sub.child
     als = _aliases(mu.targets)
     key_aliases = [k for k in sub.keys if k in als]
@@ -862,10 +873,9 @@ def r17_3(sub, ctx):
     return _finish(outer, out_cols, finishers, drop)
 
 
-@_rule("R20", "cost", "pre-aggregate below arrayJoin (alias-independent)")
+@_rule("R20", "cost", "pre-aggregate below arrayJoin (alias-independent)",
+       (Aggregate, ArrayJoin))
 def r20(sub, ctx):
-    if not (isinstance(sub, Aggregate) and isinstance(sub.child, ArrayJoin)):
-        return None
     mu = sub.child
     als = _aliases(mu.targets)
     if not sub.aggs or set(sub.keys) & als or {s.arg for s in sub.aggs} & als:
@@ -891,7 +901,10 @@ def r20(sub, ctx):
 
 def _attempt(rule: Rule, sub: Term, ctx: RuleContext) -> Optional[Term]:
     """Call `rule` on `sub`, counting one attempt in ``ctx.rule_counts``;
-    the rewrite, or None when the rule does not match or changes nothing."""
+    the rewrite, or None when the rule does not match or changes nothing.
+    A node outside the rule's shapes is neither attempted nor counted."""
+    if not rule.matches(sub):
+        return None
     counts = ctx.rule_counts.get(rule.rule_id)
     if counts is None:
         counts = ctx.rule_counts[rule.rule_id] = [0, 0]
@@ -1012,22 +1025,6 @@ def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
     return replace_at(root, path, new_sub)
 
 
-def applicable(root: Term, ctx: RuleContext, kinds=("rule", "cost")
-               ) -> Iterator[tuple]:
-    """Yield (rule, path) pairs that fire somewhere in `root`."""
-    ctx.bind_root(root)
-    for path, sub in walk(root):
-        for rule in CATALOG:
-            if rule.kind not in kinds:
-                continue
-            try:
-                new_sub = _attempt(rule, sub, ctx)
-            except SchemaError:
-                continue
-            if new_sub is not None:
-                yield rule, path
-
-
 def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
                         ctx: RuleContext, epsilon: float = 1e-9
                         ) -> Optional[Term]:
@@ -1067,6 +1064,21 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     new_cost = cost_model.term_cost(new_root, {id(new_sub): new}).cost
     if new_cost < old_cost - epsilon:
         return new_root
+    return None
+
+
+def first_rewrite(rule_ids: Optional[tuple], root: Term, path: tuple,
+                  sub: Term, ctx: RuleContext,
+                  accept: Optional[Callable] = None) -> Optional[tuple]:
+    """``(rule_id, new_root)`` of the first of ``rules_at(sub, rule_ids)``
+    that rewrites `sub`, the subterm of `root` at `path`, to a new root
+    that `accept` (when given) takes: a ``rule``-kind rule through
+    ``try_apply``, a ``cost`` one through ``guard_cost_improves``."""
+    for rule in rules_at(sub, rule_ids):
+        apply = try_apply if rule.kind == "rule" else guard_cost_improves
+        new = apply(rule, root, path, sub, ctx)
+        if new is not None and (accept is None or accept(new)):
+            return rule.rule_id, new
     return None
 
 

@@ -262,23 +262,9 @@ def _range_selectivity(st: Optional[ScalarStats], op: str, value) -> float:
     return _clamp(total)
 
 
-class StatsResolver:
-    """Column -> statistics lookup used during selectivity estimation."""
-
-    def __init__(self, scalar_stats: Mapping[str, Optional[ScalarStats]],
-                 array_info: Mapping[str, "ArrayInfo"]):
-        self.scalar_stats = scalar_stats
-        self.array_info = array_info
-
-    def scalar(self, col: str) -> Optional[ScalarStats]:
-        return self.scalar_stats.get(col)
-
-    def empty_fraction(self, col: str) -> Optional[float]:
-        info = self.array_info.get(col)
-        return None if info is None else info.empty_fraction
-
-
-def _cmp_selectivity(cmp: Cmp, resolver: StatsResolver) -> float:
+def _cmp_selectivity(cmp: Cmp,
+                     scalar_stats: Mapping[str, Optional[ScalarStats]],
+                     array_info: Mapping[str, "ArrayInfo"]) -> float:
     op, lhs, rhs = cmp.op, cmp.lhs, cmp.rhs
     if isinstance(rhs, Col) and isinstance(lhs, Lit):
         op, lhs, rhs = _FLIP[op], rhs, lhs
@@ -287,14 +273,13 @@ def _cmp_selectivity(cmp: Cmp, resolver: StatsResolver) -> float:
     if isinstance(lhs, Col) and isinstance(rhs, Lit):
         value = rhs.value
         if is_array(value):
-            ef = resolver.empty_fraction(lhs.name)
             if value == ():
-                if ef is None:
-                    ef = 0.0
+                info = array_info.get(lhs.name)
+                ef = 0.0 if info is None else info.empty_fraction
                 return _clamp(ef if op == "=" else 1.0 - ef)
             return DEFAULT_EQ_SELECTIVITY if op == "=" \
                 else 1.0 - DEFAULT_EQ_SELECTIVITY
-        st = resolver.scalar(lhs.name)
+        st = scalar_stats.get(lhs.name)
         if op == "=":
             return _eq_selectivity(st, value)
         if op == "!=":
@@ -309,7 +294,8 @@ def _cmp_selectivity(cmp: Cmp, resolver: StatsResolver) -> float:
             solved = invert_comparison(op, rhs.value, form[0], form[1])
             if solved is not None:
                 return _cmp_selectivity(
-                    Cmp(solved[0], lhs.args[0], Lit(solved[1])), resolver)
+                    Cmp(solved[0], lhs.args[0], Lit(solved[1])),
+                    scalar_stats, array_info)
 
     # anything else: defaults by operator shape
     if op == "=":
@@ -319,22 +305,26 @@ def _cmp_selectivity(cmp: Cmp, resolver: StatsResolver) -> float:
     return DEFAULT_RANGE_SELECTIVITY
 
 
-def pred_selectivity(pred: Pred, resolver: StatsResolver) -> float:
-    """Estimated fraction of rows satisfying `pred` (independence assumed)."""
+def pred_selectivity(pred: Pred,
+                     scalar_stats: Mapping[str, Optional[ScalarStats]],
+                     array_info: Mapping[str, "ArrayInfo"]) -> float:
+    """Estimated fraction of rows satisfying `pred` (independence assumed),
+    from the columns' statistics and array infos."""
     if isinstance(pred, Cmp):
-        return _clamp(_cmp_selectivity(pred, resolver))
+        return _clamp(_cmp_selectivity(pred, scalar_stats, array_info))
     if isinstance(pred, And):
         s = 1.0
         for p in pred.parts:
-            s *= pred_selectivity(p, resolver)
+            s *= pred_selectivity(p, scalar_stats, array_info)
         return _clamp(s)
     if isinstance(pred, Or):
         miss = 1.0
         for p in pred.parts:
-            miss *= 1.0 - pred_selectivity(p, resolver)
+            miss *= 1.0 - pred_selectivity(p, scalar_stats, array_info)
         return _clamp(1.0 - miss)
     if isinstance(pred, Not):
-        return _clamp(1.0 - pred_selectivity(pred.part, resolver))
+        return _clamp(1.0 - pred_selectivity(pred.part, scalar_stats,
+                                             array_info))
     raise SchemaError(f"not a predicate: {pred!r}")
 
 
@@ -378,9 +368,6 @@ class PlanState:
     rows_unf: float
     scalar_stats: Mapping[str, Optional[ScalarStats]]
     array_info: Mapping[str, ArrayInfo]
-
-    def resolver(self) -> StatsResolver:
-        return StatsResolver(self.scalar_stats, self.array_info)
 
     def info(self, col: str) -> ArrayInfo:
         return self.array_info.get(col, DEFAULT_ARRAY_INFO)
@@ -472,7 +459,7 @@ class CostModel:
     def element_selectivity(self, pred: Pred, targets, state: PlanState) -> float:
         """Selectivity of an arrayFilter predicate over element aliases."""
         alias_stats = {alias: state.info(src).elem for src, alias in targets}
-        return pred_selectivity(pred, StatsResolver(alias_stats, {}))
+        return pred_selectivity(pred, alias_stats, {})
 
     def group_selectivity(self, keys, state: PlanState) -> float:
         """Constant aggregate selectivity: base key ndv product over the
@@ -500,7 +487,8 @@ class CostModel:
         making a plan cheaper.
         """
         if isinstance(node, Filter):
-            s = pred_selectivity(node.pred, state.resolver())
+            s = pred_selectivity(node.pred, state.scalar_stats,
+                                 state.array_info)
             array_info = state.array_info
             col, empty = _emptiness_test(node.pred)
             info = array_info.get(col)

@@ -7,13 +7,16 @@ Run from the repository root, once per checkout, and diff the outputs:
         > old.txt
     diff old.txt new.txt
 
-Each line reads ``<corpus>/<seed>/<mode> <plan digest> <rules digest>``.
-The plan digest covers the plan's term, cost, counters other than
-``counters["rules"]``, trace records and ClickHouse SQL, or the type and
-message of the exception planning raised.  The rules digest covers
-``counters["rules"]`` and is ``-`` where the planner does not report it;
-compare only the first two fields (``cut -d' ' -f1,2``) against such a
-commit.
+Each line reads ``<corpus>/<seed>/<mode> <plan digest> <rules digest>
+<fires digest>``.  The plan digest covers the plan's term, cost, counters
+other than ``counters["rules"]``, trace records and ClickHouse SQL, or the
+type and message of the exception planning raised.  The rules digest covers
+``counters["rules"]``, each rule's attempts and fires; the fires digest
+covers ``{rule: fires}`` over the rules that fired, so a change that only
+moves attempt counts changes rules digests and no fires digest.  Both are
+``-`` where planning raised or the planner does not report the counters.
+A commit whose script prints fewer fields is compared on the fields it
+prints (``cut -d' ' -f1,2`` for the plan digest alone).
 
 Corpora, each planned in every mode:
 
@@ -96,16 +99,19 @@ def _hash(payload) -> str:
 
 
 def digest(thunk) -> tuple:
-    """(plan digest, rules digest) of one planning call."""
+    """(plan digest, rules digest, fires digest) of one planning call."""
     try:
         res, sql = thunk()
     except Exception as exc:  # the error is part of the output
-        return _hash([type(exc).__name__, str(exc)]), "-"
+        return _hash([type(exc).__name__, str(exc)]), "-", "-"
     counters = dict(res.counters)
     rules = counters.pop("rules", None)
     plan_digest = _hash([repr(res.term), repr(res.cost), counters,
                          res.trace, sql])
-    return plan_digest, "-" if rules is None else _hash(rules)
+    if rules is None:
+        return plan_digest, "-", "-"
+    fires = {rule: n[1] for rule, n in rules.items() if n[1]}
+    return plan_digest, _hash(rules), _hash(fires)
 
 
 def main() -> None:

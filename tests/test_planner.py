@@ -58,7 +58,6 @@ from a3d.planner import (
     postprocess,
     precedence_for,
     preprocess,
-    sequence_cost,
     sort_ops,
 )
 from a3d import planner
@@ -66,7 +65,7 @@ from a3d.planner import enumeration
 from a3d.planner.enumeration import Enumerator, MemoEntry, join_entries
 from a3d.planner.precedence import find_n_structure, sp_tree
 from a3d import rewrite
-from a3d.rewrite import Rule, RuleContext
+from a3d.rewrite import RuleContext
 from a3d.stats import (
     DEFAULT_JOIN_NDV, ArrayStats, CostModel, ScalarStats, TableStats,
     build_table_stats, join_cost,
@@ -223,6 +222,15 @@ def test_precedence_transitive_closure():
     assert not g.before(2, 0)
 
 
+def sequence_cost(cost_model, state, nodes) -> float:
+    """Cost of applying unary operator nodes in order over `state`."""
+    total = 0.0
+    for node in nodes:
+        cost, state = cost_model.op_effect(node, state)
+        total += cost
+    return total
+
+
 def _has_induced_n(graph):
     """Independent N-shape scan over the closed order (quartic, test-only)."""
     n = graph.n
@@ -266,6 +274,45 @@ def test_z_repair_random_dags(seed):
     for i, j in edges:
         assert g.before(i, j)
     sp_tree(g)
+
+
+def _pairwise_n_structure(graph):
+    """``find_n_structure`` as a scan of every ordered pair (c, d)."""
+    n, succ, pred = graph.n, graph.succ, graph.pred
+    full = (1 << n) - 1
+    for c in range(n):
+        for d in range(n):
+            if c == d or graph.comparable(c, d):
+                continue
+            both = pred[c] & pred[d]
+            only_c = pred[c] & ~pred[d] & ~succ[d] & ~(1 << d) & full
+            if not (both and only_c):
+                continue
+            for b in range(n):
+                if not both >> b & 1:
+                    continue
+                free_a = only_c & ~pred[b] & ~succ[b] & ~(1 << b)
+                if free_a:
+                    a = (free_a & -free_a).bit_length() - 1
+                    return a, b, c, d
+    return None
+
+
+def test_find_n_structure_matches_the_pairwise_scan():
+    # the same N, or None, as a scan of every pair, on closed random DAGs
+    rng = random.Random(7_001)
+    found = 0
+    for _ in range(600):
+        n = rng.randint(2, 12)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < density]
+        perm = rng.sample(range(n), n)      # not only forward indices
+        g = build_precedence(n, [(perm[i], perm[j]) for i, j in edges])
+        want = _pairwise_n_structure(g)
+        assert find_n_structure(g) == want, (n, edges, perm)
+        found += want is not None
+    assert 100 < found < 500
 
 
 def test_sp_tree_shapes():
@@ -1150,6 +1197,7 @@ def test_no_greedy_or_enumerate_plan_keeps_a_fusable_stack():
     # seeds 11, 35, 60, 108, 141, 173 and 262 place such a stack in
     # enumerate mode; postprocess fuses it.  The oracle, a baseline, keeps
     # its plans as placed.
+    r2_4 = rewrite.RULES_BY_ID["R2.4"]
     for seed in range(300):
         term, schemas, stats = random_query(seed)
         for mode in ("greedy", "enumerate"):
@@ -1158,7 +1206,8 @@ def test_no_greedy_or_enumerate_plan_keeps_a_fusable_stack():
             except A3DError:
                 continue
             assert not [s for _, s in walk(res.term)
-                        if rewrite.r2_4(s, None) is not None], (seed, mode)
+                        if r2_4.matches(s) and r2_4.fn(s, None) is not None
+                        ], (seed, mode)
 
 
 def test_collapse_reaggregation_fuses_identity_pairs():
@@ -1437,12 +1486,15 @@ def test_rule_counters_count_calls_and_kept_rewrites(monkeypatch, mode):
 
     def counted(rule):
         def fn(sub, ctx):
+            # the engine never calls a rule off its shapes
+            assert rule.matches(sub), (rule.rule_id, type(sub))
             calls[rule.rule_id] += 1
             return rule.fn(sub, ctx)
-        return Rule(rule.rule_id, rule.kind, rule.title, fn)
+        return dataclasses.replace(rule, fn=fn)
 
     catalog = list(rewrite.CATALOG)
-    # greedy holds the catalog list itself, so it is patched in place
+    # rules_at resolves ids through RULES_BY_ID; the catalog list is
+    # patched in place too, so no reader of either sees an uncounted rule
     rewrite.CATALOG[:] = [counted(rule) for rule in catalog]
     attempts = 0
     try:
@@ -1462,6 +1514,23 @@ def test_rule_counters_count_calls_and_kept_rewrites(monkeypatch, mode):
     finally:
         rewrite.CATALOG[:] = catalog
     assert attempts
+
+
+def test_a16_greedy_attempts_only_rules_on_their_shapes():
+    # Preprocess inverts each of the 16 filters through its derive (R13.2)
+    # and turns it into an arrayFilter (R2.2), one attempt per fire, then
+    # tries one emptiness guard per arrayJoin (R2.3).  Greedy's one round
+    # finds nothing: at each of the 16 levels it tries R5.1 and R5.2 on the
+    # derive over the arrayJoin and R2.3 on the arrayJoin, and on 15 levels
+    # R11.1 and R11.2 on the arrayFilter over the level below's derive.
+    # 16 * 3 + 16 * 3 + 15 * 2 = 126; a scan of the whole catalog at every
+    # node made 1,679.
+    res = optimize(make_pattern("A", 16), pattern_schemas("A", 16),
+                   mode="greedy")
+    assert res.counters["rules"] == {
+        "R13.2": [16, 16], "R2.2": [16, 16], "R2.3": [32, 0],
+        "R5.1": [16, 0], "R5.2": [16, 0], "R11.1": [15, 0], "R11.2": [15, 0]}
+    assert sum(n[0] for n in res.counters["rules"].values()) == 126
 
 
 def test_planning_leaves_no_reference_cycles():

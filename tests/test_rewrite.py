@@ -42,8 +42,8 @@ from a3d.rewrite import (
     Rule,
     RuleContext,
     RewriteError,
-    applicable,
     guard_cost_improves,
+    rules_at,
     try_apply,
 )
 from a3d.stats import CostModel, build_table_stats
@@ -93,6 +93,115 @@ def test_catalog_is_complete():
 def test_rule_ids_unique_and_titled():
     assert len({r.rule_id for r in CATALOG}) == len(CATALOG)
     assert all(r.title for r in CATALOG)
+
+
+# the paper's pairwise matrix: (node type, child type) -> rule ids in
+# catalog order; a child type of None matches any child
+PAIRWISE_MATRIX = {
+    (Filter, Filter): ["R1"],
+    (Filter, ArrayJoin): ["R2.1", "R2.2"],
+    (Filter, Join): ["R6"],
+    (Filter, Derive): ["R13.1", "R13.2"],
+    (Filter, Aggregate): ["R15"],
+    (ArrayJoin, None): ["R2.3"],
+    (ArrayJoin, Join): ["R4.1", "R4.2"],
+    (ArrayJoin, ArrayJoin): ["R12"],
+    (ArrayFilter, ArrayFilter): ["R2.4", "R10.3"],
+    (ArrayFilter, Join): ["R10.1"],
+    (ArrayFilter, Derive): ["R11.1", "R11.2"],
+    (Derive, ArrayFilter): ["R11.1"],
+    (Derive, Join): ["R8"],
+    (Derive, ArrayJoin): ["R5.1", "R5.2"],
+    (Project, Filter): ["R3"],
+    (Project, Join): ["R9"],
+    (Project, Derive): ["R14"],
+    (Join, None): ["R7", "R10.2"],
+    (Aggregate, Join): ["R16", "R18", "R21", "R19"],
+    (Aggregate, ArrayJoin): ["R17.1", "R17.2", "R17.3", "R20"],
+}
+
+
+def test_rule_shapes_form_the_pairwise_matrix():
+    matrix = {}
+    for rule in CATALOG:
+        for shape in rule.shapes:
+            matrix.setdefault(shape, []).append(rule.rule_id)
+    assert matrix == PAIRWISE_MATRIX
+
+
+def _node(node_type, child):
+    """A node of `node_type` over `child`, with placeholder fields."""
+    pred = Cmp("<", Col("x"), Lit(0))
+    return {
+        Filter: lambda: Filter(pred, child),
+        Project: lambda: Project(("x",), child),
+        ArrayJoin: lambda: ArrayJoin((("a", "e"),), child),
+        ArrayFilter: lambda: ArrayFilter((("a", "e"),), pred, child),
+        Derive: lambda: Derive("y", ScalarFn.of("neg"), ("x",), child),
+        Aggregate: lambda: Aggregate(("x",), (), child),
+        Join: lambda: Join(child, RelVar("u")),
+        RelVar: lambda: RelVar("t"),
+    }[node_type]()
+
+
+NODE_TYPES = (Filter, Project, ArrayJoin, ArrayFilter, Derive, Aggregate,
+              Join, RelVar)
+
+
+def test_rules_at_returns_the_matching_rules_in_the_given_order():
+    for node_type in NODE_TYPES:
+        for child_type in NODE_TYPES:
+            sub = _node(node_type, _node(child_type, RelVar("t")))
+            want = [rule for rule in CATALOG
+                    if (node_type, None) in rule.shapes
+                    or (node_type, child_type) in rule.shapes
+                    and node_type not in (Join, RelVar)]
+            assert rules_at(sub) == want, (node_type, child_type)
+            assert [r for r in CATALOG if r.matches(sub)] == want
+            ids = tuple(reversed([r.rule_id for r in CATALOG]))
+            assert rules_at(sub, ids) == want[::-1]
+    # the order of the ids given, not the catalog's
+    sub = _node(ArrayJoin, _node(Join, RelVar("t")))
+    assert [r.rule_id for r in rules_at(sub)] == ["R2.3", "R4.1", "R4.2"]
+    assert [r.rule_id for r in rules_at(sub, ("R4.2", "R6", "R2.3"))] == \
+        ["R4.2", "R2.3"]
+
+
+def test_rules_at_serves_the_rule_now_registered(monkeypatch):
+    sub = _node(Filter, _node(Filter, RelVar("t")))
+    assert rules_at(sub) == [RULES_BY_ID["R1"]]
+    assert rules_at(sub, ("R1",)) == [RULES_BY_ID["R1"]]
+    swapped = Rule("R1", "cost", "swapped", lambda s, ctx: None,
+                   ((Filter, Filter),))
+    monkeypatch.setitem(rewrite.RULES_BY_ID, "R1", swapped)
+    assert rules_at(sub)[0] is swapped
+    assert rules_at(sub, ("R1",))[0] is swapped
+
+
+def test_off_shape_rule_is_neither_called_nor_counted():
+    def boom(sub, ctx):
+        raise AssertionError("called off its shapes")
+
+    rule = Rule("X3", "cost", "filters over filters only", boom,
+                ((Filter, Filter),))
+    t = _rel_t(random.Random(SEED0), nmin=1)
+    ctx = RuleContext(CostModel({}, {"t": t.schema}))
+    term = Filter(Cmp("<", Col("x"), Lit(0)), RelVar("t"))
+    assert try_apply(rule, term, (), term, ctx) is None
+    assert guard_cost_improves(rule, term, (), term, ctx) is None
+    assert rewrite._attempt(rule, term, ctx) is None
+    assert ctx.rule_counts == {}
+
+
+@pytest.mark.parametrize("rule_id", sorted(GENS))
+def test_rule_instances_have_their_rule_shape(rule_id):
+    # every planted instance sits on one of its rule's shapes
+    rule = RULES_BY_ID[rule_id]
+    for i in range(N_INSTANCES):
+        inst = GENS[rule_id](random.Random(SEED0 + 1000 * i))
+        sub = subterm_at(inst.term, inst.path)
+        assert rule.matches(sub), (rule_id, i, type(sub))
+        assert rule in rules_at(sub)
 
 
 ############################################################
@@ -179,6 +288,21 @@ def test_footprint_rules_preserve_results_on_random_plans():
 # engine invariants
 ############################################################
 
+def applicable(root, ctx, kinds=("rule", "cost")):
+    """Yield (rule, path) pairs that fire somewhere in `root`."""
+    ctx.bind_root(root)
+    for path, sub in walk(root):
+        for rule in CATALOG:
+            if rule.kind not in kinds:
+                continue
+            try:
+                new_sub = rewrite._attempt(rule, sub, ctx)
+            except SchemaError:
+                continue
+            if new_sub is not None:
+                yield rule, path
+
+
 def test_applicable_reports_planted_matches():
     rng = random.Random(SEED0)
     inst = GENS["R17.1"](rng)
@@ -199,7 +323,7 @@ def test_applicable_respects_kind_filter():
 def test_schema_breaking_rule_is_rejected():
     bad = Rule("X0", "rule", "drops a column",
                lambda sub, ctx: Project(("k",), sub)
-               if isinstance(sub, RelVar) else None)
+               if isinstance(sub, RelVar) else None, ((RelVar, None),))
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext(CostModel({}, {"t": t.schema}))
     with pytest.raises(RewriteError):
@@ -207,7 +331,8 @@ def test_schema_breaking_rule_is_rejected():
 
 
 def test_noop_rewrite_counts_as_no_match():
-    ident = Rule("X1", "rule", "identity", lambda sub, ctx: sub)
+    ident = Rule("X1", "rule", "identity", lambda sub, ctx: sub,
+                 ((RelVar, None),))
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext(CostModel({}, {"t": t.schema}))
     assert try_apply(ident, RelVar("t"), (), RelVar("t"), ctx) is None
@@ -516,6 +641,8 @@ def _plain_apply(rule, root, path, ctx):
     both schemas from the leaves up."""
     ctx.bind_root(root)
     sub = subterm_at(root, path)
+    if not rule.matches(sub):
+        return None
     new_sub = rule.fn(sub, ctx)
     if new_sub is None or new_sub == sub:
         return None
@@ -635,7 +762,7 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
     root, sub, base, schemas, cm = _schema_guard_case()
     rule = Rule("X2", "cost", "drops y",
                 lambda s, ctx: SCHEMA_CHANGES[shape](s, base)
-                if s is sub else None)
+                if s is sub else None, ((Derive, Filter),))
     with pytest.raises(RewriteError) as old:
         _three_pass_guard(rule, root, (0,), RuleContext(cm), cm)
     assert str(old.value).startswith("X2 changed the schema at (0,): ")
@@ -723,7 +850,7 @@ def _guard_case(rule_fn, epsilon=1e-9):
     guard = Cmp("!=", Col("a"), Lit(()))
     sub = Filter(guard, Filter(guard, RelVar("r")))
     root = Filter(Cmp("<", Col("k"), Lit(50)), sub)
-    rule = Rule("X", "cost", "test rewrite", rule_fn)
+    rule = Rule("X", "cost", "test rewrite", rule_fn, ((Filter, Filter),))
     costed = []
     real = cm.term_cost
 
@@ -818,7 +945,7 @@ def _rule_step(rule_id):
 # what the two resume stages, pull_projections_up and descend_filters, try
 RESUME_STEPS = {
     **{rule_id: _rule_step(rule_id)
-       for rule_id in preprocess_stage._FILTER_RULES + ("R2.4",)},
+       for rule_id in preprocess_stage._DESCEND_RULES},
     "project-pull": preprocess_stage._hoist_once,
     "filter-past-arrayFilter":
         lambda sub, ctx:

@@ -27,7 +27,6 @@ from a3d.stats import (
     DEFAULT_RANGE_SELECTIVITY,
     PlanState,
     ScalarStats,
-    StatsResolver,
     TableStats,
     build_scalar_stats,
     build_table_stats,
@@ -104,64 +103,58 @@ def test_array_stats_average_over_all_rows():
 # selectivity
 ############################################################
 
-def _resolver(**scalars):
-    return StatsResolver(scalars, {})
-
-
 def test_exact_eq_and_range_selectivity():
     st = build_scalar_stats([1, 1, 2, 3], 4)
-    r = _resolver(x=st)
-    assert pred_selectivity(Cmp("=", Col("x"), Lit(1)), r) == pytest.approx(0.5)
-    assert pred_selectivity(Cmp("=", Col("x"), Lit(9)), r) == 0.0
-    assert pred_selectivity(Cmp("<", Col("x"), Lit(3)), r) == pytest.approx(0.75)
-    assert pred_selectivity(Cmp("!=", Col("x"), Lit(2)), r) == pytest.approx(0.75)
+    stats = {"x": st}
+    assert pred_selectivity(Cmp("=", Col("x"), Lit(1)), stats, {}) == pytest.approx(0.5)
+    assert pred_selectivity(Cmp("=", Col("x"), Lit(9)), stats, {}) == 0.0
+    assert pred_selectivity(Cmp("<", Col("x"), Lit(3)), stats, {}) == pytest.approx(0.75)
+    assert pred_selectivity(Cmp("!=", Col("x"), Lit(2)), stats, {}) == pytest.approx(0.75)
 
 
 def test_uniform_range_interpolation():
     st = ScalarStats("uniform", 100, 0.0, lo=0, hi=100)
-    r = _resolver(x=st)
-    assert pred_selectivity(Cmp("<", Col("x"), Lit(25)), r) == pytest.approx(0.25)
-    assert pred_selectivity(Cmp(">=", Col("x"), Lit(25)), r) == pytest.approx(0.75)
-    assert pred_selectivity(Cmp("=", Col("x"), Lit(7)), r) == pytest.approx(0.01)
+    stats = {"x": st}
+    assert pred_selectivity(Cmp("<", Col("x"), Lit(25)), stats, {}) == pytest.approx(0.25)
+    assert pred_selectivity(Cmp(">=", Col("x"), Lit(25)), stats, {}) == pytest.approx(0.75)
+    assert pred_selectivity(Cmp("=", Col("x"), Lit(7)), stats, {}) == pytest.approx(0.01)
 
 
 def test_null_literal_matches_nothing():
     st = build_scalar_stats([1, 2], 2)
-    r = _resolver(x=st)
-    assert pred_selectivity(Cmp("=", Col("x"), Lit(None)), r) == 0.0
+    stats = {"x": st}
+    assert pred_selectivity(Cmp("=", Col("x"), Lit(None)), stats, {}) == 0.0
 
 
 def test_boolean_combinators():
     st = ScalarStats("uniform", 10, 0.0, lo=0, hi=10)
-    r = _resolver(x=st, y=st)
+    stats = {"x": st, "y": st}
     p = Cmp("=", Col("x"), Lit(1))     # 0.1
     q = Cmp("<", Col("y"), Lit(5))     # 0.5
-    assert pred_selectivity(And((p, q)), r) == pytest.approx(0.05)
-    assert pred_selectivity(Or((p, q)), r) == pytest.approx(1 - 0.9 * 0.5)
-    assert pred_selectivity(Not(q), r) == pytest.approx(0.5)
+    assert pred_selectivity(And((p, q)), stats, {}) == pytest.approx(0.05)
+    assert pred_selectivity(Or((p, q)), stats, {}) == pytest.approx(1 - 0.9 * 0.5)
+    assert pred_selectivity(Not(q), stats, {}) == pytest.approx(0.5)
 
 
 def test_defaults_when_stats_missing():
-    r = _resolver()
-    assert pred_selectivity(Cmp("=", Col("x"), Lit(1)), r) == DEFAULT_EQ_SELECTIVITY
-    assert pred_selectivity(Cmp("<", Col("x"), Lit(1)), r) == DEFAULT_RANGE_SELECTIVITY
-    assert pred_selectivity(Cmp("=", Col("x"), Col("y")), r) == DEFAULT_EQ_SELECTIVITY
+    assert pred_selectivity(Cmp("=", Col("x"), Lit(1)), {}, {}) == DEFAULT_EQ_SELECTIVITY
+    assert pred_selectivity(Cmp("<", Col("x"), Lit(1)), {}, {}) == DEFAULT_RANGE_SELECTIVITY
+    assert pred_selectivity(Cmp("=", Col("x"), Col("y")), {}, {}) == DEFAULT_EQ_SELECTIVITY
 
 
 def test_empty_array_comparison_uses_empty_fraction():
     info = {"a": ArrayInfo(4.0, 4.0, 0.3, None)}
-    r = StatsResolver({}, info)
-    assert pred_selectivity(Cmp("!=", Col("a"), Lit(())), r) == pytest.approx(0.7)
-    assert pred_selectivity(Cmp("=", Col("a"), Lit(())), r) == pytest.approx(0.3)
+    assert pred_selectivity(Cmp("!=", Col("a"), Lit(())), {}, info) == pytest.approx(0.7)
+    assert pred_selectivity(Cmp("=", Col("a"), Lit(())), {}, info) == pytest.approx(0.3)
 
 
 def test_affine_comparison_estimated_through_inverse():
     st = ScalarStats("uniform", 100, 0.0, lo=-50, hi=50)
-    r = _resolver(x=st)
+    stats = {"x": st}
     # 3 - x < 15  <=>  x > -12
     fn = ScalarFn.of("affine", a=-1, b=3)
-    sel = pred_selectivity(Cmp("<", Apply(fn, (Col("x"),)), Lit(15)), r)
-    direct = pred_selectivity(Cmp(">", Col("x"), Lit(-12)), r)
+    sel = pred_selectivity(Cmp("<", Apply(fn, (Col("x"),)), Lit(15)), stats, {})
+    direct = pred_selectivity(Cmp(">", Col("x"), Lit(-12)), stats, {})
     assert sel == pytest.approx(direct)
     assert sel == pytest.approx(62 / 100)
 
