@@ -42,8 +42,8 @@ group keys treat null as equal to null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Union
 
 from .functions import (
     FunctionError,
@@ -52,7 +52,6 @@ from .functions import (
     apply_agg,
     apply_scalar,
     fn_output_kind,
-    is_array,
     known_agg_fn,
     known_scalar_fn,
     scalar_fn_arity,

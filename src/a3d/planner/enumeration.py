@@ -1,29 +1,35 @@
-"""Memoized top-down join enumeration with rank-sorted operator prefixes.
+"""Memoized top-down join enumeration over closed, rank-sorted memo tables.
 
 The enumerator works over a QueryDecomposition.  Plans for a relation subset
-are memoized per applied-operator set: ``memo[rels][ops] -> entry``.  Each
-join candidate combines two memoized subplans with a prefix of their sorted
-applicable operators; an operator producing one of the join's key columns is
-mandatory and forces the prefix to reach it.  Both masks are int bitsets.
+are memoized per applied-operator set: ``memo[rels][ops] -> entry``.  Both
+masks are int bitsets.  A join candidate combines two subplans, each a memo
+entry with a prefix of its rank-sorted applicable operators applied; an
+operator producing one of the join's key columns is mandatory, so one of the
+two sides must have applied it.
 
-A partition pairs every entry of one side's table with every entry of the
-other's, so the work per pair is kept small.  Each entry's applicable
-operators are listed once per partition, and the join keys sorted once.
-Each operator-prefix chain is built once and turned into ``Prefix``
-records: an entry's operator mask, cost, rows, non-key columns and the
-distinct counts of the partition's join keys (``prefixes`` says how long a
-chain is kept).  The candidate loop (``candidates``) reads only records:
-per pair it makes one set test (the shared columns must be exactly the
-keys), looks the join divisor up in a per-partition table keyed by the two
-key-ndv tuples, costs the join with ``stats.join_cost`` and looks its
-operator set up in the memo table.  A candidate that beats the incumbent
-for its operator set is kept as a ``DeferredJoin`` record until its table
-is complete; only the records that survive then get a merged state, a Join
-node and a schema (``join_entries``), at exactly the cost they won with,
-since ``join_effect`` costs a join with the same expression.  Equal
-schemas are stored once per enumerator.  Applying an operator replays the
-schema effect ``decompose`` recorded for it (``RankableOp.schema_after``),
-so ``node_schema`` runs only for built joins and the final projection.
+Once a non-full memo table is complete it is closed (``close``): every
+prefix of every entry's operator chain (``prefixes``) is applied, in one
+pass by operator count in which the chains that meet share their work, and
+the cheapest plan per operator set and plan state is kept.  An operator
+that may run on either side of a join would block the prefixes of the side
+it does not run on, so an entry with such operators also seeds a chain with
+them banned; a plan only a banned chain reaches pairs only with plans an
+unbanned chain reaches.  A partition (``fill``) pairs its two sides' closed
+tables directly, each closed entry turned once into a ``Prefix`` record: its
+operator mask, cost, rows, non-key columns and the distinct counts of the
+partition's join keys.  The candidate loop (``candidates``) reads only
+records: per pair it tests that the two operator masks hold every mandatory
+operator, makes one set test (the shared columns must be exactly the keys),
+looks the join divisor up in a per-partition table keyed by the two key-ndv
+tuples, costs the join with ``stats.join_cost`` and looks its operator set
+up in the memo table.  A candidate that beats the incumbent for its operator
+set is kept as a ``DeferredJoin`` record until its table is complete; only
+the records that survive then get a merged state, a Join node and a schema
+(``join_entries``), at exactly the cost they won with, since
+``join_effect`` costs a join with the same expression.  Equal schemas are
+stored once per enumerator.  Applying an operator replays the schema effect
+``decompose`` recorded for it (``RankableOp.schema_after``), so
+``node_schema`` runs only for built joins and the final projection.
 
 ``run`` finishes the complete plans cheapest first and stops once a plan's
 memo cost exceeds the best finished cost: every operator, join and
@@ -56,7 +62,7 @@ class InfeasibleQueryError(A3DError):
         self.blocking_op = blocking_op
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoEntry:
     term: Term
     rels: int          # bitmask of leaf indices
@@ -83,17 +89,17 @@ class DeferredJoin:
 
 class Cut(NamedTuple):
     """One partition of a memo table's leaves: its join key set, the keys
-    sorted, the sorted indices of the operators that must run below the
-    join, and the join divisors computed so far, keyed by the left and
-    then the right input's key-ndv tuple (``stats.key_ndvs``)."""
+    sorted, the mask of the operators that must run below the join, and
+    the join divisors computed so far, keyed by the left and then the
+    right input's key-ndv tuple (``stats.key_ndvs``)."""
     keys: frozenset
     key_list: list
-    producers: list
+    producers: int
     divisors: dict
 
 
 class Prefix(NamedTuple):
-    """What the candidate loop reads of one operator-prefix entry for one
+    """What the candidate loop reads of one closed-table entry for one
     partition: its operator mask, cost and rows, its non-key columns (None
     when it lacks a join key), its key-ndv tuple, and the entry itself."""
     ops: int
@@ -114,6 +120,14 @@ class Prefix(NamedTuple):
 
 def describe_op(op: RankableOp) -> str:
     return f"{op.kind}#{op.idx}"
+
+
+def mask_of(indices) -> int:
+    """The bitset of the operator indices `indices`."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 ############################################################
@@ -204,6 +218,24 @@ def reproject(entry: MemoEntry, decomp: QueryDecomposition,
                      node_schema(top, entry.schema))
 
 
+def keep(nodes: dict, key, entry: MemoEntry, plain: bool) -> None:
+    """Offer `entry` to the [entry, plain] slots kept under `key`: it
+    takes the slot of an entry with an equal plan state when it is
+    cheaper, and a new slot when no entry has its state.  `plain` (some
+    unbanned chain reaches the entry) is or-ed into the slot's flag."""
+    kept = nodes.get(key)
+    if kept is None:
+        nodes[key] = [[entry, plain]]
+        return
+    for slot in kept:
+        if slot[0].state == entry.state:
+            if entry.cost < slot[0].cost:
+                slot[0] = entry
+            slot[1] = slot[1] or plain
+            return
+    kept.append([entry, plain])
+
+
 ############################################################
 # the enumerator
 ############################################################
@@ -218,6 +250,8 @@ class Enumerator:
         self.cm = cost_model
         self.allow_cross = allow_cross_products
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
+        self.closed: dict = {}             # rels mask -> ``close`` tables
+        self.leaf_ops = None               # see ``either_side``
         self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
                          "capture_skips": 0, "finished": 0}
@@ -251,30 +285,28 @@ class Enumerator:
 
     # -- algorithm ----------------------------------------------------------
 
-    def applicable(self, entry: MemoEntry, banned=frozenset()):
-        """Ops from the sorted order applicable on `entry`, closed under
-        the productions of earlier list members (an arrayFilter's output
-        array may be unnested by a later arrayJoin in the same prefix),
-        as (list, {op index: position in the list}).
+    def applicable(self, entry: MemoEntry, banned: int = 0) -> tuple:
+        """The indices of the ops from the sorted order applicable on
+        `entry`, closed under the productions of earlier list members (an
+        arrayFilter's output array may be unnested by a later arrayJoin in
+        the same prefix).
 
-        `banned` drops operators from consideration entirely; anything
-        that needed a banned operator's output column, or had it as a
-        precedence predecessor, falls out of the closure with it."""
+        The operators in the mask `banned` are dropped from consideration
+        entirely; anything that needed a banned operator's output column,
+        or had it as a precedence predecessor, falls out with it."""
         out = []
-        at = {}
         ops_mask = entry.ops
         schema = entry.schema
         cols = schema.columns
         for op in self.order:
-            if op.idx in banned or not op_applicable(
+            if banned >> op.idx & 1 or not op_applicable(
                     op, ops_mask, cols, entry.rels, self.graph):
                 continue
-            at[op.idx] = len(out)
-            out.append(op)
+            out.append(op.idx)
             ops_mask |= 1 << op.idx
             schema = op.schema_after(schema)
             cols = schema.columns
-        return out, at
+        return tuple(out)
 
     def insert(self, table: dict, entry) -> None:
         """Keep `entry` when it is the first for its operator set or
@@ -301,6 +333,10 @@ class Enumerator:
                                           self.cm))
         else:
             self.fill(table, mask)
+        if mask == self.full:
+            # no partition reads a closed table any more; the plans the
+            # table's records join are held by the records
+            self.closed.clear()
         for ops, entry in table.items():
             if type(entry) is DeferredJoin:
                 entry = join_entries(entry.left, entry.right, entry.keys,
@@ -312,7 +348,8 @@ class Enumerator:
         return table
 
     def fill(self, table: dict, mask: int) -> None:
-        """Insert the join candidates of every valid partition of `mask`."""
+        """Insert the join candidates of every valid partition of `mask`:
+        each pairs the closed tables (``close``) of its two sides."""
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
@@ -330,21 +367,24 @@ class Enumerator:
             if not self.valid(p1, p2, producers):
                 continue
             self.counters["partitions"] += 1
-            lefts = list(self.enumerate_mask(p1).values())
+            lefts = self.close(p1)
             if not lefts:
                 continue
-            rights = [(t, self.applicable(t))
-                      for t in self.enumerate_mask(p2).values()]
-            cut = Cut(keys, sorted(keys), producers, {})
-            # a right-hand chain serves every left-hand entry, so it is
-            # worth keeping only when there is more than one (see prefixes)
-            right_chains = {} if len(lefts) > 1 else None
-            for s in lefts:
-                s_ops = self.applicable(s)
-                left_chains: dict = {}
-                for t, t_ops in rights:
-                    self.combine(table, s, s_ops, t, t_ops, cut,
-                                 left_chains, right_chains)
+            rights = self.close(p2)
+            if not rights:
+                continue
+            need = mask_of(producers)
+            if need and not self.blockers:
+                self.find_blocker(p1, p2, need)
+            cut = Cut(keys, sorted(keys), need, {})
+            l_plain = [Prefix.of(e, cut) for e in lefts[0]]
+            l_banned = [Prefix.of(e, cut) for e in lefts[1]]
+            r_plain = [Prefix.of(e, cut) for e in rights[0]]
+            r_banned = [Prefix.of(e, cut) for e in rights[1]]
+            # an entry reached only with its either-side operators banned
+            # pairs with one reached without a ban, never with another
+            self.candidates(table, l_plain, r_plain + r_banned, cut)
+            self.candidates(table, l_banned, r_plain, cut)
 
     def valid(self, p1: int, p2: int, producers) -> bool:
         """Every operator that must precede the join fits on one side."""
@@ -358,58 +398,27 @@ class Enumerator:
                 return False
         return True
 
-    def combine(self, table: dict, s: MemoEntry, s_ops, t: MemoEntry,
-                t_ops, cut: Cut, left_chains: dict,
-                right_chains: Optional[dict]) -> None:
-        """Insert the join candidates of `s` and `t` with prefixes of their
-        applicable operators `s_ops` and `t_ops` (``applicable``)."""
-        if right_chains is None:
-            right_chains = {}           # kept for this call's variants
-        shared = s_ops[1].keys() & t_ops[1].keys()
-        variants = [(s_ops, t_ops, True)]
-        seen = None
-        if shared:
-            # An operator runnable on either side (its inputs are join
-            # keys present in both schemas) sits in the middle of both
-            # sorted lists and blocks the prefixes of whichever side it
-            # does not end up on.  Re-enumerate with those operators
-            # pinned to one side at a time so "all on the left" and
-            # "all on the right" splits stay reachable; the variants
-            # share prefixes, so their pairs are deduplicated.
-            variants.append((s_ops, self.applicable(t, shared), False))
-            variants.append((self.applicable(s, shared), t_ops, False))
-            seen = set()
-        done = s.ops | t.ops
-        for (v1, at1), (v2, at2), strict in variants:
-            oi1 = oi2 = 0
-            feasible = True
-            for m in cut.producers:
-                if done >> m & 1:
-                    continue
-                pos1 = at1.get(m)
-                if pos1 is not None:
-                    oi1 = max(oi1, pos1 + 1)
-                    continue
-                pos2 = at2.get(m)
-                if pos2 is not None:
-                    oi2 = max(oi2, pos2 + 1)
-                else:
-                    if strict:
-                        # unapplicable on either side, full lists
-                        self.blockers.append(describe_op(self.q.ops[m]))
-                    feasible = False
-                    break
-            if feasible:
-                self.candidates(table, self.prefixes(s, v1, oi1, cut,
-                                                     left_chains),
-                                self.prefixes(t, v2, oi2, cut, right_chains),
-                                cut, seen)
+    def find_blocker(self, p1: int, p2: int, need: int) -> None:
+        """Record the first mandatory operator that some pair of entries of
+        `p1` and `p2`, in table order, can apply on neither side: the
+        lowest operator of `need` that neither entry has applied and
+        neither's applicable list holds."""
+        rights = [t.ops | mask_of(self.applicable(t))
+                  for t in self.memo[p2].values()]
+        for s in self.memo[p1].values():
+            left = s.ops | mask_of(self.applicable(s))
+            for right in rights:
+                missing = need & ~(left | right)
+                if missing:
+                    oi = (missing & -missing).bit_length() - 1
+                    self.blockers.append(describe_op(self.q.ops[oi]))
+                    return
 
-    def candidates(self, table: dict, lefts: list, rights: list, cut: Cut,
-                   seen: Optional[set]) -> None:
+    def candidates(self, table: dict, lefts: list, rights: list,
+                   cut: Cut) -> None:
         """Offer `table` the join of every prefix record in `lefts` with
-        every one in `rights` (``prefixes``), skipping the (ops, ops) pairs
-        already in `seen` when it is given.
+        every one in `rights` (``Prefix``) whose operator sets together
+        hold every operator of ``cut.producers``.
 
         A candidate whose shared columns are not the cut's keys is a
         capture skip (see ``join_entries``).  Any other is costed from the
@@ -417,18 +426,17 @@ class Enumerator:
         tuples, and kept as a ``DeferredJoin`` when it beats the
         incumbent for its operator set."""
         keys = cut.keys
+        producers = cut.producers
         divisors = cut.divisors
         n = skips = wins = 0
         for l_ops, l_cost, l_rows, l_extra, l_ndvs, left in lefts:
+            need = producers & ~l_ops
             l_divs = divisors.get(l_ndvs)
             if l_divs is None:
                 l_divs = divisors[l_ndvs] = {}
             for r_ops, r_cost, r_rows, r_extra, r_ndvs, right in rights:
-                if seen is not None:
-                    pair = (l_ops, r_ops)
-                    if pair in seen:
-                        continue
-                    seen.add(pair)
+                if need & ~r_ops:
+                    continue
                 n += 1
                 if l_extra is None or r_extra is None or \
                         not l_extra.isdisjoint(r_extra):
@@ -448,30 +456,89 @@ class Enumerator:
         counters["capture_skips"] += skips
         counters["entries"] += wins
 
-    def prefixes(self, entry: MemoEntry, ops: list, start: int, cut: Cut,
-                 chains: dict) -> list:
-        """The ``Prefix`` records of `entry` with the first k of `ops`
-        applied, for each k >= start, for the partition `cut`.
+    def close(self, mask: int) -> tuple:
+        """The closed table of the leaves in `mask`, made on first use:
+        the memo entries with every prefix of each of their ``prefixes``
+        chains applied, the cheapest plan kept per operator set and plan
+        state, as (the entries some unbanned chain reaches, the entries
+        only a banned chain reaches), each in the order first reached.
+        An empty memo table gives an empty tuple.
 
-        The whole chain is built once, kept in `chains` under
-        ``(entry.ops, op indices)``, which names it within one memo table,
-        and sliced.  ``fill`` passes a dict per left-hand entry, dropped
-        before the next one, and a dict per partition for the right-hand
-        entries, which every left-hand entry pairs with.  A partition with
-        a single left-hand entry pairs each right-hand entry in one
-        ``combine`` call, so its right-hand chains are kept for that call
-        only, where every left-hand prefix of every variant reads them.
-        Keeping chains any longer holds more plan states than it saves
-        work."""
-        key = (entry.ops, tuple(op.idx for op in ops))
-        chain = chains.get(key)
-        if chain is None:
-            chain = [Prefix.of(entry, cut)]
-            for op in ops:
-                entry = apply_op(op, entry, self.cm)
-                chain.append(Prefix.of(entry, cut))
-            chains[key] = chain
-        return chain[start:]
+        The closure runs by operator count over nodes (operator set, the
+        chain's remaining operator indices).  Each memo entry seeds one
+        node per chain, and each entry of a node applies only the node's
+        next operator, so chains that meet share the rest of their work.
+        Two plans with one operator set and equal plan states cost the
+        same from there on, so only the cheaper is kept (``keep``); plans
+        whose states differ are both kept, since a dearer plan with fewer
+        rows may still join more cheaply."""
+        hit = self.closed.get(mask)
+        if hit is not None:
+            return hit
+        table = self.enumerate_mask(mask)
+        if not table:
+            self.closed[mask] = ()
+            return ()
+        ops_of = self.q.ops
+        cm = self.cm
+        todo: dict = {}             # op count -> {node: [[entry, plain]]}
+        for entry in table.values():
+            nodes = todo.setdefault(entry.ops.bit_count(), {})
+            for i, chain in enumerate(self.prefixes(entry)):
+                keep(nodes, (entry.ops, chain), entry, i == 0)
+        best: dict = {}             # ops mask -> [[entry, plain]]
+        count = min(todo)
+        while todo:
+            nodes = todo.pop(count, None)
+            count += 1
+            if nodes is None:
+                continue
+            later = None
+            for (ops, rest), kept in nodes.items():
+                for entry, plain in kept:
+                    keep(best, ops, entry, plain)
+                    if not rest:
+                        continue
+                    nxt = apply_op(ops_of[rest[0]], entry, cm)
+                    if later is None:
+                        later = todo.setdefault(count, {})
+                    keep(later, (nxt.ops, rest[1:]), nxt, plain)
+        reached, banned_only = [], []
+        for kept in best.values():
+            for entry, plain in kept:
+                (reached if plain else banned_only).append(entry)
+        self.closed[mask] = (reached, banned_only)
+        return reached, banned_only
+
+    def prefixes(self, entry: MemoEntry) -> list:
+        """The operator chains ``close`` applies the prefixes of to
+        `entry`, as tuples of operator indices: its applicable list
+        (``applicable``), then, when that list holds either-side operators
+        (``either_side``), the list with them banned.
+
+        An either-side operator may run on both sides of a join.  It sits
+        in the middle of both sides' sorted lists, where it blocks the
+        prefixes of whichever side it does not end up on; the banned chain
+        keeps the operators after it reachable on this side while it runs
+        on the other."""
+        plain = self.applicable(entry)
+        banned = mask_of(plain) & self.either_side(entry.rels)
+        if not banned:
+            return [plain]
+        return [plain, self.applicable(entry, banned)]
+
+    def either_side(self, rels: int) -> int:
+        """The mask of the operators applicable on the base plan of some
+        leaf outside `rels`."""
+        if self.leaf_ops is None:
+            self.leaf_ops = [
+                mask_of(self.applicable(base_entry(self.q, i, self.cm)))
+                for i in range(len(self.q.leaves))]
+        out = 0
+        for i, ops in enumerate(self.leaf_ops):
+            if not rels >> i & 1:
+                out |= ops
+        return out
 
     # -- final assembly -----------------------------------------------------
 

@@ -8,15 +8,21 @@ Run from the repository root, once per checkout, and diff the outputs:
     diff old.txt new.txt
 
 Each line reads ``<corpus>/<seed>/<mode> <plan digest> <rules digest>
-<fires digest>``.  The plan digest covers the plan's term, cost, counters
-other than ``counters["rules"]``, trace records and ClickHouse SQL, or the
-type and message of the exception planning raised.  The rules digest covers
-``counters["rules"]``, each rule's attempts and fires; the fires digest
-covers ``{rule: fires}`` over the rules that fired, so a change that only
-moves attempt counts changes rules digests and no fires digest.  Both are
-``-`` where planning raised or the planner does not report the counters.
-A commit whose script prints fewer fields is compared on the fields it
-prints (``cut -d' ' -f1,2`` for the plan digest alone).
+<fires digest> <work digest>``.  The plan digest covers the plan's term,
+cost, counters other than the rule and search-work counters, trace records
+and ClickHouse SQL, or the type and message of the exception planning
+raised.  The rules digest covers ``counters["rules"]``, each rule's attempts
+and fires; the fires digest covers ``{rule: fires}`` over the rules that
+fired, so a change that only moves attempt counts changes rules digests and
+no fires digest.  The work digest covers the search-work counters
+(``WORK_COUNTERS``: the enumerator's and the oracle's), so a change that
+only moves search work changes work digests and no plan digest.  The last
+three are ``-`` where planning raised or the planner does not report the
+counters.
+
+The digests depend on the script as well as on the planner, so compare two
+commits with one script: run this file against each checkout's ``src``
+through ``PYTHONPATH``, as above.
 
 Corpora, each planned in every mode:
 
@@ -46,6 +52,9 @@ from gen_utils import inner_query, random_query  # noqa: E402
 RANDOM_SEEDS = range(1200)
 INNER_SEEDS = range(6000, 7000)
 BENCH_DATA_SEEDS = (1, 2)
+# counters of how much searching planning did, not of what it planned
+WORK_COUNTERS = ("entries", "partitions", "candidates", "capture_skips",
+                 "finished", "states", "orderings")
 
 
 def bench_queries(data_seed: int):
@@ -99,19 +108,23 @@ def _hash(payload) -> str:
 
 
 def digest(thunk) -> tuple:
-    """(plan digest, rules digest, fires digest) of one planning call."""
+    """(plan digest, rules digest, fires digest, work digest) of one
+    planning call."""
     try:
         res, sql = thunk()
     except Exception as exc:  # the error is part of the output
-        return _hash([type(exc).__name__, str(exc)]), "-", "-"
+        return _hash([type(exc).__name__, str(exc)]), "-", "-", "-"
     counters = dict(res.counters)
     rules = counters.pop("rules", None)
+    work = {name: counters.pop(name) for name in WORK_COUNTERS
+            if name in counters}
     plan_digest = _hash([repr(res.term), repr(res.cost), counters,
                          res.trace, sql])
+    work_digest = _hash(work) if work else "-"
     if rules is None:
-        return plan_digest, "-", "-"
+        return plan_digest, "-", "-", work_digest
     fires = {rule: n[1] for rule, n in rules.items() if n[1]}
-    return plan_digest, _hash(rules), _hash(fires)
+    return plan_digest, _hash(rules), _hash(fires), work_digest
 
 
 def main() -> None:

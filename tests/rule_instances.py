@@ -5,8 +5,6 @@ at the recorded path, alongside a database the term can be evaluated on.
 Shared by the rewrite tests and the acceptance gate.
 """
 
-import random
-
 from a3d.algebra import (
     Aggregate,
     AggSpec,

@@ -41,6 +41,7 @@ from a3d.planner import (
     DisconnectedJoinGraphError,
     GreedyIterationCapError,
     InfeasibleQueryError,
+    JoinEdge,
     MalformedQueryError,
     OpProfile,
     OracleLimitError,
@@ -561,6 +562,26 @@ def test_infeasible_op_is_reported():
     assert "filter#0" in str(exc.value.blocking_op)
 
 
+def test_an_unplaceable_join_key_producer_is_reported():
+    # the join key k of R and S must be produced below the join by the
+    # ghost filter #0, which reads a column neither side has: no pair of
+    # entries can run it, so the full table stays empty and the error
+    # names it
+    schemas = {"R": Schema.of(scalars=("k", "x")),
+               "S": Schema.of(scalars=("k", "y"))}
+    cm = CostModel({}, schemas)
+    ghost = _mk_op(0, Filter(lt("ghost", 1), RelVar("_x")), "filter",
+                   {"ghost"}, (), 0.5, 1.0)
+    d = QueryDecomposition(
+        Join(RelVar("R"), RelVar("S")),
+        (("R", RelVar("R")), ("S", RelVar("S"))),
+        (JoinEdge(0, 1, "k", frozenset({0})),), (ghost,), frozenset(),
+        ("k", "x", "y"), False)
+    with pytest.raises(InfeasibleQueryError) as exc:
+        enumerate_plans(d, build_precedence(1, []), [ghost], cm)
+    assert exc.value.blocking_op == "filter#0"
+
+
 def test_oracle_rejects_oversized_queries():
     cm = one_rel_model()
     term = RelVar("R")
@@ -648,13 +669,15 @@ def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
 class _RecordingEnumerator(Enumerator):
     """The enumerator, remembering the cost each memo winner had when it
     won its place: for a join, the cost of its DeferredJoin record, read
-    once the table's candidates are all in; and whether any partition
-    took the pinned-operator variants (a ``seen`` set)."""
+    once the table's candidates are all in; whether any memo entry got a
+    chain with its either-side operators banned; and the (relations, ops)
+    key of every closed plan, since ``run`` drops the closed tables."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.inserted: dict = {}     # (id of table, ops mask) -> cost
         self.pinned_variants = False
+        self.closed_keys: set = set()  # (rels, ops) of every closed plan
 
     def insert(self, table, entry):
         super().insert(table, entry)
@@ -666,39 +689,114 @@ class _RecordingEnumerator(Enumerator):
         for ops, entry in table.items():
             self.inserted[id(table), ops] = entry.cost
 
-    def candidates(self, table, lefts, rights, cut, seen):
-        self.pinned_variants |= seen is not None
-        super().candidates(table, lefts, rights, cut, seen)
+    def prefixes(self, entry):
+        chains = super().prefixes(entry)
+        self.pinned_variants |= len(chains) > 1
+        return chains
+
+    def close(self, mask):
+        tables = super().close(mask)
+        self.closed_keys.update((mask, e.ops) for t in tables for e in t)
+        return tables
 
 
 class _EagerEnumerator(_RecordingEnumerator):
-    """The enumerator without chain reuse, prefix records, divisor cache
-    or deferred joins: every operator-prefix chain is rebuilt as memo
-    entries, every join candidate is built in full by ``join_entries``
-    and ``insert`` compares it, and every (ops, ops) pair of one
-    ``combine`` is deduplicated, also when it has a single variant."""
+    """The reference enumeration, with no closed tables and nothing shared
+    between join candidates.  Every partition pairs every memo entry of
+    one side with every one of the other; each pair of entries joins
+    every prefix of one entry's applicable operators with every prefix of
+    the other's, built anew as memo entries, where an operator that must
+    run below the join forces the prefix that holds it to reach it.  An
+    operator applicable on both entries is also pinned to one side at a
+    time (the other side's list bans it), and the (ops, ops) pairs of one
+    pair of entries are deduplicated.  Every candidate is built in full
+    by ``join_entries`` and offered to ``insert``.
 
-    def prefixes(self, entry, ops, start, cut, chains):
-        chain = [entry]
-        for op in ops:
-            chain.append(enumeration.apply_op(op, chain[-1], self.cm))
-        return chain[start:]
+    ``reached`` collects the (relations, ops) key of every prefix built."""
 
-    def candidates(self, table, lefts, rights, cut, seen):
-        # with no pinned-operator variants, combine calls this once
-        self.pinned_variants |= seen is not None
-        seen = set() if seen is None else seen
-        for left in lefts:
-            for right in rights:
-                if (left.ops, right.ops) in seen:
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reached: set = set()
+
+    def fill(self, table, mask):
+        low = mask & -mask
+        sub = (mask - 1) & mask
+        while sub:
+            p1, p2 = sub, mask ^ sub
+            sub = (sub - 1) & mask
+            if not (p1 & low):
+                continue
+            if not (self.connected(p1) and self.connected(p2)):
+                continue
+            keys, producers = enumeration.crossing(self.q.edges, p1, p2,
+                                                   self.cut_edges)
+            if not keys and not self.allow_cross:
+                continue
+            producers = sorted(producers)
+            if not self.valid(p1, p2, producers):
+                continue
+            self.counters["partitions"] += 1
+            lefts = list(self.enumerate_mask(p1).values())
+            if not lefts:
+                continue
+            rights = [(t, self.applicable(t))
+                      for t in self.enumerate_mask(p2).values()]
+            for s in lefts:
+                s_ops = self.applicable(s)
+                for t, t_ops in rights:
+                    self.combine(table, s, s_ops, t, t_ops, keys,
+                                 producers)
+        for ops, entry in table.items():
+            self.inserted[id(table), ops] = entry.cost
+
+    def combine(self, table, s, s_ops, t, t_ops, keys, producers):
+        shared = enumeration.mask_of(s_ops) & enumeration.mask_of(t_ops)
+        variants = [(s_ops, t_ops, True)]
+        if shared:
+            self.pinned_variants = True
+            variants.append((s_ops, self.applicable(t, shared), False))
+            variants.append((self.applicable(s, shared), t_ops, False))
+        seen = set()
+        done = s.ops | t.ops
+        for v1, v2, strict in variants:
+            oi1 = oi2 = 0
+            feasible = True
+            for m in producers:
+                if done >> m & 1:
                     continue
-                seen.add((left.ops, right.ops))
-                self.counters["candidates"] += 1
-                joined = join_entries(left, right, cut.keys, self.cm)
-                if joined is None:
-                    self.counters["capture_skips"] += 1
+                if m in v1:
+                    oi1 = max(oi1, v1.index(m) + 1)
+                elif m in v2:
+                    oi2 = max(oi2, v2.index(m) + 1)
                 else:
-                    self.insert(table, joined)
+                    if strict:
+                        self.blockers.append(
+                            enumeration.describe_op(self.q.ops[m]))
+                    feasible = False
+                    break
+            if not feasible:
+                continue
+            for left in self.chain(s, v1)[oi1:]:
+                for right in self.chain(t, v2)[oi2:]:
+                    if (left.ops, right.ops) in seen:
+                        continue
+                    seen.add((left.ops, right.ops))
+                    self.counters["candidates"] += 1
+                    joined = join_entries(left, right, keys, self.cm)
+                    if joined is None:
+                        self.counters["capture_skips"] += 1
+                    else:
+                        self.insert(table, joined)
+
+    def chain(self, entry, ops):
+        """`entry` with the first k of the operators `ops` applied, for
+        every k."""
+        out = [entry]
+        for oi in ops:
+            out.append(enumeration.apply_op(self.q.ops[oi], out[-1],
+                                            self.cm))
+        self.reached.update((e.rels, e.ops) for e in out)
+        return out
 
 
 def _enumerator(term, schemas, stats=None, cls=Enumerator):
@@ -720,8 +818,9 @@ def _outcome(search):
 
 
 def _enumerated(cls, term, schemas, stats=None):
-    """(memo view, counters, outcome, whether pinned-operator variants
-    ran) of enumerating `term` with `cls`."""
+    """((memo view, outcome, whether any either-side operator was pinned
+    to one side), the run enumerator) of enumerating `term` with
+    `cls`."""
     enum = _enumerator(term, schemas, stats, cls)
     outcome = _outcome(enum.run)
     memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
@@ -735,7 +834,7 @@ def _enumerated(cls, term, schemas, stats=None):
             assert type(e) is MemoEntry, type(e)
             assert e.cost == enum.inserted[id(table), ops], repr(e.term)
             assert e.schema == output_schema(e.term, schemas), repr(e.term)
-    return memo, enum.counters, outcome, enum.pinned_variants
+    return (memo, outcome, enum.pinned_variants), enum
 
 
 def _bench_workloads():
@@ -767,9 +866,11 @@ BENCH_JOIN_QUERIES = _bench_join_queries()
                          ids=[q[0] for q in BENCH_JOIN_QUERIES])
 def test_enumerator_memo_matches_eager_enumeration_on_bench_joins(
         name, term, schemas):
-    fast = _enumerated(_RecordingEnumerator, term, schemas)
-    assert fast == _enumerated(_EagerEnumerator, term, schemas)
-    assert fast[1]["candidates"] > fast[1]["entries"] > 0
+    fast, enum = _enumerated(_RecordingEnumerator, term, schemas)
+    eager, ref = _enumerated(_EagerEnumerator, term, schemas)
+    assert fast == eager
+    assert ref.counters["candidates"] > enum.counters["candidates"] \
+        > enum.counters["entries"] > 0
 
 
 @pytest.fixture(scope="module")
@@ -791,16 +892,18 @@ def test_enumerator_memo_matches_eager_enumeration_on_bench_joins_with_stats(
     key_ndvs = {st.ndv for rel in schemas for col, st in
                 stats[rel].scalars.items() if col.startswith("k")}
     assert len(key_ndvs) > 1 and DEFAULT_JOIN_NDV not in key_ndvs
-    fast = _enumerated(_RecordingEnumerator, term, schemas, stats)
-    assert fast == _enumerated(_EagerEnumerator, term, schemas, stats)
-    assert fast[1]["candidates"] > fast[1]["entries"] > 0
+    fast, enum = _enumerated(_RecordingEnumerator, term, schemas, stats)
+    eager, ref = _enumerated(_EagerEnumerator, term, schemas, stats)
+    assert fast == eager
+    assert ref.counters["candidates"] > enum.counters["candidates"] \
+        > enum.counters["entries"] > 0
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
     # 4 x 60 two-relation queries, statistics on odd seeds; some of them
-    # have an operator runnable on both sides, so the pinned-operator
-    # variants and their deduplication run too
+    # have an operator runnable on both sides, so the banned chains and
+    # the reference's pinned-operator variants run too
     pinned = 0
     for seed in range(8000 + 60 * block, 8000 + 60 * (block + 1)):
         rng = random.Random(seed)
@@ -810,11 +913,75 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
         schemas = {tr.name: tr.schema for tr in rels}
         stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
             if seed % 2 else None
-        fast = _enumerated(_RecordingEnumerator, term, schemas, stats)
-        assert fast == _enumerated(_EagerEnumerator, term, schemas, stats), \
-            seed
-        pinned += fast[3]
+        fast, _ = _enumerated(_RecordingEnumerator, term, schemas, stats)
+        eager, _ = _enumerated(_EagerEnumerator, term, schemas, stats)
+        assert fast == eager, seed
+        pinned += fast[2]
     assert pinned > 0
+
+
+@pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
+                         ids=[q[0] for q in BENCH_JOIN_QUERIES])
+def test_closed_tables_hold_the_keys_the_prefix_chains_reach(
+        name, term, schemas):
+    # the closure of a memo table reaches the (relations, ops) keys of
+    # every operator prefix of every entry, no more and no fewer
+    _, enum = _enumerated(_RecordingEnumerator, term, schemas)
+    _, ref = _enumerated(_EagerEnumerator, term, schemas)
+    assert enum.closed_keys == ref.reached
+    assert len(enum.closed_keys) > len(enum.memo)
+
+
+def _either_side_join(seed):
+    """(term, schemas, statistics, number of relations) of a random
+    two- or three-relation join under one or two filters that read only
+    the join key k, so they may run on any side of any join."""
+    rng = random.Random(seed)
+    nrel = rng.choice((2, 3))
+    rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
+            for i in range(nrel)]
+    term = random_term(rng, rels[:2], n_ops=rng.randint(1, 4))
+    if nrel == 3:
+        term = Join(term, RelVar("r2"))
+    for _ in range(rng.randint(1, 2)):
+        term = Filter(Cmp(rng.choice(("<", ">=", "!=")), Col("k"),
+                          Lit(rng.randrange(-2, 8))), term)
+    schemas = {tr.name: tr.schema for tr in rels}
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else None
+    return term, schemas, stats, nrel
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_either_side_filters_plan_at_the_eager_cost(block):
+    # a two-relation join has one partition and one entry per side, so
+    # its banned chains are exactly the reference's pinned variants and
+    # the memo matches entry for entry.  With three relations a closed
+    # table pairs a side whose key filter is banned with every plan of
+    # the other side, also one that ran the filter below one of its own
+    # joins, where the reference pins the filter only for pairs of
+    # entries that both still lack it: the plan never costs more, and
+    # may cost less.
+    pinned = cheaper = 0
+    for seed in range(8500 + 100 * block, 8500 + 100 * (block + 1)):
+        term, schemas, stats, nrel = _either_side_join(seed)
+        try:
+            output_schema(term, schemas)
+        except SchemaError:
+            continue                 # k was consumed below the filter
+        fast, _ = _enumerated(_RecordingEnumerator, term, schemas, stats)
+        eager, _ = _enumerated(_EagerEnumerator, term, schemas, stats)
+        pinned += fast[2]
+        if nrel == 2:
+            assert fast == eager, seed
+            continue
+        if len(eager[1]) == 2:       # planning raised
+            assert fast[1] == eager[1], seed
+            continue
+        (_, cost, schema), (_, eager_cost, eager_schema) = fast[1], eager[1]
+        assert cost <= eager_cost and schema == eager_schema, seed
+        cheaper += cost < eager_cost
+    assert pinned > 50 and cheaper < 5
 
 
 def test_candidate_loop_costs_each_pair_with_its_own_divisor():
@@ -835,14 +1002,13 @@ def test_candidate_loop_costs_each_pair_with_its_own_divisor():
         return MemoEntry(RelVar(rel), bit, ops, 1000.0, state,
                          schemas[rel])
 
-    cut = enumeration.Cut(frozenset({"k"}), ["k"], [], {})
+    cut = enumeration.Cut(frozenset({"k"}), ["k"], 0, {})
     lefts = [entry("L", 1, 1 << i, ndv) for i, ndv in enumerate((20, 200))]
     rights = [entry("R", 2, 4 << i, ndv)
               for i, ndv in enumerate((5, 50, None))]
     table: dict = {}
     enum.candidates(table, [enumeration.Prefix.of(e, cut) for e in lefts],
-                    [enumeration.Prefix.of(e, cut) for e in rights], cut,
-                    None)
+                    [enumeration.Prefix.of(e, cut) for e in rights], cut)
     assert len(table) == 6 and len(cut.divisors) == 2
     for left in lefts:
         for right in rights:
@@ -850,18 +1016,37 @@ def test_candidate_loop_costs_each_pair_with_its_own_divisor():
             assert table[built.ops].cost == built.cost
 
 
+def test_a_partition_with_an_empty_side_offers_no_candidates():
+    # a chain R0 - R1 - R2 whose table for {R1, R2} holds no plan: the
+    # partition ({R0}, {R1, R2}) is skipped, and the full table holds the
+    # joins of {R0, R1} with R2 alone
+    schemas = {"R0": Schema.of(scalars=("k1", "x0")),
+               "R1": Schema.of(scalars=("k1", "k2")),
+               "R2": Schema.of(scalars=("k2", "x2"))}
+    term = Join(Join(RelVar("R0"), RelVar("R1")), RelVar("R2"))
+    enum = _enumerator(term, schemas)
+    enum.memo[0b110] = {}
+    table = enum.enumerate_mask(enum.full)
+    assert table and all(e.term.right == RelVar("R2")
+                         for e in table.values())
+    assert enum.run().cost == min(e.cost for e in table.values())
+
+
 def test_chain4_enumeration_work_counts(monkeypatch):
-    # each left-hand chain is built once per left-hand entry, each
-    # right-hand chain once per partition, or once per ``combine`` when
-    # the partition has a single left-hand entry (that chain used to be
-    # rebuilt for every left-hand prefix: 2,643 applications), only the
-    # join winners left in a complete memo table get a merged state, and
-    # ``run`` finishes 113 of the 256 complete plans; building every chain
-    # and candidate anew and finishing every complete plan took 9,069
-    # operator applications and 8,005 join effects for the same memo;
-    # preprocess rejects its R2.3 guards locally, so it never costs the
-    # chain's root, and its one sweep round folds the chain's 3 joins
-    # once, not once per attempt
+    # each non-full memo table is closed once: its closure applies 249
+    # operators for the 192 (relations, ops) keys it reaches, which hold
+    # 260 plans, since some keys reach two plans whose row estimates
+    # differ in the last bit; each partition pairs the closed tables of
+    # its two sides once, 1,344 candidates for 732 memo wins.  Pairing
+    # every prefix of every pair of memo entries took 7,984 candidates,
+    # 2,556 wins and 1,464 operator applications for the same memo.  Only
+    # the join winners left in a complete memo table get a merged state,
+    # and ``run`` finishes 113 of the 256 complete plans with 564 more
+    # operator applications; building every chain and candidate anew and
+    # finishing every complete plan took 9,069 operator applications and
+    # 8,005 join effects; preprocess rejects its R2.3 guards locally, so
+    # it never costs the chain's root, and its one sweep round folds the
+    # chain's 3 joins once, not once per attempt
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -877,8 +1062,8 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     _, term, schemas = BENCH_JOIN_QUERIES[0]
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
-        (2556, 7984)
-    assert calls == {"apply_op": 1464, "join_effect": 441}
+        (732, 1344)
+    assert calls == {"apply_op": 249 + 564, "join_effect": 441}
     assert res.counters["finished"] == 113
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -25,7 +24,6 @@ from a3d.stats import (
     CostModel,
     DEFAULT_EQ_SELECTIVITY,
     DEFAULT_RANGE_SELECTIVITY,
-    PlanState,
     ScalarStats,
     TableStats,
     build_scalar_stats,

@@ -18,7 +18,7 @@ from a3d.algebra import (
 from a3d.functions import ScalarFn
 from a3d.planner import optimize
 from a3d.predicates import And, Cmp, Col, Lit, pred_columns
-from a3d.stats import ArrayStats, CostModel, ScalarStats, TableStats
+from a3d.stats import CostModel, ScalarStats, TableStats
 from a3d.translate import DialectError, to_dot, to_sql
 
 from gen_utils import random_db, random_term
