@@ -31,14 +31,19 @@ stored once per enumerator.  Applying an operator replays the schema effect
 ``decompose`` recorded for it (``RankableOp.schema_after``), so
 ``node_schema`` runs only for built joins and the final projection.
 
-``run`` finishes the complete plans cheapest first and stops once a plan's
-memo cost exceeds the best finished cost: every operator, join and
-projection cost is non-negative, so finishing never makes a plan cheaper.
+The full table's records are left unbuilt.  ``run`` finishes its plans
+best-first from a heap of partial plans, cheapest first: a record is built
+when it is first popped, and each pop applies one more of the plan's
+remaining operators (or the final projection), until the cheapest partial
+plan costs more than the best finished one.  Every operator, join and projection cost is non-negative,
+so finishing never makes a plan cheaper, and only the records whose memo
+cost is within the best finished cost are ever built.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
 """
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -254,7 +259,8 @@ class Enumerator:
         self.leaf_ops = None               # see ``either_side``
         self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
-                         "capture_skips": 0, "finished": 0}
+                         "capture_skips": 0, "finished": 0,
+                         "finish_ops": 0}
         self.blockers: list = []
 
         m = len(decomp.leaves)
@@ -296,16 +302,16 @@ class Enumerator:
         or had it as a precedence predecessor, falls out with it."""
         out = []
         ops_mask = entry.ops
-        schema = entry.schema
-        cols = schema.columns
+        cols = entry.schema.columns
         for op in self.order:
             if banned >> op.idx & 1 or not op_applicable(
                     op, ops_mask, cols, entry.rels, self.graph):
                 continue
             out.append(op.idx)
             ops_mask |= 1 << op.idx
-            schema = op.schema_after(schema)
-            cols = schema.columns
+            # the columns of ``op.schema_after``, without the Schema
+            if op.destroys or op.produces:
+                cols = (cols - op.destroys) | op.produces
         return tuple(out)
 
     def insert(self, table: dict, entry) -> None:
@@ -320,9 +326,11 @@ class Enumerator:
     def enumerate_mask(self, mask: int) -> dict:
         """The memo table of the leaves in `mask`, filled on first use.
 
-        While the table is filled it holds DeferredJoin records; each one
-        left at the end is built then (``join_entries``), and every schema
-        in the table is interned."""
+        While the table is filled it holds DeferredJoin records.  In a
+        table below the full one, each record left at the end is built
+        then (``join_entries``), and every schema in the table is
+        interned.  The full table keeps its records as they are: ``run``
+        builds only those it starts finishing."""
         hit = self.memo.get(mask)
         if hit is not None:
             return hit
@@ -337,6 +345,7 @@ class Enumerator:
             # no partition reads a closed table any more; the plans the
             # table's records join are held by the records
             self.closed.clear()
+            return table
         for ops, entry in table.items():
             if type(entry) is DeferredJoin:
                 entry = join_entries(entry.left, entry.right, entry.keys,
@@ -542,46 +551,72 @@ class Enumerator:
 
     # -- final assembly -----------------------------------------------------
 
-    def finish(self, entry: MemoEntry):
-        """Append remaining operators in sorted order and re-project."""
-        cur = entry
-        for op in self.order:
-            if cur.ops >> op.idx & 1:
-                continue
-            if not op_applicable(op, cur.ops, cur.schema.columns, cur.rels,
-                                 self.graph):
-                return None, describe_op(op)
-            cur = apply_op(op, cur, self.cm)
-        final = reproject(cur, self.q, self.cm)
-        return (None, "projection") if final is None else (final, None)
-
     def run(self) -> MemoEntry:
         """The cheapest finished plan of the full memo table; among equal
         costs, the one finished from the lowest operator mask.
 
-        Entries are finished cheapest first, and the search stops at the
-        first entry whose memo cost exceeds the best finished cost: every
-        operator, join and projection cost is non-negative (not NaN), and
-        adding one never makes a sum smaller.  When no entry finishes, the
-        error names the blocker of the lowest operator mask."""
+        A plan is finished by applying its remaining operators in sorted
+        order and re-projecting (``reproject``).  The search is best-first
+        over one heap of partial plans, one per full-table record, keyed
+        by (cost so far, the record's operator mask).  A record is built
+        (``join_entries``) when it is first popped, and every pop applies
+        exactly one more operator, or the final projection.  The search
+        stops at the first pop whose cost exceeds the best finished cost:
+        every operator, join and projection cost is non-negative (not
+        NaN), and adding one never makes a sum smaller, so no plan left
+        in the heap can finish cheaper.  When no plan finishes, the error
+        names the blocker of the lowest operator mask.
+
+        ``counters["finished"]`` counts the records whose finishing
+        started, ``counters["finish_ops"]`` the operators applied while
+        finishing."""
         if not self.connected(self.full):
             raise DisconnectedJoinGraphError(
                 "join graph is disconnected; a cross product is required "
                 "(pass allow_cross_products to permit it)")
         table = self.enumerate_mask(self.full)
+        # (cost, record's ops mask, position in self.order, plan); no two
+        # items share a record, so the first two fields are unique
+        heap = [(entry.cost, ops, 0, entry) for ops, entry in table.items()]
+        heapq.heapify(heap)
+        order = self.order
+        counters = self.counters
+        intern = self.interned_schemas.setdefault
         best = best_key = None
         blocked: list = []                 # (ops mask, blocker)
-        for entry in sorted(table.values(), key=lambda e: (e.cost, e.ops)):
-            if best is not None and entry.cost > best.cost:
+        while heap:
+            cost, ops, pos, cur = heapq.heappop(heap)
+            if best is not None and cost > best.cost:
                 break
-            self.counters["finished"] += 1
-            finished, blocker = self.finish(entry)
-            if finished is None:
-                blocked.append((entry.ops, blocker))
+            if pos == 0:
+                counters["finished"] += 1
+                if type(cur) is DeferredJoin:
+                    cur = join_entries(cur.left, cur.right, cur.keys, self.cm)
+                    cur.schema = intern(cur.schema, cur.schema)
+            while pos < len(order) and cur.ops >> order[pos].idx & 1:
+                pos += 1
+            if pos < len(order):
+                op = order[pos]
+                if not op_applicable(op, cur.ops, cur.schema.columns,
+                                     cur.rels, self.graph):
+                    blocked.append((ops, describe_op(op)))
+                    continue
+                cur = apply_op(op, cur, self.cm)
+                # partial plans in the heap often reach equal schemas; a
+                # plan stepped alone has none to share its schema with,
+                # and interning it would only keep the schema alive
+                if heap:
+                    cur.schema = intern(cur.schema, cur.schema)
+                counters["finish_ops"] += 1
+                heapq.heappush(heap, (cur.cost, ops, pos + 1, cur))
                 continue
-            key = (finished.cost, entry.ops)
+            final = reproject(cur, self.q, self.cm)
+            if final is None:
+                blocked.append((ops, "projection"))
+                continue
+            key = (final.cost, ops)
             if best is None or key < best_key:
-                best, best_key = finished, key
+                best, best_key = final, key
         if best is None:
             name = min(blocked)[1] if blocked else \
                 (self.blockers or ["join graph"])[0]

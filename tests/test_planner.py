@@ -817,12 +817,24 @@ def _outcome(search):
     return repr(best.term), best.cost, best.schema
 
 
+def _built_full_table(enum):
+    """The full memo table of `enum`, after its DeferredJoin records, which
+    ``run`` leaves unbuilt, are built in place by ``join_entries``."""
+    table = enum.enumerate_mask(enum.full)
+    for ops, e in table.items():
+        if type(e) is enumeration.DeferredJoin:
+            table[ops] = join_entries(e.left, e.right, e.keys, enum.cm)
+    return table
+
+
 def _enumerated(cls, term, schemas, stats=None):
     """((memo view, outcome, whether any either-side operator was pinned
     to one side), the run enumerator) of enumerating `term` with
     `cls`."""
     enum = _enumerator(term, schemas, stats, cls)
     outcome = _outcome(enum.run)
+    if enum.full in enum.memo:
+        _built_full_table(enum)
     memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
                    for ops, e in table.items()}
             for rels, table in enum.memo.items()}
@@ -1026,7 +1038,7 @@ def test_a_partition_with_an_empty_side_offers_no_candidates():
     term = Join(Join(RelVar("R0"), RelVar("R1")), RelVar("R2"))
     enum = _enumerator(term, schemas)
     enum.memo[0b110] = {}
-    table = enum.enumerate_mask(enum.full)
+    table = _built_full_table(enum)
     assert table and all(e.term.right == RelVar("R2")
                          for e in table.values())
     assert enum.run().cost == min(e.cost for e in table.values())
@@ -1039,12 +1051,15 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     # differ in the last bit; each partition pairs the closed tables of
     # its two sides once, 1,344 candidates for 732 memo wins.  Pairing
     # every prefix of every pair of memo entries took 7,984 candidates,
-    # 2,556 wins and 1,464 operator applications for the same memo.  Only
-    # the join winners left in a complete memo table get a merged state,
-    # and ``run`` finishes 113 of the 256 complete plans with 564 more
-    # operator applications; building every chain and candidate anew and
-    # finishing every complete plan took 9,069 operator applications and
-    # 8,005 join effects; preprocess rejects its R2.3 guards locally, so
+    # 2,556 wins and 1,464 operator applications for the same memo.  The
+    # join winners of the non-full tables get a merged state (185 join
+    # effects).  ``run`` starts finishing 113 of the 256 complete plans,
+    # best-first: it builds only those 113 and applies 117 operators,
+    # one per step of the cheapest partial plan, where finishing each of
+    # the 113 in full took 564 and building all 256 took 441 join effects
+    # in all; building every chain and candidate anew and finishing every
+    # complete plan took 9,069 operator applications and 8,005 join
+    # effects; preprocess rejects its R2.3 guards locally, so
     # it never costs the chain's root, and its one sweep round folds the
     # chain's 3 joins once, not once per attempt
     calls = {"apply_op": 0, "join_effect": 0}
@@ -1063,18 +1078,38 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"]) == \
         (732, 1344)
-    assert calls == {"apply_op": 249 + 564, "join_effect": 441}
-    assert res.counters["finished"] == 113
+    assert calls == {"apply_op": 249 + 117, "join_effect": 298}
+    assert (res.counters["finished"], res.counters["finish_ops"]) == \
+        (113, 117)
 
 
-def _finish_every_entry(enum):
+def _finish(enum, entry, applied):
+    """(`entry` with its remaining operators applied in sorted order and
+    re-projected, None), or (None, the blocker) when an operator or the
+    projection cannot run; each operator applied is appended to
+    `applied`."""
+    cur = entry
+    for op in enum.order:
+        if cur.ops >> op.idx & 1:
+            continue
+        if not enumeration.op_applicable(op, cur.ops, cur.schema.columns,
+                                         cur.rels, enum.graph):
+            return None, enumeration.describe_op(op)
+        cur = enumeration.apply_op(op, cur, enum.cm)
+        applied.append(op.idx)
+    final = enumeration.reproject(cur, enum.q, enum.cm)
+    return (None, "projection") if final is None else (final, None)
+
+
+def _finish_every_entry(enum, applied):
     """``Enumerator.run`` without its bound: finish every entry of the
-    full table in ascending operator-mask order and keep the first of the
-    cheapest finished plans."""
-    table = enum.enumerate_mask(enum.full)
+    full table in ascending operator-mask order, each in full (``_finish``,
+    which appends the operators it applies to `applied`), and keep the
+    first of the cheapest finished plans."""
+    table = _built_full_table(enum)
     best, blocked = None, []
     for ops in sorted(table):
-        finished, blocker = enum.finish(table[ops])
+        finished, blocker = _finish(enum, table[ops], applied)
         if finished is None:
             blocked.append(blocker)
         elif best is None or finished.cost < best.cost:
@@ -1086,8 +1121,12 @@ def _finish_every_entry(enum):
 
 
 def _bounded_and_every(enum):
-    """(outcome of ``run``, outcome of finishing every entry) on one memo."""
-    return _outcome(enum.run), _outcome(lambda: _finish_every_entry(enum))
+    """(outcome of ``run``, outcome of finishing every entry, number of
+    operators the latter applied) on one memo."""
+    applied: list = []
+    return (_outcome(enum.run),
+            _outcome(lambda: _finish_every_entry(enum, applied)),
+            len(applied))
 
 
 @pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
@@ -1095,16 +1134,31 @@ def _bounded_and_every(enum):
 def test_bounded_finish_matches_finishing_every_entry_on_bench_joins(
         name, term, schemas):
     enum = _enumerator(term, schemas)
-    bounded, every = _bounded_and_every(enum)
+    bounded, every, eager_ops = _bounded_and_every(enum)
     assert bounded == every
     assert (enum.counters["finished"], len(enum.memo[enum.full])) == \
         (113, 256)
+    # the best-first search steps only the cheapest partial plans
+    assert enum.counters["finish_ops"] < eager_ops
+
+
+@pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
+                         ids=[q[0] for q in BENCH_JOIN_QUERIES])
+def test_bounded_finish_matches_finishing_every_entry_on_bench_joins_with_stats(
+        name, term, schemas, bench_join_stats):
+    stats = {rel: bench_join_stats[rel] for rel in schemas}
+    enum = _enumerator(term, schemas, stats)
+    bounded, every, eager_ops = _bounded_and_every(enum)
+    assert bounded == every
+    # on chain and star every complete plan is started, yet most are
+    # dropped before their last operator
+    assert enum.counters["finish_ops"] < eager_ops
 
 
 @pytest.mark.parametrize("nrel", (2, 3))
 def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
     # statistics on odd seeds; a third relation joins on k above the rest
-    finished = complete = 0
+    finished = complete = stepped = every_ops = 0
     for seed in range(9000, 9150):
         rng = random.Random(seed)
         rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
@@ -1118,11 +1172,15 @@ def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
         enum = _enumerator(term, schemas, stats)
         if not enum.connected(enum.full):
             continue
-        bounded, every = _bounded_and_every(enum)
+        bounded, every, eager_ops = _bounded_and_every(enum)
         assert bounded == every, seed
+        assert enum.counters["finish_ops"] <= eager_ops, seed
         finished += enum.counters["finished"]
         complete += len(enum.memo[enum.full])
+        stepped += enum.counters["finish_ops"]
+        every_ops += eager_ops
     assert 0 < finished < complete
+    assert stepped < every_ops
 
 
 def _two_filter_enumerator(full_table):
@@ -1149,19 +1207,50 @@ def _two_filter_enumerator(full_table):
 
 def test_bounded_finish_breaks_cost_ties_by_lowest_ops_mask():
     # a filter costs its input's rows, so both one-filter plans finish at
-    # 15.0; the plan over ops 0b10 is finished first (memo cost 5.0), and
+    # 15.0; the plan over ops 0b10 is stepped first (memo cost 5.0), and
     # the one over ops 0b01, whose memo cost equals that finished cost,
     # is still finished and wins the tie.  The complete plan at 20.0
     # exceeds 15.0 and is never finished.
     enum = _two_filter_enumerator({0b01: (15.0, 0.0), 0b10: (5.0, 10.0),
                                    0b11: (20.0, 1.0)})
     assert [op.node.pred.lhs.name for op in enum.q.ops] == ["u0", "u1"]
-    bounded, every = _bounded_and_every(enum)
+    bounded, every, _ = _bounded_and_every(enum)
     assert bounded == every
     assert bounded[0] == repr(Filter(lt("u1", 50),
                                      Filter(lt("u0", 50), RelVar("R"))))
     assert bounded[1] == 15.0
     assert enum.counters["finished"] == 2
+
+
+def test_best_first_finish_steps_only_plans_within_the_best_cost(
+        monkeypatch):
+    # the plan over ops 0 is cheapest (6.0) and is stepped first, but its
+    # first filter costs its 50 rows and takes it to 56.0: it is never
+    # stepped again, so its second filter never runs.  The two one-filter
+    # plans each finish at 10.0 with one more filter over 0 rows, and the
+    # tie goes to the lowest operator mask.
+    applied = []
+    apply_op = enumeration.apply_op
+
+    def recorded(op, entry, cost_model):
+        applied.append((entry.ops, op.idx))
+        return apply_op(op, entry, cost_model)
+
+    monkeypatch.setattr(enumeration, "apply_op", recorded)
+    enum = _two_filter_enumerator({0b00: (6.0, 50.0), 0b01: (10.0, 0.0),
+                                   0b10: (10.0, 0.0)})
+    best = enum.run()
+    assert (best.ops, best.cost) == (0b11, 10.0)
+    assert best.term == Filter(lt("u1", 50),
+                               Filter(lt("u0", 50), RelVar("R")))
+    assert applied == [(0b00, 0), (0b01, 1), (0b10, 0)]
+    assert (enum.counters["finished"], enum.counters["finish_ops"]) == \
+        (3, 3)
+    # finishing every plan in full applies one more operator, and agrees
+    monkeypatch.undo()
+    every: list = []
+    assert _finish_every_entry(enum, every).term == best.term
+    assert len(every) == 4
 
 
 def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
@@ -1180,7 +1269,7 @@ def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
     enum.memo[enum.full] = {
         0b000: MemoEntry(RelVar("R"), 1, 0b000, 20.0, state, schema),
         0b010: MemoEntry(RelVar("R"), 1, 0b010, 5.0, state, schema)}
-    bounded, every = _bounded_and_every(enum)
+    bounded, every, _ = _bounded_and_every(enum)
     assert bounded == every == ("InfeasibleQueryError",
                                 "no valid plan: blocked by filter#1")
     assert enum.counters["finished"] == 2
@@ -1189,8 +1278,9 @@ def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
 @pytest.mark.parametrize("with_stats", (False, True))
 def test_operator_and_join_costs_are_never_negative_or_nan(monkeypatch,
                                                            with_stats):
-    # ``Enumerator.run`` stops finishing plans once a memo cost exceeds
-    # the best finished cost, which is exact only under this premise
+    # ``Enumerator.run`` stops finishing plans once the cheapest partial
+    # plan costs more than the best finished one, which is exact only
+    # under this premise
     costs = []
 
     def recorded(fn, cost_of=lambda out: out[0]):
