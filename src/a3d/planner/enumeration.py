@@ -24,20 +24,47 @@ looks the join divisor up in a per-partition table keyed by the two key-ndv
 tuples, costs the join with ``stats.join_cost`` and looks its operator set
 up in the memo table.  A candidate that beats the incumbent for its operator
 set is kept as a ``DeferredJoin`` record until its table is complete; only
-the records that survive then get a merged state, a Join node and a schema
+the records that survive then get a merged state (``join_effect``), and
+only the undominated ones among them (below) a Join node and a schema
 (``join_entries``), at exactly the cost they won with, since
 ``join_effect`` costs a join with the same expression.  Equal schemas are
 stored once per enumerator.  Applying an operator replays the schema effect
 ``decompose`` recorded for it (``RankableOp.schema_after``), so
 ``node_schema`` runs only for built joins and the final projection.
 
+Dominated plans are dropped where a table is written: from each non-full
+memo table once it is filled (``enumerate_mask``), so they seed no closure
+chain, and from each closed table (``close``), so they never reach
+``candidates``.  A plan E2 dominates E1, a plan over the same leaves, when
+(``dominates``):
+
+- E2 applied every operator E1 did, and more, each extra one a row filter;
+- their columns, ``rows_unf``, ``scalar_stats`` and ``array_info`` are
+  equal, so only ``rows`` differs;
+- E2 is strictly cheaper and has no more rows;
+- E2 pairs with every plan E1 pairs with: an unbanned chain reaches E2
+  whenever one reaches E1.
+
+Dropping E1 loses no plan the search would choose.  In
+``CostModel.op_effect`` a row filter changes only ``rows`` (and the empty
+fraction an emptiness test sets, which the equal ``array_info`` covers),
+scaling it by a selectivity that does not read ``rows``, so it commutes
+with every other effect.  Every later operator, join and projection
+multiplies ``rows`` by factors that do not read it, and costs no less for
+more rows.  So from equal non-row states, E2 completed as E1 is, less the
+extra filters, has no more rows than E1's completion at every step and
+pays no more at every step; E1's completion also pays for the extra
+filters, which E2's skips.  The tests check the premises on the cost model
+and that dropping dominated plans changes no chosen plan or cost.
+
 The full table's records are left unbuilt.  ``run`` finishes its plans
 best-first from a heap of partial plans, cheapest first: a record is built
 when it is first popped, and each pop applies one more of the plan's
 remaining operators (or the final projection), until the cheapest partial
-plan costs more than the best finished one.  Every operator, join and projection cost is non-negative,
-so finishing never makes a plan cheaper, and only the records whose memo
-cost is within the best finished cost are ever built.
+plan costs more than the best finished one.  Every operator, join and
+projection cost is non-negative, so finishing never makes a plan cheaper,
+and only the records whose memo cost is within the best finished cost are
+ever built.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
@@ -76,12 +103,18 @@ class MemoEntry:
     state: PlanState
     schema: Schema
 
+    @property
+    def columns(self) -> frozenset:
+        return self.schema.columns
+
 
 class DeferredJoin:
     """A join candidate that beat its memo incumbent while the table was
     being filled: its cost (exactly the cost ``join_entries`` gives it)
-    and what it takes to build it once the table is complete."""
-    __slots__ = ("ops", "cost", "left", "right", "keys")
+    and what it takes to build it once the table is complete.  `effect`
+    is what ``join_effect`` gives the join, once computed (``cost_join``):
+    enough for ``dominates`` without the Join node and its schema."""
+    __slots__ = ("ops", "cost", "left", "right", "keys", "effect")
 
     def __init__(self, ops: int, cost: float, left: MemoEntry,
                  right: MemoEntry, keys):
@@ -90,6 +123,23 @@ class DeferredJoin:
         self.left = left
         self.right = right
         self.keys = keys
+        self.effect = None
+
+    @property
+    def state(self) -> PlanState:
+        return self.effect[1]
+
+    @property
+    def columns(self) -> frozenset:
+        return self.left.schema.columns | self.right.schema.columns
+
+    def cost_join(self, cost_model: CostModel) -> None:
+        self.effect = cost_model.join_effect(
+            self.left.state, self.right.state, sorted(self.keys))
+
+    def build(self, cost_model: CostModel) -> MemoEntry:
+        return join_entries(self.left, self.right, self.keys, cost_model,
+                            self.effect)
 
 
 class Cut(NamedTuple):
@@ -176,15 +226,18 @@ def base_entry(decomp: QueryDecomposition, i: int,
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
-                 cost_model: CostModel):
+                 cost_model: CostModel, effect=None):
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
-    or an operator introduced an accidental overlap)."""
+    or an operator introduced an accidental overlap).  `effect` is the
+    join's ``join_effect`` result when it is already known."""
     shared = left.schema.columns & right.schema.columns
     if shared != expected_keys:
         return None
-    shared = sorted(shared)
-    cost, state = cost_model.join_effect(left.state, right.state, shared)
+    if effect is None:
+        effect = cost_model.join_effect(left.state, right.state,
+                                        sorted(shared))
+    cost, state = effect
     term = Join(left.term, right.term)
     return MemoEntry(term, left.rels | right.rels, left.ops | right.ops,
                      left.cost + right.cost + cost, state,
@@ -223,6 +276,67 @@ def reproject(entry: MemoEntry, decomp: QueryDecomposition,
                      node_schema(top, entry.schema))
 
 
+def dominates(better, better_plain: bool, entry, plain: bool,
+              filters: int) -> bool:
+    """Whether the plan `better` dominates `entry`, a plan over the same
+    leaves (a ``MemoEntry`` or a costed ``DeferredJoin``; see the module
+    docstring for why dropping `entry` is exact): `better` applied every
+    operator `entry` did and more, each extra one in the mask `filters`
+    of row filters; their columns, ``rows_unf``, scalar statistics and
+    array infos are equal; `better` is strictly cheaper and has no more
+    rows; and it pairs with every plan `entry` pairs with, since some
+    unbanned chain reaches it (`better_plain`) whenever one reaches
+    `entry` (`plain`; see ``close``)."""
+    ops, b_ops = entry.ops, better.ops
+    if ops & ~b_ops or b_ops & ~ops & ~filters or ops == b_ops:
+        return False
+    if plain and not better_plain or not better.cost < entry.cost:
+        return False
+    state, b_state = entry.state, better.state
+    return (b_state.rows <= state.rows
+            and b_state.rows_unf == state.rows_unf
+            and better.columns == entry.columns
+            and _same(b_state.scalar_stats, state.scalar_stats)
+            and _same(b_state.array_info, state.array_info))
+
+
+def _same(a, b) -> bool:
+    """Mapping equality, short-cut for the shared dicts of plan states."""
+    return a is b or a == b
+
+
+def undominated(plans: list, filters: int) -> list:
+    """The [entry, plain] pairs of `plans`, plans over one leaf set, that
+    no other pair dominates (``dominates``), in their order in `plans`.
+
+    Extra filters change neither the other operators nor ``rows_unf``, so
+    only plans that agree on both can dominate each other: each such
+    bucket is scanned in ascending cost, every plan against the cheaper
+    ones kept so far.  Dominance is transitive, so a plan that a dropped
+    plan dominates is dominated by a kept one too."""
+    buckets: dict = {}
+    for i, (entry, _) in enumerate(plans):
+        buckets.setdefault((entry.ops & ~filters, entry.state.rows_unf),
+                           []).append(i)
+    dropped = set()
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        members.sort(key=lambda i: plans[i][0].cost)
+        kept = []
+        for i in members:
+            entry, plain = plans[i]
+            for better, better_plain in kept:
+                if dominates(better, better_plain, entry, plain, filters):
+                    dropped.add(i)
+                    break
+            else:
+                kept.append(plans[i])
+    if not dropped:
+        return plans
+    return [slot for i, slot in enumerate(plans) if i not in dropped]
+
+
 def keep(nodes: dict, key, entry: MemoEntry, plain: bool) -> None:
     """Offer `entry` to the [entry, plain] slots kept under `key`: it
     takes the slot of an entry with an equal plan state when it is
@@ -259,9 +373,12 @@ class Enumerator:
         self.leaf_ops = None               # see ``either_side``
         self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
-                         "capture_skips": 0, "finished": 0,
-                         "finish_ops": 0}
+                         "capture_skips": 0, "dominated": 0,
+                         "finished": 0, "finish_ops": 0}
         self.blockers: list = []
+        # the row filters: the operators a dominating plan may add
+        self.filters = mask_of(op.idx for op in decomp.ops
+                               if op.kind == "filter")
 
         m = len(decomp.leaves)
         self.full = (1 << m) - 1
@@ -327,10 +444,15 @@ class Enumerator:
         """The memo table of the leaves in `mask`, filled on first use.
 
         While the table is filled it holds DeferredJoin records.  In a
-        table below the full one, each record left at the end is built
-        then (``join_entries``), and every schema in the table is
-        interned.  The full table keeps its records as they are: ``run``
-        builds only those it starts finishing."""
+        table below the full one, each record left at the end is costed
+        (``DeferredJoin.cost_join``), the table's dominated plans are
+        dropped (``undominated``), so that none of them seeds a closure
+        chain, and only then are the records left built
+        (``join_entries``) and every schema in the table interned.  A
+        dominated plan's every completion costs more than its dominator's
+        same completion less the extra filters (module docstring), so no
+        chosen plan is lost.  The full table keeps its records as they
+        are: ``run`` builds only those it starts finishing."""
         hit = self.memo.get(mask)
         if hit is not None:
             return hit
@@ -346,15 +468,27 @@ class Enumerator:
             # table's records join are held by the records
             self.closed.clear()
             return table
-        for ops, entry in table.items():
+        plans = []
+        for entry in table.values():
             if type(entry) is DeferredJoin:
-                entry = join_entries(entry.left, entry.right, entry.keys,
-                                     self.cm)
+                entry.cost_join(self.cm)
+            plans.append([entry, True])
+        table.clear()
+        for entry, _ in self.undominated(plans):
+            if type(entry) is DeferredJoin:
+                entry = entry.build(self.cm)
             # many entries of one table share a schema; keep one copy
             entry.schema = self.interned_schemas.setdefault(entry.schema,
                                                             entry.schema)
-            table[ops] = entry
+            table[entry.ops] = entry
         return table
+
+    def undominated(self, plans: list) -> list:
+        """``undominated`` over this query's row filters, counting the
+        plans it drops in ``counters["dominated"]``."""
+        kept = undominated(plans, self.filters)
+        self.counters["dominated"] += len(plans) - len(kept)
+        return kept
 
     def fill(self, table: dict, mask: int) -> None:
         """Insert the join candidates of every valid partition of `mask`:
@@ -480,7 +614,11 @@ class Enumerator:
         Two plans with one operator set and equal plan states cost the
         same from there on, so only the cheaper is kept (``keep``); plans
         whose states differ are both kept, since a dearer plan with fewer
-        rows may still join more cheaply."""
+        rows may still join more cheaply.  Last, the plans that a cheaper
+        plan with more row filters and no more rows dominates are dropped
+        (``undominated``, exact by the argument in the module docstring),
+        a plain plan only for a plain dominator, so a dominated plan
+        never reaches ``candidates``."""
         hit = self.closed.get(mask)
         if hit is not None:
             return hit
@@ -513,9 +651,9 @@ class Enumerator:
                         later = todo.setdefault(count, {})
                     keep(later, (nxt.ops, rest[1:]), nxt, plain)
         reached, banned_only = [], []
-        for kept in best.values():
-            for entry, plain in kept:
-                (reached if plain else banned_only).append(entry)
+        for entry, plain in self.undominated(
+                [slot for kept in best.values() for slot in kept]):
+            (reached if plain else banned_only).append(entry)
         self.closed[mask] = (reached, banned_only)
         return reached, banned_only
 
@@ -591,7 +729,7 @@ class Enumerator:
             if pos == 0:
                 counters["finished"] += 1
                 if type(cur) is DeferredJoin:
-                    cur = join_entries(cur.left, cur.right, cur.keys, self.cm)
+                    cur = cur.build(self.cm)
                     cur.schema = intern(cur.schema, cur.schema)
             while pos < len(order) and cur.ops >> order[pos].idx & 1:
                 pos += 1

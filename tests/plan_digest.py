@@ -54,7 +54,8 @@ INNER_SEEDS = range(6000, 7000)
 BENCH_DATA_SEEDS = (1, 2)
 # counters of how much searching planning did, not of what it planned
 WORK_COUNTERS = ("entries", "partitions", "candidates", "capture_skips",
-                 "finished", "finish_ops", "states", "orderings")
+                 "dominated", "finished", "finish_ops", "states",
+                 "orderings")
 
 
 def bench_queries(data_seed: int):

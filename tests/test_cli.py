@@ -25,6 +25,7 @@ from gen_utils import default_relation, random_term
 from golden_queries import CASES
 
 SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
+JOIN_CHAIN_PLAN = Path(__file__).parent / "data" / "join_chain3_plan.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -79,6 +80,19 @@ def test_every_dialect_renders_the_sample_plan(capsys, dialect):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.startswith("SELECT ") and "WHERE x < 5" in out
+
+
+def test_enumerate_plans_the_join_chain_document(capsys):
+    # the three-relation chain the CI workflow plans through the console
+    # script: the enumerator drops dominated plans and says how many
+    code = cli.main(["--plan", str(JOIN_CHAIN_PLAN), "--mode", "enumerate",
+                     "--counters", "--emit", "sql-clickhouse"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("SELECT ") and out.count("INNER JOIN") == 2
+    [line] = err.splitlines()
+    counters = json.loads(line)
+    assert counters["relations"] == 3 and counters["dominated"] > 0
 
 
 @pytest.mark.parametrize("term, flags, code, kind", [

@@ -710,13 +710,17 @@ class _EagerEnumerator(_RecordingEnumerator):
     operator applicable on both entries is also pinned to one side at a
     time (the other side's list bans it), and the (ops, ops) pairs of one
     pair of entries are deduplicated.  Every candidate is built in full
-    by ``join_entries`` and offered to ``insert``.
+    by ``join_entries`` and offered to ``insert``.  No plan is dropped
+    as dominated: the memo holds every table's winner for every key.
 
     ``reached`` collects the (relations, ops) key of every prefix built."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.reached: set = set()
+
+    def undominated(self, plans):
+        return plans
 
     def fill(self, table, mask):
         low = mask & -mask
@@ -849,6 +853,43 @@ def _enumerated(cls, term, schemas, stats=None):
     return (memo, outcome, enum.pinned_variants), enum
 
 
+def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
+    """Compare the memo of `enum`, which drops dominated plans, with the
+    reference memo of `ref`, which keeps every winner (the views and
+    enumerators of ``_enumerated``), and return the number of reference
+    entries the memo lacks:
+
+    - every kept entry is the reference's entry for its key, but in the
+      complete table, which is not pruned: there a key whose cheapest
+      plan was built from a dropped one keeps a costlier plan, which a
+      kept plan dominates;
+    - every reference entry the memo lacks is dominated by a kept one
+      (``enumeration.dominates``);
+    - both choose the same plan at the same cost."""
+    (memo, outcome, _), (ref_memo, ref_outcome, _) = fast, eager
+    assert outcome == ref_outcome
+    assert memo.keys() == ref_memo.keys()
+
+    def dominated(entry, kept):
+        return any(enumeration.dominates(better, True, entry, True,
+                                         enum.filters) for better in kept)
+
+    missing = 0
+    for rels, ref_table in ref.memo.items():
+        table = enum.memo[rels]
+        kept = list(table.values())
+        for ops, view in memo[rels].items():
+            if ref_memo[rels].get(ops) != view:
+                assert rels == enum.full and ops in ref_table, (rels, ops)
+                assert table[ops].cost >= ref_table[ops].cost
+                assert dominated(table[ops], kept), (rels, ops)
+        for ops, entry in ref_table.items():
+            if ops not in table:
+                missing += 1
+                assert dominated(entry, kept), (rels, ops)
+    return missing
+
+
 def _bench_workloads():
     """``bench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -880,7 +921,7 @@ def test_enumerator_memo_matches_eager_enumeration_on_bench_joins(
         name, term, schemas):
     fast, enum = _enumerated(_RecordingEnumerator, term, schemas)
     eager, ref = _enumerated(_EagerEnumerator, term, schemas)
-    assert fast == eager
+    assert _assert_prunes_the_eager_memo(fast, enum, eager, ref) > 0
     assert ref.counters["candidates"] > enum.counters["candidates"] \
         > enum.counters["entries"] > 0
 
@@ -906,7 +947,7 @@ def test_enumerator_memo_matches_eager_enumeration_on_bench_joins_with_stats(
     assert len(key_ndvs) > 1 and DEFAULT_JOIN_NDV not in key_ndvs
     fast, enum = _enumerated(_RecordingEnumerator, term, schemas, stats)
     eager, ref = _enumerated(_EagerEnumerator, term, schemas, stats)
-    assert fast == eager
+    assert _assert_prunes_the_eager_memo(fast, enum, eager, ref) > 0
     assert ref.counters["candidates"] > enum.counters["candidates"] \
         > enum.counters["entries"] > 0
 
@@ -916,7 +957,7 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
     # 4 x 60 two-relation queries, statistics on odd seeds; some of them
     # have an operator runnable on both sides, so the banned chains and
     # the reference's pinned-operator variants run too
-    pinned = 0
+    pinned = missing = 0
     for seed in range(8000 + 60 * block, 8000 + 60 * (block + 1)):
         rng = random.Random(seed)
         rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
@@ -925,23 +966,27 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
         schemas = {tr.name: tr.schema for tr in rels}
         stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
             if seed % 2 else None
-        fast, _ = _enumerated(_RecordingEnumerator, term, schemas, stats)
-        eager, _ = _enumerated(_EagerEnumerator, term, schemas, stats)
-        assert fast == eager, seed
+        fast, enum = _enumerated(_RecordingEnumerator, term, schemas, stats)
+        eager, ref = _enumerated(_EagerEnumerator, term, schemas, stats)
+        missing += _assert_prunes_the_eager_memo(fast, enum, eager, ref)
         pinned += fast[2]
-    assert pinned > 0
+    assert pinned > 0 and missing > 0
 
 
 @pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
                          ids=[q[0] for q in BENCH_JOIN_QUERIES])
 def test_closed_tables_hold_the_keys_the_prefix_chains_reach(
-        name, term, schemas):
-    # the closure of a memo table reaches the (relations, ops) keys of
-    # every operator prefix of every entry, no more and no fewer
-    _, enum = _enumerated(_RecordingEnumerator, term, schemas)
+        monkeypatch, name, term, schemas):
+    # without dominance pruning, the closure of a memo table reaches the
+    # (relations, ops) keys of every operator prefix of every entry, no
+    # more and no fewer; with it, a strict subset of them
     _, ref = _enumerated(_EagerEnumerator, term, schemas)
+    _, pruned = _enumerated(_RecordingEnumerator, term, schemas)
+    monkeypatch.setattr(enumeration, "undominated", lambda plans, _: plans)
+    _, enum = _enumerated(_RecordingEnumerator, term, schemas)
     assert enum.closed_keys == ref.reached
     assert len(enum.closed_keys) > len(enum.memo)
+    assert pruned.closed_keys < ref.reached
 
 
 def _either_side_join(seed):
@@ -968,12 +1013,12 @@ def _either_side_join(seed):
 def test_either_side_filters_plan_at_the_eager_cost(block):
     # a two-relation join has one partition and one entry per side, so
     # its banned chains are exactly the reference's pinned variants and
-    # the memo matches entry for entry.  With three relations a closed
-    # table pairs a side whose key filter is banned with every plan of
-    # the other side, also one that ran the filter below one of its own
-    # joins, where the reference pins the filter only for pairs of
-    # entries that both still lack it: the plan never costs more, and
-    # may cost less.
+    # the memo matches the reference's but for the plans it drops as
+    # dominated.  With three relations a closed table pairs a side whose
+    # key filter is banned with every plan of the other side, also one
+    # that ran the filter below one of its own joins, where the reference
+    # pins the filter only for pairs of entries that both still lack it:
+    # the plan never costs more, and may cost less.
     pinned = cheaper = 0
     for seed in range(8500 + 100 * block, 8500 + 100 * (block + 1)):
         term, schemas, stats, nrel = _either_side_join(seed)
@@ -981,11 +1026,11 @@ def test_either_side_filters_plan_at_the_eager_cost(block):
             output_schema(term, schemas)
         except SchemaError:
             continue                 # k was consumed below the filter
-        fast, _ = _enumerated(_RecordingEnumerator, term, schemas, stats)
-        eager, _ = _enumerated(_EagerEnumerator, term, schemas, stats)
+        fast, enum = _enumerated(_RecordingEnumerator, term, schemas, stats)
+        eager, ref = _enumerated(_EagerEnumerator, term, schemas, stats)
         pinned += fast[2]
         if nrel == 2:
-            assert fast == eager, seed
+            _assert_prunes_the_eager_memo(fast, enum, eager, ref)
             continue
         if len(eager[1]) == 2:       # planning raised
             assert fast[1] == eager[1], seed
@@ -994,6 +1039,107 @@ def test_either_side_filters_plan_at_the_eager_cost(block):
         assert cost <= eager_cost and schema == eager_schema, seed
         cheaper += cost < eager_cost
     assert pinned > 50 and cheaper < 5
+
+
+def _random_join(seed, nrel):
+    """(term, schemas, statistics) of a random query over two relations,
+    with a third joined on k above it when `nrel` is 3; statistics on odd
+    seeds."""
+    rng = random.Random(seed)
+    rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
+            for i in range(nrel)]
+    term = random_term(rng, rels[:2], n_ops=rng.randint(1, 5))
+    if nrel == 3:
+        term = Join(term, RelVar("r2"))
+    schemas = {tr.name: tr.schema for tr in rels}
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else None
+    return term, schemas, stats
+
+
+def _pruning_corpus(name, bench_join_stats):
+    """The (term, schemas, statistics) queries of one corpus of
+    ``test_dominance_pruning_never_changes_the_chosen_plan``."""
+    if name == "bench":
+        return [(term, schemas, stats) for _, term, schemas in
+                BENCH_JOIN_QUERIES for stats in
+                (None, {rel: bench_join_stats[rel] for rel in schemas})]
+    if name == "either-side":
+        return [_either_side_join(seed)[:3] for seed in range(8500, 8700)]
+    nrel = int(name[-1])
+    return [_random_join(seed, nrel) for seed in range(9700, 9900)]
+
+
+@pytest.mark.parametrize("corpus", ("random-2", "random-3", "either-side",
+                                    "bench"))
+def test_dominance_pruning_never_changes_the_chosen_plan(
+        monkeypatch, corpus, bench_join_stats):
+    # statistics on odd seeds and on every bench join once; the plan,
+    # its cost (bit for bit) and any error are those of the enumerator
+    # that keeps every dominated plan
+    queries = _pruning_corpus(corpus, bench_join_stats)
+
+    def outcomes():
+        dropped, out = 0, []
+        for term, schemas, stats in queries:
+            try:
+                enum = _enumerator(term, schemas, stats)
+            except SchemaError:
+                continue             # k was consumed below a key filter
+            out.append(_outcome(enum.run))
+            dropped += enum.counters["dominated"]
+        return out, dropped
+
+    pruned, dropped = outcomes()
+    monkeypatch.setattr(enumeration, "undominated", lambda plans, _: plans)
+    kept_all, none = outcomes()
+    assert pruned == kept_all
+    assert dropped > 0 and none == 0
+
+
+def test_dominance_needs_every_condition_of_the_rule():
+    # ops 0 and 1 are row filters, op 2 is not; `worse` applied op 2,
+    # `better` op 2 and the filter op 0
+    cm = one_rel_model()
+    base, schema = cm.base_state("R"), cm.schemas["R"]
+
+    def plan(ops, cost, rows, schema=schema, **state):
+        return MemoEntry(RelVar("R"), 1, ops, cost,
+                         dataclasses.replace(base, rows=rows, **state),
+                         schema)
+
+    def dominates(better, worse, better_plain=True, plain=True):
+        return enumeration.dominates(better, better_plain, worse, plain,
+                                     0b011)
+
+    worse = plan(0b100, 10.0, 5.0)
+    better = plan(0b101, 9.0, 5.0)
+    assert dominates(better, worse) and not dominates(worse, better)
+    assert dominates(better, worse, better_plain=False, plain=False)
+    assert dominates(better, worse, plain=False)
+    # a plan only a banned chain reaches pairs with fewer plans
+    assert not dominates(better, worse, better_plain=False)
+    elem = base.array_info["a"]
+    for other in (
+            plan(0b100, 9.0, 4.0),           # no extra operator
+            plan(0b001, 9.0, 4.0),           # lacks op 2
+            plan(0b111, 9.0, 4.0),           # fine: filters 0 and 1
+            plan(0b101, 10.0, 4.0),          # not strictly cheaper
+            plan(0b101, 9.0, 6.0),           # more rows
+            plan(0b101, 9.0, 4.0, rows_unf=base.rows_unf / 2),
+            plan(0b101, 9.0, 4.0, scalar_stats={
+                **base.scalar_stats, "k": _uniform(5, 0, 100)}),
+            plan(0b101, 9.0, 4.0, array_info={
+                "a": dataclasses.replace(elem, empty_fraction=0.5)}),
+            plan(0b101, 9.0, 4.0, schema=Schema.of(
+                scalars=("u0", "u1", "k"), arrays=("a",)))):
+        assert dominates(other, worse) == (other.ops == 0b111), other
+    # an extra operator that is not a row filter
+    assert not dominates(plan(0b101, 9.0, 4.0), plan(0b001, 10.0, 5.0))
+    # one pass keeps the undominated plans in their order
+    plans = [[worse, True], [plan(0b111, 8.0, 4.0), True], [better, True],
+             [plan(0b010, 1.0, 1.0), True]]
+    assert enumeration.undominated(plans, 0b011) == plans[1:2] + plans[3:]
 
 
 def test_candidate_loop_costs_each_pair_with_its_own_divisor():
@@ -1045,23 +1191,26 @@ def test_a_partition_with_an_empty_side_offers_no_candidates():
 
 
 def test_chain4_enumeration_work_counts(monkeypatch):
-    # each non-full memo table is closed once: its closure applies 249
-    # operators for the 192 (relations, ops) keys it reaches, which hold
-    # 260 plans, since some keys reach two plans whose row estimates
-    # differ in the last bit; each partition pairs the closed tables of
-    # its two sides once, 1,344 candidates for 732 memo wins.  Pairing
-    # every prefix of every pair of memo entries took 7,984 candidates,
-    # 2,556 wins and 1,464 operator applications for the same memo.  The
-    # join winners of the non-full tables get a merged state (185 join
-    # effects).  ``run`` starts finishing 113 of the 256 complete plans,
-    # best-first: it builds only those 113 and applies 117 operators,
-    # one per step of the cheapest partial plan, where finishing each of
-    # the 113 in full took 564 and building all 256 took 441 join effects
-    # in all; building every chain and candidate anew and finishing every
+    # each non-full memo table drops its dominated plans once it is
+    # filled: 138 join records are costed (138 join effects), 57 of them
+    # are dominated and only the other 81 are built.  The closure of the
+    # tables that remain applies 90 operators for the 97 (relations, ops)
+    # keys it reaches, which hold 99 plans (none of them dominated), and
+    # each partition pairs the closed tables of its two sides once, 497
+    # candidates for 370 memo wins.  Without the pruning, the closure
+    # applied 249 operators for 192 keys holding 260 plans (105 of them
+    # dominated), the partitions paired 1,344 candidates for 732 wins,
+    # and 176 join records were built; pairing every prefix of every pair
+    # of memo entries took 7,984 candidates, 2,556 wins and 1,464
+    # operator applications.  ``run`` starts finishing 97 of the 135
+    # complete plans, best-first: it builds only those 97 (97 join
+    # effects) and applies 101 operators, one per step of the cheapest
+    # partial plan (113 of 256, 117 operators without the pruning);
+    # building every chain and candidate anew and finishing every
     # complete plan took 9,069 operator applications and 8,005 join
-    # effects; preprocess rejects its R2.3 guards locally, so
-    # it never costs the chain's root, and its one sweep round folds the
-    # chain's 3 joins once, not once per attempt
+    # effects.  Preprocess rejects its R2.3 guards locally, so it never
+    # costs the chain's root, and its one sweep round folds the chain's 3
+    # joins once, not once per attempt (9 join effects in all)
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -1076,11 +1225,11 @@ def test_chain4_enumeration_work_counts(monkeypatch):
                         counted("join_effect", CostModel.join_effect))
     _, term, schemas = BENCH_JOIN_QUERIES[0]
     res = optimize(term, schemas, mode="enumerate")
-    assert (res.counters["entries"], res.counters["candidates"]) == \
-        (732, 1344)
-    assert calls == {"apply_op": 249 + 117, "join_effect": 298}
+    assert (res.counters["entries"], res.counters["candidates"],
+            res.counters["dominated"]) == (370, 497, 57)
+    assert calls == {"apply_op": 90 + 101, "join_effect": 138 + 97 + 9}
     assert (res.counters["finished"], res.counters["finish_ops"]) == \
-        (113, 117)
+        (97, 101)
 
 
 def _finish(enum, entry, applied):
@@ -1136,8 +1285,10 @@ def test_bounded_finish_matches_finishing_every_entry_on_bench_joins(
     enum = _enumerator(term, schemas)
     bounded, every, eager_ops = _bounded_and_every(enum)
     assert bounded == every
+    # started and complete plans; (113, 256) on every shape before the
+    # memo dropped dominated plans, which pair into fewer complete ones
     assert (enum.counters["finished"], len(enum.memo[enum.full])) == \
-        (113, 256)
+        {"chain": (97, 135), "star": (105, 162), "cycle": (81, 189)}[name]
     # the best-first search steps only the cheapest partial plans
     assert enum.counters["finish_ops"] < eager_ops
 
@@ -1160,16 +1311,7 @@ def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
     # statistics on odd seeds; a third relation joins on k above the rest
     finished = complete = stepped = every_ops = 0
     for seed in range(9000, 9150):
-        rng = random.Random(seed)
-        rels = [default_relation(rng, "r%d" % i, with_key=True, min_rows=1)
-                for i in range(nrel)]
-        term = random_term(rng, rels[:2], n_ops=rng.randint(1, 5))
-        if nrel == 3:
-            term = Join(term, RelVar("r2"))
-        schemas = {tr.name: tr.schema for tr in rels}
-        stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
-            if seed % 2 else None
-        enum = _enumerator(term, schemas, stats)
+        enum = _enumerator(*_random_join(seed, nrel))
         if not enum.connected(enum.full):
             continue
         bounded, every, eager_ops = _bounded_and_every(enum)

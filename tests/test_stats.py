@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,6 +29,9 @@ from a3d.stats import (
     TableStats,
     build_scalar_stats,
     build_table_stats,
+    join_cost,
+    join_divisor,
+    key_ndvs,
     pred_selectivity,
 )
 
@@ -368,3 +372,108 @@ def test_fold_state_keys_are_the_schema_columns(corpus, monkeypatch):
             except OracleLimitError:
                 assert mode == "oracle"
     assert folds[0] and mismatched == []
+
+
+############################################################
+# premises of the enumerator's dominance pruning
+############################################################
+
+@pytest.fixture(scope="module")
+def planned_effects():
+    """The (cost model, node, input state) of every ``op_effect`` call,
+    and the (left rows, right rows, divisor) of every ``join_cost`` call,
+    made while planning 300 random queries in enumerate and oracle mode
+    (statistics on odd seeds)."""
+    effects, joins = [], []
+    real_effect = CostModel.op_effect
+    real_join_effect = CostModel.join_effect
+
+    def op_effect(self, node, state):
+        effects.append((self, node, state))
+        return real_effect(self, node, state)
+
+    def join_effect(self, left, right, shared):
+        div = join_divisor(key_ndvs(left, shared), key_ndvs(right, shared))
+        joins.append((left.rows, right.rows, div))
+        return real_join_effect(self, left, right, shared)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CostModel, "op_effect", op_effect)
+        mp.setattr(CostModel, "join_effect", join_effect)
+        for seed in range(300):
+            term, schemas, stats = random_query(seed)
+            for mode in ("enumerate", "oracle"):
+                try:
+                    optimize(term, schemas, stats=stats, mode=mode)
+                except OracleLimitError:
+                    pass
+    kinds = {type(node) for _, node, _ in effects}
+    assert {Filter, ArrayFilter, ArrayJoin, Derive, Aggregate} <= kinds
+    assert joins
+    return effects, joins
+
+
+def _is_emptiness_test(pred):
+    return isinstance(pred, Cmp) and pred.op in ("=", "!=") \
+        and pred.rhs == Lit(())
+
+
+def test_a_filter_only_scales_rows(planned_effects):
+    # a row filter never raises rows and leaves rows_unf and the scalar
+    # statistics as they are; the array infos too, but for the empty
+    # fraction of the column an emptiness test reads
+    effects, _ = planned_effects
+    filters = 0
+    for cm, node, state in effects:
+        if type(node) is not Filter:
+            continue
+        filters += 1
+        _, out = cm.op_effect(node, state)
+        assert out.rows <= state.rows
+        assert out.rows_unf == state.rows_unf
+        assert out.scalar_stats == state.scalar_stats
+        if not _is_emptiness_test(node.pred):
+            assert out.array_info == state.array_info
+            continue
+        col = node.pred.lhs.name
+        assert out.array_info.keys() == state.array_info.keys()
+        for c, info in state.array_info.items():
+            if c != col:
+                assert out.array_info[c] == info
+            else:
+                assert dataclasses.replace(
+                    out.array_info[c],
+                    empty_fraction=info.empty_fraction) == info
+    assert filters > 100
+
+
+def test_a_filter_selectivity_does_not_read_rows(planned_effects):
+    # the rows a filter lets through are its input rows times a factor
+    # that is the same for every input row count
+    effects, _ = planned_effects
+    for cm, node, state in effects:
+        if type(node) is not Filter:
+            continue
+        _, unit = cm.op_effect(node, dataclasses.replace(state, rows=1.0))
+        for rows in (0.0, 0.5, state.rows, 3.0 * state.rows + 7.0):
+            _, out = cm.op_effect(node, dataclasses.replace(state, rows=rows))
+            assert out == dataclasses.replace(unit, rows=rows * unit.rows)
+
+
+def test_costs_never_fall_when_rows_grow(planned_effects):
+    # every operator's cost and output rows, and a join's cost, are
+    # non-decreasing in the input rows: a plan with fewer rows never
+    # pays more for what runs above it
+    effects, joins = planned_effects
+    for cm, node, state in effects:
+        cost, out = cm.op_effect(node, state)
+        for more in (state.rows * 1.5, state.rows + 1.0, state.rows * 10.0):
+            more_cost, more_out = cm.op_effect(
+                node, dataclasses.replace(state, rows=more))
+            assert more_cost >= cost, node
+            assert more_out.rows >= out.rows, node
+    for left, right, div in joins:
+        cost = join_cost(left, right, div)
+        for grow in (1.5, 10.0):
+            assert join_cost(left * grow, right, div) >= cost
+            assert join_cost(left, right * grow, div) >= cost
