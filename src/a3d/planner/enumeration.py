@@ -32,18 +32,16 @@ stored once per enumerator.  Applying an operator replays the schema effect
 ``decompose`` recorded for it (``RankableOp.schema_after``), so
 ``node_schema`` runs only for built joins and the final projection.
 
-Dominated plans are dropped where a table is written: from each non-full
-memo table once it is filled (``enumerate_mask``), so they seed no closure
-chain, and from each closed table (``close``), so they never reach
+Each non-full memo table drops its dominated plans once it is filled
+(``enumerate_mask``), so they seed no closure chain and never reach
 ``candidates``.  A plan E2 dominates E1, a plan over the same leaves, when
 (``dominates``):
 
-- E2 applied every operator E1 did, and more, each extra one a row filter;
+- E2 applied every operator E1 did, and more, each extra one a row filter
+  that no plan over other leaves can apply (``local_filters``);
 - their columns, ``rows_unf``, ``scalar_stats`` and ``array_info`` are
   equal, so only ``rows`` differs;
-- E2 is strictly cheaper and has no more rows;
-- E2 pairs with every plan E1 pairs with: an unbanned chain reaches E2
-  whenever one reaches E1.
+- E2 is strictly cheaper and has no more rows.
 
 Dropping E1 loses no plan the search would choose.  In
 ``CostModel.op_effect`` a row filter changes only ``rows`` (and the empty
@@ -54,8 +52,13 @@ multiplies ``rows`` by factors that do not read it, and costs no less for
 more rows.  So from equal non-row states, E2 completed as E1 is, less the
 extra filters, has no more rows than E1's completion at every step and
 pays no more at every step; E1's completion also pays for the extra
-filters, which E2's skips.  The tests check the premises on the cost model
-and that dropping dominated plans changes no chosen plan or cost.
+filters, which E2's skips.  That completion exists: E2's prefix chains are
+E1's less the extra filters, its banned chain bans the same either-side
+operators, and no plan E1 joins with has applied an extra filter, since
+none can run over the other side's leaves, so E2 joins with each of them
+with disjoint operator sets.  The tests check the premises on the cost
+model, and that dropping dominated plans changes no chosen plan or cost,
+also when ``candidates`` pairs only disjoint operator sets.
 
 The full table's records are left unbuilt.  ``run`` finishes its plans
 best-first from a heap of partial plans, cheapest first: a record is built
@@ -276,38 +279,30 @@ def reproject(entry: MemoEntry, decomp: QueryDecomposition,
                      node_schema(top, entry.schema))
 
 
-def dominates(better, better_plain: bool, entry, plain: bool,
-              filters: int) -> bool:
+def dominates(better, entry, filters: int) -> bool:
     """Whether the plan `better` dominates `entry`, a plan over the same
     leaves (a ``MemoEntry`` or a costed ``DeferredJoin``; see the module
     docstring for why dropping `entry` is exact): `better` applied every
     operator `entry` did and more, each extra one in the mask `filters`
-    of row filters; their columns, ``rows_unf``, scalar statistics and
-    array infos are equal; `better` is strictly cheaper and has no more
-    rows; and it pairs with every plan `entry` pairs with, since some
-    unbanned chain reaches it (`better_plain`) whenever one reaches
-    `entry` (`plain`; see ``close``)."""
+    of row filters only these leaves can apply; their columns,
+    ``rows_unf``, scalar statistics and array infos are equal; and
+    `better` is strictly cheaper and has no more rows."""
     ops, b_ops = entry.ops, better.ops
     if ops & ~b_ops or b_ops & ~ops & ~filters or ops == b_ops:
         return False
-    if plain and not better_plain or not better.cost < entry.cost:
+    if not better.cost < entry.cost:
         return False
     state, b_state = entry.state, better.state
     return (b_state.rows <= state.rows
             and b_state.rows_unf == state.rows_unf
             and better.columns == entry.columns
-            and _same(b_state.scalar_stats, state.scalar_stats)
-            and _same(b_state.array_info, state.array_info))
-
-
-def _same(a, b) -> bool:
-    """Mapping equality, short-cut for the shared dicts of plan states."""
-    return a is b or a == b
+            and b_state.scalar_stats == state.scalar_stats
+            and b_state.array_info == state.array_info)
 
 
 def undominated(plans: list, filters: int) -> list:
-    """The [entry, plain] pairs of `plans`, plans over one leaf set, that
-    no other pair dominates (``dominates``), in their order in `plans`.
+    """The plans of `plans`, plans over one leaf set, that no other plan
+    dominates (``dominates``), in their order in `plans`.
 
     Extra filters change neither the other operators nor ``rows_unf``, so
     only plans that agree on both can dominate each other: each such
@@ -315,26 +310,26 @@ def undominated(plans: list, filters: int) -> list:
     ones kept so far.  Dominance is transitive, so a plan that a dropped
     plan dominates is dominated by a kept one too."""
     buckets: dict = {}
-    for i, (entry, _) in enumerate(plans):
+    for i, entry in enumerate(plans):
         buckets.setdefault((entry.ops & ~filters, entry.state.rows_unf),
                            []).append(i)
     dropped = set()
     for members in buckets.values():
         if len(members) < 2:
             continue
-        members.sort(key=lambda i: plans[i][0].cost)
+        members.sort(key=lambda i: plans[i].cost)
         kept = []
         for i in members:
-            entry, plain = plans[i]
-            for better, better_plain in kept:
-                if dominates(better, better_plain, entry, plain, filters):
+            entry = plans[i]
+            for better in kept:
+                if dominates(better, entry, filters):
                     dropped.add(i)
                     break
             else:
-                kept.append(plans[i])
+                kept.append(entry)
     if not dropped:
         return plans
-    return [slot for i, slot in enumerate(plans) if i not in dropped]
+    return [entry for i, entry in enumerate(plans) if i not in dropped]
 
 
 def keep(nodes: dict, key, entry: MemoEntry, plain: bool) -> None:
@@ -376,9 +371,7 @@ class Enumerator:
                          "capture_skips": 0, "dominated": 0,
                          "finished": 0, "finish_ops": 0}
         self.blockers: list = []
-        # the row filters: the operators a dominating plan may add
-        self.filters = mask_of(op.idx for op in decomp.ops
-                               if op.kind == "filter")
+        self.leaf_cols = None              # see ``local_filters``
 
         m = len(decomp.leaves)
         self.full = (1 << m) - 1
@@ -447,12 +440,15 @@ class Enumerator:
         table below the full one, each record left at the end is costed
         (``DeferredJoin.cost_join``), the table's dominated plans are
         dropped (``undominated``), so that none of them seeds a closure
-        chain, and only then are the records left built
-        (``join_entries``) and every schema in the table interned.  A
-        dominated plan's every completion costs more than its dominator's
-        same completion less the extra filters (module docstring), so no
-        chosen plan is lost.  The full table keeps its records as they
-        are: ``run`` builds only those it starts finishing."""
+        chain or reaches ``candidates``, and only then are the records
+        left built (``join_entries``) and every schema in the table
+        interned.  A plan is dominated by a strictly cheaper one with no
+        more rows that applied its operators plus row filters no plan
+        over other leaves can apply, and an otherwise equal state; its
+        every completion costs more than its dominator's same completion
+        less the extra filters (module docstring), so no chosen plan is
+        lost.  The full table keeps its records as they are: ``run``
+        builds only those it starts finishing."""
         hit = self.memo.get(mask)
         if hit is not None:
             return hit
@@ -468,13 +464,12 @@ class Enumerator:
             # table's records join are held by the records
             self.closed.clear()
             return table
-        plans = []
-        for entry in table.values():
+        plans = list(table.values())
+        for entry in plans:
             if type(entry) is DeferredJoin:
                 entry.cost_join(self.cm)
-            plans.append([entry, True])
         table.clear()
-        for entry, _ in self.undominated(plans):
+        for entry in self.undominated(plans, mask):
             if type(entry) is DeferredJoin:
                 entry = entry.build(self.cm)
             # many entries of one table share a schema; keep one copy
@@ -483,10 +478,12 @@ class Enumerator:
             table[entry.ops] = entry
         return table
 
-    def undominated(self, plans: list) -> list:
-        """``undominated`` over this query's row filters, counting the
-        plans it drops in ``counters["dominated"]``."""
-        kept = undominated(plans, self.filters)
+    def undominated(self, plans: list, mask: int) -> list:
+        """``undominated`` over the plans of the leaves in `mask`, whose
+        dominators may add the row filters no plan over the other leaves
+        can apply, counting the plans it drops in
+        ``counters["dominated"]``."""
+        kept = undominated(plans, self.local_filters(mask))
         self.counters["dominated"] += len(plans) - len(kept)
         return kept
 
@@ -614,11 +611,7 @@ class Enumerator:
         Two plans with one operator set and equal plan states cost the
         same from there on, so only the cheaper is kept (``keep``); plans
         whose states differ are both kept, since a dearer plan with fewer
-        rows may still join more cheaply.  Last, the plans that a cheaper
-        plan with more row filters and no more rows dominates are dropped
-        (``undominated``, exact by the argument in the module docstring),
-        a plain plan only for a plain dominator, so a dominated plan
-        never reaches ``candidates``."""
+        rows may still join more cheaply."""
         hit = self.closed.get(mask)
         if hit is not None:
             return hit
@@ -651,9 +644,9 @@ class Enumerator:
                         later = todo.setdefault(count, {})
                     keep(later, (nxt.ops, rest[1:]), nxt, plain)
         reached, banned_only = [], []
-        for entry, plain in self.undominated(
-                [slot for kept in best.values() for slot in kept]):
-            (reached if plain else banned_only).append(entry)
+        for kept in best.values():
+            for entry, plain in kept:
+                (reached if plain else banned_only).append(entry)
         self.closed[mask] = (reached, banned_only)
         return reached, banned_only
 
@@ -673,6 +666,28 @@ class Enumerator:
         if not banned:
             return [plain]
         return [plain, self.applicable(entry, banned)]
+
+    def local_filters(self, rels: int) -> int:
+        """The mask of the row filters that no plan over the leaves
+        outside `rels` can apply: each reads a column that is neither a
+        column of such a leaf nor made from their columns by some
+        operator (an over-approximation of what those plans can hold)."""
+        if self.leaf_cols is None:
+            self.leaf_cols = [base_entry(self.q, i, self.cm).schema.columns
+                              for i in range(len(self.q.leaves))]
+        cols = set()
+        for i, leaf in enumerate(self.leaf_cols):
+            if not rels >> i & 1:
+                cols |= leaf
+        grown = True
+        while grown:
+            grown = False
+            for op in self.q.ops:
+                if op.requires <= cols and not op.produces <= cols:
+                    cols |= op.produces
+                    grown = True
+        return mask_of(op.idx for op in self.q.ops
+                       if op.kind == "filter" and not op.requires <= cols)
 
     def either_side(self, rels: int) -> int:
         """The mask of the operators applicable on the base plan of some

@@ -719,7 +719,7 @@ class _EagerEnumerator(_RecordingEnumerator):
         super().__init__(*args)
         self.reached: set = set()
 
-    def undominated(self, plans):
+    def undominated(self, plans, mask):
         return plans
 
     def fill(self, table, mask):
@@ -865,14 +865,21 @@ def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
       kept plan dominates;
     - every reference entry the memo lacks is dominated by a kept one
       (``enumeration.dominates``);
-    - both choose the same plan at the same cost."""
-    (memo, outcome, _), (ref_memo, ref_outcome, _) = fast, eager
+    - both choose the same plan at the same cost;
+    - either both pin an either-side operator to one side of some join or
+      neither does: the extra filters of a dominating plan are never
+      either-side operators, so a dropped plan's banned chain is its
+      dominator's."""
+    (memo, outcome, pinned), (ref_memo, ref_outcome, ref_pinned) = \
+        fast, eager
     assert outcome == ref_outcome
     assert memo.keys() == ref_memo.keys()
+    assert pinned == ref_pinned
 
     def dominated(entry, kept):
-        return any(enumeration.dominates(better, True, entry, True,
-                                         enum.filters) for better in kept)
+        filters = enum.local_filters(entry.rels)
+        return any(enumeration.dominates(better, entry, filters)
+                   for better in kept)
 
     missing = 0
     for rels, ref_table in ref.memo.items():
@@ -956,7 +963,9 @@ def test_enumerator_memo_matches_eager_enumeration_on_bench_joins_with_stats(
 def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
     # 4 x 60 two-relation queries, statistics on odd seeds; some of them
     # have an operator runnable on both sides, so the banned chains and
-    # the reference's pinned-operator variants run too
+    # the reference's pinned-operator variants run too.  Each non-full
+    # table holds one base plan, so no plan is dominated and the memo is
+    # the reference's
     pinned = missing = 0
     for seed in range(8000 + 60 * block, 8000 + 60 * (block + 1)):
         rng = random.Random(seed)
@@ -970,7 +979,13 @@ def test_enumerator_memo_matches_eager_enumeration_on_random_joins(block):
         eager, ref = _enumerated(_EagerEnumerator, term, schemas, stats)
         missing += _assert_prunes_the_eager_memo(fast, enum, eager, ref)
         pinned += fast[2]
-    assert pinned > 0 and missing > 0
+    assert pinned > 0 and missing == 0
+
+
+def _keep_dominated_plans(monkeypatch):
+    """Turn dominance pruning off: every enumerator keeps every plan."""
+    monkeypatch.setattr(Enumerator, "undominated",
+                        lambda self, plans, mask: plans)
 
 
 @pytest.mark.parametrize("name,term,schemas", BENCH_JOIN_QUERIES,
@@ -982,7 +997,7 @@ def test_closed_tables_hold_the_keys_the_prefix_chains_reach(
     # more and no fewer; with it, a strict subset of them
     _, ref = _enumerated(_EagerEnumerator, term, schemas)
     _, pruned = _enumerated(_RecordingEnumerator, term, schemas)
-    monkeypatch.setattr(enumeration, "undominated", lambda plans, _: plans)
+    _keep_dominated_plans(monkeypatch)
     _, enum = _enumerated(_RecordingEnumerator, term, schemas)
     assert enum.closed_keys == ref.reached
     assert len(enum.closed_keys) > len(enum.memo)
@@ -1066,18 +1081,39 @@ def _pruning_corpus(name, bench_join_stats):
                 (None, {rel: bench_join_stats[rel] for rel in schemas})]
     if name == "either-side":
         return [_either_side_join(seed)[:3] for seed in range(8500, 8700)]
-    nrel = int(name[-1])
-    return [_random_join(seed, nrel) for seed in range(9700, 9900)]
+    # a two-relation query has one plan per non-full table, so only its
+    # three-relation counterpart can drop any
+    return [_random_join(seed, nrel) for seed in range(9700, 9900)
+            for nrel in (2, 3)]
 
 
-@pytest.mark.parametrize("corpus", ("random-2", "random-3", "either-side",
-                                    "bench"))
+def _pair_disjoint_operator_sets(monkeypatch):
+    """Make ``Enumerator.candidates`` pair only records whose operator
+    masks are disjoint, so no operator runs on both sides of a join."""
+    candidates = Enumerator.candidates
+
+    def disjoint(self, table, lefts, rights, cut):
+        for left in lefts:
+            candidates(self, table, [left],
+                       [r for r in rights if not left.ops & r.ops], cut)
+
+    monkeypatch.setattr(Enumerator, "candidates", disjoint)
+
+
+@pytest.mark.parametrize("pairs", ("all", "disjoint"))
+@pytest.mark.parametrize("corpus", ("random", "either-side", "bench"))
 def test_dominance_pruning_never_changes_the_chosen_plan(
-        monkeypatch, corpus, bench_join_stats):
-    # statistics on odd seeds and on every bench join once; the plan,
-    # its cost (bit for bit) and any error are those of the enumerator
-    # that keeps every dominated plan
+        monkeypatch, corpus, pairs, bench_join_stats):
+    # 2- and 3-relation random joins, statistics on odd seeds and on
+    # every bench join once; the plan, its cost (bit for bit) and any
+    # error are those of the enumerator that keeps every dominated
+    # plan.  The rule does not lean on the
+    # candidate loop pairing overlapping operator sets (where a plan
+    # that ran an extra filter could stand in for a dropped one whose
+    # partner ran it): with only disjoint pairs it is exact as well
     queries = _pruning_corpus(corpus, bench_join_stats)
+    if pairs == "disjoint":
+        _pair_disjoint_operator_sets(monkeypatch)
 
     def outcomes():
         dropped, out = 0, []
@@ -1091,15 +1127,49 @@ def test_dominance_pruning_never_changes_the_chosen_plan(
         return out, dropped
 
     pruned, dropped = outcomes()
-    monkeypatch.setattr(enumeration, "undominated", lambda plans, _: plans)
+    _keep_dominated_plans(monkeypatch)
     kept_all, none = outcomes()
     assert pruned == kept_all
     assert dropped > 0 and none == 0
 
 
+def test_dominance_keeps_a_plan_whose_partner_runs_the_extra_filter(
+        monkeypatch):
+    # A joins B on k1 (ten times B's rows out) and B joins C on k2; C is
+    # large, its array long.  The filter on k2 is cheap on B, so A with
+    # the filtered B would dominate A with B in the table of {A, B} if
+    # the filter could be an extra operator there.  But the cheapest
+    # plan that runs each operator once filters C before its array
+    # filter and joins it with the unfiltered A-B join.  The filter also
+    # runs over C, so it is no extra operator for {A, B}, and that plan
+    # stays when only disjoint operator sets are paired
+    uniform = _uniform(10, 0, 10)
+    schemas = {"A": Schema.of(scalars=("k1", "a")),
+               "B": Schema.of(scalars=("k1", "k2", "b")),
+               "C": Schema.of(scalars=("k2", "c"), arrays=("arr",))}
+    stats = {
+        "A": TableStats(100, {"k1": uniform, "a": uniform}, {}),
+        "B": TableStats(1000, {c: uniform for c in ("k1", "k2", "b")}, {}),
+        "C": TableStats(100_000, {"k2": uniform, "c": uniform},
+                        {"arr": ArrayStats(100.0, 0.0, _uniform(20, 0, 20))}),
+    }
+    term = Join(Join(RelVar("A"), RelVar("B")), RelVar("C"))
+    term = ArrayFilter((("arr", "v"),), Cmp(">", Col("v"), Lit(5)), term)
+    term = Filter(Cmp("<", Col("k2"), Lit(1)), term)
+    _pair_disjoint_operator_sets(monkeypatch)
+    enum = _enumerator(term, schemas, stats)
+    best = enum.run()
+    assert enum.counters["dominated"] > 0
+    assert best.term.left == Join(RelVar("A"), RelVar("B"))
+    assert best.term.right.child == Filter(term.pred, RelVar("C"))
+    _keep_dominated_plans(monkeypatch)
+    assert _outcome(_enumerator(term, schemas, stats).run) == \
+        _outcome(lambda: best)
+
+
 def test_dominance_needs_every_condition_of_the_rule():
-    # ops 0 and 1 are row filters, op 2 is not; `worse` applied op 2,
-    # `better` op 2 and the filter op 0
+    # ops 0 and 1 are row filters only these leaves can apply, op 2 is
+    # not; `worse` applied op 2, `better` op 2 and the filter op 0
     cm = one_rel_model()
     base, schema = cm.base_state("R"), cm.schemas["R"]
 
@@ -1108,17 +1178,14 @@ def test_dominance_needs_every_condition_of_the_rule():
                          dataclasses.replace(base, rows=rows, **state),
                          schema)
 
-    def dominates(better, worse, better_plain=True, plain=True):
-        return enumeration.dominates(better, better_plain, worse, plain,
-                                     0b011)
+    def dominates(better, worse, filters=0b011):
+        return enumeration.dominates(better, worse, filters)
 
     worse = plan(0b100, 10.0, 5.0)
     better = plan(0b101, 9.0, 5.0)
     assert dominates(better, worse) and not dominates(worse, better)
-    assert dominates(better, worse, better_plain=False, plain=False)
-    assert dominates(better, worse, plain=False)
-    # a plan only a banned chain reaches pairs with fewer plans
-    assert not dominates(better, worse, better_plain=False)
+    # a filter that a plan over other leaves may apply
+    assert not dominates(better, worse, filters=0b010)
     elem = base.array_info["a"]
     for other in (
             plan(0b100, 9.0, 4.0),           # no extra operator
@@ -1137,9 +1204,30 @@ def test_dominance_needs_every_condition_of_the_rule():
     # an extra operator that is not a row filter
     assert not dominates(plan(0b101, 9.0, 4.0), plan(0b001, 10.0, 5.0))
     # one pass keeps the undominated plans in their order
-    plans = [[worse, True], [plan(0b111, 8.0, 4.0), True], [better, True],
-             [plan(0b010, 1.0, 1.0), True]]
+    plans = [worse, plan(0b111, 8.0, 4.0), better, plan(0b010, 1.0, 1.0)]
     assert enumeration.undominated(plans, 0b011) == plans[1:2] + plans[3:]
+
+
+def test_local_filters_are_those_no_other_leaf_set_can_apply():
+    # B joins A on x and C on y.  Over B's leaf set, the filter on x
+    # alone may also run over A, and x < y over the join of A and C,
+    # though over neither leaf alone; only the filter on b is local.
+    # Over A and C together, no filter is local
+    schemas = {"A": Schema.of(scalars=("x", "a")),
+               "B": Schema.of(scalars=("x", "y", "b")),
+               "C": Schema.of(scalars=("y", "c"))}
+    term = Join(Join(RelVar("A"), RelVar("B")), RelVar("C"))
+    for pred in (Cmp(">", Col("x"), Lit(1)), Cmp("<", Col("x"), Col("y")),
+                 Cmp(">", Col("b"), Lit(2))):
+        term = Filter(pred, term)
+    enum = _enumerator(term, schemas)
+    leaf = {name: 1 << i for i, (name, _) in enumerate(enum.q.leaves)}
+    local = enum.local_filters(leaf["B"])
+    assert [op.node.pred for op in enum.q.ops if local >> op.idx & 1] == \
+        [Cmp(">", Col("b"), Lit(2))]
+    assert enum.either_side(leaf["B"]) & ~local == \
+        enum.either_side(leaf["B"])
+    assert enum.local_filters(leaf["A"] | leaf["C"]) == 0
 
 
 def test_candidate_loop_costs_each_pair_with_its_own_divisor():
