@@ -37,12 +37,15 @@ enumerate's placement creates.
 
 A rule attempt costs what the rewrite changes.  ``try_apply`` and
 ``guard_cost_improves`` take the subterm that ``rewrite_to_fixpoint``
-already holds.  A rewrite keeps most of that subterm by identity; the
-maximal kept subterms (its frontier) have their schemas and costs inferred
-once and reused for both sides of the comparison.  The cost guard rejects,
-without costing any ancestor, a rewrite that leaves the subterm's plan
-state as it was and is no cheaper; otherwise it costs the new root with
-the rewrite's result injected.
+already holds.  A rewrite keeps most of that subterm by identity.  Schemas
+come from one memo that lasts for a ``rewrite_to_fixpoint`` call
+(``RuleContext.schema_of``), so a kept node's schema is read, and only the
+nodes a rewrite creates are inferred.  The maximal kept subterms (the
+frontier) have their costs folded once and reused for both sides of the
+cost guard's comparison.  The cost guard rejects, without costing any
+ancestor, a rewrite that leaves the subterm's plan state as it was and is
+no cheaper; otherwise it costs the new root with the rewrite's result
+injected.
 
 ``rewrite_to_fixpoint`` runs a stage in rounds of one of four policies.
 Greedy's ``bottom-up`` rounds and the cost-guarded ``sweep`` rounds keep
@@ -52,10 +55,10 @@ down are read, not folded; no result outlives its round.  A sweep fires
 the hit first in preorder, as a top-down round would.  The rule-only
 preprocess stages run ``resume`` rounds: after a rewrite the next round
 starts at the rewrite's parent, since every node before it in preorder
-would miss again, and schemas stay kept across rounds
-(``RuleContext.kept``) for the nodes still in the root, so a hit infers
-only the nodes it creates.  Postprocess runs ``restart`` rounds from the
-root, holding nothing.
+would miss again.  Postprocess runs ``restart`` rounds from the root,
+holding no results.  The schema memo serves rounds of every policy: it
+holds schemas only, each with a weak reference to its node, and is
+dropped when the call returns.
 
 One ``RuleContext`` per ``optimize`` call carries the cost model, the trace
 and ``rule_counts``: each rule's attempts and the rewrites
@@ -69,6 +72,7 @@ introduced them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -157,11 +161,14 @@ class RuleContext:
     of ``rewrite_to_fixpoint``, where it maps ``id(node)`` to the node's
     ``(cost, state, schema)`` for the nodes of the bound root that the
     round holds; ``schema_of``, ``try_apply`` and ``guard_cost_improves``
-    read from it.  ``kept`` is None except during ``resume`` rounds, where
-    it maps ``id(node)`` to the schema of a node of the current root;
-    ``schema_of`` and ``try_apply`` read from it and record every schema
-    they infer there, so in those rounds they take nodes of the bound root
-    only, as every rule does with the parts of `sub`.
+    read from it.
+
+    During a ``rewrite_to_fixpoint`` call, ``schema_of`` also reads and
+    fills a memo that maps ``id(node)`` to the node's schema, in rounds of
+    every policy.  Each entry holds its node only weakly, and leaves the
+    memo when the node is freed, before a new object can reuse its id; the
+    memo itself is dropped when the call returns.  Outside such a call,
+    ``schema_of`` infers the whole schema with ``output_schema``.
     """
 
     def __init__(self, cost_model, correspondences=(),
@@ -172,7 +179,8 @@ class RuleContext:
         self.trace = trace
         self.rule_counts: dict = {}
         self.results: Optional[dict] = None
-        self.kept: Optional[dict] = None
+        self._memo: Optional[dict] = None
+        self._forget = _forgetter(weakref.ref(self))
         self._root: Optional[Term] = None
         self._used: Optional[set] = set()
 
@@ -185,9 +193,21 @@ class RuleContext:
         res = self.held(term)
         if res is not None:
             return res[2]
-        if self.kept is not None:
-            return _schema(term, self.schemas, self.kept, keep=True)
-        return output_schema(term, self.schemas)
+        memo = self._memo
+        if memo is None:
+            return output_schema(term, self.schemas)
+        entry = memo.get(id(term))
+        if entry is not None:
+            return entry.schema
+        if isinstance(term, Join):
+            schema = node_schema(term, self.schema_of(term.left),
+                                 self.schema_of(term.right))
+        elif isinstance(term, UNARY_TYPES):
+            schema = node_schema(term, self.schema_of(term.child))
+        else:
+            schema = output_schema(term, self.schemas)
+        memo[id(term)] = _MemoEntry(term, self._forget, schema)
+        return schema
 
     def held(self, term: Term) -> Optional[tuple]:
         """`term`'s ``(cost, state, schema)`` when the round holds it."""
@@ -208,6 +228,33 @@ class RuleContext:
         name = f"{prefix}{k}"
         self._used.add(name)
         return name
+
+
+class _MemoEntry(weakref.ref):
+    """A schema memo entry: a weak reference to its node, keyed by the
+    node's id, with the node's schema."""
+
+    __slots__ = ("key", "schema")
+
+    def __new__(cls, node: Term, forget: Callable, schema: Schema):
+        self = super().__new__(cls, node, forget)
+        self.key = id(node)
+        self.schema = schema
+        return self
+
+    def __init__(self, node: Term, forget: Callable, schema: Schema):
+        super().__init__(node, forget)
+
+
+def _forgetter(ctx_ref: weakref.ref) -> Callable:
+    """The callback that removes a freed node's entry from the memo of the
+    context `ctx_ref` refers to.  It holds the context weakly, so a memo
+    never reaches itself through its entries."""
+    def forget(entry: _MemoEntry) -> None:
+        ctx = ctx_ref()
+        if ctx is not None and ctx._memo is not None:
+            ctx._memo.pop(entry.key, None)
+    return forget
 
 
 def collect_names(term: Term, schemas: Mapping[str, Schema]) -> set:
@@ -946,11 +993,10 @@ def _frontier(new_sub: Term, ids: set, out: dict) -> bool:
 _FRONTIER_DEPTH = 2
 
 
-def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
-            schema_only: bool = False) -> dict:
+def _shared(sub: Term, new_sub: Term, ctx: RuleContext) -> dict:
     """The frontier of `new_sub` in `sub`, as a ``known`` dict that lives
-    for one rule attempt: a node the round holds maps to its result (to
-    its schema alone with `schema_only`), any other node to None."""
+    for one rule attempt: a node the round holds maps to its result, any
+    other node to None."""
     known = {}
     if not _frontier(new_sub, _node_ids(sub, set(), _FRONTIER_DEPTH), known):
         # a path down the rewrite met no node of `sub` that high up: the
@@ -960,31 +1006,8 @@ def _shared(sub: Term, new_sub: Term, ctx: RuleContext,
         _frontier(new_sub, _node_ids(sub, set()), known)
     if ctx.results:
         for key in known:
-            res = ctx.results.get(key)
-            if res is not None:
-                known[key] = res[2] if schema_only else res
+            known[key] = ctx.results.get(key)
     return known
-
-
-def _schema(term: Term, schemas: Mapping[str, Schema], known: dict,
-            keep: bool = False) -> Schema:
-    """``output_schema`` of `term`, reading a node's schema from `known` by
-    id and recording it there where the node is marked with None, or with
-    `keep` for every node it infers."""
-    key = id(term)
-    schema = known.get(key)
-    if schema is not None:
-        return schema
-    if isinstance(term, Join):
-        schema = node_schema(term, _schema(term.left, schemas, known, keep),
-                             _schema(term.right, schemas, known, keep))
-    elif isinstance(term, UNARY_TYPES):
-        schema = node_schema(term, _schema(term.child, schemas, known, keep))
-    else:
-        schema = output_schema(term, schemas)
-    if keep or key in known:
-        known[key] = schema
-    return schema
 
 
 def _check_schema(rule: Rule, path: tuple, before: Schema, after: Schema):
@@ -999,29 +1022,17 @@ def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
     """Apply `rule` to `sub`, the subterm of `root` at `path`, verifying
     schema preservation.
 
-    The subterms the rewrite kept from `sub` (its frontier) have their
-    schemas inferred once, while inferring `sub`'s, and reused for the
-    rewrite's; in a bottom-up round `sub`'s and the frontier's schemas are
-    read from ``ctx.results`` where it holds them.  In a resume round
-    `sub`'s schema is read from ``ctx.kept``, or inferred into it, and the
-    rewrite's reads the frontier's from there, so only the nodes the rule
-    created are inferred.  Returns the rewritten root, or None when the
-    rule doesn't match there.
+    Both schemas come from ``ctx.schema_of``.  Within a
+    ``rewrite_to_fixpoint`` call its memo keeps every schema it has
+    inferred, so the subterms the rewrite kept are read, not inferred
+    again.  Returns the rewritten root, or None when the rule doesn't
+    match there.
     """
     ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
-    if ctx.kept is not None:
-        before = ctx.schema_of(sub)
-        after = _schema(new_sub, ctx.schemas, ctx.kept)
-    else:
-        known = _shared(sub, new_sub, ctx, schema_only=True)
-        held = ctx.held(sub)
-        before = _schema(sub, ctx.schemas, known) if held is None \
-            else held[2]
-        after = _schema(new_sub, ctx.schemas, known)
-    _check_schema(rule, path, before, after)
+    _check_schema(rule, path, ctx.schema_of(sub), ctx.schema_of(new_sub))
     return replace_at(root, path, new_sub)
 
 
@@ -1137,22 +1148,22 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                    of its children and grandchildren: a rewrite keeps the
                    schema of every subterm that contains its path, so every
                    node before the parent in preorder sees what it saw when
-                   it missed.  The schemas that ``ctx.schema_of`` and
-                   ``try_apply`` infer stay in ``ctx.kept`` across rounds
-                   while their node is in the root and off the rewritten
-                   paths (``_keep_schemas``), so a hit infers only the
-                   nodes it creates.
+                   it missed.
     ``restart``    preorder, the first hit fires, and every round starts
                    from the root and holds nothing.  A guarded step whose
                    stage rarely hits pays for the rounds' folds of
                    ``sweep`` without using them; postprocess is such a
                    stage.
+
+    In rounds of every policy, ``ctx.schema_of`` reads and fills one
+    schema memo that lasts for this call, so a schema inferred once is
+    read again in later rounds for as long as its node lives, and a hit
+    infers only the nodes it creates.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of "
                          f"{POLICIES}")
-    resume = policy == "resume"
-    ctx.kept = {} if resume else None
+    ctx._memo = {}
     ctx.results = {} if policy in ("bottom-up", "sweep") else None
     rewrites, start = 0, ()
     try:
@@ -1172,12 +1183,11 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             if counts is not None:
                 counts[1] += 1
             trace_record(ctx, stage, rule_id, path, term, new)
-            if resume:
-                _keep_schemas(ctx, term, new, path)
+            if policy == "resume":
                 start = path[:-1]
             term = new
     finally:
-        ctx.results = ctx.kept = None
+        ctx.results = ctx._memo = None
 
 
 def _first_hit(root: Term, step: Callable, nodes) -> Optional[tuple]:
@@ -1209,41 +1219,3 @@ def _fold_round(root: Term, step: Callable, ctx: RuleContext,
                 results.pop(id(grandkid), None)
     results.clear()  # the old root's nodes may be freed
     return found
-
-
-def _keep_schemas(ctx: RuleContext, old: Term, new: Term, path: tuple
-                  ) -> None:
-    """Carry ``ctx.kept`` from root `old` to root `new`, which a rewrite
-    at `path` made, in time linear in the region the rewrite changed.
-
-    A kept schema is keyed by its node's ``id``, which a new object may
-    reuse once the node is freed, so every entry is of a node of the
-    current root.  The rewrite replaced two sets of nodes, whose entries
-    are dropped: the path from the root down to `sub`, whose rebuilt nodes
-    are inferred again when asked for, each from its kept child, and
-    `sub`'s nodes outside the frontier, the maximal subterms the rewrite
-    kept.  Once `sub` is kept whole, every old node of the rewrite is kept
-    and no new one is, so the frontier is where a walk down the rewrite
-    first meets a kept node.  The nodes the rewrite created are inferred
-    last, so the new `sub` is kept whole in turn.
-    """
-    kept, schemas = ctx.kept, ctx.schemas
-    sub, new_sub = old, new
-    for i in path:
-        kept.pop(id(sub), None)
-        sub, new_sub = children(sub)[i], children(new_sub)[i]
-    _schema(sub, schemas, kept, keep=True)
-    frontier, stack = set(), [new_sub]
-    while stack:
-        node = stack.pop()
-        if id(node) in kept:
-            frontier.add(id(node))
-        else:
-            stack.extend(children(node))
-    stack = [sub]
-    while stack:
-        node = stack.pop()
-        if id(node) not in frontier:
-            kept.pop(id(node), None)
-            stack.extend(children(node))
-    _schema(new_sub, schemas, kept, keep=True)

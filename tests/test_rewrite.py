@@ -6,6 +6,7 @@ the package interpreter and cross-checking the rewritten side against the
 independent naive interpreter.  [DERIVED]
 """
 
+import gc
 import importlib
 import itertools
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from a3d import rewrite
 from a3d.algebra import (
+    A3DError,
     Aggregate,
     AggSpec,
     ArrayFilter,
@@ -1076,24 +1078,81 @@ def test_resume_steps_read_no_deeper_than_grandchildren_schemas(
     assert all(matched.values()), matched
 
 
-def test_resume_rounds_keep_only_exact_schemas_of_the_root(monkeypatch):
-    # a kept schema is keyed by id(node), so every entry must be of a node
-    # of the current root, with that node's schema
-    checked = []
-    real = rewrite._keep_schemas
+############################################################
+# the schema memo of one rewrite_to_fixpoint call
+############################################################
 
-    def checking(ctx, old, new, path):
-        real(ctx, old, new, path)
-        nodes = {id(node): node for _, node in walk(new)}
-        assert set(ctx.kept) <= set(nodes)
-        for key, schema in ctx.kept.items():
-            assert schema == output_schema(nodes[key], ctx.schemas)
-        checked.append(len(ctx.kept))
+greedy_stage = importlib.import_module("a3d.planner.greedy")
 
-    monkeypatch.setattr(rewrite, "_keep_schemas", checking)
+
+def test_schema_memo_holds_exact_schemas_of_live_nodes(monkeypatch):
+    # the memo is keyed by id(node): after every round of every policy,
+    # each entry must be of a live node, with that node's schema, and the
+    # memo must be gone once the call returns or raises
+    calls, rounds = [], dict.fromkeys(rewrite.POLICIES, 0)
+    real = rewrite.rewrite_to_fixpoint
+
+    def fixpoint(term, step, stage, ctx, policy, *args, **kwargs):
+        calls.append((ctx, policy))
+        try:
+            return real(term, step, stage, ctx, policy, *args, **kwargs)
+        finally:
+            calls.pop()
+            assert ctx._memo is None
+
+    def checked(run_round):
+        def run(*args):
+            hit = run_round(*args)
+            ctx, policy = calls[-1]
+            for key, entry in ctx._memo.items():
+                node = entry()
+                assert node is not None and id(node) == key
+                assert entry.schema == output_schema(node, ctx.schemas)
+            rounds[policy] += 1
+            return hit
+        return run
+
+    monkeypatch.setattr(rewrite, "_first_hit", checked(rewrite._first_hit))
+    monkeypatch.setattr(rewrite, "_fold_round",
+                        checked(rewrite._fold_round))
+    for module in (preprocess_stage, postprocess_stage, greedy_stage):
+        monkeypatch.setattr(module, "rewrite_to_fixpoint", fixpoint)
     for term, schemas, stats in _seeded_queries():
-        optimize(term, schemas, stats=stats, mode="greedy")
-    assert len(checked) > 100
+        for mode in ("greedy", "enumerate", "oracle"):
+            try:
+                optimize(term, schemas, stats=stats, mode=mode)
+            except A3DError:  # not AssertionError: a failed check raises
+                pass
+    ctx = RuleContext(CostModel({}, pattern_schemas("A", 4)))
+    with pytest.raises(greedy_stage.GreedyIterationCapError):
+        greedy_stage.optimize_greedy(make_pattern("A", 4), ctx, max_steps=0)
+    assert not calls and all(n > 100 for n in rounds.values()), rounds
+
+
+def test_schema_memo_entry_leaves_when_its_node_is_freed():
+    # reference counting alone removes the entry: the collector is off
+    ctx = RuleContext(CostModel({}, {"t": Schema.of(scalars=["x"])}))
+    seen = []
+
+    def step(root, path, sub):
+        node = Project(("x",), root)  # a node no root holds
+        key = id(node)
+        ctx.schema_of(node)
+        seen.append(key in ctx._memo)
+        del node
+        seen.append(key in ctx._memo)
+        seen.append(id(root) in ctx._memo)
+        return None
+
+    term = Filter(Cmp("<", Col("x"), Lit(1)), RelVar("t"))
+    gc.disable()
+    try:
+        rewrite.rewrite_to_fixpoint(term, step, "test", ctx, "restart")
+    finally:
+        gc.enable()
+    assert seen == [True, False, True] * 2
+    assert ctx._memo is None
+    assert ctx.schema_of(term) == output_schema(term, ctx.schemas)
 
 
 def test_rewrite_to_fixpoint_rejects_an_unknown_policy():
