@@ -46,7 +46,7 @@ class RankableOp:
     """One movable unary operator extracted from the query."""
 
     idx: int                  # stable numbering; bit position in op sets
-    node: Term                # template node (its child is ignored)
+    node: Term                # the node where the query put it (child ignored)
     kind: str                 # filter | arrayFilter | arrayJoin | derive | aggregate
     requires: frozenset       # columns read
     produces: frozenset       # columns created
@@ -241,9 +241,8 @@ class _Walk:
                             c_t=mcost / mstate.rows, h_sel=h_sel)
 
         self.ops.append(RankableOp(
-            idx, with_children(sub, (RelVar("_x"),)), kind, requires,
-            produces, destroys, arrays, support or frozenset(), min_rels,
-            profile))
+            idx, sub, kind, requires, produces, destroys, arrays,
+            support or frozenset(), min_rels, profile))
 
         # update version maps
         new_support = {c: s for c, s in br.support.items() if c not in destroys}

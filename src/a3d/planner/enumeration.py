@@ -3,9 +3,11 @@
 The enumerator works over a QueryDecomposition.  Plans for a relation subset
 are memoized per applied-operator set: ``memo[rels][ops] -> entry``.  Both
 masks are int bitsets.  A join candidate combines two subplans, each a memo
-entry with a prefix of its rank-sorted applicable operators applied; an
-operator producing one of the join's key columns is mandatory, so one of the
-two sides must have applied it.
+entry with a prefix of its rank-sorted applicable operators applied, whose
+operator sets are disjoint: the plan space is (leaves joined, operators
+applied), each operator applied once.  An operator producing one of the
+join's key columns is mandatory, so one of the two sides must have applied
+it.
 
 Once a non-full memo table is complete it is closed (``close``): every
 prefix of every entry's operator chain (``prefixes``) is applied, in one
@@ -13,24 +15,25 @@ pass by operator count in which the chains that meet share their work, and
 the cheapest plan per operator set and plan state is kept.  An operator
 that may run on either side of a join would block the prefixes of the side
 it does not run on, so an entry with such operators also seeds a chain with
-them banned; a plan only a banned chain reaches pairs only with plans an
-unbanned chain reaches.  A partition (``fill``) pairs its two sides' closed
-tables directly, each closed entry turned once into a ``Prefix`` record: its
+them banned, and the closed table holds the plans of both kinds of chain in
+one list.  A partition (``fill``) pairs its two sides' closed tables
+directly, each closed entry turned once into a ``Prefix`` record: its
 operator mask, cost, rows, non-key columns and the distinct counts of the
 partition's join keys.  The candidate loop (``candidates``) reads only
-records: per pair it tests that the two operator masks hold every mandatory
-operator, makes one set test (the shared columns must be exactly the keys),
-looks the join divisor up in a per-partition table keyed by the two key-ndv
-tuples, costs the join with ``stats.join_cost`` and looks its operator set
-up in the memo table.  A candidate that beats the incumbent for its operator
-set is kept as a ``DeferredJoin`` record until its table is complete; only
-the records that survive then get a merged state (``join_effect``), and
-only the undominated ones among them (below) a Join node and a schema
-(``join_entries``), at exactly the cost they won with, since
-``join_effect`` costs a join with the same expression.  Equal schemas are
-stored once per enumerator.  Applying an operator replays the schema effect
-``decompose`` recorded for it (``RankableOp.schema_after``), so
-``node_schema`` runs only for built joins and the final projection.
+records: per pair it tests that the two operator masks are disjoint and
+together hold every mandatory operator, makes one set test (the shared
+columns must be exactly the keys), looks the join divisor up in a
+per-partition table keyed by the two key-ndv tuples, costs the join with
+``stats.join_cost`` and looks its operator set up in the memo table.  A
+candidate that beats the incumbent for its operator set is kept as a
+``DeferredJoin`` record until its table is complete; only the records that
+survive then get a merged state (``join_effect``), and only the undominated
+ones among them (below) a Join node and a schema (``join_entries``), at
+exactly the cost they won with, since ``join_effect`` costs a join with the
+same expression.  Equal schemas are stored once per enumerator.  Applying an
+operator replays the schema effect ``decompose`` recorded for it
+(``RankableOp.schema_after``), so ``node_schema`` runs only for built joins
+and the final projection.
 
 Each non-full memo table drops its dominated plans once it is filled
 (``enumerate_mask``), so they seed no closure chain and never reach
@@ -55,10 +58,10 @@ pays no more at every step; E1's completion also pays for the extra
 filters, which E2's skips.  That completion exists: E2's prefix chains are
 E1's less the extra filters, its banned chain bans the same either-side
 operators, and no plan E1 joins with has applied an extra filter, since
-none can run over the other side's leaves, so E2 joins with each of them
-with disjoint operator sets.  The tests check the premises on the cost
-model, and that dropping dominated plans changes no chosen plan or cost,
-also when ``candidates`` pairs only disjoint operator sets.
+none can run over the other side's leaves, so E2's operator set is
+disjoint from each of theirs and ``candidates`` pairs E2 with each of them.
+The tests check the premises on the cost model, and that dropping dominated
+plans changes no chosen plan or cost.
 
 The full table's records are left unbuilt.  ``run`` finishes its plans
 best-first from a heap of partial plans, cheapest first: a record is built
@@ -332,22 +335,20 @@ def undominated(plans: list, filters: int) -> list:
     return [entry for i, entry in enumerate(plans) if i not in dropped]
 
 
-def keep(nodes: dict, key, entry: MemoEntry, plain: bool) -> None:
-    """Offer `entry` to the [entry, plain] slots kept under `key`: it
-    takes the slot of an entry with an equal plan state when it is
-    cheaper, and a new slot when no entry has its state.  `plain` (some
-    unbanned chain reaches the entry) is or-ed into the slot's flag."""
+def keep(nodes: dict, key, entry: MemoEntry) -> None:
+    """Offer `entry` to the entries kept under `key`: it replaces an entry
+    with an equal plan state when it is cheaper, and is added when no
+    entry has its state."""
     kept = nodes.get(key)
     if kept is None:
-        nodes[key] = [[entry, plain]]
+        nodes[key] = [entry]
         return
-    for slot in kept:
-        if slot[0].state == entry.state:
-            if entry.cost < slot[0].cost:
-                slot[0] = entry
-            slot[1] = slot[1] or plain
+    for i, old in enumerate(kept):
+        if old.state == entry.state:
+            if entry.cost < old.cost:
+                kept[i] = entry
             return
-    kept.append([entry, plain])
+    kept.append(entry)
 
 
 ############################################################
@@ -364,7 +365,7 @@ class Enumerator:
         self.cm = cost_model
         self.allow_cross = allow_cross_products
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
-        self.closed: dict = {}             # rels mask -> ``close`` tables
+        self.closed: dict = {}             # rels mask -> ``close`` list
         self.leaf_ops = None               # see ``either_side``
         self.interned_schemas: dict = {}   # one copy of each memo schema
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
@@ -489,7 +490,8 @@ class Enumerator:
 
     def fill(self, table: dict, mask: int) -> None:
         """Insert the join candidates of every valid partition of `mask`:
-        each pairs the closed tables (``close``) of its two sides."""
+        each pairs the closed table (``close``) of one side, as ``Prefix``
+        records, with the other's in one ``candidates`` call."""
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
@@ -517,14 +519,8 @@ class Enumerator:
             if need and not self.blockers:
                 self.find_blocker(p1, p2, need)
             cut = Cut(keys, sorted(keys), need, {})
-            l_plain = [Prefix.of(e, cut) for e in lefts[0]]
-            l_banned = [Prefix.of(e, cut) for e in lefts[1]]
-            r_plain = [Prefix.of(e, cut) for e in rights[0]]
-            r_banned = [Prefix.of(e, cut) for e in rights[1]]
-            # an entry reached only with its either-side operators banned
-            # pairs with one reached without a ban, never with another
-            self.candidates(table, l_plain, r_plain + r_banned, cut)
-            self.candidates(table, l_banned, r_plain, cut)
+            self.candidates(table, [Prefix.of(e, cut) for e in lefts],
+                            [Prefix.of(e, cut) for e in rights], cut)
 
     def valid(self, p1: int, p2: int, producers) -> bool:
         """Every operator that must precede the join fits on one side."""
@@ -557,8 +553,9 @@ class Enumerator:
     def candidates(self, table: dict, lefts: list, rights: list,
                    cut: Cut) -> None:
         """Offer `table` the join of every prefix record in `lefts` with
-        every one in `rights` (``Prefix``) whose operator sets together
-        hold every operator of ``cut.producers``.
+        every one in `rights` (``Prefix``) whose operator set is disjoint
+        from it, so no operator runs on both sides, and which together hold
+        every operator of ``cut.producers``.
 
         A candidate whose shared columns are not the cut's keys is a
         capture skip (see ``join_entries``).  Any other is costed from the
@@ -575,7 +572,7 @@ class Enumerator:
             if l_divs is None:
                 l_divs = divisors[l_ndvs] = {}
             for r_ops, r_cost, r_rows, r_extra, r_ndvs, right in rights:
-                if need & ~r_ops:
+                if need & ~r_ops or l_ops & r_ops:
                     continue
                 n += 1
                 if l_extra is None or r_extra is None or \
@@ -600,9 +597,11 @@ class Enumerator:
         """The closed table of the leaves in `mask`, made on first use:
         the memo entries with every prefix of each of their ``prefixes``
         chains applied, the cheapest plan kept per operator set and plan
-        state, as (the entries some unbanned chain reaches, the entries
-        only a banned chain reaches), each in the order first reached.
-        An empty memo table gives an empty tuple.
+        state, in one list in the order first reached (an empty memo table
+        gives an empty list).  A plan a banned chain reaches lacks the
+        banned either-side operators, so it pairs with the other side's
+        plans that ran them, or with those that left them for above the
+        join.
 
         The closure runs by operator count over nodes (operator set, the
         chain's remaining operator indices).  Each memo entry seeds one
@@ -617,16 +616,16 @@ class Enumerator:
             return hit
         table = self.enumerate_mask(mask)
         if not table:
-            self.closed[mask] = ()
-            return ()
+            self.closed[mask] = []
+            return []
         ops_of = self.q.ops
         cm = self.cm
-        todo: dict = {}             # op count -> {node: [[entry, plain]]}
+        todo: dict = {}             # op count -> {node: [entry]}
         for entry in table.values():
             nodes = todo.setdefault(entry.ops.bit_count(), {})
-            for i, chain in enumerate(self.prefixes(entry)):
-                keep(nodes, (entry.ops, chain), entry, i == 0)
-        best: dict = {}             # ops mask -> [[entry, plain]]
+            for chain in self.prefixes(entry):
+                keep(nodes, (entry.ops, chain), entry)
+        best: dict = {}             # ops mask -> [entry]
         count = min(todo)
         while todo:
             nodes = todo.pop(count, None)
@@ -635,20 +634,17 @@ class Enumerator:
                 continue
             later = None
             for (ops, rest), kept in nodes.items():
-                for entry, plain in kept:
-                    keep(best, ops, entry, plain)
+                for entry in kept:
+                    keep(best, ops, entry)
                     if not rest:
                         continue
                     nxt = apply_op(ops_of[rest[0]], entry, cm)
                     if later is None:
                         later = todo.setdefault(count, {})
-                    keep(later, (nxt.ops, rest[1:]), nxt, plain)
-        reached, banned_only = [], []
-        for kept in best.values():
-            for entry, plain in kept:
-                (reached if plain else banned_only).append(entry)
-        self.closed[mask] = (reached, banned_only)
-        return reached, banned_only
+                    keep(later, (nxt.ops, rest[1:]), nxt)
+        closed = [entry for kept in best.values() for entry in kept]
+        self.closed[mask] = closed
+        return closed
 
     def prefixes(self, entry: MemoEntry) -> list:
         """The operator chains ``close`` applies the prefixes of to

@@ -26,6 +26,8 @@ from golden_queries import CASES
 
 SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
 JOIN_CHAIN_PLAN = Path(__file__).parent / "data" / "join_chain3_plan.json"
+EITHER_SIDE_PLAN = Path(__file__).parent / "data" / \
+    "either_side_join_plan.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -93,6 +95,17 @@ def test_enumerate_plans_the_join_chain_document(capsys):
     [line] = err.splitlines()
     counters = json.loads(line)
     assert counters["relations"] == 3 and counters["dominated"] > 0
+
+
+def test_enumerate_runs_an_either_side_filter_once(capsys):
+    # the two-relation join the CI workflow plans through the console
+    # script: k >= 5 above the join reads only the join key, so it may run
+    # on either side, but on one side only
+    code = cli.main(["--plan", str(EITHER_SIDE_PLAN), "--mode",
+                     "enumerate", "--counters", "--emit", "sql-clickhouse"])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert out.startswith("SELECT ") and out.count("k >= 5") == 1
 
 
 @pytest.mark.parametrize("term, flags, code, kind", [

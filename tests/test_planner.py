@@ -695,9 +695,9 @@ class _RecordingEnumerator(Enumerator):
         return chains
 
     def close(self, mask):
-        tables = super().close(mask)
-        self.closed_keys.update((mask, e.ops) for t in tables for e in t)
-        return tables
+        closed = super().close(mask)
+        self.closed_keys.update((mask, e.ops) for e in closed)
+        return closed
 
 
 class _EagerEnumerator(_RecordingEnumerator):
@@ -705,19 +705,33 @@ class _EagerEnumerator(_RecordingEnumerator):
     between join candidates.  Every partition pairs every memo entry of
     one side with every one of the other; each pair of entries joins
     every prefix of one entry's applicable operators with every prefix of
-    the other's, built anew as memo entries, where an operator that must
-    run below the join forces the prefix that holds it to reach it.  An
-    operator applicable on both entries is also pinned to one side at a
-    time (the other side's list bans it), and the (ops, ops) pairs of one
-    pair of entries are deduplicated.  Every candidate is built in full
-    by ``join_entries`` and offered to ``insert``.  No plan is dropped
-    as dominated: the memo holds every table's winner for every key.
+    the other's whose operator set is disjoint from it, built anew as
+    memo entries, where an operator that must run below the join forces
+    the prefix that holds it to reach it.  The operators of each entry's
+    list that the other entry has run or may run are also banned from
+    one side's list, from the other's, and from both, and the (ops, ops)
+    pairs of one pair of entries are deduplicated.  Every candidate is
+    built in full by ``join_entries`` and offered to ``insert``.  No plan
+    is dropped as dominated: the memo holds every table's winner for
+    every key.
 
-    ``reached`` collects the (relations, ops) key of every prefix built."""
+    ``reached`` collects the (relations, ops) key of every prefix built,
+    and ``ties`` the plans (as ``repr``) offered for a (relations, ops)
+    key at the cost of the incumbent they did not replace, with that
+    incumbent: the enumerator offers the plans of one key in another
+    order and may keep another of them."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.reached: set = set()
+        self.ties: dict = {}         # (rels, ops) -> {repr of plan}
+
+    def insert(self, table, entry):
+        old = table.get(entry.ops)
+        super().insert(table, entry)
+        if old is not None and entry.cost == old.cost:
+            self.ties.setdefault((entry.rels, entry.ops), set()).update(
+                (repr(old.term), repr(entry.term)))
 
     def undominated(self, plans, mask):
         return plans
@@ -754,12 +768,18 @@ class _EagerEnumerator(_RecordingEnumerator):
             self.inserted[id(table), ops] = entry.cost
 
     def combine(self, table, s, s_ops, t, t_ops, keys, producers):
-        shared = enumeration.mask_of(s_ops) & enumeration.mask_of(t_ops)
+        s_mask = enumeration.mask_of(s_ops)
+        t_mask = enumeration.mask_of(t_ops)
+        s_shared = s_mask & (t.ops | t_mask)
+        t_shared = t_mask & (s.ops | s_mask)
         variants = [(s_ops, t_ops, True)]
-        if shared:
+        if s_shared or t_shared:
             self.pinned_variants = True
-            variants.append((s_ops, self.applicable(t, shared), False))
-            variants.append((self.applicable(s, shared), t_ops, False))
+            s_banned = self.applicable(s, s_shared)
+            t_banned = self.applicable(t, t_shared)
+            variants.append((s_ops, t_banned, False))
+            variants.append((s_banned, t_ops, False))
+            variants.append((s_banned, t_banned, False))
         seen = set()
         done = s.ops | t.ops
         for v1, v2, strict in variants:
@@ -782,7 +802,8 @@ class _EagerEnumerator(_RecordingEnumerator):
                 continue
             for left in self.chain(s, v1)[oi1:]:
                 for right in self.chain(t, v2)[oi2:]:
-                    if (left.ops, right.ops) in seen:
+                    if left.ops & right.ops or \
+                            (left.ops, right.ops) in seen:
                         continue
                     seen.add((left.ops, right.ops))
                     self.counters["candidates"] += 1
@@ -859,20 +880,22 @@ def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
     enumerators of ``_enumerated``), and return the number of reference
     entries the memo lacks:
 
-    - every kept entry is the reference's entry for its key, but in the
-      complete table, which is not pruned: there a key whose cheapest
-      plan was built from a dropped one keeps a costlier plan, which a
-      kept plan dominates;
+    - every kept entry is the reference's entry for its key, or another
+      plan the reference was offered for the key at the same cost
+      (``_EagerEnumerator.ties``), with the same schema; but in the
+      complete table, which is not pruned, a key whose cheapest plan was
+      built from a dropped one keeps a costlier plan, which a kept plan
+      dominates;
     - every reference entry the memo lacks is dominated by a kept one
       (``enumeration.dominates``);
-    - both choose the same plan at the same cost;
+    - both fail alike, or choose plans of the same cost and schema: the
+      same plan unless some key kept another tied plan;
     - either both pin an either-side operator to one side of some join or
       neither does: the extra filters of a dominating plan are never
       either-side operators, so a dropped plan's banned chain is its
       dominator's."""
     (memo, outcome, pinned), (ref_memo, ref_outcome, ref_pinned) = \
         fast, eager
-    assert outcome == ref_outcome
     assert memo.keys() == ref_memo.keys()
     assert pinned == ref_pinned
 
@@ -881,12 +904,16 @@ def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
         return any(enumeration.dominates(better, entry, filters)
                    for better in kept)
 
-    missing = 0
+    missing = tied = 0
     for rels, ref_table in ref.memo.items():
         table = enum.memo[rels]
         kept = list(table.values())
         for ops, view in memo[rels].items():
-            if ref_memo[rels].get(ops) != view:
+            ref_view = ref_memo[rels].get(ops)
+            if ref_view is not None and view[1:] == ref_view[1:] and \
+                    view[0] in ref.ties.get((rels, ops), ()):
+                tied += view != ref_view
+            elif ref_view != view:
                 assert rels == enum.full and ops in ref_table, (rels, ops)
                 assert table[ops].cost >= ref_table[ops].cost
                 assert dominated(table[ops], kept), (rels, ops)
@@ -894,6 +921,8 @@ def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
             if ops not in table:
                 missing += 1
                 assert dominated(entry, kept), (rels, ops)
+    assert outcome == ref_outcome or \
+        (tied and len(outcome) == 3 and outcome[1:] == ref_outcome[1:])
     return missing
 
 
@@ -1029,12 +1058,13 @@ def test_either_side_filters_plan_at_the_eager_cost(block):
     # a two-relation join has one partition and one entry per side, so
     # its banned chains are exactly the reference's pinned variants and
     # the memo matches the reference's but for the plans it drops as
-    # dominated.  With three relations a closed table pairs a side whose
-    # key filter is banned with every plan of the other side, also one
-    # that ran the filter below one of its own joins, where the reference
-    # pins the filter only for pairs of entries that both still lack it:
-    # the plan never costs more, and may cost less.
-    pinned = cheaper = 0
+    # dominated.  With three relations both searches pair every plan of
+    # one side with each plan of the other that ran none of its operators,
+    # also with a side whose key filter is banned because the other ran it
+    # below one of its own joins; their memos may keep other plans of
+    # equal cost below the full table, so only the outcomes are compared,
+    # and the chosen plans have exactly the reference's cost and schema
+    pinned = 0
     for seed in range(8500 + 100 * block, 8500 + 100 * (block + 1)):
         term, schemas, stats, nrel = _either_side_join(seed)
         try:
@@ -1046,14 +1076,10 @@ def test_either_side_filters_plan_at_the_eager_cost(block):
         pinned += fast[2]
         if nrel == 2:
             _assert_prunes_the_eager_memo(fast, enum, eager, ref)
-            continue
-        if len(eager[1]) == 2:       # planning raised
-            assert fast[1] == eager[1], seed
-            continue
-        (_, cost, schema), (_, eager_cost, eager_schema) = fast[1], eager[1]
-        assert cost <= eager_cost and schema == eager_schema, seed
-        cheaper += cost < eager_cost
-    assert pinned > 50 and cheaper < 5
+        else:
+            assert fast[1] == eager[1] or \
+                (len(fast[1]) == 3 and fast[1][1:] == eager[1][1:]), seed
+    assert pinned > 50
 
 
 def _random_join(seed, nrel):
@@ -1087,9 +1113,9 @@ def _pruning_corpus(name, bench_join_stats):
             for nrel in (2, 3)]
 
 
-def _pair_disjoint_operator_sets(monkeypatch):
-    """Make ``Enumerator.candidates`` pair only records whose operator
-    masks are disjoint, so no operator runs on both sides of a join."""
+def _offer_disjoint_pairs_only(monkeypatch):
+    """Make ``Enumerator.candidates`` see, for each left record, only the
+    right records whose operator masks are disjoint from it."""
     candidates = Enumerator.candidates
 
     def disjoint(self, table, lefts, rights, cut):
@@ -1107,16 +1133,14 @@ def test_dominance_pruning_never_changes_the_chosen_plan(
     # 2- and 3-relation random joins, statistics on odd seeds and on
     # every bench join once; the plan, its cost (bit for bit) and any
     # error are those of the enumerator that keeps every dominated
-    # plan.  The rule does not lean on the
-    # candidate loop pairing overlapping operator sets (where a plan
-    # that ran an extra filter could stand in for a dropped one whose
-    # partner ran it): with only disjoint pairs it is exact as well
+    # plan.  With `pairs` "disjoint" the overlapping records are taken
+    # out before ``candidates`` sees them: the enumerator pairs only
+    # disjoint operator sets, so neither the plans nor the number of
+    # candidates move, and the pruning stays exact
     queries = _pruning_corpus(corpus, bench_join_stats)
-    if pairs == "disjoint":
-        _pair_disjoint_operator_sets(monkeypatch)
 
     def outcomes():
-        dropped, out = 0, []
+        dropped, out, offered = 0, [], 0
         for term, schemas, stats in queries:
             try:
                 enum = _enumerator(term, schemas, stats)
@@ -1124,13 +1148,59 @@ def test_dominance_pruning_never_changes_the_chosen_plan(
                 continue             # k was consumed below a key filter
             out.append(_outcome(enum.run))
             dropped += enum.counters["dominated"]
-        return out, dropped
+            offered += enum.counters["candidates"]
+        return out, dropped, offered
 
-    pruned, dropped = outcomes()
+    if pairs == "disjoint":
+        every_pair = outcomes()
+        _offer_disjoint_pairs_only(monkeypatch)
+        assert outcomes() == every_pair
+    pruned, dropped, _ = outcomes()
     _keep_dominated_plans(monkeypatch)
-    kept_all, none = outcomes()
+    kept_all, none, _ = outcomes()
     assert pruned == kept_all
     assert dropped > 0 and none == 0
+
+
+def _operator_nodes(term, leaves) -> int:
+    """The number of operator nodes of `term` above the leaf terms
+    `leaves` (matched by identity): every node but the joins and the
+    final projection."""
+    if any(term is leaf for leaf in leaves):
+        return 0
+    if isinstance(term, Join):
+        return _operator_nodes(term.left, leaves) + \
+            _operator_nodes(term.right, leaves)
+    return (not isinstance(term, Project)) + \
+        _operator_nodes(term.child, leaves)
+
+
+@pytest.mark.parametrize("corpus", ("random", "either-side"))
+def test_no_operator_runs_twice(corpus, bench_join_stats):
+    # the plan space is (leaves joined, operators applied), each operator
+    # applied once: every memo entry and every chosen plan has one
+    # operator node per operator of its set.  A join of two plans that
+    # share an operator, say a filter on the join key run on both sides,
+    # has more, and counts the operator's effect twice
+    plans = 0
+    for term, schemas, stats in _pruning_corpus(corpus, bench_join_stats):
+        try:
+            enum = _enumerator(term, schemas, stats)
+        except SchemaError:
+            continue                 # k was consumed below a key filter
+        leaves = [leaf for _, leaf in enum.q.leaves]
+        try:
+            chosen = [enum.run()]
+        except A3DError:
+            chosen = []
+        if enum.full in enum.memo:
+            _built_full_table(enum)
+        for entry in chosen + [e for table in enum.memo.values()
+                               for e in table.values()]:
+            assert _operator_nodes(entry.term, leaves) == \
+                entry.ops.bit_count(), repr(entry.term)
+            plans += 1
+    assert plans > 1000
 
 
 def test_dominance_keeps_a_plan_whose_partner_runs_the_extra_filter(
@@ -1142,7 +1212,7 @@ def test_dominance_keeps_a_plan_whose_partner_runs_the_extra_filter(
     # plan that runs each operator once filters C before its array
     # filter and joins it with the unfiltered A-B join.  The filter also
     # runs over C, so it is no extra operator for {A, B}, and that plan
-    # stays when only disjoint operator sets are paired
+    # stays
     uniform = _uniform(10, 0, 10)
     schemas = {"A": Schema.of(scalars=("k1", "a")),
                "B": Schema.of(scalars=("k1", "k2", "b")),
@@ -1156,7 +1226,6 @@ def test_dominance_keeps_a_plan_whose_partner_runs_the_extra_filter(
     term = Join(Join(RelVar("A"), RelVar("B")), RelVar("C"))
     term = ArrayFilter((("arr", "v"),), Cmp(">", Col("v"), Lit(5)), term)
     term = Filter(Cmp("<", Col("k2"), Lit(1)), term)
-    _pair_disjoint_operator_sets(monkeypatch)
     enum = _enumerator(term, schemas, stats)
     best = enum.run()
     assert enum.counters["dominated"] > 0
