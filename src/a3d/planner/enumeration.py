@@ -28,12 +28,19 @@ per-partition table keyed by the two key-ndv tuples, costs the join with
 candidate that beats the incumbent for its operator set is kept as a
 ``DeferredJoin`` record until its table is complete; only the records that
 survive then get a merged state (``join_effect``), and only the undominated
-ones among them (below) a Join node and a schema (``join_entries``), at
-exactly the cost they won with, since ``join_effect`` costs a join with the
-same expression.  Equal schemas are stored once per enumerator.  Applying an
-operator replays the schema effect ``decompose`` recorded for it
-(``RankableOp.schema_after``), so ``node_schema`` runs only for built joins
-and the final projection.
+ones among them (below) a memo entry (``join_entries``), at exactly the cost
+they won with, since ``join_effect`` costs a join with the same expression.
+
+A memo entry holds its plan as a recipe, not a term (``materialize``): a
+leaf's term, ``(op, parent plan)`` for an applied operator, or ``(left
+plan, right plan)`` for a join.  Only the plan a search returns is ever
+read as a term, so only it is materialized (``MemoEntry.term``), once.
+Equal schemas are stored once per enumerator.  Applying an operator replays
+the schema effect ``decompose`` recorded for it
+(``RankableOp.schema_after``), and a join's schema is the union of its
+inputs' (``Schema`` rejects a column of mixed kinds), so ``node_schema``
+runs only for the final projection; ``optimize`` infers every node of the
+chosen plan again when it costs it.
 
 Each non-full memo table drops its dominated plans once it is filled
 (``enumerate_mask``), so they seed no closure chain and never reach
@@ -64,13 +71,15 @@ The tests check the premises on the cost model, and that dropping dominated
 plans changes no chosen plan or cost.
 
 The full table's records are left unbuilt.  ``run`` finishes its plans
-best-first from a heap of partial plans, cheapest first: a record is built
+best-first from a heap of partial plans, keyed by cost plus the exact cost
+of the plan's next operator (``lookahead``), which a record's stored rows
+and its inputs' array infos give without building it.  A record is built
 when it is first popped, and each pop applies one more of the plan's
-remaining operators (or the final projection), until the cheapest partial
-plan costs more than the best finished one.  Every operator, join and
-projection cost is non-negative, so finishing never makes a plan cheaper,
-and only the records whose memo cost is within the best finished cost are
-ever built.
+remaining operators (or the final projection), until the lowest key
+exceeds the best finished cost.  Every operator, join and projection cost
+is non-negative, so a key never exceeds the cost its plan finishes at, and
+only the records whose memo cost plus next step is within the best
+finished cost are ever built.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
@@ -84,7 +93,7 @@ from ..algebra import (
     A3DError, Join, Project, Schema, Term, node_schema,
 )
 from ..stats import (
-    CostModel, PlanState, join_cost, join_divisor, key_ndvs,
+    CostModel, PlanState, join_cost, join_divisor, key_ndvs, op_cost,
 )
 from .decompose import QueryDecomposition, RankableOp
 from .precedence import PrecedenceGraph, _bits
@@ -102,7 +111,7 @@ class InfeasibleQueryError(A3DError):
 
 @dataclass(slots=True)
 class MemoEntry:
-    term: Term
+    plan: object       # the plan's recipe (``materialize``)
     rels: int          # bitmask of leaf indices
     ops: int           # bitmask of applied operator indices
     cost: float
@@ -113,19 +122,39 @@ class MemoEntry:
     def columns(self) -> frozenset:
         return self.schema.columns
 
+    @property
+    def term(self) -> Term:
+        """The plan's term, materialized anew from its recipe."""
+        return materialize(self.plan)
+
+
+def materialize(plan) -> Term:
+    """The term of the plan recipe `plan`: a term (a leaf's, or a plan's
+    own), ``(op, parent plan)`` for the RankableOp `op` applied on top of
+    the parent (``apply_op``), or ``(left plan, right plan)`` for their
+    join (``join_entries``).  A recipe holds only terms, operators and
+    recipes, so it keeps no memo entry or plan state alive."""
+    if type(plan) is not tuple:
+        return plan
+    head, tail = plan
+    if type(head) is RankableOp:
+        return head.apply(materialize(tail))
+    return Join(materialize(head), materialize(tail))
+
 
 class DeferredJoin:
     """A join candidate that beat its memo incumbent while the table was
-    being filled: its cost (exactly the cost ``join_entries`` gives it)
-    and what it takes to build it once the table is complete.  `effect`
-    is what ``join_effect`` gives the join, once computed (``cost_join``):
-    enough for ``dominates`` without the Join node and its schema."""
-    __slots__ = ("ops", "cost", "left", "right", "keys", "effect")
+    being filled: its cost and rows (exactly those ``join_entries`` gives
+    it) and what it takes to build it once the table is complete.
+    `effect` is what ``join_effect`` gives the join, once computed
+    (``cost_join``): enough for ``dominates`` without the join's schema."""
+    __slots__ = ("ops", "cost", "rows", "left", "right", "keys", "effect")
 
-    def __init__(self, ops: int, cost: float, left: MemoEntry,
+    def __init__(self, ops: int, cost: float, rows: float, left: MemoEntry,
                  right: MemoEntry, keys):
         self.ops = ops
         self.cost = cost
+        self.rows = rows
         self.left = left
         self.right = right
         self.keys = keys
@@ -218,9 +247,8 @@ def op_applicable(op: RankableOp, ops: int, cols, rels: int,
 
 def apply_op(op: RankableOp, entry: MemoEntry,
              cost_model: CostModel) -> MemoEntry:
-    term = op.apply(entry.term)
     cost, state = cost_model.op_effect(op.node, entry.state)
-    return MemoEntry(term, entry.rels, entry.ops | (1 << op.idx),
+    return MemoEntry((op, entry.plan), entry.rels, entry.ops | (1 << op.idx),
                      entry.cost + cost, state, op.schema_after(entry.schema))
 
 
@@ -236,18 +264,22 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
     or an operator introduced an accidental overlap).  `effect` is the
-    join's ``join_effect`` result when it is already known."""
-    shared = left.schema.columns & right.schema.columns
+    join's ``join_effect`` result when it is already known.
+
+    The join's schema is the union of its inputs'; ``Schema`` rejects a
+    column that is a scalar on one side and an array on the other."""
+    ls, rs = left.schema, right.schema
+    shared = ls.columns & rs.columns
     if shared != expected_keys:
         return None
     if effect is None:
         effect = cost_model.join_effect(left.state, right.state,
                                         sorted(shared))
     cost, state = effect
-    term = Join(left.term, right.term)
-    return MemoEntry(term, left.rels | right.rels, left.ops | right.ops,
-                     left.cost + right.cost + cost, state,
-                     node_schema(term, left.schema, right.schema))
+    return MemoEntry((left.plan, right.plan), left.rels | right.rels,
+                     left.ops | right.ops, left.cost + right.cost + cost,
+                     state, Schema(ls.scalars | rs.scalars,
+                                   ls.arrays | rs.arrays))
 
 
 def crossing(edges, p1: int, p2: int, cache: dict):
@@ -267,16 +299,30 @@ def crossing(edges, p1: int, p2: int, cache: dict):
     return hit
 
 
-def reproject(entry: MemoEntry, decomp: QueryDecomposition,
-              cost_model: CostModel) -> Optional[MemoEntry]:
-    """Put the query's top projection on a complete plan when it is needed;
-    None when the plan lacks an output column."""
+def top_project(entry: MemoEntry, decomp: QueryDecomposition):
+    """The query's top projection for the complete plan `entry`, as a
+    template node (its child is the query's, which ``op_effect`` ignores):
+    None when the plan outputs exactly the query's columns and the query
+    had no top projection, False when the plan lacks an output column."""
     out_cols = decomp.out_cols
     if set(out_cols) == entry.schema.columns and not decomp.had_top_project:
-        return entry
-    if not set(out_cols) <= entry.schema.columns:
         return None
-    top = Project(tuple(out_cols), entry.term)
+    if not set(out_cols) <= entry.schema.columns:
+        return False
+    return Project(tuple(out_cols), decomp.source)
+
+
+def reproject(entry: MemoEntry, decomp: QueryDecomposition,
+              cost_model: CostModel) -> Optional[MemoEntry]:
+    """Put the query's top projection on a complete plan when it is needed
+    (``top_project``); None when the plan lacks an output column.  The
+    projected plan's recipe is its term, materialized here."""
+    top = top_project(entry, decomp)
+    if top is None:
+        return entry
+    if top is False:
+        return None
+    top = Project(top.cols, entry.term)
     cost, state = cost_model.op_effect(top, entry.state)
     return MemoEntry(top, entry.rels, entry.ops, entry.cost + cost, state,
                      node_schema(top, entry.schema))
@@ -586,7 +632,9 @@ class Enumerator:
                 ops = l_ops | r_ops
                 best = table.get(ops)
                 if best is None or cost < best.cost:
-                    table[ops] = DeferredJoin(ops, cost, left, right, keys)
+                    table[ops] = DeferredJoin(ops, cost,
+                                              l_rows * r_rows / div,
+                                              left, right, keys)
                     wins += 1
         counters = self.counters
         counters["candidates"] += n
@@ -700,6 +748,30 @@ class Enumerator:
 
     # -- final assembly -----------------------------------------------------
 
+    def lookahead(self, plan, pos: int = 0) -> tuple:
+        """(the position in ``order``, from `pos` on, of the next operator
+        the plan `plan` has not applied, the cost ``op_effect`` charges for
+        it on the plan); (``len(order)``, 0.0) when no operator remains.
+
+        The cost is ``op_cost`` over the plan's rows and array infos.  A
+        ``DeferredJoin`` record's rows are stored on it, and its array
+        infos are its inputs' merged right over left, as ``join_effect``
+        merges them, so the record need not be built."""
+        order = self.order
+        n = len(order)
+        ops = plan.ops
+        while pos < n and ops >> order[pos].idx & 1:
+            pos += 1
+        if pos == n:
+            return pos, 0.0
+        if type(plan) is DeferredJoin:
+            rows = plan.rows
+            info = {**plan.left.state.array_info,
+                    **plan.right.state.array_info}
+        else:
+            rows, info = plan.state.rows, plan.state.array_info
+        return pos, op_cost(order[pos].node, rows, info)
+
     def run(self) -> MemoEntry:
         """The cheapest finished plan of the full memo table; among equal
         costs, the one finished from the lowest operator mask.
@@ -707,14 +779,23 @@ class Enumerator:
         A plan is finished by applying its remaining operators in sorted
         order and re-projecting (``reproject``).  The search is best-first
         over one heap of partial plans, one per full-table record, keyed
-        by (cost so far, the record's operator mask).  A record is built
-        (``join_entries``) when it is first popped, and every pop applies
-        exactly one more operator, or the final projection.  The search
-        stops at the first pop whose cost exceeds the best finished cost:
-        every operator, join and projection cost is non-negative (not
-        NaN), and adding one never makes a sum smaller, so no plan left
-        in the heap can finish cheaper.  When no plan finishes, the error
-        names the blocker of the lowest operator mask.
+        by (cost so far plus the cost of the plan's next operator, the
+        record's operator mask).  That lookahead (``lookahead``) is the
+        exact cost the next step charges, read from the plan's rows and
+        array infos, so nothing is built before it is popped.  A record
+        is built (``join_entries``) when it is first popped, and every pop
+        applies exactly one more operator, or the final projection.
+
+        The search stops at the first pop whose key exceeds the best
+        finished cost.  Every operator, join and projection cost is
+        non-negative (not NaN), and adding one never makes a sum smaller,
+        so a popped key is at most the cost its plan finishes at: the key
+        is the plan's cost after its next step, and every later step adds
+        to that.  So no plan left in the heap can finish cheaper, and a
+        plan that finishes at exactly the best cost has every key at most
+        that cost and is still popped, so the lowest mask wins a tie.  When
+        no plan finishes, the error names the blocker of the lowest
+        operator mask.
 
         ``counters["finished"]`` counts the records whose finishing
         started, ``counters["finish_ops"]`` the operators applied while
@@ -724,9 +805,12 @@ class Enumerator:
                 "join graph is disconnected; a cross product is required "
                 "(pass allow_cross_products to permit it)")
         table = self.enumerate_mask(self.full)
-        # (cost, record's ops mask, position in self.order, plan); no two
+        # (key, record's ops mask, position in self.order, plan); no two
         # items share a record, so the first two fields are unique
-        heap = [(entry.cost, ops, 0, entry) for ops, entry in table.items()]
+        heap = []
+        for ops, rec in table.items():
+            pos, ahead = self.lookahead(rec)
+            heap.append((rec.cost + ahead, ops, pos, rec))
         heapq.heapify(heap)
         order = self.order
         counters = self.counters
@@ -734,16 +818,14 @@ class Enumerator:
         best = best_key = None
         blocked: list = []                 # (ops mask, blocker)
         while heap:
-            cost, ops, pos, cur = heapq.heappop(heap)
-            if best is not None and cost > best.cost:
+            key, ops, pos, cur = heapq.heappop(heap)
+            if best is not None and key > best_key[0]:
                 break
-            if pos == 0:
+            if cur is table[ops]:          # the record's first pop
                 counters["finished"] += 1
                 if type(cur) is DeferredJoin:
                     cur = cur.build(self.cm)
                     cur.schema = intern(cur.schema, cur.schema)
-            while pos < len(order) and cur.ops >> order[pos].idx & 1:
-                pos += 1
             if pos < len(order):
                 op = order[pos]
                 if not op_applicable(op, cur.ops, cur.schema.columns,
@@ -757,21 +839,26 @@ class Enumerator:
                 if heap:
                     cur.schema = intern(cur.schema, cur.schema)
                 counters["finish_ops"] += 1
-                heapq.heappush(heap, (cur.cost, ops, pos + 1, cur))
+                pos, ahead = self.lookahead(cur, pos + 1)
+                heapq.heappush(heap, (cur.cost + ahead, ops, pos, cur))
                 continue
-            final = reproject(cur, self.q, self.cm)
-            if final is None:
+            # the cost ``reproject`` gives the plan, which it is left to
+            # put the projection on only for the plan returned
+            top = top_project(cur, self.q)
+            if top is False:
                 blocked.append((ops, "projection"))
                 continue
-            key = (final.cost, ops)
-            if best is None or key < best_key:
-                best, best_key = final, key
+            cost = cur.cost
+            if top is not None:
+                cost += op_cost(top, cur.state.rows, cur.state.array_info)
+            if best is None or (cost, ops) < best_key:
+                best, best_key = cur, (cost, ops)
         if best is None:
             name = min(blocked)[1] if blocked else \
                 (self.blockers or ["join graph"])[0]
             raise InfeasibleQueryError(f"no valid plan: blocked by {name}",
                                        name)
-        return best
+        return reproject(best, self.q, self.cm)
 
 
 def enumerate_plans(decomp: QueryDecomposition, graph: PrecedenceGraph,

@@ -8,8 +8,6 @@ whose aggregate rank decides their position (the classical series-parallel
 scheduling construction), which stays optimal for series-parallel orders.
 """
 
-from dataclasses import dataclass
-
 from .decompose import RankableOp
 from .precedence import PrecedenceGraph, sp_tree
 
@@ -51,20 +49,20 @@ def leq(i: RankableOp, j: RankableOp) -> bool:
 # block algebra
 ############################################################
 
-@dataclass(frozen=True)
 class _Block:
-    ops: tuple      # RankableOp, already internally ordered
-    s: float        # product of row selectivities
-    c: float        # expected cost per input row of running the whole block
+    """A run of operators scheduled together, with its ordering key,
+    computed once: descending block rank (1 - s) / c, then the first
+    operator's tier and horizontal rank, then the lowest index."""
+    __slots__ = ("ops", "s", "c", "key")
 
-    @property
-    def brank(self) -> float:
-        return (1.0 - self.s) / max(self.c, 1e-12)
-
-    def key(self) -> tuple:
-        first = self.ops[0]
-        return (-self.brank, tier(first), -hrank(first),
-                min(o.idx for o in self.ops))
+    def __init__(self, ops: tuple, s: float, c: float):
+        self.ops = ops  # RankableOp, already internally ordered
+        self.s = s      # product of row selectivities
+        self.c = c      # expected cost per input row of the whole block
+        first = ops[0]
+        brank = (1.0 - s) / max(c, 1e-12)
+        self.key = (-brank, tier(first), -hrank(first),
+                    min(o.idx for o in ops))
 
 
 def _block(op: RankableOp) -> _Block:
@@ -80,7 +78,7 @@ def _normalize(blocks: list) -> list:
     out: list = []
     for blk in blocks:
         out.append(blk)
-        while len(out) >= 2 and out[-2].key() > out[-1].key():
+        while len(out) >= 2 and out[-2].key > out[-1].key:
             hi = out.pop()
             out[-1] = _fuse(out[-1], hi)
     return out
@@ -91,7 +89,7 @@ def _merge(a: list, b: list) -> list:
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
-        if a[i].key() <= b[j].key():
+        if a[i].key <= b[j].key:
             out.append(a[i])
             i += 1
         else:

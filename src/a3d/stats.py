@@ -425,6 +425,39 @@ def join_cost(left_rows: float, right_rows: float, div: float) -> float:
     return left_rows + right_rows + left_rows * right_rows / div
 
 
+def op_cost(node: Term, rows: float, array_info: Mapping[str, ArrayInfo]
+            ) -> float:
+    """The cost of running the unary operator `node` over `rows` rows
+    whose array columns are `array_info` (a missing one is
+    ``DEFAULT_ARRAY_INFO``).  It is the one expression of an operator's
+    cost: ``CostModel.op_effect`` and the enumerator's finishing bound both
+    use it, so the bound is exactly what the step charges.
+
+    Only the node's own fields are read, so template nodes are fine.  The
+    cost is built from row counts and array lengths and is never negative
+    or NaN, nor is ``join_cost``'s: ``Enumerator.run`` relies on adding a
+    cost never making a plan cheaper."""
+    if isinstance(node, Filter):
+        return rows
+    if isinstance(node, (ArrayFilter, ArrayJoin)):
+        return rows * array_info.get(node.targets[0][0],
+                                     DEFAULT_ARRAY_INFO).length
+    if isinstance(node, Derive):
+        arr_args = [c for c in node.args if c in array_info]
+        fn = node.fn.name
+        if node.is_map or (arr_args and (fn in ARRAY_ARG_FNS
+                                         or fn == "identity")):
+            return rows * sum(array_info[c].length for c in arr_args)
+        return rows
+    if isinstance(node, Aggregate):
+        arr_cols = [s.arg for s in node.aggs if s.arg in array_info]
+        arr_cols += [k for k in node.keys if k in array_info]
+        return rows * (1.0 + sum(array_info[c].length for c in arr_cols))
+    if isinstance(node, Project):
+        return 0.0
+    raise SchemaError(f"op_effect: not a unary operator: {node!r}")
+
+
 class CostModel:
     """Cost/cardinality model bound to base-table statistics and schemas."""
 
@@ -481,11 +514,9 @@ class CostModel:
         """Apply one unary operator's effect.  Returns (cost, new_state).
 
         Only the node's own fields are consulted (its child is ignored), so
-        callers may pass template nodes.  The cost is built from row counts
-        and array lengths and is never negative or NaN, nor is
-        ``join_cost``'s: ``Enumerator.run`` relies on adding a cost never
-        making a plan cheaper.
+        callers may pass template nodes.  The cost is ``op_cost``'s.
         """
+        cost = op_cost(node, state.rows, state.array_info)
         if isinstance(node, Filter):
             s = pred_selectivity(node.pred, state.scalar_stats,
                                  state.array_info)
@@ -499,19 +530,18 @@ class CostModel:
                 # in either order
                 array_info = {**array_info, col: ArrayInfo(
                     info.length, info.length_unf, empty, info.elem)}
-            return state.rows, PlanState(state.rows * s, state.rows_unf,
-                                         state.scalar_stats, array_info)
+            return cost, PlanState(state.rows * s, state.rows_unf,
+                                   state.scalar_stats, array_info)
 
         if isinstance(node, Project):
             keep = set(node.cols)
-            return 0.0, PlanState(
+            return cost, PlanState(
                 state.rows, state.rows_unf,
                 {c: v for c, v in state.scalar_stats.items() if c in keep},
                 {c: v for c, v in state.array_info.items() if c in keep},
             )
 
         if isinstance(node, ArrayFilter):
-            cost = state.rows * state.length(node.targets[0][0])
             s = self.element_selectivity(node.pred, node.targets, state)
             sources = {src for src, _ in node.targets}
             array_info = {c: v for c, v in state.array_info.items()
@@ -525,7 +555,6 @@ class CostModel:
 
         if isinstance(node, ArrayJoin):
             first = state.info(node.targets[0][0])
-            cost = state.rows * first.length
             array_info = dict(state.array_info)
             scalar_stats = dict(state.scalar_stats)
             for src, alias in node.targets:
@@ -539,11 +568,6 @@ class CostModel:
         if isinstance(node, Derive):
             arr_args = [c for c in node.args if c in state.array_info]
             fn = node.fn.name
-            if node.is_map or (arr_args and (fn in ARRAY_ARG_FNS
-                                             or fn == "identity")):
-                cost = state.rows * sum(state.length(c) for c in arr_args)
-            else:
-                cost = state.rows
             kinds = ["array" if c in state.array_info else "scalar"
                      for c in node.args]
             array_info = dict(state.array_info)
@@ -564,28 +588,22 @@ class CostModel:
             return cost, PlanState(state.rows, state.rows_unf,
                                    scalar_stats, array_info)
 
-        if isinstance(node, Aggregate):
-            arr_cols = [s.arg for s in node.aggs if s.arg in state.array_info]
-            arr_cols += [k for k in node.keys if k in state.array_info]
-            cost = state.rows * (1.0 + sum(state.length(c) for c in arr_cols))
-            s = self.group_selectivity(node.keys, state)
-            array_info, scalar_stats = {}, {}
-            for k in node.keys:
-                if k in state.array_info:
-                    array_info[k] = state.array_info[k]
-                else:
-                    scalar_stats[k] = state.scalar_stats.get(k)
-            for spec in node.aggs:
-                if agg_output_kind(spec.fn) == "array":
-                    length = state.length(spec.arg)
-                    array_info[spec.alias] = ArrayInfo(length, length, 0.0,
-                                                       None)
-                else:
-                    scalar_stats[spec.alias] = None
-            return cost, PlanState(state.rows * s, state.rows_unf * s,
-                                   scalar_stats, array_info)
-
-        raise SchemaError(f"op_effect: not a unary operator: {node!r}")
+        # an Aggregate: ``op_cost`` rejects every other node
+        s = self.group_selectivity(node.keys, state)
+        array_info, scalar_stats = {}, {}
+        for k in node.keys:
+            if k in state.array_info:
+                array_info[k] = state.array_info[k]
+            else:
+                scalar_stats[k] = state.scalar_stats.get(k)
+        for spec in node.aggs:
+            if agg_output_kind(spec.fn) == "array":
+                length = state.length(spec.arg)
+                array_info[spec.alias] = ArrayInfo(length, length, 0.0, None)
+            else:
+                scalar_stats[spec.alias] = None
+        return cost, PlanState(state.rows * s, state.rows_unf * s,
+                               scalar_stats, array_info)
 
     def join_effect(self, left: PlanState, right: PlanState, shared):
         """Natural-join effect.  Returns (cost, new_state)."""

@@ -1359,15 +1359,17 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     # dominated), the partitions paired 1,344 candidates for 732 wins,
     # and 176 join records were built; pairing every prefix of every pair
     # of memo entries took 7,984 candidates, 2,556 wins and 1,464
-    # operator applications.  ``run`` starts finishing 97 of the 135
-    # complete plans, best-first: it builds only those 97 (97 join
-    # effects) and applies 101 operators, one per step of the cheapest
-    # partial plan (113 of 256, 117 operators without the pruning);
-    # building every chain and candidate anew and finishing every
-    # complete plan took 9,069 operator applications and 8,005 join
-    # effects.  Preprocess rejects its R2.3 guards locally, so it never
-    # costs the chain's root, and its one sweep round folds the chain's 3
-    # joins once, not once per attempt (9 join effects in all)
+    # operator applications.  ``run`` starts finishing 6 of the 135
+    # complete plans, best-first by cost plus the exact cost of each
+    # plan's next operator: it builds only those 6 (6 join effects) and
+    # applies 5 operators, one per step of the partial plan with the
+    # lowest such key (97 plans and 101 operators keyed by cost alone; 113
+    # of 256 and 117 operators without the pruning as well); building
+    # every chain and candidate anew and finishing every complete plan
+    # took 9,069 operator applications and 8,005 join effects.
+    # Preprocess rejects its R2.3 guards locally, so it never costs the
+    # chain's root, and its one sweep round folds the chain's 3 joins
+    # once, not once per attempt (9 join effects in all)
     calls = {"apply_op": 0, "join_effect": 0}
 
     def counted(name, fn):
@@ -1384,9 +1386,9 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"],
             res.counters["dominated"]) == (370, 497, 57)
-    assert calls == {"apply_op": 90 + 101, "join_effect": 138 + 97 + 9}
+    assert calls == {"apply_op": 90 + 5, "join_effect": 138 + 6 + 9}
     assert (res.counters["finished"], res.counters["finish_ops"]) == \
-        (97, 101)
+        (6, 5)
 
 
 def _finish(enum, entry, applied):
@@ -1442,10 +1444,12 @@ def test_bounded_finish_matches_finishing_every_entry_on_bench_joins(
     enum = _enumerator(term, schemas)
     bounded, every, eager_ops = _bounded_and_every(enum)
     assert bounded == every
-    # started and complete plans; (113, 256) on every shape before the
-    # memo dropped dominated plans, which pair into fewer complete ones
+    # started and complete plans; (97, 135), (105, 162) and (81, 189)
+    # when the heap was keyed by cost alone, without the next operator's
+    # cost, and (113, 256) on every shape before the memo dropped
+    # dominated plans, which pair into fewer complete ones
     assert (enum.counters["finished"], len(enum.memo[enum.full])) == \
-        {"chain": (97, 135), "star": (105, 162), "cycle": (81, 189)}[name]
+        {"chain": (6, 135), "star": (6, 162), "cycle": (6, 189)}[name]
     # the best-first search steps only the cheapest partial plans
     assert enum.counters["finish_ops"] < eager_ops
 
@@ -1480,6 +1484,88 @@ def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
         every_ops += eager_ops
     assert 0 < finished < complete
     assert stepped < every_ops
+
+
+@pytest.mark.parametrize("corpus", ("bench", "random"))
+def test_finish_lookahead_is_the_cost_the_next_step_charges(
+        corpus, bench_join_stats):
+    # ``run`` keys a partial plan by its cost plus the cost of its next
+    # operator, read for an unbuilt record from its stored rows and its
+    # inputs' array infos.  On every complete-plan record, and on every
+    # later step of its finish, that lookahead is exactly what
+    # ``op_effect`` charges for the step on the built plan: the bound is
+    # never above the cost finishing adds, nor below it
+    if corpus == "bench":
+        queries = [(term, schemas, stats) for _, term, schemas in
+                   BENCH_JOIN_QUERIES for stats in
+                   (None, {rel: bench_join_stats[rel] for rel in schemas})]
+    else:
+        queries = [_random_join(seed, nrel) for seed in range(9000, 9150)
+                   for nrel in (2, 3)]
+    records = steps = 0
+    for query in queries:
+        enum = _enumerator(*query)
+        if not enum.connected(enum.full):
+            continue
+        order = enum.order
+        for rec in enum.enumerate_mask(enum.full).values():
+            records += 1
+            pos, ahead = enum.lookahead(rec)
+            cur = rec.build(enum.cm) if type(rec) is \
+                enumeration.DeferredJoin else rec
+            while pos < len(order):
+                op = order[pos]
+                assert [o.idx for o in order[:pos + 1]
+                        if not cur.ops >> o.idx & 1] == [op.idx]
+                assert ahead == enum.cm.op_effect(op.node, cur.state)[0]
+                steps += 1
+                if not enumeration.op_applicable(
+                        op, cur.ops, cur.columns, cur.rels, enum.graph):
+                    break
+                key = cur.cost + ahead
+                cur = enumeration.apply_op(op, cur, enum.cm)
+                assert cur.cost == key
+                pos, ahead = enum.lookahead(cur, pos + 1)
+            else:
+                assert ahead == 0.0
+    # 1,187 records and 6,528 steps on the bench joins, 1,758 and 3,753
+    # on the random ones
+    assert records > 1000 and steps > 2 * records
+
+
+def _recipe_parts(plan):
+    """Every object a plan recipe holds, itself included."""
+    yield plan
+    if type(plan) is tuple:
+        for part in plan:
+            yield from _recipe_parts(part)
+
+
+@pytest.mark.parametrize("with_stats", (False, True))
+def test_memo_recipes_materialize_to_plans_of_the_entries_cost_and_schema(
+        with_stats, bench_join_stats):
+    # every memo entry of the bench joins holds its plan as a recipe of
+    # terms and operators only; its materialized term, inferred and
+    # costed node by node, has exactly the entry's cost and schema
+    entries = 0
+    for _, term, schemas in BENCH_JOIN_QUERIES:
+        stats = {rel: bench_join_stats[rel] for rel in schemas} \
+            if with_stats else None
+        enum = _enumerator(term, schemas, stats)
+        enum.run()
+        _built_full_table(enum)
+        leaves = [leaf for _, leaf in enum.q.leaves]
+        for table in enum.memo.values():
+            for entry in table.values():
+                assert all(type(part) in (tuple, RankableOp) or
+                           any(part is leaf for leaf in leaves)
+                           for part in _recipe_parts(entry.plan))
+                plan = entry.term
+                res = enum.cm.term_cost(plan)
+                assert (res.cost, res.schema) == (entry.cost, entry.schema)
+                assert output_schema(plan, schemas) == entry.schema
+                entries += 1
+    assert entries > 800         # 831 without statistics, 1,314 with
 
 
 def _two_filter_enumerator(full_table):
@@ -1523,11 +1609,10 @@ def test_bounded_finish_breaks_cost_ties_by_lowest_ops_mask():
 
 def test_best_first_finish_steps_only_plans_within_the_best_cost(
         monkeypatch):
-    # the plan over ops 0 is cheapest (6.0) and is stepped first, but its
-    # first filter costs its 50 rows and takes it to 56.0: it is never
-    # stepped again, so its second filter never runs.  The two one-filter
-    # plans each finish at 10.0 with one more filter over 0 rows, and the
-    # tie goes to the lowest operator mask.
+    # the plan over ops 0 is cheapest (6.0), but its first filter costs
+    # its 50 rows, so its key is 56.0 and it is never started.  The two
+    # one-filter plans each finish at 10.0 with one more filter over 0
+    # rows, their keys 10.0, and the tie goes to the lowest operator mask.
     applied = []
     apply_op = enumeration.apply_op
 
@@ -1542,10 +1627,10 @@ def test_best_first_finish_steps_only_plans_within_the_best_cost(
     assert (best.ops, best.cost) == (0b11, 10.0)
     assert best.term == Filter(lt("u1", 50),
                                Filter(lt("u0", 50), RelVar("R")))
-    assert applied == [(0b00, 0), (0b01, 1), (0b10, 0)]
+    assert applied == [(0b01, 1), (0b10, 0)]
     assert (enum.counters["finished"], enum.counters["finish_ops"]) == \
-        (3, 3)
-    # finishing every plan in full applies one more operator, and agrees
+        (2, 2)
+    # finishing every plan in full applies two more operators, and agrees
     monkeypatch.undo()
     every: list = []
     assert _finish_every_entry(enum, every).term == best.term
