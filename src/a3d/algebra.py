@@ -33,8 +33,8 @@ it is the one table of per-operator columns that the rest of the package
 (decomposition, gensym, preprocess, and the rewrite rules that commute
 operators or move them across a join) uses.  The join search does not call
 ``node_schema`` per step: decomposition runs it once per operator where the
-query placed it, and the search replays the recorded effect
-(``RankableOp.schema_after``).
+query placed it, and the search carries only column sets, replaying the
+recorded column effect (``RankableOp.columns_after``).
 
 Null/equality conventions live in `functions` and `predicates`; join and
 group keys treat null as equal to null.

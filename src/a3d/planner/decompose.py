@@ -3,14 +3,16 @@ rankable unary operators.
 
 The decomposition is the normal form the join enumerator consumes.  Each
 unary operator (filter, arrayFilter, arrayJoin, derive, aggregate) becomes a
-``RankableOp`` carrying what it reads and creates (``algebra.footprint``),
-its schema effect and a cost profile, both measured at its original
-position: ``node_schema`` validates the operator there once, and the
-searches replay the recorded effect (``RankableOp.schema_after``) instead of
-re-deriving it.  Joins become edges of a join graph whose nodes are the base
-relations; the top projection is stripped and remembered.  Ordering
-constraints between operators (read-after-write, write-after-read) are
-collected as raw precedence edges while walking the tree.
+``RankableOp`` carrying what it reads, creates and removes
+(``algebra.footprint``) and a cost profile, both measured at its original
+position: ``node_schema`` validates the operator there once, so kinds are
+checked where the query enters, and the searches replay only its column
+effect (``RankableOp.columns_after``).  Joins become edges of a join graph
+whose nodes are the base relations; the top projection is stripped and
+remembered.  Ordering constraints between operators (read-after-write,
+write-after-read) are collected as raw precedence edges while walking the
+tree, and an operator that rewrites or removes a column some join below it
+matches on must run above those joins (``RankableOp.min_rels``).
 """
 
 from dataclasses import dataclass, replace
@@ -43,7 +45,8 @@ class OpProfile:
 
 @dataclass(frozen=True)
 class RankableOp:
-    """One movable unary operator extracted from the query."""
+    """One movable unary operator extracted from the query.  It records
+    columns, not kinds: the searches carry only column sets."""
 
     idx: int                  # stable numbering; bit position in op sets
     node: Term                # the node where the query put it (child ignored)
@@ -51,27 +54,24 @@ class RankableOp:
     requires: frozenset       # columns read
     produces: frozenset       # columns created
     destroys: frozenset       # columns removed (or overwritten in place)
-    produces_arrays: frozenset  # the columns of `produces` that are arrays
     base_rels: frozenset      # leaf indices transitively feeding `requires`
-    min_rels: frozenset       # leaves that must be joined before this op runs
+    min_rels: int             # mask of the leaves joined before this op runs
     profile: OpProfile
 
     def apply(self, child: Term) -> Term:
         return with_children(self.node, (child,))
 
-    def schema_after(self, schema: Schema) -> Schema:
-        """The schema this operator outputs over `schema`.
+    def columns_after(self, cols: frozenset) -> frozenset:
+        """The columns this operator outputs over the columns `cols`.
 
-        It replays the effect ``node_schema`` gave the operator where the
-        query placed it, without validating again: the searches apply an
-        operator only where ``op_applicable`` holds, and ``optimize``
-        checks the final plan's schema against the input's."""
+        It replays the column effect ``node_schema`` gave the operator
+        where the query placed it, without validating again: the searches
+        apply an operator only where ``op_applicable`` holds, and
+        ``optimize`` checks the final plan's schema, kinds included,
+        against the input's."""
         if not (self.destroys or self.produces):
-            return schema
-        return Schema(
-            (schema.scalars - self.destroys)
-            | (self.produces - self.produces_arrays),
-            (schema.arrays - self.destroys) | self.produces_arrays)
+            return cols
+        return (cols - self.destroys) | self.produces
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ class QueryDecomposition:
     had_top_project: bool
 
 
-_NO_COLUMNS = frozenset()
-
 _OP_KINDS = {
     Filter: "filter",
     ArrayFilter: "arrayFilter",
@@ -123,6 +121,7 @@ class _Branch:
     producers: dict           # col -> frozenset of op idxs (current version)
     readers: dict             # col -> set of op idxs reading current version
     aggs: tuple = ()          # (op idx, keys | aliases) of aggregates below
+    joined: frozenset = frozenset()  # cols some join below matches on
 
 
 def _merge_col_maps(a: dict, b: dict) -> dict:
@@ -182,7 +181,7 @@ class _Walk:
                 _merge_col_maps(left.support, right.support),
                 _merge_col_maps(left.producers, right.producers),
                 _merge_col_maps(left.readers, right.readers),
-                left.aggs + right.aggs,
+                left.aggs + right.aggs, left.joined | right.joined | shared,
             )
 
         kind = _OP_KINDS.get(type(sub))
@@ -196,12 +195,6 @@ class _Walk:
         schema_after = node_schema(sub, br.schema)
         destroys = (br.schema.columns - schema_after.columns) \
             | (produces & br.schema.columns)
-        # all or none, the common cases, share a set instead of a copy
-        arrays = produces & schema_after.arrays
-        if arrays == produces:
-            arrays = produces
-        elif not arrays:
-            arrays = _NO_COLUMNS
 
         # precedence: read-after-write, then write-after-read
         for col in sorted(requires):
@@ -222,7 +215,13 @@ class _Walk:
         support = frozenset()
         for col in requires:
             support |= br.support.get(col, frozenset())
-        min_rels = br.rels if kind == "aggregate" else (support or br.rels)
+        # an aggregate groups exactly the leaves below it; any other
+        # operator runs above every join below it that matches on a column
+        # it rewrites or removes, or that join would match on the new
+        # values; the leaves feeding such a column are those joins' leaves
+        keyed = br.rels if kind == "aggregate" else frozenset().union(
+            *(br.support.get(col, br.rels) for col in destroys & br.joined))
+        min_rels = sum(1 << r for r in keyed)
 
         mcost, state_after = self.cost_model.op_effect(sub, br.state)
         # Profiles are per input row; a zero-row state (contradictory
@@ -241,7 +240,7 @@ class _Walk:
                             c_t=mcost / mstate.rows, h_sel=h_sel)
 
         self.ops.append(RankableOp(
-            idx, sub, kind, requires, produces, destroys, arrays,
+            idx, sub, kind, requires, produces, destroys,
             support or frozenset(), min_rels, profile))
 
         # update version maps
@@ -250,6 +249,7 @@ class _Walk:
                          if c not in destroys}
         new_readers = {c: set(r) for c, r in br.readers.items()
                        if c not in destroys}
+        joined = br.joined - destroys
         for col in requires:
             if col in schema_after.columns:
                 new_readers.setdefault(col, set()).add(idx)
@@ -265,8 +265,9 @@ class _Walk:
             new_producers = {c: p for c, p in new_producers.items()
                              if c in keep}
             new_readers = {c: r for c, r in new_readers.items() if c in keep}
-        return _Branch(br.rels, schema_after, state_after,
-                       new_support, new_producers, new_readers, aggs)
+            joined &= keep
+        return _Branch(br.rels, schema_after, state_after, new_support,
+                       new_producers, new_readers, aggs, joined)
 
 
 def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:

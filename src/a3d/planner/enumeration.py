@@ -33,14 +33,17 @@ they won with, since ``join_effect`` costs a join with the same expression.
 
 A memo entry holds its plan as a recipe, not a term (``materialize``): a
 leaf's term, ``(op, parent plan)`` for an applied operator, or ``(left
-plan, right plan)`` for a join.  Only the plan a search returns is ever
-read as a term, so only it is materialized (``MemoEntry.term``), once.
-Equal schemas are stored once per enumerator.  Applying an operator replays
-the schema effect ``decompose`` recorded for it
-(``RankableOp.schema_after``), and a join's schema is the union of its
-inputs' (``Schema`` rejects a column of mixed kinds), so ``node_schema``
-runs only for the final projection; ``optimize`` infers every node of the
-chosen plan again when it costs it.
+plan, right plan)`` for a join.  Only a finished plan is read as a term,
+when the query's projection is put on it (``reproject``).  Of a plan's
+schema the entry keeps only its column set, which is all that every
+legality test here reads; equal sets are stored once per enumerator.
+Applying an operator replays the column effect ``decompose`` recorded for
+it (``RankableOp.columns_after``), and a join's columns are the union of
+its inputs'.  Kinds are checked where the query enters (``decompose``
+infers every operator's schema where the query placed it) and where the
+plan leaves (``optimize`` infers every node of the chosen plan when it
+costs it); in between, a column changes kind only through an operator that
+rewrites it, which never runs below a join that matches on the column.
 
 Each non-full memo table drops its dominated plans once it is filled
 (``enumerate_mask``), so they seed no closure chain and never reach
@@ -89,9 +92,7 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from ..algebra import (
-    A3DError, Join, Project, Schema, Term, node_schema,
-)
+from ..algebra import A3DError, Join, Project, Term
 from ..stats import (
     CostModel, PlanState, join_cost, join_divisor, key_ndvs, op_cost,
 )
@@ -116,11 +117,7 @@ class MemoEntry:
     ops: int           # bitmask of applied operator indices
     cost: float
     state: PlanState
-    schema: Schema
-
-    @property
-    def columns(self) -> frozenset:
-        return self.schema.columns
+    columns: frozenset  # the plan's output columns
 
     @property
     def term(self) -> Term:
@@ -147,7 +144,7 @@ class DeferredJoin:
     being filled: its cost and rows (exactly those ``join_entries`` gives
     it) and what it takes to build it once the table is complete.
     `effect` is what ``join_effect`` gives the join, once computed
-    (``cost_join``): enough for ``dominates`` without the join's schema."""
+    (``cost_join``): enough for ``dominates`` without building the join."""
     __slots__ = ("ops", "cost", "rows", "left", "right", "keys", "effect")
 
     def __init__(self, ops: int, cost: float, rows: float, left: MemoEntry,
@@ -166,7 +163,7 @@ class DeferredJoin:
 
     @property
     def columns(self) -> frozenset:
-        return self.left.schema.columns | self.right.schema.columns
+        return self.left.columns | self.right.columns
 
     def cost_join(self, cost_model: CostModel) -> None:
         self.effect = cost_model.join_effect(
@@ -201,7 +198,7 @@ class Prefix(NamedTuple):
 
     @staticmethod
     def of(entry: MemoEntry, cut: Cut) -> "Prefix":
-        cols = entry.schema.columns
+        cols = entry.columns
         keys = cut.keys
         return Prefix(entry.ops, entry.cost, entry.state.rows,
                       cols - keys if keys <= cols else None,
@@ -228,8 +225,9 @@ def op_applicable(op: RankableOp, ops: int, cols, rels: int,
                   graph: PrecedenceGraph) -> bool:
     """Whether `op` may run on a plan over leaves `rels` that has applied
     the operators in `ops` and outputs the columns `cols`: not yet applied,
-    inputs present, precedence predecessors applied, and an aggregate sees
-    exactly the leaves it must group over."""
+    inputs present, precedence predecessors applied, and the plan holds
+    every leaf of ``op.min_rels`` (an aggregate exactly those leaves, the
+    ones it must group over)."""
     if ops >> op.idx & 1:
         return False
     if not op.requires <= cols:
@@ -237,26 +235,22 @@ def op_applicable(op: RankableOp, ops: int, cols, rels: int,
     if graph.pred[op.idx] & ~ops:
         return False
     if op.kind == "aggregate":
-        mine = 0
-        for r in op.min_rels:
-            mine |= 1 << r
-        if rels != mine:
-            return False
-    return True
+        return rels == op.min_rels
+    return not op.min_rels & ~rels
 
 
 def apply_op(op: RankableOp, entry: MemoEntry,
              cost_model: CostModel) -> MemoEntry:
     cost, state = cost_model.op_effect(op.node, entry.state)
     return MemoEntry((op, entry.plan), entry.rels, entry.ops | (1 << op.idx),
-                     entry.cost + cost, state, op.schema_after(entry.schema))
+                     entry.cost + cost, state, op.columns_after(entry.columns))
 
 
 def base_entry(decomp: QueryDecomposition, i: int,
                cost_model: CostModel) -> MemoEntry:
     _, term = decomp.leaves[i]
     res = cost_model.term_cost(term)
-    return MemoEntry(term, 1 << i, 0, res.cost, res.state, res.schema)
+    return MemoEntry(term, 1 << i, 0, res.cost, res.state, res.schema.columns)
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
@@ -266,10 +260,12 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
     or an operator introduced an accidental overlap).  `effect` is the
     join's ``join_effect`` result when it is already known.
 
-    The join's schema is the union of its inputs'; ``Schema`` rejects a
-    column that is a scalar on one side and an array on the other."""
-    ls, rs = left.schema, right.schema
-    shared = ls.columns & rs.columns
+    The join's columns are the union of its inputs'.  A join key has one
+    kind on both sides: its kind changes only through an operator that
+    rewrites it, and such an operator runs above every join matching on
+    the column (``RankableOp.min_rels``)."""
+    lc, rc = left.columns, right.columns
+    shared = lc & rc
     if shared != expected_keys:
         return None
     if effect is None:
@@ -278,8 +274,7 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
     cost, state = effect
     return MemoEntry((left.plan, right.plan), left.rels | right.rels,
                      left.ops | right.ops, left.cost + right.cost + cost,
-                     state, Schema(ls.scalars | rs.scalars,
-                                   ls.arrays | rs.arrays))
+                     state, lc | rc)
 
 
 def crossing(edges, p1: int, p2: int, cache: dict):
@@ -299,33 +294,22 @@ def crossing(edges, p1: int, p2: int, cache: dict):
     return hit
 
 
-def top_project(entry: MemoEntry, decomp: QueryDecomposition):
-    """The query's top projection for the complete plan `entry`, as a
-    template node (its child is the query's, which ``op_effect`` ignores):
-    None when the plan outputs exactly the query's columns and the query
-    had no top projection, False when the plan lacks an output column."""
-    out_cols = decomp.out_cols
-    if set(out_cols) == entry.schema.columns and not decomp.had_top_project:
-        return None
-    if not set(out_cols) <= entry.schema.columns:
-        return False
-    return Project(tuple(out_cols), decomp.source)
-
-
 def reproject(entry: MemoEntry, decomp: QueryDecomposition,
               cost_model: CostModel) -> Optional[MemoEntry]:
-    """Put the query's top projection on a complete plan when it is needed
-    (``top_project``); None when the plan lacks an output column.  The
-    projected plan's recipe is its term, materialized here."""
-    top = top_project(entry, decomp)
-    if top is None:
-        return entry
-    if top is False:
+    """The complete plan `entry` with the query's top projection on it:
+    `entry` itself when it outputs exactly the query's columns and the
+    query had no top projection, None when it lacks an output column.  A
+    projected plan's recipe is its term, materialized here, and its
+    columns are the query's output columns."""
+    out = frozenset(decomp.out_cols)
+    if not out <= entry.columns:
         return None
-    top = Project(top.cols, entry.term)
+    if out == entry.columns and not decomp.had_top_project:
+        return entry
+    top = Project(tuple(decomp.out_cols), entry.term)
     cost, state = cost_model.op_effect(top, entry.state)
     return MemoEntry(top, entry.rels, entry.ops, entry.cost + cost, state,
-                     node_schema(top, entry.schema))
+                     out)
 
 
 def dominates(better, entry, filters: int) -> bool:
@@ -413,11 +397,11 @@ class Enumerator:
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
         self.closed: dict = {}             # rels mask -> ``close`` list
         self.leaf_ops = None               # see ``either_side``
-        self.interned_schemas: dict = {}   # one copy of each memo schema
+        self.interned_columns: dict = {}   # one copy of each column set
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
                          "capture_skips": 0, "dominated": 0,
                          "finished": 0, "finish_ops": 0}
-        self.blockers: list = []
+        self.blockers: list = []           # see ``first_blocker``
         self.leaf_cols = None              # see ``local_filters``
 
         m = len(decomp.leaves)
@@ -459,16 +443,14 @@ class Enumerator:
         or had it as a precedence predecessor, falls out with it."""
         out = []
         ops_mask = entry.ops
-        cols = entry.schema.columns
+        cols = entry.columns
         for op in self.order:
             if banned >> op.idx & 1 or not op_applicable(
                     op, ops_mask, cols, entry.rels, self.graph):
                 continue
             out.append(op.idx)
             ops_mask |= 1 << op.idx
-            # the columns of ``op.schema_after``, without the Schema
-            if op.destroys or op.produces:
-                cols = (cols - op.destroys) | op.produces
+            cols = op.columns_after(cols)
         return tuple(out)
 
     def insert(self, table: dict, entry) -> None:
@@ -488,7 +470,7 @@ class Enumerator:
         (``DeferredJoin.cost_join``), the table's dominated plans are
         dropped (``undominated``), so that none of them seeds a closure
         chain or reaches ``candidates``, and only then are the records
-        left built (``join_entries``) and every schema in the table
+        left built (``join_entries``) and every column set in the table
         interned.  A plan is dominated by a strictly cheaper one with no
         more rows that applied its operators plus row filters no plan
         over other leaves can apply, and an otherwise equal state; its
@@ -516,12 +498,12 @@ class Enumerator:
             if type(entry) is DeferredJoin:
                 entry.cost_join(self.cm)
         table.clear()
+        intern = self.interned_columns.setdefault
         for entry in self.undominated(plans, mask):
             if type(entry) is DeferredJoin:
                 entry = entry.build(self.cm)
-            # many entries of one table share a schema; keep one copy
-            entry.schema = self.interned_schemas.setdefault(entry.schema,
-                                                            entry.schema)
+            # many entries of one table share a column set; keep one copy
+            entry.columns = intern(entry.columns, entry.columns)
             table[entry.ops] = entry
         return table
 
@@ -537,7 +519,9 @@ class Enumerator:
     def fill(self, table: dict, mask: int) -> None:
         """Insert the join candidates of every valid partition of `mask`:
         each pairs the closed table (``close``) of one side, as ``Prefix``
-        records, with the other's in one ``candidates`` call."""
+        records, with the other's in one ``candidates`` call.  A partition
+        with mandatory operators is recorded in ``blockers``, to be
+        scanned only if no plan finishes (``first_blocker``)."""
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
@@ -562,14 +546,15 @@ class Enumerator:
             if not rights:
                 continue
             need = mask_of(producers)
-            if need and not self.blockers:
-                self.find_blocker(p1, p2, need)
+            if need:
+                self.blockers.append((p1, p2, need))
             cut = Cut(keys, sorted(keys), need, {})
             self.candidates(table, [Prefix.of(e, cut) for e in lefts],
                             [Prefix.of(e, cut) for e in rights], cut)
 
     def valid(self, p1: int, p2: int, producers) -> bool:
-        """Every operator that must precede the join fits on one side."""
+        """Every operator that must precede the join fits on one side;
+        the first that does not is recorded in ``blockers``."""
         for oi in producers:
             op = self.q.ops[oi]
             support = 0
@@ -580,11 +565,11 @@ class Enumerator:
                 return False
         return True
 
-    def find_blocker(self, p1: int, p2: int, need: int) -> None:
-        """Record the first mandatory operator that some pair of entries of
-        `p1` and `p2`, in table order, can apply on neither side: the
-        lowest operator of `need` that neither entry has applied and
-        neither's applicable list holds."""
+    def find_blocker(self, p1: int, p2: int, need: int) -> Optional[str]:
+        """The name of the first mandatory operator that some pair of
+        entries of `p1` and `p2`, in table order, can apply on neither
+        side: the lowest operator of `need` that neither entry has applied
+        and neither's applicable list holds; None when there is none."""
         rights = [t.ops | mask_of(self.applicable(t))
                   for t in self.memo[p2].values()]
         for s in self.memo[p1].values():
@@ -593,8 +578,20 @@ class Enumerator:
                 missing = need & ~(left | right)
                 if missing:
                     oi = (missing & -missing).bit_length() - 1
-                    self.blockers.append(describe_op(self.q.ops[oi]))
-                    return
+                    return describe_op(self.q.ops[oi])
+        return None
+
+    def first_blocker(self) -> str:
+        """The first blocker ``fill`` recorded, for the error of a query no
+        plan finishes: an operator ``valid`` found fits on neither side,
+        or what ``find_blocker`` finds in a partition ``(p1, p2, need)``,
+        whose memo tables were final when it was recorded; "join graph"
+        when there is none."""
+        for rec in self.blockers:
+            name = rec if type(rec) is str else self.find_blocker(*rec)
+            if name is not None:
+                return name
+        return "join graph"
 
     def candidates(self, table: dict, lefts: list, rights: list,
                    cut: Cut) -> None:
@@ -717,7 +714,7 @@ class Enumerator:
         column of such a leaf nor made from their columns by some
         operator (an over-approximation of what those plans can hold)."""
         if self.leaf_cols is None:
-            self.leaf_cols = [base_entry(self.q, i, self.cm).schema.columns
+            self.leaf_cols = [base_entry(self.q, i, self.cm).columns
                               for i in range(len(self.q.leaves))]
         cols = set()
         for i, leaf in enumerate(self.leaf_cols):
@@ -777,7 +774,8 @@ class Enumerator:
         costs, the one finished from the lowest operator mask.
 
         A plan is finished by applying its remaining operators in sorted
-        order and re-projecting (``reproject``).  The search is best-first
+        order and putting the query's projection on it (``reproject``),
+        which also gives the finished cost.  The search is best-first
         over one heap of partial plans, one per full-table record, keyed
         by (cost so far plus the cost of the plan's next operator, the
         record's operator mask).  That lookahead (``lookahead``) is the
@@ -795,7 +793,8 @@ class Enumerator:
         plan that finishes at exactly the best cost has every key at most
         that cost and is still popped, so the lowest mask wins a tie.  When
         no plan finishes, the error names the blocker of the lowest
-        operator mask.
+        operator mask, or, when no record of the full table was blocked,
+        the first blocker ``fill`` recorded (``first_blocker``).
 
         ``counters["finished"]`` counts the records whose finishing
         started, ``counters["finish_ops"]`` the operators applied while
@@ -814,7 +813,7 @@ class Enumerator:
         heapq.heapify(heap)
         order = self.order
         counters = self.counters
-        intern = self.interned_schemas.setdefault
+        intern = self.interned_columns.setdefault
         best = best_key = None
         blocked: list = []                 # (ops mask, blocker)
         while heap:
@@ -825,40 +824,34 @@ class Enumerator:
                 counters["finished"] += 1
                 if type(cur) is DeferredJoin:
                     cur = cur.build(self.cm)
-                    cur.schema = intern(cur.schema, cur.schema)
+                    cur.columns = intern(cur.columns, cur.columns)
             if pos < len(order):
                 op = order[pos]
-                if not op_applicable(op, cur.ops, cur.schema.columns,
-                                     cur.rels, self.graph):
+                if not op_applicable(op, cur.ops, cur.columns, cur.rels,
+                                     self.graph):
                     blocked.append((ops, describe_op(op)))
                     continue
                 cur = apply_op(op, cur, self.cm)
-                # partial plans in the heap often reach equal schemas; a
-                # plan stepped alone has none to share its schema with,
-                # and interning it would only keep the schema alive
+                # partial plans in the heap often reach equal column sets;
+                # a plan stepped alone has none to share its set with, and
+                # interning it would only keep the set alive
                 if heap:
-                    cur.schema = intern(cur.schema, cur.schema)
+                    cur.columns = intern(cur.columns, cur.columns)
                 counters["finish_ops"] += 1
                 pos, ahead = self.lookahead(cur, pos + 1)
                 heapq.heappush(heap, (cur.cost + ahead, ops, pos, cur))
                 continue
-            # the cost ``reproject`` gives the plan, which it is left to
-            # put the projection on only for the plan returned
-            top = top_project(cur, self.q)
-            if top is False:
+            cur = reproject(cur, self.q, self.cm)
+            if cur is None:
                 blocked.append((ops, "projection"))
                 continue
-            cost = cur.cost
-            if top is not None:
-                cost += op_cost(top, cur.state.rows, cur.state.array_info)
-            if best is None or (cost, ops) < best_key:
-                best, best_key = cur, (cost, ops)
+            if best is None or (cur.cost, ops) < best_key:
+                best, best_key = cur, (cur.cost, ops)
         if best is None:
-            name = min(blocked)[1] if blocked else \
-                (self.blockers or ["join graph"])[0]
+            name = min(blocked)[1] if blocked else self.first_blocker()
             raise InfeasibleQueryError(f"no valid plan: blocked by {name}",
                                        name)
-        return reproject(best, self.q, self.cm)
+        return best
 
 
 def enumerate_plans(decomp: QueryDecomposition, graph: PrecedenceGraph,

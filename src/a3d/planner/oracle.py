@@ -74,7 +74,7 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             paths = npaths[key]
 
             for op in decomp.ops:
-                if op_applicable(op, entry.ops, entry.schema.columns,
+                if op_applicable(op, entry.ops, entry.columns,
                                  entry.rels, graph):
                     consider(apply_op(op, entry, cost_model), paths)
 

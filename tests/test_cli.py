@@ -28,6 +28,8 @@ SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
 JOIN_CHAIN_PLAN = Path(__file__).parent / "data" / "join_chain3_plan.json"
 EITHER_SIDE_PLAN = Path(__file__).parent / "data" / \
     "either_side_join_plan.json"
+OVERWRITTEN_KEY_PLAN = Path(__file__).parent / "data" / \
+    "overwritten_key_plan.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -106,6 +108,19 @@ def test_enumerate_runs_an_either_side_filter_once(capsys):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out.startswith("SELECT ") and out.count("k >= 5") == 1
+
+
+@pytest.mark.parametrize("mode", ("greedy", "enumerate", "oracle"))
+def test_an_overwritten_join_key_is_derived_above_the_join(capsys, mode):
+    # the document the CI workflow plans through the console script: the
+    # derive k := neg(k) above the join rewrites its key, so it must stay
+    # the plan's root in every mode
+    code = cli.main(["--plan", str(OVERWRITTEN_KEY_PLAN), "--mode", mode])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    term = json.loads(out)["term"]
+    assert term["op"] == "derive"
+    assert (term["output"], term["input"]["op"]) == ("k", "join")
 
 
 @pytest.mark.parametrize("term, flags, code, kind", [

@@ -331,9 +331,8 @@ def test_sp_tree_shapes():
 def _mk_op(idx, node, kind, requires, produces, s_row, c_t, h_sel=1.0,
            destroys=frozenset()):
     return RankableOp(idx, node, kind, frozenset(requires),
-                      frozenset(produces), frozenset(destroys), frozenset(),
-                      frozenset({0}), frozenset({0}),
-                      OpProfile(s_row, c_t, h_sel))
+                      frozenset(produces), frozenset(destroys),
+                      frozenset({0}), 0, OpProfile(s_row, c_t, h_sel))
 
 
 def _filter_op(idx, col, sel):
@@ -582,6 +581,37 @@ def test_an_unplaceable_join_key_producer_is_reported():
     assert exc.value.blocking_op == "filter#0"
 
 
+def test_a_feasible_query_never_scans_for_a_blocker(monkeypatch):
+    # the first join key of the chain is derived below its join, so
+    # three partitions have a mandatory operator; the query plans, so no
+    # pair of their entries is ever scanned for a blocker (``fill`` only
+    # records the partitions, ``first_blocker`` resolves them on failure)
+    schemas = {"R0": Schema.of(scalars=("w", "x0"), arrays=("a0",)),
+               "R1": Schema.of(scalars=("k1", "k2", "x1"), arrays=("a1",)),
+               "R2": Schema.of(scalars=("k2", "k3", "x2"), arrays=("a2",)),
+               "R3": Schema.of(scalars=("k3", "x3"), arrays=("a3",))}
+    term = Derive("k1", ScalarFn.of("neg"), ("w",), RelVar("R0"))
+    for i in range(1, 4):
+        term = Join(term, RelVar("R%d" % i))
+    for i in range(4):
+        term = ArrayJoin((("a%d" % i, "e%d" % i),), term)
+        term = Filter(Cmp(">", Col("e%d" % i), Lit(1)), term)
+        term = Filter(Cmp("<", Col("x%d" % i), Lit(80)), term)
+    scans = []
+    find_blocker = Enumerator.find_blocker
+
+    def recorded(self, p1, p2, need):
+        scans.append((p1, p2, need))
+        return find_blocker(self, p1, p2, need)
+
+    monkeypatch.setattr(Enumerator, "find_blocker", recorded)
+    enum = _enumerator(term, schemas)
+    best = enum.run()
+    assert best.ops == (1 << len(enum.q.ops)) - 1
+    assert scans == []
+    assert len([rec for rec in enum.blockers if type(rec) is tuple]) == 3
+
+
 def test_oracle_rejects_oversized_queries():
     cm = one_rel_model()
     term = RelVar("R")
@@ -657,12 +687,12 @@ def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
     order = sort_ops(d.ops, graph)
     assert cm.term_cost(pre).schema == output_schema(pre, schemas)
     ent, _ = enumerate_plans(d, graph, order, cm)
-    assert ent.schema == output_schema(ent.term, schemas)
+    assert ent.columns == output_schema(ent.term, schemas).columns
     try:
         orc, _ = oracle_enumerate(d, graph, cm)
     except OracleLimitError:
         pytest.skip("query exceeds oracle limits")
-    assert orc.schema == output_schema(orc.term, schemas)
+    assert orc.columns == output_schema(orc.term, schemas).columns
     assert ent.cost <= orc.cost + 1e-9
 
 
@@ -834,12 +864,12 @@ def _enumerator(term, schemas, stats=None, cls=Enumerator):
 
 
 def _outcome(search):
-    """(plan, cost, schema) of `search()`, or (error type, message)."""
+    """(plan, cost, columns) of `search()`, or (error type, message)."""
     try:
         best = search()
     except A3DError as exc:
         return type(exc).__name__, str(exc)
-    return repr(best.term), best.cost, best.schema
+    return repr(best.term), best.cost, best.columns
 
 
 def _built_full_table(enum):
@@ -860,17 +890,19 @@ def _enumerated(cls, term, schemas, stats=None):
     outcome = _outcome(enum.run)
     if enum.full in enum.memo:
         _built_full_table(enum)
-    memo = {rels: {ops: (repr(e.term), e.cost, e.schema)
+    memo = {rels: {ops: (repr(e.term), e.cost, e.columns)
                    for ops, e in table.items()}
             for rels, table in enum.memo.items()}
     # entries that never win are checked here only: the search replays
-    # recorded schema effects instead of deriving them.  Every deferred
-    # join has been built, at exactly the cost it won its place with.
+    # recorded column effects instead of deriving them, and inferring the
+    # term checks the kinds it does not carry.  Every deferred join has
+    # been built, at exactly the cost it won its place with.
     for table in enum.memo.values():
         for ops, e in table.items():
             assert type(e) is MemoEntry, type(e)
             assert e.cost == enum.inserted[id(table), ops], repr(e.term)
-            assert e.schema == output_schema(e.term, schemas), repr(e.term)
+            assert e.columns == output_schema(e.term, schemas).columns, \
+                repr(e.term)
     return (memo, outcome, enum.pinned_variants), enum
 
 
@@ -882,13 +914,13 @@ def _assert_prunes_the_eager_memo(fast, enum, eager, ref):
 
     - every kept entry is the reference's entry for its key, or another
       plan the reference was offered for the key at the same cost
-      (``_EagerEnumerator.ties``), with the same schema; but in the
+      (``_EagerEnumerator.ties``), with the same columns; but in the
       complete table, which is not pruned, a key whose cheapest plan was
       built from a dropped one keeps a costlier plan, which a kept plan
       dominates;
     - every reference entry the memo lacks is dominated by a kept one
       (``enumeration.dominates``);
-    - both fail alike, or choose plans of the same cost and schema: the
+    - both fail alike, or choose plans of the same cost and columns: the
       same plan unless some key kept another tied plan;
     - either both pin an either-side operator to one side of some join or
       neither does: the extra filters of a dominating plan are never
@@ -1063,7 +1095,7 @@ def test_either_side_filters_plan_at_the_eager_cost(block):
     # also with a side whose key filter is banned because the other ran it
     # below one of its own joins; their memos may keep other plans of
     # equal cost below the full table, so only the outcomes are compared,
-    # and the chosen plans have exactly the reference's cost and schema
+    # and the chosen plans have exactly the reference's cost and columns
     pinned = 0
     for seed in range(8500 + 100 * block, 8500 + 100 * (block + 1)):
         term, schemas, stats, nrel = _either_side_join(seed)
@@ -1245,7 +1277,7 @@ def test_dominance_needs_every_condition_of_the_rule():
     def plan(ops, cost, rows, schema=schema, **state):
         return MemoEntry(RelVar("R"), 1, ops, cost,
                          dataclasses.replace(base, rows=rows, **state),
-                         schema)
+                         schema.columns)
 
     def dominates(better, worse, filters=0b011):
         return enumeration.dominates(better, worse, filters)
@@ -1315,7 +1347,7 @@ def test_candidate_loop_costs_each_pair_with_its_own_divisor():
         state = dataclasses.replace(
             state, scalar_stats={**state.scalar_stats, "k": key})
         return MemoEntry(RelVar(rel), bit, ops, 1000.0, state,
-                         schemas[rel])
+                         schemas[rel].columns)
 
     cut = enumeration.Cut(frozenset({"k"}), ["k"], 0, {})
     lefts = [entry("L", 1, 1 << i, ndv) for i, ndv in enumerate((20, 200))]
@@ -1400,7 +1432,7 @@ def _finish(enum, entry, applied):
     for op in enum.order:
         if cur.ops >> op.idx & 1:
             continue
-        if not enumeration.op_applicable(op, cur.ops, cur.schema.columns,
+        if not enumeration.op_applicable(op, cur.ops, cur.columns,
                                          cur.rels, enum.graph):
             return None, enumeration.describe_op(op)
         cur = enumeration.apply_op(op, cur, enum.cm)
@@ -1423,7 +1455,7 @@ def _finish_every_entry(enum, applied):
         elif best is None or finished.cost < best.cost:
             best = finished
     if best is None:
-        name = (blocked or enum.blockers or ["join graph"])[0]
+        name = blocked[0] if blocked else enum.first_blocker()
         raise InfeasibleQueryError(f"no valid plan: blocked by {name}", name)
     return best
 
@@ -1541,31 +1573,57 @@ def _recipe_parts(plan):
             yield from _recipe_parts(part)
 
 
+class _ClosureKeepingEnumerator(Enumerator):
+    """The enumerator, keeping every closed table it makes, which ``run``
+    drops once the full table is filled."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept_closed: dict = {}
+
+    def close(self, mask):
+        closed = super().close(mask)
+        self.kept_closed[mask] = closed
+        return closed
+
+
 @pytest.mark.parametrize("with_stats", (False, True))
 def test_memo_recipes_materialize_to_plans_of_the_entries_cost_and_schema(
         with_stats, bench_join_stats):
-    # every memo entry of the bench joins holds its plan as a recipe of
-    # terms and operators only; its materialized term, inferred and
-    # costed node by node, has exactly the entry's cost and schema
-    entries = 0
-    for _, term, schemas in BENCH_JOIN_QUERIES:
-        stats = {rel: bench_join_stats[rel] for rel in schemas} \
-            if with_stats else None
-        enum = _enumerator(term, schemas, stats)
-        enum.run()
+    # every memo and closed-table entry of the bench joins and of the
+    # ``_random_join`` corpus holds its plan as a recipe of terms and
+    # operators only; its materialized term, inferred and costed node by
+    # node, has exactly the entry's cost and columns, and inferring it
+    # checks the kinds the search does not carry
+    queries = [(term, schemas,
+                {rel: bench_join_stats[rel] for rel in schemas}
+                if with_stats else None)
+               for _, term, schemas in BENCH_JOIN_QUERIES]
+    # ``_random_join`` has statistics on odd seeds
+    queries += [_random_join(seed, nrel)
+                for seed in range(9000 + with_stats, 9100, 2)
+                for nrel in (2, 3)]
+    entries = closed = 0
+    for term, schemas, stats in queries:
+        enum = _enumerator(term, schemas, stats, _ClosureKeepingEnumerator)
+        if _outcome(enum.run)[0] == "DisconnectedJoinGraphError":
+            continue
         _built_full_table(enum)
         leaves = [leaf for _, leaf in enum.q.leaves]
-        for table in enum.memo.values():
-            for entry in table.values():
-                assert all(type(part) in (tuple, RankableOp) or
-                           any(part is leaf for leaf in leaves)
-                           for part in _recipe_parts(entry.plan))
-                plan = entry.term
-                res = enum.cm.term_cost(plan)
-                assert (res.cost, res.schema) == (entry.cost, entry.schema)
-                assert output_schema(plan, schemas) == entry.schema
-                entries += 1
-    assert entries > 800         # 831 without statistics, 1,314 with
+        tables = [list(table.values()) for table in enum.memo.values()]
+        closed += sum(map(len, enum.kept_closed.values()))
+        for entry in [e for table in tables + list(
+                enum.kept_closed.values()) for e in table]:
+            assert all(type(part) in (tuple, RankableOp) or
+                       any(part is leaf for leaf in leaves)
+                       for part in _recipe_parts(entry.plan))
+            plan = entry.term
+            res = enum.cm.term_cost(plan)
+            assert (res.cost, res.schema.columns) == \
+                (entry.cost, entry.columns)
+            assert output_schema(plan, schemas).columns == entry.columns
+            entries += 1
+    assert entries > 800 and closed > 200
 
 
 def _two_filter_enumerator(full_table):
@@ -1585,7 +1643,7 @@ def _two_filter_enumerator(full_table):
                 applied = op.apply(applied)
         table[ops] = MemoEntry(applied, 1, ops, cost,
                                dataclasses.replace(base, rows=rows),
-                               cm.schemas["R"])
+                               cm.schemas["R"].columns)
     enum.memo[enum.full] = table
     return enum
 
@@ -1649,10 +1707,10 @@ def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
     d = QueryDecomposition(RelVar("R"), (("R", RelVar("R")),), (),
                            tuple(ops), frozenset(), ("x",), False)
     enum = Enumerator(d, build_precedence(3, []), ops, cm)
-    state = cm.base_state("R")
+    state, cols = cm.base_state("R"), schema.columns
     enum.memo[enum.full] = {
-        0b000: MemoEntry(RelVar("R"), 1, 0b000, 20.0, state, schema),
-        0b010: MemoEntry(RelVar("R"), 1, 0b010, 5.0, state, schema)}
+        0b000: MemoEntry(RelVar("R"), 1, 0b000, 20.0, state, cols),
+        0b010: MemoEntry(RelVar("R"), 1, 0b010, 5.0, state, cols)}
     bounded, every, _ = _bounded_and_every(enum)
     assert bounded == every == ("InfeasibleQueryError",
                                 "no valid plan: blocked by filter#1")
@@ -2081,6 +2139,50 @@ def test_every_mode_plans_former_failures(seed):
                   if isinstance(n, Filter) and isinstance(n.pred, Cmp)
                   and n.pred.op == "!=" and n.pred.rhs == Lit(())]
         assert len(guards) == len(set(guards)), mode
+
+
+def _overwritten_join_key(case):
+    """(term, schemas, db) of a join with an operator above it that
+    rewrites its key column: from another column, from itself, or, for a
+    join on an array, by unnesting it in place."""
+    keyed = {"R": Schema.of(scalars=("k", "x")),
+             "S": Schema.of(scalars=("k", "y"))}
+    keyed_db = {"R": Relation.build(keyed["R"], [
+                    {"k": i % 3, "x": i - 2} for i in range(5)]),
+                "S": Relation.build(keyed["S"], [
+                    {"k": j - 1, "y": j} for j in range(4)])}
+    join = Join(RelVar("R"), RelVar("S"))
+    arrays = {"R": Schema.of(scalars=("x",), arrays=("a",)),
+              "S": Schema.of(scalars=("y",), arrays=("a",))}
+    arrays_db = {"R": Relation.build(arrays["R"], [
+                     {"x": 1, "a": (1, 2)}, {"x": 2, "a": (3,)}]),
+                 "S": Relation.build(arrays["S"], [
+                     {"y": 5, "a": (1, 2)}, {"y": 6, "a": (4,)}])}
+    neg = ScalarFn.of("neg")
+    return {
+        "derive-from-other": (Derive("k", neg, ("x",), join), keyed,
+                              keyed_db),
+        "derive-from-itself": (Derive("k", neg, ("k",), join), keyed,
+                               keyed_db),
+        "unnest-in-place": (ArrayJoin((("a", "a"),), join), arrays,
+                            arrays_db)}[case]
+
+
+@pytest.mark.parametrize("case", ("derive-from-other", "derive-from-itself",
+                                  "unnest-in-place"))
+@pytest.mark.parametrize("mode", ("greedy", "enumerate", "oracle"))
+def test_an_operator_rewriting_a_join_key_stays_above_the_join(mode, case):
+    # the operator overwrites the column its join matches on, so below the
+    # join it would change what matches (or give the key two kinds, which
+    # ``Schema`` rejects); every mode keeps it above the join, and the
+    # result equal
+    term, schemas, db = _overwritten_join_key(case)
+    want = list(evaluate(term, db).rows)
+    assert want
+    res = optimize(term, schemas, mode=mode)
+    got = list(evaluate(res.term, db).rows)
+    assert rows_equal_bag(want, got), repr(res.term)
+    assert type(res.term) is type(term), repr(res.term)
 
 
 def test_inner_projections_plan_to_equal_results():
