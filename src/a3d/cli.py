@@ -319,36 +319,59 @@ _ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
                     "row_stats"}
 
 
+def _number(value, where: str, kind=float):
+    """`kind(value)`, `kind` float or int; a PlanParseError naming the
+    field `where` when `value` does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PlanParseError(f"{where} must be a number") from None
+
+
+def _ndv(doc, default, where: str) -> int:
+    return _number(doc.get("ndv", default), f"{where}: 'ndv'", int)
+
+
 def _scalar_stats_from_json(doc, where: str) -> ScalarStats:
+    if not isinstance(doc, dict):
+        raise PlanParseError(f"{where} must be an object")
     kind = doc.get("kind")
-    null_fraction = float(doc.get("null_fraction", 0.0))
+    null_fraction = _number(doc.get("null_fraction", 0.0),
+                            f"{where}: 'null_fraction'")
     if kind == "exact":
         freq = doc.get("freq", [])
+        bad = f"{where}: 'freq' must be a list of [value, fraction] pairs"
         if not isinstance(freq, list):
-            raise PlanParseError(f"{where}: 'freq' must be a list of "
-                                 f"[value, fraction] pairs")
-        freqs = tuple((v, float(f)) for v, f in freq)
+            raise PlanParseError(bad)
+        try:
+            freqs = tuple((v, float(f)) for v, f in freq)
+        except (TypeError, ValueError):
+            raise PlanParseError(bad) from None
         numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v, _ in freqs)
         lo = min((v for v, _ in freqs), default=None) if numeric else None
         hi = max((v for v, _ in freqs), default=None) if numeric else None
-        return ScalarStats("exact", int(doc.get("ndv", len(freqs))),
+        return ScalarStats("exact", _ndv(doc, len(freqs), where),
                            null_fraction, freqs=freqs, lo=lo, hi=hi,
                            numeric=numeric)
     if kind == "uniform":
         if "ndv" not in doc:
             raise PlanParseError(f"{where}: uniform stats need 'ndv'")
-        return ScalarStats("uniform", int(doc["ndv"]), null_fraction,
+        return ScalarStats("uniform", _ndv(doc, None, where), null_fraction,
                            lo=doc.get("lo"), hi=doc.get("hi"),
                            numeric=doc.get("lo") is not None)
     if kind == "clustered":
         clusters = doc.get("clusters")
+        bad = (f"{where}: clustered stats need 'clusters' "
+               f"[[lo, hi, weight, ndv], ...]")
         if not isinstance(clusters, list) or not clusters:
-            raise PlanParseError(f"{where}: clustered stats need "
-                                 f"'clusters' [[lo, hi, weight, ndv], ...]")
-        built = tuple((float(lo), float(hi), float(w), int(n))
-                      for lo, hi, w, n in clusters)
-        ndv = int(doc.get("ndv", sum(c[3] for c in built)))
+            raise PlanParseError(bad)
+        try:
+            built = tuple((float(lo), float(hi), float(w), int(n))
+                          for lo, hi, w, n in clusters)
+        except (TypeError, ValueError, OverflowError):
+            raise PlanParseError(bad) from None
+        ndv = _ndv(doc, sum(c[3] for c in built), where)
         return ScalarStats("clustered", ndv, null_fraction,
                            lo=built[0][0], hi=built[-1][1],
                            clusters=built, numeric=True)
@@ -390,8 +413,10 @@ def parse_stats_document(doc, schemas) -> dict:
                                      f"{sorted(extra)}")
             elem = entry.get("row_stats")
             arrays.setdefault(rel, {})[col] = ArrayStats(
-                float(entry.get("avg_array_len", 0.0)),
-                float(entry.get("empty_fraction", 0.0)),
+                _number(entry.get("avg_array_len", 0.0),
+                        f"{where}: 'avg_array_len'"),
+                _number(entry.get("empty_fraction", 0.0),
+                        f"{where}: 'empty_fraction'"),
                 _scalar_stats_from_json(elem, f"{where} row_stats")
                 if elem is not None else None)
         else:
@@ -510,7 +535,8 @@ def _resolve(args, options) -> None:
     if args.emit is None:
         args.emit = options.get("emit", "plan")
     if args.preagg_alpha is None:
-        args.preagg_alpha = float(options.get("preagg_alpha", 1.0))
+        args.preagg_alpha = _number(options.get("preagg_alpha", 1.0),
+                                    "option 'preagg_alpha'")
     if not args.cte:
         args.cte = bool(options.get("cte", False))
     if not args.allow_cross_products:

@@ -27,9 +27,9 @@ per-partition table keyed by the two key-ndv tuples, costs the join with
 ``stats.join_cost`` and looks its operator set up in the memo table.  A
 candidate that beats the incumbent for its operator set is kept as a
 ``DeferredJoin`` record until its table is complete; only the records that
-survive then get a merged state (``join_effect``), and only the undominated
-ones among them (below) a memo entry (``join_entries``), at exactly the cost
-they won with, since ``join_effect`` costs a join with the same expression.
+survive then are built into memo entries (``join_entries``), at exactly the
+cost they won with, since ``join_effect`` costs a join with the same
+expression, and of those only the undominated ones (below) are kept.
 
 A memo entry holds its plan as a recipe, not a term (``materialize``): a
 leaf's term, ``(op, parent plan)`` for an applied operator, or ``(left
@@ -73,16 +73,14 @@ disjoint from each of theirs and ``candidates`` pairs E2 with each of them.
 The tests check the premises on the cost model, and that dropping dominated
 plans changes no chosen plan or cost.
 
-The full table's records are left unbuilt.  ``run`` finishes its plans
-best-first from a heap of partial plans, keyed by cost plus the exact cost
-of the plan's next operator (``lookahead``), which a record's stored rows
-and its inputs' array infos give without building it.  A record is built
-when it is first popped, and each pop applies one more of the plan's
-remaining operators (or the final projection), until the lowest key
-exceeds the best finished cost.  Every operator, join and projection cost
-is non-negative, so a key never exceeds the cost its plan finishes at, and
-only the records whose memo cost plus next step is within the best
-finished cost are ever built.
+The full table's records are left unbuilt.  ``finished`` yields the
+complete plans in ascending (cost, operator mask) order from one best-first
+heap of partial plans, each keyed by its cost plus the exact cost of its
+next operator (``lookahead``), which an unbuilt record's stored rows and
+its inputs' array infos give.  A finished plan goes back on the heap at its
+final cost; costs are non-negative, so the heap alone orders the stream.
+``run`` takes its first plan, so only the records whose memo cost plus next
+step is within the best finished cost are ever built.
 
 The same applicability/validity helpers drive the exhaustive oracle, so the
 two searches agree on which plans are legal and differ only in coverage.
@@ -139,39 +137,20 @@ def materialize(plan) -> Term:
     return Join(materialize(head), materialize(tail))
 
 
+@dataclass(slots=True)
 class DeferredJoin:
     """A join candidate that beat its memo incumbent while the table was
-    being filled: its cost and rows (exactly those ``join_entries`` gives
-    it) and what it takes to build it once the table is complete.
-    `effect` is what ``join_effect`` gives the join, once computed
-    (``cost_join``): enough for ``dominates`` without building the join."""
-    __slots__ = ("ops", "cost", "rows", "left", "right", "keys", "effect")
-
-    def __init__(self, ops: int, cost: float, rows: float, left: MemoEntry,
-                 right: MemoEntry, keys):
-        self.ops = ops
-        self.cost = cost
-        self.rows = rows
-        self.left = left
-        self.right = right
-        self.keys = keys
-        self.effect = None
-
-    @property
-    def state(self) -> PlanState:
-        return self.effect[1]
-
-    @property
-    def columns(self) -> frozenset:
-        return self.left.columns | self.right.columns
-
-    def cost_join(self, cost_model: CostModel) -> None:
-        self.effect = cost_model.join_effect(
-            self.left.state, self.right.state, sorted(self.keys))
+    being filled, not yet built: its cost and rows (exactly those
+    ``join_entries`` gives it) and what it takes to build it."""
+    ops: int
+    cost: float
+    rows: float
+    left: MemoEntry
+    right: MemoEntry
+    keys: frozenset
 
     def build(self, cost_model: CostModel) -> MemoEntry:
-        return join_entries(self.left, self.right, self.keys, cost_model,
-                            self.effect)
+        return join_entries(self.left, self.right, self.keys, cost_model)
 
 
 class Cut(NamedTuple):
@@ -254,11 +233,10 @@ def base_entry(decomp: QueryDecomposition, i: int,
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
-                 cost_model: CostModel, effect=None):
+                 cost_model: CostModel):
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
-    or an operator introduced an accidental overlap).  `effect` is the
-    join's ``join_effect`` result when it is already known.
+    or an operator introduced an accidental overlap).
 
     The join's columns are the union of its inputs'.  A join key has one
     kind on both sides: its kind changes only through an operator that
@@ -268,10 +246,8 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
     shared = lc & rc
     if shared != expected_keys:
         return None
-    if effect is None:
-        effect = cost_model.join_effect(left.state, right.state,
-                                        sorted(shared))
-    cost, state = effect
+    cost, state = cost_model.join_effect(left.state, right.state,
+                                         sorted(shared))
     return MemoEntry((left.plan, right.plan), left.rels | right.rels,
                      left.ops | right.ops, left.cost + right.cost + cost,
                      state, lc | rc)
@@ -312,14 +288,13 @@ def reproject(entry: MemoEntry, decomp: QueryDecomposition,
                      out)
 
 
-def dominates(better, entry, filters: int) -> bool:
+def dominates(better: MemoEntry, entry: MemoEntry, filters: int) -> bool:
     """Whether the plan `better` dominates `entry`, a plan over the same
-    leaves (a ``MemoEntry`` or a costed ``DeferredJoin``; see the module
-    docstring for why dropping `entry` is exact): `better` applied every
-    operator `entry` did and more, each extra one in the mask `filters`
-    of row filters only these leaves can apply; their columns,
-    ``rows_unf``, scalar statistics and array infos are equal; and
-    `better` is strictly cheaper and has no more rows."""
+    leaves (see the module docstring for why dropping `entry` is exact):
+    `better` applied every operator `entry` did and more, each extra one
+    in the mask `filters` of row filters only these leaves can apply;
+    their columns, ``rows_unf``, scalar statistics and array infos are
+    equal; and `better` is strictly cheaper and has no more rows."""
     ops, b_ops = entry.ops, better.ops
     if ops & ~b_ops or b_ops & ~ops & ~filters or ops == b_ops:
         return False
@@ -466,17 +441,16 @@ class Enumerator:
         """The memo table of the leaves in `mask`, filled on first use.
 
         While the table is filled it holds DeferredJoin records.  In a
-        table below the full one, each record left at the end is costed
-        (``DeferredJoin.cost_join``), the table's dominated plans are
-        dropped (``undominated``), so that none of them seeds a closure
-        chain or reaches ``candidates``, and only then are the records
-        left built (``join_entries``) and every column set in the table
+        table below the full one, the records left at the end are built
+        (``join_entries``), the table's dominated plans are dropped
+        (``undominated``), so that none of them seeds a closure chain or
+        reaches ``candidates``, and every column set left in the table is
         interned.  A plan is dominated by a strictly cheaper one with no
         more rows that applied its operators plus row filters no plan
         over other leaves can apply, and an otherwise equal state; its
         every completion costs more than its dominator's same completion
         less the extra filters (module docstring), so no chosen plan is
-        lost.  The full table keeps its records as they are: ``run``
+        lost.  The full table keeps its records as they are: ``finished``
         builds only those it starts finishing."""
         hit = self.memo.get(mask)
         if hit is not None:
@@ -493,15 +467,11 @@ class Enumerator:
             # table's records join are held by the records
             self.closed.clear()
             return table
-        plans = list(table.values())
-        for entry in plans:
-            if type(entry) is DeferredJoin:
-                entry.cost_join(self.cm)
+        plans = [entry.build(self.cm) if type(entry) is DeferredJoin
+                 else entry for entry in table.values()]
         table.clear()
         intern = self.interned_columns.setdefault
         for entry in self.undominated(plans, mask):
-            if type(entry) is DeferredJoin:
-                entry = entry.build(self.cm)
             # many entries of one table share a column set; keep one copy
             entry.columns = intern(entry.columns, entry.columns)
             table[entry.ops] = entry
@@ -769,36 +739,29 @@ class Enumerator:
             rows, info = plan.state.rows, plan.state.array_info
         return pos, op_cost(order[pos].node, rows, info)
 
-    def run(self) -> MemoEntry:
-        """The cheapest finished plan of the full memo table; among equal
-        costs, the one finished from the lowest operator mask.
+    def finished(self):
+        """Yield the finished plans of the full memo table in ascending
+        (cost, operator mask) order, the mask that of the record a plan
+        was finished from.
 
         A plan is finished by applying its remaining operators in sorted
-        order and putting the query's projection on it (``reproject``),
-        which also gives the finished cost.  The search is best-first
-        over one heap of partial plans, one per full-table record, keyed
-        by (cost so far plus the cost of the plan's next operator, the
-        record's operator mask).  That lookahead (``lookahead``) is the
-        exact cost the next step charges, read from the plan's rows and
-        array infos, so nothing is built before it is popped.  A record
+        order and putting the query's projection on it (``reproject``).
+        One heap holds a partial plan per full-table record, keyed by
+        (cost so far plus the exact cost of its next operator, read by
+        ``lookahead`` without building it, the record's mask).  A record
         is built (``join_entries``) when it is first popped, and every pop
-        applies exactly one more operator, or the final projection.
+        applies one more operator, or the projection.  A finished plan
+        goes back on the heap keyed by (its cost, its mask), and is
+        yielded when it is popped again.  Every operator, join and
+        projection cost is non-negative (not NaN), so a key never exceeds
+        the cost its plan finishes at: when a finished plan is popped, no
+        plan left in the heap can finish before it in (cost, mask) order.
 
-        The search stops at the first pop whose key exceeds the best
-        finished cost.  Every operator, join and projection cost is
-        non-negative (not NaN), and adding one never makes a sum smaller,
-        so a popped key is at most the cost its plan finishes at: the key
-        is the plan's cost after its next step, and every later step adds
-        to that.  So no plan left in the heap can finish cheaper, and a
-        plan that finishes at exactly the best cost has every key at most
-        that cost and is still popped, so the lowest mask wins a tie.  When
-        no plan finishes, the error names the blocker of the lowest
-        operator mask, or, when no record of the full table was blocked,
-        the first blocker ``fill`` recorded (``first_blocker``).
-
-        ``counters["finished"]`` counts the records whose finishing
-        started, ``counters["finish_ops"]`` the operators applied while
-        finishing."""
+        When no plan finishes, the generator raises ``InfeasibleQueryError``
+        naming the blocker of the lowest operator mask, or, when the full
+        table is empty, the first blocker ``fill`` recorded
+        (``first_blocker``).  ``counters["finished"]`` counts the records
+        started and ``counters["finish_ops"]`` the operators applied."""
         if not self.connected(self.full):
             raise DisconnectedJoinGraphError(
                 "join graph is disconnected; a cross product is required "
@@ -812,14 +775,15 @@ class Enumerator:
             heap.append((rec.cost + ahead, ops, pos, rec))
         heapq.heapify(heap)
         order = self.order
+        done = len(order) + 1              # the position of a finished plan
         counters = self.counters
         intern = self.interned_columns.setdefault
-        best = best_key = None
         blocked: list = []                 # (ops mask, blocker)
         while heap:
-            key, ops, pos, cur = heapq.heappop(heap)
-            if best is not None and key > best_key[0]:
-                break
+            _, ops, pos, cur = heapq.heappop(heap)
+            if pos == done:
+                yield cur
+                continue
             if cur is table[ops]:          # the record's first pop
                 counters["finished"] += 1
                 if type(cur) is DeferredJoin:
@@ -845,13 +809,17 @@ class Enumerator:
             if cur is None:
                 blocked.append((ops, "projection"))
                 continue
-            if best is None or (cur.cost, ops) < best_key:
-                best, best_key = cur, (cur.cost, ops)
-        if best is None:
+            heapq.heappush(heap, (cur.cost, ops, done, cur))
+        if len(blocked) == len(table):     # no record finished
             name = min(blocked)[1] if blocked else self.first_blocker()
             raise InfeasibleQueryError(f"no valid plan: blocked by {name}",
                                        name)
-        return best
+
+    def run(self) -> MemoEntry:
+        """The cheapest finished plan of the full memo table; among equal
+        costs, the one finished from the lowest operator mask: the first
+        plan ``finished`` yields."""
+        return next(self.finished())
 
 
 def enumerate_plans(decomp: QueryDecomposition, graph: PrecedenceGraph,

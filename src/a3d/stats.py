@@ -658,12 +658,13 @@ class CostModel:
 
         The two terms costed most recently are remembered by identity
         (``is``, holding strong references; least recently used goes first).
-        Costing an unchanged root again, as ``guard_cost_improves`` does on
-        every attempt it cannot reject locally, is then free, and an
-        accepted rewrite's new root is already cached when it becomes the
-        next root.  The returned ``CostResult`` and its ``PlanState`` dicts
-        are shared with the cache and with later callers, so they are
-        read-only.
+        That is for tracing: ``trace_record`` costs each rewrite's root
+        before and after it, and the root before is the previous rewrite's
+        root after, so the cache nearly halves the fold work of a traced
+        rewrite fixpoint.  Untraced planning seldom costs one term twice
+        in a row, and there the cache saves next to nothing.  The returned
+        ``CostResult`` and its ``PlanState`` dicts are shared with the
+        cache and with later callers, so they are read-only.
         """
         recent = self._recent
         for i, (seen, res) in enumerate(recent):

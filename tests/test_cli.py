@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from a3d import cli
-from a3d.algebra import Schema
+from a3d.algebra import Relation, Schema, evaluate
 from a3d.planner import MODES, optimize
 from a3d.stats import ArrayStats, ScalarStats, TableStats
 from a3d.testkit import generate, genspec_from_json
@@ -23,6 +23,7 @@ from a3d.translate import DIALECTS
 
 from gen_utils import default_relation, random_term
 from golden_queries import CASES
+from naive_interp import rows_equal_bag
 
 SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
 JOIN_CHAIN_PLAN = Path(__file__).parent / "data" / "join_chain3_plan.json"
@@ -30,6 +31,7 @@ EITHER_SIDE_PLAN = Path(__file__).parent / "data" / \
     "either_side_join_plan.json"
 OVERWRITTEN_KEY_PLAN = Path(__file__).parent / "data" / \
     "overwritten_key_plan.json"
+CAPTURE_PLAN = Path(__file__).parent / "data" / "capture_plan.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -123,6 +125,31 @@ def test_an_overwritten_join_key_is_derived_above_the_join(capsys, mode):
     assert (term["output"], term["input"]["op"]) == ("k", "join")
 
 
+@pytest.mark.parametrize("mode", ("greedy", "enumerate", "oracle"))
+def test_a_derive_that_would_capture_a_join_column_plans_equal(capsys, mode):
+    # the document the CI workflow plans through the console script:
+    # δ[x := neg(a)](r(k, a) ⋈ s(k, x)).  On r's side of the join the
+    # derive's x would meet s's x, and the join would match on it by
+    # accident: enumerate skips that one candidate (a capture skip), and
+    # every mode's plan evaluates equal to the input
+    code = cli.main(["--plan", str(CAPTURE_PLAN), "--mode", mode,
+                     "--counters"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    term, schemas, _, _ = cli.parse_plan_document(
+        json.loads(CAPTURE_PLAN.read_text()))
+    db = {"r": Relation.build(schemas["r"], [
+              {"k": i % 3, "a": i} for i in range(5)]),
+          "s": Relation.build(schemas["s"], [
+              {"k": j % 2, "x": 10 + j} for j in range(4)])}
+    want = list(evaluate(term, db).rows)
+    got = list(evaluate(cli.term_from_json(json.loads(out)["term"]),
+                        db).rows)
+    assert want and rows_equal_bag(want, got)
+    if mode == "enumerate":
+        assert json.loads(err)["capture_skips"] == 1
+
+
 @pytest.mark.parametrize("term, flags, code, kind", [
     ({"op": "filter", "pred": _cmp("~", "x", 5), "input": _rel("R")},
      (), 1, "parse"),
@@ -141,8 +168,10 @@ def test_failures_exit_with_their_code_and_kind(tmp_path, capsys, term,
     assert out == ""
 
 
-@pytest.mark.parametrize("options", [{"mode": "bogus"}, {"emit": "bogus"}],
-                         ids=["mode", "emit"])
+@pytest.mark.parametrize("options", [
+    {"mode": "bogus"}, {"emit": "bogus"}, {"preagg_alpha": "x"},
+    {"preagg_alpha": [1]},
+], ids=["mode", "emit", "preagg-alpha-string", "preagg-alpha-list"])
 def test_unknown_option_in_plan_document_is_a_parse_error(tmp_path, capsys,
                                                           options):
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
@@ -308,11 +337,19 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
     {"R.k": {"kind": "exact", "row_count": 10, "freq": 3}},
     {"R.x": {"kind": "uniform", "row_count": 10}},
     {"S.y": {"kind": "clustered", "row_count": 4, "clusters": []}},
+    {"R.x": dict(STATS_DOC["R.x"], null_fraction="lots")},
+    {"R.x": dict(STATS_DOC["R.x"], ndv="three")},
+    {"R.k": dict(STATS_DOC["R.k"], freq=[[1]])},
+    {"S.y": dict(STATS_DOC["S.y"], clusters=[[1, 2]])},
+    {"R.v": dict(STATS_DOC["R.v"], avg_array_len="long")},
+    {"R.v": dict(STATS_DOC["R.v"], row_stats=5)},
 ], ids=["not-an-object", "no-dot", "unknown-relation", "entry-not-object",
         "bad-row-count", "row-count-disagrees", "array-on-scalar",
         "unknown-array-key", "scalar-on-array", "unknown-scalar-key",
         "unknown-kind", "freq-not-list", "uniform-without-ndv",
-        "clustered-without-clusters"])
+        "clustered-without-clusters", "null-fraction-not-a-number",
+        "ndv-not-a-number", "freq-not-pairs", "clusters-not-quadruples",
+        "avg-array-len-not-a-number", "row-stats-not-an-object"])
 def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
     stats = tmp_path / "stats.json"

@@ -863,13 +863,18 @@ def _enumerator(term, schemas, stats=None, cls=Enumerator):
     return cls(d, graph, sort_ops(d.ops, graph), cm)
 
 
+def _plan_view(plan):
+    """(plan, cost, columns) of the finished plan `plan`."""
+    return repr(plan.term), plan.cost, plan.columns
+
+
 def _outcome(search):
-    """(plan, cost, columns) of `search()`, or (error type, message)."""
+    """``_plan_view`` of `search()`, or (error type, message)."""
     try:
         best = search()
     except A3DError as exc:
         return type(exc).__name__, str(exc)
-    return repr(best.term), best.cost, best.columns
+    return _plan_view(best)
 
 
 def _built_full_table(enum):
@@ -1381,10 +1386,10 @@ def test_a_partition_with_an_empty_side_offers_no_candidates():
 
 def test_chain4_enumeration_work_counts(monkeypatch):
     # each non-full memo table drops its dominated plans once it is
-    # filled: 138 join records are costed (138 join effects), 57 of them
-    # are dominated and only the other 81 are built.  The closure of the
-    # tables that remain applies 90 operators for the 97 (relations, ops)
-    # keys it reaches, which hold 99 plans (none of them dominated), and
+    # filled: its 138 join records are built (138 join effects) and 57 of
+    # them are dropped as dominated.  The closure of the tables that
+    # remain applies 90 operators for the 97 (relations, ops) keys it
+    # reaches, which hold 99 plans (none of them dominated), and
     # each partition pairs the closed tables of its two sides once, 497
     # candidates for 370 memo wins.  Without the pruning, the closure
     # applied 249 operators for 192 keys holding 260 plans (105 of them
@@ -1441,23 +1446,32 @@ def _finish(enum, entry, applied):
     return (None, "projection") if final is None else (final, None)
 
 
-def _finish_every_entry(enum, applied):
-    """``Enumerator.run`` without its bound: finish every entry of the
-    full table in ascending operator-mask order, each in full (``_finish``,
-    which appends the operators it applies to `applied`), and keep the
-    first of the cheapest finished plans."""
+def _finish_each_entry(enum, applied):
+    """(finished plans, blockers) of finishing every entry of the full
+    table in ascending operator-mask order, each in full (``_finish``,
+    which appends the operators it applies to `applied`): each finished
+    plan as (cost, the entry's operator mask, plan), and the blocker of
+    each entry that does not finish."""
     table = _built_full_table(enum)
-    best, blocked = None, []
+    plans, blocked = [], []
     for ops in sorted(table):
         finished, blocker = _finish(enum, table[ops], applied)
         if finished is None:
             blocked.append(blocker)
-        elif best is None or finished.cost < best.cost:
-            best = finished
-    if best is None:
+        else:
+            plans.append((finished.cost, ops, finished))
+    return plans, blocked
+
+
+def _finish_every_entry(enum, applied):
+    """``Enumerator.run`` without its bound: finish every entry of the
+    full table (``_finish_each_entry``) and keep the cheapest finished
+    plan, the one of the lowest operator mask among equal costs."""
+    plans, blocked = _finish_each_entry(enum, applied)
+    if not plans:
         name = blocked[0] if blocked else enum.first_blocker()
         raise InfeasibleQueryError(f"no valid plan: blocked by {name}", name)
-    return best
+    return min(plans, key=lambda plan: plan[:2])[2]
 
 
 def _bounded_and_every(enum):
@@ -1516,6 +1530,37 @@ def test_bounded_finish_matches_finishing_every_entry_on_random_joins(nrel):
         every_ops += eager_ops
     assert 0 < finished < complete
     assert stepped < every_ops
+
+
+@pytest.mark.parametrize("corpus", ("bench", "bench-stats", "random"))
+def test_finished_streams_every_finished_plan_in_cost_then_mask_order(
+        corpus, bench_join_stats):
+    # ``finished``, read to the end, yields exactly the plans that
+    # finishing every complete plan in full gives, in ascending (cost,
+    # operator mask) order, the mask that of the full-table record a plan
+    # is finished from
+    if corpus == "random":
+        queries = [_random_join(seed, nrel) for seed in range(9000, 9150)
+                   for nrel in (2, 3)]
+    else:
+        queries = [(term, schemas,
+                    {rel: bench_join_stats[rel] for rel in schemas}
+                    if corpus == "bench-stats" else None)
+                   for _, term, schemas in BENCH_JOIN_QUERIES]
+    streamed = 0
+    for query in queries:
+        enum = _enumerator(*query)
+        if not enum.connected(enum.full):
+            continue
+        stream = [_plan_view(plan) for plan in enum.finished()]
+        plans, _ = _finish_each_entry(enum, [])
+        assert stream == [_plan_view(plan) for _, _, plan in
+                          sorted(plans, key=lambda plan: plan[:2])], query
+        streamed += len(stream)
+    # every complete plan finishes: 135 + 162 + 189 on the bench joins
+    # without statistics
+    assert streamed == {"bench": 486, "bench-stats": 701,
+                        "random": 1758}[corpus]
 
 
 @pytest.mark.parametrize("corpus", ("bench", "random"))
@@ -1650,10 +1695,11 @@ def _two_filter_enumerator(full_table):
 
 def test_bounded_finish_breaks_cost_ties_by_lowest_ops_mask():
     # a filter costs its input's rows, so both one-filter plans finish at
-    # 15.0; the plan over ops 0b10 is stepped first (memo cost 5.0), and
-    # the one over ops 0b01, whose memo cost equals that finished cost,
-    # is still finished and wins the tie.  The complete plan at 20.0
-    # exceeds 15.0 and is never finished.
+    # 15.0, and both are keyed 15.0 by their memo cost plus that filter.
+    # The plan over ops 0b01 pops first by its lower mask, finishes and,
+    # back on the heap at (15.0, 0b01), pops again before the plan over
+    # ops 0b10: it wins the tie, and the other plan is never started.  The
+    # complete plan at 20.0 exceeds 15.0 and is never started either.
     enum = _two_filter_enumerator({0b01: (15.0, 0.0), 0b10: (5.0, 10.0),
                                    0b11: (20.0, 1.0)})
     assert [op.node.pred.lhs.name for op in enum.q.ops] == ["u0", "u1"]
@@ -1662,7 +1708,7 @@ def test_bounded_finish_breaks_cost_ties_by_lowest_ops_mask():
     assert bounded[0] == repr(Filter(lt("u1", 50),
                                      Filter(lt("u0", 50), RelVar("R"))))
     assert bounded[1] == 15.0
-    assert enum.counters["finished"] == 2
+    assert enum.counters["finished"] == 1
 
 
 def test_best_first_finish_steps_only_plans_within_the_best_cost(
@@ -1670,7 +1716,9 @@ def test_best_first_finish_steps_only_plans_within_the_best_cost(
     # the plan over ops 0 is cheapest (6.0), but its first filter costs
     # its 50 rows, so its key is 56.0 and it is never started.  The two
     # one-filter plans each finish at 10.0 with one more filter over 0
-    # rows, their keys 10.0, and the tie goes to the lowest operator mask.
+    # rows, their keys 10.0.  The plan over ops 0b01 pops first by its
+    # lower mask, and once finished it pops again before the plan over
+    # ops 0b10, which is never started: the tie goes to the lowest mask.
     applied = []
     apply_op = enumeration.apply_op
 
@@ -1685,10 +1733,10 @@ def test_best_first_finish_steps_only_plans_within_the_best_cost(
     assert (best.ops, best.cost) == (0b11, 10.0)
     assert best.term == Filter(lt("u1", 50),
                                Filter(lt("u0", 50), RelVar("R")))
-    assert applied == [(0b01, 1), (0b10, 0)]
+    assert applied == [(0b01, 1)]
     assert (enum.counters["finished"], enum.counters["finish_ops"]) == \
-        (2, 2)
-    # finishing every plan in full applies two more operators, and agrees
+        (1, 1)
+    # finishing every plan in full applies three more operators, and agrees
     monkeypatch.undo()
     every: list = []
     assert _finish_every_entry(enum, every).term == best.term
@@ -1715,6 +1763,8 @@ def test_bounded_finish_names_the_blocker_of_the_lowest_ops_mask():
     assert bounded == every == ("InfeasibleQueryError",
                                 "no valid plan: blocked by filter#1")
     assert enum.counters["finished"] == 2
+    # the stream raises the same error before it yields any plan
+    assert _outcome(lambda: next(enum.finished())) == bounded
 
 
 @pytest.mark.parametrize("with_stats", (False, True))
