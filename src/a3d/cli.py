@@ -357,9 +357,11 @@ def _scalar_stats_from_json(doc, where: str) -> ScalarStats:
     if kind == "uniform":
         if "ndv" not in doc:
             raise PlanParseError(f"{where}: uniform stats need 'ndv'")
+        lo, hi = doc.get("lo"), doc.get("hi")
+        lo = lo if lo is None else _number(lo, f"{where}: 'lo'")
+        hi = hi if hi is None else _number(hi, f"{where}: 'hi'")
         return ScalarStats("uniform", _ndv(doc, None, where), null_fraction,
-                           lo=doc.get("lo"), hi=doc.get("hi"),
-                           numeric=doc.get("lo") is not None)
+                           lo=lo, hi=hi, numeric=lo is not None)
     if kind == "clustered":
         clusters = doc.get("clusters")
         bad = (f"{where}: clustered stats need 'clusters' "

@@ -253,21 +253,16 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
                      state, lc | rc)
 
 
-def crossing(edges, p1: int, p2: int, cache: dict):
+def crossing(edges, p1: int, p2: int):
     """(key column set, mandatory producer op indices) of the join edges
-    between the leaf sets `p1` and `p2`, memoized in `cache`."""
-    key = (min(p1, p2), max(p1, p2))
-    hit = cache.get(key)
-    if hit is None:
-        cols, prods = set(), set()
-        for e in edges:
-            li, ri = 1 << e.left, 1 << e.right
-            if (li & p1 and ri & p2) or (li & p2 and ri & p1):
-                cols.add(e.col)
-                prods |= e.producers
-        hit = (frozenset(cols), frozenset(prods))
-        cache[key] = hit
-    return hit
+    between the leaf sets `p1` and `p2`."""
+    cols, prods = set(), set()
+    for e in edges:
+        li, ri = 1 << e.left, 1 << e.right
+        if (li & p1 and ri & p2) or (li & p2 and ri & p1):
+            cols.add(e.col)
+            prods |= e.producers
+    return frozenset(cols), frozenset(prods)
 
 
 def reproject(entry: MemoEntry, decomp: QueryDecomposition,
@@ -371,18 +366,18 @@ class Enumerator:
         self.allow_cross = allow_cross_products
         self.memo: dict = {}               # rels mask -> {ops mask: entry}
         self.closed: dict = {}             # rels mask -> ``close`` list
-        self.leaf_ops = None               # see ``either_side``
         self.interned_columns: dict = {}   # one copy of each column set
         self.counters = {"entries": 0, "partitions": 0, "candidates": 0,
                          "capture_skips": 0, "dominated": 0,
                          "finished": 0, "finish_ops": 0}
         self.blockers: list = []           # see ``first_blocker``
-        self.leaf_cols = None              # see ``local_filters``
 
         m = len(decomp.leaves)
         self.full = (1 << m) - 1
+        # each leaf's plan and the operators it can apply (``either_side``)
+        self.bases = [base_entry(decomp, i, cost_model) for i in range(m)]
+        self.leaf_ops = [mask_of(self.applicable(b)) for b in self.bases]
         self.adj = [0] * m
-        self.cut_edges: dict = {}
         for e in decomp.edges:
             self.adj[e.left] |= 1 << e.right
             self.adj[e.right] |= 1 << e.left
@@ -428,15 +423,6 @@ class Enumerator:
             cols = op.columns_after(cols)
         return tuple(out)
 
-    def insert(self, table: dict, entry) -> None:
-        """Keep `entry` when it is the first for its operator set or
-        cheaper than the incumbent (``candidates`` does the same for its
-        DeferredJoin records without the call)."""
-        old = table.get(entry.ops)
-        if old is None or entry.cost < old.cost:
-            table[entry.ops] = entry
-            self.counters["entries"] += 1
-
     def enumerate_mask(self, mask: int) -> dict:
         """The memo table of the leaves in `mask`, filled on first use.
 
@@ -458,8 +444,8 @@ class Enumerator:
         table: dict = {}
         self.memo[mask] = table
         if mask.bit_count() == 1:
-            self.insert(table, base_entry(self.q, mask.bit_length() - 1,
-                                          self.cm))
+            table[0] = self.bases[mask.bit_length() - 1]
+            self.counters["entries"] += 1
         else:
             self.fill(table, mask)
         if mask == self.full:
@@ -501,8 +487,7 @@ class Enumerator:
                 continue
             if not (self.connected(p1) and self.connected(p2)):
                 continue
-            keys, producers = crossing(self.q.edges, p1, p2,
-                                       self.cut_edges)
+            keys, producers = crossing(self.q.edges, p1, p2)
             if not keys and not self.allow_cross:
                 continue
             producers = sorted(producers)
@@ -683,13 +668,10 @@ class Enumerator:
         outside `rels` can apply: each reads a column that is neither a
         column of such a leaf nor made from their columns by some
         operator (an over-approximation of what those plans can hold)."""
-        if self.leaf_cols is None:
-            self.leaf_cols = [base_entry(self.q, i, self.cm).columns
-                              for i in range(len(self.q.leaves))]
         cols = set()
-        for i, leaf in enumerate(self.leaf_cols):
+        for i, base in enumerate(self.bases):
             if not rels >> i & 1:
-                cols |= leaf
+                cols |= base.columns
         grown = True
         while grown:
             grown = False
@@ -703,10 +685,6 @@ class Enumerator:
     def either_side(self, rels: int) -> int:
         """The mask of the operators applicable on the base plan of some
         leaf outside `rels`."""
-        if self.leaf_ops is None:
-            self.leaf_ops = [
-                mask_of(self.applicable(base_entry(self.q, i, self.cm)))
-                for i in range(len(self.q.leaves))]
         out = 0
         for i, ops in enumerate(self.leaf_ops):
             if not rels >> i & 1:

@@ -43,7 +43,7 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             f"{nops} rankable operators exceed the oracle limit of "
             f"{MAX_ORACLE_OPS}")
 
-    cut_cache: dict = {}
+    cuts: dict = {}      # (rels, rels) -> join key set; pairs recur
     best: dict = {}      # (rels, ops) -> MemoEntry (cheapest)
     npaths: dict = {}    # (rels, ops) -> number of distinct build orders
     levels: dict = {}    # level -> sorted-insertable list of keys
@@ -81,7 +81,10 @@ def oracle_enumerate(decomp: QueryDecomposition, graph: PrecedenceGraph,
             for pkey in done:
                 if pkey[0] & key[0] or pkey[1] & key[1]:
                     continue
-                cols = crossing(decomp.edges, key[0], pkey[0], cut_cache)[0]
+                pair = key[0], pkey[0]
+                cols = cuts.get(pair)
+                if cols is None:
+                    cols = cuts[pair] = crossing(decomp.edges, *pair)[0]
                 if not cols and not allow_cross_products:
                     continue
                 joined = join_entries(entry, best[pkey], cols, cost_model)

@@ -196,6 +196,8 @@ def preprocess(term: Term, ctx: RuleContext) -> Term:
     term = pull_projections_up(term, ctx)
     term = insert_empty_guards(term, ctx)
     pruned = drop_dead_derives(term, ctx)
-    if pruned != term:
-        trace_record(ctx, "preprocess", "dead-derive", (), term, pruned)
+    if ctx.trace is not None and pruned != term:
+        cost = ctx.cost_model.term_cost
+        trace_record(ctx, "preprocess", "dead-derive", (),
+                     cost(term).cost, cost(pruned).cost)
     return pruned

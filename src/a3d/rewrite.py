@@ -44,8 +44,9 @@ nodes a rewrite creates are inferred.  The maximal kept subterms (the
 frontier) have their costs folded once and reused for both sides of the
 cost guard's comparison.  The cost guard rejects, without costing any
 ancestor, a rewrite that leaves the subterm's plan state as it was and is
-no cheaper; otherwise it costs the new root with the rewrite's result
-injected.
+no cheaper; otherwise it folds both roots, the new one with the rewrite's
+result injected.  The cost model caches nothing, and a traced
+``rewrite_to_fixpoint`` costs each root it records once.
 
 ``rewrite_to_fixpoint`` runs a stage in rounds of one of four policies.
 Greedy's ``bottom-up`` rounds and the cost-guarded ``sweep`` rounds keep
@@ -1040,7 +1041,7 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
                         ctx: RuleContext, epsilon: float = 1e-9
                         ) -> Optional[Term]:
     """Apply a cost-based rule to `sub`, the subterm of `root` at `path`,
-    only when it strictly lowers ``term_cost`` under ``ctx.cost_model``.
+    only when it strictly lowers the root's cost under ``ctx.cost_model``.
 
     `sub` is folded once with the rewrite's frontier marked, and the
     rewrite once with the frontier's results injected (``CostModel.fold``);
@@ -1054,8 +1055,8 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     same costs to both roots, in the same order; float addition is
     monotone, so the new root's cost is not below the old root's, and
     ``new < old - epsilon`` cannot hold for a non-negative `epsilon`.  In
-    every other case the new root is costed with the rewrite's result
-    injected, so only the nodes above `path` are folded again.
+    every other case both roots are folded, the new one with the rewrite's
+    result injected, so only its nodes above `path` are folded again.
     """
     ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
@@ -1071,8 +1072,8 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     if new[0] >= old[0] and new[1] == old[1] and epsilon >= 0:
         return None
     new_root = replace_at(root, path, new_sub)
-    old_cost = cost_model.term_cost(root).cost
-    new_cost = cost_model.term_cost(new_root, {id(new_sub): new}).cost
+    old_cost = cost_model.fold(root, {})[0]
+    new_cost = cost_model.fold(new_root, {id(new_sub): new})[0]
     if new_cost < old_cost - epsilon:
         return new_root
     return None
@@ -1098,14 +1099,12 @@ def first_rewrite(rule_ids: Optional[tuple], root: Term, path: tuple,
 ############################################################
 
 def trace_record(ctx: RuleContext, stage: str, rule_id: str, path,
-                 before: Term, after: Term) -> None:
-    """Append one rewrite to ``ctx.trace``, when tracing: stage, rule, path
-    and the estimated cost of the root before and after."""
-    if ctx.trace is None:
-        return
+                 before_cost: float, after_cost: float) -> None:
+    """Append one rewrite to ``ctx.trace``: stage, rule, path and the
+    estimated cost of the root before and after it.  Callers cost the
+    roots, and only when tracing (``ctx.trace`` is not None)."""
     ctx.trace.append({"stage": stage, "rule": rule_id, "path": list(path),
-                      "before_cost": ctx.cost_model.term_cost(before).cost,
-                      "after_cost": ctx.cost_model.term_cost(after).cost})
+                      "before_cost": before_cost, "after_cost": after_cost})
 
 
 POLICIES = ("bottom-up", "sweep", "resume", "restart")
@@ -1121,7 +1120,9 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     returns ``(rule_id, new_root)`` or None.  The hit a round fires is
     traced under `stage` (``trace_record``), counted as a fire of a catalog
     rule in ``ctx.rule_counts``, and becomes the root of the next round.
-    With `cap`, rewrite number ``cap + 1`` raises `cap_error` instead.
+    A traced call costs each root once: a record's cost after is the next
+    record's cost before.  With `cap`, rewrite number ``cap + 1`` raises
+    `cap_error` instead.
     `policy` picks the rounds:
 
     ``bottom-up``  children before their parents (the reverse of preorder);
@@ -1165,7 +1166,7 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                          f"{POLICIES}")
     ctx._memo = {}
     ctx.results = {} if policy in ("bottom-up", "sweep") else None
-    rewrites, start = 0, ()
+    rewrites, start, before = 0, (), None  # before: `term`'s traced cost
     try:
         while True:
             if policy in ("resume", "restart"):
@@ -1182,7 +1183,12 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1
-            trace_record(ctx, stage, rule_id, path, term, new)
+            if ctx.trace is not None:
+                if before is None:
+                    before = ctx.cost_model.term_cost(term).cost
+                after = ctx.cost_model.term_cost(new).cost
+                trace_record(ctx, stage, rule_id, path, before, after)
+                before = after
             if policy == "resume":
                 start = path[:-1]
             term = new

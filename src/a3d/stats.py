@@ -360,8 +360,8 @@ class PlanState:
     rows_unf (and each ``ArrayInfo.length_unf``) track the same quantities
     with every filter selectivity forced to 1; aggregate selectivities are
     derived from them so they stay constant no matter where filters sit.
-    States share their dicts with each other and with cached ``term_cost``
-    results, so the dicts are read-only.
+    States share their dicts with each other, so the dicts are
+    read-only.
     """
 
     rows: float
@@ -371,9 +371,6 @@ class PlanState:
 
     def info(self, col: str) -> ArrayInfo:
         return self.array_info.get(col, DEFAULT_ARRAY_INFO)
-
-    def length(self, col: str) -> float:
-        return self.info(col).length
 
 
 @dataclass(frozen=True)
@@ -465,7 +462,6 @@ class CostModel:
                  schemas: Mapping[str, Schema]):
         self.stats = stats
         self.schemas = schemas
-        self._recent: list = []  # [(term, CostResult)], most recent last
 
     # -- base relations ---------------------------------------------------
 
@@ -483,9 +479,6 @@ class CostModel:
             array_info[c] = DEFAULT_ARRAY_INFO if ast is None else ArrayInfo(
                 ast.avg_len, ast.avg_len, ast.empty_fraction, ast.elem)
         return PlanState(rows, rows, scalar_stats, array_info)
-
-    def base_cost(self, state: PlanState) -> float:
-        return state.rows  # scanning is charged once per plan
 
     # -- selectivity helpers ----------------------------------------------
 
@@ -598,7 +591,7 @@ class CostModel:
                 scalar_stats[k] = state.scalar_stats.get(k)
         for spec in node.aggs:
             if agg_output_kind(spec.fn) == "array":
-                length = state.length(spec.arg)
+                length = state.info(spec.arg).length
                 array_info[spec.alias] = ArrayInfo(length, length, 0.0, None)
             else:
                 scalar_stats[spec.alias] = None
@@ -631,7 +624,7 @@ class CostModel:
             return res
         if isinstance(term, RelVar):
             state = self.base_state(term.name)
-            res = self.base_cost(state), state, self.schemas[term.name]
+            res = state.rows, state, self.schemas[term.name]  # one scan
         elif isinstance(term, Join):
             lc, ls, lsch = self.fold(term.left, known)
             rc, rs, rsch = self.fold(term.right, known)
@@ -648,33 +641,9 @@ class CostModel:
             known[key] = res
         return res
 
-    def term_cost(self, term: Term, known: Optional[dict] = None
-                  ) -> CostResult:
+    def term_cost(self, term: Term) -> CostResult:
         """Fold a term, returning total cost and the final state/schema.
 
-        `known` injects already-folded subterms (see ``fold``);
-        ``guard_cost_improves`` passes its rewritten subterm's result, so
-        only the nodes above the rewrite are folded again.
-
-        The two terms costed most recently are remembered by identity
-        (``is``, holding strong references; least recently used goes first).
-        That is for tracing: ``trace_record`` costs each rewrite's root
-        before and after it, and the root before is the previous rewrite's
-        root after, so the cache nearly halves the fold work of a traced
-        rewrite fixpoint.  Untraced planning seldom costs one term twice
-        in a row, and there the cache saves next to nothing.  The returned
-        ``CostResult`` and its ``PlanState`` dicts are shared with the
-        cache and with later callers, so they are read-only.
-        """
-        recent = self._recent
-        for i, (seen, res) in enumerate(recent):
-            if seen is term:
-                recent.append(recent.pop(i))
-                return res
-
-        total, state, schema = self.fold(term, {} if known is None else known)
-        res = CostResult(total, state, schema)
-        recent.append((term, res))
-        if len(recent) > 2:
-            del recent[0]
-        return res
+        The model caches nothing, so each call folds the whole term; a
+        caller holding a subterm's result injects it through ``fold``."""
+        return CostResult(*self.fold(term, {}))

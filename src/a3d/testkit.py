@@ -242,6 +242,15 @@ def pattern_schemas(kind: str, n: int) -> dict:
 # JSON spec parsing (the `gen` subcommand's input format)
 ############################################################
 
+def _field(doc: dict, key: str, default, where: str, kind=float):
+    """`kind` (float or int) of ``doc.get(key, default)``; a ValueError
+    naming the field when it does not convert."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: {key!r} must be a number") from None
+
+
 def _dist_from_json(doc: dict, where: str) -> Dist:
     if not isinstance(doc, dict) or "name" not in doc:
         raise ValueError(f"{where}: distribution must be an object "
@@ -250,9 +259,10 @@ def _dist_from_json(doc: dict, where: str) -> Dist:
     extra = set(doc) - known
     if extra:
         raise ValueError(f"{where}: unknown distribution keys {sorted(extra)}")
-    return Dist(doc["name"], ndv=int(doc.get("ndv", 0)),
-                s=float(doc.get("s", 1.0)), mu=float(doc.get("mu", 0.0)),
-                sigma=float(doc.get("sigma", 1.0)))
+    return Dist(doc["name"], ndv=_field(doc, "ndv", 0, where, int),
+                s=_field(doc, "s", 1.0, where),
+                mu=_field(doc, "mu", 0.0, where),
+                sigma=_field(doc, "sigma", 1.0, where))
 
 
 def genspec_from_json(doc: dict) -> GenSpec:
@@ -266,21 +276,25 @@ def genspec_from_json(doc: dict) -> GenSpec:
         raise ValueError("generation spec must be a JSON object")
     if "row_count" not in doc:
         raise ValueError("generation spec needs a row_count")
+    specs = doc.get("columns") or {}
+    if not isinstance(specs, dict):
+        raise ValueError("generation spec: 'columns' must be an object")
     columns = {}
-    for name, c in (doc.get("columns") or {}).items():
+    for name, c in specs.items():
         kind = c.get("kind") if isinstance(c, dict) else None
+        where = f"column {name!r}"
         if kind == "scalar":
             columns[name] = ScalarColumn(
-                _dist_from_json(c.get("dist"), f"column {name!r}"),
-                float(c.get("null_probability", 0.0)))
+                _dist_from_json(c.get("dist"), where),
+                _field(c, "null_probability", 0.0, where))
         elif kind == "array":
             columns[name] = ArrayColumn(
-                _dist_from_json(c.get("elem"), f"column {name!r} elem"),
-                _dist_from_json(c.get("length"), f"column {name!r} length"),
-                float(c.get("empty_probability", 0.0)))
+                _dist_from_json(c.get("elem"), f"{where} elem"),
+                _dist_from_json(c.get("length"), f"{where} length"),
+                _field(c, "empty_probability", 0.0, where))
         else:
-            raise ValueError(f"column {name!r}: kind must be "
-                             f"'scalar' or 'array'")
-    spec = GenSpec(int(doc["row_count"]), columns, int(doc.get("seed", 0)))
+            raise ValueError(f"{where}: kind must be 'scalar' or 'array'")
+    spec = GenSpec(_field(doc, "row_count", None, "generation spec", int),
+                   columns, _field(doc, "seed", 0, "generation spec", int))
     _validate(spec)
     return spec

@@ -343,13 +343,16 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
     {"S.y": dict(STATS_DOC["S.y"], clusters=[[1, 2]])},
     {"R.v": dict(STATS_DOC["R.v"], avg_array_len="long")},
     {"R.v": dict(STATS_DOC["R.v"], row_stats=5)},
+    {"R.x": dict(STATS_DOC["R.x"], lo="a")},
+    {"R.x": dict(STATS_DOC["R.x"], hi=[9])},
 ], ids=["not-an-object", "no-dot", "unknown-relation", "entry-not-object",
         "bad-row-count", "row-count-disagrees", "array-on-scalar",
         "unknown-array-key", "scalar-on-array", "unknown-scalar-key",
         "unknown-kind", "freq-not-list", "uniform-without-ndv",
         "clustered-without-clusters", "null-fraction-not-a-number",
         "ndv-not-a-number", "freq-not-pairs", "clusters-not-quadruples",
-        "avg-array-len-not-a-number", "row-stats-not-an-object"])
+        "avg-array-len-not-a-number", "row-stats-not-an-object",
+        "lo-not-a-number", "hi-not-a-number"])
 def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
     stats = tmp_path / "stats.json"
@@ -399,7 +402,15 @@ def test_gen_writes_the_generated_relation(tmp_path, capsys):
 
 def test_gen_rejects_a_bad_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"columns": {}}))
-    assert cli.main(["gen", "--spec", str(spec)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and json.loads(err)["error"] == "parse"
+    for doc in ({"columns": {}},
+                dict(GEN_SPEC, row_count=None),
+                dict(GEN_SPEC, columns={"k": {
+                    "kind": "scalar",
+                    "dist": {"name": "uniform", "ndv": [1]}}}),
+                dict(GEN_SPEC, columns={"k": dict(GEN_SPEC["columns"]["k"],
+                                                  null_probability=None)}),
+                dict(GEN_SPEC, columns=["x"])):
+        spec.write_text(json.dumps(doc))
+        assert cli.main(["gen", "--spec", str(spec)]) == 1, doc
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "parse", doc

@@ -698,10 +698,11 @@ def test_enumerate_is_never_beaten_by_oracle(seed, with_stats):
 
 class _RecordingEnumerator(Enumerator):
     """The enumerator, remembering the cost each memo winner had when it
-    won its place: for a join, the cost of its DeferredJoin record, read
-    once the table's candidates are all in; whether any memo entry got a
-    chain with its either-side operators banned; and the (relations, ops)
-    key of every closed plan, since ``run`` drops the closed tables."""
+    won its place: for a leaf, its base plan's cost; for a join, the cost
+    of its DeferredJoin record, read once the table's candidates are all
+    in; whether any memo entry got a chain with its either-side operators
+    banned; and the (relations, ops) key of every closed plan, since
+    ``run`` drops the closed tables."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -709,10 +710,11 @@ class _RecordingEnumerator(Enumerator):
         self.pinned_variants = False
         self.closed_keys: set = set()  # (rels, ops) of every closed plan
 
-    def insert(self, table, entry):
-        super().insert(table, entry)
-        if table[entry.ops] is entry:
-            self.inserted[id(table), entry.ops] = entry.cost
+    def enumerate_mask(self, mask):
+        table = super().enumerate_mask(mask)
+        if mask.bit_count() == 1:
+            self.inserted[id(table), 0] = table[0].cost
+        return table
 
     def fill(self, table, mask):
         super().fill(table, mask)
@@ -757,9 +759,13 @@ class _EagerEnumerator(_RecordingEnumerator):
         self.ties: dict = {}         # (rels, ops) -> {repr of plan}
 
     def insert(self, table, entry):
+        """Keep `entry` when it is the first for its operator set or
+        cheaper than the incumbent, recording a tie with the incumbent."""
         old = table.get(entry.ops)
-        super().insert(table, entry)
-        if old is not None and entry.cost == old.cost:
+        if old is None or entry.cost < old.cost:
+            table[entry.ops] = entry
+            self.counters["entries"] += 1
+        elif entry.cost == old.cost:
             self.ties.setdefault((entry.rels, entry.ops), set()).update(
                 (repr(old.term), repr(entry.term)))
 
@@ -776,8 +782,7 @@ class _EagerEnumerator(_RecordingEnumerator):
                 continue
             if not (self.connected(p1) and self.connected(p2)):
                 continue
-            keys, producers = enumeration.crossing(self.q.edges, p1, p2,
-                                                   self.cut_edges)
+            keys, producers = enumeration.crossing(self.q.edges, p1, p2)
             if not keys and not self.allow_cross:
                 continue
             producers = sorted(producers)

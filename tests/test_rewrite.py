@@ -48,7 +48,7 @@ from a3d.rewrite import (
     rules_at,
     try_apply,
 )
-from a3d.stats import CostModel, build_table_stats
+from a3d.stats import CostModel, CostResult, build_table_stats
 from a3d.testkit import make_pattern, pattern_schemas
 
 from gen_utils import (
@@ -729,8 +729,8 @@ def test_fold_with_an_injected_subterm_equals_a_fresh_term_cost():
         root = optimize(term, schemas, stats=stats, mode="greedy").term
         for _, sub in walk(root):
             res = CostModel(stats or {}, schemas).fold(sub, {})
-            injected = CostModel(stats or {}, schemas).term_cost(
-                root, {id(sub): res})
+            injected = CostResult(*CostModel(stats or {}, schemas).fold(
+                root, {id(sub): res}))
             fresh = CostModel(stats or {}, schemas).term_cost(root)
             assert injected == fresh and repr(injected) == repr(fresh)
 
@@ -846,7 +846,8 @@ def test_round_results_match_plain_passes_on_random_plans():
 
 def _guard_case(rule_fn, epsilon=1e-9):
     """``guard_cost_improves`` of `rule_fn` at the root's child, and how
-    often it called ``term_cost``, under a guarded filter over `r`."""
+    often it folded a whole root (the old one or the rewritten one), under
+    a guarded filter over `r`."""
     schema = Schema.of(scalars=["k"], arrays=["a"])
     cm = CostModel({}, {"r": schema})
     guard = Cmp("!=", Col("a"), Lit(()))
@@ -854,13 +855,14 @@ def _guard_case(rule_fn, epsilon=1e-9):
     root = Filter(Cmp("<", Col("k"), Lit(50)), sub)
     rule = Rule("X", "cost", "test rewrite", rule_fn, ((Filter, Filter),))
     costed = []
-    real = cm.term_cost
+    real = cm.fold
 
-    def counting(*args):
-        costed.append(args)
-        return real(*args)
+    def counting(term, known):
+        if isinstance(term, Filter) and term.pred == root.pred:
+            costed.append(term)
+        return real(term, known)
 
-    cm.term_cost = counting
+    cm.fold = counting
     out = guard_cost_improves(rule, root, (0,), sub, RuleContext(cm), epsilon)
     return out, len(costed)
 
@@ -978,7 +980,10 @@ def _restart_driver(real):
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1
-            rewrite.trace_record(ctx, stage, rule_id, path, term, new)
+            if ctx.trace is not None:
+                cost = ctx.cost_model.term_cost
+                rewrite.trace_record(ctx, stage, rule_id, path,
+                                     cost(term).cost, cost(new).cost)
             term = new
     return driver
 
@@ -1160,3 +1165,42 @@ def test_rewrite_to_fixpoint_rejects_an_unknown_policy():
     with pytest.raises(ValueError, match="unknown policy"):
         rewrite.rewrite_to_fixpoint(RelVar("t"), lambda *a: None, "test",
                                     ctx, "top-down")
+
+
+@pytest.mark.parametrize("policy", rewrite.POLICIES)
+def test_traced_fixpoint_costs_each_root_once(policy):
+    # each round peels the root filter: n rewrites, n + 1 roots
+    n = 4
+    term = RelVar("t")
+    for i in range(n):
+        term = Filter(Cmp("<", Col("x"), Lit(i)), term)
+
+    def step(root, path, sub):
+        if path == () and isinstance(sub, Filter):
+            return "peel", sub.child
+        return None
+
+    for trace in (None, []):
+        cm = CostModel({}, {"t": Schema.of(scalars=["x"])})
+        costed = []
+        real = cm.term_cost
+
+        def counting(t):
+            costed.append(t)
+            return real(t)
+
+        cm.term_cost = counting
+        ctx = RuleContext(cm, trace=trace)
+        out = rewrite.rewrite_to_fixpoint(term, step, "test", ctx, policy)
+        assert out == RelVar("t")
+        if trace is None:
+            assert costed == []
+            continue
+        assert len(costed) == n + 1 and len(trace) == n
+        roots = [term]
+        while isinstance(roots[-1], Filter):
+            roots.append(roots[-1].child)
+        fresh = CostModel({}, cm.schemas)
+        assert [(r["before_cost"], r["after_cost"]) for r in trace] == [
+            (fresh.term_cost(a).cost, fresh.term_cost(b).cost)
+            for a, b in zip(roots, roots[1:])]

@@ -255,9 +255,9 @@ def test_term_cost_equal_for_equal_terms_and_repeated_calls():
     t1, t2 = build(), build()
     assert t1 == t2 and t1 is not t2
     first = cm.term_cost(t1)
-    assert cm.term_cost(t1) is first
+    assert cm.term_cost(t1) == first
     assert cm.term_cost(t2) == first
-    # push both out of the two-entry cache, then cost them again
+    # cost other terms in between, then cost both again
     for other in (RelVar("R"), Project(("x",), RelVar("R")), build()):
         cm.term_cost(other)
     assert cm.term_cost(t1) == first
