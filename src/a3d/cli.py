@@ -15,6 +15,7 @@ relation from a distribution spec (see `testkit`).
 
 import argparse
 import json
+import math
 import sys
 
 from .algebra import (
@@ -321,11 +322,17 @@ _ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
 
 def _number(value, where: str, kind=float):
     """`kind(value)`, `kind` float or int; a PlanParseError naming the
-    field `where` when `value` does not convert."""
+    field `where` when `value` does not convert, is NaN or infinite, or
+    has a fraction where `kind` is int."""
     try:
-        return kind(value)
+        number, out = float(value), kind(value)
     except (TypeError, ValueError, OverflowError):
         raise PlanParseError(f"{where} must be a number") from None
+    if not math.isfinite(number) or (kind is int
+                                     and not number.is_integer()):
+        raise PlanParseError(f"{where} must be a finite "
+                             f"{'integer' if kind is int else 'number'}")
+    return out
 
 
 def _ndv(doc, default, where: str) -> int:

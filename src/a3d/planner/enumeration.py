@@ -12,18 +12,31 @@ it.
 Once a non-full memo table is complete it is closed (``close``): every
 prefix of every entry's operator chain (``prefixes``) is applied, in one
 pass by operator count in which the chains that meet share their work, and
-the cheapest plan per operator set and plan state is kept.  An operator
-that may run on either side of a join would block the prefixes of the side
-it does not run on, so an entry with such operators also seeds a chain with
-them banned, and the closed table holds the plans of both kinds of chain in
-one list.  A partition (``fill``) pairs its two sides' closed tables
-directly, each closed entry turned once into a ``Prefix`` record: its
-operator mask, cost, rows, non-key columns and the distinct counts of the
-partition's join keys.  The candidate loop (``candidates``) reads only
-records: per pair it tests that the two operator masks are disjoint and
-together hold every mandatory operator, makes one set test (the shared
-columns must be exactly the keys), looks the join divisor up in a
-per-partition table keyed by the two key-ndv tuples, costs the join with
+the cheapest plan per operator set is kept.  An operator that may run on
+either side of a join would block the prefixes of the side it does not run
+on, so an entry with such operators also seeds a chain with them banned,
+and the plans both kinds of chain reach compete for their operator sets.
+
+Every table here, memo or closed, holds one plan per (leaves, operators)
+key.  That is exact up to rounding: a plan's state depends only on its
+leaves and the operators it applied, not on the order it joined or applied
+them in (``stats``), up to the float rounding of the order its row products
+associate in (at most 1e-12 relative), so two plans with one key cost the
+same in every context that completes them, and the dearer one can be
+dropped.  The ``stats`` module docstring names the one exception: an
+operator that reads a join key is estimated from the key's statistics
+where it runs, so a filter on the key leaves different rows below the join
+than above it, and the plan kept for the key may complete at a higher cost
+than the one dropped.  The oracle keeps one plan per key too.
+
+A partition (``fill``) pairs its two sides' closed tables directly, each
+closed entry turned once into a ``Prefix`` record: its operator mask, cost,
+rows, non-key columns and the distinct counts of the partition's join
+keys.  The candidate loop (``candidates``) reads only records: per pair it
+tests that the two operator masks are disjoint and together hold every
+mandatory operator, makes one set test (the shared columns must be exactly
+the keys), looks the join divisor up in a per-partition table keyed by the
+two key-ndv tuples, costs the join with
 ``stats.join_cost`` and looks its operator set up in the memo table.  A
 candidate that beats the incumbent for its operator set is kept as a
 ``DeferredJoin`` record until its table is complete; only the records that
@@ -92,7 +105,8 @@ from typing import NamedTuple, Optional
 
 from ..algebra import A3DError, Join, Project, Term
 from ..stats import (
-    CostModel, PlanState, join_cost, join_divisor, key_ndvs, op_cost,
+    CostModel, PlanState, join_array_info, join_cost, join_divisor, key_ndvs,
+    op_cost,
 )
 from .decompose import QueryDecomposition, RankableOp
 from .precedence import PrecedenceGraph, _bits
@@ -336,19 +350,14 @@ def undominated(plans: list, filters: int) -> list:
 
 
 def keep(nodes: dict, key, entry: MemoEntry) -> None:
-    """Offer `entry` to the entries kept under `key`: it replaces an entry
-    with an equal plan state when it is cheaper, and is added when no
-    entry has its state."""
-    kept = nodes.get(key)
-    if kept is None:
-        nodes[key] = [entry]
-        return
-    for i, old in enumerate(kept):
-        if old.state == entry.state:
-            if entry.cost < old.cost:
-                kept[i] = entry
-            return
-    kept.append(entry)
+    """Offer `entry` as the one plan kept under `key`: it is kept when no
+    plan is, or when it is cheaper than the one that is.  Plans under one
+    key have applied the same operators over the same leaves, so their
+    states are equal up to rounding, but for the exception the module
+    docstring names, and cost alone decides."""
+    old = nodes.get(key)
+    if old is None or entry.cost < old.cost:
+        nodes[key] = entry
 
 
 ############################################################
@@ -596,21 +605,20 @@ class Enumerator:
     def close(self, mask: int) -> tuple:
         """The closed table of the leaves in `mask`, made on first use:
         the memo entries with every prefix of each of their ``prefixes``
-        chains applied, the cheapest plan kept per operator set and plan
-        state, in one list in the order first reached (an empty memo table
-        gives an empty list).  A plan a banned chain reaches lacks the
-        banned either-side operators, so it pairs with the other side's
-        plans that ran them, or with those that left them for above the
-        join.
+        chains applied, the cheapest plan kept per operator set, in one
+        list in the order first reached (an empty memo table gives an
+        empty list).  A plan a banned chain reaches lacks the banned
+        either-side operators, so it pairs with the other side's plans
+        that ran them, or with those that left them for above the join.
 
         The closure runs by operator count over nodes (operator set, the
-        chain's remaining operator indices).  Each memo entry seeds one
-        node per chain, and each entry of a node applies only the node's
-        next operator, so chains that meet share the rest of their work.
-        Two plans with one operator set and equal plan states cost the
-        same from there on, so only the cheaper is kept (``keep``); plans
-        whose states differ are both kept, since a dearer plan with fewer
-        rows may still join more cheaply."""
+        chain's remaining operator indices), one plan per node.  Each memo
+        entry seeds one node per chain, and each node's plan applies only
+        the node's next operator, so chains that meet share the rest of
+        their work.  Two plans with one operator set have one plan state,
+        up to rounding and the exception the module docstring names, so
+        they cost the same from there on and only the cheaper is kept
+        (``keep``)."""
         hit = self.closed.get(mask)
         if hit is not None:
             return hit
@@ -620,12 +628,12 @@ class Enumerator:
             return []
         ops_of = self.q.ops
         cm = self.cm
-        todo: dict = {}             # op count -> {node: [entry]}
+        todo: dict = {}             # op count -> {node: entry}
         for entry in table.values():
             nodes = todo.setdefault(entry.ops.bit_count(), {})
             for chain in self.prefixes(entry):
-                keep(nodes, (entry.ops, chain), entry)
-        best: dict = {}             # ops mask -> [entry]
+                nodes[entry.ops, chain] = entry
+        best: dict = {}             # ops mask -> entry
         count = min(todo)
         while todo:
             nodes = todo.pop(count, None)
@@ -633,16 +641,15 @@ class Enumerator:
             if nodes is None:
                 continue
             later = None
-            for (ops, rest), kept in nodes.items():
-                for entry in kept:
-                    keep(best, ops, entry)
-                    if not rest:
-                        continue
-                    nxt = apply_op(ops_of[rest[0]], entry, cm)
-                    if later is None:
-                        later = todo.setdefault(count, {})
-                    keep(later, (nxt.ops, rest[1:]), nxt)
-        closed = [entry for kept in best.values() for entry in kept]
+            for (ops, rest), entry in nodes.items():
+                keep(best, ops, entry)
+                if not rest:
+                    continue
+                nxt = apply_op(ops_of[rest[0]], entry, cm)
+                if later is None:
+                    later = todo.setdefault(count, {})
+                keep(later, (nxt.ops, rest[1:]), nxt)
+        closed = list(best.values())
         self.closed[mask] = closed
         return closed
 
@@ -700,8 +707,8 @@ class Enumerator:
 
         The cost is ``op_cost`` over the plan's rows and array infos.  A
         ``DeferredJoin`` record's rows are stored on it, and its array
-        infos are its inputs' merged right over left, as ``join_effect``
-        merges them, so the record need not be built."""
+        infos are its inputs' merged by ``join_array_info``, as
+        ``join_effect`` merges them, so the record need not be built."""
         order = self.order
         n = len(order)
         ops = plan.ops
@@ -711,8 +718,8 @@ class Enumerator:
             return pos, 0.0
         if type(plan) is DeferredJoin:
             rows = plan.rows
-            info = {**plan.left.state.array_info,
-                    **plan.right.state.array_info}
+            info = join_array_info(plan.left.state.array_info,
+                                   plan.right.state.array_info, plan.keys)
         else:
             rows, info = plan.state.rows, plan.state.array_info
         return pos, op_cost(order[pos].node, rows, info)

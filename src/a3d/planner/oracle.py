@@ -3,11 +3,16 @@
 States are (relation set, applied operator set) pairs; transitions apply any
 legal operator anywhere (not just rank-sorted prefixes) or join any two
 disjoint states connected in the join graph.  Plans with equal state are
-interchangeable below any context (the cost state is order-independent), so
-keeping the cheapest plan per state is exact.  States are expanded strictly
-by level (relations + operators applied) so every state is final before
-anything builds on it.  Deliberately small: refuses queries beyond
-4 relations / 8 rankable operators.
+interchangeable below any context: a plan's cost state depends only on its
+relations and operators, not on their order, up to the rounding of its row
+products, so keeping the cheapest plan per state is exact up to that
+rounding, as it is for the enumerator.  The exception is an operator that
+reads a join key, which is estimated from the key's statistics where it
+runs (``stats``): there the plan kept may complete at a higher cost than
+one dropped.  States are expanded strictly by level (relations + operators
+applied) so every state is final before anything builds on it.
+Deliberately small: refuses queries beyond 4 relations / 8 rankable
+operators.
 """
 
 from ..algebra import A3DError

@@ -4,11 +4,25 @@ The cost model is deliberately simple and *order-independent*: every operator
 is a multiplicative machine over a small plan state (row estimate plus
 per-array average lengths).  Filters scale rows; arrayFilters scale target
 lengths; arrayJoins multiply rows by a length; aggregates scale rows by a
-constant group selectivity derived from base statistics.  Because each
-effect is a constant factor, the state after applying a set of operators does
-not depend on the order they were applied in — which is exactly what makes
-memoized enumeration over (relation set, operator set) sound, and what lets
-the enumerator, the exhaustive oracle, and ``term_cost`` share one model.
+constant group selectivity derived from base statistics.  A join multiplies
+its inputs' rows over a divisor that is symmetric in them, and a shared key
+takes the statistics of the input with fewer distinct values, whichever side
+it is on (``CostModel.join_effect``).  Because each effect is a constant
+factor, the state after joining a set of relations and applying a set of
+operators does not depend on the order they were joined and applied in, up
+to the float rounding of the order the row products associate in (at most
+1e-12 relative) — which is exactly what makes memoized enumeration with one
+plan per (relation set, operator set) sound, and what lets the enumerator,
+the exhaustive oracle, and ``term_cost`` share one model.
+
+One exception is known.  An operator that reads a join key estimates from
+the key's statistics where it runs: below the join they are its own
+input's, above it the input's with fewer distinct values.  A filter on the
+key then keeps a different share of the rows below the join than above it,
+and an identity copy of the key keeps different statistics.  (An emptiness
+test and its negation, ``c != []`` and ``c = []``, leave the empty fraction
+of the one applied last; but they leave 0 rows in either order, so no later
+cost differs.)
 
 Statistics kinds per scalar column:
 
@@ -355,7 +369,11 @@ DEFAULT_ARRAY_INFO = ArrayInfo(DEFAULT_ARRAY_LEN, DEFAULT_ARRAY_LEN, 0.0, None)
 @dataclass(frozen=True)
 class PlanState:
     """Order-independent cost state: row estimates, scalar statistics and
-    one ``ArrayInfo`` per array column.
+    one ``ArrayInfo`` per array column.  It depends only on the relations
+    joined and the operators applied, not on the order of either, up to
+    the rounding of the row products, unless an operator reads a join key
+    (module docstring); the searches keep one plan per (relations,
+    operators).
 
     rows_unf (and each ``ArrayInfo.length_unf``) track the same quantities
     with every filter selectivity forced to 1; aggregate selectivities are
@@ -411,6 +429,63 @@ def join_divisor(left_ndvs: tuple, right_ndvs: tuple) -> float:
         else:
             div *= left if right is None else max(left, right)
     return max(div, 1e-9)
+
+
+def _stats_rank(st: Optional[ScalarStats]) -> tuple:
+    """The order ``join_effect`` picks a shared key's statistics by: an
+    unknown distinct count (``key_ndvs``) first, missing statistics first
+    of all, then the lower known count, then null fraction, kind, bounds
+    (None last) and numeric.
+
+    An unknown count comes first because ``join_divisor`` divides by the
+    known count alone, which takes the unknown side to have no more
+    distinct values; keeping the known statistics instead would make the
+    rows of three joins on one key depend on which two join first."""
+    if st is None:
+        return (0,)
+    return (int(st.ndv > 0), st.ndv, st.null_fraction, st.kind,
+            st.lo is None, st.lo, st.hi is None, st.hi, st.numeric)
+
+
+def _stats_detail(st: Optional[ScalarStats]) -> tuple:
+    """The fields ``_stats_rank`` leaves out, for a full tie: the
+    frequencies (each value after its type name, so values of two types
+    are never compared) and the clusters."""
+    if st is None:
+        return ()
+    return (tuple((f, type(v).__name__, v) for v, f in st.freqs),
+            st.clusters)
+
+
+def _info_rank(info: ArrayInfo) -> tuple:
+    return (info.length, info.length_unf, info.empty_fraction,
+            _stats_rank(info.elem))
+
+
+def _info_detail(info: ArrayInfo) -> tuple:
+    return _stats_detail(info.elem)
+
+
+def _lower(a, b, rank, detail):
+    """Whichever of `a` and `b` comes first in the total order of `rank`,
+    then of `detail` when two unequal values tie on `rank`; the same
+    value for (a, b) as for (b, a)."""
+    ra, rb = rank(a), rank(b)
+    if ra == rb and a != b:
+        ra, rb = detail(a), detail(b)
+    return a if ra <= rb else b
+
+
+def join_array_info(left: Mapping[str, ArrayInfo],
+                    right: Mapping[str, ArrayInfo], shared) -> dict:
+    """The array infos of the natural join of inputs with array infos
+    `left` and `right` on the columns `shared`: each input's own, and for
+    a shared array key the lower of the two (``_lower``)."""
+    info = {**left, **right}
+    for c in shared:
+        if c in info:
+            info[c] = _lower(left[c], right[c], _info_rank, _info_detail)
+    return info
 
 
 def join_cost(left_rows: float, right_rows: float, div: float) -> float:
@@ -599,12 +674,28 @@ class CostModel:
                                scalar_stats, array_info)
 
     def join_effect(self, left: PlanState, right: PlanState, shared):
-        """Natural-join effect.  Returns (cost, new_state)."""
+        """Natural-join effect.  Returns (cost, new_state).
+
+        A column of one input keeps that input's statistics.  A shared
+        scalar key takes the statistics of the input with fewer distinct
+        values, an unknown count counting as fewer (``_stats_rank``):
+        under the containment assumption the join's key values are that
+        input's (Swami & Schiefer, "On the Estimation of Join Result
+        Sizes", EDBT 1994).  Ties, and shared array keys, go by a total
+        order on the remaining fields (``_lower``), so the state does not
+        depend on which input is on which side, nor on the order of a
+        chain of joins."""
         div = join_divisor(key_ndvs(left, shared), key_ndvs(right, shared))
+        scalar_stats = {**left.scalar_stats, **right.scalar_stats}
+        for c in shared:
+            if c in scalar_stats:
+                scalar_stats[c] = _lower(left.scalar_stats.get(c),
+                                         right.scalar_stats.get(c),
+                                         _stats_rank, _stats_detail)
         return join_cost(left.rows, right.rows, div), PlanState(
             left.rows * right.rows / div, left.rows_unf * right.rows_unf / div,
-            {**left.scalar_stats, **right.scalar_stats},
-            {**left.array_info, **right.array_info})
+            scalar_stats,
+            join_array_info(left.array_info, right.array_info, shared))
 
     # -- whole-term costing -------------------------------------------------
 

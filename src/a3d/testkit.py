@@ -8,6 +8,7 @@ the scaling tests: stacked unnest-derive-filter blocks (pattern A) and a
 single conjunctive filter over many jointly unnested arrays (pattern B).
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -244,11 +245,18 @@ def pattern_schemas(kind: str, n: int) -> dict:
 
 def _field(doc: dict, key: str, default, where: str, kind=float):
     """`kind` (float or int) of ``doc.get(key, default)``; a ValueError
-    naming the field when it does not convert."""
+    naming the field when it does not convert, is NaN or infinite, or has
+    a fraction where `kind` is int."""
+    value = doc.get(key, default)
     try:
-        return kind(doc.get(key, default))
+        number, out = float(value), kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: {key!r} must be a number") from None
+    if not math.isfinite(number) or (kind is int
+                                     and not number.is_integer()):
+        raise ValueError(f"{where}: {key!r} must be a finite "
+                         f"{'integer' if kind is int else 'number'}")
+    return out
 
 
 def _dist_from_json(doc: dict, where: str) -> Dist:

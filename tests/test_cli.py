@@ -361,6 +361,28 @@ def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
     assert (code, errors, out) == (1, ["parse"], "")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("null_fraction", float("nan")),
+    ("null_fraction", float("inf")),
+    ("lo", float("-inf")),
+    ("ndv", 3.9),
+], ids=["nan", "infinity", "minus-infinity", "fractional-ndv"])
+def test_non_finite_or_fractional_stats_number_exits_with_parse_error(
+        tmp_path, capsys, field, value):
+    # Python's json reads NaN and Infinity.  With a NaN null fraction this
+    # document planned the sample plan with exit 0, estimating x < 5 at 0
+    # rows, and an ndv of 3.9 was read as 3
+    entry = {"kind": "uniform", "row_count": 10, "ndv": 5, "lo": 0,
+             "hi": 9, "null_fraction": 0.0}
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"R.x": dict(entry, **{field: value})}))
+    code = cli.main(["--plan", str(SAMPLE_PLAN), "--stats", str(stats)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert [json.loads(line)["error"] for line in err.splitlines()] == \
+        ["parse"]
+
+
 @pytest.mark.parametrize("text", [None, "{not json"],
                          ids=["missing", "not-json"])
 def test_unreadable_stats_file_exits_with_parse_error(tmp_path, capsys,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -15,6 +16,10 @@ from a3d.algebra import (
     RelVar,
     Relation,
     Schema,
+    SchemaError,
+    output_schema,
+    replace_at,
+    walk,
 )
 from a3d.functions import ScalarFn
 from a3d.planner import MODES, OracleLimitError, optimize
@@ -35,7 +40,9 @@ from a3d.stats import (
     pred_selectivity,
 )
 
-from gen_utils import inner_query, random_query
+from gen_utils import (
+    default_relation, inner_query, random_pred, random_query, random_term,
+)
 
 
 ############################################################
@@ -477,3 +484,124 @@ def test_costs_never_fall_when_rows_grow(planned_effects):
         for grow in (1.5, 10.0):
             assert join_cost(left * grow, right, div) >= cost
             assert join_cost(left, right * grow, div) >= cost
+
+
+############################################################
+# metamorphic checks: equivalent plans get equal states
+############################################################
+
+# statistics from build_table_stats on odd seeds, none on even ones
+METAMORPHIC_SEEDS = range(600)
+
+
+def _metamorphic_query(seed, nrel):
+    """(rng, cost model, column types, leaf terms) of a seeded query: one
+    ``random_term`` per relation over `nrel` relations that share the
+    never-null key ``k`` when there are several."""
+    rng = random.Random(seed)
+    rels = [default_relation(rng, "r%d" % i, with_key=nrel > 1, min_rows=1)
+            for i in range(nrel)]
+    leaves = [random_term(rng, [tr], n_ops=rng.randint(0, 3)) for tr in rels]
+    schemas = {tr.name: tr.schema for tr in rels}
+    stats = {tr.name: build_table_stats(tr.relation) for tr in rels} \
+        if seed % 2 else {}
+    types = {c: t for tr in rels for c, t in tr.types.items()}
+    return rng, CostModel(stats, schemas), types, leaves
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+
+
+def _assert_equal_statistics(s1, s2):
+    assert s1.scalar_stats == s2.scalar_stats
+    assert s1.array_info == s2.array_info
+    assert _close(s1.rows, s2.rows) and _close(s1.rows_unf, s2.rows_unf)
+
+
+def _swapped(term):
+    """Every term that swaps the inputs of one join of `term`."""
+    for path, node in walk(term):
+        if isinstance(node, Join):
+            yield replace_at(term, path, Join(node.right, node.left))
+
+
+@pytest.mark.parametrize("nrel", (2, 3))
+def test_joins_give_one_state_in_every_order(nrel):
+    # the joins of two or three leaves, each leaf a random term over its
+    # relation: swapping one join's inputs gives an equal state, and every
+    # association gives equal statistics, rows up to rounding
+    checked = 0
+    for seed in METAMORPHIC_SEEDS:
+        _, cm, _, leaves = _metamorphic_query(seed, nrel)
+        shapes = [Join(*leaves)] if nrel == 2 else \
+            [Join(Join(a, b), c) for a, b, c in
+             itertools.permutations(leaves)] + \
+            [Join(a, Join(b, c)) for a, b, c in
+             itertools.permutations(leaves)]
+        try:
+            first = cm.term_cost(shapes[0]).state
+        except SchemaError:
+            continue    # two leaves derived one column name in two kinds
+        for shape in shapes:
+            state = cm.term_cost(shape).state
+            _assert_equal_statistics(state, first)
+            for swapped in _swapped(shape):
+                assert cm.term_cost(swapped).state == state
+        checked += 1
+    assert checked > 300
+
+
+def _random_filter(rng, term, schemas, types):
+    """A filter over `term`'s columns of known type, None when there is
+    no such scalar column."""
+    schema = output_schema(term, schemas)
+    scalars = sorted(c for c in schema.scalars if c in types)
+    if not scalars:
+        return None
+    return random_pred(rng, scalars, types, array_cols=sorted(schema.arrays))
+
+
+def _opposite_emptiness_tests(p1, p2):
+    """Whether `p1` and `p2` are  c != []  and  c = []  on one column."""
+    return _is_emptiness_test(p1) and _is_emptiness_test(p2) \
+        and p1.lhs == p2.lhs and p1.op != p2.op
+
+
+@pytest.mark.parametrize("nrel", (1, 2, 3))
+def test_filters_give_one_state_in_either_order_and_never_add_rows(nrel):
+    # two random filters put in either order at a random node of a random
+    # term give the root equal statistics, rows up to rounding; and
+    # putting one there never raises the root's rows
+    checked = 0
+    for seed in METAMORPHIC_SEEDS:
+        rng, cm, types, leaves = _metamorphic_query(seed, nrel)
+        term = leaves[0]
+        for leaf in leaves[1:]:
+            term = Join(term, leaf)
+        try:
+            base = cm.term_cost(term).state
+        except SchemaError:
+            continue    # two leaves derived one column name in two kinds
+        path, node = rng.choice(list(walk(term)))
+        p1 = _random_filter(rng, node, cm.schemas, types)
+        p2 = _random_filter(rng, node, cm.schemas, types)
+        if p1 is None:
+            continue
+        one = cm.term_cost(replace_at(term, path, Filter(p1, node))).state
+        assert one.rows <= base.rows
+        s12 = cm.term_cost(replace_at(
+            term, path, Filter(p1, Filter(p2, node)))).state
+        s21 = cm.term_cost(replace_at(
+            term, path, Filter(p2, Filter(p1, node)))).state
+        assert s12.rows <= one.rows
+        if _opposite_emptiness_tests(p1, p2):
+            # both orders leave 0 rows, and only the empty fraction of the
+            # filter applied last differs: every cost above reads rows, so
+            # none can differ (test_emptiness_test_and_guard_leave_no_rows_
+            # in_either_order)
+            assert s12.rows == s21.rows == 0.0
+            continue
+        _assert_equal_statistics(s12, s21)
+        checked += 1
+    assert checked > 300

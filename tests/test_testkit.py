@@ -267,6 +267,26 @@ def test_genspec_from_json_rejects_bad_docs(doc):
         genspec_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"row_count": 2.7, "columns": {"k": {
+        "kind": "scalar", "dist": {"name": "uniform", "ndv": 3.9}}}},
+    {"row_count": 3, "columns": {"k": {
+        "kind": "scalar", "dist": {"name": "uniform", "ndv": 3.9}}}},
+    {"row_count": 3, "columns": {"z": {
+        "kind": "scalar", "dist": {"name": "zipf", "s": float("inf"),
+                                   "ndv": 5}}}},
+    {"row_count": 3, "columns": {"k": {
+        "kind": "scalar", "dist": {"name": "uniform", "ndv": 3},
+        "null_probability": float("nan")}}},
+], ids=["fractional-row-count", "fractional-ndv", "infinite-zipf-s",
+        "nan-null-probability"])
+def test_genspec_from_json_rejects_non_finite_or_fractional_numbers(doc):
+    # the first document made ``a3d gen`` emit 2 rows with values from
+    # ndv 3; Python's json reads NaN and Infinity
+    with pytest.raises(ValueError, match="must be a finite"):
+        genspec_from_json(json.loads(json.dumps(doc)))
+
+
 def test_zipf_s_must_be_positive():
     with pytest.raises(ValueError):
         generate(GenSpec(5, {"z": ScalarColumn(Dist("zipf", s=0.0, ndv=5))}))
