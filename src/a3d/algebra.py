@@ -53,10 +53,12 @@ from .functions import (
     apply_scalar,
     fn_output_kind,
     known_agg_fn,
-    known_scalar_fn,
-    scalar_fn_arity,
+    scalar_fn_signature,
 )
-from .predicates import Pred, PredicateError, eval_pred, format_pred, pred_columns
+from .predicates import (
+    Apply, Col, Pred, PredicateError, eval_pred, format_expr, format_pred,
+    pred_columns,
+)
 
 
 class A3DError(Exception):
@@ -359,9 +361,10 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
         return Schema(inner.scalars - gone, (inner.arrays - gone) | aliases)
 
     if isinstance(node, Derive):
-        if not known_scalar_fn(node.fn.name):
+        signature = scalar_fn_signature(node.fn.name)
+        if signature is None:
             raise SchemaError(f"unknown function {node.fn.name!r}")
-        if len(node.args) != scalar_fn_arity(node.fn.name):
+        if len(node.args) != signature[0]:
             raise SchemaError(f"{node.fn.name}: wrong arity")
         kinds = []
         for c in node.args:
@@ -610,33 +613,44 @@ def relations_equal(a: Relation, b: Relation, mode: str = "bag") -> bool:
 # debug rendering
 ############################################################
 
-def format_term(term: Term, indent: int = 0) -> str:
-    """Multi-line, operator-symbol rendering (for traces and debugging)."""
-    pad = "  " * indent
+_SYMBOLS = {
+    Filter: "\u03c3",       # sigma
+    Project: "\u03a0",      # Pi
+    ArrayJoin: "\u03bc",    # mu
+    ArrayFilter: "\u03c6",  # phi
+    Derive: "\u03b4",       # delta
+    Aggregate: "\u0393",    # Gamma
+    Join: "\u22c8",         # bowtie
+}
+
+
+def op_label(term: Term) -> str:
+    """One-line label of `term`'s root operator: its symbol and its own
+    fields, not its inputs.  The dot graph and `format_term` show it."""
     if isinstance(term, RelVar):
-        return f"{pad}{term.name}"
+        return term.name
+    sym = _SYMBOLS[type(term)]
     if isinstance(term, Filter):
-        head = f"{pad}sigma[{format_pred(term.pred)}]"
-    elif isinstance(term, Project):
-        head = f"{pad}pi[{', '.join(term.cols)}]"
-    elif isinstance(term, Join):
-        return (f"{pad}join\n{format_term(term.left, indent + 1)}\n"
-                f"{format_term(term.right, indent + 1)}")
-    elif isinstance(term, ArrayJoin):
-        tt = ", ".join(f"{s}:{a}" for s, a in term.targets)
-        head = f"{pad}mu[{tt}]"
-    elif isinstance(term, ArrayFilter):
-        tt = ", ".join(f"{s}:{a}" for s, a in term.targets)
-        head = f"{pad}phi[{tt} | {format_pred(term.pred)}]"
-    elif isinstance(term, Derive):
-        fn = term.fn.name
-        if term.fn.params:
-            fn += "[" + ",".join(f"{k}={v!r}" for k, v in term.fn.params) + "]"
-        star = "map " if term.is_map else ""
-        head = f"{pad}delta[{term.output} = {star}{fn}({', '.join(term.args)})]"
-    elif isinstance(term, Aggregate):
-        aa = ", ".join(f"{s.fn}({s.arg}):{s.alias}" for s in term.aggs)
-        head = f"{pad}gamma[{', '.join(term.keys)} | {aa}]"
-    else:
-        return f"{pad}{term!r}"
-    return head + "\n" + format_term(term.child, indent + 1)
+        return f"{sym} {format_pred(term.pred)}"
+    if isinstance(term, Project):
+        return f"{sym} {', '.join(term.cols)}"
+    if isinstance(term, (ArrayJoin, ArrayFilter)):
+        targets = ", ".join(f"{s}\u2192{a}" for s, a in term.targets)
+        if isinstance(term, ArrayJoin):
+            return f"{sym} {targets}"
+        return f"{sym} {targets} | {format_pred(term.pred)}"
+    if isinstance(term, Derive):
+        how = "map " if term.is_map else ""
+        call = format_expr(Apply(term.fn, tuple(map(Col, term.args))))
+        return f"{sym} {term.output} := {how}{call}"
+    if isinstance(term, Aggregate):
+        aggs = ", ".join(f"{s.alias}={s.fn}({s.arg})" for s in term.aggs)
+        return f"{sym} [{', '.join(term.keys)}] {aggs}"
+    return sym
+
+
+def format_term(term: Term, indent: int = 0) -> str:
+    """Multi-line rendering for traces and debugging: one `op_label` per
+    line, each operator's inputs indented below it."""
+    return "\n".join(["  " * indent + op_label(term)] + [
+        format_term(kid, indent + 1) for kid in children(term)])

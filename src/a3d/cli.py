@@ -10,7 +10,85 @@ Exit codes: 0 success, 1 plan/stats parse error, 2 schema error,
 3 infeasible or unsupported query, 4 dialect error.
 
 A second form, ``a3d gen --spec spec.json --out rel.json``, generates a
-relation from a distribution spec (see `testkit`).
+relation from a distribution spec (see `testkit.genspec_from_json`).
+
+Plan document::
+
+    {"a3d_plan": 1,
+     "catalog": {"relations": {name: {"scalars": [col], "arrays": [col]}},
+                 "correspondences": [[array col, array col, ...]]},
+     "term": term,
+     "options": {"mode": ..., "emit": ..., "preagg_alpha": number,
+                 "cte": flag, "allow_cross_products": flag}}
+
+``scalars``, ``arrays``, ``correspondences`` and ``options`` and each of
+its keys may be left out; a command-line flag overrides its option.  A
+correspondence names two or more array columns of one relation.
+
+A term, a predicate and an expression are each a JSON object whose ``op``,
+``pred`` or ``expr`` key names its tag; the tables ``_TERMS``, ``_PREDS``
+and ``_EXPRS`` give each tag's class and fields::
+
+    op           fields                                  class
+    relVar       name                                    RelVar
+    filter       pred, input                             Filter
+    project      cols, input                             Project
+    join         left, right                             Join
+    arrayJoin    targets, input                          ArrayJoin
+    arrayFilter  targets, pred, input                    ArrayFilter
+    derive       output, fn, args, input, map            Derive
+    aggregate    keys, aggs, input                       Aggregate
+
+    pred         fields                                  class
+    cmp          op (= != < <= > >=), lhs, rhs           Cmp
+    and, or      parts (two or more predicates)          And, Or
+    not          part                                    Not
+
+    expr         fields                                  class
+    col          name                                    Col
+    lit          value                                   Lit
+    apply        fn, args (a list of expressions)        Apply
+
+``input``, ``left`` and ``right`` are terms; ``pred`` and ``part`` are
+predicates; ``lhs`` and ``rhs`` are expressions.  ``name`` and ``output``
+are strings; ``cols``, ``keys`` and a derive's ``args`` are lists of
+strings; ``targets`` is a non-empty list of ``[array column, alias]``
+pairs; ``aggs`` is a list of ``{"fn", "arg", "alias"}`` strings, ``fn`` a
+known aggregate.  Every field is required except ``map``.  The value
+rules:
+
+- a number is a finite JSON number, and an integer where one is asked for;
+- a flag is ``true`` or ``false``, and false when left out;
+- a literal (a ``lit`` value) is null, a boolean, a finite number, a
+  string, or a flat list of those, which is an array value;
+- a function ``fn`` is ``{"name": ..., "params": {...}}`` with exactly the
+  parameters that `functions` declares for it: ``const`` takes a literal
+  ``value``, ``affine`` takes numbers ``a`` and ``b`` (it computes
+  ``a * x + b``), and every other function takes none, so ``params`` may
+  be left out.
+
+Statistics document: ``{"relation.column": entry}``.  Every entry has a
+``row_count``, a non-negative integer equal across one relation's entries,
+and a ``kind``:
+
+- ``exact``: ``freq``, a list of ``[value, fraction]`` pairs with a scalar
+  literal value and a number fraction; ``ndv`` (default: the number of
+  pairs); ``null_fraction``;
+- ``uniform``: ``ndv`` (required); ``lo`` and ``hi``, numbers or null;
+  ``null_fraction``;
+- ``clustered``: ``clusters``, a non-empty list of ``[lo, hi, weight,
+  ndv]`` numbers with an integer ``ndv``; ``ndv`` (default: their sum);
+  ``null_fraction``;
+- ``array``, for an array column: ``avg_array_len``, ``empty_fraction``,
+  and ``row_stats``, a scalar entry without ``row_count`` for the
+  elements.
+
+``ndv`` is an integer and every other statistic a number.  A scalar entry
+may hold only the keys that the scalar kinds list (and ``avg_freq``, which
+is read by nothing), and an array entry only its own.
+
+An error names the path of keys from the document's root down to the bad
+value, for example ``term['input']['pred']['rhs']['value']``.
 """
 
 import argparse
@@ -22,7 +100,7 @@ from .algebra import (
     A3DError, AggSpec, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter,
     Join, Project, RelVar, Schema, SchemaError, Term,
 )
-from .functions import ScalarFn, known_agg_fn, known_scalar_fn
+from .functions import ScalarFn, known_agg_fn, scalar_fn_signature
 from .planner import InfeasibleQueryError, MODES, optimize
 from .predicates import And, Cmp, Col, Lit, Not, Or, Apply, COMPARISONS
 from .stats import ArrayStats, CostModel, ScalarStats, TableStats
@@ -38,217 +116,293 @@ PLAN_VERSION = 1
 EMIT_TARGETS = ("plan", *(f"sql-{name}" for name in DIALECTS), "dot")
 
 
-class PlanParseError(A3DError):
-    """The plan or stats document is not well-formed."""
+class PlanParseError(A3DError, ValueError):
+    """A plan, statistics or generation document is not well-formed.
+
+    `at` is the path of keys and indices from the document's root to the
+    bad value.  Readers prepend their key as the error passes up through
+    them, so no location text is built for a document that parses.
+    """
+
+    def __init__(self, message: str, *at):
+        super().__init__(message)
+        self.at = list(at)
+
+    def __str__(self) -> str:
+        if not self.at:
+            return self.args[0]
+        path = "".join(f"[{key!r}]" for key in self.at[1:])
+        return f"{self.at[0]}{path}: {self.args[0]}"
+
+
+class _at:
+    """Prefix `keys` to the path of a PlanParseError raised in the block."""
+
+    def __init__(self, *keys):
+        self.keys = keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, traceback):
+        if isinstance(error, PlanParseError):
+            error.at[:0] = self.keys
 
 
 ############################################################
-# expression / predicate codec
+# value readers: one per kind of value, each a document's only check of it
 ############################################################
 
-def _fn_to_json(fn: ScalarFn) -> dict:
-    doc = {"name": fn.name}
-    if fn.params:
-        doc["params"] = {k: v for k, v in fn.params}
+_ABSENT = object()  # the value of a key that a document leaves out
+
+
+def _number(value, *at, kind=float):
+    """`value` as a `kind` (float or int): a PlanParseError at `at` unless
+    it is a finite JSON number, and integral where `kind` is int."""
+    if type(value) is float:
+        if math.isfinite(value) and (kind is float or value.is_integer()):
+            return value if kind is float else kind(value)
+    elif type(value) is int:
+        try:
+            return kind(value)
+        except OverflowError:  # too large for a float
+            pass
+    raise PlanParseError(f"must be a finite "
+                         f"{'integer' if kind is int else 'number'}", *at)
+
+
+def _flag(value, *at) -> bool:
+    """A JSON boolean; false when the key is absent."""
+    if value is True or value is False or value is _ABSENT:
+        return value is True
+    raise PlanParseError("must be true or false", *at)
+
+
+_EXACT_SCALARS = frozenset({type(None), bool, int, str})
+
+
+def _is_scalar(value) -> bool:
+    return type(value) in _EXACT_SCALARS \
+        or (type(value) is float and math.isfinite(value))
+
+
+def _literal(value):
+    """A literal: null, a boolean, a finite number, a string, or a flat
+    list of those (read as a tuple, the array value)."""
+    if _is_scalar(value):
+        return value
+    if type(value) is list and all(map(_is_scalar, value)):
+        return tuple(value)
+    raise PlanParseError("must be null, a boolean, a finite number, a "
+                         "string or a flat list of those")
+
+
+def _string(value):
+    if type(value) is str:
+        return value
+    raise PlanParseError("must be a string")
+
+
+def _strings(value, *at) -> tuple:
+    if type(value) is list and all(type(s) is str for s in value):
+        return tuple(value)
+    raise PlanParseError("must be a list of strings", *at)
+
+
+def _targets(value) -> tuple:
+    if type(value) is list and value and all(
+            type(t) is list and len(t) == 2 and type(t[0]) is str
+            and type(t[1]) is str for t in value):
+        return tuple((s, a) for s, a in value)
+    raise PlanParseError("must be a non-empty list of [source, alias] "
+                         "pairs")
+
+
+def _comparison(value):
+    if value in COMPARISONS:
+        return value
+    raise PlanParseError(f"must be one of {list(COMPARISONS)}")
+
+
+def _aggregate_fn(value):
+    if type(value) is str and known_agg_fn(value):
+        return value
+    raise PlanParseError("must name a known aggregate")
+
+
+############################################################
+# codecs: a (writer, reader) pair per field type, and the tables
+############################################################
+
+def _write_object(obj) -> dict:
+    """The JSON object of `obj`: its tag, if its class has one, and each
+    field its codec writes (a flag that is off is left out)."""
+    try:
+        tag_key, tag, fields = _WRITERS[type(obj)]
+    except KeyError:
+        raise PlanParseError(f"unserializable {type(obj).__name__}") \
+            from None
+    doc = {tag_key: tag} if tag_key else {}
+    for key, attr, (write, _) in fields:
+        value = write(getattr(obj, attr))
+        if value is not _ABSENT:
+            doc[key] = value
     return doc
 
 
-def _fn_from_json(doc, where: str) -> ScalarFn:
-    if not isinstance(doc, dict) or not isinstance(doc.get("name"), str):
-        raise PlanParseError(f"{where}: function must be an object "
-                             f"with a 'name'")
-    if not known_scalar_fn(doc["name"]):
-        raise PlanParseError(f"{where}: unknown function {doc['name']!r}")
+def _object(tag_key, table: dict):
+    """The codec of a JSON object that stands for one of `table`'s classes.
+
+    `table` maps each tag to (class, fields), and the object's `tag_key`
+    names its tag.  A class with no tag has the tag key None and is
+    `table`'s only entry, under None.
+    """
+
+    def read(doc):
+        try:
+            cls, fields = table[doc.get(tag_key)]
+        except (AttributeError, TypeError, KeyError):  # no object, bad tag
+            raise PlanParseError("must be an object" + (
+                f" whose {tag_key!r} is one of {sorted(table)}"
+                if tag_key else "")) from None
+        values = []
+        try:
+            for key, _, (_, read_field) in fields:
+                values.append(read_field(doc.get(key, _ABSENT)))
+        except PlanParseError as e:
+            if key not in doc:
+                raise PlanParseError("is missing", key) from None
+            e.at.insert(0, key)
+            raise
+        return cls(*values)
+
+    return _write_object, read
+
+
+def _list_of(codec, least: int = 0):
+    """The codec of a list of `least` or more values of `codec`."""
+    write, read = codec
+
+    def read_list(value) -> tuple:
+        if type(value) is not list or len(value) < least:
+            raise PlanParseError("must be a list" + (
+                f" of {least} or more" if least else ""))
+        out = []
+        try:
+            for i, item in enumerate(value):
+                out.append(read(item))
+        except PlanParseError as e:
+            e.at.insert(0, i)
+            raise
+        return tuple(out)
+
+    return (lambda items: [write(item) for item in items]), read_list
+
+
+def _write_fn(fn: ScalarFn) -> dict:
+    doc = {"name": fn.name}
+    if fn.params:
+        doc["params"] = dict(fn.params)
+    return doc
+
+
+def _read_fn(doc) -> ScalarFn:
+    """A function: a known name, and exactly the parameters it takes."""
+    try:
+        name = doc["name"]
+        kinds = scalar_fn_signature(name)[1]
+    except (TypeError, KeyError):  # no object, no name, or an unknown one
+        raise PlanParseError("must be an object naming a known function") \
+            from None
     params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise PlanParseError(f"{where}: function params must be an object")
-    return ScalarFn.of(doc["name"], **params)
+    if type(params) is not dict or params.keys() != kinds.keys():
+        raise PlanParseError(f"must hold exactly the parameters of {name}: "
+                             f"{sorted(kinds)}", "params")
+    if not kinds:
+        return ScalarFn(name)
+    values = []
+    try:
+        for key, kind in kinds.items():
+            values.append((key, _PARAM_READERS[kind](params[key])))
+    except PlanParseError as e:
+        e.at[:0] = ["params", key]
+        raise
+    return ScalarFn(name, tuple(sorted(values)))
 
 
-def _expr_to_json(expr):
-    if isinstance(expr, Col):
-        return {"expr": "col", "name": expr.name}
-    if isinstance(expr, Lit):
-        v = expr.value
-        return {"expr": "lit",
-                "value": list(v) if isinstance(v, tuple) else v}
-    if isinstance(expr, Apply):
-        return {"expr": "apply", "fn": _fn_to_json(expr.fn),
-                "args": [_expr_to_json(a) for a in expr.args]}
-    raise PlanParseError(f"unserializable expression {expr!r}")
+# a number parameter keeps its JSON type: affine's a=2 stays the int 2, and
+# the plan and the SQL print it as written
+_PARAM_READERS = {"literal": _literal,
+                  "number": lambda v: _number(v, kind=type(v))}
 
+_STRING = (str, _string)
+_STRINGS = (list, _strings)
+_TARGETS = (lambda targets: [list(t) for t in targets], _targets)
+_LITERAL = (lambda v: list(v) if type(v) is tuple else v, _literal)
+_FLAG = (lambda on: True if on else _ABSENT, _flag)
+_FUNCTION = (_write_fn, _read_fn)
 
-def _expr_from_json(doc, where: str):
-    if not isinstance(doc, dict) or "expr" not in doc:
-        raise PlanParseError(f"{where}: expression must be an object "
-                             f"with an 'expr' tag")
-    tag = doc["expr"]
-    if tag == "col":
-        if not isinstance(doc.get("name"), str):
-            raise PlanParseError(f"{where}: col needs a string name")
-        return Col(doc["name"])
-    if tag == "lit":
-        v = doc.get("value")
-        if isinstance(v, list):
-            v = tuple(v)
-        return Lit(v)
-    if tag == "apply":
-        args = doc.get("args")
-        if not isinstance(args, list):
-            raise PlanParseError(f"{where}: apply needs an argument list")
-        return Apply(_fn_from_json(doc.get("fn"), where),
-                     tuple(_expr_from_json(a, where) for a in args))
-    raise PlanParseError(f"{where}: unknown expression tag {tag!r}")
+# tag -> (class, its fields as (JSON key, attribute, codec)), a class's
+# fields in the order its constructor takes them.  The unions nest, so
+# their codecs exist before their tables are filled in.
+_TERMS: dict = {}
+_PREDS: dict = {}
+_EXPRS: dict = {}
+_TERM = _object("op", _TERMS)
+_PREDICATE = _object("pred", _PREDS)
+_EXPRESSION = _object("expr", _EXPRS)
+_AGG_SPECS = {None: (AggSpec, (("fn", "fn", (str, _aggregate_fn)),
+                               ("arg", "arg", _STRING),
+                               ("alias", "alias", _STRING)))}
+_TERMS.update({
+    "relVar": (RelVar, (("name", "name", _STRING),)),
+    "filter": (Filter, (("pred", "pred", _PREDICATE),
+                        ("input", "child", _TERM))),
+    "project": (Project, (("cols", "cols", _STRINGS),
+                          ("input", "child", _TERM))),
+    "join": (Join, (("left", "left", _TERM), ("right", "right", _TERM))),
+    "arrayJoin": (ArrayJoin, (("targets", "targets", _TARGETS),
+                              ("input", "child", _TERM))),
+    "arrayFilter": (ArrayFilter, (("targets", "targets", _TARGETS),
+                                  ("pred", "pred", _PREDICATE),
+                                  ("input", "child", _TERM))),
+    "derive": (Derive, (("output", "output", _STRING),
+                        ("fn", "fn", _FUNCTION), ("args", "args", _STRINGS),
+                        ("input", "child", _TERM),
+                        ("map", "is_map", _FLAG))),
+    "aggregate": (Aggregate, (("keys", "keys", _STRINGS),
+                              ("aggs", "aggs",
+                               _list_of(_object(None, _AGG_SPECS))),
+                              ("input", "child", _TERM))),
+})
+_PREDS.update({
+    "cmp": (Cmp, (("op", "op", (str, _comparison)),
+                  ("lhs", "lhs", _EXPRESSION), ("rhs", "rhs", _EXPRESSION))),
+    "and": (And, (("parts", "parts", _list_of(_PREDICATE, 2)),)),
+    "or": (Or, (("parts", "parts", _list_of(_PREDICATE, 2)),)),
+    "not": (Not, (("part", "part", _PREDICATE),)),
+})
+_EXPRS.update({
+    "col": (Col, (("name", "name", _STRING),)),
+    "lit": (Lit, (("value", "value", _LITERAL),)),
+    "apply": (Apply, (("fn", "fn", _FUNCTION),
+                      ("args", "args", _list_of(_EXPRESSION)))),
+})
+_CORRESPONDENCES = _list_of(_list_of(_STRING, 2))
+_WRITERS = {cls: (tag_key, tag, fields)
+            for tag_key, table in (("op", _TERMS), ("pred", _PREDS),
+                                   ("expr", _EXPRS), (None, _AGG_SPECS))
+            for tag, (cls, fields) in table.items()}
 
-
-def _pred_to_json(pred):
-    if isinstance(pred, Cmp):
-        return {"pred": "cmp", "op": pred.op,
-                "lhs": _expr_to_json(pred.lhs),
-                "rhs": _expr_to_json(pred.rhs)}
-    if isinstance(pred, And):
-        return {"pred": "and",
-                "parts": [_pred_to_json(p) for p in pred.parts]}
-    if isinstance(pred, Or):
-        return {"pred": "or",
-                "parts": [_pred_to_json(p) for p in pred.parts]}
-    if isinstance(pred, Not):
-        return {"pred": "not", "part": _pred_to_json(pred.part)}
-    raise PlanParseError(f"unserializable predicate {pred!r}")
-
-
-def _pred_from_json(doc, where: str):
-    if not isinstance(doc, dict) or "pred" not in doc:
-        raise PlanParseError(f"{where}: predicate must be an object "
-                             f"with a 'pred' tag")
-    tag = doc["pred"]
-    if tag == "cmp":
-        if doc.get("op") not in COMPARISONS:
-            raise PlanParseError(f"{where}: unknown comparison "
-                                 f"{doc.get('op')!r}")
-        return Cmp(doc["op"], _expr_from_json(doc.get("lhs"), where),
-                   _expr_from_json(doc.get("rhs"), where))
-    if tag in ("and", "or"):
-        parts = doc.get("parts")
-        if not isinstance(parts, list) or len(parts) < 2:
-            raise PlanParseError(f"{where}: {tag} needs >= 2 parts")
-        built = tuple(_pred_from_json(p, where) for p in parts)
-        return And(built) if tag == "and" else Or(built)
-    if tag == "not":
-        return Not(_pred_from_json(doc.get("part"), where))
-    raise PlanParseError(f"{where}: unknown predicate tag {tag!r}")
-
-
-############################################################
-# term codec
-############################################################
 
 def term_to_json(term: Term) -> dict:
     """Serialize a term to the tagged-union plan format."""
-    if isinstance(term, RelVar):
-        return {"op": "relVar", "name": term.name}
-    if isinstance(term, Filter):
-        return {"op": "filter", "pred": _pred_to_json(term.pred),
-                "input": term_to_json(term.child)}
-    if isinstance(term, Project):
-        return {"op": "project", "cols": list(term.cols),
-                "input": term_to_json(term.child)}
-    if isinstance(term, Join):
-        return {"op": "join", "left": term_to_json(term.left),
-                "right": term_to_json(term.right)}
-    if isinstance(term, ArrayJoin):
-        return {"op": "arrayJoin",
-                "targets": [[s, a] for s, a in term.targets],
-                "input": term_to_json(term.child)}
-    if isinstance(term, ArrayFilter):
-        return {"op": "arrayFilter",
-                "targets": [[s, a] for s, a in term.targets],
-                "pred": _pred_to_json(term.pred),
-                "input": term_to_json(term.child)}
-    if isinstance(term, Derive):
-        doc = {"op": "derive", "output": term.output,
-               "fn": _fn_to_json(term.fn), "args": list(term.args),
-               "input": term_to_json(term.child)}
-        if term.is_map:
-            doc["map"] = True
-        return doc
-    if isinstance(term, Aggregate):
-        return {"op": "aggregate", "keys": list(term.keys),
-                "aggs": [{"fn": s.fn, "arg": s.arg, "alias": s.alias}
-                         for s in term.aggs],
-                "input": term_to_json(term.child)}
-    raise PlanParseError(f"unserializable term {type(term).__name__}")
-
-
-def _str_list(doc, key: str, where: str) -> tuple:
-    v = doc.get(key)
-    if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
-        raise PlanParseError(f"{where}: {key!r} must be a list of strings")
-    return tuple(v)
-
-
-def _targets_from_json(doc, where: str) -> tuple:
-    v = doc.get("targets")
-    ok = isinstance(v, list) and v and all(
-        isinstance(t, list) and len(t) == 2
-        and all(isinstance(s, str) for s in t) for t in v)
-    if not ok:
-        raise PlanParseError(f"{where}: 'targets' must be a non-empty list "
-                             f"of [source, alias] pairs")
-    return tuple((s, a) for s, a in v)
+    return _write_object(term)
 
 
 def term_from_json(doc) -> Term:
     """Parse the tagged-union plan format back into a term."""
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise PlanParseError("term node must be an object with an 'op' tag")
-    op = doc["op"]
-    where = f"term op {op!r}"
-    if op == "relVar":
-        if not isinstance(doc.get("name"), str):
-            raise PlanParseError(f"{where}: needs a string 'name'")
-        return RelVar(doc["name"])
-    if op == "filter":
-        return Filter(_pred_from_json(doc.get("pred"), where),
-                      term_from_json(doc.get("input")))
-    if op == "project":
-        return Project(_str_list(doc, "cols", where),
-                       term_from_json(doc.get("input")))
-    if op == "join":
-        return Join(term_from_json(doc.get("left")),
-                    term_from_json(doc.get("right")))
-    if op == "arrayJoin":
-        return ArrayJoin(_targets_from_json(doc, where),
-                         term_from_json(doc.get("input")))
-    if op == "arrayFilter":
-        return ArrayFilter(_targets_from_json(doc, where),
-                           _pred_from_json(doc.get("pred"), where),
-                           term_from_json(doc.get("input")))
-    if op == "derive":
-        if not isinstance(doc.get("output"), str):
-            raise PlanParseError(f"{where}: needs a string 'output'")
-        return Derive(doc["output"], _fn_from_json(doc.get("fn"), where),
-                      _str_list(doc, "args", where),
-                      term_from_json(doc.get("input")),
-                      is_map=bool(doc.get("map", False)))
-    if op == "aggregate":
-        aggs = doc.get("aggs")
-        if not isinstance(aggs, list):
-            raise PlanParseError(f"{where}: 'aggs' must be a list")
-        specs = []
-        for a in aggs:
-            if not (isinstance(a, dict)
-                    and all(isinstance(a.get(k), str)
-                            for k in ("fn", "arg", "alias"))):
-                raise PlanParseError(f"{where}: each agg needs string "
-                                     f"fn/arg/alias")
-            if not known_agg_fn(a["fn"]):
-                raise PlanParseError(f"{where}: unknown aggregate "
-                                     f"{a['fn']!r}")
-            specs.append(AggSpec(a["fn"], a["arg"], a["alias"]))
-        return Aggregate(_str_list(doc, "keys", where), tuple(specs),
-                         term_from_json(doc.get("input")))
-    raise PlanParseError(f"unknown term op {op!r}")
+    return _TERM[1](doc)
 
 
 ############################################################
@@ -262,47 +416,49 @@ def parse_plan_document(doc):
     inconsistencies (overlapping scalar/array names, correspondences not
     over array columns of one relation) raise SchemaError.
     """
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise PlanParseError("plan document must be a JSON object")
     if doc.get("a3d_plan") != PLAN_VERSION:
         raise PlanParseError(f"missing or unsupported plan version "
                              f"(need \"a3d_plan\": {PLAN_VERSION})")
     catalog = doc.get("catalog")
-    if not isinstance(catalog, dict) or \
-            not isinstance(catalog.get("relations"), dict):
-        raise PlanParseError("catalog must contain a 'relations' object")
+    if type(catalog) is not dict or type(catalog.get("relations")) is not dict:
+        raise PlanParseError("must contain a 'relations' object", "catalog")
 
     schemas = {}
     for name, rel in catalog["relations"].items():
-        if not isinstance(rel, dict):
-            raise PlanParseError(f"relation {name!r} must be an object")
+        if type(rel) is not dict:
+            raise PlanParseError("must be an object", "catalog", "relations",
+                                 name)
         schemas[name] = Schema(
-            frozenset(_str_list(rel, "scalars", f"relation {name!r}"))
-            if "scalars" in rel else frozenset(),
-            frozenset(_str_list(rel, "arrays", f"relation {name!r}"))
-            if "arrays" in rel else frozenset())
+            frozenset(_strings(rel.get("scalars", []), "catalog",
+                               "relations", name, "scalars")),
+            frozenset(_strings(rel.get("arrays", []), "catalog",
+                               "relations", name, "arrays")))
 
-    correspondences = []
-    for group in catalog.get("correspondences", []):
-        if not (isinstance(group, list) and len(group) >= 2
-                and all(isinstance(c, str) for c in group)):
-            raise PlanParseError("each correspondence must be a list of "
-                                 ">= 2 column names")
-        owners = {rel for rel, sch in schemas.items()
-                  if set(group) <= sch.arrays}
-        if not owners:
+    try:
+        correspondences = _CORRESPONDENCES[1](
+            catalog.get("correspondences", []))
+    except PlanParseError as e:
+        e.at[:0] = ["catalog", "correspondences"]
+        raise
+    for group in correspondences:
+        if not any(set(group) <= sch.arrays for sch in schemas.values()):
             raise SchemaError(
-                f"correspondence {group} does not name array columns "
+                f"correspondence {list(group)} does not name array columns "
                 f"of a single relation")
-        correspondences.append(tuple(group))
 
     options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise PlanParseError("'options' must be an object")
+    if type(options) is not dict:
+        raise PlanParseError("must be an object", "options")
     if "term" not in doc:
         raise PlanParseError("plan document has no 'term'")
-    term = term_from_json(doc["term"])
-    return term, schemas, tuple(correspondences), options
+    try:
+        term = term_from_json(doc["term"])
+    except PlanParseError as e:
+        e.at.insert(0, "term")
+        raise
+    return term, schemas, correspondences, options
 
 
 def plan_document(term: Term, catalog: dict) -> dict:
@@ -320,124 +476,95 @@ _ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
                     "row_stats"}
 
 
-def _number(value, where: str, kind=float):
-    """`kind(value)`, `kind` float or int; a PlanParseError naming the
-    field `where` when `value` does not convert, is NaN or infinite, or
-    has a fraction where `kind` is int."""
-    try:
-        number, out = float(value), kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise PlanParseError(f"{where} must be a number") from None
-    if not math.isfinite(number) or (kind is int
-                                     and not number.is_integer()):
-        raise PlanParseError(f"{where} must be a finite "
-                             f"{'integer' if kind is int else 'number'}")
-    return out
-
-
-def _ndv(doc, default, where: str) -> int:
-    return _number(doc.get("ndv", default), f"{where}: 'ndv'", int)
-
-
-def _scalar_stats_from_json(doc, where: str) -> ScalarStats:
-    if not isinstance(doc, dict):
-        raise PlanParseError(f"{where} must be an object")
+def _scalar_stats(doc) -> ScalarStats:
+    if type(doc) is not dict:
+        raise PlanParseError("must be an object")
     kind = doc.get("kind")
-    null_fraction = _number(doc.get("null_fraction", 0.0),
-                            f"{where}: 'null_fraction'")
+    null_fraction = _number(doc.get("null_fraction", 0.0), "null_fraction")
     if kind == "exact":
         freq = doc.get("freq", [])
-        bad = f"{where}: 'freq' must be a list of [value, fraction] pairs"
-        if not isinstance(freq, list):
-            raise PlanParseError(bad)
-        try:
-            freqs = tuple((v, float(f)) for v, f in freq)
-        except (TypeError, ValueError):
-            raise PlanParseError(bad) from None
-        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                      for v, _ in freqs)
-        lo = min((v for v, _ in freqs), default=None) if numeric else None
-        hi = max((v for v, _ in freqs), default=None) if numeric else None
-        return ScalarStats("exact", _ndv(doc, len(freqs), where),
-                           null_fraction, freqs=freqs, lo=lo, hi=hi,
-                           numeric=numeric)
+        if type(freq) is not list or not all(
+                type(pair) is list and len(pair) == 2 and _is_scalar(pair[0])
+                for pair in freq):
+            raise PlanParseError("must be a list of [scalar, fraction] "
+                                 "pairs", "freq")
+        with _at("freq"):
+            freqs = tuple((v, _number(f)) for v, f in freq)
+        values = [v for v, _ in freqs]
+        numeric = all(type(v) in (int, float) for v in values)
+        lo, hi = (min(values), max(values)) if numeric and values \
+            else (None, None)
+        ndv = _number(doc.get("ndv", len(freqs)), "ndv", kind=int)
+        return ScalarStats("exact", ndv, null_fraction, freqs=freqs, lo=lo,
+                           hi=hi, numeric=numeric)
     if kind == "uniform":
-        if "ndv" not in doc:
-            raise PlanParseError(f"{where}: uniform stats need 'ndv'")
         lo, hi = doc.get("lo"), doc.get("hi")
-        lo = lo if lo is None else _number(lo, f"{where}: 'lo'")
-        hi = hi if hi is None else _number(hi, f"{where}: 'hi'")
-        return ScalarStats("uniform", _ndv(doc, None, where), null_fraction,
-                           lo=lo, hi=hi, numeric=lo is not None)
+        lo = lo if lo is None else _number(lo, "lo")
+        hi = hi if hi is None else _number(hi, "hi")
+        ndv = _number(doc.get("ndv", _ABSENT), "ndv", kind=int)
+        return ScalarStats("uniform", ndv, null_fraction, lo=lo, hi=hi,
+                           numeric=lo is not None)
     if kind == "clustered":
         clusters = doc.get("clusters")
-        bad = (f"{where}: clustered stats need 'clusters' "
-               f"[[lo, hi, weight, ndv], ...]")
-        if not isinstance(clusters, list) or not clusters:
-            raise PlanParseError(bad)
-        try:
-            built = tuple((float(lo), float(hi), float(w), int(n))
+        if type(clusters) is not list or not clusters or not all(
+                type(c) is list and len(c) == 4 for c in clusters):
+            raise PlanParseError("must be a non-empty list of [lo, hi, "
+                                 "weight, ndv] quadruples", "clusters")
+        with _at("clusters"):
+            built = tuple((_number(lo), _number(hi), _number(w),
+                           _number(n, kind=int))
                           for lo, hi, w, n in clusters)
-        except (TypeError, ValueError, OverflowError):
-            raise PlanParseError(bad) from None
-        ndv = _ndv(doc, sum(c[3] for c in built), where)
+        ndv = _number(doc.get("ndv", sum(c[3] for c in built)), "ndv",
+                      kind=int)
         return ScalarStats("clustered", ndv, null_fraction,
                            lo=built[0][0], hi=built[-1][1],
                            clusters=built, numeric=True)
-    raise PlanParseError(f"{where}: unknown stats kind {kind!r}")
+    raise PlanParseError(f"unknown stats kind {kind!r}", "kind")
 
 
 def parse_stats_document(doc, schemas) -> dict:
     """Parse {"rel.col": entry} statistics into per-relation tables."""
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise PlanParseError("stats document must be a JSON object")
     rows: dict = {}
     scalars: dict = {}
     arrays: dict = {}
     for key, entry in doc.items():
-        rel, dot, col = key.partition(".")
-        if not dot:
-            raise PlanParseError(f"stats entry {key!r}: keys are "
-                                 f"'relation.column'")
-        if rel not in schemas:
-            raise PlanParseError(f"stats entry {key!r}: unknown relation "
-                                 f"{rel!r}")
-        if not isinstance(entry, dict):
-            raise PlanParseError(f"stats entry {key!r} must be an object")
-        rc = entry.get("row_count")
-        if not isinstance(rc, int) or rc < 0:
-            raise PlanParseError(f"stats entry {key!r}: needs an integer "
-                                 f"row_count")
-        if rows.setdefault(rel, rc) != rc:
-            raise PlanParseError(f"stats entry {key!r}: row_count {rc} "
-                                 f"disagrees with {rows[rel]} for {rel!r}")
-        where = f"stats entry {key!r}"
-        if entry.get("kind") == "array":
-            if col not in schemas[rel].arrays:
-                raise PlanParseError(f"{where}: {col!r} is not an array "
-                                     f"column of {rel!r}")
-            extra = set(entry) - _ARRAY_STAT_KEYS
+        with _at("stats", key):
+            rel, dot, col = key.partition(".")
+            if not dot:
+                raise PlanParseError("keys are 'relation.column'")
+            if rel not in schemas:
+                raise PlanParseError(f"unknown relation {rel!r}")
+            if type(entry) is not dict:
+                raise PlanParseError("must be an object")
+            rc = _number(entry.get("row_count", _ABSENT), "row_count",
+                         kind=int)
+            if rc < 0:
+                raise PlanParseError("must not be negative", "row_count")
+            if rows.setdefault(rel, rc) != rc:
+                raise PlanParseError(f"disagrees with {rows[rel]} for "
+                                     f"{rel!r}", "row_count")
+            array = entry.get("kind") == "array"
+            if col not in (schemas[rel].arrays if array
+                           else schemas[rel].scalars):
+                raise PlanParseError(f"{col!r} is not "
+                                     f"{'an array' if array else 'a scalar'}"
+                                     f" column of {rel!r}")
+            extra = set(entry) - (_ARRAY_STAT_KEYS if array
+                                  else _SCALAR_STAT_KEYS)
             if extra:
-                raise PlanParseError(f"{where}: unknown keys "
-                                     f"{sorted(extra)}")
+                raise PlanParseError(f"unknown keys {sorted(extra)}")
+            if not array:
+                scalars.setdefault(rel, {})[col] = _scalar_stats(entry)
+                continue
             elem = entry.get("row_stats")
+            with _at("row_stats"):
+                elem = None if elem is None else _scalar_stats(elem)
             arrays.setdefault(rel, {})[col] = ArrayStats(
-                _number(entry.get("avg_array_len", 0.0),
-                        f"{where}: 'avg_array_len'"),
-                _number(entry.get("empty_fraction", 0.0),
-                        f"{where}: 'empty_fraction'"),
-                _scalar_stats_from_json(elem, f"{where} row_stats")
-                if elem is not None else None)
-        else:
-            if col not in schemas[rel].scalars:
-                raise PlanParseError(f"{where}: {col!r} is not a scalar "
-                                     f"column of {rel!r}")
-            extra = set(entry) - _SCALAR_STAT_KEYS
-            if extra:
-                raise PlanParseError(f"{where}: unknown keys "
-                                     f"{sorted(extra)}")
-            scalars.setdefault(rel, {})[col] = \
-                _scalar_stats_from_json(entry, where)
+                _number(entry.get("avg_array_len", 0.0), "avg_array_len"),
+                _number(entry.get("empty_fraction", 0.0), "empty_fraction"),
+                elem)
     return {rel: TableStats(rows[rel], scalars.get(rel, {}),
                             arrays.get(rel, {}))
             for rel in rows}
@@ -515,9 +642,8 @@ def _run_gen(argv) -> int:
     from .testkit import generate, genspec_from_json
 
     try:
-        doc = _load_json(args.spec, "spec")
-        spec = genspec_from_json(doc)
-    except (PlanParseError, ValueError) as e:
+        spec = genspec_from_json(_load_json(args.spec, "spec"))
+    except ValueError as e:  # PlanParseError among them
         _diag("parse", str(e))
         return EXIT_PARSE
     rel = generate(spec)
@@ -538,19 +664,25 @@ def _run_gen(argv) -> int:
 
 
 def _resolve(args, options) -> None:
-    """Fill unset flags from the plan document's options block."""
-    if args.mode is None:
-        args.mode = options.get("mode", "enumerate")
-    if args.emit is None:
-        args.emit = options.get("emit", "plan")
+    """Fill unset flags from the plan document's options block, and check
+    the values of both."""
+    # argparse keeps the flags to known values; these catch the options'
+    args.mode = args.mode or options.get("mode", "enumerate")
+    if args.mode not in MODES:
+        raise PlanParseError(f"unknown mode {args.mode!r}", "options", "mode")
+    args.emit = args.emit or options.get("emit", "plan")
+    if args.emit not in EMIT_TARGETS:
+        raise PlanParseError(f"unknown emit target {args.emit!r}", "options",
+                             "emit")
     if args.preagg_alpha is None:
         args.preagg_alpha = _number(options.get("preagg_alpha", 1.0),
-                                    "option 'preagg_alpha'")
-    if not args.cte:
-        args.cte = bool(options.get("cte", False))
-    if not args.allow_cross_products:
-        args.allow_cross_products = bool(
-            options.get("allow_cross_products", False))
+                                    "options", "preagg_alpha")
+    else:
+        args.preagg_alpha = _number(args.preagg_alpha, "--preagg-alpha")
+    args.cte |= _flag(options.get("cte", _ABSENT), "options", "cte")
+    args.allow_cross_products |= _flag(
+        options.get("allow_cross_products", _ABSENT), "options",
+        "allow_cross_products")
 
 
 def main(argv=None) -> int:
@@ -563,11 +695,6 @@ def main(argv=None) -> int:
         doc = _load_json(args.plan, "plan")
         term, schemas, correspondences, options = parse_plan_document(doc)
         _resolve(args, options)
-        # the options block may name what the flags' choices rule out
-        if args.mode not in MODES:
-            raise PlanParseError(f"unknown mode {args.mode!r}")
-        if args.emit not in EMIT_TARGETS:
-            raise PlanParseError(f"unknown emit target {args.emit!r}")
         stats = {}
         if args.stats:
             stats = parse_stats_document(_load_json(args.stats, "stats"),

@@ -62,24 +62,27 @@ def _skip_nulls(arr):
     return [e for e in arr if e is not None]
 
 
-# name -> (arity, implementation taking (fn, args))
-_SCALAR_IMPLS: dict[str, tuple[int, Callable]] = {
-    "const": (0, lambda fn, a: fn.param("value")),
-    "identity": (1, lambda fn, a: a[0]),
-    "neg": (1, lambda fn, a: -a[0]),
-    "abs": (1, lambda fn, a: abs(a[0])),
-    "add": (2, lambda fn, a: a[0] + a[1]),
-    "sub": (2, lambda fn, a: a[0] - a[1]),
-    "mul": (2, lambda fn, a: a[0] * a[1]),
-    "div": (2, lambda fn, a: _int_div(a[0], a[1])),
-    "strlen": (1, lambda fn, a: len(a[0])),
-    "concat": (2, lambda fn, a: f"{a[0]}{a[1]}"),
-    "affine": (1, lambda fn, a: fn.param("a") * a[0] + fn.param("b")),
-    "arrayEnumerate": (1, lambda fn, a: tuple(range(1, len(a[0]) + 1))),
-    "arrayLength": (1, lambda fn, a: len(a[0])),
-    "arraySum": (1, lambda fn, a: sum(_skip_nulls(a[0]))),
-    "arrayMin": (1, lambda fn, a: min(_skip_nulls(a[0]), default=None)),
-    "arrayMax": (1, lambda fn, a: max(_skip_nulls(a[0]), default=None)),
+# name -> (arity, {parameter: kind}, implementation taking (fn, args)); a
+# parameter's kind is "literal" (a scalar or array value) or "number" (a
+# finite int or float), and a function carries exactly its parameters
+_SCALAR_IMPLS: dict[str, tuple[int, dict, Callable]] = {
+    "const": (0, {"value": "literal"}, lambda fn, a: fn.param("value")),
+    "identity": (1, {}, lambda fn, a: a[0]),
+    "neg": (1, {}, lambda fn, a: -a[0]),
+    "abs": (1, {}, lambda fn, a: abs(a[0])),
+    "add": (2, {}, lambda fn, a: a[0] + a[1]),
+    "sub": (2, {}, lambda fn, a: a[0] - a[1]),
+    "mul": (2, {}, lambda fn, a: a[0] * a[1]),
+    "div": (2, {}, lambda fn, a: _int_div(a[0], a[1])),
+    "strlen": (1, {}, lambda fn, a: len(a[0])),
+    "concat": (2, {}, lambda fn, a: f"{a[0]}{a[1]}"),
+    "affine": (1, {"a": "number", "b": "number"},
+               lambda fn, a: fn.param("a") * a[0] + fn.param("b")),
+    "arrayEnumerate": (1, {}, lambda fn, a: tuple(range(1, len(a[0]) + 1))),
+    "arrayLength": (1, {}, lambda fn, a: len(a[0])),
+    "arraySum": (1, {}, lambda fn, a: sum(_skip_nulls(a[0]))),
+    "arrayMin": (1, {}, lambda fn, a: min(_skip_nulls(a[0]), default=None)),
+    "arrayMax": (1, {}, lambda fn, a: max(_skip_nulls(a[0]), default=None)),
 }
 
 # functions whose argument is an array value (not subject to null propagation)
@@ -98,21 +101,17 @@ _AFFINE_FORMS: dict[str, Callable[[ScalarFn], tuple]] = {
 }
 
 
-def known_scalar_fn(name: str) -> bool:
-    return name in _SCALAR_IMPLS
-
-
-def scalar_fn_arity(name: str) -> int:
-    if name not in _SCALAR_IMPLS:
-        raise FunctionError(f"unknown scalar function {name!r}")
-    return _SCALAR_IMPLS[name][0]
+def scalar_fn_signature(name: str) -> Optional[tuple]:
+    """(arity, {parameter: kind}) of a known scalar function, else None."""
+    entry = _SCALAR_IMPLS.get(name)
+    return entry[:2] if entry else None
 
 
 def apply_scalar(fn: ScalarFn, args: list) -> Value:
     """Evaluate one scalar function call over already-evaluated arguments."""
     if fn.name not in _SCALAR_IMPLS:
         raise FunctionError(f"unknown scalar function {fn.name!r}")
-    arity, impl = _SCALAR_IMPLS[fn.name]
+    arity, _, impl = _SCALAR_IMPLS[fn.name]
     if len(args) != arity:
         raise FunctionError(f"{fn.name} expects {arity} args, got {len(args)}")
     if fn.name not in ARRAY_ARG_FNS and fn.name != "identity":

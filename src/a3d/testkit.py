@@ -8,11 +8,11 @@ the scaling tests: stacked unnest-derive-filter blocks (pattern A) and a
 single conjunctive filter over many jointly unnested arrays (pattern B).
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .algebra import ArrayJoin, Derive, Filter, Relation, RelVar, Schema, Term
+from .cli import PlanParseError, _number
 from .functions import ScalarFn
 from .predicates import And, Cmp, Col, Lit
 
@@ -243,34 +243,19 @@ def pattern_schemas(kind: str, n: int) -> dict:
 # JSON spec parsing (the `gen` subcommand's input format)
 ############################################################
 
-def _field(doc: dict, key: str, default, where: str, kind=float):
-    """`kind` (float or int) of ``doc.get(key, default)``; a ValueError
-    naming the field when it does not convert, is NaN or infinite, or has
-    a fraction where `kind` is int."""
-    value = doc.get(key, default)
-    try:
-        number, out = float(value), kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: {key!r} must be a number") from None
-    if not math.isfinite(number) or (kind is int
-                                     and not number.is_integer()):
-        raise ValueError(f"{where}: {key!r} must be a finite "
-                         f"{'integer' if kind is int else 'number'}")
-    return out
-
-
-def _dist_from_json(doc: dict, where: str) -> Dist:
-    if not isinstance(doc, dict) or "name" not in doc:
-        raise ValueError(f"{where}: distribution must be an object "
-                         f"with a 'name'")
-    known = {"name", "ndv", "s", "mu", "sigma"}
-    extra = set(doc) - known
+def _dist_from_json(doc, *at) -> Dist:
+    if type(doc) is not dict or "name" not in doc:
+        raise PlanParseError("must be a distribution object with a 'name'",
+                             *at)
+    extra = set(doc) - {"name", "ndv", "s", "mu", "sigma"}
     if extra:
-        raise ValueError(f"{where}: unknown distribution keys {sorted(extra)}")
-    return Dist(doc["name"], ndv=_field(doc, "ndv", 0, where, int),
-                s=_field(doc, "s", 1.0, where),
-                mu=_field(doc, "mu", 0.0, where),
-                sigma=_field(doc, "sigma", 1.0, where))
+        raise PlanParseError(f"unknown distribution keys {sorted(extra)}",
+                             *at)
+    return Dist(doc["name"], ndv=_number(doc.get("ndv", 0), *at, "ndv",
+                                         kind=int),
+                s=_number(doc.get("s", 1.0), *at, "s"),
+                mu=_number(doc.get("mu", 0.0), *at, "mu"),
+                sigma=_number(doc.get("sigma", 1.0), *at, "sigma"))
 
 
 def genspec_from_json(doc: dict) -> GenSpec:
@@ -278,31 +263,32 @@ def genspec_from_json(doc: dict) -> GenSpec:
 
     Scalar columns: {"kind": "scalar", "dist": {...}, "null_probability"?}.
     Array columns: {"kind": "array", "elem": {...}, "length": {...},
-    "empty_probability"?}.
+    "empty_probability"?}.  A malformed document raises `PlanParseError`,
+    a ValueError, as does a spec that `generate` would refuse.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("generation spec must be a JSON object")
-    if "row_count" not in doc:
-        raise ValueError("generation spec needs a row_count")
+    if type(doc) is not dict:
+        raise PlanParseError("generation spec must be a JSON object")
     specs = doc.get("columns") or {}
-    if not isinstance(specs, dict):
-        raise ValueError("generation spec: 'columns' must be an object")
+    if type(specs) is not dict:
+        raise PlanParseError("must be an object", "columns")
     columns = {}
     for name, c in specs.items():
-        kind = c.get("kind") if isinstance(c, dict) else None
-        where = f"column {name!r}"
+        kind = c.get("kind") if type(c) is dict else None
+        at = ("columns", name)
         if kind == "scalar":
             columns[name] = ScalarColumn(
-                _dist_from_json(c.get("dist"), where),
-                _field(c, "null_probability", 0.0, where))
+                _dist_from_json(c.get("dist"), *at, "dist"),
+                _number(c.get("null_probability", 0.0), *at,
+                        "null_probability"))
         elif kind == "array":
             columns[name] = ArrayColumn(
-                _dist_from_json(c.get("elem"), f"{where} elem"),
-                _dist_from_json(c.get("length"), f"{where} length"),
-                _field(c, "empty_probability", 0.0, where))
+                _dist_from_json(c.get("elem"), *at, "elem"),
+                _dist_from_json(c.get("length"), *at, "length"),
+                _number(c.get("empty_probability", 0.0), *at,
+                        "empty_probability"))
         else:
-            raise ValueError(f"{where}: kind must be 'scalar' or 'array'")
-    spec = GenSpec(_field(doc, "row_count", None, "generation spec", int),
-                   columns, _field(doc, "seed", 0, "generation spec", int))
+            raise PlanParseError("kind must be 'scalar' or 'array'", *at)
+    spec = GenSpec(_number(doc.get("row_count"), "row_count", kind=int),
+                   columns, _number(doc.get("seed", 0), "seed", kind=int))
     _validate(spec)
     return spec

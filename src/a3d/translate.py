@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 
 from .algebra import (
     A3DError, Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join,
-    Project, RelVar, Schema, Term, children, node_schema, walk,
+    Project, RelVar, Schema, Term, children, node_schema, op_label, walk,
 )
 from .functions import ScalarFn
 from .predicates import And, Apply, Cmp, Col, Lit, Not, Or
@@ -356,44 +356,6 @@ def to_sql(term: Term, dialect="clickhouse",
 # dot rendering
 ############################################################
 
-_SYMBOLS = {
-    Filter: "\u03c3",       # sigma
-    Project: "\u03a0",      # Pi
-    ArrayJoin: "\u03bc",    # mu
-    ArrayFilter: "\u03c6",  # phi
-    Derive: "\u03b4",       # delta
-    Aggregate: "\u0393",    # Gamma
-    Join: "\u22c8",         # bowtie
-}
-
-
-def _dot_label(term: Term) -> str:
-    from .predicates import format_pred
-
-    sym = _SYMBOLS.get(type(term), "")
-    if isinstance(term, RelVar):
-        return term.name
-    if isinstance(term, Filter):
-        return f"{sym} {format_pred(term.pred)}"
-    if isinstance(term, Project):
-        return f"{sym} {', '.join(term.cols)}"
-    if isinstance(term, ArrayJoin):
-        targets = ", ".join(f"{s}\u2192{a}" for s, a in term.targets)
-        return f"{sym} {targets}"
-    if isinstance(term, ArrayFilter):
-        targets = ", ".join(f"{s}\u2192{a}" for s, a in term.targets)
-        return f"{sym} {targets} | {format_pred(term.pred)}"
-    if isinstance(term, Derive):
-        how = "map " if term.is_map else ""
-        args = ", ".join(term.args)
-        return f"{sym} {term.output} := {how}{term.fn.name}({args})"
-    if isinstance(term, Aggregate):
-        aggs = ", ".join(f"{s.alias}={s.fn}({s.arg})" for s in term.aggs)
-        keys = ", ".join(term.keys)
-        return f"{sym} [{keys}] {aggs}"
-    return sym or type(term).__name__
-
-
 def to_dot(term: Term, cost_model=None) -> str:
     """Graphviz rendering: one node per operator, edges child -> parent.
 
@@ -410,7 +372,7 @@ def to_dot(term: Term, cost_model=None) -> str:
         kid_ids = [visit(k) for k in children(t)]
         nid = f"n{counter[0]}"
         counter[0] += 1
-        label = _dot_label(t)
+        label = op_label(t)
         if cost_model is not None:
             cost, state, _ = known[id(t)]
             label += f"\\nrows\u2248{state.rows:.0f} " \

@@ -20,6 +20,7 @@ from a3d.algebra import (
     base_relations,
     evaluate,
     footprint,
+    format_term,
     node_schema,
     output_schema,
     relations_equal,
@@ -325,3 +326,17 @@ def test_schema_matches_rows_on_fixed_cases():
     assert sch.arrays == frozenset()
     for r in out.rows:
         assert set(r) == set(sch.columns)
+
+
+def test_format_term_prints_each_operator_label_above_its_inputs():
+    term = Filter(Cmp(">", Col("y"), Lit(3)),
+                  Derive("y", ScalarFn.of("affine", a=2, b=1), ("e",),
+                         ArrayJoin((("v", "e"),),
+                                   Join(RelVar("R"), RelVar("S")))))
+    assert format_term(term) == (
+        "σ y > 3\n"
+        "  δ y := affine[a=2,b=1](e)\n"
+        "    μ v→e\n"
+        "      ⋈\n"
+        "        R\n"
+        "        S")

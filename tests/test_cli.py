@@ -32,6 +32,9 @@ EITHER_SIDE_PLAN = Path(__file__).parent / "data" / \
 OVERWRITTEN_KEY_PLAN = Path(__file__).parent / "data" / \
     "overwritten_key_plan.json"
 CAPTURE_PLAN = Path(__file__).parent / "data" / "capture_plan.json"
+# documents each reader must reject; CI also runs them through the console
+# script, plan documents as --plan and statistics as --stats
+MALFORMED = Path(__file__).parent / "data" / "malformed"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -177,6 +180,40 @@ def test_unknown_option_in_plan_document_is_a_parse_error(tmp_path, capsys,
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
     code, out, errors = _run(tmp_path, capsys, term, options=options)
     assert (code, errors, out) == (1, ["parse"], "")
+
+
+def test_preagg_alpha_flag_must_be_finite(tmp_path, capsys):
+    # a NaN threshold turned pre-aggregation off without a word, because
+    # no group count is below NaN
+    term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
+    code, out, errors = _run(tmp_path, capsys, term, "--preagg-alpha", "nan")
+    assert (code, errors, out) == (1, ["parse"], "")
+
+
+@pytest.mark.parametrize("plan", sorted(MALFORMED.glob("*_plan.json")),
+                         ids=lambda path: path.stem)
+def test_malformed_plan_document_exits_with_one_parse_record(capsys, plan):
+    # each planned with exit 0 or ended in a traceback: a literal that is an
+    # object or NaN, an affine parameter that is a string or missing, a
+    # flag that is a string, correspondences that are not a list
+    code = cli.main(["--plan", str(plan), "--emit", "sql-generic"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "parse"
+
+
+def test_parse_error_names_the_path_to_the_bad_value():
+    doc = json.loads((MALFORMED / "lit_nan_plan.json").read_text())
+    with pytest.raises(cli.PlanParseError) as bad:
+        cli.parse_plan_document(doc)
+    assert str(bad.value).startswith("term['pred']['rhs']['value']: ")
+    doc["term"]["pred"] = {"pred": "and", "parts": [
+        _cmp("<", "x", 5), {"pred": "not", "part": {"pred": "cmp"}}]}
+    with pytest.raises(cli.PlanParseError) as bad:
+        cli.parse_plan_document(doc)
+    assert str(bad.value) == "term['pred']['parts'][1]['part']['op']: " \
+                             "is missing"
 
 
 def test_trace_writes_one_json_line_per_rewrite(tmp_path, capsys):
@@ -345,6 +382,8 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
     {"R.v": dict(STATS_DOC["R.v"], row_stats=5)},
     {"R.x": dict(STATS_DOC["R.x"], lo="a")},
     {"R.x": dict(STATS_DOC["R.x"], hi=[9])},
+    *(json.loads(path.read_text())
+      for path in sorted(MALFORMED.glob("*_stats.json"))),
 ], ids=["not-an-object", "no-dot", "unknown-relation", "entry-not-object",
         "bad-row-count", "row-count-disagrees", "array-on-scalar",
         "unknown-array-key", "scalar-on-array", "unknown-scalar-key",
@@ -352,7 +391,8 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
         "clustered-without-clusters", "null-fraction-not-a-number",
         "ndv-not-a-number", "freq-not-pairs", "clusters-not-quadruples",
         "avg-array-len-not-a-number", "row-stats-not-an-object",
-        "lo-not-a-number", "hi-not-a-number"])
+        "lo-not-a-number", "hi-not-a-number",
+        *(path.stem for path in sorted(MALFORMED.glob("*_stats.json")))])
 def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
     stats = tmp_path / "stats.json"
@@ -429,6 +469,9 @@ def test_gen_rejects_a_bad_spec(tmp_path, capsys):
                 dict(GEN_SPEC, columns={"k": {
                     "kind": "scalar",
                     "dist": {"name": "uniform", "ndv": [1]}}}),
+                dict(GEN_SPEC, columns={"k": {
+                    "kind": "scalar",
+                    "dist": {"name": "uniform", "ndv": True}}}),
                 dict(GEN_SPEC, columns={"k": dict(GEN_SPEC["columns"]["k"],
                                                   null_probability=None)}),
                 dict(GEN_SPEC, columns=["x"])):

@@ -345,6 +345,11 @@ def test_dot_operator_symbols():
         assert sym in dot
 
 
+def test_dot_label_shows_a_derive_functions_parameters():
+    term = Derive("y", ScalarFn.of("affine", a=2, b=1), ("x",), RelVar("R"))
+    assert '[label="δ y := affine[a=2,b=1](x)"]' in to_dot(term)
+
+
 def test_dot_cost_annotation():
     stats = {"S": TableStats(100, {"a": ScalarStats("uniform", 10, 0.0,
                                                     lo=0, hi=10)}, {})}
