@@ -56,8 +56,8 @@ from .functions import (
     scalar_fn_signature,
 )
 from .predicates import (
-    Apply, Col, Pred, PredicateError, eval_pred, format_expr, format_pred,
-    pred_columns,
+    And, Apply, Cmp, Col, Not, Or, Pred, PredicateError, eval_pred,
+    format_expr, format_pred, pred_columns,
 )
 
 
@@ -243,19 +243,6 @@ def walk(term: Term, path=()) -> Iterator[tuple]:
     return _preorder([(path, term)])
 
 
-def walk_from(term: Term, start: tuple) -> Iterator[tuple]:
-    """``walk(term)`` from the node at path `start` on: that node, its
-    subtree, then every node that follows it in preorder."""
-    stack, node = [], term
-    for depth, i in enumerate(start):
-        kids = children(node)
-        for j in range(len(kids) - 1, i, -1):
-            stack.append((start[:depth] + (j,), kids[j]))
-        node = kids[i]
-    stack.append((start, node))
-    return _preorder(stack)
-
-
 def _preorder(stack: list) -> Iterator[tuple]:
     # an explicit stack: a recursive ``yield from`` passes each item up
     # through every enclosing generator, quadratic on a deep unary chain
@@ -312,6 +299,36 @@ def _check_targets(targets, schema: Schema, what: str) -> tuple:
     return sources, aliases
 
 
+def _check_call(name: str, nargs: int) -> None:
+    """Raise SchemaError unless `name` is a scalar function of `nargs`
+    arguments."""
+    signature = scalar_fn_signature(name)
+    if signature is None:
+        raise SchemaError(f"unknown function {name!r}")
+    if nargs != signature[0]:
+        raise SchemaError(f"{name}: wrong arity")
+
+
+def _check_calls(pred: Pred) -> None:
+    """``_check_call`` at every ``Apply`` in `pred`."""
+    if isinstance(pred, Cmp):
+        for expr in (pred.lhs, pred.rhs):
+            if isinstance(expr, Apply):
+                _check_apply(expr)
+    elif isinstance(pred, (And, Or)):
+        for part in pred.parts:
+            _check_calls(part)
+    elif isinstance(pred, Not):
+        _check_calls(pred.part)
+
+
+def _check_apply(expr: Apply) -> None:
+    _check_call(expr.fn.name, len(expr.args))
+    for arg in expr.args:
+        if isinstance(arg, Apply):
+            _check_apply(arg)
+
+
 def node_schema(node: Term, *child_schemas: Schema) -> Schema:
     """One inference step: the schema `node` outputs given its children's.
 
@@ -335,6 +352,7 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
         missing = pred_columns(node.pred) - inner.columns
         if missing:
             raise SchemaError(f"filter references {sorted(missing)}")
+        _check_calls(node.pred)
         return inner
 
     if isinstance(node, Project):
@@ -357,15 +375,12 @@ def node_schema(node: Term, *child_schemas: Schema) -> Schema:
         if stray:
             raise SchemaError(
                 f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
+        _check_calls(node.pred)
         gone = sources | aliases
         return Schema(inner.scalars - gone, (inner.arrays - gone) | aliases)
 
     if isinstance(node, Derive):
-        signature = scalar_fn_signature(node.fn.name)
-        if signature is None:
-            raise SchemaError(f"unknown function {node.fn.name!r}")
-        if len(node.args) != signature[0]:
-            raise SchemaError(f"{node.fn.name}: wrong arity")
+        _check_call(node.fn.name, len(node.args))
         kinds = []
         for c in node.args:
             if c not in inner.columns:

@@ -22,17 +22,22 @@ class GreedyIterationCapError(A3DError):
 def optimize_greedy(term: Term, ctx: RuleContext,
                     max_steps: int = 10_000) -> Term:
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
-    seen = {repr(term)}
+    seen: set = set()  # the roots left, as reprs
 
     def unseen(new):
+        if not seen:
+            # the first call: every kept rewrite passes here, so the root
+            # is still `term`, and a plan that finds no rewrite never
+            # prints it
+            seen.add(repr(term))
         key = repr(new)
         if key in seen:
             return False  # don't re-enter a shape we already left
         seen.add(key)
         return True
 
-    def step(root, path, sub):
-        return first_rewrite(None, root, path, sub, ctx, unseen)
+    def step(path, sub):
+        return first_rewrite(None, path, sub, ctx, unseen)
 
     return rewrite_to_fixpoint(term, step, "greedy", ctx, "bottom-up",
                                cap=max_steps,

@@ -74,11 +74,11 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
 def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
                 cap: int = 32) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
-    def step(root, path, sub):
+    def step(path, sub):
         if isinstance(sub, Aggregate) and \
                 not _condenses(sub, ctx.cost_model, alpha):
             return None
-        return first_rewrite(_RULES, root, path, sub, ctx)
+        return first_rewrite(_RULES, path, sub, ctx)
 
     term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "restart",
                                cap=cap, cap_error=PostprocessCapError)

@@ -26,11 +26,15 @@ as an ordered id tuple and try, at each node, those whose shapes match it
 children and its grandchildren's schemas, so their rounds resume at the
 last rewrite's parent (``rewrite_to_fixpoint``'s ``resume``); step 4's
 guard reads the whole term, so each of its rounds sweeps it (``sweep``).
+Their steps take ``(path, sub)`` and return ``(rule_id, new_sub)``: the
+driver splices the rewritten subterm in, rebuilding in a resume round
+only the nodes above it that the walk climbs back past, and never keeping
+a replaced subterm alive.
 """
 
 from ..algebra import (
     Aggregate, ArrayFilter, ArrayJoin, Derive, Filter, Join, Project, RelVar,
-    Term, children, footprint, replace_at, with_children,
+    Term, children, footprint, with_children,
 )
 from ..predicates import split_conjuncts
 from ..rewrite import (
@@ -85,11 +89,9 @@ def _hoist_once(term: Term, ctx: RuleContext):
 
 
 def pull_projections_up(term: Term, ctx: RuleContext) -> Term:
-    def step(root, path, sub):
+    def step(path, sub):
         lifted = _hoist_once(sub, ctx)
-        if lifted is None:
-            return None
-        return "project-pull", replace_at(root, path, lifted)
+        return None if lifted is None else ("project-pull", lifted)
 
     return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
 
@@ -129,14 +131,13 @@ def _commute_filter_past_array_filter(sub: Term):
 def descend_filters(term: Term, ctx: RuleContext) -> Term:
     """Push filters toward arrayJoins; convert to arrayFilter on contact,
     and fuse the arrayFilters so stacked over one target set (R2.4)."""
-    def step(root, path, sub):
-        hit = first_rewrite(_DESCEND_RULES, root, path, sub, ctx)
+    def step(path, sub):
+        hit = first_rewrite(_DESCEND_RULES, path, sub, ctx)
         if hit is not None:
             return hit
         swapped = _commute_filter_past_array_filter(sub)
-        if swapped is None:
-            return None
-        return "filter-past-arrayFilter", replace_at(root, path, swapped)
+        return None if swapped is None \
+            else ("filter-past-arrayFilter", swapped)
 
     return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
 
@@ -146,8 +147,8 @@ def descend_filters(term: Term, ctx: RuleContext) -> Term:
 ############################################################
 
 def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
-    def step(root, path, sub):
-        return first_rewrite(("R2.3",), root, path, sub, ctx)
+    def step(path, sub):
+        return first_rewrite(("R2.3",), path, sub, ctx)
 
     return rewrite_to_fixpoint(term, step, "preprocess", ctx, "sweep")
 

@@ -37,10 +37,11 @@ enumerate's placement creates.
 
 A rule attempt costs what the rewrite changes.  ``try_apply`` and
 ``guard_cost_improves`` take the subterm that ``rewrite_to_fixpoint``
-already holds.  A rewrite keeps most of that subterm by identity.  Schemas
-come from one memo that lasts for a ``rewrite_to_fixpoint`` call
-(``RuleContext.schema_of``), so a kept node's schema is read, and only the
-nodes a rewrite creates are inferred.  The maximal kept subterms (the
+already holds, and return the rewritten subterm, not a new root: the
+driver splices it in.  A rewrite keeps most of that subterm by identity.
+Schemas come from one memo that lasts for a ``rewrite_to_fixpoint`` call
+(``RuleContext.schema_of``), so a kept node's schema is read, and only
+the nodes a rewrite creates are inferred.  The maximal kept subterms (the
 frontier) have their costs folded once and reused for both sides of the
 cost guard's comparison.  The cost guard rejects, without costing any
 ancestor, a rewrite that leaves the subterm's plan state as it was and is
@@ -57,9 +58,12 @@ the hit first in preorder, as a top-down round would.  The rule-only
 preprocess stages run ``resume`` rounds: after a rewrite the next round
 starts at the rewrite's parent, since every node before it in preorder
 would miss again.  Postprocess runs ``restart`` rounds from the root,
-holding no results.  The schema memo serves rounds of every policy: it
-holds schemas only, each with a weak reference to its node, and is
-dropped when the call returns.
+holding no results.  Both walk a zipper (``_Zipper``): the path from the
+root to the visited node, so a rewrite rebuilds its parent alone and the
+root is built only where it is read (``RuleContext.root``).  No frame of
+the path keeps a replaced subterm alive.  The schema memo serves rounds of
+every policy: it holds schemas only, each with a weak reference to its
+node, and is dropped when the call returns.
 
 One ``RuleContext`` per ``optimize`` call carries the cost model, the trace
 and ``rule_counts``: each rule's attempts and the rewrites
@@ -96,7 +100,6 @@ from .algebra import (
     output_schema,
     replace_at,
     walk,
-    walk_from,
     with_children,
 )
 from .functions import ARRAY_ARG_FNS, REAGGREGATE, ScalarFn, affine_form
@@ -149,10 +152,12 @@ class RuleContext:
     ``trace_record`` appends to, or None), a gensym pool for one term, and
     per-rule counters.
 
-    The pool is lazy: ``bind_root`` only records the root, and the set of
-    names already in use is collected from it the first time ``fresh`` runs
-    after a bind.  Rule attempts that never ask for a fresh name therefore
-    never walk the whole term.
+    ``bind_root`` binds the root that rule attempts rewrite: a term, or a
+    function that builds it, as a ``resume`` round binds its zipper's
+    ``root``; ``root`` reads it.  The pool is lazy: the set of names
+    already in use is collected from the root the first time ``fresh`` runs
+    in a rule attempt (``_attempt``).  Rule attempts that never ask for a
+    fresh name therefore never build or walk the whole term.
 
     ``rule_counts`` maps a rule id to ``[attempts, fires]``: an attempt is
     a call of the rule's function, a fire a rewrite that
@@ -182,13 +187,20 @@ class RuleContext:
         self.results: Optional[dict] = None
         self._memo: Optional[dict] = None
         self._forget = _forgetter(weakref.ref(self))
-        self._root: Optional[Term] = None
-        self._used: Optional[set] = set()
+        self._root = None
+        self._used: Optional[set] = None
 
-    def bind_root(self, root: Term) -> "RuleContext":
+    def bind_root(self, root) -> "RuleContext":
+        """Bind `root`, a term or a function of no arguments that builds
+        it, as the root that rule attempts rewrite."""
         self._root = root
         self._used = None  # stale until the next fresh()
         return self
+
+    def root(self) -> Optional[Term]:
+        """The bound root, or None when none is bound."""
+        root = self._root
+        return root() if callable(root) else root
 
     def schema_of(self, term: Term) -> Schema:
         res = self.held(term)
@@ -220,9 +232,12 @@ class RuleContext:
 
     def fresh(self, prefix: str) -> str:
         """A name `prefix<k>` (smallest k) used nowhere in the bound root
-        nor handed out since the bind."""
+        nor handed out since the rule attempt began or the root was
+        bound."""
         if self._used is None:
-            self._used = collect_names(self._root, self.schemas)
+            root = self.root()
+            self._used = set() if root is None \
+                else collect_names(root, self.schemas)
         k = 0
         while f"{prefix}{k}" in self._used:
             k += 1
@@ -957,6 +972,7 @@ def _attempt(rule: Rule, sub: Term, ctx: RuleContext) -> Optional[Term]:
     if counts is None:
         counts = ctx.rule_counts[rule.rule_id] = [0, 0]
     counts[0] += 1
+    ctx._used = None  # the names an earlier attempt handed out are free
     new_sub = rule.fn(sub, ctx)
     if new_sub is None or new_sub == sub:
         return None
@@ -1018,30 +1034,30 @@ def _check_schema(rule: Rule, path: tuple, before: Schema, after: Schema):
             f"{sorted(before.columns)} -> {sorted(after.columns)}")
 
 
-def try_apply(rule: Rule, root: Term, path: tuple, sub: Term,
+def try_apply(rule: Rule, path: tuple, sub: Term,
               ctx: RuleContext) -> Optional[Term]:
-    """Apply `rule` to `sub`, the subterm of `root` at `path`, verifying
-    schema preservation.
+    """Apply `rule` to `sub`, the subterm at `path` of the root bound to
+    `ctx`, verifying schema preservation.
 
     Both schemas come from ``ctx.schema_of``.  Within a
     ``rewrite_to_fixpoint`` call its memo keeps every schema it has
     inferred, so the subterms the rewrite kept are read, not inferred
-    again.  Returns the rewritten root, or None when the rule doesn't
-    match there.
+    again.  Returns the rewritten subterm, or None when the rule doesn't
+    match there; the caller splices it in.
     """
-    ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
     _check_schema(rule, path, ctx.schema_of(sub), ctx.schema_of(new_sub))
-    return replace_at(root, path, new_sub)
+    return new_sub
 
 
-def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
+def guard_cost_improves(rule: Rule, path: tuple, sub: Term,
                         ctx: RuleContext, epsilon: float = 1e-9
                         ) -> Optional[Term]:
-    """Apply a cost-based rule to `sub`, the subterm of `root` at `path`,
-    only when it strictly lowers the root's cost under ``ctx.cost_model``.
+    """Apply a cost-based rule to `sub`, the subterm at `path` of the root
+    bound to `ctx`, only when it strictly lowers the root's cost under
+    ``ctx.cost_model``; the rewritten subterm or None, as ``try_apply``.
 
     `sub` is folded once with the rewrite's frontier marked, and the
     rewrite once with the frontier's results injected (``CostModel.fold``);
@@ -1055,10 +1071,10 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     same costs to both roots, in the same order; float addition is
     monotone, so the new root's cost is not below the old root's, and
     ``new < old - epsilon`` cannot hold for a non-negative `epsilon`.  In
-    every other case both roots are folded, the new one with the rewrite's
-    result injected, so only its nodes above `path` are folded again.
+    every other case the guard reads the root (``ctx.root``), builds the
+    new one and folds both, the new one with the rewrite's result
+    injected, so only its nodes above `path` are folded again.
     """
-    ctx.bind_root(root)
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
@@ -1071,28 +1087,30 @@ def guard_cost_improves(rule: Rule, root: Term, path: tuple, sub: Term,
     _check_schema(rule, path, old[2], new[2])
     if new[0] >= old[0] and new[1] == old[1] and epsilon >= 0:
         return None
-    new_root = replace_at(root, path, new_sub)
+    root = ctx.root()
     old_cost = cost_model.fold(root, {})[0]
-    new_cost = cost_model.fold(new_root, {id(new_sub): new})[0]
+    new_cost = cost_model.fold(replace_at(root, path, new_sub),
+                               {id(new_sub): new})[0]
     if new_cost < old_cost - epsilon:
-        return new_root
+        return new_sub
     return None
 
 
-def first_rewrite(rule_ids: Optional[tuple], root: Term, path: tuple,
-                  sub: Term, ctx: RuleContext,
+def first_rewrite(rule_ids: Optional[tuple], path: tuple, sub: Term,
+                  ctx: RuleContext,
                   accept: Optional[Callable] = None) -> Optional[tuple]:
-    """``(rule_id, new_root)`` of the first of ``rules_at(sub, rule_ids)``
-    that rewrites `sub`, the subterm of `root` at `path`, to a new root
-    that `accept` (when given) takes: a ``rule``-kind rule through
-    ``try_apply``, a ``cost`` one through ``guard_cost_improves``."""
+    """``(rule_id, new_sub)`` of the first of ``rules_at(sub, rule_ids)``
+    that rewrites `sub`, the subterm at `path` of the root bound to `ctx`:
+    a ``rule``-kind rule through ``try_apply``, a ``cost`` one through
+    ``guard_cost_improves``.  With `accept`, a rewrite counts only when
+    ``accept(new_root)`` takes the root it makes, which is built for it."""
     for rule in rules_at(sub, rule_ids):
         apply = try_apply if rule.kind == "rule" else guard_cost_improves
-        new = apply(rule, root, path, sub, ctx)
-        if new is not None and (accept is None or accept(new)):
+        new = apply(rule, path, sub, ctx)
+        if new is not None and (
+                accept is None or accept(replace_at(ctx.root(), path, new))):
             return rule.rule_id, new
     return None
-
 
 ############################################################
 # fixpoint driver
@@ -1116,11 +1134,13 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                         cap_error: Optional[type] = None) -> Term:
     """Rewrite `term` in rounds until `step` matches nowhere.
 
-    A round calls ``step(root, path, sub)`` at nodes of the root; `step`
-    returns ``(rule_id, new_root)`` or None.  The hit a round fires is
-    traced under `stage` (``trace_record``), counted as a fire of a catalog
-    rule in ``ctx.rule_counts``, and becomes the root of the next round.
-    A traced call costs each root once: a record's cost after is the next
+    A round calls ``step(path, sub)`` at nodes of the root, which it binds
+    to `ctx` (``RuleContext.bind_root``); `step` returns
+    ``(rule_id, new_sub)``, the subterm to put in `sub`'s place, or None,
+    and this driver splices the hit in.  The hit a round fires is traced
+    under `stage` (``trace_record``), counted as a fire of a catalog rule
+    in ``ctx.rule_counts``, and the root it makes is the next round's.  A
+    traced call costs each root once: a record's cost after is the next
     record's cost before.  With `cap`, rewrite number ``cap + 1`` raises
     `cap_error` instead.
     `policy` picks the rounds:
@@ -1156,6 +1176,15 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                    ``sweep`` without using them; postprocess is such a
                    stage.
 
+    ``bottom-up`` and ``sweep`` rounds hold their root and splice a hit
+    with ``replace_at``.  ``resume`` and ``restart`` rounds walk one
+    ``_Zipper``: a hit rebuilds only its parent.  A ``resume`` round goes
+    on from there, and each ancestor above is rebuilt once, as the walk
+    climbs back past it; a ``restart`` round climbs to the root at once.
+    The walk keeps no replaced subterm alive, and the root is built only
+    where it is read (``ctx.root``): by a fresh name, a cost guard or a
+    trace record.
+
     In rounds of every policy, ``ctx.schema_of`` reads and fills one
     schema memo that lasts for this call, so a schema inferred once is
     read again in later rounds for as long as its node lives, and a hit
@@ -1164,17 +1193,20 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of "
                          f"{POLICIES}")
+    held = policy in ("bottom-up", "sweep")
+    walker = None if held else _Zipper(term)
+    ctx.bind_root(term if held else walker.root)
     ctx._memo = {}
-    ctx.results = {} if policy in ("bottom-up", "sweep") else None
-    rewrites, start, before = 0, (), None  # before: `term`'s traced cost
+    ctx.results = {} if held else None
+    rewrites, before = 0, None  # before: the root's traced cost
     try:
         while True:
-            if policy in ("resume", "restart"):
-                hit = _first_hit(term, step, walk_from(term, start))
-            else:
+            if held:
                 hit = _fold_round(term, step, ctx, policy == "bottom-up")
+            else:
+                hit = _walk_round(walker, step)
             if hit is None:
-                return term
+                return term if held else walker.root()
             path, (rule_id, new) = hit
             rewrites += 1
             if cap is not None and rewrites > cap:
@@ -1183,26 +1215,32 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1
+            if ctx.trace is not None and before is None:
+                before = ctx.cost_model.term_cost(term).cost
+            if held:
+                term = replace_at(term, path, new)
+                ctx.bind_root(term)
+            else:
+                walker.rewrite(new, policy == "restart")
             if ctx.trace is not None:
-                if before is None:
-                    before = ctx.cost_model.term_cost(term).cost
-                after = ctx.cost_model.term_cost(new).cost
+                root = term if held else walker.root()
+                after = ctx.cost_model.term_cost(root).cost
                 trace_record(ctx, stage, rule_id, path, before, after)
                 before = after
-            if policy == "resume":
-                start = path[:-1]
-            term = new
     finally:
         ctx.results = ctx._memo = None
 
 
-def _first_hit(root: Term, step: Callable, nodes) -> Optional[tuple]:
-    """``(path, hit)`` of the first of `nodes` where `step` hits."""
-    for path, sub in nodes:
-        hit = step(root, path, sub)
+def _walk_round(walker: "_Zipper", step: Callable) -> Optional[tuple]:
+    """One ``resume`` or ``restart`` round: ``(path, hit)`` of the first
+    node from `walker`'s focus on, in preorder, where `step` hits, with
+    the focus left there; None when the walk ends."""
+    while True:
+        hit = step(walker.path, walker.focus)
         if hit is not None:
-            return path, hit
-    return None
+            return walker.path, hit
+        if not walker.next():
+            return None
 
 
 def _fold_round(root: Term, step: Callable, ctx: RuleContext,
@@ -1215,7 +1253,7 @@ def _fold_round(root: Term, step: Callable, ctx: RuleContext,
     for path, sub in reversed(list(walk(root))):
         results[id(sub)] = None
         fold(sub, results)
-        hit = step(root, path, sub)
+        hit = step(path, sub)
         if hit is not None:
             found = path, hit
             if first:
@@ -1225,3 +1263,103 @@ def _fold_round(root: Term, step: Callable, ctx: RuleContext,
                 results.pop(id(grandkid), None)
     results.clear()  # the old root's nodes may be freed
     return found
+
+
+# what a frame of a ``_Zipper`` holds in place of the child on the walk's
+# path once a rewrite below has replaced it
+_HOLE = RelVar("")
+
+
+def _put(node: Term, i: int, kid: Term) -> Term:
+    """`node` with `kid` as its child `i`: `node` itself when that child
+    already is `kid`, else a rebuilt node."""
+    kids = children(node)
+    if kids[i] is kid:
+        return node
+    return with_children(node, (kid,) + kids[1:] if i == 0
+                         else kids[:1] + (kid,))
+
+
+class _Zipper:
+    """A term walked in preorder, held as its focus and the path up to the
+    root (Huet, "The Zipper", 1997).  The path is a stack of frames, root
+    first, one ``(node, i)`` per ancestor of the focus, where the focus
+    lies below the node's child `i`.
+
+    ``next`` moves the focus and builds nothing while nothing changed.
+    ``rewrite`` replaces the focus and rebuilds only the node above it (or
+    every ancestor, to restart from the root).  Each ancestor left on the
+    stack is rebuilt once, when ``next`` climbs back past it, and ``root``
+    builds the spine above the focus only when it is read.
+
+    Memory: no frame may keep a replaced subterm alive, and a frame's node
+    holds its child `i` as it was when the frame was pushed.  So
+    ``rewrite`` holes the node of every frame pushed since the last
+    rewrite (its child `i` becomes ``_HOLE``), and ``next`` fills a hole as
+    it climbs.  The frames below index ``_holed`` hold holed nodes; in
+    each frame above it, the node's child `i` is the next frame's node, or
+    the focus.
+    """
+
+    __slots__ = ("focus", "path", "_frames", "_holed", "_root")
+
+    def __init__(self, term: Term):
+        self.focus = term
+        self.path = ()
+        self._frames = []
+        self._holed = 0
+        self._root = term  # None until built again after a rewrite
+
+    def root(self) -> Term:
+        """The whole term, the focus in its place."""
+        if self._root is None:
+            node = self.focus
+            for parent, i in reversed(self._frames):
+                node = _put(parent, i, node)
+            self._root = node
+        return self._root
+
+    def next(self) -> bool:
+        """Move the focus to the next node in preorder; False when the
+        walk is over, with the focus at the root."""
+        node, frames = self.focus, self._frames
+        if not isinstance(node, RelVar):
+            frames.append((node, 0))
+            self.focus = node.left if isinstance(node, Join) else node.child
+            self.path += (0,)
+            return True
+        path = self.path
+        while frames:
+            parent, i = frames.pop()
+            path = path[:-1]
+            if len(frames) < self._holed:
+                self._holed = len(frames)
+                node = _put(parent, i, node)
+            else:
+                node = parent  # its child `i` is `node`
+            if i == 0 and isinstance(node, Join):
+                frames.append((node, 1))
+                self.focus, self.path = node.right, path + (1,)
+                return True
+        self.focus, self.path, self._root = node, (), node
+        return False
+
+    def rewrite(self, new: Term, restart: bool) -> None:
+        """Replace the focus with `new`, then move the focus to where the
+        next round starts: the root with `restart`, else the parent."""
+        frames, node, path = self._frames, new, self.path
+        if frames:
+            parent, i = frames.pop()
+            node = _put(parent, i, node)
+            path = path[:-1]
+        if restart:
+            while frames:
+                parent, i = frames.pop()
+                node = _put(parent, i, node)
+            path = ()
+        for k in range(self._holed, len(frames)):
+            parent, i = frames[k]
+            frames[k] = (_put(parent, i, _HOLE), i)
+        self._holed = len(frames)
+        self.focus, self.path = node, path
+        self._root = None if frames else node

@@ -26,7 +26,6 @@ from a3d.algebra import (
     relations_equal,
     replace_at,
     walk,
-    walk_from,
 )
 from a3d.functions import ScalarFn, apply_agg, apply_scalar
 from a3d.planner import optimize
@@ -237,9 +236,6 @@ def test_walks_match_a_recursive_preorder():
         assert [(p, id(n)) for p, n in walk(term)] == \
             [(p, id(n)) for p, n in order]
         assert next(walk(term, (7,)))[0] == (7,)
-        for i, (path, _) in enumerate(order):
-            assert [(p, id(n)) for p, n in walk_from(term, path)] == \
-                [(p, id(n)) for p, n in order[i:]], (seed, path)
 
 
 def test_walk_of_a_deep_chain_is_linear():

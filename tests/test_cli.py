@@ -35,6 +35,7 @@ CAPTURE_PLAN = Path(__file__).parent / "data" / "capture_plan.json"
 # documents each reader must reject; CI also runs them through the console
 # script, plan documents as --plan and statistics as --stats
 MALFORMED = Path(__file__).parent / "data" / "malformed"
+INVALID = Path(__file__).parent / "data" / "invalid"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -201,6 +202,22 @@ def test_malformed_plan_document_exits_with_one_parse_record(capsys, plan):
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert json.loads(line)["error"] == "parse"
+
+
+@pytest.mark.parametrize("emit", ["plan", "sql-generic", "sql-clickhouse"])
+@pytest.mark.parametrize("plan", sorted(INVALID.glob("*_plan.json")),
+                         ids=lambda path: path.stem)
+def test_invalid_plan_exits_with_one_schema_record(capsys, plan, emit):
+    # an `apply` with the wrong number of arguments in a filter or an
+    # arrayFilter predicate planned, then ended in a traceback from the
+    # SQL emitter
+    code = cli.main(["--plan", str(plan), "--emit", emit])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "schema"
+    assert record["message"].endswith(": wrong arity")
 
 
 def test_parse_error_names_the_path_to_the_bad_value():

@@ -10,10 +10,11 @@ import gc
 import importlib
 import itertools
 import random
+import weakref
 
 import pytest
 
-from a3d import rewrite
+from a3d import algebra, rewrite
 from a3d.algebra import (
     A3DError,
     Aggregate,
@@ -71,9 +72,22 @@ def _ctx(inst):
     return RuleContext(CostModel({}, inst.schemas), inst.correspondences)
 
 
+def _applied(rule, root, path, sub, ctx):
+    """``try_apply`` at `path` of `root`, with `root` bound as a round
+    binds it: the rewritten root, or None."""
+    new = try_apply(rule, path, sub, ctx.bind_root(root))
+    return None if new is None else replace_at(root, path, new)
+
+
+def _guarded(rule, root, path, sub, ctx, epsilon=1e-9):
+    """``guard_cost_improves`` as ``_applied`` runs ``try_apply``."""
+    new = guard_cost_improves(rule, path, sub, ctx.bind_root(root), epsilon)
+    return None if new is None else replace_at(root, path, new)
+
+
 def _apply(rule_id, inst):
-    new_root = try_apply(RULES_BY_ID[rule_id], inst.term, inst.path,
-                         subterm_at(inst.term, inst.path), _ctx(inst))
+    new_root = _applied(RULES_BY_ID[rule_id], inst.term, inst.path,
+                        subterm_at(inst.term, inst.path), _ctx(inst))
     assert new_root is not None, f"{rule_id} failed to match"
     return new_root
 
@@ -189,8 +203,8 @@ def test_off_shape_rule_is_neither_called_nor_counted():
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext(CostModel({}, {"t": t.schema}))
     term = Filter(Cmp("<", Col("x"), Lit(0)), RelVar("t"))
-    assert try_apply(rule, term, (), term, ctx) is None
-    assert guard_cost_improves(rule, term, (), term, ctx) is None
+    assert _applied(rule, term, (), term, ctx) is None
+    assert _guarded(rule, term, (), term, ctx) is None
     assert rewrite._attempt(rule, term, ctx) is None
     assert ctx.rule_counts == {}
 
@@ -274,8 +288,7 @@ def test_footprint_rules_preserve_results_on_random_plans():
             want = evaluate(root, db)
             for path, sub in walk(root):
                 for rule_id in FOOTPRINT_RULES:
-                    new = try_apply(RULES_BY_ID[rule_id], root, path, sub,
-                                    ctx)
+                    new = _applied(RULES_BY_ID[rule_id], root, path, sub, ctx)
                     if new is None:
                         continue
                     fired[rule_id] += 1
@@ -329,7 +342,7 @@ def test_schema_breaking_rule_is_rejected():
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext(CostModel({}, {"t": t.schema}))
     with pytest.raises(RewriteError):
-        try_apply(bad, RelVar("t"), (), RelVar("t"), ctx)
+        _applied(bad, RelVar("t"), (), RelVar("t"), ctx)
 
 
 def test_noop_rewrite_counts_as_no_match():
@@ -337,7 +350,7 @@ def test_noop_rewrite_counts_as_no_match():
                  ((RelVar, None),))
     t = _rel_t(random.Random(SEED0), nmin=1)
     ctx = RuleContext(CostModel({}, {"t": t.schema}))
-    assert try_apply(ident, RelVar("t"), (), RelVar("t"), ctx) is None
+    assert _applied(ident, RelVar("t"), (), RelVar("t"), ctx) is None
 
 
 def test_fresh_names_never_capture_existing_columns():
@@ -349,7 +362,7 @@ def test_fresh_names_never_capture_existing_columns():
     term = Aggregate(("z",), (AggSpec("sum", "__p0", "tot"),),
                      Join(RelVar("r"), RelVar("o")))
     ctx = RuleContext(CostModel({}, {"r": schema, "o": other}))
-    new_root = try_apply(RULES_BY_ID["R21"], term, (), term, ctx)
+    new_root = _applied(RULES_BY_ID["R21"], term, (), term, ctx)
     assert new_root is not None
     introduced = set()
     for _, node in walk(new_root):
@@ -417,7 +430,7 @@ def test_r2_3_guard_prunes_only_when_emptiness_pays():
         rel = Relation.build(schema, rows)
         cm = CostModel({"r": build_table_stats(rel)}, {"r": schema})
         ctx = RuleContext(cm)
-        out = guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term, ctx)
+        out = _guarded(RULES_BY_ID["R2.3"], term, (), term, ctx)
         assert (out is not None) == expect
 
 
@@ -443,8 +456,7 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
     ctx = RuleContext(cm)
     attempts = 5
     for _ in range(attempts):
-        assert guard_cost_improves(RULES_BY_ID["R2.3"], root, path, sub,
-                                   ctx) is None
+        assert _guarded(RULES_BY_ID["R2.3"], root, path, sub, ctx) is None
     # per attempt, sub's 2 operators with the derive marked and the
     # candidate's 2 above it; the guard leaves the state as it was, so the
     # attempt is rejected without costing the root
@@ -465,17 +477,16 @@ def test_r2_3_guard_above_a_derive_is_not_repeated():
                      Derive("y", ScalarFn.of("neg"), ("k",),
                             Filter(guard, RelVar("r"))))
     ctx = RuleContext(cm)
-    assert try_apply(RULES_BY_ID["R2.3"], term, (), term, ctx) is not None
-    assert guard_cost_improves(RULES_BY_ID["R2.3"], term, (), term,
-                               ctx) is None
+    assert _applied(RULES_BY_ID["R2.3"], term, (), term, ctx) is not None
+    assert _guarded(RULES_BY_ID["R2.3"], term, (), term, ctx) is None
 
 
 def test_r2_3_does_not_stack_guards():
     rng = random.Random(SEED0)
     inst = GENS["R2.3"](rng)
     once = _apply("R2.3", inst)
-    again = try_apply(RULES_BY_ID["R2.3"], once, inst.path,
-                      subterm_at(once, inst.path), _ctx(inst))
+    again = _applied(RULES_BY_ID["R2.3"], once, inst.path,
+                     subterm_at(once, inst.path), _ctx(inst))
     assert again is None
 
 
@@ -484,7 +495,7 @@ def test_r14_push_reaches_fixpoint():
     inst = GENS["R14"](rng)
     term = inst.term
     for _ in range(4):
-        nxt = try_apply(RULES_BY_ID["R14"], term, (), term, _ctx(inst))
+        nxt = _applied(RULES_BY_ID["R14"], term, (), term, _ctx(inst))
         if nxt is None:
             break
         term = nxt
@@ -499,8 +510,8 @@ def test_r11_2_rewinds_the_documented_example():
         Derive("ym", ScalarFn.of("affine", a=-1, b=3), ("a",), RelVar("t"),
                is_map=True))
     t = _rel_t(random.Random(SEED0), nmin=1)
-    new_root = try_apply(RULES_BY_ID["R11.2"], term, (), term,
-                         RuleContext(CostModel({}, {"t": t.schema})))
+    new_root = _applied(RULES_BY_ID["R11.2"], term, (), term,
+                        RuleContext(CostModel({}, {"t": t.schema})))
     assert new_root is not None
     inner_filters = [n for _, n in walk(new_root) if isinstance(n, ArrayFilter)]
     assert len(inner_filters) == 1
@@ -552,16 +563,15 @@ def test_targeted_refusals(rule_id, build, reason):
     rng = random.Random(SEED0 + 5)
     inst = GENS["R6"](rng)        # any t/u join database works here
     term = build(Join(RelVar("t"), RelVar("u")))
-    assert try_apply(RULES_BY_ID[rule_id], term, (), term,
-                     _ctx(inst)) is None
+    assert _applied(RULES_BY_ID[rule_id], term, (), term, _ctx(inst)) is None
 
 
 def test_r13_2_refuses_non_invertible_fn():
     term = Filter(Cmp("<", Col("y"), Lit(3)),
                   Derive("y", ScalarFn.of("abs"), ("x",), RelVar("t")))
     t = _rel_t(random.Random(SEED0), nmin=1)
-    assert try_apply(RULES_BY_ID["R13.2"], term, (), term,
-                     RuleContext(CostModel({}, {"t": t.schema}))) is None
+    assert _applied(RULES_BY_ID["R13.2"], term, (), term,
+                    RuleContext(CostModel({}, {"t": t.schema}))) is None
 
 
 def test_r10_3_refuses_corresponding_targets():
@@ -574,10 +584,10 @@ def test_r10_3_refuses_corresponding_targets():
                                    Join(RelVar("t"), RelVar("u"))))
     inst = GENS["R4.2"](random.Random(SEED0 + 6))
     ctx = _ctx(inst)      # declares ("a", "b", "d") corresponding
-    assert try_apply(RULES_BY_ID["R10.3"], term, (), term, ctx) is None
+    assert _applied(RULES_BY_ID["R10.3"], term, (), term, ctx) is None
     # the same shape splits once the correspondence is withdrawn
     free = RuleContext(CostModel({}, inst.schemas), [])
-    assert try_apply(RULES_BY_ID["R10.3"], term, (), term, free) is not None
+    assert _applied(RULES_BY_ID["R10.3"], term, (), term, free) is not None
 
 
 def test_r2_4_keeps_the_schema_of_every_valid_stack():
@@ -603,7 +613,7 @@ def test_r2_4_keeps_the_schema_of_every_valid_stack():
                     except SchemaError:
                         shadowing += bool(set(aliases) & {"c", "k"})
                         continue
-                    assert try_apply(rule, term, (), term, ctx) is not None
+                    assert _applied(rule, term, (), term, ctx) is not None
                     fused += 1
     assert fused > 100 and shadowing > 100
 
@@ -627,7 +637,7 @@ def test_r2_4_conjoins_inner_conjuncts_first():
     term = ArrayFilter((("fb", "a"), ("fa", "g")),
                        Cmp("=", Col("a"), Col("g")), inner)
     inst = GENS["R2.4"](random.Random(SEED0))
-    new = try_apply(RULES_BY_ID["R2.4"], term, (), term, _ctx(inst))
+    new = _applied(RULES_BY_ID["R2.4"], term, (), term, _ctx(inst))
     assert new == ArrayFilter(
         (("a", "g"), ("b", "a")),
         And((Cmp(">", Col("g"), Lit(1)), Cmp("<", Col("a"), Lit(2)),
@@ -685,7 +695,7 @@ def _assert_guard_matches_three_passes(root, schemas, stats, corr=()):
         for rule in CATALOG:
             old = _outcome(_three_pass_guard, rule, root, path,
                            RuleContext(old_cm, corr), old_cm)
-            new = _outcome(guard_cost_improves, rule, root, path, sub,
+            new = _outcome(_guarded, rule, root, path, sub,
                            RuleContext(new_cm, corr))
             assert new == old, (rule.rule_id, path)
             if new[0] == "term" and new[1] is not None:
@@ -769,10 +779,10 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
         _three_pass_guard(rule, root, (0,), RuleContext(cm), cm)
     assert str(old.value).startswith("X2 changed the schema at (0,): ")
     with pytest.raises(RewriteError) as new:
-        guard_cost_improves(rule, root, (0,), sub, RuleContext(cm))
+        _guarded(rule, root, (0,), sub, RuleContext(cm))
     assert str(new.value) == str(old.value)
     with pytest.raises(RewriteError) as applied:
-        try_apply(rule, root, (0,), sub, RuleContext(cm))
+        _applied(rule, root, (0,), sub, RuleContext(cm))
     assert str(applied.value) == str(old.value)
 
 
@@ -785,9 +795,9 @@ def _round(root, schemas, cm, corr, visit):
     ``visit(ctx, root, path, sub)`` at every node and matches nowhere."""
     ctx = RuleContext(cm, corr)
 
-    def step(at, path, sub):
-        assert ctx.held(sub) is not None
-        visit(ctx, at, path, sub)
+    def step(path, sub):
+        assert ctx.held(sub) is not None and ctx.root() is root
+        visit(ctx, root, path, sub)
         return None
 
     assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx,
@@ -805,10 +815,10 @@ def _assert_round_matches_plain_passes(root, schemas, stats, corr=()):
     def visit(ctx, root, path, sub):
         for rule in CATALOG:
             fresh = RuleContext(plain_cm, corr)
-            assert _outcome(try_apply, rule, root, path, sub, ctx) == \
+            assert _outcome(_applied, rule, root, path, sub, ctx) == \
                 _outcome(_plain_apply, rule, root, path, fresh), \
                 (rule.rule_id, path)
-            new = _outcome(guard_cost_improves, rule, root, path, sub, ctx)
+            new = _outcome(_guarded, rule, root, path, sub, ctx)
             assert new == _outcome(_three_pass_guard, rule, root, path,
                                    fresh, plain_cm), (rule.rule_id, path)
             if new[0] == "term" and new[1] is not None:
@@ -863,7 +873,7 @@ def _guard_case(rule_fn, epsilon=1e-9):
         return real(term, known)
 
     cm.fold = counting
-    out = guard_cost_improves(rule, root, (0,), sub, RuleContext(cm), epsilon)
+    out = _guarded(rule, root, (0,), sub, RuleContext(cm), epsilon)
     return out, len(costed)
 
 
@@ -960,19 +970,22 @@ RESUME_STEPS = {
 def _restart_driver(real):
     """``rewrite_to_fixpoint`` as it was before resume and sweep rounds:
     every round walks the root in preorder from the top, holding nothing,
-    and its first hit fires.  Bottom-up rounds go to `real`."""
+    and its first hit fires, spliced in with ``replace_at``.  Bottom-up
+    rounds go to `real`."""
     def driver(term, step, stage, ctx, policy, cap=None, cap_error=None):
         if policy == "bottom-up":
             return real(term, step, stage, ctx, policy, cap, cap_error)
         rewrites = 0
         while True:
+            ctx.bind_root(term)
             for path, sub in walk(term):
-                hit = step(term, path, sub)
+                hit = step(path, sub)
                 if hit is not None:
                     break
             else:
                 return term
-            rule_id, new = hit
+            rule_id, new_sub = hit
+            new = replace_at(term, path, new_sub)
             rewrites += 1
             if cap is not None and rewrites > cap:
                 raise cap_error(f"{stage}: no fixpoint after {cap} "
@@ -1004,12 +1017,12 @@ def _seeded_queries():
         yield make_pattern(pattern, 4), pattern_schemas(pattern, 4), None
 
 
-def _planned(term, schemas, stats, mode):
+def _planned(term, schemas, stats, mode, trace):
     """What a plan must keep under another fixpoint driver: the term, its
-    cost, the trace and each rule's fires (attempts may differ), or the
-    error planning raised."""
+    cost, the trace (None untraced) and each rule's fires (attempts may
+    differ), or the error planning raised."""
     try:
-        res = optimize(term, schemas, stats=stats, mode=mode, trace=True)
+        res = optimize(term, schemas, stats=stats, mode=mode, trace=trace)
     except Exception as exc:  # the error is part of the outcome
         return type(exc).__name__, str(exc)
     fires = {rule_id: n for rule_id, (_, n) in res.counters["rules"].items()
@@ -1019,13 +1032,18 @@ def _planned(term, schemas, stats, mode):
 
 def test_resume_and_sweep_rounds_match_restarting_from_the_root(
         monkeypatch):
-    queries = list(_seeded_queries())
-    modes = ("greedy", "enumerate", "oracle")
-    rounds = [_planned(*q, mode) for q in queries for mode in modes]
+    # traced and untraced: a traced round reads the root after each hit,
+    # an untraced resume round never builds it
+    runs = [(*q, mode, trace) for q in _seeded_queries()
+            for mode in ("greedy", "enumerate", "oracle")
+            for trace in (True, False)]
+    rounds = [_planned(*run) for run in runs]
     _restarting(monkeypatch)
-    restarted = [_planned(*q, mode) for q in queries for mode in modes]
+    restarted = [_planned(*run) for run in runs]
     assert rounds == restarted
-    assert sum(len(out[2]) for out in rounds if len(out) == 4) > 300
+    assert sum(len(out[2] or ()) for out in rounds if len(out) == 4) > 300
+    assert sum(1 for out in rounds if len(out) == 4 and out[2] is None) \
+        == sum(1 for out in rounds if len(out) == 4) // 2
 
 
 def _roots_of_resume_stages(term, schemas, monkeypatch):
@@ -1035,10 +1053,10 @@ def _roots_of_resume_stages(term, schemas, monkeypatch):
     real = _restart_driver(rewrite.rewrite_to_fixpoint)
 
     def recording(term, step, stage, ctx, policy, *args):
-        def step_at(root, path, sub):
+        def step_at(path, sub):
             if not path:
-                roots.append(root)
-            return step(root, path, sub)
+                roots.append(sub)
+            return step(path, sub)
         if policy == "resume":
             return real(term, step_at, stage, ctx, policy, *args)
         return real(term, step, stage, ctx, policy, *args)
@@ -1117,7 +1135,8 @@ def test_schema_memo_holds_exact_schemas_of_live_nodes(monkeypatch):
             return hit
         return run
 
-    monkeypatch.setattr(rewrite, "_first_hit", checked(rewrite._first_hit))
+    monkeypatch.setattr(rewrite, "_walk_round",
+                        checked(rewrite._walk_round))
     monkeypatch.setattr(rewrite, "_fold_round",
                         checked(rewrite._fold_round))
     for module in (preprocess_stage, postprocess_stage, greedy_stage):
@@ -1139,7 +1158,8 @@ def test_schema_memo_entry_leaves_when_its_node_is_freed():
     ctx = RuleContext(CostModel({}, {"t": Schema.of(scalars=["x"])}))
     seen = []
 
-    def step(root, path, sub):
+    def step(path, sub):
+        root = ctx.root()
         node = Project(("x",), root)  # a node no root holds
         key = id(node)
         ctx.schema_of(node)
@@ -1160,6 +1180,81 @@ def test_schema_memo_entry_leaves_when_its_node_is_freed():
     assert ctx.schema_of(term) == output_schema(term, ctx.schemas)
 
 
+############################################################
+# the zipper of resume and restart rounds
+############################################################
+
+@pytest.mark.parametrize("policy", ("resume", "restart"))
+def test_walk_rounds_visit_every_node_once_in_preorder(policy):
+    for seed in range(40):
+        term, schemas, _ = random_query(seed)
+        ctx = RuleContext(CostModel({}, schemas))
+        seen = []
+
+        def step(path, sub):
+            seen.append((path, id(sub)))
+            return None
+
+        out = rewrite.rewrite_to_fixpoint(term, step, "test", ctx, policy)
+        assert out is term
+        assert seen == [(path, id(node)) for path, node in walk(term)]
+
+
+def test_resume_round_frees_a_replaced_subterm_at_once(monkeypatch):
+    # on pattern A, R13.2 turns each filter over a derive into a derive
+    # over a new filter, and R2.2 replaces that filter in a later round.
+    # No frame may keep it alive: reference counting alone frees it before
+    # the next step call (the collector is off)
+    term = make_pattern("A", 8)
+    kept = {id(node) for _, node in walk(term)}  # the caller holds `term`
+    replaced = []
+    real = preprocess_stage.rewrite_to_fixpoint
+
+    def fixpoint(term, step, *args, **kwargs):
+        def checked(path, sub):
+            assert [ref for ref in replaced if ref() is not None] == []
+            hit = step(path, sub)
+            if hit is not None and id(sub) not in kept:
+                replaced.append(weakref.ref(sub))
+            return hit
+        return real(term, checked, *args, **kwargs)
+
+    monkeypatch.setattr(preprocess_stage, "rewrite_to_fixpoint", fixpoint)
+    ctx = RuleContext(CostModel({}, pattern_schemas("A", 8)))
+    gc.disable()
+    try:
+        preprocess_stage.descend_filters(term, ctx)
+    finally:
+        gc.enable()
+    assert len(replaced) == 8
+    assert all(ref() is None for ref in replaced)
+
+
+def test_descend_filters_rebuilds_each_node_once(monkeypatch):
+    # A16 is a 48-deep chain that takes 32 rewrites.  Rebuilding the root's
+    # spine for every rewrite made 736 with_children calls; the zipper
+    # rebuilds a rewrite's parent, and each ancestor once as the walk
+    # climbs back.  Holes are frames' placeholders, not nodes of a term
+    term = make_pattern("A", 16)
+    depth = len(list(walk(term))) - 1
+    calls = {"rebuilt": 0, "holed": 0}
+    real = algebra.with_children
+
+    def counting(node, kids):
+        holed = any(kid is rewrite._HOLE for kid in kids)
+        calls["holed" if holed else "rebuilt"] += 1
+        return real(node, kids)
+
+    for module in (algebra, rewrite):
+        monkeypatch.setattr(module, "with_children", counting)
+    ctx = RuleContext(CostModel({}, pattern_schemas("A", 16)))
+    preprocess_stage.descend_filters(term, ctx)
+    rewrites = sum(fires for _, fires in ctx.rule_counts.values())
+    assert (rewrites, depth) == (32, 48)
+    assert calls["rebuilt"] <= rewrites + depth
+    assert calls["holed"] <= depth
+
+
 def test_rewrite_to_fixpoint_rejects_an_unknown_policy():
     ctx = RuleContext(CostModel({}, {"t": Schema.of(scalars=["x"])}))
     with pytest.raises(ValueError, match="unknown policy"):
@@ -1175,7 +1270,7 @@ def test_traced_fixpoint_costs_each_root_once(policy):
     for i in range(n):
         term = Filter(Cmp("<", Col("x"), Lit(i)), term)
 
-    def step(root, path, sub):
+    def step(path, sub):
         if path == () and isinstance(sub, Filter):
             return "peel", sub.child
         return None
