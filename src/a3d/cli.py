@@ -84,8 +84,8 @@ and a ``kind``:
   elements.
 
 ``ndv`` is an integer and every other statistic a number.  A scalar entry
-may hold only the keys that the scalar kinds list (and ``avg_freq``, which
-is read by nothing), and an array entry only its own.
+may hold only ``row_count`` and the keys that the scalar kinds list, a
+``row_stats`` entry only the latter, and an array entry only its own.
 
 An error names the path of keys from the document's root down to the bad
 value, for example ``term['input']['pred']['rhs']['value']``.
@@ -470,15 +470,25 @@ def plan_document(term: Term, catalog: dict) -> dict:
 # statistics file
 ############################################################
 
-_SCALAR_STAT_KEYS = {"kind", "row_count", "ndv", "null_fraction", "freq",
-                     "avg_freq", "lo", "hi", "clusters"}
+_SCALAR_STAT_KEYS = {"kind", "ndv", "null_fraction", "freq", "lo", "hi",
+                     "clusters"}
 _ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
                     "row_stats"}
 
 
-def _scalar_stats(doc) -> ScalarStats:
+def _check_keys(doc: dict, allowed: set) -> None:
+    extra = set(doc) - allowed
+    if extra:
+        raise PlanParseError(f"unknown keys {sorted(extra)}")
+
+
+def _scalar_stats(doc, top: bool) -> ScalarStats:
+    """A scalar entry: a top-level one (`top`), which carries
+    ``row_count``, or an array entry's ``row_stats``, which does not."""
     if type(doc) is not dict:
         raise PlanParseError("must be an object")
+    _check_keys(doc, _SCALAR_STAT_KEYS | {"row_count"} if top
+                else _SCALAR_STAT_KEYS)
     kind = doc.get("kind")
     null_fraction = _number(doc.get("null_fraction", 0.0), "null_fraction")
     if kind == "exact":
@@ -551,16 +561,13 @@ def parse_stats_document(doc, schemas) -> dict:
                 raise PlanParseError(f"{col!r} is not "
                                      f"{'an array' if array else 'a scalar'}"
                                      f" column of {rel!r}")
-            extra = set(entry) - (_ARRAY_STAT_KEYS if array
-                                  else _SCALAR_STAT_KEYS)
-            if extra:
-                raise PlanParseError(f"unknown keys {sorted(extra)}")
             if not array:
-                scalars.setdefault(rel, {})[col] = _scalar_stats(entry)
+                scalars.setdefault(rel, {})[col] = _scalar_stats(entry, True)
                 continue
+            _check_keys(entry, _ARRAY_STAT_KEYS)
             elem = entry.get("row_stats")
             with _at("row_stats"):
-                elem = None if elem is None else _scalar_stats(elem)
+                elem = None if elem is None else _scalar_stats(elem, False)
             arrays.setdefault(rel, {})[col] = ArrayStats(
                 _number(entry.get("avg_array_len", 0.0), "avg_array_len"),
                 _number(entry.get("empty_fraction", 0.0), "empty_fraction"),

@@ -41,18 +41,19 @@ already holds, and return the rewritten subterm, not a new root: the
 driver splices it in.  A rewrite keeps most of that subterm by identity.
 Schemas come from one memo that lasts for a ``rewrite_to_fixpoint`` call
 (``RuleContext.schema_of``), so a kept node's schema is read, and only
-the nodes a rewrite creates are inferred.  The maximal kept subterms (the
-frontier) have their costs folded once and reused for both sides of the
-cost guard's comparison.  The cost guard rejects, without costing any
-ancestor, a rewrite that leaves the subterm's plan state as it was and is
-no cheaper; otherwise it folds both roots, the new one with the rewrite's
-result injected.  The cost model caches nothing, and a traced
-``rewrite_to_fixpoint`` costs each root it records once.
+the nodes a rewrite creates are inferred.  The cost guard folds through
+one table of results: the round's own where it holds one, so the nodes a
+rewrite kept are costed once for both sides of its comparison.  It
+rejects, without costing any ancestor, a rewrite that leaves the
+subterm's plan state as it was and is no cheaper; otherwise it folds both
+roots, the new one with the rewrite's result injected.  The cost model
+caches nothing, and a traced ``rewrite_to_fixpoint`` costs each root it
+records once.
 
 ``rewrite_to_fixpoint`` runs a stage in rounds of one of four policies.
 Greedy's ``bottom-up`` rounds and the cost-guarded ``sweep`` rounds keep
 each node's ``(cost, state, schema)`` until its grandparent has been
-visited (``RuleContext.results``), so `sub` and a frontier up to two levels
+visited (``RuleContext.results``), so `sub` and the nodes up to two levels
 down are read, not folded; no result outlives its round.  A sweep fires
 the hit first in preorder, as a top-down round would.  The rule-only
 preprocess stages run ``resume`` rounds: after a rewrite the next round
@@ -203,7 +204,7 @@ class RuleContext:
         return root() if callable(root) else root
 
     def schema_of(self, term: Term) -> Schema:
-        res = self.held(term)
+        res = None if self.results is None else self.results.get(id(term))
         if res is not None:
             return res[2]
         memo = self._memo
@@ -221,10 +222,6 @@ class RuleContext:
             schema = output_schema(term, self.schemas)
         memo[id(term)] = _MemoEntry(term, self._forget, schema)
         return schema
-
-    def held(self, term: Term) -> Optional[tuple]:
-        """`term`'s ``(cost, state, schema)`` when the round holds it."""
-        return None if self.results is None else self.results.get(id(term))
 
     def corresponding(self, cols) -> bool:
         cols = frozenset(cols)
@@ -979,54 +976,6 @@ def _attempt(rule: Rule, sub: Term, ctx: RuleContext) -> Optional[Term]:
     return new_sub
 
 
-def _node_ids(term: Term, ids: set, depth: Optional[int] = None) -> set:
-    """Add to `ids` the ids of `term` and of its nodes down to `depth`
-    levels below it, or of all its nodes with None."""
-    ids.add(id(term))
-    if depth != 0:
-        below = None if depth is None else depth - 1
-        for kid in children(term):
-            _node_ids(kid, ids, below)
-    return ids
-
-
-def _frontier(new_sub: Term, ids: set, out: dict) -> bool:
-    """Mark in `out`, with None, the id of every maximal subterm of
-    `new_sub` whose id is in `ids`: the nodes a rewrite kept.  Returns
-    whether every path down `new_sub` meets one."""
-    if id(new_sub) in ids:
-        out[id(new_sub)] = None
-        return True
-    kids = children(new_sub)
-    met = bool(kids)
-    for kid in kids:
-        if not _frontier(kid, ids, out):
-            met = False
-    return met
-
-
-# how deep below `sub` ``_shared`` first looks for the nodes a rewrite
-# kept; greedy's results window holds `sub`'s results this far down
-_FRONTIER_DEPTH = 2
-
-
-def _shared(sub: Term, new_sub: Term, ctx: RuleContext) -> dict:
-    """The frontier of `new_sub` in `sub`, as a ``known`` dict that lives
-    for one rule attempt: a node the round holds maps to its result, any
-    other node to None."""
-    known = {}
-    if not _frontier(new_sub, _node_ids(sub, set(), _FRONTIER_DEPTH), known):
-        # a path down the rewrite met no node of `sub` that high up: the
-        # frontier lies deeper, so look through all of `sub`.  Otherwise
-        # any kept node deeper in `sub` lies below a marked one.
-        known = {}
-        _frontier(new_sub, _node_ids(sub, set()), known)
-    if ctx.results:
-        for key in known:
-            known[key] = ctx.results.get(key)
-    return known
-
-
 def _check_schema(rule: Rule, path: tuple, before: Schema, after: Schema):
     if before != after:
         raise RewriteError(
@@ -1059,11 +1008,13 @@ def guard_cost_improves(rule: Rule, path: tuple, sub: Term,
     bound to `ctx`, only when it strictly lowers the root's cost under
     ``ctx.cost_model``; the rewritten subterm or None, as ``try_apply``.
 
-    `sub` is folded once with the rewrite's frontier marked, and the
-    rewrite once with the frontier's results injected (``CostModel.fold``);
-    in a bottom-up round both `sub`'s and the frontier's results are read
-    from ``ctx.results`` where it holds them.  The schemas are then checked
-    as in ``try_apply``, with the same error.
+    Every fold of an attempt reads and fills one table of results
+    (``CostModel.fold``).  In a ``bottom-up`` or ``sweep`` round that is
+    ``ctx.results``, which holds `sub` and its top two levels, where a
+    pairwise rewrite keeps its nodes; elsewhere it is a dict for this
+    attempt that marks those nodes, so folding `sub` records them.  The
+    rewrite is folded reading them, and the schemas are then checked as in
+    ``try_apply``, with the same error.
 
     A rewrite that leaves `sub`'s plan state as it was and is not cheaper
     than `sub` is rejected without costing any ancestor.  This is exact:
@@ -1072,25 +1023,34 @@ def guard_cost_improves(rule: Rule, path: tuple, sub: Term,
     monotone, so the new root's cost is not below the old root's, and
     ``new < old - epsilon`` cannot hold for a non-negative `epsilon`.  In
     every other case the guard reads the root (``ctx.root``), builds the
-    new one and folds both, the new one with the rewrite's result
-    injected, so only its nodes above `path` are folded again.
+    new one and folds both through the table, the new one with the
+    rewrite's result injected for as long as its fold lasts, so the
+    attempt leaves the table as it found it.
     """
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
-    cost_model = ctx.cost_model
-    known = _shared(sub, new_sub, ctx)
-    old = ctx.held(sub)
-    if old is None:
-        old = cost_model.fold(sub, known)
-    new = cost_model.fold(new_sub, known)
+    fold = ctx.cost_model.fold
+    known = ctx.results
+    if known is None:
+        known = {id(sub): None}
+        for kid in children(sub):
+            known[id(kid)] = None
+            known.update(dict.fromkeys(map(id, children(kid))))
+    old = fold(sub, known)
+    new = fold(new_sub, known)
     _check_schema(rule, path, old[2], new[2])
     if new[0] >= old[0] and new[1] == old[1] and epsilon >= 0:
         return None
     root = ctx.root()
-    old_cost = cost_model.fold(root, {})[0]
-    new_cost = cost_model.fold(replace_at(root, path, new_sub),
-                               {id(new_sub): new})[0]
+    old_cost = fold(root, known)[0]
+    key = id(new_sub)
+    injected = key not in known  # else the rewrite is a held node
+    if injected:
+        known[key] = new
+    new_cost = fold(replace_at(root, path, new_sub), known)[0]
+    if injected:
+        del known[key]
     if new_cost < old_cost - epsilon:
         return new_sub
     return None
@@ -1151,8 +1111,8 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                    ``ctx.results`` before `step` runs.  A node's result is
                    kept only until its grandparent has been visited: a
                    pairwise rewrite at `sub` keeps nodes at most two levels
-                   down, so `sub` and such a frontier are always held, and a
-                   deeper frontier is folded as it would be without the
+                   down, so `sub` and the nodes it keeps are held, and a
+                   deeper kept node is folded as it would be without the
                    round.  The round thus holds, besides the visited node,
                    its children and grandchildren, only each finished
                    subtree's root and that root's children.

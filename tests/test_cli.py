@@ -397,6 +397,8 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
     {"S.y": dict(STATS_DOC["S.y"], clusters=[[1, 2]])},
     {"R.v": dict(STATS_DOC["R.v"], avg_array_len="long")},
     {"R.v": dict(STATS_DOC["R.v"], row_stats=5)},
+    {"R.v": dict(STATS_DOC["R.v"], row_stats=dict(
+        STATS_DOC["R.v"]["row_stats"], row_count=10))},
     {"R.x": dict(STATS_DOC["R.x"], lo="a")},
     {"R.x": dict(STATS_DOC["R.x"], hi=[9])},
     *(json.loads(path.read_text())
@@ -408,6 +410,7 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
         "clustered-without-clusters", "null-fraction-not-a-number",
         "ndv-not-a-number", "freq-not-pairs", "clusters-not-quadruples",
         "avg-array-len-not-a-number", "row-stats-not-an-object",
+        "row-count-in-row-stats",
         "lo-not-a-number", "hi-not-a-number",
         *(path.stem for path in sorted(MALFORMED.glob("*_stats.json")))])
 def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):

@@ -796,7 +796,7 @@ def _round(root, schemas, cm, corr, visit):
     ctx = RuleContext(cm, corr)
 
     def step(path, sub):
-        assert ctx.held(sub) is not None and ctx.root() is root
+        assert ctx.results.get(id(sub)) is not None and ctx.root() is root
         visit(ctx, root, path, sub)
         return None
 
@@ -942,6 +942,118 @@ def test_greedy_round_holds_a_bounded_window_per_pending_subtree():
     term = Project(("k",), Join(chain("r", "x", "a"), chain("s", "y", "b")))
     # walking the left chain, the right chain's root and child stay held
     assert _assert_round_holds_a_bounded_window(term, schemas) == 3 + 2
+
+
+############################################################
+# guarded attempts: every fold reads one table of results
+############################################################
+
+def _economy_case(shape):
+    """A root whose join's left input is `sub`, two filters over `r`, and
+    a cost rule that rewrites `sub` alone, keeping its grandchild
+    (``swap``) or its child (``drop``, whose rewrite is that child)."""
+    schemas = {"r": Schema.of(scalars=["k", "x"], arrays=["a"]),
+               "s": Schema.of(scalars=["k", "y"])}
+    if shape == "swap":
+        # running the equality first is cheaper
+        sub = Filter(Cmp("=", Col("x"), Lit(3)),
+                     Filter(Cmp(">", Col("k"), Lit(0)), RelVar("r")))
+
+        def fn(s):
+            return Filter(s.child.pred, Filter(s.pred, s.child.child))
+    else:
+        # the repeated guard has selectivity 1: dropping it keeps the
+        # state and saves a scan, so the guard folds both roots
+        guard = Cmp("!=", Col("a"), Lit(()))
+        sub = Filter(guard, Filter(guard, RelVar("r")))
+
+        def fn(s):
+            return s.child
+    root = Project(("k",), Join(sub, RelVar("s")))
+    rule = Rule("X", "cost", "test rewrite",
+                lambda s, ctx: fn(s) if s is sub else None,
+                ((Filter, Filter),))
+    return root, sub, rule, CostModel({}, schemas)
+
+
+def _counting(cm):
+    """Count, per node id, the effects (``op_effect``, ``join_effect`` and
+    ``base_state``) that `cm`'s folds compute; returns the live count."""
+    computed, folding = {}, []
+    real_fold = cm.fold
+
+    def fold(term, known):
+        folding.append(term)
+        try:
+            return real_fold(term, known)
+        finally:
+            folding.pop()
+
+    def counted(real):
+        def effect(*args):
+            key = id(folding[-1])
+            computed[key] = computed.get(key, 0) + 1
+            return real(*args)
+        return effect
+
+    cm.fold = fold
+    for name in ("op_effect", "join_effect", "base_state"):
+        setattr(cm, name, counted(getattr(cm, name)))
+    return computed
+
+
+def _guard_in_round(shape, policy):
+    """The case's guarded attempt at `sub` inside a `policy` round whose
+    step matches nowhere: the root, `sub`, the effects the attempt
+    computed per node id, and the round's table before and after the
+    attempt (None in a round that holds none)."""
+    root, sub, rule, cm = _economy_case(shape)
+    computed = _counting(cm)
+    ctx = RuleContext(cm)
+    seen = []
+
+    def table():
+        return None if ctx.results is None else dict(ctx.results)
+
+    def step(path, node):
+        if node is sub:
+            before = table()
+            computed.clear()
+            guard_cost_improves(rule, path, sub, ctx)
+            seen.append((dict(computed), before, table()))
+        return None
+
+    assert rewrite.rewrite_to_fixpoint(root, step, "test", ctx,
+                                       policy) is root
+    [(attempt, before, after)] = seen
+    return root, sub, attempt, before, after
+
+
+@pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
+@pytest.mark.parametrize("shape", ["swap", "drop"])
+def test_guard_in_a_held_round_computes_no_node_the_round_holds(
+        shape, policy):
+    root, sub, computed, held, _ = _guard_in_round(shape, policy)
+    # not rejected locally: the old root is folded, through the table
+    assert computed.get(id(root)) == 1
+    assert id(sub) in held and id(sub.child) in held
+    assert not held.keys() & computed.keys()
+
+
+@pytest.mark.parametrize("shape", ["swap", "drop"])
+def test_guard_in_a_restart_round_computes_a_kept_node_once(shape):
+    root, sub, computed, held, _ = _guard_in_round(shape, "restart")
+    kept = sub.child.child if shape == "swap" else sub.child
+    assert held is None and computed.get(id(root)) == 1
+    assert computed[id(sub)] == 1 and computed[id(kept)] == 1
+
+
+@pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
+@pytest.mark.parametrize("shape", ["swap", "drop"])
+def test_guard_leaves_the_rounds_table_as_it_found_it(shape, policy):
+    _, _, _, before, after = _guard_in_round(shape, policy)
+    assert after.keys() == before.keys()
+    assert all(after[key] is res for key, res in before.items())
 
 
 ############################################################
