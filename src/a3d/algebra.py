@@ -36,6 +36,11 @@ operators or move them across a join) uses.  The join search does not call
 query placed it, and the search carries only column sets, replaying the
 recorded column effect (``RankableOp.columns_after``).
 
+``node_schema``, ``children`` and ``with_children`` look up one function per
+node type (``_SCHEMA_STEPS``, ``_CHILDREN``, ``_WITH_CHILDREN``), as the
+cost model does (``stats._OP_STEPS``), and a schema step hands on the
+input's column sets wherever the node leaves them unchanged.
+
 Null/equality conventions live in `functions` and `predicates`; join and
 group keys treat null as equal to null.
 """
@@ -83,8 +88,8 @@ class Schema:
     arrays: frozenset
 
     def __post_init__(self):
-        overlap = self.scalars & self.arrays
-        if overlap:
+        if not self.scalars.isdisjoint(self.arrays):
+            overlap = self.scalars & self.arrays
             raise SchemaError(f"columns both scalar and array: {sorted(overlap)}")
 
     @staticmethod
@@ -208,34 +213,41 @@ UNARY_TYPES = (Filter, Project, ArrayJoin, ArrayFilter, Derive, Aggregate)
 # generic tree plumbing
 ############################################################
 
+# one entry per term type: its inputs, and the same node over new inputs
+_CHILDREN = {
+    RelVar: lambda t: (),
+    Join: lambda t: (t.left, t.right),
+    **dict.fromkeys(UNARY_TYPES, lambda t: (t.child,)),
+}
+
+
+def _relvar_with(term: RelVar, kids: tuple) -> RelVar:
+    if kids:
+        raise SchemaError("RelVar takes no children")
+    return term
+
+
+_WITH_CHILDREN = {
+    RelVar: _relvar_with,
+    Join: lambda t, kids: Join(kids[0], kids[1]),
+    Filter: lambda t, kids: Filter(t.pred, kids[0]),
+    Project: lambda t, kids: Project(t.cols, kids[0]),
+    ArrayJoin: lambda t, kids: ArrayJoin(t.targets, kids[0]),
+    ArrayFilter: lambda t, kids: ArrayFilter(t.targets, t.pred, kids[0]),
+    Derive: lambda t, kids: Derive(t.output, t.fn, t.args, kids[0], t.is_map),
+    Aggregate: lambda t, kids: Aggregate(t.keys, t.aggs, kids[0]),
+}
+
+
 def children(term: Term) -> tuple:
-    if isinstance(term, RelVar):
-        return ()
-    if isinstance(term, Join):
-        return (term.left, term.right)
-    return (term.child,)
+    return _CHILDREN[type(term)](term)
 
 
 def with_children(term: Term, kids: tuple) -> Term:
-    if isinstance(term, RelVar):
-        if kids:
-            raise SchemaError("RelVar takes no children")
-        return term
-    if isinstance(term, Join):
-        return Join(kids[0], kids[1])
-    if isinstance(term, Filter):
-        return Filter(term.pred, kids[0])
-    if isinstance(term, Project):
-        return Project(term.cols, kids[0])
-    if isinstance(term, ArrayJoin):
-        return ArrayJoin(term.targets, kids[0])
-    if isinstance(term, ArrayFilter):
-        return ArrayFilter(term.targets, term.pred, kids[0])
-    if isinstance(term, Derive):
-        return Derive(term.output, term.fn, term.args, kids[0], term.is_map)
-    if isinstance(term, Aggregate):
-        return Aggregate(term.keys, term.aggs, kids[0])
-    raise SchemaError(f"not a term: {term!r}")
+    rebuild = _WITH_CHILDREN.get(type(term))
+    if rebuild is None:
+        raise SchemaError(f"not a term: {term!r}")
+    return rebuild(term, kids)
 
 
 def walk(term: Term, path=()) -> Iterator[tuple]:
@@ -283,19 +295,24 @@ def _check_targets(targets, schema: Schema, what: str) -> tuple:
     sets."""
     if not targets:
         raise SchemaError(f"{what} needs at least one target")
-    sources = frozenset(s for s, _ in targets)
-    aliases = frozenset(a for _, a in targets)
+    sources = frozenset([s for s, _ in targets])
+    aliases = frozenset([a for _, a in targets])
     if len(sources) != len(targets):
         raise SchemaError(f"{what}: duplicate source")
     if len(aliases) != len(targets):
         raise SchemaError(f"{what}: duplicate alias")
-    for s, _ in targets:
-        if s not in schema.arrays:
-            raise SchemaError(f"{what}: source {s!r} is not an array column")
-    survivors = schema.columns - sources
-    for _, a in targets:
-        if a in survivors:
-            raise SchemaError(f"{what}: alias {a!r} shadows an unrelated column")
+    # the set tests pass on a valid node; the loops only find the first
+    # offending target, to name it
+    scalars, arrays = schema.scalars, schema.arrays
+    if not sources <= arrays:
+        s = next(s for s, _ in targets if s not in arrays)
+        raise SchemaError(f"{what}: source {s!r} is not an array column")
+    # a source's own alias may reuse its name; no other column's may
+    fresh = aliases - sources
+    if not (fresh.isdisjoint(scalars) and fresh.isdisjoint(arrays)):
+        a = next(a for _, a in targets
+                 if a in fresh and (a in scalars or a in arrays))
+        raise SchemaError(f"{what}: alias {a!r} shadows an unrelated column")
     return sources, aliases
 
 
@@ -329,86 +346,134 @@ def _check_apply(expr: Apply) -> None:
             _check_apply(arg)
 
 
+############################################################
+# one schema step per node type
+#
+# Each step tests membership in the input's `scalars` and `arrays` instead
+# of building their union, and hands on the input's frozenset wherever the
+# node leaves that kind of column unchanged.
+############################################################
+
+def _join_schema(node: Join, left: Schema, right: Schema) -> Schema:
+    mixed = (left.scalars & right.arrays) | (left.arrays & right.scalars)
+    if mixed:
+        raise SchemaError(f"join column {min(mixed)!r} has mixed kinds")
+    return Schema(left.scalars | right.scalars, left.arrays | right.arrays)
+
+
+def _missing(cols, schema: Schema) -> list:
+    """The columns of `cols` that `schema` has not, in their order."""
+    scalars, arrays = schema.scalars, schema.arrays
+    return [c for c in cols if c not in scalars and c not in arrays]
+
+
+def _filter_schema(node: Filter, inner: Schema) -> Schema:
+    missing = _missing(pred_columns(node.pred), inner)
+    if missing:
+        raise SchemaError(f"filter references {sorted(missing)}")
+    _check_calls(node.pred)
+    return inner
+
+
+def _project_schema(node: Project, inner: Schema) -> Schema:
+    keep = frozenset(node.cols)
+    if len(keep) != len(node.cols):
+        raise SchemaError("project: duplicate column")
+    missing = _missing(node.cols, inner)
+    if missing:
+        raise SchemaError(f"project: unknown column {missing[0]!r}")
+    return Schema(inner.scalars & keep, inner.arrays & keep)
+
+
+def _array_join_schema(node: ArrayJoin, inner: Schema) -> Schema:
+    # the aliases are new scalars (``_check_targets``: no alias is a scalar
+    # already) and the sources are arrays no more
+    sources, aliases = _check_targets(node.targets, inner, "arrayJoin")
+    return Schema(inner.scalars | aliases, inner.arrays - sources)
+
+
+def _array_filter_schema(node: ArrayFilter, inner: Schema) -> Schema:
+    sources, aliases = _check_targets(node.targets, inner, "arrayFilter")
+    stray = pred_columns(node.pred) - aliases
+    if stray:
+        raise SchemaError(
+            f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
+    _check_calls(node.pred)
+    # the aliases replace their sources as arrays; no scalar is touched
+    return Schema(inner.scalars, (inner.arrays - sources) | aliases)
+
+
+def _derive_schema(node: Derive, inner: Schema) -> Schema:
+    _check_call(node.fn.name, len(node.args))
+    scalars, arrays = inner.scalars, inner.arrays
+    kinds = []
+    for c in node.args:
+        if c in scalars:
+            kinds.append("scalar")
+        elif c in arrays:
+            kinds.append("array")
+        else:
+            raise SchemaError(f"derive references unknown column {c!r}")
+    if node.is_map and "array" not in kinds:
+        raise SchemaError("map derive needs at least one array argument")
+    out = node.output
+    if node.is_map or fn_output_kind(node.fn, kinds) == "array":
+        return Schema(scalars - {out} if out in scalars else scalars,
+                      arrays if out in arrays else arrays | {out})
+    return Schema(scalars if out in scalars else scalars | {out},
+                  arrays - {out} if out in arrays else arrays)
+
+
+def _aggregate_schema(node: Aggregate, inner: Schema) -> Schema:
+    if len(set(node.keys)) != len(node.keys):
+        raise SchemaError("aggregate: duplicate key")
+    kinds = {k: inner.kind(k) for k in node.keys}
+    scalars, arrays = inner.scalars, inner.arrays
+    for spec in node.aggs:
+        if not known_agg_fn(spec.fn):
+            raise SchemaError(f"unknown aggregate {spec.fn!r}")
+        if spec.arg not in scalars and spec.arg not in arrays:
+            raise SchemaError(f"aggregate references unknown column {spec.arg!r}")
+        if spec.fn.endswith("ForEach") and spec.arg not in arrays:
+            raise SchemaError(f"{spec.fn} needs an array column")
+        if spec.alias in kinds:
+            raise SchemaError(f"aggregate alias {spec.alias!r} collides")
+        kinds[spec.alias] = agg_output_kind(spec.fn)
+    return Schema(frozenset([c for c, k in kinds.items() if k == "scalar"]),
+                  frozenset([c for c, k in kinds.items() if k == "array"]))
+
+
+_SCHEMA_STEPS = {
+    Join: _join_schema,
+    Filter: _filter_schema,
+    Project: _project_schema,
+    ArrayJoin: _array_join_schema,
+    ArrayFilter: _array_filter_schema,
+    Derive: _derive_schema,
+    Aggregate: _aggregate_schema,
+}
+
+
 def node_schema(node: Term, *child_schemas: Schema) -> Schema:
     """One inference step: the schema `node` outputs given its children's.
 
     Only the node's own fields are read; its children are ignored (pass
     their schemas instead), so template nodes with placeholder children are
-    fine.  Raises SchemaError on any inconsistency.  Not defined for
-    RelVar, whose schema comes from a catalog.
+    fine.  Raises SchemaError on any inconsistency.  No message depends
+    on the order a set iterates in: where several columns offend, it names
+    them sorted, the smallest, or the first in the node's own fields.  Not
+    defined for RelVar, whose schema comes from a catalog.
+
+    The step is the one function for the node's type in
+    ``_SCHEMA_STEPS``.  The output shares the input's frozenset of scalars
+    or arrays wherever the node leaves that kind unchanged (a filter
+    returns its input schema, a scalar derive its input's arrays), which
+    is safe because schemas are immutable.
     """
-    if isinstance(node, Join):
-        left, right = child_schemas
-        for c in left.columns & right.columns:
-            if left.kind(c) != right.kind(c):
-                raise SchemaError(f"join column {c!r} has mixed kinds")
-        return Schema(left.scalars | right.scalars, left.arrays | right.arrays)
-
-    if not isinstance(node, UNARY_TYPES):
+    step = _SCHEMA_STEPS.get(type(node))
+    if step is None:
         raise SchemaError(f"not a term: {node!r}")
-    (inner,) = child_schemas
-
-    if isinstance(node, Filter):
-        missing = pred_columns(node.pred) - inner.columns
-        if missing:
-            raise SchemaError(f"filter references {sorted(missing)}")
-        _check_calls(node.pred)
-        return inner
-
-    if isinstance(node, Project):
-        if len(set(node.cols)) != len(node.cols):
-            raise SchemaError("project: duplicate column")
-        for c in node.cols:
-            if c not in inner.columns:
-                raise SchemaError(f"project: unknown column {c!r}")
-        keep = frozenset(node.cols)
-        return Schema(inner.scalars & keep, inner.arrays & keep)
-
-    if isinstance(node, ArrayJoin):
-        sources, aliases = _check_targets(node.targets, inner, "arrayJoin")
-        gone = sources | aliases
-        return Schema((inner.scalars - gone) | aliases, inner.arrays - gone)
-
-    if isinstance(node, ArrayFilter):
-        sources, aliases = _check_targets(node.targets, inner, "arrayFilter")
-        stray = pred_columns(node.pred) - aliases
-        if stray:
-            raise SchemaError(
-                f"arrayFilter predicate may only use element aliases; got {sorted(stray)}")
-        _check_calls(node.pred)
-        gone = sources | aliases
-        return Schema(inner.scalars - gone, (inner.arrays - gone) | aliases)
-
-    if isinstance(node, Derive):
-        _check_call(node.fn.name, len(node.args))
-        kinds = []
-        for c in node.args:
-            if c not in inner.columns:
-                raise SchemaError(f"derive references unknown column {c!r}")
-            kinds.append(inner.kind(c))
-        if node.is_map and "array" not in kinds:
-            raise SchemaError("map derive needs at least one array argument")
-        out = frozenset((node.output,))
-        if node.is_map or fn_output_kind(node.fn, kinds) == "array":
-            return Schema(inner.scalars - out, inner.arrays | out)
-        return Schema(inner.scalars | out, inner.arrays - out)
-
-    # Aggregate
-    if len(set(node.keys)) != len(node.keys):
-        raise SchemaError("aggregate: duplicate key")
-    kinds = {k: inner.kind(k) for k in node.keys}
-    for spec in node.aggs:
-        if not known_agg_fn(spec.fn):
-            raise SchemaError(f"unknown aggregate {spec.fn!r}")
-        if spec.arg not in inner.columns:
-            raise SchemaError(f"aggregate references unknown column {spec.arg!r}")
-        if spec.fn.endswith("ForEach") and inner.kind(spec.arg) != "array":
-            raise SchemaError(f"{spec.fn} needs an array column")
-        if spec.alias in kinds:
-            raise SchemaError(f"aggregate alias {spec.alias!r} collides")
-        kinds[spec.alias] = agg_output_kind(spec.fn)
-    return Schema(frozenset(c for c, k in kinds.items() if k == "scalar"),
-                  frozenset(c for c, k in kinds.items() if k == "array"))
+    return step(node, *child_schemas)
 
 
 def footprint(node: Term) -> tuple:
@@ -441,14 +506,15 @@ def footprint(node: Term) -> tuple:
 
 def output_schema(term: Term, catalog: Mapping[str, Schema]) -> Schema:
     """Infer the output schema, raising SchemaError on any inconsistency."""
-    if isinstance(term, RelVar):
+    kind = type(term)
+    if kind is RelVar:
         if term.name not in catalog:
             raise SchemaError(f"unknown relation {term.name!r}")
         return catalog[term.name]
-    if isinstance(term, Join):
+    if kind is Join:
         return node_schema(term, output_schema(term.left, catalog),
                            output_schema(term.right, catalog))
-    if isinstance(term, UNARY_TYPES):
+    if kind in _SCHEMA_STEPS:  # the unary types
         return node_schema(term, output_schema(term.child, catalog))
     raise SchemaError(f"not a term: {term!r}")
 

@@ -119,7 +119,7 @@ class _Branch:
     state: PlanState
     support: dict             # col -> frozenset of leaf indices
     producers: dict           # col -> frozenset of op idxs (current version)
-    readers: dict             # col -> set of op idxs reading current version
+    readers: dict             # col -> frozenset of readers of current version
     aggs: tuple = ()          # (op idx, keys | aliases) of aggregates below
     joined: frozenset = frozenset()  # cols some join below matches on
 
@@ -243,19 +243,20 @@ class _Walk:
             idx, sub, kind, requires, produces, destroys,
             support or frozenset(), min_rels, profile))
 
-        # update version maps
+        # update version maps; reader sets are frozensets that are
+        # replaced, never changed, so the maps share them
         new_support = {c: s for c, s in br.support.items() if c not in destroys}
         new_producers = {c: p for c, p in br.producers.items()
                          if c not in destroys}
-        new_readers = {c: set(r) for c, r in br.readers.items()
+        new_readers = {c: r for c, r in br.readers.items()
                        if c not in destroys}
         joined = br.joined - destroys
         for col in requires:
-            if col in schema_after.columns:
-                new_readers.setdefault(col, set()).add(idx)
+            if col in schema_after.scalars or col in schema_after.arrays:
+                new_readers[col] = new_readers.get(col, frozenset()) | {idx}
         for col in produces:
             new_producers[col] = frozenset((idx,))
-            new_readers[col] = set()
+            new_readers[col] = frozenset()
             new_support[col] = support or br.rels
         aggs = br.aggs
         if isinstance(sub, Aggregate):

@@ -378,7 +378,11 @@ class PlanState:
     rows_unf (and each ``ArrayInfo.length_unf``) track the same quantities
     with every filter selectivity forced to 1; aggregate selectivities are
     derived from them so they stay constant no matter where filters sit.
-    States share their dicts with each other, so the dicts are
+
+    A state is full: its dicts hold one key per column of the schema it
+    goes with, ``scalar_stats`` mapping a column without statistics to
+    None.  Each operator's step (``_OP_STEPS``) hands on every dict it
+    leaves unchanged, so states share their dicts and the dicts are
     read-only.
     """
 
@@ -497,37 +501,171 @@ def join_cost(left_rows: float, right_rows: float, div: float) -> float:
     return left_rows + right_rows + left_rows * right_rows / div
 
 
+def _derive_cost(node: Derive, rows: float,
+                 array_info: Mapping[str, ArrayInfo]) -> float:
+    arr_args = [c for c in node.args if c in array_info]
+    fn = node.fn.name
+    if node.is_map or (arr_args and (fn in ARRAY_ARG_FNS or fn == "identity")):
+        return rows * sum([array_info[c].length for c in arr_args])
+    return rows
+
+
+def _aggregate_cost(node: Aggregate, rows: float,
+                    array_info: Mapping[str, ArrayInfo]) -> float:
+    arr_cols = [s.arg for s in node.aggs if s.arg in array_info]
+    arr_cols += [k for k in node.keys if k in array_info]
+    return rows * (1.0 + sum([array_info[c].length for c in arr_cols]))
+
+
+def _targets_cost(node, rows: float,
+                  array_info: Mapping[str, ArrayInfo]) -> float:
+    # an arrayJoin or arrayFilter walks the first target's elements
+    return rows * array_info.get(node.targets[0][0], DEFAULT_ARRAY_INFO).length
+
+
 def op_cost(node: Term, rows: float, array_info: Mapping[str, ArrayInfo]
             ) -> float:
     """The cost of running the unary operator `node` over `rows` rows
     whose array columns are `array_info` (a missing one is
     ``DEFAULT_ARRAY_INFO``).  It is the one expression of an operator's
-    cost: ``CostModel.op_effect`` and the enumerator's finishing bound both
-    use it, so the bound is exactly what the step charges.
+    cost, the cost function of the node's type in ``_OP_STEPS``:
+    ``CostModel.op_effect`` and the enumerator's finishing bound both use
+    it, so the bound is exactly what the step charges.
 
     Only the node's own fields are read, so template nodes are fine.  The
     cost is built from row counts and array lengths and is never negative
     or NaN, nor is ``join_cost``'s: ``Enumerator.run`` relies on adding a
     cost never making a plan cheaper."""
-    if isinstance(node, Filter):
-        return rows
-    if isinstance(node, (ArrayFilter, ArrayJoin)):
-        return rows * array_info.get(node.targets[0][0],
-                                     DEFAULT_ARRAY_INFO).length
-    if isinstance(node, Derive):
+    steps = _OP_STEPS.get(type(node))
+    if steps is None:
+        raise _not_unary(node)
+    return steps[0](node, rows, array_info)
+
+
+############################################################
+# one state step per unary operator type
+#
+# Each step reads only the node's own fields, builds a dict only for what
+# the node changes and hands on the input's dict wherever the node leaves
+# it unchanged.  A dict that loses keys is built by a comprehension, not
+# copied and popped (an arrayJoin's excepted): a copy keeps its input's
+# size, and so does every later state that shares it.
+############################################################
+
+def _filter_state(model: "CostModel", node: Filter,
+                  state: PlanState) -> PlanState:
+    s = pred_selectivity(node.pred, state.scalar_stats, state.array_info)
+    array_info = state.array_info
+    col, empty = _emptiness_test(node.pred)
+    info = array_info.get(col)
+    if info is not None:
+        # after  c != []  no array is empty and after  c = []  all are, so
+        # a repeated guard has selectivity 1 and cannot look like a saving,
+        # and a test and its negation leave no rows in either order
+        array_info = {**array_info, col: ArrayInfo(
+            info.length, info.length_unf, empty, info.elem)}
+    return PlanState(state.rows * s, state.rows_unf, state.scalar_stats,
+                     array_info)
+
+
+def _project_state(model: "CostModel", node: Project,
+                   state: PlanState) -> PlanState:
+    keep = frozenset(node.cols)
+    scalar_stats, array_info = state.scalar_stats, state.array_info
+    if not keep.issuperset(scalar_stats):
+        scalar_stats = {c: v for c, v in scalar_stats.items() if c in keep}
+    if not keep.issuperset(array_info):
+        array_info = {c: v for c, v in array_info.items() if c in keep}
+    return PlanState(state.rows, state.rows_unf, scalar_stats, array_info)
+
+
+def _array_filter_state(model: "CostModel", node: ArrayFilter,
+                        state: PlanState) -> PlanState:
+    s = model.element_selectivity(node.pred, node.targets, state)
+    sources = frozenset([src for src, _ in node.targets])
+    array_info = {c: v for c, v in state.array_info.items()
+                  if c not in sources}
+    for src, alias in node.targets:
+        info = state.info(src)
+        array_info[alias] = ArrayInfo(info.length * s, info.length_unf,
+                                      info.empty_fraction, info.elem)
+    return PlanState(state.rows, state.rows_unf, state.scalar_stats,
+                     array_info)
+
+
+def _array_join_state(model: "CostModel", node: ArrayJoin,
+                      state: PlanState) -> PlanState:
+    first = state.info(node.targets[0][0])
+    scalar_stats = dict(state.scalar_stats)
+    for src, alias in node.targets:
+        scalar_stats[alias] = state.info(src).elem
+    # copied and popped: an arrayJoin drops only its sources, and over
+    # sixteen arrays a comprehension made this step take 1.5 times as long
+    array_info = dict(state.array_info)
+    for src, _ in node.targets:
+        array_info.pop(src, None)
+    return PlanState(state.rows * first.length,
+                     state.rows_unf * first.length_unf,
+                     scalar_stats, array_info)
+
+
+def _derive_state(model: "CostModel", node: Derive,
+                  state: PlanState) -> PlanState:
+    scalar_stats, array_info = state.scalar_stats, state.array_info
+    out, fn = node.output, node.fn.name
+    if node.is_map or fn_output_kind(node.fn, [
+            "array" if c in array_info else "scalar"
+            for c in node.args]) == "array":
+        # an identity copies its array's facts; the elements of any other
+        # result are unknown
         arr_args = [c for c in node.args if c in array_info]
-        fn = node.fn.name
-        if node.is_map or (arr_args and (fn in ARRAY_ARG_FNS
-                                         or fn == "identity")):
-            return rows * sum(array_info[c].length for c in arr_args)
-        return rows
-    if isinstance(node, Aggregate):
-        arr_cols = [s.arg for s in node.aggs if s.arg in array_info]
-        arr_cols += [k for k in node.keys if k in array_info]
-        return rows * (1.0 + sum(array_info[c].length for c in arr_cols))
-    if isinstance(node, Project):
-        return 0.0
-    raise SchemaError(f"op_effect: not a unary operator: {node!r}")
+        info = state.info((arr_args or node.args)[0])
+        array_info = {**array_info, out: info if fn == "identity" else
+                      ArrayInfo(info.length, info.length_unf,
+                                info.empty_fraction, None)}
+        if out in scalar_stats:
+            scalar_stats = {c: v for c, v in scalar_stats.items()
+                            if c != out}
+    else:
+        scalar_stats = {**scalar_stats, out: scalar_stats.get(node.args[0])
+                        if fn == "identity" else None}
+        if out in array_info:
+            array_info = {c: v for c, v in array_info.items() if c != out}
+    return PlanState(state.rows, state.rows_unf, scalar_stats, array_info)
+
+
+def _aggregate_state(model: "CostModel", node: Aggregate,
+                     state: PlanState) -> PlanState:
+    s = model.group_selectivity(node.keys, state)
+    array_info, scalar_stats = {}, {}
+    for k in node.keys:
+        if k in state.array_info:
+            array_info[k] = state.array_info[k]
+        else:
+            scalar_stats[k] = state.scalar_stats.get(k)
+    for spec in node.aggs:
+        if agg_output_kind(spec.fn) == "array":
+            length = state.info(spec.arg).length
+            array_info[spec.alias] = ArrayInfo(length, length, 0.0, None)
+        else:
+            scalar_stats[spec.alias] = None
+    return PlanState(state.rows * s, state.rows_unf * s,
+                     scalar_stats, array_info)
+
+
+# (cost, state step) per unary operator type
+_OP_STEPS = {
+    Filter: (lambda node, rows, array_info: rows, _filter_state),
+    Project: (lambda node, rows, array_info: 0.0, _project_state),
+    ArrayFilter: (_targets_cost, _array_filter_state),
+    ArrayJoin: (_targets_cost, _array_join_state),
+    Derive: (_derive_cost, _derive_state),
+    Aggregate: (_aggregate_cost, _aggregate_state),
+}
+
+
+def _not_unary(node) -> SchemaError:
+    return SchemaError(f"op_effect: not a unary operator: {node!r}")
 
 
 class CostModel:
@@ -582,96 +720,17 @@ class CostModel:
         """Apply one unary operator's effect.  Returns (cost, new_state).
 
         Only the node's own fields are consulted (its child is ignored), so
-        callers may pass template nodes.  The cost is ``op_cost``'s.
+        callers may pass template nodes.  The cost is ``op_cost``'s, and
+        both come from the node type's entry in ``_OP_STEPS``.  The new
+        state shares every dict of `state` that the node leaves unchanged
+        (a filter both, unless it tests an array for emptiness; a scalar
+        derive the array infos; an arrayFilter the scalar statistics).
         """
-        cost = op_cost(node, state.rows, state.array_info)
-        if isinstance(node, Filter):
-            s = pred_selectivity(node.pred, state.scalar_stats,
-                                 state.array_info)
-            array_info = state.array_info
-            col, empty = _emptiness_test(node.pred)
-            info = array_info.get(col)
-            if info is not None:
-                # after  c != []  no array is empty and after  c = []  all
-                # are, so a repeated guard has selectivity 1 and cannot look
-                # like a saving, and a test and its negation leave no rows
-                # in either order
-                array_info = {**array_info, col: ArrayInfo(
-                    info.length, info.length_unf, empty, info.elem)}
-            return cost, PlanState(state.rows * s, state.rows_unf,
-                                   state.scalar_stats, array_info)
-
-        if isinstance(node, Project):
-            keep = set(node.cols)
-            return cost, PlanState(
-                state.rows, state.rows_unf,
-                {c: v for c, v in state.scalar_stats.items() if c in keep},
-                {c: v for c, v in state.array_info.items() if c in keep},
-            )
-
-        if isinstance(node, ArrayFilter):
-            s = self.element_selectivity(node.pred, node.targets, state)
-            sources = {src for src, _ in node.targets}
-            array_info = {c: v for c, v in state.array_info.items()
-                          if c not in sources}
-            for src, alias in node.targets:
-                info = state.info(src)
-                array_info[alias] = ArrayInfo(info.length * s, info.length_unf,
-                                              info.empty_fraction, info.elem)
-            return cost, PlanState(state.rows, state.rows_unf,
-                                   state.scalar_stats, array_info)
-
-        if isinstance(node, ArrayJoin):
-            first = state.info(node.targets[0][0])
-            array_info = dict(state.array_info)
-            scalar_stats = dict(state.scalar_stats)
-            for src, alias in node.targets:
-                scalar_stats[alias] = state.info(src).elem
-            for src, _ in node.targets:
-                array_info.pop(src, None)
-            return cost, PlanState(
-                state.rows * first.length, state.rows_unf * first.length_unf,
-                scalar_stats, array_info)
-
-        if isinstance(node, Derive):
-            arr_args = [c for c in node.args if c in state.array_info]
-            fn = node.fn.name
-            kinds = ["array" if c in state.array_info else "scalar"
-                     for c in node.args]
-            array_info = dict(state.array_info)
-            scalar_stats = dict(state.scalar_stats)
-            if node.is_map or fn_output_kind(node.fn, kinds) == "array":
-                # an identity copies its array's facts; the elements of
-                # any other result are unknown
-                info = state.info((arr_args or node.args)[0])
-                array_info[node.output] = info if fn == "identity" else \
-                    ArrayInfo(info.length, info.length_unf,
-                              info.empty_fraction, None)
-                scalar_stats.pop(node.output, None)
-            else:
-                scalar_stats[node.output] = \
-                    state.scalar_stats.get(node.args[0]) \
-                    if fn == "identity" else None
-                array_info.pop(node.output, None)
-            return cost, PlanState(state.rows, state.rows_unf,
-                                   scalar_stats, array_info)
-
-        # an Aggregate: ``op_cost`` rejects every other node
-        s = self.group_selectivity(node.keys, state)
-        array_info, scalar_stats = {}, {}
-        for k in node.keys:
-            if k in state.array_info:
-                array_info[k] = state.array_info[k]
-            else:
-                scalar_stats[k] = state.scalar_stats.get(k)
-        for spec in node.aggs:
-            if agg_output_kind(spec.fn) == "array":
-                length = state.info(spec.arg).length
-                array_info[spec.alias] = ArrayInfo(length, length, 0.0, None)
-            else:
-                scalar_stats[spec.alias] = None
-        return cost, PlanState(state.rows * s, state.rows_unf * s,
-                               scalar_stats, array_info)
+        steps = _OP_STEPS.get(type(node))
+        if steps is None:
+            raise _not_unary(node)
+        return steps[0](node, state.rows, state.array_info), \
+            steps[1](self, node, state)
 
     def join_effect(self, left: PlanState, right: PlanState, shared):
         """Natural-join effect.  Returns (cost, new_state).
@@ -713,15 +772,17 @@ class CostModel:
         res = known.get(key)
         if res is not None:
             return res
-        if isinstance(term, RelVar):
+        kind = type(term)
+        if kind is RelVar:
             state = self.base_state(term.name)
             res = state.rows, state, self.schemas[term.name]  # one scan
-        elif isinstance(term, Join):
+        elif kind is Join:
             lc, ls, lsch = self.fold(term.left, known)
             rc, rs, rsch = self.fold(term.right, known)
             schema = node_schema(term, lsch, rsch)
-            cost, state = self.join_effect(
-                ls, rs, sorted(lsch.columns & rsch.columns))
+            # node_schema let only columns of one kind on both sides
+            cost, state = self.join_effect(ls, rs, sorted(
+                (lsch.scalars & rsch.scalars) | (lsch.arrays & rsch.arrays)))
             res = lc + rc + cost, state, schema
         else:
             kid_cost, kid_state, kid_schema = self.fold(term.child, known)

@@ -29,7 +29,7 @@ from a3d.algebra import (
 )
 from a3d.functions import ScalarFn, apply_agg, apply_scalar
 from a3d.planner import optimize
-from a3d.predicates import Cmp, Col, Lit, Not
+from a3d.predicates import And, Apply, Cmp, Col, Lit, Not, Or
 
 from gen_utils import build_relation, random_db, random_term, subterm_at
 from golden_queries import CASES
@@ -263,6 +263,127 @@ def _check_footprints(term, catalog, seen: set) -> None:
         if not isinstance(node, (Project, Aggregate)):
             assert node_schema(node, inner).columns == \
                 (inner.columns - consumes) | writes, node
+
+
+# the child schema of every unary case below: scalars k, x, y; arrays v, w
+_INNER = Schema.of(("k", "x", "y"), ("v", "w"))
+_R = RelVar("R")        # a placeholder child: node_schema ignores it
+_NEG = ScalarFn.of("neg")
+_OK = Cmp("<", Col("x"), Lit(1))
+_ELEM = Cmp("<", Col("e"), Lit(1))
+
+
+def _bad(case_id, node, message, schemas=(_INNER,)):
+    return pytest.param(node, schemas, message, id=case_id)
+
+
+# one malformed node for each SchemaError that node_schema raises, its own
+# or through _check_targets, _check_call and _check_calls, with the message
+NODE_SCHEMA_ERRORS = [
+    _bad("join-mixed-kinds", Join(_R, RelVar("S")),
+         "join column 'a' has mixed kinds",
+         (Schema.of("abcd"), Schema.of((), "abcd"))),
+    _bad("relvar", _R, "not a term: RelVar(name='R')"),
+    _bad("filter-references", Filter(Cmp("<", Col("z"), Col("q")), _R),
+         "filter references ['q', 'z']"),
+    _bad("filter-unknown-function",
+         Filter(Cmp("<", Apply(ScalarFn.of("nope"), (Col("x"),)), Lit(1)),
+                _R),
+         "unknown function 'nope'"),
+    _bad("filter-nested-arity",
+         Filter(Not(And((_OK, Or((_OK, Cmp(
+             "<", Col("x"), Apply(_NEG, (Apply(_NEG, ()),)))))))), _R),
+         "neg: wrong arity"),
+    _bad("project-duplicate", Project(("k", "v", "k"), _R),
+         "project: duplicate column"),
+    _bad("project-unknown", Project(("k", "z", "q"), _R),
+         "project: unknown column 'z'"),
+    _bad("arrayjoin-no-target", ArrayJoin((), _R),
+         "arrayJoin needs at least one target"),
+    _bad("arrayjoin-duplicate-source", ArrayJoin((("v", "e"), ("v", "f")), _R),
+         "arrayJoin: duplicate source"),
+    _bad("arrayjoin-duplicate-alias", ArrayJoin((("v", "e"), ("w", "e")), _R),
+         "arrayJoin: duplicate alias"),
+    _bad("arrayjoin-scalar-source", ArrayJoin((("v", "e"), ("k", "f")), _R),
+         "arrayJoin: source 'k' is not an array column"),
+    _bad("arrayjoin-unknown-source", ArrayJoin((("z", "e"),), _R),
+         "arrayJoin: source 'z' is not an array column"),
+    _bad("arrayjoin-alias-shadows", ArrayJoin((("v", "e"), ("w", "x")), _R),
+         "arrayJoin: alias 'x' shadows an unrelated column"),
+    _bad("arrayfilter-no-target", ArrayFilter((), _ELEM, _R),
+         "arrayFilter needs at least one target"),
+    _bad("arrayfilter-duplicate-source",
+         ArrayFilter((("v", "e"), ("v", "f")), _ELEM, _R),
+         "arrayFilter: duplicate source"),
+    _bad("arrayfilter-duplicate-alias",
+         ArrayFilter((("v", "e"), ("w", "e")), _ELEM, _R),
+         "arrayFilter: duplicate alias"),
+    _bad("arrayfilter-scalar-source", ArrayFilter((("x", "e"),), _ELEM, _R),
+         "arrayFilter: source 'x' is not an array column"),
+    _bad("arrayfilter-alias-shadows",
+         ArrayFilter((("v", "w"),), Cmp("<", Col("w"), Lit(1)), _R),
+         "arrayFilter: alias 'w' shadows an unrelated column"),
+    _bad("arrayfilter-stray",
+         ArrayFilter((("v", "e"),),
+                     And((Cmp("<", Col("y"), Col("e")), Cmp("<", Col("k"),
+                                                            Lit(1)))), _R),
+         "arrayFilter predicate may only use element aliases; got ['k', 'y']"),
+    _bad("arrayfilter-arity",
+         ArrayFilter((("v", "e"),), Cmp("<", Col("e"), Apply(_NEG, ())), _R),
+         "neg: wrong arity"),
+    _bad("derive-unknown-function",
+         Derive("z", ScalarFn.of("nope"), ("x",), _R),
+         "unknown function 'nope'"),
+    _bad("derive-arity", Derive("z", _NEG, ("x", "y"), _R),
+         "neg: wrong arity"),
+    _bad("derive-unknown-column",
+         Derive("z", ScalarFn.of("add"), ("x", "q"), _R),
+         "derive references unknown column 'q'"),
+    _bad("derive-map-without-array", Derive("z", _NEG, ("x",), _R, True),
+         "map derive needs at least one array argument"),
+    _bad("aggregate-duplicate-key", Aggregate(("k", "x", "k"), (), _R),
+         "aggregate: duplicate key"),
+    _bad("aggregate-unknown-key", Aggregate(("k", "q"), (), _R),
+         "unknown column 'q'"),
+    _bad("aggregate-unknown-function",
+         Aggregate(("k",), (AggSpec("median", "x", "m"),), _R),
+         "unknown aggregate 'median'"),
+    _bad("aggregate-unknown-column",
+         Aggregate(("k",), (AggSpec("sum", "q", "s"),), _R),
+         "aggregate references unknown column 'q'"),
+    _bad("aggregate-foreach-scalar",
+         Aggregate(("k",), (AggSpec("sumForEach", "x", "s"),), _R),
+         "sumForEach needs an array column"),
+    _bad("aggregate-alias-is-key",
+         Aggregate(("k",), (AggSpec("sum", "x", "k"),), _R),
+         "aggregate alias 'k' collides"),
+    _bad("aggregate-alias-twice",
+         Aggregate((), (AggSpec("sum", "x", "s"), AggSpec("max", "v", "s")),
+                   _R),
+         "aggregate alias 's' collides"),
+]
+
+
+@pytest.mark.parametrize("node, schemas, message", NODE_SCHEMA_ERRORS)
+def test_node_schema_rejects_each_malformed_node_with_its_message(
+        node, schemas, message):
+    with pytest.raises(SchemaError) as err:
+        node_schema(node, *schemas)
+    assert str(err.value) == message
+
+
+def test_node_schema_shares_the_column_set_a_node_leaves_unchanged():
+    plus = ScalarFn.of("add")
+    scalar = node_schema(Derive("z", plus, ("x", "y"), _R), _INNER)
+    assert scalar.scalars == {"k", "x", "y", "z"}
+    assert scalar.arrays is _INNER.arrays
+    array = node_schema(Derive("z", _NEG, ("v",), _R, True), _INNER)
+    assert array.arrays == {"v", "w", "z"}
+    assert array.scalars is _INNER.scalars
+    elems = node_schema(ArrayFilter((("v", "e"),), _ELEM, _R), _INNER)
+    assert elems == Schema.of(("k", "x", "y"), ("e", "w"))
+    assert elems.scalars is _INNER.scalars
+    assert node_schema(Filter(_OK, _R), _INNER) is _INNER
 
 
 def test_footprint_agrees_with_node_schema():

@@ -348,6 +348,31 @@ def test_fold_derive_costs_array_length():
     assert "s" in res.state.scalar_stats and "s" not in res.state.array_info
 
 
+def test_op_effect_shares_the_dicts_a_node_leaves_unchanged():
+    # states are read-only, so an operator that leaves the scalar
+    # statistics or the array infos as they are hands its input's dict on
+    cm = _fixture_model()
+    state = cm.base_state("R")
+    _, out = cm.op_effect(Filter(Cmp("<", Col("x"), Lit(25)), RelVar("R")),
+                          state)
+    assert out.scalar_stats is state.scalar_stats
+    assert out.array_info is state.array_info
+    _, out = cm.op_effect(Derive("y", ScalarFn.of("neg"), ("x",), RelVar("R")),
+                          state)
+    assert set(out.scalar_stats) == {"x", "k", "y"}
+    assert out.array_info is state.array_info
+    _, out = cm.op_effect(Derive("b", ScalarFn.of("neg"), ("a",), RelVar("R"),
+                                 is_map=True), state)
+    assert set(out.array_info) == {"a", "b"}
+    assert out.scalar_stats is state.scalar_stats
+    elems = ArrayFilter((("a", "e"),), Cmp("<", Col("e"), Lit(5)), RelVar("R"))
+    _, out = cm.op_effect(elems, state)
+    assert set(out.array_info) == {"e"}
+    assert out.scalar_stats is state.scalar_stats
+    assert set(state.scalar_stats) == {"x", "k"}
+    assert set(state.array_info) == {"a"}
+
+
 ############################################################
 # plan state and schema agree
 ############################################################
