@@ -87,6 +87,15 @@ and a ``kind``:
 may hold only ``row_count`` and the keys that the scalar kinds list, a
 ``row_stats`` entry only the latter, and an array entry only its own.
 
+A term nests at most ``MAX_TERM_DEPTH`` levels of JSON objects and lists:
+an operator takes one level, and so does each predicate, expression or list
+of them below it.  The planner and the emitters recurse over a term's
+depth, and the bound keeps them clear of Python's recursion limit: under
+the default limit of 1,000 frames, a stack of about 496 unary operators
+is the shallowest that ends in a RecursionError, in the ClickHouse emitter.
+A deeper term is a parse error, and so is a document that nests too deeply
+for ``json`` to read.
+
 An error names the path of keys from the document's root down to the bad
 value, for example ``term['input']['pred']['rhs']['value']``.
 """
@@ -112,6 +121,10 @@ EXIT_INFEASIBLE = 3
 EXIT_DIALECT = 4
 
 PLAN_VERSION = 1
+
+# the deepest term a plan document may hold, in JSON levels (module
+# docstring)
+MAX_TERM_DEPTH = 400
 
 EMIT_TARGETS = ("plan", *(f"sql-{name}" for name in DIALECTS), "dot")
 
@@ -400,8 +413,29 @@ def term_to_json(term: Term) -> dict:
     return _write_object(term)
 
 
+def _nesting(value) -> int:
+    """How many levels of JSON objects and lists `value` nests, counted
+    level by level without recursion: 0 for a scalar."""
+    depth = 0
+    level = [value] if type(value) is dict or type(value) is list else []
+    while level:
+        depth += 1
+        inner = []
+        for v in level:
+            for item in v.values() if type(v) is dict else v:
+                if type(item) is dict or type(item) is list:
+                    inner.append(item)
+        level = inner
+    return depth
+
+
 def term_from_json(doc) -> Term:
-    """Parse the tagged-union plan format back into a term."""
+    """Parse the tagged-union plan format back into a term, one that nests
+    at most ``MAX_TERM_DEPTH`` levels."""
+    depth = _nesting(doc)
+    if depth > MAX_TERM_DEPTH:
+        raise PlanParseError(f"nests {depth} levels deep, more than the "
+                             f"{MAX_TERM_DEPTH} a term may")
     return _TERM[1](doc)
 
 
@@ -642,6 +676,9 @@ def _load_json(path: str, what: str):
         raise PlanParseError(f"cannot read {what} file: {e}") from None
     except json.JSONDecodeError as e:
         raise PlanParseError(f"{what} file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise PlanParseError(f"{what} file nests too deeply to read") \
+            from None
 
 
 def _run_gen(argv) -> int:

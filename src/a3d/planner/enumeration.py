@@ -10,9 +10,12 @@ join's key columns is mandatory, so one of the two sides must have applied
 it.
 
 Once a non-full memo table is complete it is closed (``close``): every
-prefix of every entry's operator chain (``prefixes``) is applied, in one
+prefix of every entry's operator chain (``prefixes``) is reached, in one
 pass by operator count in which the chains that meet share their work, and
-the cheapest plan per operator set is kept.  An operator that may run on
+the cheapest plan per operator set is kept.  A step is costed before it is
+built: its cost is ``stats.op_cost`` over the plan's rows and array infos,
+the expression ``op_effect`` charges, and only a step that beats the plan
+its node already holds is applied.  An operator that may run on
 either side of a join would block the prefixes of the side it does not run
 on, so an entry with such operators also seeds a chain with them banned,
 and the plans both kinds of chain reach compete for their operator sets.
@@ -39,10 +42,11 @@ the keys), looks the join divisor up in a per-partition table keyed by the
 two key-ndv tuples, costs the join with
 ``stats.join_cost`` and looks its operator set up in the memo table.  A
 candidate that beats the incumbent for its operator set is kept as a
-``DeferredJoin`` record until its table is complete; only the records that
-survive then are built into memo entries (``join_entries``), at exactly the
-cost they won with, since ``join_effect`` costs a join with the same
-expression, and of those only the undominated ones (below) are kept.
+``DeferredJoin`` record, with the divisor it was costed with, until its
+table is complete; only the records that survive then are built into memo
+entries (``join_entries``), at exactly the cost they won with, since
+``join_effect`` costs a join with the same expression and that divisor,
+and of those only the undominated ones (below) are kept.
 
 A memo entry holds its plan as a recipe, not a term (``materialize``): a
 leaf's term, ``(op, parent plan)`` for an applied operator, or ``(left
@@ -155,16 +159,19 @@ def materialize(plan) -> Term:
 class DeferredJoin:
     """A join candidate that beat its memo incumbent while the table was
     being filled, not yet built: its cost and rows (exactly those
-    ``join_entries`` gives it) and what it takes to build it."""
+    ``join_entries`` gives it), the join divisor it was ranked with and
+    what it takes to build it."""
     ops: int
     cost: float
     rows: float
     left: MemoEntry
     right: MemoEntry
     keys: frozenset
+    div: float
 
     def build(self, cost_model: CostModel) -> MemoEntry:
-        return join_entries(self.left, self.right, self.keys, cost_model)
+        return join_entries(self.left, self.right, self.keys, cost_model,
+                            self.div)
 
 
 class Cut(NamedTuple):
@@ -247,10 +254,12 @@ def base_entry(decomp: QueryDecomposition, i: int,
 
 
 def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
-                 cost_model: CostModel):
+                 cost_model: CostModel, div: Optional[float] = None):
     """Join two plans naturally; None when the shared columns are not
     exactly the join keys this cut calls for (a column was consumed below,
-    or an operator introduced an accidental overlap).
+    or an operator introduced an accidental overlap).  `div`, when given,
+    is the join divisor of the two plans' key-ndv tuples
+    (``CostModel.join_effect``).
 
     The join's columns are the union of its inputs'.  A join key has one
     kind on both sides: its kind changes only through an operator that
@@ -261,7 +270,7 @@ def join_entries(left: MemoEntry, right: MemoEntry, expected_keys,
     if shared != expected_keys:
         return None
     cost, state = cost_model.join_effect(left.state, right.state,
-                                         sorted(shared))
+                                         sorted(shared), div)
     return MemoEntry((left.plan, right.plan), left.rels | right.rels,
                      left.ops | right.ops, left.cost + right.cost + cost,
                      state, lc | rc)
@@ -595,7 +604,7 @@ class Enumerator:
                 if best is None or cost < best.cost:
                     table[ops] = DeferredJoin(ops, cost,
                                               l_rows * r_rows / div,
-                                              left, right, keys)
+                                              left, right, keys, div)
                     wins += 1
         counters = self.counters
         counters["candidates"] += n
@@ -613,12 +622,15 @@ class Enumerator:
 
         The closure runs by operator count over nodes (operator set, the
         chain's remaining operator indices), one plan per node.  Each memo
-        entry seeds one node per chain, and each node's plan applies only
-        the node's next operator, so chains that meet share the rest of
+        entry seeds one node per chain, and each node's plan steps only
+        to the node's next operator, so chains that meet share the rest of
         their work.  Two plans with one operator set have one plan state,
         up to rounding and the exception the module docstring names, so
         they cost the same from there on and only the cheaper is kept
-        (``keep``)."""
+        (``keep``).  A step is costed before it is built, with
+        ``op_cost`` as ``op_effect`` costs it, and applied (``apply_op``)
+        only when it is strictly cheaper than the plan its node holds,
+        so a step that loses builds no plan state."""
         hit = self.closed.get(mask)
         if hit is not None:
             return hit
@@ -645,10 +657,16 @@ class Enumerator:
                 keep(best, ops, entry)
                 if not rest:
                     continue
-                nxt = apply_op(ops_of[rest[0]], entry, cm)
+                op = ops_of[rest[0]]
+                state = entry.state
+                cost = entry.cost + op_cost(op.node, state.rows,
+                                            state.array_info)
                 if later is None:
                     later = todo.setdefault(count, {})
-                keep(later, (nxt.ops, rest[1:]), nxt)
+                node = ops | 1 << op.idx, rest[1:]
+                old = later.get(node)
+                if old is None or cost < old.cost:
+                    later[node] = apply_op(op, entry, cm)
         closed = list(best.values())
         self.closed[mask] = closed
         return closed

@@ -732,8 +732,13 @@ class CostModel:
         return steps[0](node, state.rows, state.array_info), \
             steps[1](self, node, state)
 
-    def join_effect(self, left: PlanState, right: PlanState, shared):
+    def join_effect(self, left: PlanState, right: PlanState, shared,
+                    div: Optional[float] = None):
         """Natural-join effect.  Returns (cost, new_state).
+
+        `div` is the join divisor, computed from the inputs' ``key_ndvs``
+        when it is not given; a caller that ranked the join with
+        ``join_cost`` passes the divisor it ranked it with.
 
         A column of one input keeps that input's statistics.  A shared
         scalar key takes the statistics of the input with fewer distinct
@@ -744,7 +749,9 @@ class CostModel:
         order on the remaining fields (``_lower``), so the state does not
         depend on which input is on which side, nor on the order of a
         chain of joins."""
-        div = join_divisor(key_ndvs(left, shared), key_ndvs(right, shared))
+        if div is None:
+            div = join_divisor(key_ndvs(left, shared),
+                               key_ndvs(right, shared))
         scalar_stats = {**left.scalar_stats, **right.scalar_stats}
         for c in shared:
             if c in scalar_stats:

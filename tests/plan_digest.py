@@ -24,18 +24,23 @@ The digests depend on the script as well as on the planner, so compare two
 commits with one script: run this file against each checkout's ``src``
 through ``PYTHONPATH``, as above.
 
-Corpora, each planned in every mode:
+Corpora, each planned in every mode but ``joins``:
 
 ``random``  1,200 ``gen_utils.random_query`` queries (seeds 0-1199), with
             ``build_table_stats`` statistics on odd seeds;
 ``inner``   1,000 ``gen_utils.inner_query`` queries, which put a projection
             below the root (seeds 6000-6999);
 ``bench``   every pair of the benchmark workloads at data seeds 1 and 2,
-            planned from its plan document as the benchmark does.
+            planned from its plan document as the benchmark does;
+``joins``   the benchmark's chain, star and cycle join queries at 5 and 6
+            relations (``workloads.join_query``), in enumerate mode only,
+            without and with ``build_table_stats`` statistics of their
+            relations generated at data seed 1.
 
 The file is not named ``test_*``, so pytest does not collect it.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,12 +51,15 @@ sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "bench")]
 
 import workloads  # noqa: E402
 from a3d import cli, planner, translate  # noqa: E402
+from a3d.stats import build_table_stats  # noqa: E402
 
 from gen_utils import inner_query, random_query  # noqa: E402
 
 RANDOM_SEEDS = range(1200)
 INNER_SEEDS = range(6000, 7000)
 BENCH_DATA_SEEDS = (1, 2)
+JOIN_SIZES = (5, 6)
+JOIN_DATA_SEED = 1
 # counters of how much searching planning did, not of what it planned
 WORK_COUNTERS = ("entries", "partitions", "candidates", "capture_skips",
                  "dominated", "finished", "finish_ops", "states",
@@ -72,6 +80,21 @@ def bench_queries(data_seed: int):
                     json.loads(inputs.stats_text), schemas)
             yield (f"{wl.name}:{pair.name}", term, schemas, corr,
                    options["mode"], stats)
+
+
+def join_queries(k: int):
+    """Yield (name, term, schemas, statistics) for each benchmark join
+    shape over `k` relations, without and then with statistics."""
+    workload = dataclasses.replace(workloads.JOIN_ENUM,
+                                   relations=workloads._join_relations(k))
+    db = workloads.generate_db(workload, JOIN_DATA_SEED)
+    for shape, rel in workloads.JOIN_SHAPES.items():
+        names = [f"{rel}{i}" for i in range(k)]
+        schemas = {name: db[name].schema for name in names}
+        term = workloads.join_query(shape, k)
+        yield f"{shape}{k}", term, schemas, None
+        yield f"{shape}{k}-stats", term, schemas, {
+            name: build_table_stats(db[name]) for name in names}
 
 
 def plan(term, schemas, stats, mode, corr=None) -> tuple:
@@ -101,6 +124,11 @@ def cases():
             yield (f"bench/{data_seed}/{name}",
                    lambda t=term, s=schemas, st=stats, m=mode, c=corr:
                    plan(t, s, st, m, c))
+    for k in JOIN_SIZES:
+        for name, term, schemas, stats in join_queries(k):
+            yield (f"joins/{name}/enumerate",
+                   lambda t=term, s=schemas, st=stats:
+                   plan(t, s, st, "enumerate"))
 
 
 def _hash(payload) -> str:

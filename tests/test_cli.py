@@ -15,10 +15,14 @@ from pathlib import Path
 import pytest
 
 from a3d import cli
-from a3d.algebra import Relation, Schema, evaluate
+from a3d.algebra import Derive, Filter, RelVar, Relation, Schema, evaluate
+from a3d.functions import ScalarFn
 from a3d.planner import MODES, optimize
 from a3d.stats import ArrayStats, ScalarStats, TableStats
-from a3d.testkit import generate, genspec_from_json
+from a3d.predicates import Cmp, Col, Lit
+from a3d.testkit import (
+    generate, genspec_from_json, make_pattern, pattern_schemas,
+)
 from a3d.translate import DIALECTS
 
 from gen_utils import default_relation, random_term
@@ -202,6 +206,61 @@ def test_malformed_plan_document_exits_with_one_parse_record(capsys, plan):
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert json.loads(line)["error"] == "parse"
+
+
+def _deepened(term, depth):
+    """The JSON of `term` under filters on its column ``y1``, added until
+    it nests exactly `depth` levels."""
+    doc = cli.term_to_json(term)
+    while cli._nesting(doc) < depth:
+        doc = {"op": "filter", "pred": _cmp(">", "y1", 0), "input": doc}
+    assert cli._nesting(doc) == depth
+    return doc
+
+
+def _derive_stack(n):
+    """`n` scalar derives ``y<i> = 2 * y<i-1> + 1`` over R(y0)."""
+    term = RelVar("R")
+    for i in range(1, n + 1):
+        term = Derive(f"y{i}", ScalarFn.of("affine", a=2, b=1),
+                      (f"y{i - 1}",), term)
+    return term, {"R": {"scalars": ["y0"]}}
+
+
+# the deepest terms a plan document may hold: make_pattern A, whose
+# ClickHouse SQL was the first to end in a RecursionError (at 496 unary
+# operators), and a stack of scalar derives that every target can emit;
+# the generic dialect cannot express pattern A's element filters
+DEEP_TERMS = {
+    "pattern-A": (make_pattern("A", 132), {"R": {
+        "arrays": sorted(pattern_schemas("A", 132)["R"].arrays)}}),
+    "derives": _derive_stack(390),
+}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "enumerate"])
+@pytest.mark.parametrize("shape", sorted(DEEP_TERMS))
+def test_the_deepest_term_plans_and_emits_in_every_target(
+        tmp_path, capsys, shape, mode):
+    # a term nesting MAX_TERM_DEPTH levels plans and emits, or meets the
+    # dialect's own limit, without a RecursionError; one level deeper is
+    # a parse error, read without recursion
+    term, relations = DEEP_TERMS[shape]
+    plan = tmp_path / "plan.json"
+    for depth in (cli.MAX_TERM_DEPTH, cli.MAX_TERM_DEPTH + 1):
+        plan.write_text(json.dumps({
+            "a3d_plan": 1, "catalog": {"relations": relations},
+            "term": _deepened(term, depth), "options": {"mode": mode}}))
+        for emit in cli.EMIT_TARGETS:
+            code = cli.main(["--plan", str(plan), "--emit", emit])
+            out, err = capsys.readouterr()
+            errors = [json.loads(line)["error"] for line in err.splitlines()]
+            if depth > cli.MAX_TERM_DEPTH:
+                assert (code, out, errors) == (1, "", ["parse"])
+            elif shape == "pattern-A" and emit == "sql-generic":
+                assert (code, out, errors) == (4, "", ["dialect"])
+            else:
+                assert (code, errors) == (0, []) and out
 
 
 # how the message of each invalid plan document ends

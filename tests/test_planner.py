@@ -1415,10 +1415,12 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     # each non-full memo table drops its dominated plans once it is
     # filled: its 138 join records are built (138 join effects) and 57 of
     # them are dropped as dominated.  The closure of the tables that
-    # remain applies 88 operators for the 97 (relations, ops) keys it
-    # reaches, one plan per key, and each partition pairs the closed
-    # tables of its two sides once, 489 candidates for 370 memo wins.
-    # Without the pruning, the closure
+    # remain costs 88 operator steps for the 97 (relations, ops) keys it
+    # reaches, one plan per key, and builds (applies) only the 12 steps
+    # that beat the incumbent of their node; the other 76 lose to a plan
+    # the closure already holds (88 applied when every step was built).
+    # Each partition pairs the closed tables of its two sides once, 489
+    # candidates for 370 memo wins.  Without the pruning, the closure
     # applied 249 operators for 192 keys holding 260 plans (105 of them
     # dominated), the partitions paired 1,344 candidates for 732 wins,
     # and 176 join records were built; pairing every prefix of every pair
@@ -1450,9 +1452,120 @@ def test_chain4_enumeration_work_counts(monkeypatch):
     res = optimize(term, schemas, mode="enumerate")
     assert (res.counters["entries"], res.counters["candidates"],
             res.counters["dominated"]) == (370, 489, 57)
-    assert calls == {"apply_op": 88 + 5, "join_effect": 138 + 6 + 9}
+    assert calls == {"apply_op": 12 + 5, "join_effect": 138 + 6 + 9}
     assert (res.counters["finished"], res.counters["finish_ops"]) == \
         (6, 5)
+
+
+def _eager_close(enum, mask):
+    """The reference closure of the leaves in `mask`: ``Enumerator.close``
+    with every step applied (``apply_op``) before it is offered, and the
+    cheaper plan kept per (operator set, remaining chain) node and per
+    operator set (``keep``)."""
+    todo = {}
+    for entry in enum.enumerate_mask(mask).values():
+        nodes = todo.setdefault(entry.ops.bit_count(), {})
+        for chain in enum.prefixes(entry):
+            nodes[entry.ops, chain] = entry
+    best = {}
+    for count in range(min(todo, default=0), len(enum.q.ops) + 1):
+        for (ops, rest), entry in todo.pop(count, {}).items():
+            enumeration.keep(best, ops, entry)
+            if rest:
+                nxt = enumeration.apply_op(enum.q.ops[rest[0]], entry,
+                                           enum.cm)
+                enumeration.keep(todo.setdefault(count + 1, {}),
+                                 (nxt.ops, rest[1:]), nxt)
+    assert not todo
+    return list(best.values())
+
+
+def _closure_queries():
+    """(name, term, schemas, statistics) of the benchmark's join shapes,
+    without and with ``build_table_stats`` statistics, and of the
+    multi-relation ``random_query`` seeds below 400 (statistics on odd
+    seeds)."""
+    workloads = _bench_workloads()
+    db = workloads.generate_db(workloads.JOIN_ENUM, 1)
+    for name, term, schemas in BENCH_JOIN_QUERIES:
+        yield name, term, schemas, None
+        yield name + "/stats", term, schemas, {
+            rel: build_table_stats(db[rel]) for rel in schemas}
+    for seed in range(400):
+        term, schemas, stats = random_query(seed)
+        if len(schemas) > 1:
+            yield "random/%d" % seed, term, schemas, stats
+
+
+def test_closure_costs_each_step_before_it_builds_it(monkeypatch):
+    # ``close`` builds a step only when its cost beats the incumbent of
+    # its node; on every connected non-full leaf set it closes to the
+    # reference's table, which builds every step: the same plans in the
+    # same order, bit-equal costs and states, and the same recipes
+    applied = collections.Counter()
+    real_apply = enumeration.apply_op
+
+    def apply_op(op, entry, cm):
+        applied[side] += 1
+        return real_apply(op, entry, cm)
+
+    monkeypatch.setattr(enumeration, "apply_op", apply_op)
+    masks = queries = 0
+    for name, term, schemas, stats in _closure_queries():
+        queries += 1
+        enum = _enumerator(term, schemas, stats)
+        for mask in range(1, enum.full):
+            if not enum.connected(mask):
+                continue
+            masks += 1
+            side = "close"
+            got = enum.close(mask)
+            side = "reference"
+            want = _eager_close(enum, mask)
+            assert [(e.ops, e.cost, e.state, e.columns, e.plan)
+                    for e in got] == \
+                [(e.ops, e.cost, e.state, e.columns, e.plan)
+                 for e in want], (name, mask)
+    assert queries > 100 and masks > 250
+    assert 0 < applied["close"] < applied["reference"]
+
+
+def test_closure_keeps_the_first_of_two_steps_that_tie(monkeypatch):
+    # R0 - R1 - R2 with a filter on each of R0 and R1, and a memo table
+    # for {R0, R1} that holds the two joins with one filter below each:
+    # each applies the other's filter above the join, and the two steps
+    # reach one node at one cost.  As ``keep`` does, the step offered
+    # first stays, and the closure builds only that one
+    schemas = {"R0": Schema.of(scalars=("k1", "x0")),
+               "R1": Schema.of(scalars=("k1", "k2", "x1")),
+               "R2": Schema.of(scalars=("k2", "x2"))}
+    term = Filter(Cmp("<", Col("x0"), Lit(5)), Filter(
+        Cmp("<", Col("x1"), Lit(5)),
+        Join(Join(RelVar("R0"), RelVar("R1")), RelVar("R2"))))
+    enum = _enumerator(term, schemas)
+    by_col = {op.node.pred.lhs.name: op for op in enum.q.ops}
+    r0, r1 = enum.bases[:2]
+    keys = frozenset({"k1"})
+    firsts = [
+        join_entries(enumeration.apply_op(by_col["x0"], r0, enum.cm), r1,
+                     keys, enum.cm),
+        join_entries(r0, enumeration.apply_op(by_col["x1"], r1, enum.cm),
+                     keys, enum.cm)]
+    enum.memo[0b011] = {e.ops: e for e in firsts}
+    want = _eager_close(enum, 0b011)
+    built = []
+    real_apply = enumeration.apply_op
+    monkeypatch.setattr(enumeration, "apply_op",
+                        lambda *args: built.append(args) or real_apply(*args))
+    got = enum.close(0b011)
+    assert [entry for _, entry, _ in built] == firsts[:1]
+    both = firsts[0].ops | firsts[1].ops
+    steps = [enumeration.apply_op(by_col[col], e, enum.cm)
+             for col, e in zip(("x1", "x0"), firsts)]
+    assert steps[0].cost == steps[1].cost and steps[0].plan != steps[1].plan
+    assert [(e.ops, e.cost, e.plan) for e in got] == \
+        [(e.ops, e.cost, e.plan) for e in want]
+    assert [e.plan for e in got if e.ops == both] == [steps[0].plan]
 
 
 def _finish(enum, entry, applied):

@@ -424,10 +424,12 @@ def planned_effects():
         effects.append((self, node, state))
         return real_effect(self, node, state)
 
-    def join_effect(self, left, right, shared):
-        div = join_divisor(key_ndvs(left, shared), key_ndvs(right, shared))
+    def join_effect(self, left, right, shared, div=None):
+        if div is None:
+            div = join_divisor(key_ndvs(left, shared),
+                               key_ndvs(right, shared))
         joins.append((left.rows, right.rows, div))
-        return real_join_effect(self, left, right, shared)
+        return real_join_effect(self, left, right, shared, div)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CostModel, "op_effect", op_effect)
