@@ -83,9 +83,12 @@ and a ``kind``:
   and ``row_stats``, a scalar entry without ``row_count`` for the
   elements.
 
-``ndv`` is an integer and every other statistic a number.  A scalar entry
-may hold only ``row_count`` and the keys that the scalar kinds list, a
-``row_stats`` entry only the latter, and an array entry only its own.
+``ndv`` is an integer and every other statistic a number.  Like
+``row_count``, ``avg_array_len`` must not be negative, and
+``null_fraction`` and ``empty_fraction`` lie between 0 and 1: outside these
+bounds the cost model would estimate negative rows and costs.  A scalar
+entry may hold only ``row_count`` and the keys that the scalar kinds list,
+a ``row_stats`` entry only the latter, and an array entry only its own.
 
 A term nests at most ``MAX_TERM_DEPTH`` levels of JSON objects and lists:
 an operator takes one level, and so does each predicate, expression or list
@@ -516,6 +519,14 @@ def _check_keys(doc: dict, allowed: set) -> None:
         raise PlanParseError(f"unknown keys {sorted(extra)}")
 
 
+def _fraction(value, key: str) -> float:
+    """A number from 0 to 1 at `key`: a share of rows or of arrays."""
+    frac = _number(value, key)
+    if not 0.0 <= frac <= 1.0:
+        raise PlanParseError("must be between 0 and 1", key)
+    return frac
+
+
 def _scalar_stats(doc, top: bool) -> ScalarStats:
     """A scalar entry: a top-level one (`top`), which carries
     ``row_count``, or an array entry's ``row_stats``, which does not."""
@@ -524,7 +535,7 @@ def _scalar_stats(doc, top: bool) -> ScalarStats:
     _check_keys(doc, _SCALAR_STAT_KEYS | {"row_count"} if top
                 else _SCALAR_STAT_KEYS)
     kind = doc.get("kind")
-    null_fraction = _number(doc.get("null_fraction", 0.0), "null_fraction")
+    null_fraction = _fraction(doc.get("null_fraction", 0.0), "null_fraction")
     if kind == "exact":
         freq = doc.get("freq", [])
         if type(freq) is not list or not all(
@@ -602,9 +613,13 @@ def parse_stats_document(doc, schemas) -> dict:
             elem = entry.get("row_stats")
             with _at("row_stats"):
                 elem = None if elem is None else _scalar_stats(elem, False)
+            avg_len = _number(entry.get("avg_array_len", 0.0),
+                              "avg_array_len")
+            if avg_len < 0:
+                raise PlanParseError("must not be negative", "avg_array_len")
             arrays.setdefault(rel, {})[col] = ArrayStats(
-                _number(entry.get("avg_array_len", 0.0), "avg_array_len"),
-                _number(entry.get("empty_fraction", 0.0), "empty_fraction"),
+                avg_len,
+                _fraction(entry.get("empty_fraction", 0.0), "empty_fraction"),
                 elem)
     return {rel: TableStats(rows[rel], scalars.get(rel, {}),
                             arrays.get(rel, {}))

@@ -84,6 +84,14 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
     """Optimize `term` end to end; raises on malformed/infeasible queries.
 
     The plan must output the input's schema; a SchemaError says it did not.
+
+    ``timings_ms`` holds one wall time per disjoint stage, and ``total``
+    is their sum: ``preprocess``, then the placement stage named after
+    `mode`, then ``postprocess``.  In enumerate and oracle mode the
+    set-up before the search has a stage of its own, ``decompose``:
+    ``decompose``, ``precedence_for`` and, in enumerate mode,
+    ``sort_ops``.  The ``enumerate`` or ``oracle`` stage then times the
+    search alone.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -105,10 +113,14 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
     else:
         decomp = decompose(pre, cost_model)
         graph = precedence_for(decomp)
-        counters["relations"] = len(decomp.leaves)
-        counters["rankable_ops"] = len(decomp.ops)
         if mode == "enumerate":
             order = sort_ops(decomp.ops, graph)
+        counters["relations"] = len(decomp.leaves)
+        counters["rankable_ops"] = len(decomp.ops)
+        t_search = time.perf_counter()
+        timings["decompose"] = (t_search - t1) * 1000.0
+        t1 = t_search
+        if mode == "enumerate":
             entry, enum = enumerate_plans(
                 decomp, graph, order, cost_model,
                 allow_cross_products=allow_cross_products)

@@ -13,6 +13,14 @@ remembered.  Ordering constraints between operators (read-after-write,
 write-after-read) are collected as raw precedence edges while walking the
 tree, and an operator that rewrites or removes a column some join below it
 matches on must run above those joins (``RankableOp.min_rels``).
+
+The walk keeps three version maps per subtree: the leaves each column comes
+from, and the operators that wrote and read its current version.  An
+operator updates its input's maps in place: that input is its child alone,
+nothing else holds the maps, and the sets in them are frozensets that are
+replaced, never changed.  Only a leaf, a join (which merges its two inputs'
+maps) and an aggregate (which keeps only its keys and aliases) build new
+maps, so the walk is linear in the number of unary operators.
 """
 
 from dataclasses import dataclass, replace
@@ -147,8 +155,9 @@ class _Walk:
              state: PlanState) -> _Branch:
         i = len(self.leaves)
         self.leaves.append((name, sub))
-        support = {c: frozenset((i,)) for c in schema.columns}
-        return _Branch(frozenset((i,)), schema, state, support, {}, {})
+        rels = frozenset((i,))
+        return _Branch(rels, schema, state, dict.fromkeys(schema.columns, rels),
+                       {}, {})
 
     def opaque(self, sub: Term) -> _Branch:
         res = self.cost_model.term_cost(sub)
@@ -191,10 +200,18 @@ class _Walk:
 
         br = self.go(sub.child)
         idx = len(self.ops)
-        requires, produces, _ = footprint(sub)
-        schema_after = node_schema(sub, br.schema)
-        destroys = (br.schema.columns - schema_after.columns) \
-            | (produces & br.schema.columns)
+        requires, produces, consumes = footprint(sub)
+        schema_in = br.schema
+        schema_after = node_schema(sub, schema_in)
+        # what the operator removes or overwrites: outside an aggregate,
+        # which keeps only its keys and aliases, the consumed columns it
+        # does not write back, plus the written columns the input holds
+        overwritten = (produces & schema_in.scalars) \
+            | (produces & schema_in.arrays)
+        if kind == "aggregate":
+            destroys = (schema_in.columns - schema_after.columns) | overwritten
+        else:
+            destroys = (consumes - produces) | overwritten
 
         # precedence: read-after-write, then write-after-read
         for col in sorted(requires):
@@ -243,32 +260,29 @@ class _Walk:
             idx, sub, kind, requires, produces, destroys,
             support or frozenset(), min_rels, profile))
 
-        # update version maps; reader sets are frozensets that are
-        # replaced, never changed, so the maps share them
-        new_support = {c: s for c, s in br.support.items() if c not in destroys}
-        new_producers = {c: p for c, p in br.producers.items()
-                         if c not in destroys}
-        new_readers = {c: r for c, r in br.readers.items()
-                       if c not in destroys}
-        joined = br.joined - destroys
+        # update the version maps in place (see the module docstring)
+        col_support, producers, readers = br.support, br.producers, br.readers
+        for col in destroys:
+            col_support.pop(col, None)
+            producers.pop(col, None)
+            readers.pop(col, None)
         for col in requires:
             if col in schema_after.scalars or col in schema_after.arrays:
-                new_readers[col] = new_readers.get(col, frozenset()) | {idx}
+                readers[col] = readers.get(col, frozenset()) | {idx}
         for col in produces:
-            new_producers[col] = frozenset((idx,))
-            new_readers[col] = frozenset()
-            new_support[col] = support or br.rels
-        aggs = br.aggs
-        if isinstance(sub, Aggregate):
-            keep = set(sub.keys) | produces
-            aggs += ((idx, frozenset(keep)),)
-            new_support = {c: s for c, s in new_support.items() if c in keep}
-            new_producers = {c: p for c, p in new_producers.items()
-                             if c in keep}
-            new_readers = {c: r for c, r in new_readers.items() if c in keep}
+            producers[col] = frozenset((idx,))
+            readers[col] = frozenset()
+            col_support[col] = support or br.rels
+        joined = br.joined - destroys
+        if kind == "aggregate":
+            keep = frozenset(sub.keys) | produces
+            br.aggs += ((idx, keep),)
+            br.support = {c: s for c, s in col_support.items() if c in keep}
+            br.producers = {c: p for c, p in producers.items() if c in keep}
+            br.readers = {c: r for c, r in readers.items() if c in keep}
             joined &= keep
-        return _Branch(br.rels, schema_after, state_after, new_support,
-                       new_producers, new_readers, aggs, joined)
+        br.schema, br.state, br.joined = schema_after, state_after, joined
+        return br
 
 
 def decompose(term: Term, cost_model: CostModel) -> QueryDecomposition:

@@ -5,7 +5,10 @@ transitively, reject cycles (a malformed query), and repair the partial order
 into a series-parallel one so the scheduler's chain-merging applies: whenever
 four operators form the forbidden N-shape (A before C, B before C, B before D,
 everything else incomparable), an edge is added between the two minimal
-operators, oriented by the scheduling preference relation.
+operators, oriented by the scheduling preference relation.  The scan for an
+N rests on its shape: `c` and `d` share the predecessor `b`, so the only
+candidates `d` for a given `c` are successors of `c`'s predecessors, and a
+scan costs O(n · degree) bitmask operations, not one per pair of operators.
 
 All node sets are int bitmasks over operator indices.
 """
@@ -82,16 +85,20 @@ def find_n_structure(graph: PrecedenceGraph):
     relations between the four.  Returns None when series-parallel.
 
     Only a `c` with two or more predecessors can have both `a` and `b`
-    below it, and its candidates `d` are read off the bitmask of the
-    operators incomparable to it, in increasing order."""
-    n, succ, pred = graph.n, graph.succ, graph.pred
-    full = (1 << n) - 1
-    for c in range(n):
-        if pred[c].bit_count() < 2:
+    below it.  Its candidates `d` share the predecessor `b` with it, so
+    they are read, in increasing order, off the successors of `c`'s
+    predecessors that are incomparable to `c`."""
+    succ, pred = graph.succ, graph.pred
+    for c in range(graph.n):
+        below = pred[c]
+        if below.bit_count() < 2:
             continue
-        for d in _bits(full & ~(succ[c] | pred[c] | 1 << c)):
-            both = pred[c] & pred[d]
-            only_c = pred[c] & ~pred[d] & ~succ[d]
+        shared = 0
+        for b in _bits(below):
+            shared |= succ[b]
+        for d in _bits(shared & ~(succ[c] | below | 1 << c)):
+            both = below & pred[d]
+            only_c = below & ~pred[d] & ~succ[d]
             if not (both and only_c):
                 continue
             for b in _bits(both):

@@ -5,7 +5,10 @@ element-level operators the horizontal selectivity refines ties.  Sequencing
 independent operators in descending rank order minimizes the cost model's
 sequence cost; precedence chains that invert ranks are fused into blocks
 whose aggregate rank decides their position (the classical series-parallel
-scheduling construction), which stays optimal for series-parallel orders.
+scheduling construction of Monma & Sidney, 1979), which stays optimal for
+series-parallel orders.  The chains of a parallel composition are merged by
+one sort: each is already sorted, and block keys are unique because they
+end in the block's lowest operator index.
 """
 
 from .decompose import RankableOp
@@ -84,22 +87,6 @@ def _normalize(blocks: list) -> list:
     return out
 
 
-def _merge(a: list, b: list) -> list:
-    """Merge two descending block chains, stable on the block key."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i].key <= b[j].key:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
 def _schedule(tree, ops) -> list:
     shape = tree[0]
     if shape == "leaf":
@@ -110,10 +97,9 @@ def _schedule(tree, ops) -> list:
         for part in parts:
             chain.extend(part)
         return _normalize(chain)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = _merge(merged, part)
-    return merged
+    # the parts are sorted and block keys unique: one sort merges them
+    return sorted((blk for part in parts for blk in part),
+                  key=lambda blk: blk.key)
 
 
 def sort_ops(ops, graph: PrecedenceGraph) -> list:

@@ -24,7 +24,7 @@ The digests depend on the script as well as on the planner, so compare two
 commits with one script: run this file against each checkout's ``src``
 through ``PYTHONPATH``, as above.
 
-Corpora, each planned in every mode but ``joins``:
+Corpora, each planned in every mode but ``joins`` and ``chains``:
 
 ``random``  1,200 ``gen_utils.random_query`` queries (seeds 0-1199), with
             ``build_table_stats`` statistics on odd seeds;
@@ -35,7 +35,10 @@ Corpora, each planned in every mode but ``joins``:
 ``joins``   the benchmark's chain, star and cycle join queries at 5 and 6
             relations (``workloads.join_query``), in enumerate mode only,
             without and with ``build_table_stats`` statistics of their
-            relations generated at data seed 1.
+            relations generated at data seed 1;
+``chains``  ``testkit.make_pattern`` A and B at 8, 32 and 64, without
+            statistics, in greedy and enumerate mode only: long stacks of
+            unary operators over one relation.
 
 The file is not named ``test_*``, so pytest does not collect it.
 """
@@ -50,7 +53,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "bench")]
 
 import workloads  # noqa: E402
-from a3d import cli, planner, translate  # noqa: E402
+from a3d import cli, planner, testkit, translate  # noqa: E402
 from a3d.stats import build_table_stats  # noqa: E402
 
 from gen_utils import inner_query, random_query  # noqa: E402
@@ -60,6 +63,8 @@ INNER_SEEDS = range(6000, 7000)
 BENCH_DATA_SEEDS = (1, 2)
 JOIN_SIZES = (5, 6)
 JOIN_DATA_SEED = 1
+CHAIN_SIZES = (8, 32, 64)
+CHAIN_MODES = ("greedy", "enumerate")
 # counters of how much searching planning did, not of what it planned
 WORK_COUNTERS = ("entries", "partitions", "candidates", "capture_skips",
                  "dominated", "finished", "finish_ops", "states",
@@ -129,6 +134,14 @@ def cases():
             yield (f"joins/{name}/enumerate",
                    lambda t=term, s=schemas, st=stats:
                    plan(t, s, st, "enumerate"))
+    for kind in "AB":
+        for n in CHAIN_SIZES:
+            term = testkit.make_pattern(kind, n)
+            schemas = testkit.pattern_schemas(kind, n)
+            for mode in CHAIN_MODES:
+                yield (f"chains/{kind}{n}/{mode}",
+                       lambda t=term, s=schemas, m=mode:
+                       plan(t, s, None, m))
 
 
 def _hash(payload) -> str:

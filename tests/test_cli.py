@@ -470,6 +470,12 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
         STATS_DOC["R.v"]["row_stats"], row_count=10))},
     {"R.x": dict(STATS_DOC["R.x"], lo="a")},
     {"R.x": dict(STATS_DOC["R.x"], hi=[9])},
+    {"R.x": dict(STATS_DOC["R.x"], null_fraction=1.5)},
+    {"R.x": dict(STATS_DOC["R.x"], null_fraction=-0.1)},
+    {"R.v": dict(STATS_DOC["R.v"], empty_fraction=1.2)},
+    {"R.v": dict(STATS_DOC["R.v"], empty_fraction=-0.2)},
+    {"R.v": dict(STATS_DOC["R.v"], row_stats=dict(
+        STATS_DOC["R.v"]["row_stats"], null_fraction=2.0))},
     *(json.loads(path.read_text())
       for path in sorted(MALFORMED.glob("*_stats.json"))),
 ], ids=["not-an-object", "no-dot", "unknown-relation", "entry-not-object",
@@ -481,6 +487,9 @@ def test_dot_is_annotated_with_estimates_without_statistics(capsys):
         "avg-array-len-not-a-number", "row-stats-not-an-object",
         "row-count-in-row-stats",
         "lo-not-a-number", "hi-not-a-number",
+        "null-fraction-above-one", "negative-null-fraction",
+        "empty-fraction-above-one", "negative-empty-fraction",
+        "row-stats-null-fraction-above-one",
         *(path.stem for path in sorted(MALFORMED.glob("*_stats.json")))])
 def test_bad_stats_document_exits_with_parse_error(tmp_path, capsys, doc):
     term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}

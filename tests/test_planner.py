@@ -179,6 +179,33 @@ def test_decompose_keeps_column_creators_above_an_aggregate():
             output_schema(term, cm.schemas)
 
 
+def _destroys_queries():
+    """(name, term, schemas, statistics): patterns A and B, then the
+    first 200 queries of the random and inner corpora."""
+    for kind in "AB":
+        for n in (1, 2, 3, 5, 8, 13, 24):
+            yield f"{kind}{n}", make_pattern(kind, n), \
+                pattern_schemas(kind, n), None
+    for seed in range(200):
+        yield (f"random/{seed}", *random_query(seed))
+    for seed in range(6000, 6200):
+        yield (f"inner/{seed}", *inner_query(seed))
+
+
+def test_decompose_destroys_what_the_schema_step_removes():
+    # an operator destroys the input columns its output lacks and the
+    # input columns it writes anew, read off the schemas of its original
+    # input and output subterms
+    for name, term, schemas, stats in _destroys_queries():
+        cm = CostModel(dict(stats or {}), dict(schemas))
+        d = decompose(preprocess(term, RuleContext(cm)), cm)
+        for op in d.ops:
+            cols_in = output_schema(op.node.child, schemas).columns
+            cols_out = output_schema(op.node, schemas).columns
+            assert op.destroys == (cols_in - cols_out) | \
+                (op.produces & cols_in), (name, op.idx)
+
+
 def test_decompose_strips_top_projection():
     cm = one_rel_model()
     term = Project(("u0",), Filter(lt("u0", 10), RelVar("R")))
@@ -300,8 +327,24 @@ def _pairwise_n_structure(graph):
     return None
 
 
+def _chains_dag(rng, n):
+    """Forward edges over `n` operators: short chains, as pattern A's
+    unnest -> derive -> filter blocks, and a few edges across them."""
+    edges, start = [], 0
+    while start < n:
+        end = min(n, start + rng.randint(1, 4))
+        edges += [(i, i + 1) for i in range(start, end - 1)]
+        start = end
+    for _ in range(rng.randint(0, 4)):
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.append((i, j))
+    return edges
+
+
 def test_find_n_structure_matches_the_pairwise_scan():
-    # the same N, or None, as a scan of every pair, on closed random DAGs
+    # the same N, or None, as a scan of every pair, on closed random DAGs:
+    # dense small ones, then sparse ones of many short chains, where most
+    # operators incomparable to `c` share no predecessor with it
     rng = random.Random(7_001)
     found = 0
     for _ in range(600):
@@ -315,6 +358,16 @@ def test_find_n_structure_matches_the_pairwise_scan():
         assert find_n_structure(g) == want, (n, edges, perm)
         found += want is not None
     assert 100 < found < 500
+    found = 0
+    for _ in range(120):
+        n = rng.randint(20, 48)
+        edges = _chains_dag(rng, n)
+        perm = rng.sample(range(n), n)
+        g = build_precedence(n, [(perm[i], perm[j]) for i, j in edges])
+        want = _pairwise_n_structure(g)
+        assert find_n_structure(g) == want, (n, edges, perm)
+        found += want is not None
+    assert 10 < found < 110
 
 
 def test_sp_tree_shapes():
@@ -2175,6 +2228,13 @@ def test_optimize_result_contract():
     assert res.cost == pytest.approx(cm.term_cost(res.term).cost)
     assert {"preprocess", "enumerate", "postprocess", "total"} <= \
         set(res.timings_ms)
+    # the set-up before the search is a stage of its own, and the stages
+    # are disjoint
+    stages = dict(res.timings_ms)
+    total = stages.pop("total")
+    assert set(stages) == {"preprocess", "decompose", "enumerate",
+                           "postprocess"}
+    assert total == pytest.approx(sum(stages.values()))
     assert res.counters["relations"] == 2
     assert res.counters["rankable_ops"] >= 1
     assert isinstance(res.trace, list)
