@@ -276,16 +276,6 @@ def replace_at(term: Term, path: tuple, new: Term) -> Term:
     return with_children(term, tuple(kids))
 
 
-def base_relations(term: Term) -> tuple:
-    """RelVar names in left-to-right order (duplicates preserved)."""
-    if isinstance(term, RelVar):
-        return (term.name,)
-    out: tuple = ()
-    for kid in children(term):
-        out += base_relations(kid)
-    return out
-
-
 ############################################################
 # schema inference
 ############################################################

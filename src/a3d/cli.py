@@ -84,11 +84,13 @@ and a ``kind``:
   elements.
 
 ``ndv`` is an integer and every other statistic a number.  Like
-``row_count``, ``avg_array_len`` must not be negative, and
-``null_fraction`` and ``empty_fraction`` lie between 0 and 1: outside these
-bounds the cost model would estimate negative rows and costs.  A scalar
-entry may hold only ``row_count`` and the keys that the scalar kinds list,
-a ``row_stats`` entry only the latter, and an array entry only its own.
+``row_count``, every ``ndv`` (an entry's or a cluster's) and
+``avg_array_len`` must not be negative, and ``null_fraction``,
+``empty_fraction``, a ``freq`` fraction and a cluster weight lie between 0
+and 1: outside these bounds the cost model would estimate rows and costs
+that no table can have.  A scalar entry may hold only ``row_count`` and
+the keys that the scalar kinds list, a ``row_stats`` entry only the
+latter, and an array entry only its own.
 
 A term nests at most ``MAX_TERM_DEPTH`` levels of JSON objects and lists:
 an operator takes one level, and so does each predicate, expression or list
@@ -519,12 +521,20 @@ def _check_keys(doc: dict, allowed: set) -> None:
         raise PlanParseError(f"unknown keys {sorted(extra)}")
 
 
-def _fraction(value, key: str) -> float:
-    """A number from 0 to 1 at `key`: a share of rows or of arrays."""
-    frac = _number(value, key)
+def _fraction(value, *at) -> float:
+    """A number from 0 to 1 at `at`: a share of rows, arrays or values."""
+    frac = _number(value, *at)
     if not 0.0 <= frac <= 1.0:
-        raise PlanParseError("must be between 0 and 1", key)
+        raise PlanParseError("must be between 0 and 1", *at)
     return frac
+
+
+def _count(value, *at) -> int:
+    """A non-negative integer at `at`: a number of rows or of values."""
+    count = _number(value, *at, kind=int)
+    if count < 0:
+        raise PlanParseError("must not be negative", *at)
+    return count
 
 
 def _scalar_stats(doc, top: bool) -> ScalarStats:
@@ -544,19 +554,19 @@ def _scalar_stats(doc, top: bool) -> ScalarStats:
             raise PlanParseError("must be a list of [scalar, fraction] "
                                  "pairs", "freq")
         with _at("freq"):
-            freqs = tuple((v, _number(f)) for v, f in freq)
+            freqs = tuple((v, _fraction(f)) for v, f in freq)
         values = [v for v, _ in freqs]
         numeric = all(type(v) in (int, float) for v in values)
         lo, hi = (min(values), max(values)) if numeric and values \
             else (None, None)
-        ndv = _number(doc.get("ndv", len(freqs)), "ndv", kind=int)
+        ndv = _count(doc.get("ndv", len(freqs)), "ndv")
         return ScalarStats("exact", ndv, null_fraction, freqs=freqs, lo=lo,
                            hi=hi, numeric=numeric)
     if kind == "uniform":
         lo, hi = doc.get("lo"), doc.get("hi")
         lo = lo if lo is None else _number(lo, "lo")
         hi = hi if hi is None else _number(hi, "hi")
-        ndv = _number(doc.get("ndv", _ABSENT), "ndv", kind=int)
+        ndv = _count(doc.get("ndv", _ABSENT), "ndv")
         return ScalarStats("uniform", ndv, null_fraction, lo=lo, hi=hi,
                            numeric=lo is not None)
     if kind == "clustered":
@@ -566,11 +576,9 @@ def _scalar_stats(doc, top: bool) -> ScalarStats:
             raise PlanParseError("must be a non-empty list of [lo, hi, "
                                  "weight, ndv] quadruples", "clusters")
         with _at("clusters"):
-            built = tuple((_number(lo), _number(hi), _number(w),
-                           _number(n, kind=int))
+            built = tuple((_number(lo), _number(hi), _fraction(w), _count(n))
                           for lo, hi, w, n in clusters)
-        ndv = _number(doc.get("ndv", sum(c[3] for c in built)), "ndv",
-                      kind=int)
+        ndv = _count(doc.get("ndv", sum(c[3] for c in built)), "ndv")
         return ScalarStats("clustered", ndv, null_fraction,
                            lo=built[0][0], hi=built[-1][1],
                            clusters=built, numeric=True)
@@ -593,10 +601,7 @@ def parse_stats_document(doc, schemas) -> dict:
                 raise PlanParseError(f"unknown relation {rel!r}")
             if type(entry) is not dict:
                 raise PlanParseError("must be an object")
-            rc = _number(entry.get("row_count", _ABSENT), "row_count",
-                         kind=int)
-            if rc < 0:
-                raise PlanParseError("must not be negative", "row_count")
+            rc = _count(entry.get("row_count", _ABSENT), "row_count")
             if rows.setdefault(rel, rc) != rc:
                 raise PlanParseError(f"disagrees with {rows[rel]} for "
                                      f"{rel!r}", "row_count")

@@ -16,6 +16,12 @@ target set (R2.4); the fused filter is never costlier, so it needs no guard.
 At each node the pass tries only the rules whose shapes match it
 (``rewrite.rules_at``), in the order of ``_RULES``.
 
+The pass runs ``rewrite_to_fixpoint``'s ``sweep`` rounds, as the emptiness
+guards of preprocess do: each round tries every node and fires the rewrite
+that comes first in preorder, as a top-down pass begun again at the root
+after each rewrite would.  A round folds no cost until its first guarded
+rewrite.
+
 A run is bounded by ``cap`` successful applications; exceeding it raises
 :class:`PostprocessCapError` so a cycling guard surfaces as a diagnostic
 instead of a hang.  The ``RuleContext`` carries the cost model and the trace.
@@ -80,6 +86,6 @@ def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
             return None
         return first_rewrite(_RULES, path, sub, ctx)
 
-    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "restart",
+    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "sweep",
                                cap=cap, cap_error=PostprocessCapError)
     return collapse_idempotent_reaggregation(term)

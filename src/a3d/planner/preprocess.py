@@ -193,7 +193,8 @@ def preprocess(term: Term, ctx: RuleContext) -> Term:
     term = pull_projections_up(term, ctx)
     term = split_filter_conjuncts(term)
     term = descend_filters(term, ctx)
-    # inversions re-project
+    # a projection kept under a derive that writes a column it hides may
+    # now carry a filter that R13.1 moved below the derive
     term = pull_projections_up(term, ctx)
     term = insert_empty_guards(term, ctx)
     pruned = drop_dead_derives(term, ctx)

@@ -42,7 +42,7 @@ driver splices it in.  A rewrite keeps most of that subterm by identity.
 Schemas come from one memo that lasts for a ``rewrite_to_fixpoint`` call
 (``RuleContext.schema_of``), so a kept node's schema is read, and only
 the nodes a rewrite creates are inferred.  The cost guard folds through
-one table of results: the round's own where it holds one, so the nodes a
+one table of results, the round's own where it holds one, so the nodes a
 rewrite kept are costed once for both sides of its comparison.  It
 rejects, without costing any ancestor, a rewrite that leaves the
 subterm's plan state as it was and is no cheaper; otherwise it folds both
@@ -50,21 +50,23 @@ roots, the new one with the rewrite's result injected.  The cost model
 caches nothing, and a traced ``rewrite_to_fixpoint`` costs each root it
 records once.
 
-``rewrite_to_fixpoint`` runs a stage in rounds of one of four policies.
-Greedy's ``bottom-up`` rounds and the cost-guarded ``sweep`` rounds keep
-each node's ``(cost, state, schema)`` until its grandparent has been
-visited (``RuleContext.results``), so `sub` and the nodes up to two levels
-down are read, not folded; no result outlives its round.  A sweep fires
-the hit first in preorder, as a top-down round would.  The rule-only
-preprocess stages run ``resume`` rounds: after a rewrite the next round
-starts at the rewrite's parent, since every node before it in preorder
-would miss again.  Postprocess runs ``restart`` rounds from the root,
-holding no results.  Both walk a zipper (``_Zipper``): the path from the
-root to the visited node, so a rewrite rebuilds its parent alone and the
-root is built only where it is read (``RuleContext.root``).  No frame of
-the path keeps a replaced subterm alive.  The schema memo serves rounds of
-every policy: it holds schemas only, each with a weak reference to its
-node, and is dropped when the call returns.
+``rewrite_to_fixpoint`` runs a stage in rounds of one of three policies.
+The guarded stages hold results: greedy's ``bottom-up`` rounds, and the
+``sweep`` rounds of the emptiness guards and of postprocess, which fire
+the hit first in preorder, as a top-down round would.  A held round
+folds nothing until a guard marks its subterm and the nodes two levels
+down in the round's table (``RuleContext.results``); from the next visit
+on it keeps each node's ``(cost, state, schema)`` until its grandparent
+has been visited, so a later guard reads `sub` and the nodes it keeps.
+No result outlives its round.  The rule-only preprocess
+stages run ``resume`` rounds: after a rewrite the next round starts at
+the rewrite's parent, since every node before it in preorder would miss
+again.  They walk a zipper (``_Zipper``): the path from the root to the
+visited node, so a rewrite rebuilds its parent alone and the root is
+built only where it is read (``RuleContext.root``).  No frame of the path
+keeps a replaced subterm alive.  The schema memo serves rounds of every
+policy: it holds schemas only, each with a weak reference to its node,
+and is dropped when the call returns.
 
 One ``RuleContext`` per ``optimize`` call carries the cost model, the trace
 and ``rule_counts``: each rule's attempts and the rewrites
@@ -168,7 +170,8 @@ class RuleContext:
     of ``rewrite_to_fixpoint``, where it maps ``id(node)`` to the node's
     ``(cost, state, schema)`` for the nodes of the bound root that the
     round holds; ``schema_of``, ``try_apply`` and ``guard_cost_improves``
-    read from it.
+    read from it.  It stays empty until the round's first guard marks
+    its subterm there (``guard_cost_improves``).
 
     During a ``rewrite_to_fixpoint`` call, ``schema_of`` also reads and
     fills a memo that maps ``id(node)`` to the node's schema, in rounds of
@@ -1001,46 +1004,49 @@ def try_apply(rule: Rule, path: tuple, sub: Term,
     return new_sub
 
 
+GUARD_EPSILON = 1e-9  # the root-cost saving a guard must exceed; >= 0
+
+
 def guard_cost_improves(rule: Rule, path: tuple, sub: Term,
-                        ctx: RuleContext, epsilon: float = 1e-9
-                        ) -> Optional[Term]:
+                        ctx: RuleContext) -> Optional[Term]:
     """Apply a cost-based rule to `sub`, the subterm at `path` of the root
-    bound to `ctx`, only when it strictly lowers the root's cost under
-    ``ctx.cost_model``; the rewritten subterm or None, as ``try_apply``.
+    bound to `ctx`, only when it lowers the root's cost under
+    ``ctx.cost_model`` by more than ``GUARD_EPSILON``; the rewritten
+    subterm or None, as ``try_apply``.
 
     Every fold of an attempt reads and fills one table of results
-    (``CostModel.fold``).  In a ``bottom-up`` or ``sweep`` round that is
-    ``ctx.results``, which holds `sub` and its top two levels, where a
-    pairwise rewrite keeps its nodes; elsewhere it is a dict for this
-    attempt that marks those nodes, so folding `sub` records them.  The
-    rewrite is folded reading them, and the schemas are then checked as in
-    ``try_apply``, with the same error.
+    (``CostModel.fold``): ``ctx.results`` in a ``bottom-up`` or ``sweep``
+    round, else a dict for this attempt.  Where the table does not hold
+    `sub`, the attempt marks `sub`, its children and its grandchildren,
+    where a pairwise rewrite keeps its nodes, so folding `sub` records
+    them; in a round, that starts the round's own folds (``_fold_round``).
+    The rewrite is folded reading them, and the schemas are then checked
+    as in ``try_apply``, with the same error.
 
     A rewrite that leaves `sub`'s plan state as it was and is not cheaper
     than `sub` is rejected without costing any ancestor.  This is exact:
     every node above `path` reads only the state below it, so it adds the
     same costs to both roots, in the same order; float addition is
     monotone, so the new root's cost is not below the old root's, and
-    ``new < old - epsilon`` cannot hold for a non-negative `epsilon`.  In
-    every other case the guard reads the root (``ctx.root``), builds the
-    new one and folds both through the table, the new one with the
-    rewrite's result injected for as long as its fold lasts, so the
-    attempt leaves the table as it found it.
+    ``new < old - GUARD_EPSILON`` cannot hold.  In every other case the
+    guard reads the root (``ctx.root``), builds the new one and folds both
+    through the table, the new one with the rewrite's result injected for
+    as long as its fold lasts.
     """
     new_sub = _attempt(rule, sub, ctx)
     if new_sub is None:
         return None
     fold = ctx.cost_model.fold
-    known = ctx.results
-    if known is None:
-        known = {id(sub): None}
+    known = {} if ctx.results is None else ctx.results
+    if id(sub) not in known:
+        known[id(sub)] = None
         for kid in children(sub):
             known[id(kid)] = None
             known.update(dict.fromkeys(map(id, children(kid))))
     old = fold(sub, known)
     new = fold(new_sub, known)
     _check_schema(rule, path, old[2], new[2])
-    if new[0] >= old[0] and new[1] == old[1] and epsilon >= 0:
+    if new[0] >= old[0] and new[1] == old[1]:
         return None
     root = ctx.root()
     old_cost = fold(root, known)[0]
@@ -1051,7 +1057,7 @@ def guard_cost_improves(rule: Rule, path: tuple, sub: Term,
     new_cost = fold(replace_at(root, path, new_sub), known)[0]
     if injected:
         del known[key]
-    if new_cost < old_cost - epsilon:
+    if new_cost < old_cost - GUARD_EPSILON:
         return new_sub
     return None
 
@@ -1085,7 +1091,7 @@ def trace_record(ctx: RuleContext, stage: str, rule_id: str, path,
                       "before_cost": before_cost, "after_cost": after_cost})
 
 
-POLICIES = ("bottom-up", "sweep", "resume", "restart")
+POLICIES = ("bottom-up", "sweep", "resume")
 
 
 def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
@@ -1106,16 +1112,18 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     `policy` picks the rounds:
 
     ``bottom-up``  children before their parents (the reverse of preorder);
-                   the first hit fires.  Each node is folded from its
-                   children's results (``ctx.cost_model``) into
-                   ``ctx.results`` before `step` runs.  A node's result is
-                   kept only until its grandparent has been visited: a
-                   pairwise rewrite at `sub` keeps nodes at most two levels
-                   down, so `sub` and the nodes it keeps are held, and a
-                   deeper kept node is folded as it would be without the
-                   round.  The round thus holds, besides the visited node,
-                   its children and grandchildren, only each finished
-                   subtree's root and that root's children.
+                   the first hit fires.  From the visit after a cost
+                   guard first marks its subterm in ``ctx.results``
+                   (``guard_cost_improves``), each node is folded from its
+                   children's results into ``ctx.results`` before `step`
+                   runs; until then the round folds nothing.  A node's
+                   result is kept only until its grandparent has been
+                   visited: a pairwise rewrite at `sub` keeps nodes at
+                   most two levels down, so `sub` and the nodes it keeps
+                   are held, and a deeper kept node is folded as it would
+                   be without the round.  The round thus holds, besides
+                   the visited node, its children and grandchildren, only
+                   each finished subtree's root and that root's children.
     ``sweep``      as ``bottom-up``, but every node is visited and the hit
                    first in preorder fires: the fixpoint of top-down rounds
                    for a step that may read the whole root, as a cost guard
@@ -1130,20 +1138,13 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                    schema of every subterm that contains its path, so every
                    node before the parent in preorder sees what it saw when
                    it missed.
-    ``restart``    preorder, the first hit fires, and every round starts
-                   from the root and holds nothing.  A guarded step whose
-                   stage rarely hits pays for the rounds' folds of
-                   ``sweep`` without using them; postprocess is such a
-                   stage.
 
     ``bottom-up`` and ``sweep`` rounds hold their root and splice a hit
-    with ``replace_at``.  ``resume`` and ``restart`` rounds walk one
-    ``_Zipper``: a hit rebuilds only its parent.  A ``resume`` round goes
-    on from there, and each ancestor above is rebuilt once, as the walk
-    climbs back past it; a ``restart`` round climbs to the root at once.
-    The walk keeps no replaced subterm alive, and the root is built only
-    where it is read (``ctx.root``): by a fresh name, a cost guard or a
-    trace record.
+    with ``replace_at``.  ``resume`` rounds walk one ``_Zipper``: a hit
+    rebuilds only its parent, the round goes on from there, and each
+    ancestor above is rebuilt once, as the walk climbs back past it.  The
+    walk keeps no replaced subterm alive, and the root is built only where
+    it is read (``ctx.root``): by a fresh name or a trace record.
 
     In rounds of every policy, ``ctx.schema_of`` reads and fills one
     schema memo that lasts for this call, so a schema inferred once is
@@ -1153,7 +1154,7 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of "
                          f"{POLICIES}")
-    held = policy in ("bottom-up", "sweep")
+    held = policy != "resume"
     walker = None if held else _Zipper(term)
     ctx.bind_root(term if held else walker.root)
     ctx._memo = {}
@@ -1181,7 +1182,7 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                 term = replace_at(term, path, new)
                 ctx.bind_root(term)
             else:
-                walker.rewrite(new, policy == "restart")
+                walker.rewrite(new)
             if ctx.trace is not None:
                 root = term if held else walker.root()
                 after = ctx.cost_model.term_cost(root).cost
@@ -1192,9 +1193,9 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
 
 
 def _walk_round(walker: "_Zipper", step: Callable) -> Optional[tuple]:
-    """One ``resume`` or ``restart`` round: ``(path, hit)`` of the first
-    node from `walker`'s focus on, in preorder, where `step` hits, with
-    the focus left there; None when the walk ends."""
+    """One ``resume`` round: ``(path, hit)`` of the first node from
+    `walker`'s focus on, in preorder, where `step` hits, with the focus
+    left there; None when the walk ends."""
     while True:
         hit = step(walker.path, walker.focus)
         if hit is not None:
@@ -1207,20 +1208,23 @@ def _fold_round(root: Term, step: Callable, ctx: RuleContext,
                 first: bool) -> Optional[tuple]:
     """One round of ``bottom-up`` (`first`) or ``sweep``: ``(path, hit)``
     of the first hit visited, or of the last one, which is first in
-    preorder."""
+    preorder.  Until a guard marks a node in ``ctx.results`` the round
+    folds nothing; no visit empties the table again."""
     results, fold = ctx.results, ctx.cost_model.fold
     found = None
     for path, sub in reversed(list(walk(root))):
-        results[id(sub)] = None
-        fold(sub, results)
+        if results:
+            results[id(sub)] = None
+            fold(sub, results)
         hit = step(path, sub)
         if hit is not None:
             found = path, hit
             if first:
                 break
-        for kid in children(sub):
-            for grandkid in children(kid):
-                results.pop(id(grandkid), None)
+        if results:
+            for kid in children(sub):
+                for grandkid in children(kid):
+                    results.pop(id(grandkid), None)
     results.clear()  # the old root's nodes may be freed
     return found
 
@@ -1247,10 +1251,10 @@ class _Zipper:
     lies below the node's child `i`.
 
     ``next`` moves the focus and builds nothing while nothing changed.
-    ``rewrite`` replaces the focus and rebuilds only the node above it (or
-    every ancestor, to restart from the root).  Each ancestor left on the
-    stack is rebuilt once, when ``next`` climbs back past it, and ``root``
-    builds the spine above the focus only when it is read.
+    ``rewrite`` replaces the focus and rebuilds only the node above it.
+    Each ancestor left on the stack is rebuilt once, when ``next`` climbs
+    back past it, and ``root`` builds the spine above the focus only when
+    it is read.
 
     Memory: no frame may keep a replaced subterm alive, and a frame's node
     holds its child `i` as it was when the frame was pushed.  So
@@ -1304,19 +1308,14 @@ class _Zipper:
         self.focus, self.path, self._root = node, (), node
         return False
 
-    def rewrite(self, new: Term, restart: bool) -> None:
-        """Replace the focus with `new`, then move the focus to where the
-        next round starts: the root with `restart`, else the parent."""
+    def rewrite(self, new: Term) -> None:
+        """Replace the focus with `new`, then move the focus to its parent,
+        where the next round starts."""
         frames, node, path = self._frames, new, self.path
         if frames:
             parent, i = frames.pop()
             node = _put(parent, i, node)
             path = path[:-1]
-        if restart:
-            while frames:
-                parent, i = frames.pop()
-                node = _put(parent, i, node)
-            path = ()
         for k in range(self._holed, len(frames)):
             parent, i = frames[k]
             frames[k] = (_put(parent, i, _HOLE), i)

@@ -17,7 +17,6 @@ from a3d.algebra import (
     Schema,
     SchemaError,
     UNARY_TYPES,
-    base_relations,
     evaluate,
     footprint,
     format_term,
@@ -216,8 +215,9 @@ def test_walk_paths_roundtrip():
     assert set(seen) == {(), (0,), (0, 0), (0, 1)}
     assert subterm_at(term, (0, 1)) == RelVar("B")
     swapped = replace_at(term, (0, 1), RelVar("C"))
-    assert base_relations(swapped) == ("A", "C")
-    assert base_relations(term) == ("A", "B")  # original untouched
+    assert swapped == Filter(term.pred, Join(RelVar("A"), RelVar("C")))
+    assert term == Filter(Cmp("=", Col("k"), Lit(1)),
+                          Join(RelVar("A"), RelVar("B")))  # untouched
 
 
 def _recursive_preorder(term, path=()):

@@ -2031,6 +2031,19 @@ def test_mid_tree_projections_are_hoisted():
     assert not any(isinstance(s, Project) for _, s in walk(pre.child))
 
 
+def test_filter_moved_onto_a_kept_projection_is_pulled_under_it():
+    # the projection hides y, which the derive writes, so it stays under
+    # the derive; R13.1 then moves the filter below the derive, onto the
+    # projection, and only the second pull-up puts the filter under it
+    schemas = {"r": Schema.of(scalars=["k", "x", "y"])}
+    neg = ScalarFn.of("neg")
+    term = Filter(lt("k", 5), Derive("y", neg, ("x",),
+                                     Project(("k", "x"), RelVar("r"))))
+    pre = preprocess(term, ctx_for(CostModel({}, schemas)))
+    assert pre == Derive("y", neg, ("x",),
+                         Project(("k", "x"), Filter(lt("k", 5), RelVar("r"))))
+
+
 def test_empty_guard_inserted_only_when_profitable():
     favorable = one_rel_model(avg_len=4.0, ef=0.6)
     term = ArrayJoin((("a", "e"),), RelVar("R"))

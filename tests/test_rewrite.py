@@ -79,9 +79,9 @@ def _applied(rule, root, path, sub, ctx):
     return None if new is None else replace_at(root, path, new)
 
 
-def _guarded(rule, root, path, sub, ctx, epsilon=1e-9):
+def _guarded(rule, root, path, sub, ctx):
     """``guard_cost_improves`` as ``_applied`` runs ``try_apply``."""
-    new = guard_cost_improves(rule, path, sub, ctx.bind_root(root), epsilon)
+    new = guard_cost_improves(rule, path, sub, ctx.bind_root(root))
     return None if new is None else replace_at(root, path, new)
 
 
@@ -667,7 +667,7 @@ def _plain_apply(rule, root, path, ctx):
     return replace_at(root, path, new_sub)
 
 
-def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
+def _three_pass_guard(rule, root, path, ctx, cm):
     """``guard_cost_improves`` as three passes: ``_plain_apply``, then
     cost the whole new root."""
     new_root = _plain_apply(rule, root, path, ctx)
@@ -675,7 +675,8 @@ def _three_pass_guard(rule, root, path, ctx, cm, epsilon=1e-9):
         return None
     old_cost = cm.term_cost(root).cost
     new_cost = cm.term_cost(new_root).cost
-    return new_root if new_cost < old_cost - epsilon else None
+    return new_root if new_cost < old_cost - rewrite.GUARD_EPSILON \
+        else None
 
 
 def _outcome(fn, *args):
@@ -792,12 +793,18 @@ def test_schema_changing_cost_rule_raises_the_same_rewrite_error(shape):
 
 def _round(root, schemas, cm, corr, visit):
     """One greedy bottom-up round over `root` whose step calls
-    ``visit(ctx, root, path, sub)`` at every node and matches nowhere."""
+    ``visit(ctx, root, path, sub)`` at every node and matches nowhere.
+    The round holds no result until a guard has marked one, and from the
+    next visit on it holds the visited node's."""
     ctx = RuleContext(cm, corr)
+    guarded = [False]  # whether a guard has marked a node in the table
 
     def step(path, sub):
-        assert ctx.results.get(id(sub)) is not None and ctx.root() is root
+        held = ctx.results.get(id(sub)) is not None
+        assert held == guarded[0] and ctx.root() is root
+        assert guarded[0] or not ctx.results
         visit(ctx, root, path, sub)
+        guarded[0] = bool(ctx.results)
         return None
 
     assert rewrite.rewrite_to_fixpoint(root, step, "greedy", ctx,
@@ -854,7 +861,7 @@ def test_round_results_match_plain_passes_on_random_plans():
     assert accepted
 
 
-def _guard_case(rule_fn, epsilon=1e-9):
+def _guard_case(rule_fn):
     """``guard_cost_improves`` of `rule_fn` at the root's child, and how
     often it folded a whole root (the old one or the rewritten one), under
     a guarded filter over `r`."""
@@ -873,7 +880,7 @@ def _guard_case(rule_fn, epsilon=1e-9):
         return real(term, known)
 
     cm.fold = counting
-    out = _guarded(rule, root, (0,), sub, RuleContext(cm), epsilon)
+    out = _guarded(rule, root, (0,), sub, RuleContext(cm))
     return out, len(costed)
 
 
@@ -883,22 +890,33 @@ def test_equal_state_rewrite_that_ties_is_rejected_locally():
                        if isinstance(s.child, Filter) else None) == (None, 0)
 
 
-def test_equal_state_rewrite_cheaper_by_less_than_epsilon_is_costed():
+def test_equal_state_rewrite_cheaper_by_less_than_epsilon_is_costed(
+        monkeypatch):
     # the repeated guard has selectivity 1, so dropping it keeps the state
     # and saves one scan of the 1,000 default rows: the root is costed, and
-    # the saving decides against an epsilon above it and for one below it
+    # the saving decides for the default epsilon below it and against an
+    # epsilon above it
     def drop_repeat(s, ctx):
         return s.child if isinstance(s.child, Filter) else None
-    assert _guard_case(drop_repeat, epsilon=1e4) == (None, 2)
     out, costed = _guard_case(drop_repeat)
     assert out is not None and costed == 2
+    monkeypatch.setattr(rewrite, "GUARD_EPSILON", 1e4)
+    assert _guard_case(drop_repeat) == (None, 2)
+
+
+# a cost rule that rewrites a relation into an identity projection of it:
+# a guard of it at a round's first visit starts the round's folds
+_PROJECT_RELATION = Rule(
+    "X0", "cost", "identity projection",
+    lambda s, ctx: Project(tuple(sorted(ctx.schema_of(s).columns)), s),
+    ((RelVar, None),))
 
 
 def _assert_round_holds_a_bounded_window(root, schemas):
-    """At every visit of a greedy round, the results held are at most the
-    visited node, its children and grandchildren, and the root and
-    children of every finished subtree whose parent is still to come;
-    returns the largest number held."""
+    """At every visit of a greedy round whose first visit runs a guard,
+    the results held are at most the visited node, its children and
+    grandchildren, and the root and children of every finished subtree
+    whose parent is still to come; returns the largest number held."""
     parent = {id(kid): node for _, node in walk(root)
               for kid in children(node)}
     visited, sizes = set(), []
@@ -911,6 +929,8 @@ def _assert_round_holds_a_bounded_window(root, schemas):
         return out
 
     def visit(ctx, at, path, sub):
+        if not visited:
+            guard_cost_improves(_PROJECT_RELATION, path, sub, ctx)
         visited.add(id(sub))
         window = ids(sub, 2)
         for _, node in walk(root):
@@ -1002,58 +1022,104 @@ def _counting(cm):
     return computed
 
 
-def _guard_in_round(shape, policy):
+def _guard_in_round(shape, policy, started):
     """The case's guarded attempt at `sub` inside a `policy` round whose
-    step matches nowhere: the root, `sub`, the effects the attempt
-    computed per node id, and the round's table before and after the
-    attempt (None in a round that holds none)."""
+    step matches nowhere, after a guard at the round's first visit when
+    `started`: the root, `sub`, the effects the attempt computed per node
+    id, the round's table before and after the attempt, and the rewrite
+    the attempt returned."""
     root, sub, rule, cm = _economy_case(shape)
     computed = _counting(cm)
     ctx = RuleContext(cm)
     seen = []
 
-    def table():
-        return None if ctx.results is None else dict(ctx.results)
-
     def step(path, node):
+        if started and not ctx.results:
+            guard_cost_improves(_PROJECT_RELATION, path, node, ctx)
         if node is sub:
-            before = table()
+            before = dict(ctx.results)
             computed.clear()
-            guard_cost_improves(rule, path, sub, ctx)
-            seen.append((dict(computed), before, table()))
+            new = guard_cost_improves(rule, path, sub, ctx)
+            seen.append((dict(computed), before, dict(ctx.results), new))
         return None
 
     assert rewrite.rewrite_to_fixpoint(root, step, "test", ctx,
                                        policy) is root
-    [(attempt, before, after)] = seen
-    return root, sub, attempt, before, after
+    [(attempt, before, after, new)] = seen
+    assert new is not None  # both shapes are cheaper
+    return root, sub, attempt, before, after, new
+
+
+def _two_levels(sub):
+    """The ids of `sub`, its children and its grandchildren."""
+    return {id(sub)} | {id(node) for kid in children(sub)
+                        for node in (kid, *children(kid))}
 
 
 @pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
 @pytest.mark.parametrize("shape", ["swap", "drop"])
 def test_guard_in_a_held_round_computes_no_node_the_round_holds(
         shape, policy):
-    root, sub, computed, held, _ = _guard_in_round(shape, policy)
+    # a second guard of the round, which holds `sub` and its child
+    root, sub, computed, held, _, _ = _guard_in_round(shape, policy, True)
     # not rejected locally: the old root is folded, through the table
     assert computed.get(id(root)) == 1
     assert id(sub) in held and id(sub.child) in held
     assert not held.keys() & computed.keys()
 
 
+@pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
 @pytest.mark.parametrize("shape", ["swap", "drop"])
-def test_guard_in_a_restart_round_computes_a_kept_node_once(shape):
-    root, sub, computed, held, _ = _guard_in_round(shape, "restart")
+def test_first_guard_of_a_held_round_computes_a_kept_node_once(
+        shape, policy):
+    root, sub, computed, held, _, _ = _guard_in_round(shape, policy, False)
     kept = sub.child.child if shape == "swap" else sub.child
-    assert held is None and computed.get(id(root)) == 1
+    assert held == {} and computed.get(id(root)) == 1
     assert computed[id(sub)] == 1 and computed[id(kept)] == 1
+
+
+def _assert_guard_only_marks_two_levels(sub, before, after, new):
+    """The guard kept every result held before it, added keys only for
+    `sub` and the two levels below it, and removed the injected rewrite."""
+    assert all(after[key] is res for key, res in before.items())
+    assert after.keys() - before.keys() <= _two_levels(sub)
+    assert id(new) in _two_levels(sub) or id(new) not in after
 
 
 @pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
 @pytest.mark.parametrize("shape", ["swap", "drop"])
 def test_guard_leaves_the_rounds_table_as_it_found_it(shape, policy):
-    _, _, _, before, after = _guard_in_round(shape, policy)
+    # a second guard of the round holds `sub` and marks nothing
+    _, sub, _, before, after, new = _guard_in_round(shape, policy, True)
+    _assert_guard_only_marks_two_levels(sub, before, after, new)
     assert after.keys() == before.keys()
-    assert all(after[key] is res for key, res in before.items())
+
+
+@pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
+@pytest.mark.parametrize("shape", ["swap", "drop"])
+def test_first_guard_of_a_held_round_marks_sub_and_two_levels(
+        shape, policy):
+    _, sub, _, before, after, new = _guard_in_round(shape, policy, False)
+    _assert_guard_only_marks_two_levels(sub, before, after, new)
+    assert before == {} and after.keys() == _two_levels(sub)
+
+
+@pytest.mark.parametrize("policy", ["bottom-up", "sweep"])
+def test_held_round_in_which_no_guard_runs_computes_no_effect(policy):
+    root, sub, rule, cm = _economy_case("swap")
+    computed = _counting(cm)
+    ctx = RuleContext(cm)
+    visits = []
+
+    def step(path, node):
+        # an unguarded rewrite reads schemas, not results
+        visits.append(try_apply(RULES_BY_ID["R1"], path, node, ctx))
+        return None
+
+    assert rewrite.rewrite_to_fixpoint(root, step, "test", ctx,
+                                       policy) is root
+    assert len(visits) == len(list(walk(root))) and any(visits)
+    assert computed == {}
 
 
 ############################################################
@@ -1284,7 +1350,7 @@ def test_schema_memo_entry_leaves_when_its_node_is_freed():
     term = Filter(Cmp("<", Col("x"), Lit(1)), RelVar("t"))
     gc.disable()
     try:
-        rewrite.rewrite_to_fixpoint(term, step, "test", ctx, "restart")
+        rewrite.rewrite_to_fixpoint(term, step, "test", ctx, "sweep")
     finally:
         gc.enable()
     assert seen == [True, False, True] * 2
@@ -1293,11 +1359,12 @@ def test_schema_memo_entry_leaves_when_its_node_is_freed():
 
 
 ############################################################
-# the zipper of resume and restart rounds
+# the zipper of resume rounds
 ############################################################
 
-@pytest.mark.parametrize("policy", ("resume", "restart"))
+@pytest.mark.parametrize("policy", ("resume", "sweep"))
 def test_walk_rounds_visit_every_node_once_in_preorder(policy):
+    # a sweep round visits them in reverse
     for seed in range(40):
         term, schemas, _ = random_query(seed)
         ctx = RuleContext(CostModel({}, schemas))
@@ -1309,7 +1376,8 @@ def test_walk_rounds_visit_every_node_once_in_preorder(policy):
 
         out = rewrite.rewrite_to_fixpoint(term, step, "test", ctx, policy)
         assert out is term
-        assert seen == [(path, id(node)) for path, node in walk(term)]
+        preorder = [(path, id(node)) for path, node in walk(term)]
+        assert seen == (preorder if policy == "resume" else preorder[::-1])
 
 
 def test_resume_round_frees_a_replaced_subterm_at_once(monkeypatch):
