@@ -6,8 +6,11 @@ emits the requested artifact on stdout: the optimized plan, SQL for a
 dialect, or a dot graph.  Diagnostics — errors, timings, counters, rule
 traces — go to stderr as single-line JSON records.
 
-Exit codes: 0 success, 1 plan/stats parse error, 2 schema error,
-3 infeasible or unsupported query, 4 dialect error.
+Exit codes: 0 success, 1 plan/stats parse error or command-line usage
+error, 2 schema error, 3 infeasible or unsupported query, 4 dialect error.
+A usage error (an unknown flag, a value a flag does not take, a missing
+``--plan``) is one ``parse`` record, as a document error is; ``--help``
+prints the usage and exits 0.
 
 A second form, ``a3d gen --spec spec.json --out rel.json``, generates a
 relation from a distribution spec (see `testkit.genspec_from_json`).
@@ -18,12 +21,16 @@ Plan document::
      "catalog": {"relations": {name: {"scalars": [col], "arrays": [col]}},
                  "correspondences": [[array col, array col, ...]]},
      "term": term,
-     "options": {"mode": ..., "emit": ..., "preagg_alpha": number,
-                 "cte": flag, "allow_cross_products": flag}}
+     "options": {"mode": ..., "emit": ..., "cte": flag,
+                 "allow_cross_products": flag}}
 
 ``scalars``, ``arrays``, ``correspondences`` and ``options`` and each of
 its keys may be left out; a command-line flag overrides its option.  A
-correspondence names two or more array columns of one relation.
+correspondence names two or more array columns of one relation.  An
+object whose keys the format names (the envelope, the catalog, a relation
+entry, ``options``, and each term, predicate, expression, aggregate and
+function below) holds no other key: an unknown key, a misspelt one too, is
+a parse error that names the object's path.
 
 A term, a predicate and an expression are each a JSON object whose ``op``,
 ``pred`` or ``expr`` key names its tag; the tables ``_TERMS``, ``_PREDS``
@@ -94,12 +101,17 @@ latter, and an array entry only its own.
 
 A term nests at most ``MAX_TERM_DEPTH`` levels of JSON objects and lists:
 an operator takes one level, and so does each predicate, expression or list
-of them below it.  The planner and the emitters recurse over a term's
-depth, and the bound keeps them clear of Python's recursion limit: under
-the default limit of 1,000 frames, a stack of about 496 unary operators
-is the shallowest that ends in a RecursionError, in the ClickHouse emitter.
-A deeper term is a parse error, and so is a document that nests too deeply
-for ``json`` to read.
+of them below it.  A deeper term is a parse error, and so is a document
+that nests too deeply for ``json`` to read.  The planner and the emitters
+recurse over the depth of the term they plan, and the bound keeps a
+document's own stack of operators clear of Python's recursion limit: under
+the default limit of 1,000 frames, a stack of about 496 unary operators is
+the shallowest that ends in a RecursionError, in the ClickHouse emitter.
+The bound does not cover the planned term, which can nest far deeper than
+the document: preprocess makes one filter of each conjunct, so a filter
+on a conjunction of 500 comparisons, five JSON levels deep, plans as a
+stack of 500 filters.  A RecursionError while planning or emitting is one
+``infeasible`` record, with exit 3.
 
 An error names the path of keys from the document's root down to the bad
 value, for example ``term['input']['pred']['rhs']['value']``.
@@ -172,6 +184,14 @@ class _at:
 ############################################################
 
 _ABSENT = object()  # the value of a key that a document leaves out
+
+
+def _check_keys(doc: dict, allowed, *at) -> None:
+    """A PlanParseError at `at` unless `allowed` holds every key of the
+    object `doc`; one subset test where it does."""
+    if not allowed.issuperset(doc):
+        raise PlanParseError(f"unknown keys {sorted(doc.keys() - allowed)}",
+                             *at)
 
 
 def _number(value, *at, kind=float):
@@ -283,6 +303,7 @@ def _object(tag_key, table: dict):
             raise PlanParseError("must be an object" + (
                 f" whose {tag_key!r} is one of {sorted(table)}"
                 if tag_key else "")) from None
+        _check_keys(doc, _KEYS[cls])
         values = []
         try:
             for key, _, (_, read_field) in fields:
@@ -324,6 +345,9 @@ def _write_fn(fn: ScalarFn) -> dict:
     return doc
 
 
+_FN_KEYS = frozenset({"name", "params"})
+
+
 def _read_fn(doc) -> ScalarFn:
     """A function: a known name, and exactly the parameters it takes."""
     try:
@@ -332,6 +356,7 @@ def _read_fn(doc) -> ScalarFn:
     except (TypeError, KeyError):  # no object, no name, or an unknown one
         raise PlanParseError("must be an object naming a known function") \
             from None
+    _check_keys(doc, _FN_KEYS)
     params = doc.get("params", {})
     if type(params) is not dict or params.keys() != kinds.keys():
         raise PlanParseError(f"must hold exactly the parameters of {name}: "
@@ -411,6 +436,10 @@ _WRITERS = {cls: (tag_key, tag, fields)
             for tag_key, table in (("op", _TERMS), ("pred", _PREDS),
                                    ("expr", _EXPRS), (None, _AGG_SPECS))
             for tag, (cls, fields) in table.items()}
+# the keys an object of each class may hold: its tag key and its fields'
+_KEYS = {cls: frozenset([key for key, _, _ in fields]
+                        + ([tag_key] if tag_key else []))
+         for cls, (tag_key, _, fields) in _WRITERS.items()}
 
 
 def term_to_json(term: Term) -> dict:
@@ -448,27 +477,37 @@ def term_from_json(doc) -> Term:
 # plan document (envelope + catalog)
 ############################################################
 
+_ENVELOPE_KEYS = frozenset({"a3d_plan", "catalog", "term", "options"})
+_CATALOG_KEYS = frozenset({"relations", "correspondences"})
+_RELATION_KEYS = frozenset({"scalars", "arrays"})
+_OPTION_KEYS = frozenset({"mode", "emit", "cte", "allow_cross_products"})
+
+
 def parse_plan_document(doc):
     """Parse an envelope into (term, schemas, correspondences, options).
 
-    Envelope shape violations raise PlanParseError; catalog-level
-    inconsistencies (overlapping scalar/array names, correspondences not
-    over array columns of one relation) raise SchemaError.
+    Envelope shape violations, unknown keys among them, raise
+    PlanParseError; catalog-level inconsistencies (overlapping
+    scalar/array names, correspondences not over array columns of one
+    relation) raise SchemaError.
     """
     if type(doc) is not dict:
         raise PlanParseError("plan document must be a JSON object")
     if doc.get("a3d_plan") != PLAN_VERSION:
         raise PlanParseError(f"missing or unsupported plan version "
                              f"(need \"a3d_plan\": {PLAN_VERSION})")
+    _check_keys(doc, _ENVELOPE_KEYS)
     catalog = doc.get("catalog")
     if type(catalog) is not dict or type(catalog.get("relations")) is not dict:
         raise PlanParseError("must contain a 'relations' object", "catalog")
+    _check_keys(catalog, _CATALOG_KEYS, "catalog")
 
     schemas = {}
     for name, rel in catalog["relations"].items():
         if type(rel) is not dict:
             raise PlanParseError("must be an object", "catalog", "relations",
                                  name)
+        _check_keys(rel, _RELATION_KEYS, "catalog", "relations", name)
         schemas[name] = Schema(
             frozenset(_strings(rel.get("scalars", []), "catalog",
                                "relations", name, "scalars")),
@@ -490,6 +529,7 @@ def parse_plan_document(doc):
     options = doc.get("options", {})
     if type(options) is not dict:
         raise PlanParseError("must be an object", "options")
+    _check_keys(options, _OPTION_KEYS, "options")
     if "term" not in doc:
         raise PlanParseError("plan document has no 'term'")
     try:
@@ -513,12 +553,6 @@ _SCALAR_STAT_KEYS = {"kind", "ndv", "null_fraction", "freq", "lo", "hi",
                      "clusters"}
 _ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
                     "row_stats"}
-
-
-def _check_keys(doc: dict, allowed: set) -> None:
-    extra = set(doc) - allowed
-    if extra:
-        raise PlanParseError(f"unknown keys {sorted(extra)}")
 
 
 def _fraction(value, *at) -> float:
@@ -657,8 +691,17 @@ def _diag(kind: str, message: str, **extra) -> None:
 # argument parsing and the two commands
 ############################################################
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise PlanParseError, so that
+    they end in one ``parse`` record and exit 1; ``--help`` still prints
+    the usage and exits 0."""
+
+    def error(self, message):
+        raise PlanParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="a3d",
         description="optimize array-relational plans and emit SQL")
     p.add_argument("--plan", required=True, help="plan document (JSON)")
@@ -674,14 +717,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         "rule id -> [attempts, fires] under \"rules\"")
     p.add_argument("--cte", action="store_true",
                    help="emit SQL as a WITH chain")
-    p.add_argument("--preagg-alpha", type=float, default=None,
-                   help="condensation threshold for pre-aggregation")
     p.add_argument("--allow-cross-products", action="store_true")
     return p
 
 
 def _build_gen_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="a3d gen", description="generate a relation from a spec")
     p.add_argument("--spec", required=True, help="generation spec (JSON)")
     p.add_argument("--out", help="output file (default: stdout)")
@@ -702,10 +743,10 @@ def _load_json(path: str, what: str):
 
 
 def _run_gen(argv) -> int:
-    args = _build_gen_parser().parse_args(argv)
     from .testkit import generate, genspec_from_json
 
     try:
+        args = _build_gen_parser().parse_args(argv)
         spec = genspec_from_json(_load_json(args.spec, "spec"))
     except ValueError as e:  # PlanParseError among them
         _diag("parse", str(e))
@@ -738,11 +779,6 @@ def _resolve(args, options) -> None:
     if args.emit not in EMIT_TARGETS:
         raise PlanParseError(f"unknown emit target {args.emit!r}", "options",
                              "emit")
-    if args.preagg_alpha is None:
-        args.preagg_alpha = _number(options.get("preagg_alpha", 1.0),
-                                    "options", "preagg_alpha")
-    else:
-        args.preagg_alpha = _number(args.preagg_alpha, "--preagg-alpha")
     args.cte |= _flag(options.get("cte", _ABSENT), "options", "cte")
     args.allow_cross_products |= _flag(
         options.get("allow_cross_products", _ABSENT), "options",
@@ -753,9 +789,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "gen":
         return _run_gen(argv[1:])
-    args = _build_parser().parse_args(argv)
-
     try:
+        args = _build_parser().parse_args(argv)
         doc = _load_json(args.plan, "plan")
         term, schemas, correspondences, options = parse_plan_document(doc)
         _resolve(args, options)
@@ -773,7 +808,6 @@ def main(argv=None) -> int:
     try:
         result = optimize(term, schemas, stats=stats,
                           correspondences=correspondences, mode=args.mode,
-                          alpha=args.preagg_alpha,
                           allow_cross_products=args.allow_cross_products,
                           trace=args.trace)
     except SchemaError as e:
@@ -784,6 +818,10 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except A3DError as e:  # every other planner error
         _diag("infeasible", str(e))
+        return EXIT_INFEASIBLE
+    except RecursionError:  # the planned term nests deeper than the input
+        _diag("infeasible", "the term nests too deeply to plan within "
+                            "Python's recursion limit")
         return EXIT_INFEASIBLE
 
     if args.trace:
@@ -804,6 +842,10 @@ def main(argv=None) -> int:
     except DialectError as e:
         _diag("dialect", str(e))
         return EXIT_DIALECT
+    except RecursionError:
+        _diag("infeasible", f"the plan nests too deeply to emit as "
+                            f"{args.emit} within Python's recursion limit")
+        return EXIT_INFEASIBLE
     return 0
 
 

@@ -15,8 +15,11 @@ modelled cost, per-stage timings and counters: mode-specific ones, and in
 every mode ``counters["rules"]``, rule id -> ``[attempts, fires]`` (see
 ``RuleContext``).
 
-The rewrite stages take ``(term, ctx)``: one ``RuleContext`` per call
-carries the cost model and the trace.  The join search takes the cost model.
+The rewrite stages take ``(term, ctx)`` and no tuning parameter: one
+``RuleContext`` per call carries the cost model and the trace, and the cost
+guard alone decides each reshape that can help or hurt.  Greedy and
+postprocess bound their rewrites by a module constant, ``REWRITE_CAP``, and
+raise ``FixpointCapError`` past it.  The join search takes the cost model.
 """
 
 import time
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..algebra import Schema, SchemaError, Term, output_schema
-from ..rewrite import RuleContext
+from ..rewrite import FixpointCapError, RuleContext
 from ..stats import CostModel, TableStats
 from .decompose import (
     JoinEdge, OpProfile, QueryDecomposition, RankableOp, decompose,
@@ -33,23 +36,21 @@ from .enumeration import (
     DisconnectedJoinGraphError, InfeasibleQueryError, MemoEntry, Enumerator,
     enumerate_plans,
 )
-from .greedy import GreedyIterationCapError, optimize_greedy
+from .greedy import optimize_greedy
 from .oracle import (
     MAX_ORACLE_OPS, MAX_ORACLE_RELATIONS, OracleLimitError, oracle_enumerate,
 )
-from .postprocess import (
-    PostprocessCapError, collapse_idempotent_reaggregation, postprocess,
-)
+from .postprocess import collapse_idempotent_reaggregation, postprocess
 from .precedence import MalformedQueryError, PrecedenceGraph, build_precedence
 from .preprocess import preprocess
 from .schedule import leq, sort_key, sort_ops
 
 __all__ = [
-    "DisconnectedJoinGraphError", "Enumerator", "GreedyIterationCapError",
+    "DisconnectedJoinGraphError", "Enumerator", "FixpointCapError",
     "InfeasibleQueryError", "JoinEdge", "MAX_ORACLE_OPS",
     "MAX_ORACLE_RELATIONS", "MalformedQueryError", "MemoEntry", "OpProfile",
-    "OptimizeResult", "OracleLimitError", "PostprocessCapError",
-    "PrecedenceGraph", "QueryDecomposition", "RankableOp",
+    "OptimizeResult", "OracleLimitError", "PrecedenceGraph",
+    "QueryDecomposition", "RankableOp",
     "build_precedence", "collapse_idempotent_reaggregation", "decompose",
     "enumerate_plans", "leq", "optimize", "optimize_greedy",
     "oracle_enumerate", "postprocess", "preprocess", "sort_key", "sort_ops",
@@ -79,7 +80,7 @@ def precedence_for(decomp: QueryDecomposition) -> PrecedenceGraph:
 def optimize(term: Term, schemas: Mapping[str, Schema],
              stats: Optional[Mapping[str, TableStats]] = None,
              correspondences=None, mode: str = "enumerate",
-             alpha: float = 1.0, allow_cross_products: bool = False,
+             allow_cross_products: bool = False,
              trace: bool = False) -> OptimizeResult:
     """Optimize `term` end to end; raises on malformed/infeasible queries.
 
@@ -136,7 +137,7 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
     t2 = time.perf_counter()
     final = placed
     if mode != "oracle":  # the oracle is a baseline: no pre-aggregation
-        final = postprocess(placed, ctx, alpha=alpha)
+        final = postprocess(placed, ctx)
     timings["postprocess"] = (time.perf_counter() - t2) * 1000.0
 
     counters["rules"] = ctx.rule_counts

@@ -8,19 +8,17 @@ whose shapes match it are tried, in catalog order (``rewrite.rules_at``),
 so the first rule that fires is the one a scan of the whole catalog would
 fire.  The join tree is left as written — this mode trades optimality for
 speed and serves as the baseline the enumerating mode is measured against.
-The ``RuleContext`` carries the cost model.
+The ``RuleContext`` carries the cost model.  A run is bounded by
+``REWRITE_CAP`` rewrites; exceeding it raises ``rewrite.FixpointCapError``.
 """
 
-from ..algebra import A3DError, Term
+from ..algebra import Term
 from ..rewrite import RuleContext, first_rewrite, rewrite_to_fixpoint
 
-
-class GreedyIterationCapError(A3DError):
-    """Greedy rewriting did not reach a fixpoint within the step cap."""
+REWRITE_CAP = 10_000  # rewrites per run
 
 
-def optimize_greedy(term: Term, ctx: RuleContext,
-                    max_steps: int = 10_000) -> Term:
+def optimize_greedy(term: Term, ctx: RuleContext) -> Term:
     """Rewrite `term` to a greedy fixpoint; semantics are preserved."""
     seen: set = set()  # the roots left, as reprs
 
@@ -40,5 +38,4 @@ def optimize_greedy(term: Term, ctx: RuleContext,
         return first_rewrite(None, path, sub, ctx, unseen)
 
     return rewrite_to_fixpoint(term, step, "greedy", ctx, "bottom-up",
-                               cap=max_steps,
-                               cap_error=GreedyIterationCapError)
+                               cap=REWRITE_CAP)

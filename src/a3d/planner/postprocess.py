@@ -3,13 +3,10 @@
 After join/operator placement is fixed, aggregates can still be split into a
 partial pass that runs early (below a join or without unnesting) and a final
 pass that combines partials.  These reshapes are applied top-down to a
-fixpoint, each one accepted only when
-
-* the cost model says the whole term gets strictly cheaper, and
-* the aggregate actually condenses: estimated output groups stay below
-  ``alpha`` times its input rows.  The default ``alpha=1.0`` only rules out
-  degenerate non-reducing aggregates; lower values make pre-aggregation more
-  reluctant.
+fixpoint, each one accepted only when the cost model says the whole term
+gets strictly cheaper (``rewrite.guard_cost_improves``).  The guard alone
+decides: a partial aggregate that does not condense its input costs rows
+and saves none, so the guard rejects it, as it does in greedy's rounds.
 
 The same pass fuses arrayFilters that operator placement stacked over one
 target set (R2.4); the fused filter is never costlier, so it needs no guard.
@@ -22,33 +19,23 @@ that comes first in preorder, as a top-down pass begun again at the root
 after each rewrite would.  A round folds no cost until its first guarded
 rewrite.
 
-A run is bounded by ``cap`` successful applications; exceeding it raises
-:class:`PostprocessCapError` so a cycling guard surfaces as a diagnostic
-instead of a hang.  The ``RuleContext`` carries the cost model and the trace.
+A run is bounded by ``REWRITE_CAP`` successful applications; exceeding it
+raises ``rewrite.FixpointCapError`` so a cycling guard surfaces as a
+diagnostic instead of a hang.  The ``RuleContext`` carries the cost model
+and the trace.
 """
 
-from ..algebra import (
-    A3DError, Aggregate, AggSpec, Term, children, with_children,
-)
+from ..algebra import Aggregate, AggSpec, Term, children, with_children
 from ..rewrite import RuleContext, first_rewrite, rewrite_to_fixpoint
-from ..stats import CostModel
 
 # Order matters only for ties; the list is scanned first-match per node.
 PRE_AGG_RULES = ("R17.1", "R17.2", "R17.3", "R18", "R19", "R20", "R21")
 _RULES = ("R2.4",) + PRE_AGG_RULES
 
+REWRITE_CAP = 32  # successful applications per run
+
 # Outer aggregates that return the value itself when a group has one row.
 _SINGLETON_IDENTITY = {"min", "max", "sum", "avg"}
-
-
-class PostprocessCapError(A3DError):
-    """Pre-aggregation did not reach a fixpoint within the iteration cap."""
-
-
-def _condenses(agg: Aggregate, cost_model: CostModel, alpha: float) -> bool:
-    known = {id(agg.child): None}  # one fold yields both row counts
-    groups = cost_model.fold(agg, known)[1].rows
-    return groups < alpha * known[id(agg.child)][1].rows
 
 
 def collapse_idempotent_reaggregation(term: Term) -> Term:
@@ -77,15 +64,11 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
     return Aggregate(outer.keys, tuple(fused), inner.child)
 
 
-def postprocess(term: Term, ctx: RuleContext, alpha: float = 1.0,
-                cap: int = 32) -> Term:
+def postprocess(term: Term, ctx: RuleContext) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
     def step(path, sub):
-        if isinstance(sub, Aggregate) and \
-                not _condenses(sub, ctx.cost_model, alpha):
-            return None
         return first_rewrite(_RULES, path, sub, ctx)
 
     term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "sweep",
-                               cap=cap, cap_error=PostprocessCapError)
+                               cap=REWRITE_CAP)
     return collapse_idempotent_reaggregation(term)

@@ -13,6 +13,14 @@ Rules come in two kinds:
           pre-aggregation) and therefore apply only under
           ``guard_cost_improves``.
 
+The guard alone judges a ``cost`` rule: no rule body and no stage asks
+whether a rewrite pays.  R2.3 puts an emptiness guard under an arrayJoin
+even where one is already below it; after ``c != []`` no array is empty,
+so the cost model rates a second guard as keeping every row, and the guard
+rejects it.  A partial aggregate that condenses nothing is rejected the
+same way.  A stage bounds its rewrites with ``rewrite_to_fixpoint``'s
+``cap``, past which ``FixpointCapError`` names the stage.
+
 Every rule declares, in ``_rule(...)``, the operator pairs it rewrites: its
 ``shapes``, each a ``(node type, child type)`` pair, with None for any
 child.  The catalog is thus the paper's matrix of pairwise interactions
@@ -85,6 +93,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .algebra import (
+    A3DError,
     Aggregate,
     AggSpec,
     ArrayFilter,
@@ -121,6 +130,10 @@ from .predicates import (
 
 class RewriteError(Exception):
     """A rule produced a term with a different schema (engine bug guard)."""
+
+
+class FixpointCapError(A3DError):
+    """A rewrite stage did not reach a fixpoint within its rewrite cap."""
 
 
 ############################################################
@@ -411,13 +424,8 @@ def r2_2(sub, ctx):
 @_rule("R2.3", "cost", "prune empty arrays before arrayJoin",
        (ArrayJoin, None))
 def r2_3(sub, ctx):
-    guard = _not_empty(sub.targets[0][0])
-    probe = sub.child
-    while isinstance(probe, Filter):
-        if probe.pred == guard:
-            return None  # already guarded
-        probe = probe.child
-    return ArrayJoin(sub.targets, Filter(guard, sub.child))
+    return ArrayJoin(sub.targets,
+                     Filter(_not_empty(sub.targets[0][0]), sub.child))
 
 
 @_rule("R2.4", "rule", "fuse stacked arrayFilters over one target set",
@@ -1096,8 +1104,7 @@ POLICIES = ("bottom-up", "sweep", "resume")
 
 def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
                         ctx: RuleContext, policy: str,
-                        cap: Optional[int] = None,
-                        cap_error: Optional[type] = None) -> Term:
+                        cap: Optional[int] = None) -> Term:
     """Rewrite `term` in rounds until `step` matches nowhere.
 
     A round calls ``step(path, sub)`` at nodes of the root, which it binds
@@ -1108,7 +1115,7 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
     in ``ctx.rule_counts``, and the root it makes is the next round's.  A
     traced call costs each root once: a record's cost after is the next
     record's cost before.  With `cap`, rewrite number ``cap + 1`` raises
-    `cap_error` instead.
+    `FixpointCapError`, whose message names `stage`, instead.
     `policy` picks the rounds:
 
     ``bottom-up``  children before their parents (the reverse of preorder);
@@ -1171,8 +1178,8 @@ def rewrite_to_fixpoint(term: Term, step: Callable, stage: str,
             path, (rule_id, new) = hit
             rewrites += 1
             if cap is not None and rewrites > cap:
-                raise cap_error(f"{stage}: no fixpoint after {cap} "
-                                f"rewrites (last rule {rule_id})")
+                raise FixpointCapError(f"{stage}: no fixpoint after {cap} "
+                                       f"rewrites (last rule {rule_id})")
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1

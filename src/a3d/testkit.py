@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .algebra import ArrayJoin, Derive, Filter, Relation, RelVar, Schema, Term
-from .cli import PlanParseError, _number
+from .cli import PlanParseError, _check_keys, _number
 from .functions import ScalarFn
 from .predicates import And, Cmp, Col, Lit
 
@@ -243,14 +243,18 @@ def pattern_schemas(kind: str, n: int) -> dict:
 # JSON spec parsing (the `gen` subcommand's input format)
 ############################################################
 
+_DIST_KEYS = frozenset({"name", "ndv", "s", "mu", "sigma"})
+_SPEC_KEYS = frozenset({"row_count", "seed", "columns"})
+_SCALAR_COLUMN_KEYS = frozenset({"kind", "dist", "null_probability"})
+_ARRAY_COLUMN_KEYS = frozenset({"kind", "elem", "length",
+                                "empty_probability"})
+
+
 def _dist_from_json(doc, *at) -> Dist:
     if type(doc) is not dict or "name" not in doc:
         raise PlanParseError("must be a distribution object with a 'name'",
                              *at)
-    extra = set(doc) - {"name", "ndv", "s", "mu", "sigma"}
-    if extra:
-        raise PlanParseError(f"unknown distribution keys {sorted(extra)}",
-                             *at)
+    _check_keys(doc, _DIST_KEYS, *at)
     return Dist(doc["name"], ndv=_number(doc.get("ndv", 0), *at, "ndv",
                                          kind=int),
                 s=_number(doc.get("s", 1.0), *at, "s"),
@@ -264,10 +268,12 @@ def genspec_from_json(doc: dict) -> GenSpec:
     Scalar columns: {"kind": "scalar", "dist": {...}, "null_probability"?}.
     Array columns: {"kind": "array", "elem": {...}, "length": {...},
     "empty_probability"?}.  A malformed document raises `PlanParseError`,
-    a ValueError, as does a spec that `generate` would refuse.
+    a ValueError, as does a spec that `generate` would refuse; a key that
+    an object above does not list makes a document malformed.
     """
     if type(doc) is not dict:
         raise PlanParseError("generation spec must be a JSON object")
+    _check_keys(doc, _SPEC_KEYS)
     specs = doc.get("columns") or {}
     if type(specs) is not dict:
         raise PlanParseError("must be an object", "columns")
@@ -276,11 +282,13 @@ def genspec_from_json(doc: dict) -> GenSpec:
         kind = c.get("kind") if type(c) is dict else None
         at = ("columns", name)
         if kind == "scalar":
+            _check_keys(c, _SCALAR_COLUMN_KEYS, *at)
             columns[name] = ScalarColumn(
                 _dist_from_json(c.get("dist"), *at, "dist"),
                 _number(c.get("null_probability", 0.0), *at,
                         "null_probability"))
         elif kind == "array":
+            _check_keys(c, _ARRAY_COLUMN_KEYS, *at)
             columns[name] = ArrayColumn(
                 _dist_from_json(c.get("elem"), *at, "elem"),
                 _dist_from_json(c.get("length"), *at, "length"),

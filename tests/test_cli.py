@@ -187,12 +187,38 @@ def test_unknown_option_in_plan_document_is_a_parse_error(tmp_path, capsys,
     assert (code, errors, out) == (1, ["parse"], "")
 
 
-def test_preagg_alpha_flag_must_be_finite(tmp_path, capsys):
-    # a NaN threshold turned pre-aggregation off without a word, because
-    # no group count is below NaN
-    term = {"op": "filter", "pred": _cmp("<", "x", 5), "input": _rel("R")}
-    code, out, errors = _run(tmp_path, capsys, term, "--preagg-alpha", "nan")
-    assert (code, errors, out) == (1, ["parse"], "")
+@pytest.mark.parametrize("argv", [
+    ("--plan", str(SAMPLE_PLAN), "--preagg-alpha", "1"),
+    ("--plan", str(SAMPLE_PLAN), "--preagg-alpha"),
+    ("--plan", str(SAMPLE_PLAN), "--bogus"),
+    ("--plan", str(SAMPLE_PLAN), "--mode", "bogus"),
+    ("--emit", "sql-generic"),
+    ("gen", "--spec", "spec.json", "--bogus"),
+    ("gen",),
+], ids=["preagg-alpha", "preagg-alpha-without-value", "unknown-flag",
+        "unknown-mode", "no-plan", "gen-unknown-flag", "gen-no-spec"])
+def test_usage_error_exits_with_one_parse_record(capsys, argv):
+    # argparse exited 2, the schema error's code, with a usage text and no
+    # record.  --preagg-alpha went with pre-aggregation's condensation
+    # threshold: the cost guard alone decides
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "parse"
+    assert record["message"].startswith("a3d gen: " if argv[0] == "gen"
+                                        else "a3d: ")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("gen", "--help")],
+                         ids=["a3d", "a3d-gen"])
+def test_help_prints_the_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (done.value.code, err) == (0, "")
+    assert out.startswith("usage: a3d")
 
 
 @pytest.mark.parametrize("plan", sorted(MALFORMED.glob("*_plan.json")),
@@ -200,7 +226,8 @@ def test_preagg_alpha_flag_must_be_finite(tmp_path, capsys):
 def test_malformed_plan_document_exits_with_one_parse_record(capsys, plan):
     # each planned with exit 0 or ended in a traceback: a literal that is an
     # object or NaN, an affine parameter that is a string or missing, a
-    # flag that is a string, correspondences that are not a list
+    # flag that is a string, correspondences that are not a list, and a
+    # key that the format does not list in any object that names its keys
     code = cli.main(["--plan", str(plan), "--emit", "sql-generic"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
@@ -261,6 +288,45 @@ def test_the_deepest_term_plans_and_emits_in_every_target(
                 assert (code, out, errors) == (4, "", ["dialect"])
             else:
                 assert (code, errors) == (0, []) and out
+
+
+@pytest.mark.parametrize("conjuncts", [500, 1000])
+def test_a_wide_conjunction_ends_in_one_infeasible_record(tmp_path, capsys,
+                                                         conjuncts):
+    # σ(x > 0 ∧ … ∧ x > n-1)(R) nests five JSON levels, but preprocess
+    # makes one filter of each conjunct, and planning the stack ended in a
+    # RecursionError traceback: at 500 conjuncts in greedy and enumerate
+    # mode, at 1,000 in every mode.  The oracle refuses 500 operators.
+    pred = {"pred": "and", "parts": [_cmp(">", "x", i)
+                                     for i in range(conjuncts)]}
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "a3d_plan": 1, "catalog": CATALOG,
+        "term": {"op": "filter", "pred": pred, "input": _rel("R")}}))
+    for mode in MODES:
+        for emit in cli.EMIT_TARGETS:
+            code = cli.main(["--plan", str(plan), "--mode", mode,
+                             "--emit", emit])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, ""), (mode, emit)
+            [line] = err.splitlines()
+            assert json.loads(line)["error"] == "infeasible", (mode, emit)
+
+
+def test_a_recursion_error_while_emitting_is_one_infeasible_record(
+        capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "to_sql", too_deep)
+    code = cli.main(["--plan", str(SAMPLE_PLAN), "--emit", "sql-generic"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert json.loads(line) == {
+        "error": "infeasible",
+        "message": "the plan nests too deeply to emit as sql-generic within "
+                   "Python's recursion limit"}
 
 
 # how the message of each invalid plan document ends
@@ -577,3 +643,25 @@ def test_gen_rejects_a_bad_spec(tmp_path, capsys):
         assert cli.main(["gen", "--spec", str(spec)]) == 1, doc
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "parse", doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"row_count": 25, "colums": GEN_SPEC["columns"]},
+     "unknown keys ['colums']"),
+    (dict(GEN_SPEC, columns={"k": dict(GEN_SPEC["columns"]["k"],
+                                       null_prob=0.5)}),
+     "columns['k']: unknown keys ['null_prob']"),
+    (dict(GEN_SPEC, columns={"vals": dict(GEN_SPEC["columns"]["vals"],
+                                          empty_prob=0.5)}),
+     "columns['vals']: unknown keys ['empty_prob']"),
+], ids=["spec", "scalar-column", "array-column"])
+def test_gen_rejects_a_key_the_spec_does_not_list(tmp_path, capsys, doc,
+                                                  message):
+    # a misspelt "columns" generated rows with no columns, and a misspelt
+    # probability was left at its default
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert cli.main(["gen", "--spec", str(spec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "parse", "message": message}

@@ -39,13 +39,12 @@ from a3d.functions import ScalarFn
 from a3d.predicates import And, Cmp, Col, Lit, split_conjuncts
 from a3d.planner import (
     DisconnectedJoinGraphError,
-    GreedyIterationCapError,
+    FixpointCapError,
     InfeasibleQueryError,
     JoinEdge,
     MalformedQueryError,
     OpProfile,
     OracleLimitError,
-    PostprocessCapError,
     QueryDecomposition,
     RankableOp,
     build_precedence,
@@ -78,6 +77,10 @@ from gen_utils import (
     with_inner_project,
 )
 from naive_interp import naive_eval, rows_equal_bag
+
+# the stage modules, whose names the package gives to its functions
+greedy_stage = importlib.import_module("a3d.planner.greedy")
+postprocess_stage = importlib.import_module("a3d.planner.postprocess")
 
 
 ############################################################
@@ -2145,15 +2148,28 @@ def test_preaggregation_preserves_results():
     assert rows_equal_bag(naive_eval(term, db), list(evaluate(out, db).rows))
 
 
-def test_tiny_alpha_blocks_preaggregation():
-    cm, term = _preagg_query()
-    assert postprocess(term, ctx_for(cm), alpha=1e-12) == term
+def test_postprocess_leaves_a_non_condensing_aggregate_to_the_guard():
+    # without statistics the four keys estimate as many groups as the
+    # unnested rows: each pre-aggregation rule whose shape matches is
+    # attempted once, and the cost guard rejects every partial aggregate,
+    # as it does in greedy's rounds
+    schema = Schema.of(scalars=("k1", "k2", "k3", "k4"), arrays=("v",))
+    cm = CostModel({}, {"R": schema})
+    term = Aggregate(("k1", "k2", "k3", "k4"), (AggSpec("sum", "e", "s"),),
+                     ArrayJoin((("v", "e"),), RelVar("R")))
+    groups = cm.term_cost(term).state.rows
+    assert groups == cm.term_cost(term.child).state.rows
+    ctx = ctx_for(cm)
+    assert postprocess(term, ctx) == term
+    assert ctx.rule_counts == {rule_id: [1, 0] for rule_id in
+                               ("R17.1", "R17.2", "R17.3", "R20")}
 
 
-def test_postprocess_cap_raises():
+def test_postprocess_cap_raises(monkeypatch):
     cm, term = _preagg_query()
-    with pytest.raises(PostprocessCapError):
-        postprocess(term, ctx_for(cm), cap=0)
+    monkeypatch.setattr(postprocess_stage, "REWRITE_CAP", 0)
+    with pytest.raises(FixpointCapError, match="^postprocess: "):
+        postprocess(term, ctx_for(cm))
 
 
 def test_postprocess_fuses_stacked_array_filters():
@@ -2209,11 +2225,12 @@ def test_greedy_pushes_filter_below_join():
     assert cm.term_cost(out).cost < cm.term_cost(term).cost
 
 
-def test_greedy_step_cap_raises():
+def test_greedy_step_cap_raises(monkeypatch):
     cm = two_rel_model()
     term = Filter(lt("x", 10), Join(RelVar("L"), RelVar("R")))
-    with pytest.raises(GreedyIterationCapError):
-        optimize_greedy(term, ctx_for(cm), max_steps=0)
+    monkeypatch.setattr(greedy_stage, "REWRITE_CAP", 0)
+    with pytest.raises(FixpointCapError, match="^greedy: "):
+        optimize_greedy(term, ctx_for(cm))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -2481,7 +2498,7 @@ def test_inner_projections_plan_to_equal_results():
 def test_every_exported_planner_error_is_an_a3d_error():
     errors = [obj for obj in map(planner.__dict__.get, planner.__all__)
               if isinstance(obj, type) and issubclass(obj, BaseException)]
-    assert len(errors) == 6
+    assert len(errors) == 5  # one FixpointCapError serves both stages
     for err in errors:
         assert issubclass(err, A3DError), err.__name__
 

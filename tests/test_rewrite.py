@@ -464,9 +464,8 @@ def test_guard_costs_an_unchanged_root_once(monkeypatch):
 
 
 def test_r2_3_guard_above_a_derive_is_not_repeated():
-    # R2.3 only probes the filters directly under the arrayJoin, so it fires
-    # again past the derive; the cost model knows the guarded arrays are no
-    # longer empty and rejects the second guard
+    # R2.3 fires again past the derive; the cost model knows the guarded
+    # arrays are no longer empty and rejects the second guard
     schema = Schema.of(scalars=["k"], arrays=["a"])
     rows = [{"k": i, "a": ()} for i in range(75)] + \
            [{"k": i, "a": (1, 2, 3, 4, 5, 6)} for i in range(25)]
@@ -482,12 +481,31 @@ def test_r2_3_guard_above_a_derive_is_not_repeated():
 
 
 def test_r2_3_does_not_stack_guards():
-    rng = random.Random(SEED0)
-    inst = GENS["R2.3"](rng)
+    # the rule stacks a second guard over the first, directly or past a
+    # scalar filter; the cost guard rejects it, because after  a != []  no
+    # array is empty (``stats._filter_state``), so the second guard keeps
+    # every row and only adds cost
+    rule = RULES_BY_ID["R2.3"]
+    schema = Schema.of(scalars=["k"], arrays=["a"])
+    rows = [{"k": i, "a": ()} for i in range(75)] + \
+           [{"k": i, "a": (1, 2, 3, 4, 5, 6)} for i in range(25)]
+    cm = CostModel({"r": build_table_stats(Relation.build(schema, rows))},
+                   {"r": schema})
+    targets, guard = (("a", "ea"),), Cmp("!=", Col("a"), Lit(()))
+    term = ArrayJoin(targets, RelVar("r"))
+    once = _guarded(rule, term, (), term, RuleContext(cm))
+    assert once == ArrayJoin(targets, Filter(guard, RelVar("r")))
+    past = ArrayJoin(targets, Filter(Cmp("<", Col("k"), Lit(50)),
+                                     Filter(guard, RelVar("r"))))
+    for guarded in (once, past):
+        assert _applied(rule, guarded, (), guarded, RuleContext(cm)) \
+            is not None
+        assert _guarded(rule, guarded, (), guarded, RuleContext(cm)) is None
+    inst = GENS["R2.3"](random.Random(SEED0))
     once = _apply("R2.3", inst)
-    again = _applied(RULES_BY_ID["R2.3"], once, inst.path,
-                     subterm_at(once, inst.path), _ctx(inst))
-    assert again is None
+    sub = subterm_at(once, inst.path)
+    assert _applied(rule, once, inst.path, sub, _ctx(inst)) is not None
+    assert _guarded(rule, once, inst.path, sub, _ctx(inst)) is None
 
 
 def test_r14_push_reaches_fixpoint():
@@ -1150,9 +1168,9 @@ def _restart_driver(real):
     every round walks the root in preorder from the top, holding nothing,
     and its first hit fires, spliced in with ``replace_at``.  Bottom-up
     rounds go to `real`."""
-    def driver(term, step, stage, ctx, policy, cap=None, cap_error=None):
+    def driver(term, step, stage, ctx, policy, cap=None):
         if policy == "bottom-up":
-            return real(term, step, stage, ctx, policy, cap, cap_error)
+            return real(term, step, stage, ctx, policy, cap)
         rewrites = 0
         while True:
             ctx.bind_root(term)
@@ -1166,8 +1184,9 @@ def _restart_driver(real):
             new = replace_at(term, path, new_sub)
             rewrites += 1
             if cap is not None and rewrites > cap:
-                raise cap_error(f"{stage}: no fixpoint after {cap} "
-                                f"rewrites (last rule {rule_id})")
+                raise rewrite.FixpointCapError(
+                    f"{stage}: no fixpoint after {cap} rewrites (last rule "
+                    f"{rule_id})")
             counts = ctx.rule_counts.get(rule_id)
             if counts is not None:
                 counts[1] += 1
@@ -1326,8 +1345,9 @@ def test_schema_memo_holds_exact_schemas_of_live_nodes(monkeypatch):
             except A3DError:  # not AssertionError: a failed check raises
                 pass
     ctx = RuleContext(CostModel({}, pattern_schemas("A", 4)))
-    with pytest.raises(greedy_stage.GreedyIterationCapError):
-        greedy_stage.optimize_greedy(make_pattern("A", 4), ctx, max_steps=0)
+    monkeypatch.setattr(greedy_stage, "REWRITE_CAP", 0)
+    with pytest.raises(rewrite.FixpointCapError, match="^greedy: "):
+        greedy_stage.optimize_greedy(make_pattern("A", 4), ctx)
     assert not calls and all(n > 100 for n in rounds.values()), rounds
 
 
