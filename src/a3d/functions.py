@@ -152,12 +152,17 @@ def fn_output_kind(fn: ScalarFn, arg_kinds: list) -> str:
 # aggregate functions
 ############################################################
 
-BASIC_AGGS = ("min", "max", "sum", "count", "avg", "distinct")
+# Eager aggregation (Yan & Larson, VLDB 1995): each aggregate as the
+# (partial, final) function pairs that compute it in two stages, the final
+# function combining the partial results of a group.  avg has no
+# single-column form: it splits into a sum pair and a count pair, whose
+# final results a division finishes.
+SPLITS = {"min": (("min", "min"),), "max": (("max", "max"),),
+          "sum": (("sum", "sum"),), "count": (("count", "sum"),),
+          "avg": (("sum", "sum"), ("count", "sum")),
+          "distinct": (("distinct", "distinct"),)}
+BASIC_AGGS = tuple(SPLITS)
 FOREACH_AGGS = tuple(f"{a}ForEach" for a in ("min", "max", "sum", "count"))
-
-# Re-aggregation table: how to combine partial results of the same aggregate.
-# avg has no single-column form; rules realize it as (sum, count) pairs.
-REAGGREGATE = {"min": "min", "max": "max", "sum": "sum", "count": "sum"}
 
 
 def known_agg_fn(name: str) -> bool:

@@ -45,10 +45,12 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
     every inner group reaches the outer aggregate as exactly one row, so an
     outer min/max/sum/avg over an inner alias just passes the value through.
     The pair collapses to the inner aggregate with the outer's aliases.
+    A node where no child changed and no pair fuses is returned itself.
     """
-    kids = tuple(collapse_idempotent_reaggregation(k) for k in children(term))
-    if kids:
-        term = with_children(term, kids)
+    kids = children(term)
+    new_kids = tuple(collapse_idempotent_reaggregation(k) for k in kids)
+    if any(new is not old for new, old in zip(new_kids, kids)):
+        term = with_children(term, new_kids)
     if not (isinstance(term, Aggregate) and isinstance(term.child, Aggregate)):
         return term
     outer, inner = term, term.child

@@ -35,7 +35,11 @@ Where a rule moves one unary operator past another, or below or above a
 join, its column conditions come from ``algebra.footprint``, through three
 helpers: ``_swap`` (R1, R2.1, R5.1, R11.1, R12, R13.1, R15),
 ``_push_below_join`` (R4.1, R6, R8, R10.1) and ``_pull_above_join`` (R7,
-R10.2).
+R10.2).  The pre-aggregation rules are one transformation, eager
+aggregation: ``_split_aggs`` splits each aggregate into a partial and a
+final stage by ``functions.SPLITS``, and ``_preaggregate`` builds both
+stages around the place a rule gives the partial one (R16, R17.2, R17.3,
+R18, R20, R21).  R17.1 folds the final stage into array functions.
 
 R2.4 fuses an arrayFilter stacked on another over the same target set into
 one conjunctive arrayFilter, so the arrays are rebuilt once, not once per
@@ -114,7 +118,9 @@ from .algebra import (
     walk,
     with_children,
 )
-from .functions import ARRAY_ARG_FNS, REAGGREGATE, ScalarFn, affine_form
+from .functions import (
+    ARRAY_ARG_FNS, FOREACH_AGGS, SPLITS, ScalarFn, affine_form,
+)
 from .predicates import (
     Cmp,
     Col,
@@ -694,43 +700,71 @@ def r15(sub, ctx):
     return _swap(sub, sub.child)
 
 
-def _partial_final_specs(aggs, fresh):
-    """Split aggregate specs into partial and final stages.
+def _split_aggs(aggs, fresh, sources=None, unnest=False):
+    """Split aggregate specs into a partial and a final stage, each spec
+    by its ``SPLITS`` pairs.
 
-    Returns (inner_specs, outer_specs, finishers, drop) where finishers are
-    (alias, sum_col, count_col) triples realizing avg as a final division and
-    drop lists the scratch columns a wrapping projection must remove.
+    Returns (partial, final, finishers, elements).  With `sources`, a map
+    from each argument to the array it was unnested from, the partial
+    specs are the ForEach forms over those arrays.  With `unnest`, each
+    partial result is unnested again between the stages: `elements` lists
+    the (partial, element) column pairs, and the final specs read the
+    elements.  A spec with one pair keeps its alias at the final stage;
+    an avg gets two scratch columns there, and a finisher (alias,
+    sum_col, count_col) that divides them.  Names are drawn per spec:
+    partials, then elements, then the scratch pair.  None, before any
+    name is drawn, when a spec has no split or, with `sources`, no
+    ForEach form.
     """
-    inner, outer, finishers, drop = [], [], [], []
+    if any(s.fn not in SPLITS for s in aggs):
+        return None
+    if sources is not None and any(f"{p}ForEach" not in FOREACH_AGGS
+                                   for s in aggs for p, _ in SPLITS[s.fn]):
+        return None
+    partial, final, finishers, elements = [], [], [], []
     for spec in aggs:
-        if spec.fn == "avg":
-            ps, pc = fresh("__p"), fresh("__p")
-            fs, fc = fresh("__p"), fresh("__p")
-            inner += [AggSpec("sum", spec.arg, ps),
-                      AggSpec("count", spec.arg, pc)]
-            outer += [AggSpec("sum", ps, fs), AggSpec("sum", pc, fc)]
-            finishers.append((spec.alias, fs, fc))
-            drop += [fs, fc]
-        elif spec.fn in REAGGREGATE:
-            p = fresh("__p")
-            inner.append(AggSpec(spec.fn, spec.arg, p))
-            outer.append(AggSpec(REAGGREGATE[spec.fn], p, spec.alias))
-        elif spec.fn == "distinct":
-            p = fresh("__p")
-            inner.append(AggSpec("distinct", spec.arg, p))
-            outer.append(AggSpec("distinct", p, spec.alias))
-        else:
-            return None
-    return inner, outer, finishers, drop
+        pairs = SPLITS[spec.fn]
+        arg = spec.arg if sources is None else sources[spec.arg]
+        cols = [fresh("__p") for _ in pairs]
+        partial += [AggSpec(p if sources is None else f"{p}ForEach", arg, c)
+                    for (p, _), c in zip(pairs, cols)]
+        if unnest:
+            elems = [fresh("__p") for _ in pairs]
+            elements += zip(cols, elems)
+            cols = elems
+        outs = [spec.alias] if len(pairs) == 1 \
+            else [fresh("__p") for _ in pairs]
+        final += [AggSpec(f, c, out)
+                  for (_, f), c, out in zip(pairs, cols, outs)]
+        if len(pairs) > 1:
+            finishers.append((spec.alias, *outs))
+    return partial, final, finishers, tuple(elements)
 
 
-def _finish(term, keys_and_aliases, finishers, drop):
-    """Apply avg finishers and project scratch columns away."""
+def _finish(term, sub, finishers, project):
+    """Apply avg finishers, then, with `project`, project `term` onto the
+    keys and aliases of `sub`, dropping the scratch columns."""
     for alias, fs, fc in finishers:
         term = Derive(alias, ScalarFn.of("div"), (fs, fc), term)
-    if drop:
-        term = Project(tuple(sorted(keys_and_aliases)), term)
+    if project:
+        cols = set(sub.keys) | {s.alias for s in sub.aggs}
+        term = Project(tuple(sorted(cols)), term)
     return term
+
+
+def _preaggregate(sub, ctx, keys, below, place, sources=None, unnest=False):
+    """Eager aggregation of the Aggregate `sub`: a partial aggregate of
+    `below`, grouped by `keys`, that ``place(partial, elements)`` puts
+    under a final aggregate grouped as `sub` is, followed by the avg
+    finishers (``_split_aggs`` explains `sources`, `unnest` and
+    `elements`).  None where ``_split_aggs`` returns None."""
+    split = _split_aggs(sub.aggs, ctx.fresh, sources, unnest)
+    if split is None:
+        return None
+    partial, final, finishers, elements = split
+    inner = Aggregate(tuple(sorted(keys)), tuple(partial), below)
+    outer = Aggregate(sub.keys, tuple(final), place(inner, elements))
+    return _finish(outer, sub, finishers, bool(finishers))
 
 
 def _eager_join_agg(sub, ctx, *, require_distinct, local_keys):
@@ -750,9 +784,9 @@ def _eager_join_agg(sub, ctx, *, require_distinct, local_keys):
         return None
     if not require_distinct and "distinct" in fns:
         return None
-    for side_schema, mk in (
-        (lsch, lambda inner: Join(inner, join.right)),
-        (rsch, lambda inner: Join(join.left, inner)),
+    for side_schema, side_term, mk in (
+        (lsch, join.left, lambda inner, _: Join(inner, join.right)),
+        (rsch, join.right, lambda inner, _: Join(join.left, inner)),
     ):
         args = {s.arg for s in sub.aggs}
         if not args <= side_schema.columns - shared:
@@ -761,16 +795,9 @@ def _eager_join_agg(sub, ctx, *, require_distinct, local_keys):
         if local_keys is not None and local_keys != \
                 (keys <= side_schema.columns):
             continue
-        split = _partial_final_specs(sub.aggs, ctx.fresh)
-        if split is None:
-            continue
-        inner_specs, outer_specs, finishers, drop = split
-        inner_keys = tuple(sorted((keys & side_schema.columns) | shared))
-        side_term = join.left if side_schema is lsch else join.right
-        inner = Aggregate(inner_keys, tuple(inner_specs), side_term)
-        outer = Aggregate(sub.keys, tuple(outer_specs), mk(inner))
-        out_cols = set(sub.keys) | {s.alias for s in sub.aggs}
-        return _finish(outer, out_cols, finishers, drop)
+        # a spec that does not split fails on either side alike
+        return _preaggregate(sub, ctx, (keys & side_schema.columns) | shared,
+                             side_term, mk)
     return None
 
 
@@ -802,9 +829,9 @@ def r19(sub, ctx):
         return None
     if not {s.fn for s in sub.aggs} <= {"sum", "min", "max"}:
         return None
-    for agg_schema, cnt_schema, mk in (
-        (lsch, rsch, lambda counted: Join(join.left, counted)),
-        (rsch, lsch, lambda counted: Join(counted, join.right)),
+    for agg_schema, mk in (
+        (lsch, lambda counted: Join(join.left, counted)),
+        (rsch, lambda counted: Join(counted, join.right)),
     ):
         args = {s.arg for s in sub.aggs}
         if not args <= agg_schema.columns - shared:
@@ -840,34 +867,17 @@ def r17_1(sub, ctx):
         return None
     if not {s.arg for s in sub.aggs} <= als:
         return None
-    if not {s.fn for s in sub.aggs} <= {"min", "max", "sum", "count", "avg"}:
+    split = _split_aggs(sub.aggs, ctx.fresh, {a: s for s, a in mu.targets})
+    if split is None:
         return None
-    src_by_alias = {a: s for s, a in mu.targets}
-    fold_fn = {"min": "arrayMin", "max": "arrayMax", "sum": "arraySum",
-               "count": "arraySum"}
-    inner_specs, folds, finishers = [], [], []
-    for spec in sub.aggs:
-        src = src_by_alias[spec.arg]
-        if spec.fn == "avg":
-            ns, nc = ctx.fresh("__p"), ctx.fresh("__p")
-            ss, cc = ctx.fresh("__p"), ctx.fresh("__p")
-            inner_specs += [AggSpec("sumForEach", src, ns),
-                            AggSpec("countForEach", src, nc)]
-            folds += [(ss, "arraySum", ns), (cc, "arraySum", nc)]
-            finishers.append((spec.alias, ss, cc))
-        else:
-            n = ctx.fresh("__p")
-            inner_specs.append(AggSpec(f"{spec.fn}ForEach", src, n))
-            folds.append((spec.alias, fold_fn[spec.fn], n))
-    inner = Aggregate(sub.keys, tuple(inner_specs), mu.child)
-    guarded = Filter(_not_empty(inner_specs[0].alias), inner)
-    term: Term = guarded
-    for out, fn, arr in folds:
-        term = Derive(out, ScalarFn.of(fn), (arr,), term)
-    for alias, ss, cc in finishers:
-        term = Derive(alias, ScalarFn.of("div"), (ss, cc), term)
-    out_cols = tuple(sorted(set(sub.keys) | {s.alias for s in sub.aggs}))
-    return Project(out_cols, term)
+    partial, final, finishers, _ = split
+    inner = Aggregate(sub.keys, tuple(partial), mu.child)
+    term: Term = Filter(_not_empty(partial[0].alias), inner)
+    for spec in final:
+        # each final stage folds its partial array: sum -> arraySum, ...
+        term = Derive(spec.alias, ScalarFn.of("array" + spec.fn.capitalize()),
+                      (spec.arg,), term)
+    return _finish(term, sub, finishers, True)
 
 
 @_rule("R17.2", "cost", "group by unnested element: pre-aggregate per array",
@@ -880,21 +890,12 @@ def r17_2(sub, ctx):
         return None
     if {s.arg for s in sub.aggs} & als:
         return None  # aggregating another element: R17.3's shape
-    if not {s.fn for s in sub.aggs} <= {"min", "max", "sum", "count", "avg"}:
-        return None
+    if "distinct" in {s.fn for s in sub.aggs}:
+        return None  # R16 alone pushes distinct
     a = key_aliases[0]
     src = {al: s for s, al in mu.targets}[a]
-    scalar_keys = tuple(k for k in sub.keys if k != a)
-    split = _partial_final_specs(sub.aggs, ctx.fresh)
-    if split is None:
-        return None
-    inner_specs, outer_specs, finishers, drop = split
-    inner = Aggregate(tuple(sorted(set(scalar_keys) | {src})),
-                      tuple(inner_specs), mu.child)
-    mid = ArrayJoin(((src, a),), inner)
-    outer = Aggregate(sub.keys, tuple(outer_specs), mid)
-    out_cols = set(sub.keys) | {s.alias for s in sub.aggs}
-    return _finish(outer, out_cols, finishers, drop)
+    return _preaggregate(sub, ctx, set(sub.keys) - {a} | {src}, mu.child,
+                         lambda inner, _: ArrayJoin(((src, a),), inner))
 
 
 @_rule("R17.3", "cost", "group by one element, aggregate its corresponding one",
@@ -906,42 +907,14 @@ def r17_3(sub, ctx):
     if len(key_aliases) != 1 or not sub.aggs:
         return None
     a1 = key_aliases[0]
-    arg_aliases = {s.arg for s in sub.aggs}
-    if not arg_aliases or not arg_aliases <= als - {a1}:
-        return None
-    if not {s.fn for s in sub.aggs} <= {"min", "max", "sum", "count", "avg"}:
+    if not {s.arg for s in sub.aggs} <= als - {a1}:
         return None
     src_by_alias = {al: s for s, al in mu.targets}
     a1_src = src_by_alias[a1]
-    scalar_keys = tuple(k for k in sub.keys if k != a1)
-    foreach = {"min": "minForEach", "max": "maxForEach", "sum": "sumForEach",
-               "count": "countForEach"}
-    inner_specs, unnest_extra, outer_specs, finishers, drop = [], [], [], [], []
-    for spec in sub.aggs:
-        src = src_by_alias[spec.arg]
-        if spec.fn == "avg":
-            ns, nc = ctx.fresh("__p"), ctx.fresh("__p")
-            es, ec = ctx.fresh("__p"), ctx.fresh("__p")
-            fs, fc = ctx.fresh("__p"), ctx.fresh("__p")
-            inner_specs += [AggSpec("sumForEach", src, ns),
-                            AggSpec("countForEach", src, nc)]
-            unnest_extra += [(ns, es), (nc, ec)]
-            outer_specs += [AggSpec("sum", es, fs), AggSpec("sum", ec, fc)]
-            finishers.append((spec.alias, fs, fc))
-            drop += [fs, fc]
-        else:
-            n = ctx.fresh("__p")
-            e = ctx.fresh("__p")
-            inner_specs.append(AggSpec(foreach[spec.fn], src, n))
-            unnest_extra.append((n, e))
-            outer_specs.append(
-                AggSpec(REAGGREGATE[spec.fn], e, spec.alias))
-    inner = Aggregate(tuple(sorted(set(scalar_keys) | {a1_src})),
-                      tuple(inner_specs), mu.child)
-    mid = ArrayJoin(((a1_src, a1),) + tuple(unnest_extra), inner)
-    outer = Aggregate(sub.keys, tuple(outer_specs), mid)
-    out_cols = set(sub.keys) | {s.alias for s in sub.aggs}
-    return _finish(outer, out_cols, finishers, drop)
+    return _preaggregate(
+        sub, ctx, set(sub.keys) - {a1} | {a1_src}, mu.child,
+        lambda inner, elements: ArrayJoin(((a1_src, a1),) + elements, inner),
+        sources=src_by_alias, unnest=True)
 
 
 @_rule("R20", "cost", "pre-aggregate below arrayJoin (alias-independent)",
@@ -951,19 +924,10 @@ def r20(sub, ctx):
     als = _aliases(mu.targets)
     if not sub.aggs or set(sub.keys) & als or {s.arg for s in sub.aggs} & als:
         return None
-    if not {s.fn for s in sub.aggs} <= {"min", "max", "sum", "count", "avg"}:
-        return None
-    split = _partial_final_specs(sub.aggs, ctx.fresh)
-    if split is None:
-        return None
-    inner_specs, outer_specs, finishers, drop = split
-    srcs = tuple(sorted(_sources(mu.targets)))
-    inner = Aggregate(tuple(sorted(set(sub.keys) | set(srcs))),
-                      tuple(inner_specs), mu.child)
-    mid = ArrayJoin(mu.targets, inner)
-    outer = Aggregate(sub.keys, tuple(outer_specs), mid)
-    out_cols = set(sub.keys) | {s.alias for s in sub.aggs}
-    return _finish(outer, out_cols, finishers, drop)
+    if "distinct" in {s.fn for s in sub.aggs}:
+        return None  # R16 alone pushes distinct
+    return _preaggregate(sub, ctx, set(sub.keys) | _sources(mu.targets),
+                         mu.child, lambda inner, _: ArrayJoin(mu.targets, inner))
 
 
 ############################################################

@@ -274,7 +274,7 @@ def genspec_from_json(doc: dict) -> GenSpec:
     if type(doc) is not dict:
         raise PlanParseError("generation spec must be a JSON object")
     _check_keys(doc, _SPEC_KEYS)
-    specs = doc.get("columns") or {}
+    specs = doc.get("columns")
     if type(specs) is not dict:
         raise PlanParseError("must be an object", "columns")
     columns = {}

@@ -40,6 +40,7 @@ CAPTURE_PLAN = Path(__file__).parent / "data" / "capture_plan.json"
 # script, plan documents as --plan and statistics as --stats
 MALFORMED = Path(__file__).parent / "data" / "malformed"
 INVALID = Path(__file__).parent / "data" / "invalid"
+GEN_SPEC_FILE = Path(__file__).parent / "data" / "gen_spec.json"
 
 CATALOG = {"relations": {
     "R": {"scalars": ["k", "x"], "arrays": ["v"]},
@@ -638,11 +639,43 @@ def test_gen_rejects_a_bad_spec(tmp_path, capsys):
                     "dist": {"name": "uniform", "ndv": True}}}),
                 dict(GEN_SPEC, columns={"k": dict(GEN_SPEC["columns"]["k"],
                                                   null_probability=None)}),
-                dict(GEN_SPEC, columns=["x"])):
+                dict(GEN_SPEC, columns=["x"]),
+                # each generated rows with an empty schema
+                {"row_count": 3},
+                dict(GEN_SPEC, columns=None),
+                dict(GEN_SPEC, columns=[])):
         spec.write_text(json.dumps(doc))
         assert cli.main(["gen", "--spec", str(spec)]) == 1, doc
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "parse", doc
+
+
+@pytest.mark.parametrize("doc", [{"row_count": 3},
+                                 dict(GEN_SPEC, columns=None),
+                                 dict(GEN_SPEC, columns=[])],
+                         ids=["missing", "null", "list"])
+def test_gen_spec_columns_must_be_an_object(doc):
+    with pytest.raises(cli.PlanParseError) as bad:
+        genspec_from_json(doc)
+    assert str(bad.value) == "columns: must be an object"
+
+
+@pytest.mark.parametrize("spec", sorted(MALFORMED.glob("*_spec.json")),
+                         ids=lambda path: path.stem)
+def test_malformed_gen_spec_exits_with_one_parse_record(capsys, spec):
+    code = cli.main(["gen", "--spec", str(spec)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "parse"
+
+
+def test_sample_gen_spec_generates_its_relation(capsys):
+    assert cli.main(["gen", "--spec", str(GEN_SPEC_FILE)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    want = generate(genspec_from_json(json.loads(GEN_SPEC_FILE.read_text())))
+    assert len(json.loads(out)["rows"]) == len(want.rows) > 0
 
 
 @pytest.mark.parametrize("doc, message", [

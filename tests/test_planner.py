@@ -2212,6 +2212,23 @@ def test_collapse_reaggregation_fuses_identity_pairs():
     assert collapse_idempotent_reaggregation(other) == other
 
 
+def test_postprocess_returns_its_input_where_nothing_fires():
+    # neither a rule nor the collapse rebuilds a node: the plan comes back
+    # as the same object, down to its leaves
+    inner = Aggregate(("k",), (AggSpec("sum", "x", "s"),), RelVar("L"))
+    outer = Aggregate(("k",), (AggSpec("count", "s", "n"),), inner)
+    term = Filter(lt("n", 3), Join(outer, RelVar("R")))
+    assert collapse_idempotent_reaggregation(term) is term
+    assert postprocess(term, ctx_for(two_rel_model())) is term
+    # nor where the guard rejects each pre-aggregation it is offered
+    schema = Schema.of(scalars=("k1", "k2", "k3", "k4"), arrays=("v",))
+    term = Aggregate(("k1", "k2", "k3", "k4"), (AggSpec("sum", "e", "s"),),
+                     ArrayJoin((("v", "e"),), RelVar("R")))
+    ctx = ctx_for(CostModel({}, {"R": schema}))
+    assert postprocess(term, ctx) is term
+    assert ctx.rule_counts["R20"] == [1, 0]
+
+
 ############################################################
 # greedy mode
 ############################################################

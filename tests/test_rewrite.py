@@ -11,6 +11,7 @@ import importlib
 import itertools
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from a3d.algebra import (
     SchemaError,
     children,
     evaluate,
+    format_term,
     output_schema,
     replace_at,
     walk,
@@ -246,6 +248,46 @@ def test_rule_application_is_deterministic(rule_id):
     rng = random.Random(SEED0 + 7)
     inst = GENS[rule_id](rng)
     assert _apply(rule_id, inst) == _apply(rule_id, inst)
+
+
+# the pre-aggregation rules, each with the aggregate functions it accepts
+PREAGG_FNS = {"R16": {"distinct"}, "R19": {"sum", "min", "max"},
+              **{r: {"min", "max", "sum", "count", "avg"} for r in
+                 ("R17.1", "R17.2", "R17.3", "R18", "R20", "R21")}}
+PREAGG_GOLDEN = Path(__file__).parent / "golden" / "preagg_rewrites.txt"
+N_GOLDEN = 20
+
+
+def _preagg_golden_text():
+    """Each pre-aggregation rule's rewrite of its first `N_GOLDEN`
+    instances, seeded as in ``test_rule_preserves_results``: a ``#`` line
+    naming the rule and seed, then ``format_term`` of the rewritten root.
+    To write the file again, run ``PREAGG_GOLDEN.write_text(...)`` of this
+    text with ``src`` and ``tests`` on the path."""
+    blocks = []
+    for rule_id in sorted(PREAGG_FNS):
+        for i in range(N_GOLDEN):
+            seed = SEED0 + 1000 * i + _stable(rule_id)
+            inst = GENS[rule_id](random.Random(seed))
+            blocks.append(f"# {rule_id} seed {seed}\n"
+                          + format_term(_apply(rule_id, inst)) + "\n")
+    return "".join(blocks)
+
+
+def test_preagg_instances_cover_every_accepted_function():
+    for rule_id, fns in PREAGG_FNS.items():
+        seen = set()
+        for i in range(N_GOLDEN):
+            seed = SEED0 + 1000 * i + _stable(rule_id)
+            inst = GENS[rule_id](random.Random(seed))
+            agg = subterm_at(inst.term, inst.path)
+            seen |= {s.fn for s in agg.aggs}
+        assert seen == fns, rule_id
+
+
+def test_preagg_rewrites_match_the_golden_file():
+    # pins every term and fresh name the shared partial/final split builds
+    assert _preagg_golden_text() == PREAGG_GOLDEN.read_text()
 
 
 def test_set_mode_spot_checks():
