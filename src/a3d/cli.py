@@ -110,8 +110,11 @@ the shallowest that ends in a RecursionError, in the ClickHouse emitter.
 The bound does not cover the planned term, which can nest far deeper than
 the document: preprocess makes one filter of each conjunct, so a filter
 on a conjunction of 500 comparisons, five JSON levels deep, plans as a
-stack of 500 filters.  A RecursionError while planning or emitting is one
-``infeasible`` record, with exit 3.
+stack of 500 filters.  Greedy and enumerate mode plan it and write it with
+``--emit plan``, as a document deeper than this bound; the SQL and dot
+emitters recurse too deeply for it, and 1,000 conjuncts do not plan.  A
+RecursionError while planning or emitting is one ``infeasible`` record,
+with exit 3.
 
 An error names the path of keys from the document's root down to the bad
 value, for example ``term['input']['pred']['rhs']['value']``.

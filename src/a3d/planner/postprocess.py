@@ -11,7 +11,9 @@ and saves none, so the guard rejects it, as it does in greedy's rounds.
 The same pass fuses arrayFilters that operator placement stacked over one
 target set (R2.4); the fused filter is never costlier, so it needs no guard.
 At each node the pass tries only the rules whose shapes match it
-(``rewrite.rules_at``), in the order of ``_RULES``.
+(``rewrite.rules_at``), in the order of ``_RULES``, and last the collapse
+of an aggregate over one with the same keys into one aggregate
+(``reagg-collapse``), which needs no guard either.
 
 The pass runs ``rewrite_to_fixpoint``'s ``sweep`` rounds, as the emptiness
 guards of preprocess do: each round tries every node and fires the rewrite
@@ -25,7 +27,7 @@ diagnostic instead of a hang.  The ``RuleContext`` carries the cost model
 and the trace.
 """
 
-from ..algebra import Aggregate, AggSpec, Term, children, with_children
+from ..algebra import Aggregate, AggSpec, Term
 from ..rewrite import RuleContext, first_rewrite, rewrite_to_fixpoint
 
 # Order matters only for ties; the list is scanned first-match per node.
@@ -39,18 +41,14 @@ _SINGLETON_IDENTITY = {"min", "max", "sum", "avg"}
 
 
 def collapse_idempotent_reaggregation(term: Term) -> Term:
-    """Fuse Γ_K(Γ_K(X)) into one aggregate.
+    """Fuse Γ_K(Γ_K(X)) at `term` into one aggregate.
 
     When an aggregate's child is another aggregate over the same key set,
     every inner group reaches the outer aggregate as exactly one row, so an
     outer min/max/sum/avg over an inner alias just passes the value through.
     The pair collapses to the inner aggregate with the outer's aliases.
-    A node where no child changed and no pair fuses is returned itself.
+    Only `term` itself is tried: where it does not fuse, it is returned.
     """
-    kids = children(term)
-    new_kids = tuple(collapse_idempotent_reaggregation(k) for k in kids)
-    if any(new is not old for new, old in zip(new_kids, kids)):
-        term = with_children(term, new_kids)
     if not (isinstance(term, Aggregate) and isinstance(term.child, Aggregate)):
         return term
     outer, inner = term, term.child
@@ -69,8 +67,9 @@ def collapse_idempotent_reaggregation(term: Term) -> Term:
 def postprocess(term: Term, ctx: RuleContext) -> Term:
     """Apply pre-aggregation rules top-down to a cost-guarded fixpoint."""
     def step(path, sub):
-        return first_rewrite(_RULES, path, sub, ctx)
+        fused = collapse_idempotent_reaggregation(sub)
+        return first_rewrite(_RULES, path, sub, ctx) or (
+            None if fused is sub else ("reagg-collapse", fused))
 
-    term = rewrite_to_fixpoint(term, step, "postprocess", ctx, "sweep",
+    return rewrite_to_fixpoint(term, step, "postprocess", ctx, "sweep",
                                cap=REWRITE_CAP)
-    return collapse_idempotent_reaggregation(term)

@@ -1,35 +1,41 @@
 """Pipeline stage one: normalize a term for decomposition.
 
-Five sub-passes, each semantics-preserving:
+Three passes, each semantics-preserving:
 
-1. projection pull-up  -- inner projections bubble to the root so column
-   pruning never hides operators from the enumerator; blocked only where
-   removing the projection would change a join's key set or capture an
-   alias, in which case the projection stays put.
-2. conjunct split      -- σ(p ∧ q) becomes σ(p)(σ(q)) so each conjunct ranks
-   and moves independently.
-3. invert + descend    -- a filter over an affine derive's output is
-   inverted onto the derive's source column (R13.2); filters are then pushed
-   down through derives/arrayJoins until a filter sits directly on unnest
-   aliases and converts into an arrayFilter (R2.2).  The arrayFilters that
-   the conjuncts of one filter become over the same arrays are fused into
-   one conjunctive arrayFilter (R2.4), so each array is rebuilt once.  Only
-   greedy mode rewinds an arrayFilter through an invertible map (R11.2).
-4. emptiness guards    -- a filter dropping empty arrays is inserted under an
+1. descend            -- one ``resume`` stage whose step tries, at each
+   node and in this order:
+   - conjunct split (``conjunct-split``): σ(p ∧ q) becomes σ(p)(σ(q)), so
+     each conjunct ranks and moves independently;
+   - projection pull-up (``project-pull``): an inner projection moves one
+     level up, so column pruning never hides operators from the
+     enumerator; blocked where removing the projection would change a
+     join's key set or capture an alias, in which case it stays put;
+   - the catalog rules of ``_DESCEND_RULES``: a filter over an affine
+     derive's output is inverted onto the derive's source column (R13.2);
+     filters are pushed down through derives and arrayJoins until a
+     filter sits directly on unnest aliases and converts into an
+     arrayFilter (R2.2); the arrayFilters that the conjuncts of one
+     filter become over the same arrays are fused into one conjunctive
+     arrayFilter (R2.4), so each array is rebuilt once;
+   - a filter commutes past an arrayFilter (``filter-past-arrayFilter``).
+   Only greedy mode rewinds an arrayFilter through an invertible map
+   (R11.2).
+2. emptiness guards   -- a filter dropping empty arrays is inserted under an
    arrayJoin when the cost model says it pays.
-5. dead derive removal -- derives whose output nothing consumes are dropped.
+3. dead derive removal -- derives whose output nothing consumes are
+   dropped, in one pass traced as one record.
 
-Sub-passes take ``(term, ctx)``; the ``RuleContext`` carries the cost model
-that guards step 4 and the trace.  Steps 3 and 4 name their catalog rules
+Passes take ``(term, ctx)``; the ``RuleContext`` carries the cost model
+that guards pass 2 and the trace.  Passes 1 and 2 name their catalog rules
 as an ordered id tuple and try, at each node, those whose shapes match it
-(``rewrite.rules_at``).  Steps 1 and 3 decide from a node, its
-children and its grandchildren's schemas, so their rounds resume at the
-last rewrite's parent (``rewrite_to_fixpoint``'s ``resume``); step 4's
-guard reads the whole term, so each of its rounds sweeps it (``sweep``).
-Their steps take ``(path, sub)`` and return ``(rule_id, new_sub)``: the
-driver splices the rewritten subterm in, rebuilding in a resume round
-only the nodes above it that the walk climbs back past, and never keeping
-a replaced subterm alive.
+(``rewrite.rules_at``).  Pass 1 decides from a node, its children and its
+grandchildren's schemas, so its rounds resume at the last rewrite's parent
+(``rewrite_to_fixpoint``'s ``resume``); pass 2's guard reads the whole
+term, so each of its rounds sweeps it (``sweep``).  Their steps take
+``(path, sub)`` and return ``(rule_id, new_sub)``: the driver splices the
+rewritten subterm in and traces it, rebuilding in a resume round only the
+nodes above it that the walk climbs back past, and never keeping a
+replaced subterm alive.
 """
 
 from ..algebra import (
@@ -43,8 +49,19 @@ from ..rewrite import (
 
 
 ############################################################
-# 1. projection pull-up
+# 1. conjunct split, projection pull-up, filter descent
 ############################################################
+
+def _split_conjunction(term: Term):
+    """σ(p1 ∧ … ∧ pn)(X) -> σ(p1)(…σ(pn)(X)); None if not a conjunction."""
+    parts = split_conjuncts(term.pred) if isinstance(term, Filter) else ()
+    if len(parts) < 2:
+        return None
+    out = term.child
+    for pred in reversed(parts):
+        out = Filter(pred, out)
+    return out
+
 
 def _hoist_once(term: Term, ctx: RuleContext):
     """Move a Project one level up through `term` if legal; None otherwise."""
@@ -88,35 +105,6 @@ def _hoist_once(term: Term, ctx: RuleContext):
     return None
 
 
-def pull_projections_up(term: Term, ctx: RuleContext) -> Term:
-    def step(path, sub):
-        lifted = _hoist_once(sub, ctx)
-        return None if lifted is None else ("project-pull", lifted)
-
-    return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
-
-
-############################################################
-# 2. conjunct split
-############################################################
-
-def split_filter_conjuncts(term: Term) -> Term:
-    kids = tuple(split_filter_conjuncts(k) for k in children(term))
-    term = with_children(term, kids) if kids else term
-    if isinstance(term, Filter):
-        parts = split_conjuncts(term.pred)
-        if len(parts) > 1:
-            out = term.child
-            for pred in reversed(parts):
-                out = Filter(pred, out)
-            return out
-    return term
-
-
-############################################################
-# 3. filter inversion and descent
-############################################################
-
 # R2.4 on stacked arrayFilters; the rest, in this order, on a filter
 _DESCEND_RULES = ("R2.4", "R2.2", "R13.2", "R13.1", "R2.1")
 
@@ -128,22 +116,27 @@ def _commute_filter_past_array_filter(sub: Term):
     return None
 
 
+def _named(rule_id: str, new):
+    """A step's hit, ``(rule_id, new)``, or None where `new` is None."""
+    return None if new is None else (rule_id, new)
+
+
 def descend_filters(term: Term, ctx: RuleContext) -> Term:
-    """Push filters toward arrayJoins; convert to arrayFilter on contact,
-    and fuse the arrayFilters so stacked over one target set (R2.4)."""
+    """Split conjunctions, pull projections up and push filters toward
+    arrayJoins; convert to arrayFilter on contact, and fuse the
+    arrayFilters so stacked over one target set (R2.4)."""
     def step(path, sub):
-        hit = first_rewrite(_DESCEND_RULES, path, sub, ctx)
-        if hit is not None:
-            return hit
-        swapped = _commute_filter_past_array_filter(sub)
-        return None if swapped is None \
-            else ("filter-past-arrayFilter", swapped)
+        return (_named("conjunct-split", _split_conjunction(sub))
+                or _named("project-pull", _hoist_once(sub, ctx))
+                or first_rewrite(_DESCEND_RULES, path, sub, ctx)
+                or _named("filter-past-arrayFilter",
+                          _commute_filter_past_array_filter(sub)))
 
     return rewrite_to_fixpoint(term, step, "preprocess", ctx, "resume")
 
 
 ############################################################
-# 4. emptiness guards before unnesting
+# 2. emptiness guards before unnesting
 ############################################################
 
 def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
@@ -154,7 +147,7 @@ def insert_empty_guards(term: Term, ctx: RuleContext) -> Term:
 
 
 ############################################################
-# 5. dead derive removal
+# 3. dead derive removal
 ############################################################
 
 def _child_needs(t: Term, needed: set) -> set:
@@ -190,12 +183,7 @@ def drop_dead_derives(term: Term, ctx: RuleContext) -> Term:
 
 def preprocess(term: Term, ctx: RuleContext) -> Term:
     """Normalize `term` for decomposition; semantics are preserved."""
-    term = pull_projections_up(term, ctx)
-    term = split_filter_conjuncts(term)
     term = descend_filters(term, ctx)
-    # a projection kept under a derive that writes a column it hides may
-    # now carry a filter that R13.1 moved below the derive
-    term = pull_projections_up(term, ctx)
     term = insert_empty_guards(term, ctx)
     pruned = drop_dead_derives(term, ctx)
     if ctx.trace is not None and pruned != term:

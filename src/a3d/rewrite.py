@@ -71,9 +71,9 @@ down in the round's table (``RuleContext.results``); from the next visit
 on it keeps each node's ``(cost, state, schema)`` until its grandparent
 has been visited, so a later guard reads `sub` and the nodes it keeps.
 No result outlives its round.  The rule-only preprocess
-stages run ``resume`` rounds: after a rewrite the next round starts at
+stage runs ``resume`` rounds: after a rewrite the next round starts at
 the rewrite's parent, since every node before it in preorder would miss
-again.  They walk a zipper (``_Zipper``): the path from the root to the
+again.  It walks a zipper (``_Zipper``): the path from the root to the
 visited node, so a rewrite rebuilds its parent alone and the root is
 built only where it is read (``RuleContext.root``).  No frame of the path
 keeps a replaced subterm alive.  The schema memo serves rounds of every

@@ -263,7 +263,8 @@ def _dist_from_json(doc, *at) -> Dist:
 
 
 def genspec_from_json(doc: dict) -> GenSpec:
-    """Parse {"row_count", "seed"?, "columns": {name: column}} into a spec.
+    """Parse {"row_count", "seed"?, "columns": {name: column, ...}} into a
+    spec of at least one column.
 
     Scalar columns: {"kind": "scalar", "dist": {...}, "null_probability"?}.
     Array columns: {"kind": "array", "elem": {...}, "length": {...},
@@ -277,6 +278,8 @@ def genspec_from_json(doc: dict) -> GenSpec:
     specs = doc.get("columns")
     if type(specs) is not dict:
         raise PlanParseError("must be an object", "columns")
+    if not specs:
+        raise PlanParseError("must name at least one column", "columns")
     columns = {}
     for name, c in specs.items():
         kind = c.get("kind") if type(c) is dict else None

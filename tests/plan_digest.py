@@ -8,17 +8,19 @@ Run from the repository root, once per checkout, and diff the outputs:
     diff old.txt new.txt
 
 Each line reads ``<corpus>/<seed>/<mode> <plan digest> <rules digest>
-<fires digest> <work digest>``.  The plan digest covers the plan's term,
-cost, counters other than the rule and search-work counters, trace records
+<fires digest> <work digest> <trace digest>``.  The plan digest covers the
+plan's term, cost, counters other than the rule and search-work counters
 and ClickHouse SQL, or the type and message of the exception planning
 raised.  The rules digest covers ``counters["rules"]``, each rule's attempts
 and fires; the fires digest covers ``{rule: fires}`` over the rules that
 fired, so a change that only moves attempt counts changes rules digests and
 no fires digest.  The work digest covers the search-work counters
 (``WORK_COUNTERS``: the enumerator's and the oracle's), so a change that
-only moves search work changes work digests and no plan digest.  The last
-three are ``-`` where planning raised or the planner does not report the
-counters.
+only moves search work changes work digests and no plan digest.  The trace
+digest covers the trace records, so a change that only adds or reorders
+records changes trace digests and no plan digest.  The rules, fires and
+work digests are ``-`` where planning raised or the planner does not report
+the counters, and the trace digest is ``-`` where planning raised.
 
 The digests depend on the script as well as on the planner, so compare two
 commits with one script: run this file against each checkout's ``src``
@@ -150,23 +152,24 @@ def _hash(payload) -> str:
 
 
 def digest(thunk) -> tuple:
-    """(plan digest, rules digest, fires digest, work digest) of one
-    planning call."""
+    """(plan digest, rules digest, fires digest, work digest, trace
+    digest) of one planning call."""
     try:
         res, sql = thunk()
     except Exception as exc:  # the error is part of the output
-        return _hash([type(exc).__name__, str(exc)]), "-", "-", "-"
+        return _hash([type(exc).__name__, str(exc)]), "-", "-", "-", "-"
     counters = dict(res.counters)
     rules = counters.pop("rules", None)
     work = {name: counters.pop(name) for name in WORK_COUNTERS
             if name in counters}
-    plan_digest = _hash([repr(res.term), repr(res.cost), counters,
-                         res.trace, sql])
+    plan_digest = _hash([repr(res.term), repr(res.cost), counters, sql])
     work_digest = _hash(work) if work else "-"
+    trace_digest = _hash(res.trace)
     if rules is None:
-        return plan_digest, "-", "-", work_digest
+        return plan_digest, "-", "-", work_digest, trace_digest
     fires = {rule: n[1] for rule, n in rules.items() if n[1]}
-    return plan_digest, _hash(rules), _hash(fires), work_digest
+    return (plan_digest, _hash(rules), _hash(fires), work_digest,
+            trace_digest)
 
 
 def main() -> None:

@@ -292,26 +292,51 @@ def test_the_deepest_term_plans_and_emits_in_every_target(
 
 
 @pytest.mark.parametrize("conjuncts", [500, 1000])
-def test_a_wide_conjunction_ends_in_one_infeasible_record(tmp_path, capsys,
-                                                         conjuncts):
+def test_a_wide_conjunction_ends_in_one_infeasible_record(
+        tmp_path, capsys, monkeypatch, conjuncts):
     # σ(x > 0 ∧ … ∧ x > n-1)(R) nests five JSON levels, but preprocess
     # makes one filter of each conjunct, and planning the stack ended in a
     # RecursionError traceback: at 500 conjuncts in greedy and enumerate
     # mode, at 1,000 in every mode.  The oracle refuses 500 operators.
+    # Preprocess splits a conjunction in its rounds, not by recursion, so
+    # greedy and enumerate plan 500 conjuncts and emit them as a plan
+    # document; the SQL and dot emitters still recurse too deeply
     pred = {"pred": "and", "parts": [_cmp(">", "x", i)
                                      for i in range(conjuncts)]}
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
         "a3d_plan": 1, "catalog": CATALOG,
         "term": {"op": "filter", "pred": pred, "input": _rel("R")}}))
+    planned = []
     for mode in MODES:
         for emit in cli.EMIT_TARGETS:
             code = cli.main(["--plan", str(plan), "--mode", mode,
                              "--emit", emit])
             out, err = capsys.readouterr()
+            if conjuncts == 500 and mode != "oracle" and emit == "plan":
+                assert (code, err) == (0, ""), mode
+                planned.append(out)
+                continue
             assert (code, out) == (3, ""), (mode, emit)
             [line] = err.splitlines()
             assert json.loads(line)["error"] == "infeasible", (mode, emit)
+    assert len(planned) == (2 if conjuncts == 500 else 0)
+    # a stack of 500 filters nests deeper than a term may: the strict
+    # reader refuses it with one parse record, and reads it back as it was
+    # written once its bound admits that depth
+    bound = cli.MAX_TERM_DEPTH
+    for out in planned:
+        plan.write_text(out)
+        assert cli.main(["--plan", str(plan), "--emit", "plan"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "parse"
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "MAX_TERM_DEPTH", 2 * bound)
+            code = cli.main(["--plan", str(plan), "--mode", "greedy",
+                             "--emit", "plan"])
+        again, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(again)["term"] == json.loads(out)["term"]
 
 
 def test_a_recursion_error_while_emitting_is_one_infeasible_record(
@@ -658,6 +683,13 @@ def test_gen_spec_columns_must_be_an_object(doc):
     with pytest.raises(cli.PlanParseError) as bad:
         genspec_from_json(doc)
     assert str(bad.value) == "columns: must be an object"
+
+
+def test_gen_spec_names_at_least_one_column():
+    # an empty object made ``a3d gen`` write rows with an empty schema
+    with pytest.raises(cli.PlanParseError) as bad:
+        genspec_from_json({"row_count": 2, "columns": {}})
+    assert str(bad.value) == "columns: must name at least one column"
 
 
 @pytest.mark.parametrize("spec", sorted(MALFORMED.glob("*_spec.json")),

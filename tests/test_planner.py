@@ -2037,7 +2037,7 @@ def test_mid_tree_projections_are_hoisted():
 def test_filter_moved_onto_a_kept_projection_is_pulled_under_it():
     # the projection hides y, which the derive writes, so it stays under
     # the derive; R13.1 then moves the filter below the derive, onto the
-    # projection, and only the second pull-up puts the filter under it
+    # projection, and a pull-up in a later round puts the filter under it
     schemas = {"r": Schema.of(scalars=["k", "x", "y"])}
     neg = ScalarFn.of("neg")
     term = Filter(lt("k", 5), Derive("y", neg, ("x",),
@@ -2079,13 +2079,15 @@ def test_pattern_b_conjuncts_fuse_into_one_element_filter(n):
         [Cmp(">", Col(f"e{i}"), Lit(i)) for i in range(n, 0, -1)]
 
 
-@pytest.mark.parametrize("pattern,steps,fires", [("A", 259, 32),
-                                                  ("B", 73, 31)])
+@pytest.mark.parametrize("pattern,steps,fires", [("A", 161, 32),
+                                                  ("B", 68, 32)])
 def test_preprocess_work_on_the_bench_patterns(monkeypatch, pattern, steps,
                                                fires):
     # resume rounds retry from the rewrite's parent, not from the root:
     # restarting there took 964 step calls on A16 and 178 on B16 for the
-    # same rewrites
+    # same rewrites.  One resume stage for the conjunct split, the
+    # projection pull-ups and the descent took A16 from 259 calls to 161;
+    # B16's conjunct split is now a step, and its 32nd record
     stage = importlib.import_module("a3d.planner.preprocess")
     calls = [0]
     real = stage.rewrite_to_fixpoint
@@ -2100,6 +2102,21 @@ def test_preprocess_work_on_the_bench_patterns(monkeypatch, pattern, steps,
     ctx = RuleContext(CostModel({}, pattern_schemas(pattern, 16)), (), [])
     preprocess(make_pattern(pattern, 16), ctx)
     assert (calls[0], len(ctx.trace)) == (steps, fires)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "enumerate", "preprocess"])
+def test_a256_plans_within_the_default_recursion_limit(mode):
+    # 768 unary operators.  The recursive conjunct split overflowed from
+    # about 170 blocks up; as a step of preprocess's rounds it recurses
+    # over nothing, and A310 still plans (see ROADMAP item 23)
+    term, schemas = make_pattern("A", 256), pattern_schemas("A", 256)
+    if mode == "preprocess":  # the stage alone
+        ctx = RuleContext(CostModel({}, schemas))
+        out = preprocess(term, ctx)
+        assert output_schema(out, schemas) == output_schema(term, schemas)
+    else:
+        res = optimize(term, schemas, mode=mode)
+        assert not any(isinstance(s, Filter) for _, s in walk(res.term))
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -2371,6 +2388,53 @@ def test_trace_records_are_golden(name, mode):
     assert got == GOLDEN_TRACES[name, mode]
     assert all(set(r) == {"stage", "rule", "path", "before_cost",
                           "after_cost"} for r in res.trace)
+
+
+def _trace_chain_queries():
+    """(name, term, schemas, statistics) of the queries whose greedy traces
+    must chain from the input's cost to the plan's."""
+    for seed in range(300):
+        yield (f"random/{seed}", *random_query(seed))
+    for seed in range(6000, 6300):
+        yield (f"inner/{seed}", *inner_query(seed))
+    for kind in "AB":
+        yield f"{kind}16", make_pattern(kind, 16), pattern_schemas(kind, 16), \
+            None
+
+
+def _assert_trace_chains(trace, before: float, after: float, name) -> None:
+    """`trace`'s costs chain from `before`, record by record, to `after`."""
+    for rec in trace:
+        assert rec["before_cost"] == before, (name, rec)
+        before = rec["after_cost"]
+    assert before == after, name
+
+
+def test_the_trace_accounts_for_every_rewrite():
+    # every rewrite of the plan is a record, the conjunct split and the
+    # reaggregation collapse among them: the first record starts at the
+    # input's cost, each starts where the last ended, and the last ends
+    # at the plan's
+    chains = 0
+    for name, term, schemas, stats in _trace_chain_queries():
+        try:
+            res = optimize(term, schemas, stats=stats, mode="greedy",
+                           trace=True)
+        except A3DError:
+            continue
+        cost = CostModel(dict(stats or {}), schemas).term_cost(term).cost
+        _assert_trace_chains(res.trace, cost, res.cost, name)
+        chains += bool(res.trace)
+    assert chains > 450  # 488 of the 602 plans rewrite at least once
+
+
+def test_a_traced_preprocess_chains_from_its_input_to_its_output():
+    for name, term, schemas, stats in _trace_chain_queries():
+        cm = CostModel(dict(stats or {}), schemas)
+        ctx = RuleContext(cm, (), [])
+        out = preprocess(term, ctx)
+        _assert_trace_chains(ctx.trace, cm.term_cost(term).cost,
+                             cm.term_cost(out).cost, name)
 
 
 def test_optimize_rejects_a_plan_that_changes_the_output_schema(

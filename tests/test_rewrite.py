@@ -1194,10 +1194,12 @@ def _rule_step(rule_id):
     return lambda sub, ctx: rewrite._attempt(RULES_BY_ID[rule_id], sub, ctx)
 
 
-# what the two resume stages, pull_projections_up and descend_filters, try
+# what the resume stage, descend_filters, tries
 RESUME_STEPS = {
     **{rule_id: _rule_step(rule_id)
        for rule_id in preprocess_stage._DESCEND_RULES},
+    "conjunct-split":
+        lambda sub, ctx: preprocess_stage._split_conjunction(sub),
     "project-pull": preprocess_stage._hoist_once,
     "filter-past-arrayFilter":
         lambda sub, ctx:
@@ -1286,8 +1288,8 @@ def test_resume_and_sweep_rounds_match_restarting_from_the_root(
 
 
 def _roots_of_resume_stages(term, schemas, monkeypatch):
-    """Every root that pull_projections_up and descend_filters visit on
-    `term`, as preprocess runs them, under the restarting driver."""
+    """Every root that descend_filters visits on `term`, as preprocess
+    runs it, under the restarting driver."""
     roots = []
     real = _restart_driver(rewrite.rewrite_to_fixpoint)
 
