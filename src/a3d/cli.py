@@ -13,7 +13,19 @@ A usage error (an unknown flag, a value a flag does not take, a missing
 prints the usage and exits 0.
 
 A second form, ``a3d gen --spec spec.json --out rel.json``, generates a
-relation from a distribution spec (see `testkit.genspec_from_json`).
+relation from a generation spec.
+
+This module reads all three input documents, the plan document, the
+statistics document and the generation spec, and each of their objects
+through one codec table: an object is an entry that names its keys, each
+key's codec, and the class or function that builds its value (``_object``,
+``_list_of`` and ``_map_of``).  What one object cannot check, the three
+readers check after it: the plan version, that a correspondence lies over
+one relation's arrays, that a statistics key names a catalog column of its
+entry's kind, one row count per relation, at least one generated column,
+and what `testkit.generate` requires of a spec.  Every object that the
+formats below name holds no key they do not list: an unknown key, a
+misspelt one too, is a parse error that names the object's path.
 
 Plan document::
 
@@ -26,11 +38,9 @@ Plan document::
 
 ``scalars``, ``arrays``, ``correspondences`` and ``options`` and each of
 its keys may be left out; a command-line flag overrides its option.  A
-correspondence names two or more array columns of one relation.  An
-object whose keys the format names (the envelope, the catalog, a relation
-entry, ``options``, and each term, predicate, expression, aggregate and
-function below) holds no other key: an unknown key, a misspelt one too, is
-a parse error that names the object's path.
+``mode`` is one of the planner's modes and an ``emit`` one of the emit
+targets.  A correspondence names two or more array columns of one
+relation.
 
 A term, a predicate and an expression are each a JSON object whose ``op``,
 ``pred`` or ``expr`` key names its tag; the tables ``_TERMS``, ``_PREDS``
@@ -81,10 +91,12 @@ and a ``kind``:
 - ``exact``: ``freq``, a list of ``[value, fraction]`` pairs with a scalar
   literal value and a number fraction; ``ndv`` (default: the number of
   pairs); ``null_fraction``;
-- ``uniform``: ``ndv`` (required); ``lo`` and ``hi``, numbers or null;
-  ``null_fraction``;
+- ``uniform``: ``ndv`` (required); ``lo`` and ``hi``, numbers or null,
+  ``lo`` not above ``hi``; ``null_fraction``;
 - ``clustered``: ``clusters``, a non-empty list of ``[lo, hi, weight,
-  ndv]`` numbers with an integer ``ndv``; ``ndv`` (default: their sum);
+  ndv]`` numbers with an integer ``ndv``, each with ``lo`` not above
+  ``hi`` and above the ``hi`` of the cluster before it, so that they
+  ascend and none overlaps the next; ``ndv`` (default: their sum);
   ``null_fraction``;
 - ``array``, for an array column: ``avg_array_len``, ``empty_fraction``,
   and ``row_stats``, a scalar entry without ``row_count`` for the
@@ -94,10 +106,30 @@ and a ``kind``:
 ``row_count``, every ``ndv`` (an entry's or a cluster's) and
 ``avg_array_len`` must not be negative, and ``null_fraction``,
 ``empty_fraction``, a ``freq`` fraction and a cluster weight lie between 0
-and 1: outside these bounds the cost model would estimate rows and costs
-that no table can have.  A scalar entry may hold only ``row_count`` and
-the keys that the scalar kinds list, a ``row_stats`` entry only the
-latter, and an array entry only its own.
+and 1, and an entry's ``freq`` fractions or cluster weights sum, with its
+``null_fraction``, to at most 1 (up to a rounding of 1e-9): outside these
+bounds the cost model would estimate rows and costs that no table can
+have.  A scalar entry may hold only ``row_count`` and the keys that the
+scalar kinds list, a ``row_stats`` entry only the latter, and an array
+entry only its own.
+
+Generation spec (``a3d gen``)::
+
+    {"row_count": n, "seed": n,
+     "columns": {name: {"kind": "scalar", "dist": dist,
+                        "null_probability": p}
+                     | {"kind": "array", "elem": dist, "length": dist,
+                        "empty_probability": p}}}
+
+where ``dist`` is ``{"name": "uniform" | "zipf" | "normal", "ndv": n,
+"s": x, "mu": x, "sigma": x}``.  ``row_count``, ``columns``, a column's
+``kind`` and distributions, and a distribution's ``name`` are required;
+``columns`` names at least one column.  ``seed`` defaults to 0, ``ndv`` to
+0, ``s`` and ``sigma`` to 1, ``mu`` and the probabilities to 0.  ``n`` is
+an integer and ``x`` and ``p`` numbers, which `testkit.generate` bounds
+further: ``row_count`` is not negative, a probability lies between 0 and
+1, uniform and zipf take an ``ndv`` of 1 or more, zipf an ``s`` above 0,
+and normal a ``sigma`` not below 0.
 
 A term nests at most ``MAX_TERM_DEPTH`` levels of JSON objects and lists:
 an operator takes one level, and so does each predicate, expression or list
@@ -121,6 +153,7 @@ value, for example ``term['input']['pred']['rhs']['value']``.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -133,6 +166,9 @@ from .functions import ScalarFn, known_agg_fn, scalar_fn_signature
 from .planner import InfeasibleQueryError, MODES, optimize
 from .predicates import And, Cmp, Col, Lit, Not, Or, Apply, COMPARISONS
 from .stats import ArrayStats, CostModel, ScalarStats, TableStats
+from .testkit import (
+    ArrayColumn, Dist, GenSpec, ScalarColumn, generate, validate_spec,
+)
 from .translate import DIALECTS, DialectError, to_dot, to_sql
 
 EXIT_PARSE = 1
@@ -168,20 +204,6 @@ class PlanParseError(A3DError, ValueError):
         return f"{self.at[0]}{path}: {self.args[0]}"
 
 
-class _at:
-    """Prefix `keys` to the path of a PlanParseError raised in the block."""
-
-    def __init__(self, *keys):
-        self.keys = keys
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, error, traceback):
-        if isinstance(error, PlanParseError):
-            error.at[:0] = self.keys
-
-
 ############################################################
 # value readers: one per kind of value, each a document's only check of it
 ############################################################
@@ -189,17 +211,16 @@ class _at:
 _ABSENT = object()  # the value of a key that a document leaves out
 
 
-def _check_keys(doc: dict, allowed, *at) -> None:
-    """A PlanParseError at `at` unless `allowed` holds every key of the
-    object `doc`; one subset test where it does."""
+def _check_keys(doc: dict, allowed) -> None:
+    """A PlanParseError unless `allowed` holds every key of the object
+    `doc`; one subset test where it does."""
     if not allowed.issuperset(doc):
-        raise PlanParseError(f"unknown keys {sorted(doc.keys() - allowed)}",
-                             *at)
+        raise PlanParseError(f"unknown keys {sorted(doc.keys() - allowed)}")
 
 
-def _number(value, *at, kind=float):
-    """`value` as a `kind` (float or int): a PlanParseError at `at` unless
-    it is a finite JSON number, and integral where `kind` is int."""
+def _number(value, kind=float):
+    """`value` as a `kind` (float or int): a PlanParseError unless it is a
+    finite JSON number, and integral where `kind` is int."""
     if type(value) is float:
         if math.isfinite(value) and (kind is float or value.is_integer()):
             return value if kind is float else kind(value)
@@ -209,14 +230,31 @@ def _number(value, *at, kind=float):
         except OverflowError:  # too large for a float
             pass
     raise PlanParseError(f"must be a finite "
-                         f"{'integer' if kind is int else 'number'}", *at)
+                         f"{'integer' if kind is int else 'number'}")
 
 
-def _flag(value, *at) -> bool:
-    """A JSON boolean; false when the key is absent."""
-    if value is True or value is False or value is _ABSENT:
-        return value is True
-    raise PlanParseError("must be true or false", *at)
+def _count(value, kind=int):
+    """A number of rows, values or elements: a `kind` that is not
+    negative."""
+    count = _number(value, kind)
+    if count < 0:
+        raise PlanParseError("must not be negative")
+    return count
+
+
+def _fraction(value) -> float:
+    """A number from 0 to 1: a share of rows, arrays or values."""
+    frac = _number(value)
+    if not 0.0 <= frac <= 1.0:
+        raise PlanParseError("must be between 0 and 1")
+    return frac
+
+
+def _flag(value) -> bool:
+    """A JSON boolean."""
+    if value is True or value is False:
+        return value
+    raise PlanParseError("must be true or false")
 
 
 _EXACT_SCALARS = frozenset({type(None), bool, int, str})
@@ -244,10 +282,10 @@ def _string(value):
     raise PlanParseError("must be a string")
 
 
-def _strings(value, *at) -> tuple:
+def _strings(value) -> tuple:
     if type(value) is list and all(type(s) is str for s in value):
         return tuple(value)
-    raise PlanParseError("must be a list of strings", *at)
+    raise PlanParseError("must be a list of strings")
 
 
 def _targets(value) -> tuple:
@@ -259,10 +297,15 @@ def _targets(value) -> tuple:
                          "pairs")
 
 
-def _comparison(value):
-    if value in COMPARISONS:
-        return value
-    raise PlanParseError(f"must be one of {list(COMPARISONS)}")
+def _one_of(choices):
+    """The reader of a value that `choices` lists."""
+
+    def read(value):
+        if value in choices:
+            return value
+        raise PlanParseError(f"must be one of {list(choices)}")
+
+    return read
 
 
 def _aggregate_fn(value):
@@ -271,9 +314,66 @@ def _aggregate_fn(value):
     raise PlanParseError("must name a known aggregate")
 
 
+def _freqs(value) -> tuple:
+    """``[value, fraction]`` pairs, each value a scalar literal."""
+    if type(value) is list and all(
+            type(pair) is list and len(pair) == 2 and _is_scalar(pair[0])
+            for pair in value):
+        return tuple((v, _fraction(f)) for v, f in value)
+    raise PlanParseError("must be a list of [scalar, fraction] pairs")
+
+
+def _clusters(value) -> tuple:
+    """``[lo, hi, weight, ndv]`` clusters, at least one, each with lo <= hi
+    and above the cluster before it: ascending, and no two overlap."""
+    if type(value) is not list or not value or not all(
+            type(c) is list and len(c) == 4 for c in value):
+        raise PlanParseError("must be a non-empty list of [lo, hi, weight, "
+                             "ndv] quadruples")
+    out, floor = [], -math.inf
+    try:
+        for lo, hi, weight, ndv in value:
+            cluster = (_number(lo), _number(hi), _fraction(weight),
+                       _count(ndv))
+            if cluster[0] > cluster[1]:
+                raise PlanParseError("lo must not be above hi")
+            if cluster[0] <= floor:
+                raise PlanParseError("must lie above the cluster before it")
+            floor = cluster[1]
+            out.append(cluster)
+    except PlanParseError as e:
+        e.at.insert(0, len(out))
+        raise
+    return tuple(out)
+
+
 ############################################################
-# codecs: a (writer, reader) pair per field type, and the tables
+# codecs: a (writer, reader, absent) triple per field type, and the tables
 ############################################################
+
+# A codec's `absent` is the JSON value read for a key that a document
+# leaves out.  Where it is _ABSENT the key is required: the reader refuses
+# _ABSENT and the object reports the key missing.  `_optional` instead
+# hands _ABSENT on to the object's builder.
+
+def _default(codec, absent):
+    """`codec`, with a key left out read as the JSON value `absent`."""
+    return codec[0], codec[1], absent
+
+
+def _optional(codec):
+    """`codec`, with a key left out passed to the builder as _ABSENT."""
+    write, read, _ = codec
+    return write, (lambda value: value if value is _ABSENT
+                   else read(value)), _ABSENT
+
+
+def _nullable(codec):
+    """`codec`, or null, read as None."""
+    write, read, absent = codec
+    return write, (lambda value: None if value is None
+                   else read(value)), absent
+
 
 def _write_object(obj) -> dict:
     """The JSON object of `obj`: its tag, if its class has one, and each
@@ -284,46 +384,56 @@ def _write_object(obj) -> dict:
         raise PlanParseError(f"unserializable {type(obj).__name__}") \
             from None
     doc = {tag_key: tag} if tag_key else {}
-    for key, attr, (write, _) in fields:
+    for key, attr, write in fields:
         value = write(getattr(obj, attr))
         if value is not _ABSENT:
             doc[key] = value
     return doc
 
 
-def _object(tag_key, table: dict):
-    """The codec of a JSON object that stands for one of `table`'s classes.
+# (tag key, table) of every object codec; the codecs are made at import
+_TABLES: list = []
 
-    `table` maps each tag to (class, fields), and the object's `tag_key`
-    names its tag.  A class with no tag has the tag key None and is
-    `table`'s only entry, under None.
+
+def _object(tag_key, table: dict):
+    """The codec of a JSON object that stands for one of `table`'s values.
+
+    `table` maps each tag to (build, fields): `build`, a class or a
+    function that no other entry shares, makes the value from its fields'
+    values, and ``fields`` lists (JSON key, codec) pairs in the order
+    `build` takes them.  The object's `tag_key` names its tag.  An object
+    with no tag has the tag key None and is `table`'s only entry, under
+    None.  The object holds no key but its tag key and its fields'
+    (``_KEYS``).
     """
+    _TABLES.append((tag_key, table))
 
     def read(doc):
         try:
-            cls, fields = table[doc.get(tag_key)]
+            build, fields = table[doc.get(tag_key)]
         except (AttributeError, TypeError, KeyError):  # no object, bad tag
             raise PlanParseError("must be an object" + (
                 f" whose {tag_key!r} is one of {sorted(table)}"
                 if tag_key else "")) from None
-        _check_keys(doc, _KEYS[cls])
+        _check_keys(doc, _KEYS[build])
         values = []
         try:
-            for key, _, (_, read_field) in fields:
-                values.append(read_field(doc.get(key, _ABSENT)))
+            for key, (_, read_field, absent) in fields:
+                value = doc.get(key, absent)
+                values.append(read_field(value))
         except PlanParseError as e:
-            if key not in doc:
+            if value is _ABSENT:
                 raise PlanParseError("is missing", key) from None
             e.at.insert(0, key)
             raise
-        return cls(*values)
+        return build(*values)
 
-    return _write_object, read
+    return _write_object, read, _ABSENT
 
 
 def _list_of(codec, least: int = 0):
     """The codec of a list of `least` or more values of `codec`."""
-    write, read = codec
+    write, read, _ = codec
 
     def read_list(value) -> tuple:
         if type(value) is not list or len(value) < least:
@@ -338,7 +448,28 @@ def _list_of(codec, least: int = 0):
             raise
         return tuple(out)
 
-    return (lambda items: [write(item) for item in items]), read_list
+    return (lambda items: [write(item) for item in items]), read_list, \
+        _ABSENT
+
+
+def _map_of(codec):
+    """The codec of a JSON object that maps names to values of `codec`,
+    read into a dict."""
+    read = codec[1]
+
+    def read_map(value) -> dict:
+        if type(value) is not dict:
+            raise PlanParseError("must be an object")
+        out = {}
+        try:
+            for key, item in value.items():
+                out[key] = read(item)
+        except PlanParseError as e:
+            e.at.insert(0, key)
+            raise
+        return out
+
+    return None, read_map, _ABSENT
 
 
 def _write_fn(fn: ScalarFn) -> dict:
@@ -381,68 +512,65 @@ def _read_fn(doc) -> ScalarFn:
 _PARAM_READERS = {"literal": _literal,
                   "number": lambda v: _number(v, kind=type(v))}
 
-_STRING = (str, _string)
-_STRINGS = (list, _strings)
-_TARGETS = (lambda targets: [list(t) for t in targets], _targets)
-_LITERAL = (lambda v: list(v) if type(v) is tuple else v, _literal)
-_FLAG = (lambda on: True if on else _ABSENT, _flag)
-_FUNCTION = (_write_fn, _read_fn)
+_STRING = (str, _string, _ABSENT)
+_STRINGS = (list, _strings, _ABSENT)
+_TARGETS = (lambda targets: [list(t) for t in targets], _targets, _ABSENT)
+_LITERAL = (lambda v: list(v) if type(v) is tuple else v, _literal,
+            _ABSENT)
+_FLAG = (lambda on: True if on else _ABSENT, _flag, False)
+_FUNCTION = (_write_fn, _read_fn, _ABSENT)
+_NUMBER = (None, _number, _ABSENT)
+_INTEGER = (None, lambda v: _number(v, int), _ABSENT)
+_COUNT = (None, _count, _ABSENT)
+_FRACTION = (None, _fraction, _ABSENT)
 
-# tag -> (class, its fields as (JSON key, attribute, codec)), a class's
-# fields in the order its constructor takes them.  The unions nest, so
-# their codecs exist before their tables are filled in.
+# tag -> (class, its fields as (JSON key, codec)), a class's fields in the
+# order its constructor takes them.  The unions nest, so their codecs
+# exist before their tables are filled in.
 _TERMS: dict = {}
 _PREDS: dict = {}
 _EXPRS: dict = {}
 _TERM = _object("op", _TERMS)
 _PREDICATE = _object("pred", _PREDS)
 _EXPRESSION = _object("expr", _EXPRS)
-_AGG_SPECS = {None: (AggSpec, (("fn", "fn", (str, _aggregate_fn)),
-                               ("arg", "arg", _STRING),
-                               ("alias", "alias", _STRING)))}
+_AGG_SPECS = {None: (AggSpec, (("fn", (str, _aggregate_fn, _ABSENT)),
+                               ("arg", _STRING), ("alias", _STRING)))}
 _TERMS.update({
-    "relVar": (RelVar, (("name", "name", _STRING),)),
-    "filter": (Filter, (("pred", "pred", _PREDICATE),
-                        ("input", "child", _TERM))),
-    "project": (Project, (("cols", "cols", _STRINGS),
-                          ("input", "child", _TERM))),
-    "join": (Join, (("left", "left", _TERM), ("right", "right", _TERM))),
-    "arrayJoin": (ArrayJoin, (("targets", "targets", _TARGETS),
-                              ("input", "child", _TERM))),
-    "arrayFilter": (ArrayFilter, (("targets", "targets", _TARGETS),
-                                  ("pred", "pred", _PREDICATE),
-                                  ("input", "child", _TERM))),
-    "derive": (Derive, (("output", "output", _STRING),
-                        ("fn", "fn", _FUNCTION), ("args", "args", _STRINGS),
-                        ("input", "child", _TERM),
-                        ("map", "is_map", _FLAG))),
-    "aggregate": (Aggregate, (("keys", "keys", _STRINGS),
-                              ("aggs", "aggs",
-                               _list_of(_object(None, _AGG_SPECS))),
-                              ("input", "child", _TERM))),
+    "relVar": (RelVar, (("name", _STRING),)),
+    "filter": (Filter, (("pred", _PREDICATE), ("input", _TERM))),
+    "project": (Project, (("cols", _STRINGS), ("input", _TERM))),
+    "join": (Join, (("left", _TERM), ("right", _TERM))),
+    "arrayJoin": (ArrayJoin, (("targets", _TARGETS), ("input", _TERM))),
+    "arrayFilter": (ArrayFilter, (("targets", _TARGETS),
+                                  ("pred", _PREDICATE), ("input", _TERM))),
+    "derive": (Derive, (("output", _STRING), ("fn", _FUNCTION),
+                        ("args", _STRINGS), ("input", _TERM),
+                        ("map", _FLAG))),
+    "aggregate": (Aggregate, (("keys", _STRINGS),
+                              ("aggs", _list_of(_object(None, _AGG_SPECS))),
+                              ("input", _TERM))),
 })
 _PREDS.update({
-    "cmp": (Cmp, (("op", "op", (str, _comparison)),
-                  ("lhs", "lhs", _EXPRESSION), ("rhs", "rhs", _EXPRESSION))),
-    "and": (And, (("parts", "parts", _list_of(_PREDICATE, 2)),)),
-    "or": (Or, (("parts", "parts", _list_of(_PREDICATE, 2)),)),
-    "not": (Not, (("part", "part", _PREDICATE),)),
+    "cmp": (Cmp, (("op", (str, _one_of(COMPARISONS), _ABSENT)),
+                  ("lhs", _EXPRESSION), ("rhs", _EXPRESSION))),
+    "and": (And, (("parts", _list_of(_PREDICATE, 2)),)),
+    "or": (Or, (("parts", _list_of(_PREDICATE, 2)),)),
+    "not": (Not, (("part", _PREDICATE),)),
 })
 _EXPRS.update({
-    "col": (Col, (("name", "name", _STRING),)),
-    "lit": (Lit, (("value", "value", _LITERAL),)),
-    "apply": (Apply, (("fn", "fn", _FUNCTION),
-                      ("args", "args", _list_of(_EXPRESSION)))),
+    "col": (Col, (("name", _STRING),)),
+    "lit": (Lit, (("value", _LITERAL),)),
+    "apply": (Apply, (("fn", _FUNCTION), ("args", _list_of(_EXPRESSION)))),
 })
-_CORRESPONDENCES = _list_of(_list_of(_STRING, 2))
-_WRITERS = {cls: (tag_key, tag, fields)
+# each class's writer takes its fields' values from the attributes of its
+# dataclass, in order
+_WRITERS = {cls: (tag_key, tag, tuple(
+                (key, attr.name, write)
+                for (key, (write, _, _)), attr
+                in zip(fields, dataclasses.fields(cls))))
             for tag_key, table in (("op", _TERMS), ("pred", _PREDS),
                                    ("expr", _EXPRS), (None, _AGG_SPECS))
             for tag, (cls, fields) in table.items()}
-# the keys an object of each class may hold: its tag key and its fields'
-_KEYS = {cls: frozenset([key for key, _, _ in fields]
-                        + ([tag_key] if tag_key else []))
-         for cls, (tag_key, _, fields) in _WRITERS.items()}
 
 
 def term_to_json(term: Term) -> dict:
@@ -477,69 +605,159 @@ def term_from_json(doc) -> Term:
 
 
 ############################################################
-# plan document (envelope + catalog)
+# the documents' objects: plan envelope, statistics, generation spec
 ############################################################
 
-_ENVELOPE_KEYS = frozenset({"a3d_plan", "catalog", "term", "options"})
-_CATALOG_KEYS = frozenset({"relations", "correspondences"})
-_RELATION_KEYS = frozenset({"scalars", "arrays"})
-_OPTION_KEYS = frozenset({"mode", "emit", "cte", "allow_cross_products"})
+_OPTION_FIELDS = (("mode", _optional((None, _one_of(MODES), _ABSENT))),
+                  ("emit", _optional((None, _one_of(EMIT_TARGETS), _ABSENT))),
+                  ("cte", _optional(_FLAG)),
+                  ("allow_cross_products", _optional(_FLAG)))
 
+
+def _options(*values) -> dict:
+    """The options a plan document sets, by key."""
+    return {key: value for (key, _), value in zip(_OPTION_FIELDS, values)
+            if value is not _ABSENT}
+
+
+_RELATION = _object(None, {None: (Schema.of, (
+    ("scalars", _default(_STRINGS, [])),
+    ("arrays", _default(_STRINGS, []))))})
+_CATALOG = _object(None, {None: (
+    lambda relations, correspondences: (relations, correspondences),
+    (("relations", _map_of(_RELATION)),
+     ("correspondences", _default(_list_of(_list_of(_STRING, 2)), []))))})
+# -> (term, schemas, correspondences, options); the version is checked
+# before the envelope is read
+_ENVELOPE = _object(None, {None: (
+    lambda version, catalog, options, term: (term, *catalog, options),
+    (("a3d_plan", (None, lambda version: version, _ABSENT)),
+     ("catalog", _CATALOG),
+     ("options", _default(_object(None, {None: (_options, _OPTION_FIELDS)}),
+                          {})),
+     ("term", (term_to_json, term_from_json, _ABSENT))))})
+
+
+def _check_shares(null_fraction: float, shares, key: str) -> None:
+    """The shares of rows under `key` and the nulls' sum to at most 1, up
+    to the rounding of a document's fractions."""
+    total = null_fraction + sum(shares)
+    if total > 1.0 + 1e-9:
+        raise PlanParseError(f"sum to {total!r} with null_fraction, more "
+                             f"than 1", key)
+
+
+def _exact_stats(ndv, null_fraction, freqs) -> ScalarStats:
+    _check_shares(null_fraction, (f for _, f in freqs), "freq")
+    values = [v for v, _ in freqs]
+    numeric = all(type(v) in (int, float) for v in values)
+    lo, hi = (min(values), max(values)) if numeric and values \
+        else (None, None)
+    return ScalarStats("exact", len(freqs) if ndv is _ABSENT else ndv,
+                       null_fraction, freqs=freqs, lo=lo, hi=hi,
+                       numeric=numeric)
+
+
+def _uniform_stats(ndv, null_fraction, lo, hi) -> ScalarStats:
+    if lo is not None and hi is not None and lo > hi:
+        raise PlanParseError(f"must not be above hi ({hi!r})", "lo")
+    return ScalarStats("uniform", ndv, null_fraction, lo=lo, hi=hi,
+                       numeric=lo is not None)
+
+
+def _clustered_stats(ndv, null_fraction, clusters) -> ScalarStats:
+    _check_shares(null_fraction, (c[2] for c in clusters), "clusters")
+    return ScalarStats("clustered",
+                       sum(c[3] for c in clusters) if ndv is _ABSENT else ndv,
+                       null_fraction, lo=clusters[0][0], hi=clusters[-1][1],
+                       clusters=clusters, numeric=True)
+
+
+_NULL_FRACTION = ("null_fraction", _default(_FRACTION, 0.0))
+# the statistics of a scalar column's or an array column's elements, by
+# kind: an ``ndv`` left out is derived from the values or the clusters
+_ELEMENT_STATS = {
+    "exact": (_exact_stats, (("ndv", _optional(_COUNT)), _NULL_FRACTION,
+                             ("freq", (None, _freqs, [])))),
+    "uniform": (_uniform_stats, (("ndv", _COUNT), _NULL_FRACTION,
+                                 ("lo", _default(_nullable(_NUMBER), None)),
+                                 ("hi", _default(_nullable(_NUMBER), None)))),
+    "clustered": (_clustered_stats, (("ndv", _optional(_COUNT)),
+                                     _NULL_FRACTION,
+                                     ("clusters", (None, _clusters,
+                                                   _ABSENT)))),
+}
+
+
+def _with_rows(build):
+    return lambda row_count, *values: (row_count, build(*values))
+
+
+# a column's entry in a statistics document, by kind: its relation's row
+# count and its statistics
+_COLUMN_STATS = {kind: (_with_rows(build), (("row_count", _COUNT), *fields))
+                 for kind, (build, fields) in _ELEMENT_STATS.items()}
+_COLUMN_STATS["array"] = (_with_rows(ArrayStats), (
+    ("row_count", _COUNT),
+    ("avg_array_len", _default((None, lambda v: _count(v, float), _ABSENT),
+                               0.0)),
+    ("empty_fraction", _default(_FRACTION, 0.0)),
+    ("row_stats", _default(_nullable(_object("kind", _ELEMENT_STATS)),
+                           None))))
+_STATS = _map_of(_object("kind", _COLUMN_STATS))
+
+_DIST = _object(None, {None: (Dist, (
+    ("name", _STRING), ("ndv", _default(_INTEGER, 0)),
+    ("s", _default(_NUMBER, 1.0)), ("mu", _default(_NUMBER, 0.0)),
+    ("sigma", _default(_NUMBER, 1.0))))})
+_GEN_COLUMNS = {
+    "scalar": (ScalarColumn, (("dist", _DIST), ("null_probability",
+                                                _default(_NUMBER, 0.0)))),
+    "array": (ArrayColumn, (("elem", _DIST), ("length", _DIST),
+                            ("empty_probability", _default(_NUMBER, 0.0)))),
+}
+# a spec that leaves ``columns`` out reads as one whose columns are null,
+# which is not an object
+_GEN_SPEC = _object(None, {None: (GenSpec, (
+    ("row_count", _INTEGER),
+    ("columns", _default(_map_of(_object("kind", _GEN_COLUMNS)), None)),
+    ("seed", _default(_INTEGER, 0))))})
+
+# the keys an object may hold: its tag key and its fields'
+_KEYS = {build: frozenset([key for key, _ in fields]
+                          + ([tag_key] if tag_key else []))
+         for tag_key, table in _TABLES for build, fields in table.values()}
+# a scalar entry may hold the keys of every scalar kind, and reads its own
+_SCALAR_KEYS = frozenset().union(*(_KEYS[build] for build, _
+                                   in _ELEMENT_STATS.values()))
+_KEYS.update({build: _SCALAR_KEYS for build, _ in _ELEMENT_STATS.values()})
+_KEYS.update({build: _SCALAR_KEYS | {"row_count"}
+              for kind, (build, _) in _COLUMN_STATS.items()
+              if kind != "array"})
+
+
+############################################################
+# the three documents
+############################################################
 
 def parse_plan_document(doc):
     """Parse an envelope into (term, schemas, correspondences, options).
 
-    Envelope shape violations, unknown keys among them, raise
+    ``options`` holds the options the document sets.  A document that is
+    not well-formed, one with an unknown key among them, raises
     PlanParseError; catalog-level inconsistencies (overlapping
     scalar/array names, correspondences not over array columns of one
     relation) raise SchemaError.
     """
-    if type(doc) is not dict:
-        raise PlanParseError("plan document must be a JSON object")
-    if doc.get("a3d_plan") != PLAN_VERSION:
+    if type(doc) is not dict or doc.get("a3d_plan") != PLAN_VERSION:
         raise PlanParseError(f"missing or unsupported plan version "
                              f"(need \"a3d_plan\": {PLAN_VERSION})")
-    _check_keys(doc, _ENVELOPE_KEYS)
-    catalog = doc.get("catalog")
-    if type(catalog) is not dict or type(catalog.get("relations")) is not dict:
-        raise PlanParseError("must contain a 'relations' object", "catalog")
-    _check_keys(catalog, _CATALOG_KEYS, "catalog")
-
-    schemas = {}
-    for name, rel in catalog["relations"].items():
-        if type(rel) is not dict:
-            raise PlanParseError("must be an object", "catalog", "relations",
-                                 name)
-        _check_keys(rel, _RELATION_KEYS, "catalog", "relations", name)
-        schemas[name] = Schema(
-            frozenset(_strings(rel.get("scalars", []), "catalog",
-                               "relations", name, "scalars")),
-            frozenset(_strings(rel.get("arrays", []), "catalog",
-                               "relations", name, "arrays")))
-
-    try:
-        correspondences = _CORRESPONDENCES[1](
-            catalog.get("correspondences", []))
-    except PlanParseError as e:
-        e.at[:0] = ["catalog", "correspondences"]
-        raise
+    term, schemas, correspondences, options = _ENVELOPE[1](doc)
     for group in correspondences:
         if not any(set(group) <= sch.arrays for sch in schemas.values()):
             raise SchemaError(
                 f"correspondence {list(group)} does not name array columns "
                 f"of a single relation")
-
-    options = doc.get("options", {})
-    if type(options) is not dict:
-        raise PlanParseError("must be an object", "options")
-    _check_keys(options, _OPTION_KEYS, "options")
-    if "term" not in doc:
-        raise PlanParseError("plan document has no 'term'")
-    try:
-        term = term_from_json(doc["term"])
-    except PlanParseError as e:
-        e.at.insert(0, "term")
-        raise
     return term, schemas, correspondences, options
 
 
@@ -548,124 +766,45 @@ def plan_document(term: Term, catalog: dict) -> dict:
             "term": term_to_json(term)}
 
 
-############################################################
-# statistics file
-############################################################
-
-_SCALAR_STAT_KEYS = {"kind", "ndv", "null_fraction", "freq", "lo", "hi",
-                     "clusters"}
-_ARRAY_STAT_KEYS = {"kind", "row_count", "avg_array_len", "empty_fraction",
-                    "row_stats"}
-
-
-def _fraction(value, *at) -> float:
-    """A number from 0 to 1 at `at`: a share of rows, arrays or values."""
-    frac = _number(value, *at)
-    if not 0.0 <= frac <= 1.0:
-        raise PlanParseError("must be between 0 and 1", *at)
-    return frac
-
-
-def _count(value, *at) -> int:
-    """A non-negative integer at `at`: a number of rows or of values."""
-    count = _number(value, *at, kind=int)
-    if count < 0:
-        raise PlanParseError("must not be negative", *at)
-    return count
-
-
-def _scalar_stats(doc, top: bool) -> ScalarStats:
-    """A scalar entry: a top-level one (`top`), which carries
-    ``row_count``, or an array entry's ``row_stats``, which does not."""
-    if type(doc) is not dict:
-        raise PlanParseError("must be an object")
-    _check_keys(doc, _SCALAR_STAT_KEYS | {"row_count"} if top
-                else _SCALAR_STAT_KEYS)
-    kind = doc.get("kind")
-    null_fraction = _fraction(doc.get("null_fraction", 0.0), "null_fraction")
-    if kind == "exact":
-        freq = doc.get("freq", [])
-        if type(freq) is not list or not all(
-                type(pair) is list and len(pair) == 2 and _is_scalar(pair[0])
-                for pair in freq):
-            raise PlanParseError("must be a list of [scalar, fraction] "
-                                 "pairs", "freq")
-        with _at("freq"):
-            freqs = tuple((v, _fraction(f)) for v, f in freq)
-        values = [v for v, _ in freqs]
-        numeric = all(type(v) in (int, float) for v in values)
-        lo, hi = (min(values), max(values)) if numeric and values \
-            else (None, None)
-        ndv = _count(doc.get("ndv", len(freqs)), "ndv")
-        return ScalarStats("exact", ndv, null_fraction, freqs=freqs, lo=lo,
-                           hi=hi, numeric=numeric)
-    if kind == "uniform":
-        lo, hi = doc.get("lo"), doc.get("hi")
-        lo = lo if lo is None else _number(lo, "lo")
-        hi = hi if hi is None else _number(hi, "hi")
-        ndv = _count(doc.get("ndv", _ABSENT), "ndv")
-        return ScalarStats("uniform", ndv, null_fraction, lo=lo, hi=hi,
-                           numeric=lo is not None)
-    if kind == "clustered":
-        clusters = doc.get("clusters")
-        if type(clusters) is not list or not clusters or not all(
-                type(c) is list and len(c) == 4 for c in clusters):
-            raise PlanParseError("must be a non-empty list of [lo, hi, "
-                                 "weight, ndv] quadruples", "clusters")
-        with _at("clusters"):
-            built = tuple((_number(lo), _number(hi), _fraction(w), _count(n))
-                          for lo, hi, w, n in clusters)
-        ndv = _count(doc.get("ndv", sum(c[3] for c in built)), "ndv")
-        return ScalarStats("clustered", ndv, null_fraction,
-                           lo=built[0][0], hi=built[-1][1],
-                           clusters=built, numeric=True)
-    raise PlanParseError(f"unknown stats kind {kind!r}", "kind")
-
-
 def parse_stats_document(doc, schemas) -> dict:
     """Parse {"rel.col": entry} statistics into per-relation tables."""
-    if type(doc) is not dict:
-        raise PlanParseError("stats document must be a JSON object")
+    try:
+        entries = _STATS[1](doc)
+    except PlanParseError as e:
+        e.at.insert(0, "stats")
+        raise
     rows: dict = {}
     scalars: dict = {}
     arrays: dict = {}
-    for key, entry in doc.items():
-        with _at("stats", key):
-            rel, dot, col = key.partition(".")
-            if not dot:
-                raise PlanParseError("keys are 'relation.column'")
-            if rel not in schemas:
-                raise PlanParseError(f"unknown relation {rel!r}")
-            if type(entry) is not dict:
-                raise PlanParseError("must be an object")
-            rc = _count(entry.get("row_count", _ABSENT), "row_count")
-            if rows.setdefault(rel, rc) != rc:
-                raise PlanParseError(f"disagrees with {rows[rel]} for "
-                                     f"{rel!r}", "row_count")
-            array = entry.get("kind") == "array"
-            if col not in (schemas[rel].arrays if array
-                           else schemas[rel].scalars):
-                raise PlanParseError(f"{col!r} is not "
-                                     f"{'an array' if array else 'a scalar'}"
-                                     f" column of {rel!r}")
-            if not array:
-                scalars.setdefault(rel, {})[col] = _scalar_stats(entry, True)
-                continue
-            _check_keys(entry, _ARRAY_STAT_KEYS)
-            elem = entry.get("row_stats")
-            with _at("row_stats"):
-                elem = None if elem is None else _scalar_stats(elem, False)
-            avg_len = _number(entry.get("avg_array_len", 0.0),
-                              "avg_array_len")
-            if avg_len < 0:
-                raise PlanParseError("must not be negative", "avg_array_len")
-            arrays.setdefault(rel, {})[col] = ArrayStats(
-                avg_len,
-                _fraction(entry.get("empty_fraction", 0.0), "empty_fraction"),
-                elem)
+    for key, (row_count, stats) in entries.items():
+        rel, dot, col = key.partition(".")
+        if not dot:
+            raise PlanParseError("keys are 'relation.column'", "stats", key)
+        if rel not in schemas:
+            raise PlanParseError(f"unknown relation {rel!r}", "stats", key)
+        if rows.setdefault(rel, row_count) != row_count:
+            raise PlanParseError(f"disagrees with {rows[rel]} for {rel!r}",
+                                 "stats", key, "row_count")
+        array = type(stats) is ArrayStats
+        if col not in (schemas[rel].arrays if array
+                       else schemas[rel].scalars):
+            raise PlanParseError(f"{col!r} is not "
+                                 f"{'an array' if array else 'a scalar'}"
+                                 f" column of {rel!r}", "stats", key)
+        (arrays if array else scalars).setdefault(rel, {})[col] = stats
     return {rel: TableStats(rows[rel], scalars.get(rel, {}),
                             arrays.get(rel, {}))
             for rel in rows}
+
+
+def genspec_from_json(doc) -> GenSpec:
+    """Parse a generation spec into a `testkit.GenSpec` of at least one
+    column that `testkit.generate` accepts."""
+    spec = _GEN_SPEC[1](doc)
+    if not spec.columns:
+        raise PlanParseError("must name at least one column", "columns")
+    validate_spec(spec)
+    return spec
 
 
 ############################################################
@@ -746,8 +885,6 @@ def _load_json(path: str, what: str):
 
 
 def _run_gen(argv) -> int:
-    from .testkit import generate, genspec_from_json
-
     try:
         args = _build_gen_parser().parse_args(argv)
         spec = genspec_from_json(_load_json(args.spec, "spec"))
@@ -772,20 +909,11 @@ def _run_gen(argv) -> int:
 
 
 def _resolve(args, options) -> None:
-    """Fill unset flags from the plan document's options block, and check
-    the values of both."""
-    # argparse keeps the flags to known values; these catch the options'
+    """Fill unset flags from the plan document's options block."""
     args.mode = args.mode or options.get("mode", "enumerate")
-    if args.mode not in MODES:
-        raise PlanParseError(f"unknown mode {args.mode!r}", "options", "mode")
     args.emit = args.emit or options.get("emit", "plan")
-    if args.emit not in EMIT_TARGETS:
-        raise PlanParseError(f"unknown emit target {args.emit!r}", "options",
-                             "emit")
-    args.cte |= _flag(options.get("cte", _ABSENT), "options", "cte")
-    args.allow_cross_products |= _flag(
-        options.get("allow_cross_products", _ABSENT), "options",
-        "allow_cross_products")
+    args.cte |= options.get("cte", False)
+    args.allow_cross_products |= options.get("allow_cross_products", False)
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..algebra import Schema, SchemaError, Term, output_schema
-from ..rewrite import FixpointCapError, RuleContext
+from ..rewrite import FixpointCapError, RuleContext, trace_record
 from ..stats import CostModel, TableStats
 from .decompose import (
     JoinEdge, OpProfile, QueryDecomposition, RankableOp, decompose,
@@ -93,6 +93,12 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
     ``decompose``, ``precedence_for`` and, in enumerate mode,
     ``sort_ops``.  The ``enumerate`` or ``oracle`` stage then times the
     search alone.
+
+    With `trace`, ``trace`` holds one record per change of the plan, each
+    costed before and after it, so that the records chain from the
+    input's cost to the plan's.  Greedy mode records each rewrite; in
+    enumerate and oracle mode one ``placement`` record, costed after
+    the search, stands for the plan the search places.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -133,6 +139,10 @@ def optimize(term: Term, schemas: Mapping[str, Schema],
             counters.update(info)
         placed = entry.term
     timings[mode] = (time.perf_counter() - t1) * 1000.0
+    if mode != "greedy" and ctx.trace is not None:
+        trace_record(ctx, mode, "placement", (),
+                     cost_model.term_cost(pre).cost,
+                     cost_model.term_cost(placed).cost)
 
     t2 = time.perf_counter()
     final = placed

@@ -6,13 +6,14 @@ language-independent PRNG, so the same spec yields the same bytes on any
 machine.  The module also builds the two synthetic query families used by
 the scaling tests: stacked unnest-derive-filter blocks (pattern A) and a
 single conjunctive filter over many jointly unnested arrays (pattern B).
+The JSON form of a spec, the ``a3d gen`` input, is read by
+`cli.genspec_from_json`.
 """
 
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .algebra import ArrayJoin, Derive, Filter, Relation, RelVar, Schema, Term
-from .cli import PlanParseError, _check_keys, _number
 from .functions import ScalarFn
 from .predicates import And, Cmp, Col, Lit
 
@@ -105,7 +106,8 @@ def _check_probability(p: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {p}")
 
 
-def _validate(spec: GenSpec) -> None:
+def validate_spec(spec: GenSpec) -> None:
+    """A ValueError unless `generate` can build `spec`."""
     if spec.row_count < 0:
         raise ValueError(f"row_count must be >= 0, got {spec.row_count}")
     for name, col in spec.columns.items():
@@ -164,7 +166,7 @@ def generate(spec: GenSpec) -> Relation:
     master seed in sorted column order), so draw counts in one column
     never shift another column's values.
     """
-    _validate(spec)
+    validate_spec(spec)
     scal = frozenset(n for n, c in spec.columns.items()
                      if isinstance(c, ScalarColumn))
     arr = frozenset(spec.columns) - scal
@@ -237,69 +239,3 @@ def pattern_schemas(kind: str, n: int) -> dict:
         raise ValueError(f"no pattern {kind!r} of size {n}")
     arrays = frozenset(f"a{i}" for i in range(1, n + 1))
     return {"R": Schema(frozenset(), arrays)}
-
-
-############################################################
-# JSON spec parsing (the `gen` subcommand's input format)
-############################################################
-
-_DIST_KEYS = frozenset({"name", "ndv", "s", "mu", "sigma"})
-_SPEC_KEYS = frozenset({"row_count", "seed", "columns"})
-_SCALAR_COLUMN_KEYS = frozenset({"kind", "dist", "null_probability"})
-_ARRAY_COLUMN_KEYS = frozenset({"kind", "elem", "length",
-                                "empty_probability"})
-
-
-def _dist_from_json(doc, *at) -> Dist:
-    if type(doc) is not dict or "name" not in doc:
-        raise PlanParseError("must be a distribution object with a 'name'",
-                             *at)
-    _check_keys(doc, _DIST_KEYS, *at)
-    return Dist(doc["name"], ndv=_number(doc.get("ndv", 0), *at, "ndv",
-                                         kind=int),
-                s=_number(doc.get("s", 1.0), *at, "s"),
-                mu=_number(doc.get("mu", 0.0), *at, "mu"),
-                sigma=_number(doc.get("sigma", 1.0), *at, "sigma"))
-
-
-def genspec_from_json(doc: dict) -> GenSpec:
-    """Parse {"row_count", "seed"?, "columns": {name: column, ...}} into a
-    spec of at least one column.
-
-    Scalar columns: {"kind": "scalar", "dist": {...}, "null_probability"?}.
-    Array columns: {"kind": "array", "elem": {...}, "length": {...},
-    "empty_probability"?}.  A malformed document raises `PlanParseError`,
-    a ValueError, as does a spec that `generate` would refuse; a key that
-    an object above does not list makes a document malformed.
-    """
-    if type(doc) is not dict:
-        raise PlanParseError("generation spec must be a JSON object")
-    _check_keys(doc, _SPEC_KEYS)
-    specs = doc.get("columns")
-    if type(specs) is not dict:
-        raise PlanParseError("must be an object", "columns")
-    if not specs:
-        raise PlanParseError("must name at least one column", "columns")
-    columns = {}
-    for name, c in specs.items():
-        kind = c.get("kind") if type(c) is dict else None
-        at = ("columns", name)
-        if kind == "scalar":
-            _check_keys(c, _SCALAR_COLUMN_KEYS, *at)
-            columns[name] = ScalarColumn(
-                _dist_from_json(c.get("dist"), *at, "dist"),
-                _number(c.get("null_probability", 0.0), *at,
-                        "null_probability"))
-        elif kind == "array":
-            _check_keys(c, _ARRAY_COLUMN_KEYS, *at)
-            columns[name] = ArrayColumn(
-                _dist_from_json(c.get("elem"), *at, "elem"),
-                _dist_from_json(c.get("length"), *at, "length"),
-                _number(c.get("empty_probability", 0.0), *at,
-                        "empty_probability"))
-        else:
-            raise PlanParseError("kind must be 'scalar' or 'array'", *at)
-    spec = GenSpec(_number(doc.get("row_count"), "row_count", kind=int),
-                   columns, _number(doc.get("seed", 0), "seed", kind=int))
-    _validate(spec)
-    return spec

@@ -20,9 +20,7 @@ from a3d.functions import ScalarFn
 from a3d.planner import MODES, optimize
 from a3d.stats import ArrayStats, ScalarStats, TableStats
 from a3d.predicates import Cmp, Col, Lit
-from a3d.testkit import (
-    generate, genspec_from_json, make_pattern, pattern_schemas,
-)
+from a3d.testkit import generate, make_pattern, pattern_schemas
 from a3d.translate import DIALECTS
 
 from gen_utils import default_relation, random_term
@@ -30,6 +28,7 @@ from golden_queries import CASES
 from naive_interp import rows_equal_bag
 
 SAMPLE_PLAN = Path(__file__).parent / "data" / "unnest_filter_plan.json"
+SAMPLE_STATS = Path(__file__).parent / "data" / "unnest_filter_stats.json"
 JOIN_CHAIN_PLAN = Path(__file__).parent / "data" / "join_chain3_plan.json"
 EITHER_SIDE_PLAN = Path(__file__).parent / "data" / \
     "either_side_join_plan.json"
@@ -396,7 +395,7 @@ def test_parse_error_names_the_path_to_the_bad_value():
 
 def test_trace_writes_one_json_line_per_rewrite(tmp_path, capsys):
     # σ(x < 5, π(k, x, e, μ(v -> e, R))): the projection is pulled up and
-    # the filter pushed below the arrayJoin
+    # the filter pushed below the arrayJoin, and the search places the plan
     term = {"op": "filter", "pred": _cmp("<", "x", 5),
             "input": {"op": "project", "cols": ["k", "x", "e"],
                       "input": {"op": "arrayJoin", "targets": [["v", "e"]],
@@ -404,7 +403,8 @@ def test_trace_writes_one_json_line_per_rewrite(tmp_path, capsys):
     code, _, err = _main(tmp_path, capsys, term, "--trace")
     assert code == 0
     want = optimize(cli.term_from_json(term), _schemas(), trace=True).trace
-    assert len(want) == 2
+    assert [rec["rule"] for rec in want] == ["project-pull", "R2.1",
+                                              "placement"]
     assert [json.loads(line) for line in err.splitlines()] == [
         {"rule_id": rec["rule"], "path": rec["path"],
          "before_cost": rec["before_cost"], "after_cost": rec["after_cost"]}
@@ -483,17 +483,9 @@ def test_correspondences_reach_the_plan_document():
 # statistics document
 ############################################################
 
-STATS_DOC = {
-    "R.k": {"kind": "exact", "row_count": 10, "ndv": 2,
-            "freq": [[1, 0.6], [2, 0.4]]},
-    "R.x": {"kind": "uniform", "row_count": 10, "ndv": 5, "lo": 0, "hi": 9,
-            "null_fraction": 0.1},
-    "S.y": {"kind": "clustered", "row_count": 4,
-            "clusters": [[0, 5, 0.5, 3], [10, 20, 0.5, 4]]},
-    "R.v": {"kind": "array", "row_count": 10, "avg_array_len": 2.5,
-            "empty_fraction": 0.2,
-            "row_stats": {"kind": "uniform", "ndv": 7, "lo": 1, "hi": 7}},
-}
+# a statistics document over CATALOG, one entry of each kind; CI plans the
+# sample plan with it
+STATS_DOC = json.loads(SAMPLE_STATS.read_text())
 
 
 def _schemas():
@@ -643,7 +635,7 @@ def test_gen_writes_the_generated_relation(tmp_path, capsys):
     assert cli.main(["gen", "--spec", str(spec), "--out", str(out)]) == 0
     assert capsys.readouterr() == ("", "")
     doc = json.loads(out.read_text())
-    want = generate(genspec_from_json(GEN_SPEC))
+    want = generate(cli.genspec_from_json(GEN_SPEC))
     assert doc["a3d_relation"] == 1
     assert doc["schema"] == {"scalars": ["k"], "arrays": ["vals"]}
     assert [{c: tuple(v) if isinstance(v, list) else v
@@ -681,14 +673,14 @@ def test_gen_rejects_a_bad_spec(tmp_path, capsys):
                          ids=["missing", "null", "list"])
 def test_gen_spec_columns_must_be_an_object(doc):
     with pytest.raises(cli.PlanParseError) as bad:
-        genspec_from_json(doc)
+        cli.genspec_from_json(doc)
     assert str(bad.value) == "columns: must be an object"
 
 
 def test_gen_spec_names_at_least_one_column():
     # an empty object made ``a3d gen`` write rows with an empty schema
     with pytest.raises(cli.PlanParseError) as bad:
-        genspec_from_json({"row_count": 2, "columns": {}})
+        cli.genspec_from_json({"row_count": 2, "columns": {}})
     assert str(bad.value) == "columns: must name at least one column"
 
 
@@ -706,7 +698,8 @@ def test_sample_gen_spec_generates_its_relation(capsys):
     assert cli.main(["gen", "--spec", str(GEN_SPEC_FILE)]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    want = generate(genspec_from_json(json.loads(GEN_SPEC_FILE.read_text())))
+    want = generate(cli.genspec_from_json(
+        json.loads(GEN_SPEC_FILE.read_text())))
     assert len(json.loads(out)["rows"]) == len(want.rows) > 0
 
 
@@ -730,3 +723,118 @@ def test_gen_rejects_a_key_the_spec_does_not_list(tmp_path, capsys, doc,
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err) == {"error": "parse", "message": message}
+
+
+############################################################
+# every object of the three documents
+############################################################
+
+def _every_object_plan():
+    """A plan document with an object of each type the format names."""
+    scan = {"op": "arrayJoin", "targets": [["f", "e"]],
+            "input": {"op": "arrayFilter", "targets": [["v", "f"]],
+                      "pred": {"pred": "not", "part": _cmp("<", "f", 3)},
+                      "input": _rel("R")}}
+    neg_y = {"pred": "cmp", "op": ">",
+             "lhs": {"expr": "apply", "fn": {"name": "neg"},
+                     "args": [{"expr": "col", "name": "y"}]},
+             "rhs": {"expr": "lit", "value": 0}}
+    term = {"op": "filter",
+            "pred": {"pred": "and", "parts": [
+                _cmp("<", "x", 5),
+                {"pred": "or", "parts": [neg_y, _cmp("=", "k", 1)]}]},
+            "input": {"op": "join", "left": scan, "right": _rel("S")}}
+    term = {"op": "derive", "output": "z",
+            "fn": {"name": "affine", "params": {"a": 2, "b": 1}},
+            "args": ["x"], "input": term}
+    term = {"op": "aggregate", "keys": ["k"],
+            "aggs": [{"fn": "sum", "arg": "z", "alias": "s"}],
+            "input": {"op": "project", "cols": ["k", "z"], "input": term}}
+    return {"a3d_plan": 1, "catalog": dict(CATALOG, correspondences=[]),
+            "options": {"mode": "greedy"}, "term": term}
+
+
+def _with_row_stats(kind):
+    """STATS_DOC with the elements of ``R.v`` described as `kind`."""
+    entry = {"uniform": STATS_DOC["R.v"]["row_stats"],
+             "exact": {"kind": "exact", "freq": [[1, 0.5], [2, 0.5]]},
+             "clustered": {"kind": "clustered",
+                           "clusters": [[0, 5, 1.0, 3]]}}[kind]
+    return dict(STATS_DOC, **{"R.v": dict(STATS_DOC["R.v"],
+                                          row_stats=entry)})
+
+
+_DERIVE = ["term", "input", "input"]
+_FILTER = _DERIVE + ["input"]
+_SCAN = _FILTER + ["input", "left"]
+# (document, the document, the path of keys from its root to one object)
+EVERY_OBJECT = {
+    "envelope": ("plan", _every_object_plan(), []),
+    "catalog": ("plan", _every_object_plan(), ["catalog"]),
+    "relation": ("plan", _every_object_plan(), ["catalog", "relations", "R"]),
+    "options": ("plan", _every_object_plan(), ["options"]),
+    "aggregate": ("plan", _every_object_plan(), ["term"]),
+    "agg-spec": ("plan", _every_object_plan(), ["term", "aggs", 0]),
+    "project": ("plan", _every_object_plan(), ["term", "input"]),
+    "derive": ("plan", _every_object_plan(), _DERIVE),
+    "function": ("plan", _every_object_plan(), _DERIVE + ["fn"]),
+    "filter": ("plan", _every_object_plan(), _FILTER),
+    "and": ("plan", _every_object_plan(), _FILTER + ["pred"]),
+    "cmp": ("plan", _every_object_plan(), _FILTER + ["pred", "parts", 0]),
+    "col": ("plan", _every_object_plan(),
+            _FILTER + ["pred", "parts", 0, "lhs"]),
+    "lit": ("plan", _every_object_plan(),
+            _FILTER + ["pred", "parts", 0, "rhs"]),
+    "or": ("plan", _every_object_plan(), _FILTER + ["pred", "parts", 1]),
+    "apply": ("plan", _every_object_plan(),
+              _FILTER + ["pred", "parts", 1, "parts", 0, "lhs"]),
+    "join": ("plan", _every_object_plan(), _FILTER + ["input"]),
+    "arrayJoin": ("plan", _every_object_plan(), _SCAN),
+    "arrayFilter": ("plan", _every_object_plan(), _SCAN + ["input"]),
+    "not": ("plan", _every_object_plan(), _SCAN + ["input", "pred"]),
+    "relVar": ("plan", _every_object_plan(), _SCAN + ["input", "input"]),
+    "exact-stats": ("stats", STATS_DOC, ["R.k"]),
+    "uniform-stats": ("stats", STATS_DOC, ["R.x"]),
+    "clustered-stats": ("stats", STATS_DOC, ["S.y"]),
+    "array-stats": ("stats", STATS_DOC, ["R.v"]),
+    **{f"{kind}-row-stats": ("stats", _with_row_stats(kind),
+                             ["R.v", "row_stats"])
+       for kind in ("exact", "uniform", "clustered")},
+    "gen-spec": ("spec", GEN_SPEC, []),
+    "scalar-column": ("spec", GEN_SPEC, ["columns", "k"]),
+    "dist": ("spec", GEN_SPEC, ["columns", "k", "dist"]),
+    "array-column": ("spec", GEN_SPEC, ["columns", "vals"]),
+    "elem": ("spec", GEN_SPEC, ["columns", "vals", "elem"]),
+    "length": ("spec", GEN_SPEC, ["columns", "vals", "length"]),
+}
+
+
+def _run_document(tmp_path, capsys, kind, doc):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    argv = {"plan": ["--plan", str(path)],
+            "stats": ["--plan", str(SAMPLE_PLAN), "--stats", str(path)],
+            "spec": ["gen", "--spec", str(path)]}[kind]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_OBJECT))
+def test_an_unknown_key_in_any_object_is_one_parse_record_at_its_path(
+        tmp_path, capsys, name):
+    kind, doc, at = EVERY_OBJECT[name]
+    doc = json.loads(json.dumps(doc))
+    code, _, err = _run_document(tmp_path, capsys, kind, doc)
+    assert (code, err) == (0, ""), err  # the document itself is good
+    obj = doc
+    for key in at:
+        obj = obj[key]
+    obj["bogus"] = 1
+    code, out, err = _run_document(tmp_path, capsys, kind, doc)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    record = json.loads(line)
+    where = (["stats"] if kind == "stats" else []) + at
+    assert record == {"error": "parse", "message": str(cli.PlanParseError(
+        "unknown keys ['bogus']", *where))}

@@ -2345,6 +2345,7 @@ GOLDEN_TRACES = {
         ("preprocess", "project-pull", [], 900.0, 900.0),
         ("preprocess", "R2.1", [0], 900.0, 220.0),
         ("preprocess", "R2.3", [0], 220.0, 213.0),
+        ("enumerate", "placement", [], 213.0, 213.0),
     ],
     ("descend", "greedy"): [
         ("preprocess", "R13.1", [0, 0, 0], 3335.0, 2963.0),
@@ -2371,9 +2372,11 @@ GOLDEN_TRACES = {
         ("greedy", "R21", [], 4020.0, 2050.0),
     ],
     ("join_agg", "enumerate"): [
+        ("enumerate", "placement", [], 4020.0, 4020.0),
         ("postprocess", "R21", [], 4020.0, 2050.0),
     ],
     ("foreach", "enumerate"): [
+        ("enumerate", "placement", [], 9000.0, 9000.0),
         ("postprocess", "R17.1", [], 9000.0, 6050.0),
     ],
 }
@@ -2411,21 +2414,26 @@ def _assert_trace_chains(trace, before: float, after: float, name) -> None:
 
 
 def test_the_trace_accounts_for_every_rewrite():
-    # every rewrite of the plan is a record, the conjunct split and the
-    # reaggregation collapse among them: the first record starts at the
-    # input's cost, each starts where the last ended, and the last ends
-    # at the plan's
-    chains = 0
-    for name, term, schemas, stats in _trace_chain_queries():
-        try:
-            res = optimize(term, schemas, stats=stats, mode="greedy",
-                           trace=True)
-        except A3DError:
-            continue
-        cost = CostModel(dict(stats or {}), schemas).term_cost(term).cost
-        _assert_trace_chains(res.trace, cost, res.cost, name)
-        chains += bool(res.trace)
-    assert chains > 450  # 488 of the 602 plans rewrite at least once
+    # every change of the plan is a record, the conjunct split, the
+    # reaggregation collapse and the search's placement among them: the
+    # first record starts at the input's cost, each starts where the last
+    # ended, and the last ends at the plan's
+    for mode in planner.MODES:
+        chains = 0
+        for name, term, schemas, stats in _trace_chain_queries():
+            try:
+                res = optimize(term, schemas, stats=stats, mode=mode,
+                               trace=True)
+            except A3DError:
+                continue
+            cost = CostModel(dict(stats or {}), schemas).term_cost(term).cost
+            _assert_trace_chains(res.trace, cost, res.cost, (name, mode))
+            placements = [rec for rec in res.trace
+                          if rec["rule"] == "placement"]
+            assert len(placements) == (mode != "greedy"), (name, mode)
+            chains += bool(res.trace)
+        # in greedy mode 488 of the 602 plans rewrite at least once
+        assert chains > 450, mode
 
 
 def test_a_traced_preprocess_chains_from_its_input_to_its_output():

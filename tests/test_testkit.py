@@ -8,12 +8,13 @@ import pytest
 from a3d.algebra import (
     ArrayJoin, Derive, Filter, RelVar, Schema, output_schema, walk,
 )
+from a3d.cli import genspec_from_json
 from a3d.planner import optimize
 from a3d.predicates import And, Cmp
 from a3d.stats import build_table_stats
 from a3d.testkit import (
     ArrayColumn, Dist, GenSpec, ScalarColumn, SplitMix64, generate,
-    genspec_from_json, make_pattern, pattern_schemas,
+    make_pattern, pattern_schemas,
 )
 
 from naive_interp import naive_eval
